@@ -14,7 +14,6 @@ from .errors import (
     DivisionByZero,
     FieldMismatch,
     Hecke3Error,
-    ImageNotInAlt2,
     InputError,
     InvalidConstraint,
     InvalidQ,
@@ -33,27 +32,21 @@ from .fields import GF, QQ, Fp, PrimeField, Rationals, field_of, parse_field
 from .linalg import Matrix
 from .multilinear import (
     alt2_basis,
-    alt3_generator,
     basis_vector,
     cyclic_shift,
     decompose_bivector,
     idx2,
     idx3,
-    in_alt2_v,
-    in_v_alt2,
     is_alt2,
     is_alt3,
     lift_left,
     lift_right,
     std_basis,
-    subspace_query,
     tensor2,
     trivector_coeff,
     vol,
-    vol_form,
     wedge2,
     wedge3,
-    wedge_tv,
     wedge_vt,
 )
 from .heckecore import (
@@ -70,8 +63,6 @@ from .heckecore import (
     extract_q,
     flip_matrix,
     flip_symmetry,
-    hecke_data_with_solved_q,
-    pairing_form,
     solve_q,
     symmetric_form,
     t_operator,

@@ -34,7 +34,7 @@ from .heckecore import (
     extract_F,
     g_value,
 )
-from .verifier import CheckReport
+from .verifier import CheckReport, _finish, column_witness
 
 __all__ = [
     "TYPE_LABELS",
@@ -229,26 +229,14 @@ def reference_r_matrix(label: str, q, field=QQ) -> Matrix:
 def check_value_tables(q, field=QQ) -> CheckReport:
     """Compare built symmetries of Types 1 to 6 against the value tables."""
     t0 = time.perf_counter()
-    witness = None
     for label in ("Type1", "Type2", "Type3", "Type4", "Type5", "Type6"):
         use_q = q if label in ("Type1", "Type2") else None
         built = build_R(canonical(label, use_q, field)).R
         expected = reference_r_matrix(label, use_q, field)
-        if built != expected:
-            for col in range(9):
-                if built.col(col) != expected.col(col):
-                    witness = {
-                        "input": {"type": label,
-                                  "basis_tensor": [col // 3 + 1, col % 3 + 1]},
-                        "lhs": [field.fmt(x) for x in built.col(col)],
-                        "rhs": [field.fmt(x) for x in expected.col(col)],
-                    }
-                    break
+        witness = column_witness(built, expected, type=label)
+        if witness is not None:
             break
-    return CheckReport(
-        "value_tables", witness is None, witness,
-        (time.perf_counter() - t0) * 1000.0,
-    )
+    return _finish("value_tables", witness, t0)
 
 
 def invariance_suite(trials: int, seed: int, field=QQ,
@@ -280,7 +268,5 @@ def invariance_suite(trials: int, seed: int, field=QQ,
                         "got": moved.label,
                     })
     witness = {"failures": failures} if failures else None
-    return CheckReport(
-        f"invariance(trials={trials},seed={seed},field={field.name})",
-        not failures, witness, (time.perf_counter() - t0) * 1000.0,
-    )
+    return _finish(f"invariance(trials={trials},seed={seed},field={field.name})",
+                   witness, t0)

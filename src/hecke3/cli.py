@@ -33,7 +33,9 @@ def _read_json(path: str):
             return json.load(sys.stdin)
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError covers malformed JSON and undecodable bytes; RecursionError
+        # comes from documents nested too deeply for the decoder
         raise InputError(f"cannot read JSON from {path!r}: {exc}") from exc
 
 

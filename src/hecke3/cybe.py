@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from .fields import QQ
 from .linalg import Matrix, echelon_span, in_span
 from .heckecore import HeckeSymmetry, flip_matrix
-from .verifier import CheckReport
+from .verifier import CheckReport, _finish, column_witness
 
 __all__ = [
     "GlTensor",
@@ -151,22 +151,11 @@ def check_cybe(t: GlTensor) -> CheckReport:
         r12 = r12 + a.kron(b).kron(ident)
         r13 = r13 + a.kron(ident).kron(b)
         r23 = r23 + ident.kron(a).kron(b)
-    total = Matrix.zeros(fld, 27)
+    zero = Matrix.zeros(fld, 27)
+    total = zero
     for x, y in ((r12, r13), (r12, r23), (r13, r23)):
         total = total + (x * y - y * x)
-    witness = None
-    if not total.is_zero():
-        for j in range(27):
-            col = total.col(j)
-            if any(c != 0 for c in col):
-                witness = {
-                    "input": {"basis_tensor": [j // 9 + 1, (j // 3) % 3 + 1, j % 3 + 1]},
-                    "lhs": [fld.fmt(c) for c in col],
-                    "rhs": ["0"] * 27,
-                }
-                break
-    return CheckReport("cybe", witness is None, witness,
-                       (time.perf_counter() - t0) * 1000.0)
+    return _finish("cybe", column_witness(total, zero), t0)
 
 
 def check_symmetrized(t: GlTensor, q) -> CheckReport:
@@ -176,18 +165,7 @@ def check_symmetrized(t: GlTensor, q) -> CheckReport:
     qq = fld.of(q)
     lhs = t.matrix + r21(t).matrix
     rhs = (flip_matrix(fld) + Matrix.identity(fld, 9)).scale(qq - 1)
-    witness = None
-    if lhs != rhs:
-        for j in range(9):
-            if lhs.col(j) != rhs.col(j):
-                witness = {
-                    "input": {"basis_tensor": [j // 3 + 1, j % 3 + 1]},
-                    "lhs": [fld.fmt(c) for c in lhs.col(j)],
-                    "rhs": [fld.fmt(c) for c in rhs.col(j)],
-                }
-                break
-    return CheckReport("symmetrized", witness is None, witness,
-                       (time.perf_counter() - t0) * 1000.0)
+    return _finish("symmetrized", column_witness(lhs, rhs), t0)
 
 
 @dataclass(frozen=True)

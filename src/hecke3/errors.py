@@ -5,7 +5,7 @@ class Hecke3Error(Exception):
     """Base class for every error raised by this package."""
 
 
-class InputError(Hecke3Error):
+class InputError(Hecke3Error, ValueError):
     """Malformed user input: unparsable scalar, bad JSON, wrong shape."""
 
 
@@ -47,10 +47,6 @@ class NotInAlt3(Hecke3Error):
 
 class ZeroBivector(Hecke3Error):
     """The zero bivector cannot be decomposed into two vectors."""
-
-
-class ImageNotInAlt2(Hecke3Error):
-    """An operator required to map into the alternating square does not."""
 
 
 class InvalidConstraint(Hecke3Error):

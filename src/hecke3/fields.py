@@ -193,9 +193,6 @@ class Rationals:
             return Fraction(rn, rd)
         return None
 
-    def contains(self, x) -> bool:
-        return isinstance(x, Fraction)
-
     def __eq__(self, other):
         return isinstance(other, Rationals)
 
@@ -256,10 +253,12 @@ class PrimeField:
         try:
             if "/" in s:
                 num, den = s.split("/", 1)
-                return self.of(Fraction(int(num), int(den)))
-            return Fp(int(s), self.p)
+                value = Fraction(int(num), int(den))
+            else:
+                value = int(s)
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"bad F{self.p} scalar {s!r}") from exc
+        return self.of(value)
 
     def fmt(self, x) -> str:
         return str(self.of(x).v)
@@ -301,9 +300,6 @@ class PrimeField:
                 m = i
         return Fp(min(r, p - r), p)
 
-    def contains(self, x) -> bool:
-        return isinstance(x, Fp) and x.p == self.p
-
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
 
@@ -341,6 +337,8 @@ def field_of(x):
 
 def parse_field(spec: str):
     """Parse a field spec: ``"Q"`` or ``"Fp:<p>"``."""
+    if not isinstance(spec, str):
+        raise InputError(f"field spec must be a string, got {spec!r}")
     spec = spec.strip()
     if spec == "Q":
         return QQ

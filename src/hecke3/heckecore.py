@@ -23,13 +23,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from .errors import (
-    ImageNotInAlt2,
     InputError,
     InvalidConstraint,
     NoHeckeParameter,
     NotHeckeSym0,
     SingularDeformation,
     SingularMatrix,
+    ZeroBivector,
     ZeroQ,
 )
 from .linalg import Matrix
@@ -40,7 +40,6 @@ from .multilinear import (
     is_alt2,
     pair_vt,
     std_basis,
-    tensor2,
     vol,
     wedge2,
     zero_tensor,
@@ -53,14 +52,12 @@ __all__ = [
     "discriminant",
     "solve_q",
     "HeckeData",
-    "hecke_data_with_solved_q",
     "skewsymmetrizer_matrix",
     "build_Y",
     "build_R",
     "flip_matrix",
     "flip_symmetry",
     "HeckeSymmetry",
-    "pairing_form",
     "extract_q",
     "FOperator",
     "zero_F",
@@ -158,16 +155,6 @@ class HeckeData:
         return self.g.field
 
 
-def hecke_data_with_solved_q(a, b, g: Matrix, which: int = 0) -> HeckeData:
-    """Convenience constructor solving for q; errors when no q exists."""
-    qs = solve_q(a, b, g)
-    if not qs:
-        raise InvalidConstraint(
-            "-discriminant is not a square in the field: no admissible q"
-        )
-    return HeckeData(qs[which % len(qs)], a, b, g)
-
-
 def skewsymmetrizer_matrix(q, a, b, g: Matrix) -> Matrix:
     """Raw assembly of the skewsymmetrizer formula, with no validation.
 
@@ -202,12 +189,20 @@ def build_Y(data: HeckeData) -> Matrix:
 
 @dataclass(frozen=True)
 class HeckeSymmetry:
-    """An operator R with its cached skewsymmetrizer Y = q*Id - R."""
+    """An operator R with its cached skewsymmetrizer Y = q*Id - R.
+
+    Every instance has Y mapping into the alternating square; later code
+    relies on this instead of checking it again.
+    """
 
     R: Matrix
     Y: Matrix
     q: object
     data: HeckeData | None = dc_field(default=None, compare=False)
+
+    def __post_init__(self):
+        if not all(is_alt2(self.Y.col(j)) for j in range(9)):
+            raise NotHeckeSym0("the skewsymmetrizer image is not alternating")
 
     @property
     def field(self):
@@ -236,16 +231,13 @@ class HeckeSymmetry:
                 raise NotHeckeSym0("the quadratic Hecke relation fails for the given q")
         if q == 0:
             raise NotHeckeSym0("the Hecke parameter is zero")
-        Y = Matrix.identity(fld, 9).scale(q) - R
-        for j in range(9):
-            if not is_alt2(Y.col(j)):
-                raise NotHeckeSym0("the skewsymmetrizer image is not alternating")
-        if Y.rank() != 3:
+        sym = cls(R, Matrix.identity(fld, 9).scale(q) - R, q)
+        if sym.Y.rank() != 3:
             raise NotHeckeSym0("the skewsymmetrizer image is not the full alternating square")
         for w in alt2_basis(fld):
-            if Y.apply(w) != [(q + 1) * c for c in w]:
+            if sym.Y.apply(w) != [(q + 1) * c for c in w]:
                 raise NotHeckeSym0("alternating tensors are not (q+1)-eigenvectors")
-        return cls(R, Y, q)
+        return sym
 
 
 def build_R(data: HeckeData) -> HeckeSymmetry:
@@ -270,23 +262,6 @@ def flip_symmetry(field) -> HeckeSymmetry:
     e = std_basis(field)
     data = HeckeData(field.one(), e[0], e[1], Matrix.zeros(field, 3))
     return build_R(data)
-
-
-def pairing_form(Y: Matrix, x, y):
-    """The linear form z |-> trivector_coeff(x ^ Y(y z)).
-
-    Trilinear in (x, y, z); requires the image of Y inside the alternating
-    square.
-    """
-    fld = Y.field
-    for j in range(9):
-        if not is_alt2(Y.col(j)):
-            raise ImageNotInAlt2("operator image is not alternating")
-    out = []
-    for z in std_basis(fld):
-        yz = Y.apply(tensor2(y, z))
-        out.append(pair_vt(x, yz))
-    return out
 
 
 def extract_q(R: Matrix):
@@ -388,9 +363,6 @@ def extract_F(sym: HeckeSymmetry) -> FOperator:
     fld = sym.field
     Y = sym.Y
     e = std_basis(fld)
-    for j in range(9):
-        if not is_alt2(Y.col(j)):
-            raise NotHeckeSym0("the skewsymmetrizer image is not alternating")
     ycols = {}
     for i in range(3):
         for j in range(3):

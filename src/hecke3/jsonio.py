@@ -24,6 +24,13 @@ __all__ = [
 ]
 
 
+def _scalar_from_json(field, x):
+    """A scalar given as JSON text or an integer; floats and booleans are rejected."""
+    if isinstance(x, bool) or not isinstance(x, (str, int)):
+        raise InputError(f"a scalar must be a string or an integer, got {x!r}")
+    return field.of(x)
+
+
 def vector_to_json(field, v):
     return [field.fmt(x) for x in v]
 
@@ -31,7 +38,7 @@ def vector_to_json(field, v):
 def vector_from_json(field, data, length=3):
     if not isinstance(data, list) or len(data) != length:
         raise InputError(f"expected a list of {length} scalars")
-    return [field.of(x) for x in data]
+    return [_scalar_from_json(field, x) for x in data]
 
 
 def matrix_to_json(m: Matrix):
@@ -69,7 +76,7 @@ def hecke_data_from_json(obj: dict, default_field=None) -> HeckeData:
     if fld is None:
         raise InputError("no field given and no default field set")
     try:
-        q = fld.parse(str(obj["q"]))
+        q = _scalar_from_json(fld, obj["q"])
         a = vector_from_json(fld, obj["a"])
         b = vector_from_json(fld, obj["b"])
         g = symmetric_form(fld, obj["g"])
@@ -102,7 +109,7 @@ def load_symmetry(obj, default_field=None) -> HeckeSymmetry:
         if fld is None:
             raise InputError("no field given and no default field set")
         R = matrix_from_json(fld, obj["R"], 9, 9)
-        q = fld.parse(str(obj["q"])) if "q" in obj else None
+        q = _scalar_from_json(fld, obj["q"]) if "q" in obj else None
         return HeckeSymmetry.from_matrix(R, q)
     if isinstance(obj, list):
         if default_field is None:

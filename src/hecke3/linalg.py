@@ -214,10 +214,6 @@ class Matrix:
         red, pivots = self.rref()
         return [red.rows[i][:] for i in range(len(pivots))]
 
-    def column_space_basis(self):
-        """Canonical basis of the column space (echelonized)."""
-        return self.transpose().row_space_basis()
-
     def det(self):
         if self.nrows != self.ncols:
             raise DimensionMismatch("determinant of a non-square matrix")

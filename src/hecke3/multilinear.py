@@ -35,19 +35,12 @@ __all__ = [
     "wedge2",
     "wedge3",
     "wedge_vt",
-    "wedge_tv",
     "vol",
     "trivector_coeff",
-    "vol_form",
     "pair_vt",
-    "eval_form",
     "is_alt2",
     "is_alt3",
-    "in_v_alt2",
-    "in_alt2_v",
-    "subspace_query",
     "alt2_basis",
-    "alt3_generator",
     "decompose_bivector",
     "lift_left",
     "lift_right",
@@ -147,35 +140,6 @@ def is_alt3(w) -> bool:
     return True
 
 
-def in_v_alt2(w) -> bool:
-    """Membership in V (x) Alt2: every front slice is alternating."""
-    _check_len(w, 27, "degree-3 tensor")
-    return all(is_alt2(w[9 * i : 9 * i + 9]) for i in range(3))
-
-
-def in_alt2_v(w) -> bool:
-    """Membership in Alt2 (x) V: every back slice is alternating."""
-    _check_len(w, 27, "degree-3 tensor")
-    return all(
-        is_alt2([w[idx3(i, j, k)] for i in range(3) for j in range(3)])
-        for k in range(3)
-    )
-
-
-def subspace_query(w, space: str) -> bool:
-    """Exact membership test; ``space`` is Alt2, Alt3, VxAlt2 or Alt2xV."""
-    tests = {
-        "Alt2": is_alt2,
-        "Alt3": is_alt3,
-        "VxAlt2": in_v_alt2,
-        "Alt2xV": in_alt2_v,
-    }
-    try:
-        return tests[space](w)
-    except KeyError:
-        raise DimensionMismatch(f"unknown subspace {space!r}") from None
-
-
 def wedge_vt(x, t):
     """Wedge of a vector with an alternating degree-2 tensor.
 
@@ -193,11 +157,6 @@ def wedge_vt(x, t):
                 w = wedge3(x, e[i], e[j])
                 out = [a + c * b for a, b in zip(out, w)]
     return out
-
-
-def wedge_tv(t, x):
-    """Mirror wedge t ^ x; equals x ^ t for a bivector t."""
-    return wedge_vt(x, t)
 
 
 def vol(x, y, z):
@@ -220,12 +179,6 @@ def trivector_coeff(w):
     return w[idx3(0, 1, 2)]
 
 
-def vol_form(x, y):
-    """The linear form v |-> vol(x, y, v), as a coefficient triple."""
-    fld = field_of(x[0])
-    return [vol(x, y, e) for e in std_basis(fld)]
-
-
 def pair_vt(x, t):
     """trivector_coeff(x ^ t) for an alternating t, without building the wedge.
 
@@ -235,22 +188,10 @@ def pair_vt(x, t):
     return x[0] * t[5] + x[1] * t[6] + x[2] * t[1]
 
 
-def eval_form(form, v):
-    acc = form[0] * v[0]
-    for f, c in zip(form[1:], v[1:]):
-        acc = acc + f * c
-    return acc
-
-
 def alt2_basis(field):
     """Basis e1^e2, e1^e3, e2^e3 of the alternating square."""
     e = std_basis(field)
     return [wedge2(e[0], e[1]), wedge2(e[0], e[2]), wedge2(e[1], e[2])]
-
-
-def alt3_generator(field):
-    e = std_basis(field)
-    return wedge3(e[0], e[1], e[2])
 
 
 def decompose_bivector(t):

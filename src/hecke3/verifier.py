@@ -28,6 +28,7 @@ from .multilinear import (
     pair_vt,
     random_invertible,
     std_basis,
+    tensor2,
     vol,
     wedge2,
     wedge_vt,
@@ -49,6 +50,7 @@ from .heckecore import (
 
 __all__ = [
     "CheckReport",
+    "column_witness",
     "check_braid",
     "check_hecke",
     "check_image_and_eigen",
@@ -86,32 +88,53 @@ def _fmt_list(field, xs):
     return [field.fmt(x) for x in xs]
 
 
-def _finish(name, passed, witness, t0):
-    return CheckReport(name, passed, witness if not passed else None,
+def _finish(name, witness, t0):
+    """The report of a check that started at ``t0``; it passed iff no witness."""
+    return CheckReport(name, witness is None, witness,
                        (time.perf_counter() - t0) * 1000.0)
+
+
+def _basis_tensor(c: int, n: int):
+    """1-based index tuple of column ``c`` of an n x n operator (n = 9 or 27)."""
+    digits = [c // 9 + 1, c // 3 % 3 + 1, c % 3 + 1]
+    return digits[1:] if n == 9 else digits
+
+
+def column_witness(lhs: Matrix, rhs: Matrix, **context) -> dict | None:
+    """Witness at the first basis tensor where two operators differ, or None.
+
+    Works for 9x9 and 27x27 operators; ``context`` keys are recorded in the
+    witness input ahead of the basis tensor.
+    """
+    if lhs == rhs:
+        return None
+    fld = lhs.field
+    c = next(c for c in range(lhs.ncols) if lhs.col(c) != rhs.col(c))
+    return {
+        "input": {**context, "basis_tensor": _basis_tensor(c, lhs.ncols)},
+        "lhs": _fmt_list(fld, lhs.col(c)),
+        "rhs": _fmt_list(fld, rhs.col(c)),
+    }
+
+
+def _non_alternating_column(Y: Matrix) -> dict | None:
+    """Witness at the first column of Y outside the alternating square, or None."""
+    for c in range(9):
+        col = Y.col(c)
+        if not is_alt2(col):
+            return {
+                "input": {"basis_tensor": _basis_tensor(c, 9)},
+                "lhs": _fmt_list(Y.field, col),
+                "rhs": ["alternating tensor expected"],
+            }
+    return None
 
 
 def check_braid(R: Matrix) -> CheckReport:
     """(R x Id)(Id x R)(R x Id) = (Id x R)(R x Id)(Id x R) on all 27 columns."""
     t0 = time.perf_counter()
-    fld = R.field
     r1, r2 = lift_left(R), lift_right(R)
-    lhs = r1 * (r2 * r1)
-    rhs = r2 * (r1 * r2)
-    witness = None
-    if lhs != rhs:
-        for i in range(3):
-            for j in range(3):
-                for k in range(3):
-                    c = 9 * i + 3 * j + k
-                    lc, rc = lhs.col(c), rhs.col(c)
-                    if lc != rc and witness is None:
-                        witness = {
-                            "input": {"basis_tensor": [i + 1, j + 1, k + 1]},
-                            "lhs": _fmt_list(fld, lc),
-                            "rhs": _fmt_list(fld, rc),
-                        }
-    return _finish("braid", witness is None, witness, t0)
+    return _finish("braid", column_witness(r1 * (r2 * r1), r2 * (r1 * r2)), t0)
 
 
 def check_hecke(R: Matrix, q) -> CheckReport:
@@ -120,34 +143,14 @@ def check_hecke(R: Matrix, q) -> CheckReport:
     fld = R.field
     ident = Matrix.identity(fld, 9)
     prod = (R - ident.scale(fld.of(q))) * (R + ident)
-    witness = None
-    if not prod.is_zero():
-        for j in range(9):
-            col = prod.col(j)
-            if any(x != 0 for x in col):
-                witness = {
-                    "input": {"basis_tensor": [j // 3 + 1, j % 3 + 1]},
-                    "lhs": _fmt_list(fld, col),
-                    "rhs": ["0"] * 9,
-                }
-                break
-    return _finish("hecke", witness is None, witness, t0)
+    return _finish("hecke", column_witness(prod, Matrix.zeros(fld, 9)), t0)
 
 
 def check_image_and_eigen(Y: Matrix, q) -> CheckReport:
     """Image of Y is exactly the alternating square and Yw = (q+1)w there."""
     t0 = time.perf_counter()
     fld = Y.field
-    witness = None
-    for j in range(9):
-        col = Y.col(j)
-        if not is_alt2(col):
-            witness = {
-                "input": {"basis_tensor": [j // 3 + 1, j % 3 + 1]},
-                "lhs": _fmt_list(fld, col),
-                "rhs": ["alternating tensor expected"],
-            }
-            break
+    witness = _non_alternating_column(Y)
     if witness is None:
         rk = Y.rank()
         if rk != 3:
@@ -164,7 +167,7 @@ def check_image_and_eigen(Y: Matrix, q) -> CheckReport:
                     "rhs": _fmt_list(fld, want),
                 }
                 break
-    return _finish("image_eigen", witness is None, witness, t0)
+    return _finish("image_eigen", witness, t0)
 
 
 def check_containments(Y: Matrix, q) -> CheckReport:
@@ -179,39 +182,21 @@ def check_containments(Y: Matrix, q) -> CheckReport:
     qq = fld.of(q)
     y1, y2 = lift_left(Y), lift_right(Y)
     e = std_basis(fld)
-    witness = None
-    for i in range(3):
-        for t in alt2_basis(fld):
-            w = [ei * tc for ei in e[i] for tc in t]
-            u = y2.apply(y1.apply(w))
-            u = [a - qq * b for a, b in zip(u, w)]
-            if not is_alt3(u):
-                witness = {
-                    "input": {"space": "VxAlt2", "vector": i + 1,
-                              "bivector": _fmt_list(fld, t)},
-                    "lhs": _fmt_list(fld, u),
-                    "rhs": ["element of Alt3 expected"],
-                }
-                break
-        if witness:
-            break
-    if witness is None:
+    for space, first, second in (("VxAlt2", y1, y2), ("Alt2xV", y2, y1)):
         for i in range(3):
             for t in alt2_basis(fld):
-                w = [tc * ei for tc in t for ei in e[i]]
-                u = y1.apply(y2.apply(w))
+                w = tensor2(e[i], t) if space == "VxAlt2" else tensor2(t, e[i])
+                u = second.apply(first.apply(w))
                 u = [a - qq * b for a, b in zip(u, w)]
                 if not is_alt3(u):
                     witness = {
-                        "input": {"space": "Alt2xV", "vector": i + 1,
+                        "input": {"space": space, "vector": i + 1,
                                   "bivector": _fmt_list(fld, t)},
                         "lhs": _fmt_list(fld, u),
                         "rhs": ["element of Alt3 expected"],
                     }
-                    break
-            if witness:
-                break
-    return _finish("containments", witness is None, witness, t0)
+                    return _finish("containments", witness, t0)
+    return _finish("containments", None, t0)
 
 
 def check_component_identity(Y: Matrix, q, basis: Matrix | None = None) -> CheckReport:
@@ -233,7 +218,6 @@ def check_component_identity(Y: Matrix, q, basis: Matrix | None = None) -> Check
     def y(i, j, k, l):
         return comp[idx2(k, l)][idx2(i, j)]
 
-    witness = None
     name = "component_identity" if basis is None else "component_identity[basis]"
     for r in range(3):
         for t in range(3):
@@ -256,8 +240,8 @@ def check_component_identity(Y: Matrix, q, basis: Matrix | None = None) -> Check
                                 "lhs": [fld.fmt(acc)],
                                 "rhs": [fld.fmt(want)],
                             }
-                            return _finish(name, False, witness, t0)
-    return _finish(name, True, None, t0)
+                            return _finish(name, witness, t0)
+    return _finish(name, None, t0)
 
 
 def check_pairing_identities(Y: Matrix, q) -> CheckReport:
@@ -275,14 +259,9 @@ def check_pairing_identities(Y: Matrix, q) -> CheckReport:
     fld = Y.field
     qq = fld.of(q)
     e = std_basis(fld)
-    for c in range(9):
-        if not is_alt2(Y.col(c)):
-            witness = {
-                "input": {"basis_tensor": [c // 3 + 1, c % 3 + 1]},
-                "lhs": _fmt_list(fld, Y.col(c)),
-                "rhs": ["alternating tensor expected"],
-            }
-            return _finish("pairing_identities", False, witness, t0)
+    witness = _non_alternating_column(Y)
+    if witness is not None:
+        return _finish("pairing_identities", witness, t0)
     cols = {(j, k): Y.col(idx2(j, k)) for j in range(3) for k in range(3)}
     # ell[i][j][k] = L[e_i, e_j](e_k)
     ell = [
@@ -301,7 +280,7 @@ def check_pairing_identities(Y: Matrix, q) -> CheckReport:
                         "lhs": [fld.fmt(lhs)],
                         "rhs": [fld.fmt(rhs)],
                     }
-                    return _finish("pairing_identities", False, witness, t0)
+                    return _finish("pairing_identities", witness, t0)
     xs = [(f"e{i+1}", e[i]) for i in range(3)]
     xs += [
         (f"e{i+1}+e{j+1}", [a + b for a, b in zip(e[i], e[j])])
@@ -341,8 +320,8 @@ def check_pairing_identities(Y: Matrix, q) -> CheckReport:
                                 "lhs": [fld.fmt(lhs)],
                                 "rhs": [fld.fmt(qq * vxjk * volx[u][v])],
                             }
-                            return _finish("pairing_identities", False, witness, t0)
-    return _finish("pairing_identities", True, None, t0)
+                            return _finish("pairing_identities", witness, t0)
+    return _finish("pairing_identities", None, t0)
 
 
 def check_cyclic_shift_identity(Y: Matrix, T: Matrix, q) -> CheckReport:
@@ -357,12 +336,10 @@ def check_cyclic_shift_identity(Y: Matrix, T: Matrix, q) -> CheckReport:
     qq = fld.of(q)
     y1, y2 = lift_left(Y), lift_right(Y)
     e = std_basis(fld)
-    witness = None
     for i in range(3):
         tx2 = T.apply(e[i])
         for t in alt2_basis(fld):
-            tx = [tc * ei for tc in t for ei in e[i]]
-            xt = [ei * tc for ei in e[i] for tc in t]
+            tx, xt = tensor2(t, e[i]), tensor2(e[i], t)
             lhs_v = y1.apply(y2.apply(tx))
             shift = cyclic_shift(y2.apply(y1.apply(xt)))
             lhs = [a - b for a, b in zip(lhs_v, shift)]
@@ -373,8 +350,8 @@ def check_cyclic_shift_identity(Y: Matrix, T: Matrix, q) -> CheckReport:
                     "lhs": _fmt_list(fld, lhs),
                     "rhs": _fmt_list(fld, rhs),
                 }
-                return _finish("cyclic_shift_identity", False, witness, t0)
-    return _finish("cyclic_shift_identity", True, None, t0)
+                return _finish("cyclic_shift_identity", witness, t0)
+    return _finish("cyclic_shift_identity", None, t0)
 
 
 def run_suite(sym: HeckeSymmetry, random_bases: int = 0, rng=None) -> list[CheckReport]:
@@ -525,10 +502,10 @@ def fuzz(field, trials: int, seed: int, strategy: str = "A",
     """
     t0 = time.perf_counter()
     if trials < 1:
-        raise ValueError("trials must be >= 1")
+        raise InputError("trials must be >= 1")
     strategy = strategy.upper()
     if strategy not in ("A", "B"):
-        raise ValueError("strategy must be 'A' or 'B'")
+        raise InputError("strategy must be 'A' or 'B'")
     sampler = sample_strategy_a if strategy == "A" else sample_strategy_b
     failures = []
     for trial in range(trials):
@@ -562,4 +539,4 @@ def fuzz(field, trials: int, seed: int, strategy: str = "A",
     name = f"fuzz(field={field.name},strategy={strategy}," \
            f"trials={trials},seed={seed},adversarial={adversarial})"
     witness = {"failures": failures} if failures else None
-    return _finish(name, not failures, witness, t0)
+    return _finish(name, witness, t0)

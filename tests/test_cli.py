@@ -218,6 +218,31 @@ class TestSerializationRoundtrips:
         assert isinstance(doc["g"][0][1], str)
 
 
+_QUADRUPLE = {"a": ["1", "0", "0"], "b": ["0", "1", "0"],
+              "g": [["0", "-1/4", "0"], ["-1/4", "0", "0"], ["0", "0", "1"]]}
+
+
+@pytest.mark.parametrize("argv, document", [
+    (["fuzz", "--trials", "0", "--seed", "1"], None),
+    (["verify", "--matrix", "{doc}"], {"field": 5, "q": "1", "R": [["0"] * 9] * 9}),
+    (["verify", "--matrix", "{doc}"], "[" * 100_000 + "]" * 100_000),
+    (["construct", "--data", "{doc}"], {"field": "Q", "q": 0.5, **_QUADRUPLE}),
+], ids=["zero_trials", "non_string_field", "deep_array", "float_q"])
+def test_invalid_input_is_one_error_document(tmp_path, argv, document):
+    """Invalid input exits 2 with one JSON error document and no traceback."""
+    path = tmp_path / "doc.json"
+    if document is not None:
+        path.write_text(document if isinstance(document, str) else json.dumps(document))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hecke3.cli", *(a.format(doc=path) for a in argv)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert set(json.loads(proc.stdout)) == {"error"}
+    assert "Traceback" not in proc.stderr
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "hecke3.cli", "construct", "--type", "8"],

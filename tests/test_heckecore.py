@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from hecke3.errors import (
-    ImageNotInAlt2,
     InputError,
     InvalidConstraint,
     NoHeckeParameter,
@@ -21,10 +20,11 @@ from hecke3.multilinear import (
     alt2_basis,
     idx2,
     is_alt2,
+    pair_vt,
     random_invertible,
     std_basis,
     tensor2,
-    vol_form,
+    vol,
     wedge2,
     zero_tensor,
 )
@@ -43,8 +43,6 @@ from hecke3.heckecore import (
     flip_matrix,
     flip_symmetry,
     g_value,
-    hecke_data_with_solved_q,
-    pairing_form,
     solve_q,
     symmetric_form,
     t_operator,
@@ -58,6 +56,16 @@ Fr = Fraction
 def family_gram(q, corner=1):
     s = (QQ.of(q) - 1) / 2
     return symmetric_form(QQ, [[0, s, 0], [s, 0, 0], [0, 0, corner]])
+
+
+def pairing_coeffs(Y, x, y):
+    """The linear form z |-> trivector_coeff(x ^ Y(y z)), as a coefficient triple."""
+    return [pair_vt(x, Y.apply(tensor2(y, z))) for z in std_basis(QQ)]
+
+
+def plane_form(x, y):
+    """The linear form z |-> vol(x, y, z), as a coefficient triple."""
+    return [vol(x, y, z) for z in std_basis(QQ)]
 
 
 class TestTOperator:
@@ -145,15 +153,6 @@ class TestDiscriminantAndSolveQ:
         gg = symmetric_form(QQ, [[2, 0, 0], [0, 1, 0], [0, 0, 0]])
         assert solve_q(E1, E2, gg) == []
         assert solve_q(E1, E2, g) == [QQ.one()]
-
-    def test_convenience_constructor(self):
-        g = symmetric_form(QQ, [[1, 0, 0], [0, -1, 0], [0, 0, 0]])
-        d = hecke_data_with_solved_q(E1, E2, g)
-        assert d.q in (QQ.of(-1), QQ.of(3))
-        with pytest.raises(InvalidConstraint):
-            hecke_data_with_solved_q(
-                E1, E2, symmetric_form(QQ, [[2, 0, 0], [0, 1, 0], [0, 0, 0]])
-            )
 
 
 class TestHeckeDataValidation:
@@ -252,26 +251,22 @@ class TestPairingForm:
         q = Fr(3)
         g = family_gram(q)
         sym = build_R(HeckeData(q, E1, E2, g))
-        ab_form = vol_form(E1, E2)
+        ab_form = plane_form(E1, E2)
         rng = random.Random(23)
         for _ in range(20):
             x = [Fr(rng.randint(-4, 4)) for _ in range(3)]
-            got = pairing_form(sym.Y, x, x)
+            got = pairing_coeffs(sym.Y, x, x)
             want = [g_value(g, x, x) * c for c in ab_form]
             assert got == want
 
     def test_zero_vector(self):
         sym = build_R(canonical("Type4"))
-        assert pairing_form(sym.Y, [QQ.zero()] * 3, E2) == [QQ.zero()] * 3
+        assert pairing_coeffs(sym.Y, [QQ.zero()] * 3, E2) == [QQ.zero()] * 3
 
     def test_first_family_diagonal_value(self):
         q = Fr(2)
         sym = build_R(HeckeData(q, E1, E2, family_gram(q)))
-        assert pairing_form(sym.Y, E3, E3) == vol_form(E1, E2)
-
-    def test_requires_alternating_image(self):
-        with pytest.raises(ImageNotInAlt2):
-            pairing_form(Matrix.identity(QQ, 9), E1, E2)
+        assert pairing_coeffs(sym.Y, E3, E3) == plane_form(E1, E2)
 
 
 class TestExtractQ:
@@ -390,6 +385,15 @@ class TestFromMatrix:
     def test_wrong_claimed_q(self):
         with pytest.raises(NotHeckeSym0):
             HeckeSymmetry.from_matrix(flip_matrix(QQ), q=QQ.of(2))
+
+    def test_rejects_non_alternating_image(self):
+        # R = Id - 2E, E the projection onto e1 e1: quadratic relation at q = 1
+        R = Matrix.identity(QQ, 9)
+        R.rows[0][0] = QQ.of(-1)
+        with pytest.raises(NotHeckeSym0, match="not alternating"):
+            HeckeSymmetry.from_matrix(R)
+        with pytest.raises(NotHeckeSym0, match="not alternating"):
+            HeckeSymmetry(R, Matrix.identity(QQ, 9) - R, QQ.one())
 
 
 class TestDeform:

@@ -93,4 +93,4 @@ def test_span_helpers():
 def test_row_and_column_space():
     m = Matrix.from_rows(QQ, [[1, 2], [2, 4], [0, 1]])
     assert len(m.row_space_basis()) == 2
-    assert len(m.column_space_basis()) == 2
+    assert len(m.transpose().row_space_basis()) == 2

@@ -1,5 +1,6 @@
 """Exact identity checks and the fuzz harness."""
 
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -21,6 +22,7 @@ from hecke3.heckecore import (
     t_operator,
 )
 from hecke3.classify import canonical
+from hecke3.cybe import check_cybe, check_symmetrized, classical_r, gl_tensor
 from hecke3.verifier import (
     check_braid,
     check_component_identity,
@@ -300,3 +302,76 @@ def test_necessity_spot_check():
         assert not (braid.passed and hecke.passed)
         failing = braid if not braid.passed else hecke
         assert failing.witness is not None
+
+
+def _golden_cases(field):
+    """Failing checks whose witnesses are pinned byte for byte."""
+    q, a, b, g = sample_adversarial(field, random.Random(8))
+    Y = skewsymmetrizer_matrix(q, a, b, g)
+    R = Matrix.identity(field, 9).scale(q) - Y
+    flip_y2 = flip_symmetry(field).Y.scale(field.of(2))
+    type1 = build_R(canonical("Type1", 3, field))
+    ident9 = Matrix.identity(field, 9)
+    return {
+        "braid": lambda: check_braid(R),
+        "containments": lambda: check_containments(Y, q),
+        "component_identity": lambda: check_component_identity(Y, q),
+        "pairing_wedge": lambda: check_pairing_identities(Y, q),
+        "cybe": lambda: check_cybe(gl_tensor(flip_matrix(field) * R - ident9)),
+        "hecke_flip_at_2": lambda: check_hecke(flip_matrix(field), 2),
+        "image_eigen_identity": lambda: check_image_and_eigen(ident9, 1),
+        "image_eigen_zero": lambda: check_image_and_eigen(Matrix.zeros(field, 9), 1),
+        "image_eigen_flip_2y": lambda: check_image_and_eigen(flip_y2, 1),
+        "pairing_identity": lambda: check_pairing_identities(ident9, 1),
+        "pairing_flip_2y": lambda: check_pairing_identities(flip_y2, 1),
+        "cyclic_shift_type1_id": lambda: check_cyclic_shift_identity(
+            type1.Y, Matrix.identity(field, 3), type1.q),
+        "symmetrized_type1_at_5": lambda: check_symmetrized(classical_r(type1), 5),
+    }
+
+
+# sha256 of json.dumps(report.to_json()) without elapsed_ms
+GOLDEN_WITNESS_DIGESTS = {
+    "Q": {
+        "braid": "26e9f9f73b4c7f77317e5162e3fc2c7361cfde81596bbfaf074abf33749d2b54",
+        "containments": "cc27da07c8b1e5c5f18f60167ecd99a94e39179a724229fd4d17b65980d78e76",
+        "component_identity": "6217176dc97ebf9d48579da1eac2cf81e156e32db9c82b28c984f1a8970971b4",
+        "pairing_wedge": "45cecb8f725f78903b58401680710d90a665ad14db32029888572a2243c68aeb",
+        "cybe": "9dc723792bb9c1e2401a2772f096aac4c5d1e25d74724d7d09d680310178488f",
+        "hecke_flip_at_2": "24c8e95435e93c6a3a443e58c85f7d9c4956409eadf86bd9956c1e7c0eececd2",
+        "image_eigen_identity": "ce1a25cb170e5e5a198f44ce1dbfeaad4d08d2a80934f503c50874f56257946a",
+        "image_eigen_zero": "ac5da491b2ceb8bc009a351927fc566891f0fda1d9107e865dcca2774d63f773",
+        "image_eigen_flip_2y": "747f6c360fb99f500a69c8ca761e03743cfd763be872132262b8af6dd55d3c8d",
+        "pairing_identity": "f0e7ed4ce2bafb6b20889908b14919a489374ff7ec939df1b609b15af072b2a5",
+        "pairing_flip_2y": "42e5a04ab303a65b2e709edc48685f51d220c29f20a71bd4ca70931a4470d3d0",
+        "cyclic_shift_type1_id": "242f687c1a0368ed2f554e043db698cd4538a7e9e9b897dd14cc2e42e10a81e8",
+        "symmetrized_type1_at_5": "e4f1210f91c29b61bc0db535c58688dc7a50f51324e800bbcb85f22dbf475377",
+    },
+    "Fp:7": {
+        "braid": "1d835b4f681d4a66d7358c0e6bd0d0fb18dc25db7fc878400ec235f3a97a2093",
+        "containments": "46e28cab3de9df990e38956a63a5718444d80e75c20811e5d3fefac0b9b0a603",
+        "component_identity": "77b9dff7b9c13c3b31ea9704395ee7c9b5a2f553920394d8646f34edcd935ebb",
+        "pairing_wedge": "d2c400f99f820a03ecee03e02dab36c703d7542417fac7c4daeeccf39b08fe25",
+        "cybe": "9b1f7d5354b745538e8dc8175637283ceab38667e4a6a87e71c58e6f6ae5620a",
+        "hecke_flip_at_2": "5ad09497d843d6d5ab90e17757f794e66f5ba37e94770d132b76c7d8837c2d52",
+        "image_eigen_identity": "ce1a25cb170e5e5a198f44ce1dbfeaad4d08d2a80934f503c50874f56257946a",
+        "image_eigen_zero": "ac5da491b2ceb8bc009a351927fc566891f0fda1d9107e865dcca2774d63f773",
+        "image_eigen_flip_2y": "0207f1d4b0680313956ccdacb715b071466dcdff381f746924644d984db3d7e7",
+        "pairing_identity": "f0e7ed4ce2bafb6b20889908b14919a489374ff7ec939df1b609b15af072b2a5",
+        "pairing_flip_2y": "42e5a04ab303a65b2e709edc48685f51d220c29f20a71bd4ca70931a4470d3d0",
+        "cyclic_shift_type1_id": "a496cfe3309907b03cd30135a2720464d6cad80ebf927e23da3aa96e7eae6757",
+        "symmetrized_type1_at_5": "8ae238f2a2b406f418cb1efc275121ede5fa18d572dd0103a40b056ee75a539b",
+    },
+}
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "Fp7"])
+def test_golden_witness_bytes(field):
+    """Witness documents of failing checks stay byte-identical."""
+    digests = {}
+    for name, run in _golden_cases(field).items():
+        doc = run().to_json()
+        assert not doc["passed"], name
+        doc.pop("elapsed_ms")
+        digests[name] = hashlib.sha256(json.dumps(doc).encode()).hexdigest()
+    assert digests == GOLDEN_WITNESS_DIGESTS[field.name]
