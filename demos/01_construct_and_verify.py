@@ -36,5 +36,4 @@ for q in qs:
             print(f"  {QQ.fmt(c)} * e{i+1}(x)e{j+1}")
     print("exact checks:")
     for rep in run_suite(sym, random_bases=3):
-        print(f"  {rep.name:28s} {'ok' if rep.passed else 'FAILED'}"
-              f"  ({rep.elapsed_ms:.1f} ms)")
+        print(f"  {rep.name:28s} {'ok' if rep.passed else 'FAILED'}")

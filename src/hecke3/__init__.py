@@ -20,7 +20,6 @@ from .errors import (
     NoHeckeParameter,
     NotAlternating,
     NotHeckeSym0,
-    NotInAlt3,
     NotPrime,
     SingularBasis,
     SingularDeformation,
@@ -43,7 +42,6 @@ from .multilinear import (
     lift_right,
     std_basis,
     tensor2,
-    trivector_coeff,
     vol,
     wedge2,
     wedge3,

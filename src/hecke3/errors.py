@@ -41,10 +41,6 @@ class NotAlternating(Hecke3Error):
     """A tensor required to be alternating is not."""
 
 
-class NotInAlt3(Hecke3Error):
-    """A degree-3 tensor required to be alternating is not."""
-
-
 class ZeroBivector(Hecke3Error):
     """The zero bivector cannot be decomposed into two vectors."""
 

@@ -7,12 +7,15 @@ coercing.  Plain ``int`` operands are accepted everywhere: the integers embed
 canonically in every field.
 
 Text forms: a scalar prints as ``"a/b"`` (rationals, ``/b`` omitted when the
-denominator is 1) or as its least nonnegative residue (prime fields).  A field
-prints as ``"Q"`` or ``"Fp:<p>"``.
+denominator is 1) or as its least nonnegative residue (prime fields).  Both
+fields parse the same grammar ``[+-]digits[/digits]``, at most
+``MAX_SCALAR_CHARS`` characters long.  A field prints as ``"Q"`` or
+``"Fp:<p>"``.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import isqrt
 
@@ -34,6 +37,24 @@ __all__ = [
     "parse_field",
     "is_prime",
 ]
+
+# Longest scalar text accepted, blanks included: bounds the cost of parsing
+# untrusted input.
+MAX_SCALAR_CHARS = 1000
+
+_SCALAR_TEXT = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
+def _parse_scalar(s: str):
+    """The int or Fraction written as ``[+-]digits[/digits]``, or None."""
+    m = _SCALAR_TEXT.fullmatch(s.strip()) if len(s) <= MAX_SCALAR_CHARS else None
+    if m is None:
+        return None
+    if m[2] is None:
+        return int(m[1])
+    den = int(m[2])
+    return Fraction(int(m[1]), den) if den else None
+
 
 # Witness set making Miller-Rabin deterministic for n < 3.3 * 10**24,
 # far beyond the machine-word moduli this package accepts.
@@ -171,10 +192,10 @@ class Rationals:
         raise InputError(f"cannot interpret {x!r} as a rational scalar")
 
     def parse(self, s: str) -> Fraction:
-        try:
-            return Fraction(s.strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"bad rational scalar {s!r}") from exc
+        value = _parse_scalar(s)
+        if value is None:
+            raise InputError(f"bad rational scalar {s!r}")
+        return Fraction(value)
 
     def fmt(self, x) -> str:
         return str(self.of(x))
@@ -249,15 +270,9 @@ class PrimeField:
         raise InputError(f"cannot interpret {x!r} as an F{self.p} scalar")
 
     def parse(self, s: str) -> Fp:
-        s = s.strip()
-        try:
-            if "/" in s:
-                num, den = s.split("/", 1)
-                value = Fraction(int(num), int(den))
-            else:
-                value = int(s)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"bad F{self.p} scalar {s!r}") from exc
+        value = _parse_scalar(s)
+        if value is None:
+            raise InputError(f"bad F{self.p} scalar {s.strip()!r}")
         return self.of(value)
 
     def fmt(self, x) -> str:

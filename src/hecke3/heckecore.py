@@ -28,13 +28,13 @@ from .errors import (
     NoHeckeParameter,
     NotHeckeSym0,
     SingularDeformation,
-    SingularMatrix,
     ZeroBivector,
     ZeroQ,
 )
 from .linalg import Matrix
 from .multilinear import (
     alt2_basis,
+    change_of_basis,
     decompose_bivector,
     idx2,
     is_alt2,
@@ -341,14 +341,9 @@ def zero_F(field) -> FOperator:
 
 
 def _bivector_from_pairings(field, s):
-    """The bivector u with trivector_coeff(u ^ e_k) = s[k]."""
-    e = std_basis(field)
-    u = zero_tensor(field, 2)
-    for coeff, (i, j) in zip(s, ((1, 2), (2, 0), (0, 1))):
-        if coeff != 0:
-            for pos, val in enumerate(wedge2(e[i], e[j])):
-                u[pos] = u[pos] + coeff * val
-    return u
+    """The bivector u = s0 e2^e3 + s1 e3^e1 + s2 e1^e2, so pair_vt(e_k, u) = s[k]."""
+    z = field.zero()
+    return [z, s[2], -s[1], -s[2], z, s[0], s[1], -s[0], z]
 
 
 def extract_F(sym: HeckeSymmetry) -> FOperator:
@@ -468,14 +463,13 @@ def deform(sym: HeckeSymmetry, lam) -> HeckeSymmetry:
 
 
 def conjugate(sym: HeckeSymmetry, P: Matrix) -> HeckeSymmetry:
-    """Transport the symmetry along the basis change P (x) P."""
-    if P.det() == 0:
-        raise SingularMatrix("basis change must be invertible")
+    """Transport the symmetry along the basis change P (x) P.
+
+    A singular P raises :class:`~hecke3.errors.SingularMatrix`.
+    """
     Pinv = P.inverse()
-    K = P.kron(P)
-    Kinv = Pinv.kron(Pinv)
-    R = K * sym.R * Kinv
-    Y = K * sym.Y * Kinv
+    R = change_of_basis(sym.R, Pinv)
+    Y = Matrix.identity(sym.field, 9).scale(sym.q) - R
     data = None
     if sym.data is not None:
         g2 = Pinv.transpose() * sym.data.g * Pinv

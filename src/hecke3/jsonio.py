@@ -10,7 +10,7 @@ from __future__ import annotations
 from .errors import InputError
 from .fields import parse_field
 from .linalg import Matrix
-from .heckecore import HeckeData, HeckeSymmetry, build_R, symmetric_form
+from .heckecore import HeckeData, HeckeSymmetry, build_R
 
 __all__ = [
     "vector_to_json",
@@ -29,6 +29,14 @@ def _scalar_from_json(field, x):
     if isinstance(x, bool) or not isinstance(x, (str, int)):
         raise InputError(f"a scalar must be a string or an integer, got {x!r}")
     return field.of(x)
+
+
+def _record_field(obj: dict, default_field):
+    """The field named by a record's "field" key, else the default field."""
+    fld = parse_field(obj["field"]) if "field" in obj else default_field
+    if fld is None:
+        raise InputError("no field given and no default field set")
+    return fld
 
 
 def vector_to_json(field, v):
@@ -53,8 +61,8 @@ def matrix_from_json(field, data, nrows, ncols) -> Matrix:
     ):
         raise InputError(f"expected a {nrows}x{ncols} matrix of scalars")
     try:
-        return Matrix.from_rows(field, data)
-    except Exception as exc:
+        return Matrix(field, [[_scalar_from_json(field, x) for x in row] for row in data])
+    except InputError as exc:
         raise InputError(f"bad matrix entry: {exc}") from exc
 
 
@@ -72,14 +80,12 @@ def hecke_data_to_json(data: HeckeData) -> dict:
 def hecke_data_from_json(obj: dict, default_field=None) -> HeckeData:
     if not isinstance(obj, dict):
         raise InputError("quadruple record must be a JSON object")
-    fld = parse_field(obj["field"]) if "field" in obj else default_field
-    if fld is None:
-        raise InputError("no field given and no default field set")
+    fld = _record_field(obj, default_field)
     try:
         q = _scalar_from_json(fld, obj["q"])
         a = vector_from_json(fld, obj["a"])
         b = vector_from_json(fld, obj["b"])
-        g = symmetric_form(fld, obj["g"])
+        g = matrix_from_json(fld, obj["g"], 3, 3)
     except KeyError as exc:
         raise InputError(f"quadruple record misses key {exc}") from exc
     return HeckeData(q, a, b, g)
@@ -105,9 +111,7 @@ def load_symmetry(obj, default_field=None) -> HeckeSymmetry:
     if isinstance(obj, dict) and {"a", "b", "g"} <= set(obj):
         return build_R(hecke_data_from_json(obj, default_field))
     if isinstance(obj, dict) and "R" in obj:
-        fld = parse_field(obj["field"]) if "field" in obj else default_field
-        if fld is None:
-            raise InputError("no field given and no default field set")
+        fld = _record_field(obj, default_field)
         R = matrix_from_json(fld, obj["R"], 9, 9)
         q = _scalar_from_json(fld, obj["q"]) if "q" in obj else None
         return HeckeSymmetry.from_matrix(R, q)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .errors import DimensionMismatch, SingularMatrix
 
-__all__ = ["Matrix", "echelon_span", "in_span", "span_equal"]
+__all__ = ["Matrix", "echelon_span", "span_coords", "span_equal"]
 
 
 class Matrix:
@@ -257,15 +257,16 @@ def echelon_span(field, vectors):
         return []
     return Matrix(field, [list(v) for v in vecs]).row_space_basis()
 
-def in_span(ech_rows, v):
-    """Test membership of v in the span given by echelonized rows."""
-    v = list(v)
+def span_coords(ech_rows, v):
+    """Coordinates of v in the span given by echelonized rows, or None outside it."""
+    coords = []
     for row in ech_rows:
         lead = next(i for i, x in enumerate(row) if x != 0)
-        if v[lead] != 0:
-            f = v[lead] / row[lead]
+        f = v[lead] / row[lead]
+        coords.append(f)
+        if f != 0:
             v = [a - f * b for a, b in zip(v, row)]
-    return all(x == 0 for x in v)
+    return coords if all(x == 0 for x in v) else None
 
 
 def span_equal(ech_a, ech_b) -> bool:

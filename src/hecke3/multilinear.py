@@ -18,7 +18,6 @@ from __future__ import annotations
 from .errors import (
     DimensionMismatch,
     NotAlternating,
-    NotInAlt3,
     SingularBasis,
     ZeroBivector,
 )
@@ -36,7 +35,6 @@ __all__ = [
     "wedge3",
     "wedge_vt",
     "vol",
-    "trivector_coeff",
     "pair_vt",
     "is_alt2",
     "is_alt3",
@@ -168,22 +166,12 @@ def vol(x, y, z):
     )
 
 
-def trivector_coeff(w):
-    """Coefficient of a degree-3 alternating tensor against e1^e2^e3.
-
-    Inverse of ``c |-> c * wedge3(e1,e2,e3)``; satisfies
-    trivector_coeff(wedge3(x,y,z)) = vol(x,y,z).
-    """
-    if not is_alt3(w):
-        raise NotInAlt3("tensor is not alternating of degree 3")
-    return w[idx3(0, 1, 2)]
-
-
 def pair_vt(x, t):
-    """trivector_coeff(x ^ t) for an alternating t, without building the wedge.
+    """Coefficient of x ^ t against e1^e2^e3, for an alternating t.
 
     Reads the three independent coordinates of t straight off: the pairing
-    is x_1 t_23 + x_2 t_31 + x_3 t_12.  The caller guarantees t alternating.
+    is x_1 t_23 + x_2 t_31 + x_3 t_12, so pair_vt(x, y ^ z) = vol(x, y, z).
+    The caller guarantees t alternating.
     """
     return x[0] * t[5] + x[1] * t[6] + x[2] * t[1]
 
@@ -198,7 +186,7 @@ def decompose_bivector(t):
     """Split a nonzero alternating degree-2 tensor t into (a, b) with a^b = t.
 
     The plane spanned by a and b is the kernel of the linear form
-    v |-> trivector_coeff(v ^ t); an echelonized kernel basis (u1, u2) has
+    v |-> pair_vt(v, t); an echelonized kernel basis (u1, u2) has
     u1 ^ u2 proportional to t, and scaling u1 by the exact ratio finishes.
     No square roots are needed in dimension 3.
     """
@@ -208,7 +196,7 @@ def decompose_bivector(t):
         raise ZeroBivector("cannot decompose the zero bivector")
     fld = field_of(next(x for x in t if x != 0))
     e = std_basis(fld)
-    form = [trivector_coeff(wedge_vt(v, t)) for v in e]
+    form = [pair_vt(v, t) for v in e]
     u1, u2 = Matrix(fld, [form]).kernel_basis()
     w = wedge2(u1, u2)
     m = next(i for i, x in enumerate(t) if x != 0)

@@ -10,7 +10,6 @@ naming.
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import dataclass
 
 from .errors import InputError, NotHeckeSym0
@@ -66,32 +65,23 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class CheckReport:
-    """Outcome of one exact check; witness is present iff the check failed."""
+    """Outcome of one exact check; it failed iff it carries a witness."""
 
     name: str
-    passed: bool
     witness: dict | None = None
-    elapsed_ms: float = 0.0
+
+    @property
+    def passed(self) -> bool:
+        return self.witness is None
 
     def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "witness": self.witness,
-            "elapsed_ms": round(self.elapsed_ms, 3),
-        }
+        return {"name": self.name, "passed": self.passed, "witness": self.witness}
 
 
 def _fmt_list(field, xs):
     return [field.fmt(x) for x in xs]
-
-
-def _finish(name, witness, t0):
-    """The report of a check that started at ``t0``; it passed iff no witness."""
-    return CheckReport(name, witness is None, witness,
-                       (time.perf_counter() - t0) * 1000.0)
 
 
 def _basis_tensor(c: int, n: int):
@@ -132,23 +122,20 @@ def _non_alternating_column(Y: Matrix) -> dict | None:
 
 def check_braid(R: Matrix) -> CheckReport:
     """(R x Id)(Id x R)(R x Id) = (Id x R)(R x Id)(Id x R) on all 27 columns."""
-    t0 = time.perf_counter()
     r1, r2 = lift_left(R), lift_right(R)
-    return _finish("braid", column_witness(r1 * (r2 * r1), r2 * (r1 * r2)), t0)
+    return CheckReport("braid", column_witness(r1 * (r2 * r1), r2 * (r1 * r2)))
 
 
 def check_hecke(R: Matrix, q) -> CheckReport:
     """(R - q*Id)(R + Id) = 0 as a 9x9 identity."""
-    t0 = time.perf_counter()
     fld = R.field
     ident = Matrix.identity(fld, 9)
     prod = (R - ident.scale(fld.of(q))) * (R + ident)
-    return _finish("hecke", column_witness(prod, Matrix.zeros(fld, 9)), t0)
+    return CheckReport("hecke", column_witness(prod, Matrix.zeros(fld, 9)))
 
 
 def check_image_and_eigen(Y: Matrix, q) -> CheckReport:
     """Image of Y is exactly the alternating square and Yw = (q+1)w there."""
-    t0 = time.perf_counter()
     fld = Y.field
     witness = _non_alternating_column(Y)
     if witness is None:
@@ -167,7 +154,7 @@ def check_image_and_eigen(Y: Matrix, q) -> CheckReport:
                     "rhs": _fmt_list(fld, want),
                 }
                 break
-    return _finish("image_eigen", witness, t0)
+    return CheckReport("image_eigen", witness)
 
 
 def check_containments(Y: Matrix, q) -> CheckReport:
@@ -177,7 +164,6 @@ def check_containments(Y: Matrix, q) -> CheckReport:
     and (Y x Id)(Id x Y)w - q w for every w in Alt2 (x) V; both are checked
     on the 9 spanning tensors of each space.
     """
-    t0 = time.perf_counter()
     fld = Y.field
     qq = fld.of(q)
     y1, y2 = lift_left(Y), lift_right(Y)
@@ -195,8 +181,8 @@ def check_containments(Y: Matrix, q) -> CheckReport:
                         "lhs": _fmt_list(fld, u),
                         "rhs": ["element of Alt3 expected"],
                     }
-                    return _finish("containments", witness, t0)
-    return _finish("containments", None, t0)
+                    return CheckReport("containments", witness)
+    return CheckReport("containments")
 
 
 def check_component_identity(Y: Matrix, q, basis: Matrix | None = None) -> CheckReport:
@@ -208,7 +194,6 @@ def check_component_identity(Y: Matrix, q, basis: Matrix | None = None) -> Check
     according to the index pattern.  Holding in every basis, this is
     equivalent to the degree-3 containments.
     """
-    t0 = time.perf_counter()
     fld = Y.field
     qq = fld.of(q)
     zero = fld.zero()
@@ -240,14 +225,14 @@ def check_component_identity(Y: Matrix, q, basis: Matrix | None = None) -> Check
                                 "lhs": [fld.fmt(acc)],
                                 "rhs": [fld.fmt(want)],
                             }
-                            return _finish(name, witness, t0)
-    return _finish(name, None, t0)
+                            return CheckReport(name, witness)
+    return CheckReport(name)
 
 
 def check_pairing_identities(Y: Matrix, q) -> CheckReport:
     """The two identities for the pairing forms of Y.
 
-    With L[x,y](z) = trivector_coeff(x ^ Y(y z)):
+    With L[x,y](z) = pair_vt(x, Y(y z)), the coefficient of x ^ Y(y z):
 
       * L[x,y](z) - L[x,z](y) = (q+1) vol(x,y,z)  (linear in all slots,
         checked on basis triples);
@@ -255,13 +240,12 @@ def check_pairing_identities(Y: Matrix, q) -> CheckReport:
         quadratic in x, so x additionally runs over e_i + e_j to pin the
         polarization; together the sample decides the identity exactly.
     """
-    t0 = time.perf_counter()
     fld = Y.field
     qq = fld.of(q)
     e = std_basis(fld)
     witness = _non_alternating_column(Y)
     if witness is not None:
-        return _finish("pairing_identities", witness, t0)
+        return CheckReport("pairing_identities", witness)
     cols = {(j, k): Y.col(idx2(j, k)) for j in range(3) for k in range(3)}
     # ell[i][j][k] = L[e_i, e_j](e_k)
     ell = [
@@ -280,7 +264,7 @@ def check_pairing_identities(Y: Matrix, q) -> CheckReport:
                         "lhs": [fld.fmt(lhs)],
                         "rhs": [fld.fmt(rhs)],
                     }
-                    return _finish("pairing_identities", witness, t0)
+                    return CheckReport("pairing_identities", witness)
     xs = [(f"e{i+1}", e[i]) for i in range(3)]
     xs += [
         (f"e{i+1}+e{j+1}", [a + b for a, b in zip(e[i], e[j])])
@@ -320,8 +304,8 @@ def check_pairing_identities(Y: Matrix, q) -> CheckReport:
                                 "lhs": [fld.fmt(lhs)],
                                 "rhs": [fld.fmt(qq * vxjk * volx[u][v])],
                             }
-                            return _finish("pairing_identities", witness, t0)
-    return _finish("pairing_identities", None, t0)
+                            return CheckReport("pairing_identities", witness)
+    return CheckReport("pairing_identities")
 
 
 def check_cyclic_shift_identity(Y: Matrix, T: Matrix, q) -> CheckReport:
@@ -331,7 +315,6 @@ def check_cyclic_shift_identity(Y: Matrix, T: Matrix, q) -> CheckReport:
     each other, and their difference is controlled by the traceless
     operator alone.
     """
-    t0 = time.perf_counter()
     fld = Y.field
     qq = fld.of(q)
     y1, y2 = lift_left(Y), lift_right(Y)
@@ -350,8 +333,8 @@ def check_cyclic_shift_identity(Y: Matrix, T: Matrix, q) -> CheckReport:
                     "lhs": _fmt_list(fld, lhs),
                     "rhs": _fmt_list(fld, rhs),
                 }
-                return _finish("cyclic_shift_identity", witness, t0)
-    return _finish("cyclic_shift_identity", None, t0)
+                return CheckReport("cyclic_shift_identity", witness)
+    return CheckReport("cyclic_shift_identity")
 
 
 def run_suite(sym: HeckeSymmetry, random_bases: int = 0, rng=None) -> list[CheckReport]:
@@ -383,7 +366,7 @@ def run_suite(sym: HeckeSymmetry, random_bases: int = 0, rng=None) -> list[Check
             T = t_operator_of_F(extract_F(sym))
         except NotHeckeSym0 as exc:
             reports.append(CheckReport(
-                "cyclic_shift_identity", False,
+                "cyclic_shift_identity",
                 {"error": f"no valid invariant operator: {exc}"},
             ))
             return reports
@@ -500,7 +483,6 @@ def fuzz(field, trials: int, seed: int, strategy: str = "A",
     q constraint is broken on purpose and a trial counts as expected when
     the braid or quadratic check fails.
     """
-    t0 = time.perf_counter()
     if trials < 1:
         raise InputError("trials must be >= 1")
     strategy = strategy.upper()
@@ -539,4 +521,4 @@ def fuzz(field, trials: int, seed: int, strategy: str = "A",
     name = f"fuzz(field={field.name},strategy={strategy}," \
            f"trials={trials},seed={seed},adversarial={adversarial})"
     witness = {"failures": failures} if failures else None
-    return _finish(name, witness, t0)
+    return CheckReport(name, witness)

@@ -220,6 +220,7 @@ class TestSerializationRoundtrips:
 
 _QUADRUPLE = {"a": ["1", "0", "0"], "b": ["0", "1", "0"],
               "g": [["0", "-1/4", "0"], ["-1/4", "0", "0"], ["0", "0", "1"]]}
+_SEVENTH = {"field": "Q", "q": "1", "a": ["1", "0", "0"], "b": ["0", "1", "0"]}
 
 
 @pytest.mark.parametrize("argv, document", [
@@ -227,7 +228,15 @@ _QUADRUPLE = {"a": ["1", "0", "0"], "b": ["0", "1", "0"],
     (["verify", "--matrix", "{doc}"], {"field": 5, "q": "1", "R": [["0"] * 9] * 9}),
     (["verify", "--matrix", "{doc}"], "[" * 100_000 + "]" * 100_000),
     (["construct", "--data", "{doc}"], {"field": "Q", "q": 0.5, **_QUADRUPLE}),
-], ids=["zero_trials", "non_string_field", "deep_array", "float_q"])
+    (["verify", "--data", "{doc}"], {**_SEVENTH, "g": 5}),
+    (["verify", "--data", "{doc}"],
+     {**_SEVENTH, "g": [[False, False, False], [False, False, False], [False, False, True]]}),
+    (["classify", "--data", "{doc}"], {**_SEVENTH, "g": ["000", "000", "001"]}),
+    (["construct", "--data", "{doc}"], {**_QUADRUPLE, "field": "Q", "q": "1e400"}),
+    (["construct", "--data", "{doc}"], {**_QUADRUPLE, "field": "Q", "q": "0.5"}),
+    (["construct", "--data", "{doc}"], {**_QUADRUPLE, "field": "Q", "q": "1" * 5000 + "/2"}),
+], ids=["zero_trials", "non_string_field", "deep_array", "float_q", "scalar_g",
+        "boolean_g", "string_rows_g", "exponent_q", "decimal_q", "long_q"])
 def test_invalid_input_is_one_error_document(tmp_path, argv, document):
     """Invalid input exits 2 with one JSON error document and no traceback."""
     path = tmp_path / "doc.json"

@@ -5,7 +5,9 @@ from fractions import Fraction
 
 from hecke3.fields import GF, QQ
 from hecke3.linalg import Matrix, echelon_span, span_equal
-from hecke3.heckecore import build_R, deform, flip_symmetry
+from hecke3.heckecore import build_R, deform, flip_matrix, flip_symmetry
+from hecke3.multilinear import lift_left, lift_right
+from hecke3.verifier import column_witness
 from hecke3.classify import TYPE_LABELS, canonical
 from hecke3.cybe import (
     carrier,
@@ -111,7 +113,37 @@ class TestR21:
         assert r21(r).matrix == sym.R * r0 - Matrix.identity(QQ, 9)
 
 
+def factorwise_embeddings(t):
+    """r12, r13 and r23 summed over the factors a (x) b of t, one kron chain each."""
+    ident = Matrix.identity(t.field, 3)
+    r12 = r13 = r23 = Matrix.zeros(t.field, 27)
+    for a, b in zip(t.left, t.right):
+        r12 = r12 + a.kron(b).kron(ident)
+        r13 = r13 + a.kron(ident).kron(b)
+        r23 = r23 + ident.kron(a).kron(b)
+    return r12, r13, r23
+
+
 class TestCheckCybe:
+    def test_lifts_equal_factorwise_embeddings(self):
+        """check_cybe's lifted embeddings and verdict match the factor-wise sums."""
+        rng = random.Random(31)
+        for field in (QQ, GF(7)):
+            swap23 = lift_right(flip_matrix(field))
+            zero = Matrix.zeros(field, 27)
+            for _ in range(2):
+                t = gl_tensor(Matrix.from_rows(
+                    field, [[rng.randint(-3, 3) for _ in range(9)] for _ in range(9)]))
+                r12, r13, r23 = factorwise_embeddings(t)
+                assert lift_left(t.matrix) == r12
+                assert lift_right(t.matrix) == r23
+                assert swap23 * lift_left(t.matrix) * swap23 == r13
+                total = zero
+                for x, y in ((r12, r13), (r12, r23), (r13, r23)):
+                    total = total + (x * y - y * x)
+                witness = check_cybe(t).witness
+                assert witness is not None and witness == column_witness(total, zero)
+
     def test_zero_solution(self):
         assert check_cybe(gl_tensor(Matrix.zeros(QQ, 9))).passed
 

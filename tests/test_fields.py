@@ -13,7 +13,7 @@ from hecke3.errors import (
     InputError,
     NotPrime,
 )
-from hecke3.fields import GF, QQ, Fp, field_of, parse_field
+from hecke3.fields import GF, MAX_SCALAR_CHARS, QQ, Fp, field_of, parse_field
 
 
 class TestRationalArithmetic:
@@ -146,6 +146,16 @@ class TestTextForms:
     def test_roundtrip(self):
         for s in ("0", "1", "-1", "3/2", "-11/17"):
             assert QQ.fmt(QQ.parse(s)) == s
+
+    @pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "Fp7"])
+    def test_one_grammar_with_a_length_bound(self, field):
+        """Both fields read [+-]digits[/digits] and nothing longer than the cap."""
+        assert field.parse(" -7/2 ") == field.of(Fraction(-7, 2))
+        assert field.parse("+3") == field.of(3)
+        assert field.parse("9" * MAX_SCALAR_CHARS) == field.of(int("9" * MAX_SCALAR_CHARS))
+        for text in ("1e400", "0.5", "1/-2", "1_000", "1/0", "", "/2", "9" * (MAX_SCALAR_CHARS + 1)):
+            with pytest.raises(InputError):
+                field.parse(text)
 
     def test_field_of(self):
         assert field_of(Fraction(1)) == QQ

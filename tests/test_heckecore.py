@@ -18,6 +18,7 @@ from hecke3.fields import GF, QQ
 from hecke3.linalg import Matrix
 from hecke3.multilinear import (
     alt2_basis,
+    change_of_basis,
     idx2,
     is_alt2,
     pair_vt,
@@ -468,6 +469,15 @@ class TestConjugate:
             moved = conjugate(sym, P)
             assert moved.q == sym.q
             assert build_R(moved.data).R == moved.R
+
+    def test_skewsymmetrizer_is_transported_like_R(self):
+        """Y = q Id - R after transport equals Y transported by P (x) P."""
+        rng = random.Random(54)
+        for field in (QQ, GF(7)):
+            sym = build_R(canonical("Type1", 3, field))
+            for _ in range(5):
+                P = random_invertible(field, rng)
+                assert conjugate(sym, P).Y == change_of_basis(sym.Y, P.inverse())
 
 
 class TestPrimeFieldConstruction:

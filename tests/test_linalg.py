@@ -4,7 +4,7 @@ import pytest
 
 from hecke3.errors import DimensionMismatch, SingularMatrix
 from hecke3.fields import GF, QQ
-from hecke3.linalg import Matrix, echelon_span, in_span, span_equal
+from hecke3.linalg import Matrix, echelon_span, span_coords, span_equal
 
 
 def test_identity_rank():
@@ -84,8 +84,8 @@ def test_over_prime_field():
 def test_span_helpers():
     rows = echelon_span(QQ, [[1, 1, 0], [0, 1, 1], [1, 2, 1]])
     assert len(rows) == 2
-    assert in_span(rows, [2, 3, 1])
-    assert not in_span(rows, [0, 0, 1])
+    assert span_coords(rows, [2, 3, 1]) == [2, 3]  # rows (1,0,-1), (0,1,1)
+    assert span_coords(rows, [0, 0, 1]) is None
     other = echelon_span(QQ, [[1, 2, 1], [1, 1, 0]])
     assert span_equal(rows, other)
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hecke3.errors import NotAlternating, NotInAlt3, ZeroBivector
+from hecke3.errors import NotAlternating, ZeroBivector
 from hecke3.fields import GF, QQ
 from hecke3.linalg import Matrix
 from hecke3.multilinear import (
@@ -22,7 +22,6 @@ from hecke3.multilinear import (
     pair_vt,
     std_basis,
     tensor2,
-    trivector_coeff,
     vol,
     wedge2,
     wedge3,
@@ -110,24 +109,17 @@ def test_vol_normalization_and_antisymmetry():
     assert vol(E1, [a + b for a, b in zip(E1, E2)], E3) == 1
 
 
-def test_trivector_coeff():
-    assert trivector_coeff(wedge3(E1, E2, E3)) == 1
-    assert trivector_coeff(zero_tensor(QQ, 3)) == 0
-    assert trivector_coeff(wedge3([2 * c for c in E1], E2, E3)) == 2
-    with pytest.raises(NotInAlt3):
-        trivector_coeff(wedge_vt(E1, wedge2(E2, E3))[:26] + [Fraction(1)])
+@given(vec3, vec3, vec3)
+def test_pair_vt_matches_vol(u, x, y):
+    assert pair_vt(u, wedge2(x, y)) == vol(u, x, y)
 
 
 @given(vec3, vec3, vec3)
-def test_trivector_coeff_matches_vol(x, y, z):
-    assert trivector_coeff(wedge3(x, y, z)) == vol(x, y, z)
-
-
-@given(vec3, vec3)
-def test_pair_vt_matches_wedge(x, y):
-    t = wedge2(x, y)
-    u = [Fraction(1), Fraction(-2), Fraction(3)]
-    assert pair_vt(u, t) == trivector_coeff(wedge_vt(u, t))
+def test_pair_vt_is_the_wedge_coefficient(u, x, y):
+    """u ^ t is alternating and its e1^e2^e3 coefficient is pair_vt(u, t)."""
+    w = wedge_vt(u, wedge2(x, y))
+    assert is_alt3(w)
+    assert w[idx3(0, 1, 2)] == pair_vt(u, wedge2(x, y))
 
 
 def test_four_argument_alternation():
@@ -150,7 +142,7 @@ def test_pairing_nondegeneracy():
     """Vectors pair nondegenerately against a basis of the bivectors."""
     m = Matrix(
         QQ,
-        [[trivector_coeff(wedge_vt(e, t)) for t in alt2_basis(QQ)]
+        [[pair_vt(e, t) for t in alt2_basis(QQ)]
          for e in std_basis(QQ)],
     )
     assert m.det() != 0
