@@ -60,7 +60,6 @@ from .heckecore import (
     extract_F,
     extract_q,
     flip_matrix,
-    flip_symmetry,
     solve_q,
     symmetric_form,
     t_operator,
@@ -86,7 +85,6 @@ from .classify import (
     canonical_gram,
     check_value_tables,
     classify,
-    invariance_suite,
     reference_r_matrix,
 )
 from .cybe import (

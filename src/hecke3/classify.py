@@ -17,19 +17,17 @@ Canonical representatives use a = e1, b = e2 and the form matrices
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 from .errors import Hecke3Error, InvalidQ
 from .fields import QQ
 from .linalg import Matrix
-from .multilinear import idx2, random_invertible, std_basis
+from .multilinear import idx2, std_basis
 from .heckecore import (
     FOperator,
     HeckeData,
     HeckeSymmetry,
     build_R,
-    conjugate,
     extract_F,
     g_value,
 )
@@ -43,7 +41,6 @@ __all__ = [
     "classify",
     "reference_r_matrix",
     "check_value_tables",
-    "invariance_suite",
 ]
 
 TYPE_LABELS = tuple(f"Type{n}" for n in range(1, 9))
@@ -235,35 +232,3 @@ def check_value_tables(q, field=QQ) -> CheckReport:
         if witness is not None:
             break
     return CheckReport("value_tables", witness)
-
-
-def invariance_suite(trials: int, seed: int, field=QQ,
-                     q_pool=(2, 3, -1, "1/2")) -> CheckReport:
-    """Labels and q are unchanged by random basis transport, for every type."""
-    rng = random.Random(seed)
-    failures = []
-    for label in TYPE_LABELS:
-        if label in ("Type1", "Type2"):
-            qs = [field.of(x) for x in q_pool]
-            qs = [x for x in qs if x != 0 and x != 1]
-        else:
-            qs = [None]
-        for q in qs:
-            sym = build_R(canonical(label, q, field))
-            base = classify(sym)
-            if base.label != label:
-                failures.append({"type": label, "note": "canonical misclassified",
-                                 "got": base.label})
-                continue
-            for _ in range(trials):
-                P = random_invertible(field, rng)
-                moved = classify(conjugate(sym, P))
-                if moved.label != label or moved.q != sym.q:
-                    failures.append({
-                        "type": label,
-                        "basis": [[field.fmt(x) for x in row] for row in P.rows],
-                        "got": moved.label,
-                    })
-    witness = {"failures": failures} if failures else None
-    return CheckReport(f"invariance(trials={trials},seed={seed},field={field.name})",
-                       witness)

@@ -2,7 +2,8 @@
 
 Exactly one JSON document goes to standard output; diagnostics go to
 standard error.  Exit codes: 0 all checks passed / command succeeded,
-1 a verification check failed (witness in the output), 2 invalid input.
+1 a verification check failed (witness in the output), 2 invalid input;
+a reader that closes standard output early gets exit 1 and no traceback.
 The default field is "Q" and can be overridden per invocation with
 ``--field`` or globally with the HECKE3_FIELD environment variable.
 """
@@ -217,16 +218,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        spec = getattr(args, "field", None) or os.environ.get("HECKE3_FIELD") or "Q"
-        field = parse_field(spec)
-        return args.func(args, field)
-    except Hecke3Error as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        _emit({"error": {"type": type(exc).__name__, "message": str(exc)}})
-        return EXIT_BAD_INPUT
+        try:
+            spec = getattr(args, "field", None) or os.environ.get("HECKE3_FIELD") or "Q"
+            code = args.func(args, parse_field(spec))
+        except Hecke3Error as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            _emit({"error": {"type": type(exc).__name__, "message": str(exc)}})
+            code = EXIT_BAD_INPUT
+        sys.stdout.flush()  # a reader that left early shows up here, not at exit
+    except BrokenPipeError:
+        # point stdout at devnull so the interpreter's final flush stays quiet;
+        # the document was not delivered, so this is not a success
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CHECK_FAILED
+    return code
 
 
 if __name__ == "__main__":

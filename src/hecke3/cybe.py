@@ -20,7 +20,7 @@ from itertools import islice
 from .fields import QQ
 from .linalg import Matrix, echelon_span, span_coords
 from .heckecore import HeckeSymmetry, flip_matrix
-from .multilinear import lift_left, lift_right
+from .multilinear import matrix_of_map, slot_action
 from .verifier import CheckReport, column_witness
 
 __all__ = [
@@ -135,18 +135,21 @@ def r21(t: GlTensor) -> GlTensor:
 
 
 def check_cybe(t: GlTensor) -> CheckReport:
-    """Classical Yang-Baxter equation on the 27x27 embeddings.
+    """Classical Yang-Baxter equation on the third tensor power.
 
-    r12 = r (x) Id and r23 = Id (x) r; r13 is r12 with slots 2 and 3 swapped.
+    r12, r13 and r23 are r acting on slots (1,2), (1,3) and (2,3); the sum of
+    the three commutators is formed one basis tensor at a time.
     """
-    swap23 = lift_right(flip_matrix(t.field))
-    r12, r23 = lift_left(t.matrix), lift_right(t.matrix)
-    r13 = swap23 * r12 * swap23
+    r12, r13, r23 = (slot_action(t.matrix, s, u) for s, u in ((0, 1), (0, 2), (1, 2)))
     zero = Matrix.zeros(t.field, 27)
-    total = zero
-    for x, y in ((r12, r13), (r12, r23), (r13, r23)):
-        total = total + (x * y - y * x)
-    return CheckReport("cybe", column_witness(total, zero))
+
+    def commutators(w):
+        out = [t.field.zero()] * 27
+        for x, y in ((r12, r13), (r12, r23), (r13, r23)):
+            out = [a + b - c for a, b, c in zip(out, x(y(w)), y(x(w)))]
+        return out
+
+    return CheckReport("cybe", column_witness(matrix_of_map(t.field, commutators), zero))
 
 
 def check_symmetrized(t: GlTensor, q) -> CheckReport:
@@ -172,14 +175,6 @@ class LieSubalgebra:
 
     def span_rows(self):
         return [_vec(m) for m in self.basis]
-
-    def bracket_closed(self) -> bool:
-        rows = self.span_rows()
-        for x in self.basis:
-            for y in self.basis:
-                if span_coords(rows, _vec(x * y - y * x)) is None:
-                    return False
-        return True
 
     def coords(self, m: Matrix):
         """Coordinates of a member matrix in the echelon basis."""

@@ -56,7 +56,6 @@ __all__ = [
     "build_Y",
     "build_R",
     "flip_matrix",
-    "flip_symmetry",
     "HeckeSymmetry",
     "extract_q",
     "FOperator",
@@ -101,7 +100,7 @@ def t_operator(a, b, g: Matrix) -> Matrix:
     for e in std_basis(fld):
         gb, ga = g_value(g, b, e), g_value(g, a, e)
         cols.append([gb * a[i] - ga * b[i] for i in range(3)])
-    return Matrix(fld, [[cols[j][i] for j in range(3)] for i in range(3)])
+    return Matrix.from_columns(fld, cols)
 
 
 def discriminant(a, b, g: Matrix):
@@ -179,7 +178,7 @@ def skewsymmetrizer_matrix(q, a, b, g: Matrix) -> Matrix:
             for pos, val in enumerate(wedge2(e[i], e[j])):
                 col[pos] = col[pos] + half * val
             cols.append(col)
-    return Matrix(fld, [[cols[c][r] for c in range(9)] for r in range(9)])
+    return Matrix.from_columns(fld, cols)
 
 
 def build_Y(data: HeckeData) -> Matrix:
@@ -257,13 +256,6 @@ def flip_matrix(field) -> Matrix:
     return Matrix(field, rows)
 
 
-def flip_symmetry(field) -> HeckeSymmetry:
-    """The flip as a Hecke symmetry with q = 1 and zero form."""
-    e = std_basis(field)
-    data = HeckeData(field.one(), e[0], e[1], Matrix.zeros(field, 3))
-    return build_R(data)
-
-
 def extract_q(R: Matrix):
     """The unique q with (R - q)(R + 1) = 0, when one exists.
 
@@ -319,8 +311,8 @@ class FOperator:
         return [c * x for x in self.t]
 
     def matrix(self) -> Matrix:
-        cols = [self.column(i, j) for i in range(3) for j in range(3)]
-        return Matrix(self.field, [[cols[c][r] for c in range(9)] for r in range(9)])
+        return Matrix.from_columns(
+            self.field, [self.column(i, j) for i in range(3) for j in range(3)])
 
     def delta(self):
         """Gram determinant of g on the plane of the bivector (0 for F = 0)."""
@@ -437,7 +429,7 @@ def build_Y_from_F(q, f_op: FOperator) -> Matrix:
                 acc = acc + half * vol(e[i], e[j], e[k])
                 s.append(acc)
             cols.append(_bivector_from_pairings(fld, s))
-    return Matrix(fld, [[cols[c][r] for c in range(9)] for r in range(9)])
+    return Matrix.from_columns(fld, cols)
 
 
 def deform(sym: HeckeSymmetry, lam) -> HeckeSymmetry:

@@ -35,6 +35,11 @@ class Matrix:
         return cls(field, data)
 
     @classmethod
+    def from_columns(cls, field, cols):
+        """The matrix with the given coordinate columns (entries trusted)."""
+        return cls(field, [list(row) for row in zip(*cols)])
+
+    @classmethod
     def zeros(cls, field, nrows, ncols=None):
         if ncols is None:
             ncols = nrows
@@ -134,7 +139,7 @@ class Matrix:
         return [row[j] for row in self.rows]
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.field, [list(col) for col in zip(*self.rows)])
+        return Matrix.from_columns(self.field, self.rows)
 
     def kron(self, other) -> "Matrix":
         """Kronecker product, row-major composite indices."""
@@ -255,7 +260,8 @@ def echelon_span(field, vectors):
     vecs = [v for v in vectors if any(x != 0 for x in v)]
     if not vecs:
         return []
-    return Matrix(field, [list(v) for v in vecs]).row_space_basis()
+    return Matrix.from_rows(field, vecs).row_space_basis()
+
 
 def span_coords(ech_rows, v):
     """Coordinates of v in the span given by echelonized rows, or None outside it."""

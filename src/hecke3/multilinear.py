@@ -40,6 +40,8 @@ __all__ = [
     "is_alt3",
     "alt2_basis",
     "decompose_bivector",
+    "slot_action",
+    "matrix_of_map",
     "lift_left",
     "lift_right",
     "cyclic_shift",
@@ -98,19 +100,7 @@ def wedge2(x, y):
 
 def wedge3(x, y, z):
     """Full alternation of x(x)y(x)z over the six permutations."""
-    out = []
-    for i in range(3):
-        for j in range(3):
-            for k in range(3):
-                out.append(
-                    x[i] * y[j] * z[k]
-                    + y[i] * z[j] * x[k]
-                    + z[i] * x[j] * y[k]
-                    - z[i] * y[j] * x[k]
-                    - x[i] * z[j] * y[k]
-                    - y[i] * x[j] * z[k]
-                )
-    return out
+    return wedge_vt(x, wedge2(y, z))
 
 
 def is_alt2(t) -> bool:
@@ -142,19 +132,13 @@ def wedge_vt(x, t):
     """Wedge of a vector with an alternating degree-2 tensor.
 
     Extends x ^ (y ^ z) = x ^ y ^ z bilinearly; requires t alternating.
+    With w = x (x) t the wedge is w + shift(w) + shift^2(w).
     """
     if not is_alt2(t):
         raise NotAlternating("second factor must be alternating")
-    fld = field_of(x[0])
-    e = std_basis(fld)
-    out = zero_tensor(fld, 3)
-    for i in range(3):
-        for j in range(i + 1, 3):
-            c = t[idx2(i, j)]
-            if c != 0:
-                w = wedge3(x, e[i], e[j])
-                out = [a + c * b for a, b in zip(out, w)]
-    return out
+    w = tensor2(x, t)
+    s = cyclic_shift(w)
+    return [a + b + c for a, b, c in zip(w, s, cyclic_shift(s))]
 
 
 def vol(x, y, z):
@@ -207,25 +191,58 @@ def decompose_bivector(t):
     return a, u2
 
 
+def slot_action(op2: Matrix, s: int, t: int):
+    """The map on 27 coordinates applying a 9x9 operator to slots (s, t).
+
+    Slot s takes the operator's first tensor factor and slot t its second:
+    (0, 1) is Y (x) Id, (1, 2) is Id (x) Y, (0, 2) acts on the outer slots.
+    Each nonzero column is read once, into the moves of the basis tensors.
+    """
+    zero = op2.field.zero()
+    weight = (9, 3, 1)
+    u = 3 - s - t  # the slot left alone
+    cols = [[] for _ in range(9)]
+    for r, row in enumerate(op2.rows):
+        off = weight[s] * (r // 3) + weight[t] * (r % 3)
+        for c, x in enumerate(row):
+            if x != 0:
+                cols[c].append((off, x))
+    moves = []
+    for p in range(27):
+        d = (p // 9, p // 3 % 3, p % 3)
+        base = weight[u] * d[u]
+        moves.append([(base + o, x) for o, x in cols[3 * d[s] + d[t]]])
+
+    def act(w):
+        out = [zero] * 27
+        for p, wp in enumerate(w):
+            if wp != 0:
+                for o, x in moves[p]:
+                    out[o] = out[o] + x * wp
+        return out
+
+    return act
+
+
+def matrix_of_map(field, act) -> Matrix:
+    """The 27x27 matrix whose columns are act applied to the basis tensors."""
+    return Matrix.from_columns(field, [act(e) for e in Matrix.identity(field, 27).rows])
+
+
 def lift_left(op2: Matrix) -> Matrix:
     """The operator Y (x) Id acting on the third tensor power."""
-    return op2.kron(Matrix.identity(op2.field, 3))
+    return matrix_of_map(op2.field, slot_action(op2, 0, 1))
 
 
 def lift_right(op2: Matrix) -> Matrix:
     """The operator Id (x) Y acting on the third tensor power."""
-    return Matrix.identity(op2.field, 3).kron(op2)
+    return matrix_of_map(op2.field, slot_action(op2, 1, 2))
 
 
 def cyclic_shift(w):
     """Coordinate action of x(x)y(x)z |-> y(x)z(x)x."""
     _check_len(w, 27, "degree-3 tensor")
-    out = [None] * 27
-    for i in range(3):
-        for j in range(3):
-            for k in range(3):
-                out[idx3(j, k, i)] = w[idx3(i, j, k)]
-    return out
+    return [w[idx3(k, i, j)] for i in range(3) for j in range(3) for k in range(3)]
 
 
 def random_invertible(field, rng, bound: int = 3) -> Matrix:

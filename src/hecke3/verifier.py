@@ -21,11 +21,11 @@ from .multilinear import (
     idx2,
     is_alt2,
     is_alt3,
-    lift_left,
-    lift_right,
     cyclic_shift,
+    matrix_of_map,
     pair_vt,
     random_invertible,
+    slot_action,
     std_basis,
     tensor2,
     vol,
@@ -122,8 +122,10 @@ def _non_alternating_column(Y: Matrix) -> dict | None:
 
 def check_braid(R: Matrix) -> CheckReport:
     """(R x Id)(Id x R)(R x Id) = (Id x R)(R x Id)(Id x R) on all 27 columns."""
-    r1, r2 = lift_left(R), lift_right(R)
-    return CheckReport("braid", column_witness(r1 * (r2 * r1), r2 * (r1 * r2)))
+    r1, r2 = slot_action(R, 0, 1), slot_action(R, 1, 2)
+    lhs = matrix_of_map(R.field, lambda w: r1(r2(r1(w))))
+    rhs = matrix_of_map(R.field, lambda w: r2(r1(r2(w))))
+    return CheckReport("braid", column_witness(lhs, rhs))
 
 
 def check_hecke(R: Matrix, q) -> CheckReport:
@@ -166,13 +168,13 @@ def check_containments(Y: Matrix, q) -> CheckReport:
     """
     fld = Y.field
     qq = fld.of(q)
-    y1, y2 = lift_left(Y), lift_right(Y)
+    y1, y2 = slot_action(Y, 0, 1), slot_action(Y, 1, 2)
     e = std_basis(fld)
     for space, first, second in (("VxAlt2", y1, y2), ("Alt2xV", y2, y1)):
         for i in range(3):
             for t in alt2_basis(fld):
                 w = tensor2(e[i], t) if space == "VxAlt2" else tensor2(t, e[i])
-                u = second.apply(first.apply(w))
+                u = second(first(w))
                 u = [a - qq * b for a, b in zip(u, w)]
                 if not is_alt3(u):
                     witness = {
@@ -317,14 +319,14 @@ def check_cyclic_shift_identity(Y: Matrix, T: Matrix, q) -> CheckReport:
     """
     fld = Y.field
     qq = fld.of(q)
-    y1, y2 = lift_left(Y), lift_right(Y)
+    y1, y2 = slot_action(Y, 0, 1), slot_action(Y, 1, 2)
     e = std_basis(fld)
     for i in range(3):
         tx2 = T.apply(e[i])
         for t in alt2_basis(fld):
             tx, xt = tensor2(t, e[i]), tensor2(e[i], t)
-            lhs_v = y1.apply(y2.apply(tx))
-            shift = cyclic_shift(y2.apply(y1.apply(xt)))
+            lhs_v = y1(y2(tx))
+            shift = cyclic_shift(y2(y1(xt)))
             lhs = [a - b for a, b in zip(lhs_v, shift)]
             rhs = [2 * (qq + 1) * c for c in wedge_vt(tx2, t)]
             if lhs != rhs:
@@ -404,12 +406,11 @@ def sample_strategy_a(field, rng) -> HeckeData:
     cols = [a]
     for i in range(3):
         cand = basis_vector(field, i)
-        trial = Matrix(field, [list(r) for r in zip(*(cols + [cand]))])
-        if trial.rank() == len(cols) + 1:
+        if Matrix.from_columns(field, cols + [cand]).rank() == len(cols) + 1:
             cols.append(cand)
         if len(cols) == 3:
             break
-    B = Matrix(field, [list(r) for r in zip(*cols)])
+    B = Matrix.from_columns(field, cols)
     entries = [[field.zero()] * 3 for _ in range(3)]
     for i in range(3):
         for j in range(i, 3):

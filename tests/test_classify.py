@@ -9,14 +9,13 @@ from hecke3.errors import InvalidQ
 from hecke3.fields import GF, QQ
 from hecke3.linalg import Matrix
 from hecke3.multilinear import idx2, random_invertible
-from hecke3.heckecore import build_R, conjugate, flip_symmetry
+from hecke3.heckecore import build_R, conjugate
 from hecke3.classify import (
     TYPE_LABELS,
     canonical,
     canonical_gram,
     check_value_tables,
     classify,
-    invariance_suite,
     reference_r_matrix,
 )
 
@@ -66,7 +65,7 @@ class TestCanonical:
 
 class TestClassify:
     def test_flip_is_type8(self):
-        assert classify(flip_symmetry(QQ)).label == "Type8"
+        assert classify(build_R(canonical("Type8"))).label == "Type8"
 
     @pytest.mark.parametrize("label", TYPE_LABELS)
     def test_canonical_types(self, label):
@@ -143,10 +142,6 @@ class TestValueTables:
 
 
 class TestInvariance:
-    def test_small_run(self):
-        rep = invariance_suite(3, 2024)
-        assert rep.passed, rep.witness
-
     def test_first_two_families_never_confused(self):
         rng = random.Random(29)
         for q in (Fr(2), Fr(-1)):

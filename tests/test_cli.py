@@ -252,6 +252,21 @@ def test_invalid_input_is_one_error_document(tmp_path, argv, document):
     assert "Traceback" not in proc.stderr
 
 
+def test_closed_stdout_is_not_a_traceback():
+    """A reader that leaves after one line gets a contract exit code and no traceback."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "hecke3.cli", "table", "--q", "2"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) in (0, 1, 2)
+    assert b"Traceback" not in err
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "hecke3.cli", "construct", "--type", "8"],

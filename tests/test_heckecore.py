@@ -42,7 +42,6 @@ from hecke3.heckecore import (
     extract_F,
     extract_q,
     flip_matrix,
-    flip_symmetry,
     g_value,
     solve_q,
     symmetric_form,
@@ -290,7 +289,7 @@ class TestExtractQ:
 
 class TestExtractF:
     def test_flip_gives_zero(self):
-        f_op = extract_F(flip_symmetry(QQ))
+        f_op = extract_F(build_R(canonical("Type8")))
         assert f_op.is_zero()
 
     def test_first_family_roundtrip(self):
@@ -454,7 +453,7 @@ class TestConjugate:
 
     def test_flip_is_invariant(self):
         P = Matrix.from_rows(QQ, [[0, 1, 0], [1, 0, 0], [0, 0, 1]])
-        assert conjugate(flip_symmetry(QQ), P).R == flip_matrix(QQ)
+        assert conjugate(build_R(canonical("Type8")), P).R == flip_matrix(QQ)
 
     def test_singular_rejected(self):
         sym = build_R(canonical("Type4"))

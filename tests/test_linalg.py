@@ -1,5 +1,7 @@
 """Exact dense linear algebra."""
 
+from fractions import Fraction
+
 import pytest
 
 from hecke3.errors import DimensionMismatch, SingularMatrix
@@ -81,10 +83,21 @@ def test_over_prime_field():
     assert m * m.inverse() == Matrix.identity(f7, 2)
 
 
+def test_from_columns_is_the_transpose_of_from_rows():
+    cols = [[QQ.of(1), QQ.of(2), QQ.of(3)], [QQ.of(4), QQ.of(5), QQ.of(6)]]
+    m = Matrix.from_columns(QQ, cols)
+    assert (m.nrows, m.ncols) == (3, 2)
+    assert m == Matrix.from_rows(QQ, cols).transpose()
+    assert [m.col(j) for j in range(2)] == cols
+
+
 def test_span_helpers():
     rows = echelon_span(QQ, [[1, 1, 0], [0, 1, 1], [1, 2, 1]])
     assert len(rows) == 2
-    assert span_coords(rows, [2, 3, 1]) == [2, 3]  # rows (1,0,-1), (0,1,1)
+    assert all(isinstance(x, Fraction) for row in rows for x in row)
+    coords = span_coords(rows, [2, 3, 1])
+    assert coords == [2, 3]  # rows (1,0,-1), (0,1,1)
+    assert all(isinstance(x, Fraction) for x in coords)
     assert span_coords(rows, [0, 0, 1]) is None
     other = echelon_span(QQ, [[1, 2, 1], [1, 1, 0]])
     assert span_equal(rows, other)

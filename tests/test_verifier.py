@@ -16,7 +16,6 @@ from hecke3.heckecore import (
     build_R,
     build_Y,
     flip_matrix,
-    flip_symmetry,
     skewsymmetrizer_matrix,
     symmetric_form,
     t_operator,
@@ -31,6 +30,7 @@ from hecke3.verifier import (
     check_hecke,
     check_image_and_eigen,
     check_pairing_identities,
+    column_witness,
     fuzz,
     run_suite,
     sample_adversarial,
@@ -160,7 +160,7 @@ class TestPairingIdentities:
 
 class TestCyclicShiftIdentity:
     def test_zero_traceless_operator(self):
-        sym = flip_symmetry(QQ)
+        sym = build_R(canonical("Type8"))
         T = Matrix.zeros(QQ, 3)
         assert check_cyclic_shift_identity(sym.Y, T, sym.q).passed
 
@@ -233,7 +233,7 @@ class TestRunSuite:
         assert all(r.passed for r in run_suite(raw))
 
     def test_reports_serialize(self):
-        for rep in run_suite(flip_symmetry(QQ)):
+        for rep in run_suite(build_R(canonical("Type8"))):
             doc = rep.to_json()
             json.dumps(doc)
             assert (doc["witness"] is None) == doc["passed"]
@@ -302,12 +302,26 @@ def test_necessity_spot_check():
         assert failing.witness is not None
 
 
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "Fp7"])
+def test_braid_witness_matches_kron_products(field):
+    """check_braid agrees with the dense 27x27 Kronecker products it replaced."""
+    rng = random.Random(17)
+    ident3 = Matrix.identity(field, 3)
+    operators = [build_R(sample_strategy_a(field, rng)).R]
+    for _ in range(3):
+        q, a, b, g = sample_adversarial(field, rng)
+        operators.append(Matrix.identity(field, 9).scale(q) - skewsymmetrizer_matrix(q, a, b, g))
+    for R in operators:
+        r1, r2 = R.kron(ident3), ident3.kron(R)
+        assert check_braid(R).witness == column_witness(r1 * (r2 * r1), r2 * (r1 * r2))
+
+
 def _golden_cases(field):
     """Failing checks whose witnesses are pinned byte for byte."""
     q, a, b, g = sample_adversarial(field, random.Random(8))
     Y = skewsymmetrizer_matrix(q, a, b, g)
     R = Matrix.identity(field, 9).scale(q) - Y
-    flip_y2 = flip_symmetry(field).Y.scale(field.of(2))
+    flip_y2 = build_R(canonical("Type8", field=field)).Y.scale(field.of(2))
     type1 = build_R(canonical("Type1", 3, field))
     ident9 = Matrix.identity(field, 9)
     return {
