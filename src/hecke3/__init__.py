@@ -21,7 +21,6 @@ from .errors import (
     NotAlternating,
     NotHeckeSym0,
     NotPrime,
-    SingularBasis,
     SingularDeformation,
     SingularMatrix,
     ZeroBivector,
@@ -55,6 +54,7 @@ from .heckecore import (
     build_Y,
     build_Y_from_F,
     conjugate,
+    conjugate_data,
     deform,
     discriminant,
     extract_F,

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 from .errors import Hecke3Error, InvalidQ
 from .fields import QQ
+from .jsonio import matrix_to_json, vector_to_json
 from .linalg import Matrix
 from .multilinear import idx2, std_basis
 from .heckecore import (
@@ -67,10 +68,7 @@ class ClassificationReport:
             "q": fld.fmt(self.q),
             "rank_g": self.rank_g,
             "rank_restricted": self.rank_restricted,
-            "F": {
-                "g": [[fld.fmt(x) for x in row] for row in self.f.g.rows],
-                "bivector": [fld.fmt(x) for x in self.f.t],
-            },
+            "F": {"g": matrix_to_json(self.f.g), "bivector": vector_to_json(fld, self.f.t)},
         }
 
 

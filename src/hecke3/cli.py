@@ -2,8 +2,10 @@
 
 Exactly one JSON document goes to standard output; diagnostics go to
 standard error.  Exit codes: 0 all checks passed / command succeeded,
-1 a verification check failed (witness in the output), 2 invalid input;
-a reader that closes standard output early gets exit 1 and no traceback.
+1 a verification check failed (witness in the output), 2 invalid input,
+command line usage errors included; a reader that closes standard output
+early gets exit 1 and no traceback.  The one exception is ``--help``,
+which prints the usage text and exits 0.
 The default field is "Q" and can be overridden per invocation with
 ``--field`` or globally with the HECKE3_FIELD environment variable.
 """
@@ -155,6 +157,13 @@ def cmd_table(args, field) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are invalid input, not exits."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
@@ -162,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=argparse.SUPPRESS,
         help="field spec 'Q' or 'Fp:<p>' (default: HECKE3_FIELD or 'Q')",
     )
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hecke3",
         parents=[common],
         description="Exact Hecke symmetries on a 3-dimensional space: "
@@ -218,9 +227,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
         try:
+            args = build_parser().parse_args(argv)
             spec = getattr(args, "field", None) or os.environ.get("HECKE3_FIELD") or "Q"
             code = args.func(args, parse_field(spec))
         except Hecke3Error as exc:

@@ -20,6 +20,7 @@ from itertools import islice
 from .fields import QQ
 from .linalg import Matrix, echelon_span, span_coords
 from .heckecore import HeckeSymmetry, flip_matrix
+from .jsonio import matrix_to_json, vector_to_json
 from .multilinear import matrix_of_map, slot_action
 from .verifier import CheckReport, column_witness
 
@@ -73,12 +74,10 @@ class GlTensor:
         return self.matrix.field
 
     def to_json(self) -> dict:
-        fld = self.field
-        mat = [[fld.fmt(x) for x in row] for row in self.matrix.rows]
         return {
-            "matrix": mat,
-            "left": [[[fld.fmt(x) for x in row] for row in m.rows] for m in self.left],
-            "right": [[[fld.fmt(x) for x in row] for row in m.rows] for m in self.right],
+            "matrix": matrix_to_json(self.matrix),
+            "left": [matrix_to_json(m) for m in self.left],
+            "right": [matrix_to_json(m) for m in self.right],
         }
 
 
@@ -128,10 +127,10 @@ def classical_r(sym: HeckeSymmetry) -> GlTensor:
     return gl_tensor(flip_matrix(fld) * sym.R - Matrix.identity(fld, 9))
 
 
-def r21(t: GlTensor) -> GlTensor:
-    """Swap of the two tensor factors, R0 r R0."""
+def r21(t: GlTensor) -> Matrix:
+    """Swap of the two tensor factors, the 9x9 matrix R0 r R0."""
     r0 = flip_matrix(t.field)
-    return gl_tensor(r0 * t.matrix * r0)
+    return r0 * t.matrix * r0
 
 
 def check_cybe(t: GlTensor) -> CheckReport:
@@ -156,7 +155,7 @@ def check_symmetrized(t: GlTensor, q) -> CheckReport:
     """r + r21 = (q - 1)(R0 + Id) as a 9x9 identity."""
     fld = t.field
     qq = fld.of(q)
-    lhs = t.matrix + r21(t).matrix
+    lhs = t.matrix + r21(t)
     rhs = (flip_matrix(fld) + Matrix.identity(fld, 9)).scale(qq - 1)
     return CheckReport("symmetrized", column_witness(lhs, rhs))
 
@@ -191,10 +190,9 @@ class LieSubalgebra:
         ]
 
     def to_json(self) -> dict:
-        fld = self.field
         return {
             "dim": self.dim,
-            "basis": [[[fld.fmt(x) for x in row] for row in m.rows] for m in self.basis],
+            "basis": [matrix_to_json(m) for m in self.basis],
             "closure_grew": self.closure_grew,
         }
 
@@ -234,7 +232,7 @@ class FrobeniusResult:
         return {
             "status": self.status,
             "witness": None if self.witness is None
-            else [field.fmt(x) for x in self.witness],
+            else vector_to_json(field, self.witness),
         }
 
 

@@ -33,10 +33,6 @@ class SingularMatrix(Hecke3Error):
     """A matrix required to be invertible is singular."""
 
 
-class SingularBasis(SingularMatrix):
-    """A basis-change matrix is singular."""
-
-
 class NotAlternating(Hecke3Error):
     """A tensor required to be alternating is not."""
 

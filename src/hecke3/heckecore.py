@@ -65,6 +65,7 @@ __all__ = [
     "build_Y_from_F",
     "deform",
     "conjugate",
+    "conjugate_data",
 ]
 
 
@@ -93,14 +94,17 @@ def symmetric_form(field, rows) -> Matrix:
     return g
 
 
+def _bivector_times(t, g: Matrix) -> Matrix:
+    """t g, with the bivector t read as the 3x3 matrix of its coordinates t[3i+j].
+
+    For t = a^b this is the operator v |-> g(b,v) a - g(a,v) b.
+    """
+    return Matrix(g.field, [t[0:3], t[3:6], t[6:9]]) * g
+
+
 def t_operator(a, b, g: Matrix) -> Matrix:
     """The traceless operator v |-> g(b,v) a - g(a,v) b, as a 3x3 matrix."""
-    fld = g.field
-    cols = []
-    for e in std_basis(fld):
-        gb, ga = g_value(g, b, e), g_value(g, a, e)
-        cols.append([gb * a[i] - ga * b[i] for i in range(3)])
-    return Matrix.from_columns(fld, cols)
+    return _bivector_times(wedge2(a, b), g)
 
 
 def discriminant(a, b, g: Matrix):
@@ -188,20 +192,22 @@ def build_Y(data: HeckeData) -> Matrix:
 
 @dataclass(frozen=True)
 class HeckeSymmetry:
-    """An operator R with its cached skewsymmetrizer Y = q*Id - R.
+    """An operator R with its parameter q; the state is the pair (R, q).
 
+    The skewsymmetrizer Y = q*Id - R is derived once, on construction.
     Every instance has Y mapping into the alternating square; later code
     relies on this instead of checking it again.
     """
 
     R: Matrix
-    Y: Matrix
     q: object
-    data: HeckeData | None = dc_field(default=None, compare=False)
+    Y: Matrix = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not all(is_alt2(self.Y.col(j)) for j in range(9)):
+        Y = Matrix.identity(self.R.field, 9).scale(self.q) - self.R
+        if not all(is_alt2(Y.col(j)) for j in range(9)):
             raise NotHeckeSym0("the skewsymmetrizer image is not alternating")
+        object.__setattr__(self, "Y", Y)
 
     @property
     def field(self):
@@ -230,7 +236,7 @@ class HeckeSymmetry:
                 raise NotHeckeSym0("the quadratic Hecke relation fails for the given q")
         if q == 0:
             raise NotHeckeSym0("the Hecke parameter is zero")
-        sym = cls(R, Matrix.identity(fld, 9).scale(q) - R, q)
+        sym = cls(R, q)
         if sym.Y.rank() != 3:
             raise NotHeckeSym0("the skewsymmetrizer image is not the full alternating square")
         for w in alt2_basis(fld):
@@ -241,9 +247,7 @@ class HeckeSymmetry:
 
 def build_R(data: HeckeData) -> HeckeSymmetry:
     """The Hecke symmetry R = q*Id - Y of a validated quadruple."""
-    Y = build_Y(data)
-    R = Matrix.identity(data.field, 9).scale(data.q) - Y
-    return HeckeSymmetry(R, Y, data.q, data)
+    return HeckeSymmetry(Matrix.identity(data.field, 9).scale(data.q) - build_Y(data), data.q)
 
 
 def flip_matrix(field) -> Matrix:
@@ -393,11 +397,8 @@ def extract_F(sym: HeckeSymmetry) -> FOperator:
 
 
 def t_operator_of_F(f_op: FOperator) -> Matrix:
-    """The traceless operator of any decomposition of F (rescaling-invariant)."""
-    if f_op.is_zero():
-        return Matrix.zeros(f_op.field, 3)
-    a, b = f_op.vectors()
-    return t_operator(a, b, f_op.g)
+    """The traceless operator t g of F = g (x) t (invariant under the rescaling)."""
+    return _bivector_times(f_op.t, f_op.g)
 
 
 def build_Y_from_F(q, f_op: FOperator) -> Matrix:
@@ -446,12 +447,7 @@ def deform(sym: HeckeSymmetry, lam) -> HeckeSymmetry:
             "lam*(q-1) = -1 makes the deformed operator singular"
         )
     r0 = flip_matrix(fld)
-    R = r0 + (sym.R - r0).scale(lam)
-    Y = Matrix.identity(fld, 9).scale(q_lam) - R
-    data = None
-    if sym.data is not None:
-        data = HeckeData(q_lam, sym.data.a, sym.data.b, sym.data.g.scale(lam))
-    return HeckeSymmetry(R, Y, q_lam, data)
+    return HeckeSymmetry(r0 + (sym.R - r0).scale(lam), q_lam)
 
 
 def conjugate(sym: HeckeSymmetry, P: Matrix) -> HeckeSymmetry:
@@ -459,11 +455,13 @@ def conjugate(sym: HeckeSymmetry, P: Matrix) -> HeckeSymmetry:
 
     A singular P raises :class:`~hecke3.errors.SingularMatrix`.
     """
+    return HeckeSymmetry(change_of_basis(sym.R, P.inverse()), sym.q)
+
+
+def conjugate_data(data: HeckeData, P: Matrix) -> HeckeData:
+    """Transport a quadruple along P: a, b -> Pa, Pb and g -> P^-T g P^-1.
+
+    ``build_R(conjugate_data(data, P))`` is ``conjugate(build_R(data), P)``.
+    """
     Pinv = P.inverse()
-    R = change_of_basis(sym.R, Pinv)
-    Y = Matrix.identity(sym.field, 9).scale(sym.q) - R
-    data = None
-    if sym.data is not None:
-        g2 = Pinv.transpose() * sym.data.g * Pinv
-        data = HeckeData(sym.q, P.apply(sym.data.a), P.apply(sym.data.b), g2)
-    return HeckeSymmetry(R, Y, sym.q, data)
+    return HeckeData(data.q, P.apply(data.a), P.apply(data.b), Pinv.transpose() * data.g * Pinv)

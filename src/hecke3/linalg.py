@@ -59,9 +59,6 @@ class Matrix:
     def ncols(self) -> int:
         return len(self.rows[0]) if self.rows else 0
 
-    def copy(self) -> "Matrix":
-        return Matrix(self.field, [row[:] for row in self.rows])
-
     def __getitem__(self, ij):
         i, j = ij
         return self.rows[i][j]

@@ -18,7 +18,6 @@ from __future__ import annotations
 from .errors import (
     DimensionMismatch,
     NotAlternating,
-    SingularBasis,
     ZeroBivector,
 )
 from .fields import field_of
@@ -245,20 +244,15 @@ def cyclic_shift(w):
     return [w[idx3(k, i, j)] for i in range(3) for j in range(3) for k in range(3)]
 
 
-def random_invertible(field, rng, bound: int = 3) -> Matrix:
-    """Random invertible 3x3 matrix with small integer entries."""
+def random_invertible(field, rng) -> Matrix:
+    """Random invertible 3x3 matrix with integer entries in [-3, 3]."""
     while True:
-        m = Matrix.from_rows(
-            field,
-            [[rng.randint(-bound, bound) for _ in range(3)] for _ in range(3)],
-        )
+        m = Matrix.from_rows(field, [[rng.randint(-3, 3) for _ in range(3)] for _ in range(3)])
         if m.det() != 0:
             return m
 
 
 def change_of_basis(op: Matrix, basis: Matrix) -> Matrix:
-    """Components of a degree-2 operator in the basis given by the columns."""
-    if basis.det() == 0:
-        raise SingularBasis("basis matrix is singular")
+    """Components of a degree-2 operator in the basis given by the columns (invertible)."""
     binv = basis.inverse()
     return binv.kron(binv) * op * basis.kron(basis)

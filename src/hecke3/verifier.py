@@ -13,6 +13,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import InputError, NotHeckeSym0
+from .jsonio import vector_to_json
 from .linalg import Matrix
 from .multilinear import (
     alt2_basis,
@@ -37,13 +38,12 @@ from .heckecore import (
     HeckeSymmetry,
     build_R,
     build_Y_from_F,
-    conjugate,
+    conjugate_data,
     discriminant,
     extract_F,
     extract_q,
     g_value,
     skewsymmetrizer_matrix,
-    t_operator,
     t_operator_of_F,
 )
 
@@ -80,10 +80,6 @@ class CheckReport:
         return {"name": self.name, "passed": self.passed, "witness": self.witness}
 
 
-def _fmt_list(field, xs):
-    return [field.fmt(x) for x in xs]
-
-
 def _basis_tensor(c: int, n: int):
     """1-based index tuple of column ``c`` of an n x n operator (n = 9 or 27)."""
     digits = [c // 9 + 1, c // 3 % 3 + 1, c % 3 + 1]
@@ -102,8 +98,8 @@ def column_witness(lhs: Matrix, rhs: Matrix, **context) -> dict | None:
     c = next(c for c in range(lhs.ncols) if lhs.col(c) != rhs.col(c))
     return {
         "input": {**context, "basis_tensor": _basis_tensor(c, lhs.ncols)},
-        "lhs": _fmt_list(fld, lhs.col(c)),
-        "rhs": _fmt_list(fld, rhs.col(c)),
+        "lhs": vector_to_json(fld, lhs.col(c)),
+        "rhs": vector_to_json(fld, rhs.col(c)),
     }
 
 
@@ -114,7 +110,7 @@ def _non_alternating_column(Y: Matrix) -> dict | None:
         if not is_alt2(col):
             return {
                 "input": {"basis_tensor": _basis_tensor(c, 9)},
-                "lhs": _fmt_list(Y.field, col),
+                "lhs": vector_to_json(Y.field, col),
                 "rhs": ["alternating tensor expected"],
             }
     return None
@@ -151,9 +147,9 @@ def check_image_and_eigen(Y: Matrix, q) -> CheckReport:
             want = [(qq + 1) * c for c in w]
             if got != want:
                 witness = {
-                    "input": {"bivector": _fmt_list(fld, w)},
-                    "lhs": _fmt_list(fld, got),
-                    "rhs": _fmt_list(fld, want),
+                    "input": {"bivector": vector_to_json(fld, w)},
+                    "lhs": vector_to_json(fld, got),
+                    "rhs": vector_to_json(fld, want),
                 }
                 break
     return CheckReport("image_eigen", witness)
@@ -179,8 +175,8 @@ def check_containments(Y: Matrix, q) -> CheckReport:
                 if not is_alt3(u):
                     witness = {
                         "input": {"space": space, "vector": i + 1,
-                                  "bivector": _fmt_list(fld, t)},
-                        "lhs": _fmt_list(fld, u),
+                                  "bivector": vector_to_json(fld, t)},
+                        "lhs": vector_to_json(fld, u),
                         "rhs": ["element of Alt3 expected"],
                     }
                     return CheckReport("containments", witness)
@@ -331,9 +327,9 @@ def check_cyclic_shift_identity(Y: Matrix, T: Matrix, q) -> CheckReport:
             rhs = [2 * (qq + 1) * c for c in wedge_vt(tx2, t)]
             if lhs != rhs:
                 witness = {
-                    "input": {"vector": i + 1, "bivector": _fmt_list(fld, t)},
-                    "lhs": _fmt_list(fld, lhs),
-                    "rhs": _fmt_list(fld, rhs),
+                    "input": {"vector": i + 1, "bivector": vector_to_json(fld, t)},
+                    "lhs": vector_to_json(fld, lhs),
+                    "rhs": vector_to_json(fld, rhs),
                 }
                 return CheckReport("cyclic_shift_identity", witness)
     return CheckReport("cyclic_shift_identity")
@@ -344,8 +340,7 @@ def run_suite(sym: HeckeSymmetry, random_bases: int = 0, rng=None) -> list[Check
 
     ``random_bases`` extra bases (beyond the standard one) are used for the
     component identity.  The traceless operator for the shift identity comes
-    from the symmetry's quadruple when available, else from the extracted
-    invariant operator.
+    from the extracted invariant operator.
     """
     reports = [
         check_braid(sym.R),
@@ -361,29 +356,26 @@ def run_suite(sym: HeckeSymmetry, random_bases: int = 0, rng=None) -> list[Check
                 check_component_identity(sym.Y, sym.q, random_invertible(sym.field, rng))
             )
     reports.append(check_pairing_identities(sym.Y, sym.q))
-    if sym.data is not None:
-        T = t_operator(sym.data.a, sym.data.b, sym.data.g)
-    else:
-        try:
-            T = t_operator_of_F(extract_F(sym))
-        except NotHeckeSym0 as exc:
-            reports.append(CheckReport(
-                "cyclic_shift_identity",
-                {"error": f"no valid invariant operator: {exc}"},
-            ))
-            return reports
+    try:
+        T = t_operator_of_F(extract_F(sym))
+    except NotHeckeSym0 as exc:
+        reports.append(CheckReport(
+            "cyclic_shift_identity",
+            {"error": f"no valid invariant operator: {exc}"},
+        ))
+        return reports
     reports.append(check_cyclic_shift_identity(sym.Y, T, sym.q))
     return reports
 
 
-def _random_scalar(field, rng, bound: int = 4):
+def _random_scalar(field, rng):
     if field.characteristic == 0:
-        return field.of(rng.randint(-bound, bound))
+        return field.of(rng.randint(-4, 4))
     return field.of(rng.randint(0, field.characteristic - 1))
 
 
-def _random_vector(field, rng, bound: int = 4):
-    return [_random_scalar(field, rng, bound) for _ in range(3)]
+def _random_vector(field, rng):
+    return [_random_scalar(field, rng) for _ in range(3)]
 
 
 def _random_independent_pair(field, rng):
@@ -448,8 +440,7 @@ def sample_strategy_b(field, rng) -> HeckeData:
         data = canonical(label, q, field)
     else:
         data = canonical(label, field=field)
-    P = random_invertible(field, rng)
-    return conjugate(build_R(data), P).data
+    return conjugate_data(data, random_invertible(field, rng))
 
 
 def sample_adversarial(field, rng):
@@ -461,11 +452,10 @@ def sample_adversarial(field, rng):
     """
     while True:
         data = sample_strategy_a(field, rng)
-        g = data.g.copy()
         for i in range(3):
             for j in range(i, 3):
                 bump = field.one()
-                rows = [row[:] for row in g.rows]
+                rows = [row[:] for row in data.g.rows]
                 rows[i][j] = rows[i][j] + bump
                 if i != j:
                     rows[j][i] = rows[j][i] + bump

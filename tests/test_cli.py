@@ -235,8 +235,12 @@ _SEVENTH = {"field": "Q", "q": "1", "a": ["1", "0", "0"], "b": ["0", "1", "0"]}
     (["construct", "--data", "{doc}"], {**_QUADRUPLE, "field": "Q", "q": "1e400"}),
     (["construct", "--data", "{doc}"], {**_QUADRUPLE, "field": "Q", "q": "0.5"}),
     (["construct", "--data", "{doc}"], {**_QUADRUPLE, "field": "Q", "q": "1" * 5000 + "/2"}),
+    (["verify", "--bogus"], None),
+    ([], None),
+    (["table", "--q"], None),
 ], ids=["zero_trials", "non_string_field", "deep_array", "float_q", "scalar_g",
-        "boolean_g", "string_rows_g", "exponent_q", "decimal_q", "long_q"])
+        "boolean_g", "string_rows_g", "exponent_q", "decimal_q", "long_q",
+        "unknown_flag", "no_verb", "missing_value"])
 def test_invalid_input_is_one_error_document(tmp_path, argv, document):
     """Invalid input exits 2 with one JSON error document and no traceback."""
     path = tmp_path / "doc.json"

@@ -1,0 +1,128 @@
+"""Property test of the command line contract, run in-process.
+
+For any argument vector and input document, ``hecke3.cli.main`` returns 0, 1
+or 2, writes exactly one JSON document to stdout (an error document when it
+returns 2) and lets no exception escape.  ``--help`` is the documented
+exception (usage text, exit 0), so it is never drawn; junk flags are chosen
+so that none abbreviates it.
+"""
+
+import contextlib
+import io
+import json
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from hecke3.classify import TYPE_LABELS, canonical
+from hecke3.cli import main
+from hecke3.fields import GF, QQ
+from hecke3.heckecore import build_R
+from hecke3.jsonio import hecke_data_to_json, matrix_to_json, symmetry_to_json
+
+VERBS = ("construct", "verify", "classify", "rmatrix", "carrier", "deform", "fuzz", "table")
+FIELD_SPECS = ("Q", "Fp:7", "Fp:3", "Fp:1000003", "Fp:2", "Fp:9", "Fp:", "R", "")
+
+# JSON scalars of every type: exact text (valid or not), integers, floats,
+# booleans, null and containers
+scalars = st.one_of(
+    st.sampled_from(["0", "1", "-1", "2", "1/2", "-3/4", "3/0", "0.5", "1e3",
+                     " 7 ", "", "x", "1/-2", "+5"]),
+    st.text(max_size=5),
+    st.integers(),
+    st.floats(),
+    st.booleans(),
+    st.none(),
+    st.sampled_from([[], {}, ["1"], {"q": "1"}]),
+)
+entries = st.one_of(st.sampled_from(["0", "1", "-1", "2", "1/2"]), st.integers(-2, 2), scalars)
+field_values = st.one_of(st.sampled_from(FIELD_SPECS), scalars)
+
+
+def _matrix(n):
+    rows = st.lists(entries, min_size=n, max_size=n)
+    return st.one_of(st.lists(rows, min_size=n, max_size=n),
+                     st.lists(st.lists(entries, max_size=n + 1), max_size=n + 1),
+                     scalars)
+
+
+vectors = st.one_of(st.lists(entries, min_size=3, max_size=3), st.lists(entries, max_size=4),
+                    scalars)
+quadruples = st.fixed_dictionaries(
+    {"q": entries, "a": vectors, "b": vectors, "g": _matrix(3)},
+    optional={"field": field_values},
+)
+records = st.fixed_dictionaries({"R": _matrix(9)}, optional={"q": entries, "field": field_values})
+
+
+def _valid_documents():
+    docs = []
+    for field in (QQ, GF(7)):
+        for label in TYPE_LABELS:
+            data = canonical(label, 3 if label in ("Type1", "Type2") else None, field)
+            sym = build_R(data)
+            docs += [hecke_data_to_json(data), symmetry_to_json(sym), matrix_to_json(sym.R)]
+    return docs
+
+
+@st.composite
+def damaged(draw, docs):
+    """A valid document with one top-level value replaced or removed."""
+    doc = draw(st.sampled_from(docs))
+    if isinstance(doc, list):
+        doc = list(doc)
+        doc[draw(st.integers(0, 8))] = draw(st.one_of(st.lists(entries, min_size=9, max_size=9),
+                                                      scalars))
+        return doc
+    doc = dict(doc)
+    key = draw(st.sampled_from(sorted(doc)))
+    if draw(st.booleans()):
+        del doc[key]
+    else:
+        doc[key] = draw(scalars)
+    return doc
+
+
+VALID = _valid_documents()
+documents = st.one_of(st.sampled_from(VALID), damaged(VALID), quadruples, records,
+                      _matrix(9), scalars)
+
+flag_groups = st.one_of(
+    st.tuples(st.just("--field"), st.sampled_from(FIELD_SPECS)),
+    st.sampled_from([("--data", "{doc}"), ("--matrix", "{doc}"), ("--data", "{missing}"),
+                     ("--adversarial",), ("--bogus",), ("-x",), ("extra",), ("--",),
+                     ("--data",), ("--field",)]),
+    st.tuples(st.just("--type"), st.sampled_from(["1", "3", "8", "9", "0", "x"])),
+    st.tuples(st.sampled_from(["--q", "--seed"]), st.sampled_from(["2", "-1", "1/2", "0", "x"])),
+    st.tuples(st.just("--lambda"), st.sampled_from(["2", "-1/2", "1/2", "0", "x", ""])),
+    st.tuples(st.just("--trials"), st.sampled_from(["-1", "0", "1", "2", "x"])),
+    st.tuples(st.just("--strategy"), st.sampled_from(["A", "B", "C"])),
+)
+argvs = st.builds(
+    lambda verb, groups: verb + [a for g in groups for a in g],
+    st.one_of(st.sampled_from(VERBS).map(lambda v: [v]), st.sampled_from([[], ["bogus"]])),
+    st.lists(flag_groups, max_size=4),
+)
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("cli_contract")
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=argvs, doc=documents)
+def test_every_input_gets_a_contract_answer(workdir, argv, doc):
+    path = workdir / "doc.json"
+    path.write_text(json.dumps(doc))
+    argv = [a.format(doc=path, missing=workdir / "missing.json") for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            raise AssertionError(f"exit {exc.code} outside the contract") from exc
+    assert code in (0, 1, 2)
+    doc_out = json.loads(out.getvalue())  # exactly one document: trailing text fails
+    if code == 2:
+        assert set(doc_out) == {"error"}

@@ -37,6 +37,7 @@ from hecke3.heckecore import (
     build_Y,
     build_Y_from_F,
     conjugate,
+    conjugate_data,
     deform,
     discriminant,
     extract_F,
@@ -393,7 +394,7 @@ class TestFromMatrix:
         with pytest.raises(NotHeckeSym0, match="not alternating"):
             HeckeSymmetry.from_matrix(R)
         with pytest.raises(NotHeckeSym0, match="not alternating"):
-            HeckeSymmetry(R, Matrix.identity(QQ, 9) - R, QQ.one())
+            HeckeSymmetry(R, QQ.one())
 
 
 class TestDeform:
@@ -414,9 +415,12 @@ class TestDeform:
         assert extract_q(moved.R) == 2
 
     def test_deformed_data_remains_valid(self):
-        sym = build_R(canonical("Type1", Fr(3)))
-        moved = deform(sym, Fr(2))
-        assert moved.data is not None and moved.data.q == moved.q
+        # the deformed symmetry is built by the quadruple (q_lam, a, b, lam g)
+        lam = Fr(2)
+        data = canonical("Type1", Fr(3))
+        moved = deform(build_R(data), lam)
+        q_lam = 1 + lam * (data.q - 1)
+        assert build_R(HeckeData(q_lam, data.a, data.b, data.g.scale(lam))).R == moved.R
 
     def test_scales_invariant_operator(self):
         lam = Fr(1, 2)
@@ -462,12 +466,13 @@ class TestConjugate:
 
     def test_transported_data_is_valid_and_consistent(self):
         rng = random.Random(53)
-        sym = build_R(canonical("Type2", Fr(-1)))
+        data = canonical("Type2", Fr(-1))
+        sym = build_R(data)
         for _ in range(10):
             P = random_invertible(QQ, rng)
             moved = conjugate(sym, P)
             assert moved.q == sym.q
-            assert build_R(moved.data).R == moved.R
+            assert build_R(conjugate_data(data, P)).R == moved.R
 
     def test_skewsymmetrizer_is_transported_like_R(self):
         """Y = q Id - R after transport equals Y transported by P (x) P."""
