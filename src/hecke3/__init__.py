@@ -23,7 +23,6 @@ from .errors import (
     NotPrime,
     SingularDeformation,
     SingularMatrix,
-    ZeroBivector,
     ZeroQ,
 )
 from .fields import GF, QQ, Fp, PrimeField, Rationals, field_of, parse_field
@@ -32,7 +31,6 @@ from .multilinear import (
     alt2_basis,
     basis_vector,
     cyclic_shift,
-    decompose_bivector,
     idx2,
     idx3,
     is_alt2,
@@ -51,7 +49,6 @@ from .heckecore import (
     HeckeData,
     HeckeSymmetry,
     build_R,
-    build_Y,
     build_Y_from_F,
     conjugate,
     conjugate_data,
@@ -62,7 +59,6 @@ from .heckecore import (
     flip_matrix,
     solve_q,
     symmetric_form,
-    t_operator,
 )
 from .verifier import (
     CheckReport,

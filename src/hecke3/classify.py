@@ -23,7 +23,7 @@ from .errors import Hecke3Error, InvalidQ
 from .fields import QQ
 from .jsonio import matrix_to_json, vector_to_json
 from .linalg import Matrix
-from .multilinear import idx2, std_basis
+from .multilinear import idx2, pair_vt, std_basis
 from .heckecore import (
     FOperator,
     HeckeData,
@@ -122,9 +122,10 @@ def classify(sym: HeckeSymmetry) -> ClassificationReport:
     q = sym.q
     if f_op.is_zero():
         return ClassificationReport("Type8", q, 0, None, f_op)
-    a, b = f_op.vectors()
     g = f_op.g
     rank_g = g.rank()
+    # the plane of t is the kernel of the form v |-> pair_vt(v, t)
+    a, b = Matrix(g.field, [[pair_vt(v, f_op.t) for v in std_basis(g.field)]]).kernel_basis()
     gram = Matrix(
         g.field,
         [

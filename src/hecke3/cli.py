@@ -29,16 +29,24 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_BAD_INPUT = 2
 
+# a valid record is about 100 KB at most; anything past this is not read
+MAX_INPUT_BYTES = 1 << 20
+
 
 def _read_json(path: str):
     try:
         if path == "-":
-            return json.load(sys.stdin)
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            raw = sys.stdin.buffer.read(MAX_INPUT_BYTES + 1)
+        else:
+            with open(path, "rb") as fh:
+                raw = fh.read(MAX_INPUT_BYTES + 1)
+        if len(raw) > MAX_INPUT_BYTES:
+            raise ValueError(f"more than {MAX_INPUT_BYTES} bytes")
+        return json.loads(raw.decode("utf-8"))
     except (OSError, ValueError, RecursionError) as exc:
-        # ValueError covers malformed JSON and undecodable bytes; RecursionError
-        # comes from documents nested too deeply for the decoder
+        # ValueError covers oversized input, malformed JSON and undecodable
+        # bytes; RecursionError comes from documents nested too deeply for the
+        # decoder
         raise InputError(f"cannot read JSON from {path!r}: {exc}") from exc
 
 

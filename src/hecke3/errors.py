@@ -37,10 +37,6 @@ class NotAlternating(Hecke3Error):
     """A tensor required to be alternating is not."""
 
 
-class ZeroBivector(Hecke3Error):
-    """The zero bivector cannot be decomposed into two vectors."""
-
-
 class InvalidConstraint(Hecke3Error):
     """The quadratic constraint linking q and the form discriminant fails."""
 

@@ -8,14 +8,15 @@ a, b and a symmetric bilinear form g tied together by the constraint
 
     (q - 1)^2 = -4 * (g(a,a) g(b,b) - g(a,b)^2).
 
-The skewsymmetrizer Y = q * Id - R is assembled as
+The skewsymmetrizer Y = q * Id - R depends on a and b only through the
+bivector t = a^b.  It is assembled in pairing coordinates: with
+n_k = pair_vt(e_k, t), the bivector Y(e_j e_k) has
 
-    Y(x y) = g(x,y) a^b + x ^ Ty + y ^ Tx + (q+1)/2 * x^y,
+    pair_vt(e_i, Y(e_j e_k)) = n_k g_ij + n_j g_ik - n_i g_jk + (q+1)/2 vol(e_i, e_j, e_k).
 
-with T v = g(b,v) a - g(a,v) b.  Conversely, R determines the pair (q, F)
-where F is the rank-at-most-1 symmetric operator F(x y) = g(x,y) a^b, and
-the quadruple can be recovered from F up to the rescaling
-(g, a^b) -> (c g, a^b / c).
+Conversely, R determines the pair (q, F) where F is the rank-at-most-1
+symmetric operator F(x y) = g(x,y) t, and the quadruple can be recovered
+from F up to the rescaling (g, t) -> (c g, t / c).
 """
 
 from __future__ import annotations
@@ -28,14 +29,12 @@ from .errors import (
     NoHeckeParameter,
     NotHeckeSym0,
     SingularDeformation,
-    ZeroBivector,
     ZeroQ,
 )
 from .linalg import Matrix
 from .multilinear import (
     alt2_basis,
     change_of_basis,
-    decompose_bivector,
     idx2,
     is_alt2,
     pair_vt,
@@ -48,12 +47,11 @@ from .multilinear import (
 __all__ = [
     "g_value",
     "symmetric_form",
-    "t_operator",
     "discriminant",
     "solve_q",
     "HeckeData",
     "skewsymmetrizer_matrix",
-    "build_Y",
+    "pairing_coordinates",
     "build_R",
     "flip_matrix",
     "HeckeSymmetry",
@@ -94,22 +92,25 @@ def symmetric_form(field, rows) -> Matrix:
     return g
 
 
-def _bivector_times(t, g: Matrix) -> Matrix:
-    """t g, with the bivector t read as the 3x3 matrix of its coordinates t[3i+j].
+def _gram_determinant(g: Matrix, t):
+    """n^T adj(g) n with n_k = pair_vt(e_k, t), g symmetric (cyclic cofactors).
 
-    For t = a^b this is the operator v |-> g(b,v) a - g(a,v) b.
+    For t = a^b, n = a x b and this is g(a,a) g(b,b) - g(a,b)^2.
     """
-    return Matrix(g.field, [t[0:3], t[3:6], t[6:9]]) * g
-
-
-def t_operator(a, b, g: Matrix) -> Matrix:
-    """The traceless operator v |-> g(b,v) a - g(a,v) b, as a 3x3 matrix."""
-    return _bivector_times(wedge2(a, b), g)
+    r = g.rows
+    n = [pair_vt(v, t) for v in std_basis(g.field)]
+    acc = g.field.zero()
+    for i in range(3):
+        i1, i2 = (i + 1) % 3, (i + 2) % 3
+        for j in range(3):
+            j1, j2 = (j + 1) % 3, (j + 2) % 3
+            acc = acc + n[i] * n[j] * (r[i1][j1] * r[i2][j2] - r[i1][j2] * r[i2][j1])
+    return acc
 
 
 def discriminant(a, b, g: Matrix):
     """g(a,a) g(b,b) - g(a,b)^2: the Gram determinant of g on (a, b)."""
-    return g_value(g, a, a) * g_value(g, b, b) - g_value(g, a, b) ** 2
+    return _gram_determinant(g, wedge2(a, b))
 
 
 def solve_q(a, b, g: Matrix):
@@ -158,36 +159,39 @@ class HeckeData:
         return self.g.field
 
 
-def skewsymmetrizer_matrix(q, a, b, g: Matrix) -> Matrix:
-    """Raw assembly of the skewsymmetrizer formula, with no validation.
+def _bivector_from_pairings(field, s):
+    """The bivector u = s0 e2^e3 + s1 e3^e1 + s2 e1^e2, so pair_vt(e_k, u) = s[k]."""
+    z = field.zero()
+    return [z, s[2], -s[1], -s[2], z, s[0], s[1], -s[0], z]
 
-    Used both by :func:`build_Y` (after validation) and by adversarial test
-    harnesses that deliberately break the q constraint.
+
+def pairing_coordinates(Y: Matrix):
+    """l[i][j][k] = pair_vt(e_i, Y(e_j e_k)), read off rows 5, 6 and 1 of Y.
+
+    Those rows hold the t23, t31 and t12 coordinates of each column, so the
+    reading is exact only when every column of Y is alternating.
+    """
+    return [[[Y.rows[r][idx2(j, k)] for k in range(3)] for j in range(3)] for r in (5, 6, 1)]
+
+
+def skewsymmetrizer_matrix(q, g: Matrix, t) -> Matrix:
+    """Y from the form g and the bivector t by the pairing-coordinate formula, unvalidated.
+
+    :func:`build_R` and :func:`build_Y_from_F` validate first; adversarial
+    harnesses call it with the q constraint deliberately broken.
     """
     fld = g.field
     e = std_basis(fld)
-    T = t_operator(a, b, g)
-    ab = wedge2(a, b)
+    n = [pair_vt(v, t) for v in e]
+    r = g.rows
     half = (q + 1) / 2
     cols = []
-    for i in range(3):
-        Ti = T.apply(e[i])
-        for j in range(3):
-            Tj = T.apply(e[j])
-            col = [g.rows[i][j] * c for c in ab]
-            for pos, val in enumerate(wedge2(e[i], Tj)):
-                col[pos] = col[pos] + val
-            for pos, val in enumerate(wedge2(e[j], Ti)):
-                col[pos] = col[pos] + val
-            for pos, val in enumerate(wedge2(e[i], e[j])):
-                col[pos] = col[pos] + half * val
-            cols.append(col)
+    for j in range(3):
+        for k in range(3):
+            s = [n[k] * r[i][j] + n[j] * r[i][k] - n[i] * r[j][k] + half * vol(e[i], e[j], e[k])
+                 for i in range(3)]
+            cols.append(_bivector_from_pairings(fld, s))
     return Matrix.from_columns(fld, cols)
-
-
-def build_Y(data: HeckeData) -> Matrix:
-    """Skewsymmetrizer of the symmetry determined by the quadruple."""
-    return skewsymmetrizer_matrix(data.q, data.a, data.b, data.g)
 
 
 @dataclass(frozen=True)
@@ -247,7 +251,8 @@ class HeckeSymmetry:
 
 def build_R(data: HeckeData) -> HeckeSymmetry:
     """The Hecke symmetry R = q*Id - Y of a validated quadruple."""
-    return HeckeSymmetry(Matrix.identity(data.field, 9).scale(data.q) - build_Y(data), data.q)
+    Y = skewsymmetrizer_matrix(data.q, data.g, wedge2(data.a, data.b))
+    return HeckeSymmetry(Matrix.identity(data.field, 9).scale(data.q) - Y, data.q)
 
 
 def flip_matrix(field) -> Matrix:
@@ -320,51 +325,29 @@ class FOperator:
 
     def delta(self):
         """Gram determinant of g on the plane of the bivector (0 for F = 0)."""
-        if self.is_zero():
-            return self.field.zero()
-        a, b = decompose_bivector(self.t)
-        return discriminant(a, b, self.g)
-
-    def vectors(self):
-        """A pair (a, b) with a ^ b = t; undefined for the zero operator."""
-        if self.is_zero():
-            raise ZeroBivector("the zero operator has no bivector decomposition")
-        return decompose_bivector(self.t)
+        return _gram_determinant(self.g, self.t)
 
 
 def zero_F(field) -> FOperator:
     return FOperator(Matrix.zeros(field, 3), zero_tensor(field, 2))
 
 
-def _bivector_from_pairings(field, s):
-    """The bivector u = s0 e2^e3 + s1 e3^e1 + s2 e1^e2, so pair_vt(e_k, u) = s[k]."""
-    z = field.zero()
-    return [z, s[2], -s[1], -s[2], z, s[0], s[1], -s[0], z]
-
-
 def extract_F(sym: HeckeSymmetry) -> FOperator:
     """Recover the invariant operator F from a Hecke symmetry.
 
-    F is pinned by 2 F(x y) ^ z = x ^ Y(y z) + y ^ Y(x z), solved through the
-    nondegenerate pairing of vectors against bivectors.  The result must be
-    symmetric with rank at most 1 and image in the alternating square, and
-    its discriminant must match the symmetry's q; any violation means the
+    F is pinned by 2 F(x y) ^ z = x ^ Y(y z) + y ^ Y(x z), so the pairing
+    coordinates of F(e_i e_j) are (l_i(j,k) + l_j(i,k)) / 2 with l those of Y,
+    symmetric in (i, j) by construction.  F must have rank at most 1 and its
+    discriminant must match the symmetry's q; any violation means the
     operator is not a Hecke symmetry of the polynomial algebra.
     """
     fld = sym.field
-    Y = sym.Y
-    e = std_basis(fld)
-    ycols = {}
-    for i in range(3):
-        for j in range(3):
-            ycols[(i, j)] = Y.col(idx2(i, j))
-    cols = []
-    for i in range(3):
-        for j in range(3):
-            s = []
-            for k in range(3):
-                s.append((pair_vt(e[i], ycols[(j, k)]) + pair_vt(e[j], ycols[(i, k)])) / 2)
-            cols.append(_bivector_from_pairings(fld, s))
+    ell = pairing_coordinates(sym.Y)
+    cols = [
+        _bivector_from_pairings(fld, [(ell[i][j][k] + ell[j][i][k]) / 2 for k in range(3)])
+        for i in range(3)
+        for j in range(3)
+    ]
     lead = None
     for c in cols:
         if any(x != 0 for x in c):
@@ -383,12 +366,7 @@ def extract_F(sym: HeckeSymmetry) -> FOperator:
                 if [coeff * x for x in t] != c:
                     raise NotHeckeSym0("the invariant operator does not have rank 1")
                 grows[i][j] = coeff
-        g = Matrix(fld, grows)
-        for i in range(3):
-            for j in range(i + 1, 3):
-                if g.rows[i][j] != g.rows[j][i]:
-                    raise NotHeckeSym0("the invariant operator is not symmetric")
-        f_op = FOperator(g, t)
+        f_op = FOperator(Matrix(fld, grows), t)
     if (sym.q - 1) ** 2 != -4 * f_op.delta():
         raise NotHeckeSym0(
             "the parameter-discriminant constraint fails for the extracted operator"
@@ -397,16 +375,16 @@ def extract_F(sym: HeckeSymmetry) -> FOperator:
 
 
 def t_operator_of_F(f_op: FOperator) -> Matrix:
-    """The traceless operator t g of F = g (x) t (invariant under the rescaling)."""
-    return _bivector_times(f_op.t, f_op.g)
+    """The traceless operator t g of F = g (x) t, t read as the 3x3 matrix t[3i+j].
+
+    It is invariant under the rescaling; for t = a^b it is v |-> g(b,v) a - g(a,v) b.
+    """
+    t = f_op.t
+    return Matrix(f_op.field, [t[0:3], t[3:6], t[6:9]]) * f_op.g
 
 
 def build_Y_from_F(q, f_op: FOperator) -> Matrix:
-    """Reassemble the skewsymmetrizer from the pair (q, F).
-
-    Inverse of ``extract_F o build_R``: uses the identity
-    x ^ Y(y z) = F(x y)^z + F(x z)^y - F(y z)^x + (q+1)/2 x^y^z.
-    """
+    """Reassemble the skewsymmetrizer from the pair (q, F); inverse of ``extract_F o build_R``."""
     fld = f_op.field
     q = fld.of(q)
     if (q - 1) ** 2 != -4 * f_op.delta():
@@ -415,22 +393,7 @@ def build_Y_from_F(q, f_op: FOperator) -> Matrix:
         )
     if q == 0:
         raise ZeroQ("the Hecke parameter q must be nonzero")
-    e = std_basis(fld)
-    half = (q + 1) / 2
-    fcols = {(i, j): f_op.column(i, j) for i in range(3) for j in range(3)}
-    cols = []
-    for j in range(3):
-        for k in range(3):
-            s = []
-            for i in range(3):
-                # F(..)^z = z^F(..) since the first factor is a bivector
-                acc = pair_vt(e[k], fcols[(i, j)])
-                acc = acc + pair_vt(e[j], fcols[(i, k)])
-                acc = acc - pair_vt(e[i], fcols[(j, k)])
-                acc = acc + half * vol(e[i], e[j], e[k])
-                s.append(acc)
-            cols.append(_bivector_from_pairings(fld, s))
-    return Matrix.from_columns(fld, cols)
+    return skewsymmetrizer_matrix(q, f_op.g, f_op.t)
 
 
 def deform(sym: HeckeSymmetry, lam) -> HeckeSymmetry:

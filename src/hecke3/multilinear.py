@@ -15,12 +15,7 @@ determinant).
 
 from __future__ import annotations
 
-from .errors import (
-    DimensionMismatch,
-    NotAlternating,
-    ZeroBivector,
-)
-from .fields import field_of
+from .errors import DimensionMismatch, NotAlternating
 from .linalg import Matrix
 
 __all__ = [
@@ -38,7 +33,6 @@ __all__ = [
     "is_alt2",
     "is_alt3",
     "alt2_basis",
-    "decompose_bivector",
     "slot_action",
     "matrix_of_map",
     "lift_left",
@@ -163,31 +157,6 @@ def alt2_basis(field):
     """Basis e1^e2, e1^e3, e2^e3 of the alternating square."""
     e = std_basis(field)
     return [wedge2(e[0], e[1]), wedge2(e[0], e[2]), wedge2(e[1], e[2])]
-
-
-def decompose_bivector(t):
-    """Split a nonzero alternating degree-2 tensor t into (a, b) with a^b = t.
-
-    The plane spanned by a and b is the kernel of the linear form
-    v |-> pair_vt(v, t); an echelonized kernel basis (u1, u2) has
-    u1 ^ u2 proportional to t, and scaling u1 by the exact ratio finishes.
-    No square roots are needed in dimension 3.
-    """
-    if not is_alt2(t):
-        raise NotAlternating("tensor is not an alternating degree-2 tensor")
-    if all(x == 0 for x in t):
-        raise ZeroBivector("cannot decompose the zero bivector")
-    fld = field_of(next(x for x in t if x != 0))
-    e = std_basis(fld)
-    form = [pair_vt(v, t) for v in e]
-    u1, u2 = Matrix(fld, [form]).kernel_basis()
-    w = wedge2(u1, u2)
-    m = next(i for i, x in enumerate(t) if x != 0)
-    c = w[m] / t[m]
-    a = [x / c for x in u1]
-    if wedge2(a, u2) != t:
-        raise ZeroBivector("internal decomposition failure")  # unreachable
-    return a, u2
 
 
 def slot_action(op2: Matrix, s: int, t: int):

@@ -24,7 +24,6 @@ from .multilinear import (
     is_alt3,
     cyclic_shift,
     matrix_of_map,
-    pair_vt,
     random_invertible,
     slot_action,
     std_basis,
@@ -43,6 +42,7 @@ from .heckecore import (
     extract_F,
     extract_q,
     g_value,
+    pairing_coordinates,
     skewsymmetrizer_matrix,
     t_operator_of_F,
 )
@@ -63,6 +63,9 @@ __all__ = [
     "sample_adversarial",
     "fuzz",
 ]
+
+# bound on one fuzz run's trials: the CLI takes the count from outside
+MAX_FUZZ_TRIALS = 10_000
 
 
 @dataclass(frozen=True)
@@ -230,7 +233,8 @@ def check_component_identity(Y: Matrix, q, basis: Matrix | None = None) -> Check
 def check_pairing_identities(Y: Matrix, q) -> CheckReport:
     """The two identities for the pairing forms of Y.
 
-    With L[x,y](z) = pair_vt(x, Y(y z)), the coefficient of x ^ Y(y z):
+    With L[x,y](z) = pair_vt(x, Y(y z)), the coefficient of x ^ Y(y z), read
+    off Y by :func:`~hecke3.heckecore.pairing_coordinates`:
 
       * L[x,y](z) - L[x,z](y) = (q+1) vol(x,y,z)  (linear in all slots,
         checked on basis triples);
@@ -244,12 +248,7 @@ def check_pairing_identities(Y: Matrix, q) -> CheckReport:
     witness = _non_alternating_column(Y)
     if witness is not None:
         return CheckReport("pairing_identities", witness)
-    cols = {(j, k): Y.col(idx2(j, k)) for j in range(3) for k in range(3)}
-    # ell[i][j][k] = L[e_i, e_j](e_k)
-    ell = [
-        [[pair_vt(e[i], cols[(j, k)]) for k in range(3)] for j in range(3)]
-        for i in range(3)
-    ]
+    ell = pairing_coordinates(Y)  # ell[i][j][k] = L[e_i, e_j](e_k)
     for i in range(3):
         for j in range(3):
             for k in range(3):
@@ -269,16 +268,12 @@ def check_pairing_identities(Y: Matrix, q) -> CheckReport:
         for i in range(3)
         for j in range(i + 1, 3)
     ]
-    zero9 = [fld.zero()] * 9
+    zero = fld.zero()
     for xname, x in xs:
-        lx = [[pair_vt(x, cols[(j, u)]) for u in range(3)] for j in range(3)]
-        lxx = []
-        for u in range(3):
-            yxu = zero9
-            for j in range(3):
-                if x[j] != 0:
-                    yxu = [a + x[j] * b for a, b in zip(yxu, cols[(j, u)])]
-            lxx.append(pair_vt(x, yxu))
+        # lx[j][u] = L[x, e_j](e_u) and lxx[u] = L[x, x](e_u), linear in each x
+        lx = [[sum((x[i] * ell[i][j][u] for i in range(3)), zero) for u in range(3)]
+              for j in range(3)]
+        lxx = [sum((x[j] * lx[j][u] for j in range(3)), zero) for u in range(3)]
         volx = [[vol(x, e[u], e[v]) for v in range(3)] for u in range(3)]
         for j in range(3):
             for k in range(3):
@@ -342,6 +337,11 @@ def run_suite(sym: HeckeSymmetry, random_bases: int = 0, rng=None) -> list[Check
     component identity.  The traceless operator for the shift identity comes
     from the extracted invariant operator.
     """
+    return _suite_and_F(sym, random_bases, rng)[0]
+
+
+def _suite_and_F(sym: HeckeSymmetry, random_bases: int = 0, rng=None):
+    """The reports of :func:`run_suite` and the extracted F (None when extraction failed)."""
     reports = [
         check_braid(sym.R),
         check_hecke(sym.R, sym.q),
@@ -357,15 +357,15 @@ def run_suite(sym: HeckeSymmetry, random_bases: int = 0, rng=None) -> list[Check
             )
     reports.append(check_pairing_identities(sym.Y, sym.q))
     try:
-        T = t_operator_of_F(extract_F(sym))
+        f_op = extract_F(sym)
     except NotHeckeSym0 as exc:
         reports.append(CheckReport(
             "cyclic_shift_identity",
             {"error": f"no valid invariant operator: {exc}"},
         ))
-        return reports
-    reports.append(check_cyclic_shift_identity(sym.Y, T, sym.q))
-    return reports
+        return reports, None
+    reports.append(check_cyclic_shift_identity(sym.Y, t_operator_of_F(f_op), sym.q))
+    return reports, f_op
 
 
 def _random_scalar(field, rng):
@@ -476,6 +476,8 @@ def fuzz(field, trials: int, seed: int, strategy: str = "A",
     """
     if trials < 1:
         raise InputError("trials must be >= 1")
+    if trials > MAX_FUZZ_TRIALS:
+        raise InputError(f"trials must be <= {MAX_FUZZ_TRIALS}")
     strategy = strategy.upper()
     if strategy not in ("A", "B"):
         raise InputError("strategy must be 'A' or 'B'")
@@ -485,7 +487,7 @@ def fuzz(field, trials: int, seed: int, strategy: str = "A",
         rng = random.Random(seed * 1_000_003 + trial)
         if adversarial:
             q, a, b, g = sample_adversarial(field, rng)
-            Y = skewsymmetrizer_matrix(q, a, b, g)
+            Y = skewsymmetrizer_matrix(q, g, wedge2(a, b))
             R = Matrix.identity(field, 9).scale(q) - Y
             braid = check_braid(R)
             hecke = check_hecke(R, q)
@@ -497,13 +499,14 @@ def fuzz(field, trials: int, seed: int, strategy: str = "A",
             continue
         data = sampler(field, rng)
         sym = build_R(data)
-        for rep in run_suite(sym):
+        reports, f_op = _suite_and_F(sym)
+        for rep in reports:
             if not rep.passed:
                 failures.append(
                     {"trial": trial, "check": rep.name, "witness": rep.witness}
                 )
-        f_op = extract_F(sym)
-        if build_Y_from_F(sym.q, f_op) != sym.Y:
+        # a failed extraction is already the cyclic_shift_identity failure
+        if f_op is not None and build_Y_from_F(sym.q, f_op) != sym.Y:
             failures.append({"trial": trial, "check": "roundtrip",
                              "witness": {"note": "rebuilt skewsymmetrizer differs"}})
         if extract_q(sym.R) != sym.q:

@@ -13,10 +13,9 @@ import pytest
 from hecke3.errors import CharacteristicTwo, SingularDeformation
 from hecke3.fields import GF, QQ
 from hecke3.linalg import Matrix, echelon_span, span_equal
-from hecke3.multilinear import random_invertible, std_basis
+from hecke3.multilinear import random_invertible, std_basis, wedge2
 from hecke3.heckecore import (
     build_R,
-    build_Y,
     build_Y_from_F,
     conjugate,
     deform,
@@ -100,7 +99,7 @@ def roundtrip_trials(field, strategy, trials, seed):
         rng = random.Random(seed * 1_000_003 + trial)
         data = sampler(field, rng)
         sym = build_R(data)
-        if build_Y_from_F(sym.q, extract_F(sym)) != build_Y(data):
+        if build_Y_from_F(sym.q, extract_F(sym)) != build_R(data).Y:
             failures.append((strategy, trial, "rebuild"))
         if extract_q(sym.R) != sym.q:
             failures.append((strategy, trial, "parameter"))
@@ -259,7 +258,7 @@ def test_criterion_8_necessity_spot_check():
     failures = []
     for trial in range(50):
         q, a, b, g = sample_adversarial(QQ, rng)
-        Y = skewsymmetrizer_matrix(q, a, b, g)
+        Y = skewsymmetrizer_matrix(q, g, wedge2(a, b))
         R = Matrix.identity(QQ, 9).scale(q) - Y
         braid = check_braid(R)
         hecke = check_hecke(R, q)

@@ -12,7 +12,7 @@ from hecke3.fields import QQ
 from hecke3.multilinear import idx2
 from hecke3.heckecore import build_R, flip_matrix, skewsymmetrizer_matrix, symmetric_form
 from hecke3.linalg import Matrix
-from hecke3.multilinear import std_basis
+from hecke3.multilinear import std_basis, wedge2
 from hecke3.classify import canonical
 from hecke3.jsonio import (
     hecke_data_from_json,
@@ -110,7 +110,7 @@ class TestClassify:
         # right shape, broken constraint: quadratic relation holds, braid fails
         e = std_basis(QQ)
         g = symmetric_form(QQ, [[0, 2, 0], [2, 0, 0], [0, 0, 1]])
-        Y = skewsymmetrizer_matrix(QQ.of(2), e[0], e[1], g)
+        Y = skewsymmetrizer_matrix(QQ.of(2), g, wedge2(e[0], e[1]))
         R = Matrix.identity(QQ, 9).scale(QQ.of(2)) - Y
         path = tmp_path / "broken.json"
         path.write_text(json.dumps({"field": "Q", "R": matrix_to_json(R)}))

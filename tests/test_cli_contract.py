@@ -10,15 +10,18 @@ so that none abbreviates it.
 import contextlib
 import io
 import json
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hecke3.classify import TYPE_LABELS, canonical
-from hecke3.cli import main
+from hecke3 import verifier
+from hecke3.cli import MAX_INPUT_BYTES, main
 from hecke3.fields import GF, QQ
 from hecke3.heckecore import build_R
 from hecke3.jsonio import hecke_data_to_json, matrix_to_json, symmetry_to_json
+from hecke3.verifier import MAX_FUZZ_TRIALS
 
 VERBS = ("construct", "verify", "classify", "rmatrix", "carrier", "deform", "fuzz", "table")
 FIELD_SPECS = ("Q", "Fp:7", "Fp:3", "Fp:1000003", "Fp:2", "Fp:9", "Fp:", "R", "")
@@ -126,3 +129,42 @@ def test_every_input_gets_a_contract_answer(workdir, argv, doc):
     doc_out = json.loads(out.getvalue())  # exactly one document: trailing text fails
     if code == 2:
         assert set(doc_out) == {"error"}
+
+
+def _run(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return code, json.loads(out.getvalue())
+
+
+def _oversized_document():
+    """A valid record followed by blanks, one byte past the input cap."""
+    text = json.dumps(symmetry_to_json(build_R(canonical("Type8"))))
+    return (text + " " * (MAX_INPUT_BYTES + 1 - len(text))).encode()
+
+
+def test_oversized_file_is_bad_input(tmp_path):
+    path = tmp_path / "big.json"
+    path.write_bytes(_oversized_document())
+    code, doc = _run(["verify", "--matrix", str(path)])
+    assert code == 2
+    assert f"more than {MAX_INPUT_BYTES} bytes" in doc["error"]["message"]
+
+
+def test_oversized_stdin_is_bad_input(monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(_oversized_document())))
+    code, doc = _run(["verify", "--matrix", "-"])
+    assert code == 2
+    assert f"more than {MAX_INPUT_BYTES} bytes" in doc["error"]["message"]
+
+
+def test_trials_above_the_bound_are_rejected_before_any_trial(monkeypatch):
+    def no_trial(field, rng):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(verifier, "sample_strategy_a", no_trial)
+    code, doc = _run(["fuzz", "--trials", str(MAX_FUZZ_TRIALS + 1), "--seed", "1"])
+    assert code == 2
+    assert doc["error"] == {"type": "InputError",
+                            "message": f"trials must be <= {MAX_FUZZ_TRIALS}"}

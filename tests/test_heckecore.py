@@ -34,7 +34,6 @@ from hecke3.heckecore import (
     HeckeData,
     HeckeSymmetry,
     build_R,
-    build_Y,
     build_Y_from_F,
     conjugate,
     conjugate_data,
@@ -44,9 +43,10 @@ from hecke3.heckecore import (
     extract_q,
     flip_matrix,
     g_value,
+    skewsymmetrizer_matrix,
     solve_q,
     symmetric_form,
-    t_operator,
+    t_operator_of_F,
 )
 from hecke3.classify import canonical
 
@@ -69,10 +69,15 @@ def plane_form(x, y):
     return [vol(x, y, z) for z in std_basis(QQ)]
 
 
+def t_of(a, b, g):
+    """T of the invariant operator F = g (x) a^b."""
+    return t_operator_of_F(FOperator(g, wedge2(a, b)))
+
+
 class TestTOperator:
     def test_eigenvectors_of_q_family(self):
         q = Fr(3)
-        T = t_operator(E1, E2, family_gram(q))
+        T = t_of(E1, E2, family_gram(q))
         s = (q - 1) / 2
         assert T.apply(E1) == [s * c for c in E1]
         assert T.apply(E2) == [-s * c for c in E2]
@@ -80,10 +85,10 @@ class TestTOperator:
 
     def test_equal_vectors_give_zero(self):
         g = symmetric_form(QQ, [[1, 2, 0], [2, 0, 1], [0, 1, 5]])
-        assert t_operator(E1, E1, g).is_zero()
+        assert t_of(E1, E1, g).is_zero()
 
     def test_zero_form_gives_zero(self):
-        assert t_operator(E1, E2, Matrix.zeros(QQ, 3)).is_zero()
+        assert t_of(E1, E2, Matrix.zeros(QQ, 3)).is_zero()
 
     def test_trace_and_antisymmetry(self):
         rng = random.Random(11)
@@ -95,7 +100,7 @@ class TestTOperator:
                 for j in range(i):
                     entries[i][j] = entries[j][i]
             g = symmetric_form(QQ, entries)
-            T = t_operator(a, b, g)
+            T = t_of(a, b, g)
             assert T.trace() == 0
             e = std_basis(QQ)
             for i in range(3):
@@ -115,13 +120,77 @@ class TestTOperator:
                 for j in range(i):
                     entries[i][j] = entries[j][i]
             g = symmetric_form(QQ, entries)
-            m = t_operator(a, b, g).rows
+            m = t_of(a, b, g).rows
             c2 = sum(
                 m[i][i] * m[j][j] - m[i][j] * m[j][i]
                 for i in range(3)
                 for j in range(i + 1, 3)
             )
             assert c2 == discriminant(a, b, g)
+
+
+def reference_skewsymmetrizer(q, a, b, g):
+    """Y(x y) = g(x,y) a^b + x ^ Ty + y ^ Tx + (q+1)/2 x^y with T v = g(b,v) a - g(a,v) b.
+
+    The loop over basis pairs that assembled Y before the pairing-coordinate
+    formula, kept as the reference.
+    """
+    fld = g.field
+    e = std_basis(fld)
+
+    def T(v):
+        return [g_value(g, b, v) * x - g_value(g, a, v) * y for x, y in zip(a, b)]
+
+    ab = wedge2(a, b)
+    half = (q + 1) / 2
+    cols = []
+    for i in range(3):
+        for j in range(3):
+            col = [g.rows[i][j] * c for c in ab]
+            for pos, val in enumerate(wedge2(e[i], T(e[j]))):
+                col[pos] = col[pos] + val
+            for pos, val in enumerate(wedge2(e[j], T(e[i]))):
+                col[pos] = col[pos] + val
+            for pos, val in enumerate(wedge2(e[i], e[j])):
+                col[pos] = col[pos] + half * val
+            cols.append(col)
+    return Matrix.from_columns(fld, cols)
+
+
+def random_quadruples(field, rng, n=200):
+    """n arbitrary (q, a, b, g), g symmetric; q ignores the constraint.
+
+    Every fifth pair has a^b = 0 and every seventh form is zero.
+    """
+    def scalar():
+        if field.characteristic == 0:
+            return field.of(Fr(rng.randint(-5, 5), rng.randint(1, 3)))
+        return field.of(rng.randrange(field.characteristic))
+
+    for trial in range(n):
+        q = scalar()
+        a = [scalar() for _ in range(3)]
+        b = [scalar() * x for x in a] if trial % 5 == 0 else [scalar() for _ in range(3)]
+        entries = [[scalar() for _ in range(3)] for _ in range(3)]
+        for i in range(3):
+            for j in range(i):
+                entries[i][j] = entries[j][i]
+        g = Matrix.zeros(field, 3) if trial % 7 == 0 else Matrix(field, entries)
+        yield q, a, b, g
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7), GF(1_000_003)], ids=["Q", "Fp7", "Fp1000003"])
+class TestPairingCoordinateFormulas:
+    def test_skewsymmetrizer_equals_the_T_loop(self, field):
+        for q, a, b, g in random_quadruples(field, random.Random(31)):
+            assert skewsymmetrizer_matrix(q, g, wedge2(a, b)) == \
+                reference_skewsymmetrizer(q, a, b, g), (q, a, b, g.rows)
+
+    def test_discriminant_equals_the_gram_determinant(self, field):
+        for _, a, b, g in random_quadruples(field, random.Random(37)):
+            gram = g_value(g, a, a) * g_value(g, b, b) - g_value(g, a, b) ** 2
+            assert discriminant(a, b, g) == gram
+            assert FOperator(g, wedge2(a, b)).delta() == gram
 
 
 class TestDiscriminantAndSolveQ:
@@ -174,7 +243,7 @@ class TestHeckeDataValidation:
 class TestBuildY:
     def test_zero_form_gives_classical_skewsymmetrizer(self):
         d = HeckeData(QQ.one(), E1, E2, Matrix.zeros(QQ, 3))
-        Y = build_Y(d)
+        Y = build_R(d).Y
         for i in range(3):
             for j in range(3):
                 assert Y.col(idx2(i, j)) == wedge2(std_basis(QQ)[i], std_basis(QQ)[j])
@@ -190,7 +259,7 @@ class TestBuildY:
     def test_frozen_third_type_skewsymmetrizer(self):
         """Y = Id - R with R taken from the published value table."""
         d = canonical("Type3")
-        Y = build_Y(d)
+        Y = build_R(d).Y
         e = std_basis(QQ)
         w12 = wedge2(e[0], e[1])
         w13 = wedge2(e[0], e[2])
@@ -211,7 +280,7 @@ class TestBuildY:
 
     def test_image_and_eigenvalue(self):
         q = Fr(3)
-        Y = build_Y(HeckeData(q, E1, E2, family_gram(q)))
+        Y = build_R(HeckeData(q, E1, E2, family_gram(q))).Y
         for j in range(9):
             assert is_alt2(Y.col(j))
         assert Y.rank() == 3
@@ -338,7 +407,7 @@ class TestBuildYFromF:
         from hecke3.heckecore import zero_F
 
         Y = build_Y_from_F(QQ.one(), zero_F(QQ))
-        assert Y == build_Y(HeckeData(QQ.one(), E1, E2, Matrix.zeros(QQ, 3)))
+        assert Y == build_R(HeckeData(QQ.one(), E1, E2, Matrix.zeros(QQ, 3))).Y
 
     def test_roundtrip_second_type(self):
         q = Fr(3)

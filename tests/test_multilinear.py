@@ -6,13 +6,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hecke3.errors import NotAlternating, ZeroBivector
-from hecke3.fields import GF, QQ
+from hecke3.errors import NotAlternating
+from hecke3.fields import QQ
 from hecke3.linalg import Matrix
 from hecke3.multilinear import (
     alt2_basis,
     cyclic_shift,
-    decompose_bivector,
     idx2,
     idx3,
     is_alt2,
@@ -166,50 +165,6 @@ class TestSubspaceQueries:
     def test_alt3_is_intersection(self):
         w = wedge3(E1, E2, E3)
         assert front_slices_alternating(w) and back_slices_alternating(w)
-
-
-class TestDecomposeBivector:
-    def test_already_split(self):
-        assert decompose_bivector(wedge2(E1, E2)) == (E1, E2)
-
-    def test_common_factor(self):
-        t = [a + b for a, b in zip(wedge2(E1, E2), wedge2(E1, E3))]
-        a, b = decompose_bivector(t)
-        assert a == E1 and b == [Fraction(0), Fraction(1), Fraction(1)]
-        assert wedge2(a, b) == t
-
-    def test_scaled(self):
-        t = [2 * c for c in wedge2(E2, E3)]
-        a, b = decompose_bivector(t)
-        assert wedge2(a, b) == t
-
-    def test_zero_rejected(self):
-        with pytest.raises(ZeroBivector):
-            decompose_bivector(zero_tensor(QQ, 2))
-
-    def test_non_alternating_rejected(self):
-        with pytest.raises(NotAlternating):
-            decompose_bivector(tensor2(E1, E2))
-
-    def test_roundtrip_random(self):
-        rng = random.Random(99)
-        done = 0
-        while done < 100:
-            x = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(3)]
-            y = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(3)]
-            t = wedge2(x, y)
-            if all(c == 0 for c in t):
-                continue
-            a, b = decompose_bivector(t)
-            assert wedge2(a, b) == t
-            done += 1
-
-    def test_over_prime_field(self):
-        f7 = GF(7)
-        e = std_basis(f7)
-        t = wedge2(e[0], [f7.of(2), f7.of(1), f7.of(3)])
-        a, b = decompose_bivector(t)
-        assert wedge2(a, b) == t
 
 
 class TestLifts:

@@ -12,15 +12,15 @@ from hecke3.fields import GF, QQ
 from hecke3.linalg import Matrix
 from hecke3.multilinear import std_basis, wedge2
 from hecke3.heckecore import (
+    FOperator,
     HeckeData,
     build_R,
-    build_Y,
     flip_matrix,
     skewsymmetrizer_matrix,
     symmetric_form,
-    t_operator,
+    t_operator_of_F,
 )
-from hecke3.classify import canonical
+from hecke3.classify import TYPE_LABELS, canonical, classify
 from hecke3.cybe import check_cybe, check_symmetrized, classical_r, gl_tensor
 from hecke3.verifier import (
     check_braid,
@@ -63,7 +63,7 @@ class TestBraid:
 
     def test_broken_constraint_fails_with_witness(self):
         q = QQ.of(2)
-        Y = skewsymmetrizer_matrix(q, E1, E2, broken_gram(q))
+        Y = skewsymmetrizer_matrix(q, broken_gram(q), wedge2(E1, E2))
         R = Matrix.identity(QQ, 9).scale(q) - Y
         rep = check_braid(R)
         assert not rep.passed
@@ -88,7 +88,7 @@ class TestHecke:
 class TestImageAndEigen:
     def test_classical_skewsymmetrizer(self):
         d = HeckeData(QQ.one(), E1, E2, Matrix.zeros(QQ, 3))
-        assert check_image_and_eigen(build_Y(d), QQ.one()).passed
+        assert check_image_and_eigen(build_R(d).Y, QQ.one()).passed
 
     def test_built_operator(self):
         sym = family_sym(Fr(1, 2))
@@ -107,7 +107,7 @@ class TestContainments:
 
     def test_classical(self):
         d = HeckeData(QQ.one(), E1, E2, Matrix.zeros(QQ, 3))
-        assert check_containments(build_Y(d), QQ.one()).passed
+        assert check_containments(build_R(d).Y, QQ.one()).passed
 
     def test_scaled_operator_fails(self):
         sym = family_sym(Fr(2))
@@ -131,7 +131,7 @@ class TestComponentIdentity:
 
     def test_broken_constraint_fails_with_tuple(self):
         q = QQ.of(2)
-        Y = skewsymmetrizer_matrix(q, E1, E2, broken_gram(q))
+        Y = skewsymmetrizer_matrix(q, broken_gram(q), wedge2(E1, E2))
         rep = check_component_identity(Y, q)
         assert not rep.passed
         assert len(rep.witness["input"]["indices"]) == 5
@@ -149,11 +149,11 @@ class TestPairingIdentities:
 
     def test_classical_at_one(self):
         d = HeckeData(QQ.one(), E1, E2, Matrix.zeros(QQ, 3))
-        assert check_pairing_identities(build_Y(d), QQ.one()).passed
+        assert check_pairing_identities(build_R(d).Y, QQ.one()).passed
 
     def test_asymmetric_form_fails(self):
         g = Matrix.from_rows(QQ, [[0, 1, 0], [0, 0, 0], [0, 0, 1]])
-        Y = skewsymmetrizer_matrix(QQ.one(), E1, E2, g)
+        Y = skewsymmetrizer_matrix(QQ.one(), g, wedge2(E1, E2))
         rep = check_pairing_identities(Y, QQ.one())
         assert not rep.passed
 
@@ -167,13 +167,13 @@ class TestCyclicShiftIdentity:
     def test_third_type(self):
         d = canonical("Type3")
         sym = build_R(d)
-        T = t_operator(d.a, d.b, d.g)
+        T = t_operator_of_F(FOperator(d.g, wedge2(d.a, d.b)))
         assert check_cyclic_shift_identity(sym.Y, T, sym.q).passed
 
     def test_first_family_annihilated_direction(self):
         # T kills e3, so the right side vanishes for x = e3, t = e1^e2
         d = canonical("Type1", Fr(2))
-        T = t_operator(d.a, d.b, d.g)
+        T = t_operator_of_F(FOperator(d.g, wedge2(d.a, d.b)))
         assert T.apply(E3) == [QQ.zero()] * 3
         sym = build_R(d)
         assert check_cyclic_shift_identity(sym.Y, T, sym.q).passed
@@ -181,7 +181,7 @@ class TestCyclicShiftIdentity:
     def test_wrong_factor_detected(self):
         d = canonical("Type3")
         sym = build_R(d)
-        T = t_operator(d.a, d.b, d.g)
+        T = t_operator_of_F(FOperator(d.g, wedge2(d.a, d.b)))
         rep = check_cyclic_shift_identity(sym.Y, T.scale(QQ.of(2)), sym.q)
         assert not rep.passed
 
@@ -213,7 +213,7 @@ class TestFormulationAgreement:
         rng = random.Random(67)
         for _ in range(5):
             q, a, b, g = sample_adversarial(QQ, rng)
-            Y = skewsymmetrizer_matrix(q, a, b, g)
+            Y = skewsymmetrizer_matrix(q, g, wedge2(a, b))
             assert self._verdicts(Y, q) == (False, False, False)
 
 
@@ -275,6 +275,15 @@ class TestFuzz:
         rep = fuzz(QQ, 10, 3, "A", adversarial=True)
         assert rep.passed  # pass means every broken trial was caught
 
+    @pytest.mark.parametrize("field", [QQ, GF(7), GF(1_000_003)], ids=["Q", "Fp7", "Fp1000003"])
+    def test_strategy_b_covers_every_type(self, field):
+        """Seed 1, trials 0-59 of a strategy-B fuzz run reach all eight types."""
+        seed, labels = 1, set()
+        for trial in range(60):
+            rng = random.Random(seed * 1_000_003 + trial)  # as fuzz derives each trial's stream
+            labels.add(classify(build_R(sample_strategy_b(field, rng))).label)
+        assert labels == set(TYPE_LABELS)
+
     def test_deterministic_given_seed(self):
         a = fuzz(QQ, 5, 99, "B")
         b = fuzz(QQ, 5, 99, "B")
@@ -292,7 +301,7 @@ def test_necessity_spot_check():
     rng = random.Random(8)
     for _ in range(10):
         q, a, b, g = sample_adversarial(QQ, rng)
-        Y = skewsymmetrizer_matrix(q, a, b, g)
+        Y = skewsymmetrizer_matrix(q, g, wedge2(a, b))
         R = Matrix.identity(QQ, 9).scale(q) - Y
         braid = check_braid(R)
         hecke = check_hecke(R, q)
@@ -309,7 +318,7 @@ def test_braid_witness_matches_kron_products(field):
     operators = [build_R(sample_strategy_a(field, rng)).R]
     for _ in range(3):
         q, a, b, g = sample_adversarial(field, rng)
-        operators.append(Matrix.identity(field, 9).scale(q) - skewsymmetrizer_matrix(q, a, b, g))
+        operators.append(Matrix.identity(field, 9).scale(q) - skewsymmetrizer_matrix(q, g, wedge2(a, b)))
     for R in operators:
         r1, r2 = R.kron(ident3), ident3.kron(R)
         assert check_braid(R).witness == column_witness(r1 * (r2 * r1), r2 * (r1 * r2))
@@ -318,7 +327,7 @@ def test_braid_witness_matches_kron_products(field):
 def _golden_cases(field):
     """Failing checks whose witnesses are pinned byte for byte."""
     q, a, b, g = sample_adversarial(field, random.Random(8))
-    Y = skewsymmetrizer_matrix(q, a, b, g)
+    Y = skewsymmetrizer_matrix(q, g, wedge2(a, b))
     R = Matrix.identity(field, 9).scale(q) - Y
     flip_y2 = build_R(canonical("Type8", field=field)).Y.scale(field.of(2))
     type1 = build_R(canonical("Type1", 3, field))
