@@ -25,7 +25,7 @@ from .errors import (
     SingularMatrix,
     ZeroQ,
 )
-from .fields import GF, QQ, Fp, PrimeField, Rationals, field_of, parse_field
+from .fields import GF, QQ, Fp, PrimeField, Rationals, parse_field
 from .linalg import Matrix
 from .multilinear import (
     alt2_basis,

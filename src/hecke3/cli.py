@@ -55,6 +55,12 @@ def _emit(doc) -> None:
     sys.stdout.write("\n")
 
 
+def _checked(doc, reports) -> int:
+    """Emit the document; exit 1 when any of the reports failed."""
+    _emit(doc)
+    return EXIT_OK if all(r.passed for r in reports) else EXIT_CHECK_FAILED
+
+
 def _symmetry_from_args(args, field):
     source = getattr(args, "data", None) or getattr(args, "matrix", None)
     if source is None:
@@ -62,9 +68,19 @@ def _symmetry_from_args(args, field):
     return load_symmetry(_read_json(source), field)
 
 
+def _carrier_doc(r) -> dict:
+    """The carrier of r with its fingerprint and Frobenius status."""
+    sub = carrier(r)
+    return {
+        **sub.to_json(),
+        "fingerprint": list(fingerprint(sub)),
+        "frobenius": is_frobenius(sub).to_json(sub.field),
+    }
+
+
 def cmd_construct(args, field) -> int:
     if args.data:
-        sym = load_symmetry(_read_json(args.data), field)
+        sym = _symmetry_from_args(args, field)
     else:
         if args.type is None:
             raise InputError("construct needs --type N or --data FILE")
@@ -78,22 +94,19 @@ def cmd_construct(args, field) -> int:
 
 
 def cmd_verify(args, field) -> int:
-    sym = _symmetry_from_args(args, field)
-    reports = run_suite(sym)
-    _emit([r.to_json() for r in reports])
-    return EXIT_OK if all(r.passed for r in reports) else EXIT_CHECK_FAILED
+    reports = run_suite(_symmetry_from_args(args, field))
+    return _checked([r.to_json() for r in reports], reports)
 
 
 def cmd_classify(args, field) -> int:
     sym = _symmetry_from_args(args, field)
     reports = run_suite(sym)
     if not all(r.passed for r in reports):
-        _emit({
+        return _checked({
             "error": {"type": "NotHeckeSym0",
                       "message": "verification failed before classification"},
             "checks": [r.to_json() for r in reports],
-        })
-        return EXIT_CHECK_FAILED
+        }, reports)
     _emit(classify(sym).to_json())
     return EXIT_OK
 
@@ -102,42 +115,28 @@ def cmd_rmatrix(args, field) -> int:
     sym = _symmetry_from_args(args, field)
     r = classical_r(sym)
     reports = [check_cybe(r), check_symmetrized(r, sym.q)]
-    _emit({
-        "r": r.to_json(),
-        "checks": [rep.to_json() for rep in reports],
-    })
-    return EXIT_OK if all(rep.passed for rep in reports) else EXIT_CHECK_FAILED
+    return _checked({"r": r.to_json(), "checks": [rep.to_json() for rep in reports]}, reports)
 
 
 def cmd_carrier(args, field) -> int:
-    sym = _symmetry_from_args(args, field)
-    r = classical_r(sym)
-    sub = carrier(r)
-    frob = is_frobenius(sub)
-    doc = sub.to_json()
-    doc["fingerprint"] = list(fingerprint(sub))
-    doc["frobenius"] = frob.to_json(sub.field)
-    _emit(doc)
+    _emit(_carrier_doc(classical_r(_symmetry_from_args(args, field))))
     return EXIT_OK
 
 
 def cmd_deform(args, field) -> int:
     sym = _symmetry_from_args(args, field)
-    lam = sym.field.parse(args.lam)
-    moved = deform(sym, lam)
+    moved = deform(sym, sym.field.parse(args.lam))
     reports = run_suite(moved)
-    _emit({
+    return _checked({
         "symmetry": symmetry_to_json(moved),
         "checks": [r.to_json() for r in reports],
-    })
-    return EXIT_OK if all(r.passed for r in reports) else EXIT_CHECK_FAILED
+    }, reports)
 
 
 def cmd_fuzz(args, field) -> int:
     report = fuzz(field, args.trials, args.seed, args.strategy,
                   adversarial=args.adversarial)
-    _emit(report.to_json())
-    return EXIT_OK if report.passed else EXIT_CHECK_FAILED
+    return _checked(report.to_json(), [report])
 
 
 def cmd_table(args, field) -> int:
@@ -148,18 +147,13 @@ def cmd_table(args, field) -> int:
         data = canonical(label, use_q, field)
         sym = build_R(data)
         r = classical_r(sym)
-        sub = carrier(r)
         entries.append({
             "type": label,
             "q": field.fmt(sym.q),
             "data": hecke_data_to_json(data),
             "R": symmetry_to_json(sym)["R"],
             "r": r.to_json(),
-            "carrier": {
-                **sub.to_json(),
-                "fingerprint": list(fingerprint(sub)),
-                "frobenius": is_frobenius(sub).to_json(sub.field),
-            },
+            "carrier": _carrier_doc(r),
         })
     _emit({"field": field.name, "types": entries})
     return EXIT_OK
@@ -194,29 +188,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", help="quadruple JSON file ('-' for stdin)")
     p.set_defaults(func=cmd_construct)
 
-    p = sub.add_parser("verify", parents=[common],
-                       help="run every exact check on a symmetry")
-    p.add_argument("--data", help="quadruple JSON file")
-    p.add_argument("--matrix", help="symmetry record or bare 9x9 matrix JSON file")
-    p.set_defaults(func=cmd_verify)
-
-    for verb, func, extra in (
+    for verb, func, help_text in (
+        ("verify", cmd_verify, "run every exact check on a symmetry"),
         ("classify", cmd_classify, "determine the type of a symmetry"),
         ("rmatrix", cmd_rmatrix, "classical r-matrix with CYBE and symmetrization checks"),
         ("carrier", cmd_carrier, "carrier subalgebra, Frobenius status, fingerprint"),
+        ("deform", cmd_deform, "deform along the flip line and re-verify"),
     ):
-        p = sub.add_parser(verb, parents=[common], help=extra)
+        p = sub.add_parser(verb, parents=[common], help=help_text)
         p.add_argument("--matrix", help="symmetry record or bare 9x9 matrix JSON file")
         p.add_argument("--data", help="quadruple JSON file")
+        if verb == "deform":
+            p.add_argument("--lambda", dest="lam", required=True,
+                           help="deformation parameter (use --lambda=-1/2 for negatives)")
         p.set_defaults(func=func)
-
-    p = sub.add_parser("deform", parents=[common],
-                       help="deform along the flip line and re-verify")
-    p.add_argument("--matrix", help="symmetry record or bare 9x9 matrix JSON file")
-    p.add_argument("--data", help="quadruple JSON file")
-    p.add_argument("--lambda", dest="lam", required=True,
-                   help="deformation parameter (use --lambda=-1/2 for negatives)")
-    p.set_defaults(func=cmd_deform)
 
     p = sub.add_parser("fuzz", parents=[common], help="deterministic sampling harness")
     p.add_argument("--trials", type=int, required=True)

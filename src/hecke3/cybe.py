@@ -104,19 +104,7 @@ def gl_tensor(m: Matrix) -> GlTensor:
     red, pivots = flat.rref()
     left = tuple(_unvec(fld, flat.col(c)) for c in pivots)
     right = tuple(_unvec(fld, red.rows[r]) for r in range(len(pivots)))
-    out = Matrix.zeros(fld, 9)
-    for a, b in zip(left, right):
-        for i in range(3):
-            for j in range(3):
-                if a.rows[i][j] == 0:
-                    continue
-                for k in range(3):
-                    for l in range(3):
-                        if b.rows[k][l] != 0:
-                            out.rows[3 * i + k][3 * j + l] = (
-                                out.rows[3 * i + k][3 * j + l] + a.rows[i][j] * b.rows[k][l]
-                            )
-    if out != m:
+    if sum((a.kron(b) for a, b in zip(left, right)), Matrix.zeros(fld, 9)) != m:
         raise AssertionError("decomposition failed to reassemble")  # unreachable
     return GlTensor(m, left, right)
 
@@ -162,10 +150,15 @@ def check_symmetrized(t: GlTensor, q) -> CheckReport:
 
 @dataclass(frozen=True)
 class LieSubalgebra:
-    """A bracket-closed subalgebra of gl(3) with an echelonized basis."""
+    """A bracket-closed subalgebra of gl(3) with an echelonized basis.
+
+    ``constants[i][j]`` holds the coordinates of [x_i, x_j] in the basis, as
+    computed by the last pass of the closure.
+    """
 
     field: object
     basis: tuple          # 3x3 matrices, canonical echelon order
+    constants: tuple
     closure_grew: bool = False
 
     @property
@@ -174,20 +167,6 @@ class LieSubalgebra:
 
     def span_rows(self):
         return [_vec(m) for m in self.basis]
-
-    def coords(self, m: Matrix):
-        """Coordinates of a member matrix in the echelon basis."""
-        out = span_coords(self.span_rows(), _vec(m))
-        if out is None:
-            raise AssertionError("matrix outside the subalgebra")
-        return out
-
-    def structure_constants(self):
-        """c[i][j] = coordinates of [x_i, x_j]."""
-        return [
-            [self.coords(x * y - y * x) for y in self.basis]
-            for x in self.basis
-        ]
 
     def to_json(self) -> dict:
         return {
@@ -203,17 +182,15 @@ def lie_subalgebra(field, generators) -> LieSubalgebra:
     grew = False
     while True:
         mats = [_unvec(field, r) for r in rows]
-        new = []
-        for x in mats:
-            for y in mats:
-                b = _vec(x * y - y * x)
-                if span_coords(rows, b) is None:
-                    new.append(b)
+        brackets = [[_vec(x * y - y * x) for y in mats] for x in mats]
+        consts = [[span_coords(rows, b) for b in bx] for bx in brackets]
+        new = [b for bx, cx in zip(brackets, consts) for b, c in zip(bx, cx) if c is None]
         if not new:
             break
         grew = True
         rows = echelon_span(field, rows + new)
-    return LieSubalgebra(field, tuple(_unvec(field, r) for r in rows), grew)
+    constants = tuple(tuple(tuple(c) for c in cx) for cx in consts)
+    return LieSubalgebra(field, tuple(mats), constants, grew)
 
 
 def carrier(t: GlTensor) -> LieSubalgebra:
@@ -268,7 +245,7 @@ def is_frobenius(L: LieSubalgebra) -> FrobeniusResult:
         return FrobeniusResult("yes", ())
     if L.dim % 2 == 1:
         return FrobeniusResult("not_applicable", None)
-    c = L.structure_constants()
+    c = L.constants
     if all(all(x == 0 for x in c[i][j]) for i in range(L.dim) for j in range(L.dim)):
         return FrobeniusResult("no", None)
     fld = L.field
@@ -298,11 +275,8 @@ def fingerprint(L: LieSubalgebra):
     d = L.dim
     if d == 0:
         return (0, 0, 0, 0)
-    brackets = [
-        _vec(x * y - y * x) for x in L.basis for y in L.basis
-    ]
-    derived = len(echelon_span(fld, brackets))
-    c = L.structure_constants()
+    c = L.constants
+    derived = Matrix(fld, [list(c[i][j]) for i in range(d) for j in range(d)]).rank()
     rows = []
     for j in range(d):
         for coord in range(d):

@@ -33,7 +33,6 @@ __all__ = [
     "PrimeField",
     "QQ",
     "GF",
-    "field_of",
     "parse_field",
     "is_prime",
 ]
@@ -337,17 +336,6 @@ def GF(p: int) -> PrimeField:
         fld = PrimeField(p)
         _GF_CACHE[p] = fld
     return fld
-
-
-def field_of(x):
-    """Return the field an element belongs to."""
-    if isinstance(x, Fraction):
-        return QQ
-    if isinstance(x, Fp):
-        return GF(x.p)
-    if isinstance(x, int):
-        return QQ
-    raise InputError(f"{x!r} is not a field element")
 
 
 def parse_field(spec: str):

@@ -55,6 +55,7 @@ __all__ = [
     "build_R",
     "flip_matrix",
     "HeckeSymmetry",
+    "hecke_residual",
     "extract_q",
     "FOperator",
     "zero_F",
@@ -80,16 +81,18 @@ def g_value(g: Matrix, x, y):
     return acc
 
 
-def symmetric_form(field, rows) -> Matrix:
-    """Build a symmetric 3x3 form matrix, rejecting asymmetric input."""
-    g = Matrix.from_rows(field, rows)
+def _checked_form(g: Matrix) -> Matrix:
+    """g itself, once it is known to be a symmetric 3x3 matrix."""
     if g.nrows != 3 or g.ncols != 3:
         raise InputError("bilinear form must be 3x3")
-    for i in range(3):
-        for j in range(i + 1, 3):
-            if g.rows[i][j] != g.rows[j][i]:
-                raise InputError("bilinear form must be symmetric")
+    if any(g.rows[i][j] != g.rows[j][i] for i in range(3) for j in range(i + 1, 3)):
+        raise InputError("bilinear form must be symmetric")
     return g
+
+
+def symmetric_form(field, rows) -> Matrix:
+    """Build a symmetric 3x3 form matrix, rejecting asymmetric input."""
+    return _checked_form(Matrix.from_rows(field, rows))
 
 
 def _gram_determinant(g: Matrix, t):
@@ -130,7 +133,7 @@ def solve_q(a, b, g: Matrix):
 
 @dataclass(frozen=True)
 class HeckeData:
-    """A validated parametrizing quadruple (q, a, b, g)."""
+    """A validated parametrizing quadruple (q, a, b, g); q is coerced into g's field."""
 
     q: object
     a: list
@@ -140,11 +143,8 @@ class HeckeData:
     def __post_init__(self):
         if len(self.a) != 3 or len(self.b) != 3:
             raise InputError("a and b must be 3-dimensional vectors")
-        fld = self.g.field
-        for i in range(3):
-            for j in range(i + 1, 3):
-                if self.g.rows[i][j] != self.g.rows[j][i]:
-                    raise InputError("bilinear form must be symmetric")
+        fld = _checked_form(self.g).field
+        object.__setattr__(self, "q", fld.of(self.q))
         if self.q == 0:
             raise ZeroQ("the Hecke parameter q must be nonzero")
         lhs = (self.q - 1) ** 2
@@ -235,8 +235,7 @@ class HeckeSymmetry:
                 raise NotHeckeSym0(str(exc)) from exc
         else:
             q = fld.of(q)
-            ident = Matrix.identity(fld, 9)
-            if not ((R - ident.scale(q)) * (R + ident)).is_zero():
+            if not hecke_residual(R, q).is_zero():
                 raise NotHeckeSym0("the quadratic Hecke relation fails for the given q")
         if q == 0:
             raise NotHeckeSym0("the Hecke parameter is zero")
@@ -265,6 +264,12 @@ def flip_matrix(field) -> Matrix:
     return Matrix(field, rows)
 
 
+def hecke_residual(R: Matrix, q) -> Matrix:
+    """(R - q*Id)(R + Id): zero exactly when R satisfies the quadratic relation at q."""
+    ident = Matrix.identity(R.field, R.nrows)
+    return (R - ident.scale(R.field.of(q))) * (R + ident)
+
+
 def extract_q(R: Matrix):
     """The unique q with (R - q)(R + 1) = 0, when one exists.
 
@@ -272,9 +277,7 @@ def extract_q(R: Matrix):
     on any nonzero column of R + Id is the only candidate; it is then
     verified globally.  R = -Id is rejected as ambiguous.
     """
-    fld = R.field
-    ident = Matrix.identity(fld, R.nrows)
-    M = R + ident
+    M = R + Matrix.identity(R.field, R.nrows)
     col = None
     for j in range(M.ncols):
         c = M.col(j)
@@ -286,7 +289,7 @@ def extract_q(R: Matrix):
     m = next(i for i, x in enumerate(col) if x != 0)
     w = R.apply(col)
     q = w[m] / col[m]
-    if not ((R - ident.scale(q)) * M).is_zero():
+    if not hecke_residual(R, q).is_zero():
         raise NoHeckeParameter("no q satisfies the quadratic Hecke relation")
     return q
 

@@ -42,16 +42,6 @@ __all__ = [
     "change_of_basis",
 ]
 
-_PERM_SIGNS = {
-    (0, 1, 2): 1,
-    (0, 2, 1): -1,
-    (1, 0, 2): -1,
-    (1, 2, 0): 1,
-    (2, 0, 1): 1,
-    (2, 1, 0): -1,
-}
-
-
 def idx2(i: int, j: int) -> int:
     """Position of e_i (x) e_j, 0-based indices."""
     return 3 * i + j
@@ -107,20 +97,6 @@ def is_alt2(t) -> bool:
     return True
 
 
-def is_alt3(w) -> bool:
-    _check_len(w, 27, "degree-3 tensor")
-    c = w[idx3(0, 1, 2)]
-    for i in range(3):
-        for j in range(3):
-            for k in range(3):
-                expected = 0
-                if i != j and j != k and i != k:
-                    expected = _PERM_SIGNS[(i, j, k)] * c
-                if w[idx3(i, j, k)] != expected:
-                    return False
-    return True
-
-
 def wedge_vt(x, t):
     """Wedge of a vector with an alternating degree-2 tensor.
 
@@ -132,6 +108,23 @@ def wedge_vt(x, t):
     w = tensor2(x, t)
     s = cyclic_shift(w)
     return [a + b + c for a, b, c in zip(w, s, cyclic_shift(s))]
+
+
+def cyclic_shift(w):
+    """Coordinate action of x(x)y(x)z |-> y(x)z(x)x."""
+    _check_len(w, 27, "degree-3 tensor")
+    return [w[idx3(k, i, j)] for i in range(3) for j in range(3) for k in range(3)]
+
+
+# e1^e2^e3 in integer coordinates: every alternating 3-tensor is a multiple of it
+_ALT3_UNIT = wedge3([1, 0, 0], [0, 1, 0], [0, 0, 1])
+
+
+def is_alt3(w) -> bool:
+    """w = c e1^e2^e3, with c the e1 (x) e2 (x) e3 coordinate of w."""
+    _check_len(w, 27, "degree-3 tensor")
+    c = w[idx3(0, 1, 2)]
+    return all(x == c * s if s else x == 0 for x, s in zip(w, _ALT3_UNIT))
 
 
 def vol(x, y, z):
@@ -205,12 +198,6 @@ def lift_left(op2: Matrix) -> Matrix:
 def lift_right(op2: Matrix) -> Matrix:
     """The operator Id (x) Y acting on the third tensor power."""
     return matrix_of_map(op2.field, slot_action(op2, 1, 2))
-
-
-def cyclic_shift(w):
-    """Coordinate action of x(x)y(x)z |-> y(x)z(x)x."""
-    _check_len(w, 27, "degree-3 tensor")
-    return [w[idx3(k, i, j)] for i in range(3) for j in range(3) for k in range(3)]
 
 
 def random_invertible(field, rng) -> Matrix:

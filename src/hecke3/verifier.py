@@ -42,6 +42,7 @@ from .heckecore import (
     extract_F,
     extract_q,
     g_value,
+    hecke_residual,
     pairing_coordinates,
     skewsymmetrizer_matrix,
     t_operator_of_F,
@@ -89,6 +90,17 @@ def _basis_tensor(c: int, n: int):
     return digits[1:] if n == 9 else digits
 
 
+def _witness(field, input, lhs, rhs, **head) -> dict:
+    """The witness document; a side is text, a scalar or a coordinate list."""
+
+    def side(x):
+        if isinstance(x, str):
+            return [x]
+        return vector_to_json(field, x if isinstance(x, list) else [x])
+
+    return {**head, "input": input, "lhs": side(lhs), "rhs": side(rhs)}
+
+
 def column_witness(lhs: Matrix, rhs: Matrix, **context) -> dict | None:
     """Witness at the first basis tensor where two operators differ, or None.
 
@@ -97,26 +109,18 @@ def column_witness(lhs: Matrix, rhs: Matrix, **context) -> dict | None:
     """
     if lhs == rhs:
         return None
-    fld = lhs.field
     c = next(c for c in range(lhs.ncols) if lhs.col(c) != rhs.col(c))
-    return {
-        "input": {**context, "basis_tensor": _basis_tensor(c, lhs.ncols)},
-        "lhs": vector_to_json(fld, lhs.col(c)),
-        "rhs": vector_to_json(fld, rhs.col(c)),
-    }
+    return _witness(lhs.field, {**context, "basis_tensor": _basis_tensor(c, lhs.ncols)},
+                    lhs.col(c), rhs.col(c))
 
 
-def _non_alternating_column(Y: Matrix) -> dict | None:
-    """Witness at the first column of Y outside the alternating square, or None."""
+def _non_alternating_columns(Y: Matrix):
+    """Witnesses at the columns of Y outside the alternating square."""
     for c in range(9):
         col = Y.col(c)
         if not is_alt2(col):
-            return {
-                "input": {"basis_tensor": _basis_tensor(c, 9)},
-                "lhs": vector_to_json(Y.field, col),
-                "rhs": ["alternating tensor expected"],
-            }
-    return None
+            yield _witness(Y.field, {"basis_tensor": _basis_tensor(c, 9)}, col,
+                           "alternating tensor expected")
 
 
 def check_braid(R: Matrix) -> CheckReport:
@@ -129,33 +133,26 @@ def check_braid(R: Matrix) -> CheckReport:
 
 def check_hecke(R: Matrix, q) -> CheckReport:
     """(R - q*Id)(R + Id) = 0 as a 9x9 identity."""
-    fld = R.field
-    ident = Matrix.identity(fld, 9)
-    prod = (R - ident.scale(fld.of(q))) * (R + ident)
-    return CheckReport("hecke", column_witness(prod, Matrix.zeros(fld, 9)))
+    return CheckReport("hecke", column_witness(hecke_residual(R, q), Matrix.zeros(R.field, 9)))
 
 
 def check_image_and_eigen(Y: Matrix, q) -> CheckReport:
     """Image of Y is exactly the alternating square and Yw = (q+1)w there."""
     fld = Y.field
-    witness = _non_alternating_column(Y)
-    if witness is None:
+
+    def mismatches():
+        yield from _non_alternating_columns(Y)
         rk = Y.rank()
         if rk != 3:
-            witness = {"input": {"rank": rk}, "lhs": [str(rk)], "rhs": ["3"]}
-    if witness is None:
+            yield _witness(fld, {"rank": rk}, str(rk), "3")
         qq = fld.of(q)
         for w in alt2_basis(fld):
             got = Y.apply(w)
             want = [(qq + 1) * c for c in w]
             if got != want:
-                witness = {
-                    "input": {"bivector": vector_to_json(fld, w)},
-                    "lhs": vector_to_json(fld, got),
-                    "rhs": vector_to_json(fld, want),
-                }
-                break
-    return CheckReport("image_eigen", witness)
+                yield _witness(fld, {"bivector": vector_to_json(fld, w)}, got, want)
+
+    return CheckReport("image_eigen", next(mismatches(), None))
 
 
 def check_containments(Y: Matrix, q) -> CheckReport:
@@ -169,21 +166,19 @@ def check_containments(Y: Matrix, q) -> CheckReport:
     qq = fld.of(q)
     y1, y2 = slot_action(Y, 0, 1), slot_action(Y, 1, 2)
     e = std_basis(fld)
-    for space, first, second in (("VxAlt2", y1, y2), ("Alt2xV", y2, y1)):
-        for i in range(3):
-            for t in alt2_basis(fld):
-                w = tensor2(e[i], t) if space == "VxAlt2" else tensor2(t, e[i])
-                u = second(first(w))
-                u = [a - qq * b for a, b in zip(u, w)]
-                if not is_alt3(u):
-                    witness = {
-                        "input": {"space": space, "vector": i + 1,
-                                  "bivector": vector_to_json(fld, t)},
-                        "lhs": vector_to_json(fld, u),
-                        "rhs": ["element of Alt3 expected"],
-                    }
-                    return CheckReport("containments", witness)
-    return CheckReport("containments")
+
+    def mismatches():
+        for space, first, second in (("VxAlt2", y1, y2), ("Alt2xV", y2, y1)):
+            for i in range(3):
+                for t in alt2_basis(fld):
+                    w = tensor2(e[i], t) if space == "VxAlt2" else tensor2(t, e[i])
+                    u = [a - qq * b for a, b in zip(second(first(w)), w)]
+                    if not is_alt3(u):
+                        yield _witness(fld, {"space": space, "vector": i + 1,
+                                             "bivector": vector_to_json(fld, t)},
+                                       u, "element of Alt3 expected")
+
+    return CheckReport("containments", next(mismatches(), None))
 
 
 def check_component_identity(Y: Matrix, q, basis: Matrix | None = None) -> CheckReport:
@@ -204,30 +199,28 @@ def check_component_identity(Y: Matrix, q, basis: Matrix | None = None) -> Check
     def y(i, j, k, l):
         return comp[idx2(k, l)][idx2(i, j)]
 
+    def mismatches():
+        for r in range(3):
+            for t in range(3):
+                for i in range(3):
+                    for j in range(3):
+                        for k in range(3):
+                            acc = zero
+                            for l in range(3):
+                                acc = acc + y(i, j, r, l) * y(l, k, r, t) \
+                                    - y(i, k, r, l) * y(l, j, r, t)
+                            if i != r or t == r or {j, k} != {r, t}:
+                                want = zero
+                            elif j == r and k == t:
+                                want = qq
+                            else:
+                                want = -qq
+                            if acc != want:
+                                indices = [i + 1, j + 1, k + 1, r + 1, t + 1]
+                                yield _witness(fld, {"indices": indices}, acc, want)
+
     name = "component_identity" if basis is None else "component_identity[basis]"
-    for r in range(3):
-        for t in range(3):
-            for i in range(3):
-                for j in range(3):
-                    for k in range(3):
-                        acc = zero
-                        for l in range(3):
-                            acc = acc + y(i, j, r, l) * y(l, k, r, t) \
-                                - y(i, k, r, l) * y(l, j, r, t)
-                        if i != r or t == r or {j, k} != {r, t}:
-                            want = zero
-                        elif j == r and k == t:
-                            want = qq
-                        else:
-                            want = -qq
-                        if acc != want:
-                            witness = {
-                                "input": {"indices": [i + 1, j + 1, k + 1, r + 1, t + 1]},
-                                "lhs": [fld.fmt(acc)],
-                                "rhs": [fld.fmt(want)],
-                            }
-                            return CheckReport(name, witness)
-    return CheckReport(name)
+    return CheckReport(name, next(mismatches(), None))
 
 
 def check_pairing_identities(Y: Matrix, q) -> CheckReport:
@@ -245,60 +238,50 @@ def check_pairing_identities(Y: Matrix, q) -> CheckReport:
     fld = Y.field
     qq = fld.of(q)
     e = std_basis(fld)
-    witness = _non_alternating_column(Y)
-    if witness is not None:
-        return CheckReport("pairing_identities", witness)
-    ell = pairing_coordinates(Y)  # ell[i][j][k] = L[e_i, e_j](e_k)
-    for i in range(3):
-        for j in range(3):
-            for k in range(3):
-                lhs = ell[i][j][k] - ell[i][k][j]
-                rhs = (qq + 1) * vol(e[i], e[j], e[k])
-                if lhs != rhs:
-                    witness = {
-                        "identity": "eigenvalue",
-                        "input": {"indices": [i + 1, j + 1, k + 1]},
-                        "lhs": [fld.fmt(lhs)],
-                        "rhs": [fld.fmt(rhs)],
-                    }
-                    return CheckReport("pairing_identities", witness)
-    xs = [(f"e{i+1}", e[i]) for i in range(3)]
-    xs += [
-        (f"e{i+1}+e{j+1}", [a + b for a, b in zip(e[i], e[j])])
-        for i in range(3)
-        for j in range(i + 1, 3)
-    ]
     zero = fld.zero()
-    for xname, x in xs:
-        # lx[j][u] = L[x, e_j](e_u) and lxx[u] = L[x, x](e_u), linear in each x
-        lx = [[sum((x[i] * ell[i][j][u] for i in range(3)), zero) for u in range(3)]
-              for j in range(3)]
-        lxx = [sum((x[j] * lx[j][u] for j in range(3)), zero) for u in range(3)]
-        volx = [[vol(x, e[u], e[v]) for v in range(3)] for u in range(3)]
-        for j in range(3):
-            for k in range(3):
-                vxjk = vol(x, e[j], e[k])
-                ljk = ell[j][k]
-                for u in range(3):
-                    for v in range(3):
-                        lhs = (
-                            lx[j][u] * lx[k][v]
-                            - lx[j][v] * lx[k][u]
-                            - lxx[u] * ljk[v]
-                            + lxx[v] * ljk[u]
-                        )
-                        if lhs != qq * vxjk * volx[u][v]:
-                            witness = {
-                                "identity": "wedge",
-                                "input": {
-                                    "x": xname,
-                                    "indices": [j + 1, k + 1, u + 1, v + 1],
-                                },
-                                "lhs": [fld.fmt(lhs)],
-                                "rhs": [fld.fmt(qq * vxjk * volx[u][v])],
-                            }
-                            return CheckReport("pairing_identities", witness)
-    return CheckReport("pairing_identities")
+
+    def mismatches():
+        yield from _non_alternating_columns(Y)
+        ell = pairing_coordinates(Y)  # ell[i][j][k] = L[e_i, e_j](e_k)
+        for i in range(3):
+            for j in range(3):
+                for k in range(3):
+                    lhs = ell[i][j][k] - ell[i][k][j]
+                    rhs = (qq + 1) * vol(e[i], e[j], e[k])
+                    if lhs != rhs:
+                        yield _witness(fld, {"indices": [i + 1, j + 1, k + 1]}, lhs, rhs,
+                                       identity="eigenvalue")
+        xs = [(f"e{i+1}", e[i]) for i in range(3)]
+        xs += [
+            (f"e{i+1}+e{j+1}", [a + b for a, b in zip(e[i], e[j])])
+            for i in range(3)
+            for j in range(i + 1, 3)
+        ]
+        for xname, x in xs:
+            # lx[j][u] = L[x, e_j](e_u) and lxx[u] = L[x, x](e_u), linear in each x
+            lx = [[sum((x[i] * ell[i][j][u] for i in range(3)), zero) for u in range(3)]
+                  for j in range(3)]
+            lxx = [sum((x[j] * lx[j][u] for j in range(3)), zero) for u in range(3)]
+            volx = [[vol(x, e[u], e[v]) for v in range(3)] for u in range(3)]
+            for j in range(3):
+                for k in range(3):
+                    vxjk = vol(x, e[j], e[k])
+                    ljk = ell[j][k]
+                    for u in range(3):
+                        for v in range(3):
+                            lhs = (
+                                lx[j][u] * lx[k][v]
+                                - lx[j][v] * lx[k][u]
+                                - lxx[u] * ljk[v]
+                                + lxx[v] * ljk[u]
+                            )
+                            rhs = qq * vxjk * volx[u][v]
+                            if lhs != rhs:
+                                yield _witness(
+                                    fld, {"x": xname, "indices": [j + 1, k + 1, u + 1, v + 1]},
+                                    lhs, rhs, identity="wedge")
+
+    return CheckReport("pairing_identities", next(mismatches(), None))
 
 
 def check_cyclic_shift_identity(Y: Matrix, T: Matrix, q) -> CheckReport:
@@ -312,22 +295,20 @@ def check_cyclic_shift_identity(Y: Matrix, T: Matrix, q) -> CheckReport:
     qq = fld.of(q)
     y1, y2 = slot_action(Y, 0, 1), slot_action(Y, 1, 2)
     e = std_basis(fld)
-    for i in range(3):
-        tx2 = T.apply(e[i])
-        for t in alt2_basis(fld):
-            tx, xt = tensor2(t, e[i]), tensor2(e[i], t)
-            lhs_v = y1(y2(tx))
-            shift = cyclic_shift(y2(y1(xt)))
-            lhs = [a - b for a, b in zip(lhs_v, shift)]
-            rhs = [2 * (qq + 1) * c for c in wedge_vt(tx2, t)]
-            if lhs != rhs:
-                witness = {
-                    "input": {"vector": i + 1, "bivector": vector_to_json(fld, t)},
-                    "lhs": vector_to_json(fld, lhs),
-                    "rhs": vector_to_json(fld, rhs),
-                }
-                return CheckReport("cyclic_shift_identity", witness)
-    return CheckReport("cyclic_shift_identity")
+
+    def mismatches():
+        for i in range(3):
+            tx2 = T.apply(e[i])
+            for t in alt2_basis(fld):
+                tx, xt = tensor2(t, e[i]), tensor2(e[i], t)
+                shift = cyclic_shift(y2(y1(xt)))
+                lhs = [a - b for a, b in zip(y1(y2(tx)), shift)]
+                rhs = [2 * (qq + 1) * c for c in wedge_vt(tx2, t)]
+                if lhs != rhs:
+                    yield _witness(fld, {"vector": i + 1, "bivector": vector_to_json(fld, t)},
+                                   lhs, rhs)
+
+    return CheckReport("cyclic_shift_identity", next(mismatches(), None))
 
 
 def run_suite(sym: HeckeSymmetry, random_bases: int = 0, rng=None) -> list[CheckReport]:

@@ -3,10 +3,12 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from hecke3.fields import GF, QQ
-from hecke3.linalg import Matrix, echelon_span, span_equal
-from hecke3.heckecore import build_R, deform, flip_matrix
-from hecke3.multilinear import lift_left, lift_right, matrix_of_map, slot_action
+from hecke3.linalg import Matrix, echelon_span, span_coords, span_equal
+from hecke3.heckecore import build_R, conjugate, deform, flip_matrix
+from hecke3.multilinear import lift_left, lift_right, matrix_of_map, random_invertible, slot_action
 from hecke3.verifier import column_witness
 from hecke3.classify import TYPE_LABELS, canonical
 from hecke3.cybe import (
@@ -218,6 +220,28 @@ class TestCarrier:
         assert sub.closure_grew and sub.dim == 3  # picks up the commutator
 
 
+def reference_structure_constants(L):
+    """c[i][j] = coordinates of [x_i, x_j]: the brackets formed again, then located in the span."""
+    vec = lambda m: [m.rows[i][j] for i in range(3) for j in range(3)]
+    return [[span_coords(L.span_rows(), vec(x * y - y * x)) for y in L.basis] for x in L.basis]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "Fp7"])
+def test_closure_constants_match_the_brackets(field):
+    """L.constants equals the recomputed structure constants, also in a random basis."""
+    algebras = [lie_subalgebra(field, gens)
+                for gens in reference_carriers(field).values() if gens is not None]
+    rng = random.Random(5)
+    for label in TYPE_LABELS:
+        q = field.of(3) if label in ("Type1", "Type2") else None
+        sym = conjugate(build_R(canonical(label, q, field)), random_invertible(field, rng))
+        algebras.append(carrier(classical_r(sym)))
+    assert {L.dim for L in algebras} >= {0, 2, 4, 6, 9}
+    for L in algebras:
+        ref = reference_structure_constants(L)
+        assert [[list(c) for c in row] for row in L.constants] == ref
+
+
 class TestFrobenius:
     def test_two_dimensional_witness(self):
         sub = lie_subalgebra(QQ, [E(1, 3), E(3, 3)])
@@ -241,7 +265,7 @@ class TestFrobenius:
             res = is_frobenius(sub)
             assert res.status == "yes", label
             # recompute the certificate: the witness form is nondegenerate
-            c = sub.structure_constants()
+            c = reference_structure_constants(sub)
             form = Matrix(
                 QQ,
                 [

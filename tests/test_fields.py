@@ -13,7 +13,7 @@ from hecke3.errors import (
     InputError,
     NotPrime,
 )
-from hecke3.fields import GF, MAX_SCALAR_CHARS, QQ, Fp, field_of, parse_field
+from hecke3.fields import GF, MAX_SCALAR_CHARS, QQ, parse_field
 
 
 class TestRationalArithmetic:
@@ -156,10 +156,6 @@ class TestTextForms:
         for text in ("1e400", "0.5", "1/-2", "1_000", "1/0", "", "/2", "9" * (MAX_SCALAR_CHARS + 1)):
             with pytest.raises(InputError):
                 field.parse(text)
-
-    def test_field_of(self):
-        assert field_of(Fraction(1)) == QQ
-        assert field_of(Fp(3, 7)) == GF(7)
 
 
 def test_prime_field_agrees_with_rationals_mod_p():

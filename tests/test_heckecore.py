@@ -239,6 +239,23 @@ class TestHeckeDataValidation:
         with pytest.raises(InputError):
             HeckeData(QQ.one(), E1, E2, g)
 
+    @pytest.mark.parametrize("rows", [[[0, 0], [0, 0]], [[0, 1, 0], [1, 0, 0]]],
+                             ids=["2x2", "2x3"])
+    def test_form_of_the_wrong_shape(self, rows):
+        with pytest.raises(InputError, match="bilinear form must be 3x3"):
+            HeckeData(QQ.one(), E1, E2, Matrix.from_rows(QQ, rows))
+
+    @pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "Fp7"])
+    def test_int_q_is_a_field_scalar(self, field):
+        """An int q is read in g's field, so R has only field entries."""
+        g = Matrix.from_rows(field, [[0, 1, 0], [1, 0, 0], [0, 0, 1]])
+        e1, e2, _ = std_basis(field)
+        data = HeckeData(3, e1, e2, g)
+        assert data.q == field.of(3) and type(data.q) is type(field.one())
+        R = build_R(data).R
+        assert {type(x) for row in R.rows for x in row} == {type(field.one())}
+        assert R == build_R(HeckeData(field.of(3), e1, e2, g)).R
+
 
 class TestBuildY:
     def test_zero_form_gives_classical_skewsymmetrizer(self):

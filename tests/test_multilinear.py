@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hecke3.errors import NotAlternating
-from hecke3.fields import QQ
+from hecke3.fields import GF, QQ
 from hecke3.linalg import Matrix
 from hecke3.multilinear import (
     alt2_basis,
@@ -165,6 +165,42 @@ class TestSubspaceQueries:
     def test_alt3_is_intersection(self):
         w = wedge3(E1, E2, E3)
         assert front_slices_alternating(w) and back_slices_alternating(w)
+
+
+_PERM_SIGNS = {(0, 1, 2): 1, (0, 2, 1): -1, (1, 0, 2): -1,
+               (1, 2, 0): 1, (2, 0, 1): 1, (2, 1, 0): -1}
+
+
+def reference_is_alt3(w):
+    """The sign-table membership test that ``is_alt3`` replaced."""
+    c = w[idx3(0, 1, 2)]
+    for i in range(3):
+        for j in range(3):
+            for k in range(3):
+                expected = 0
+                if i != j and j != k and i != k:
+                    expected = _PERM_SIGNS[(i, j, k)] * c
+                if w[idx3(i, j, k)] != expected:
+                    return False
+    return True
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "Fp7"])
+def test_is_alt3_agrees_with_the_sign_table(field):
+    """Multiples of e1^e2^e3, random wedges, their one-coordinate bumps, random tensors."""
+    rng = random.Random(3)
+    e = std_basis(field)
+    rand = lambda n: [field.of(rng.randint(-3, 3)) for _ in range(n)]
+    alternating = [[field.of(c) * x for x in wedge3(*e)] for c in (0, 1, -2, 5)]
+    alternating += [wedge3(rand(3), rand(3), rand(3)) for _ in range(20)]
+    samples = list(alternating)
+    for w in alternating:
+        for p in range(27):
+            samples.append(w[:p] + [w[p] + 1] + w[p + 1:])
+    samples += [rand(27) for _ in range(50)]
+    assert any(is_alt3(w) for w in samples) and not all(is_alt3(w) for w in samples)
+    for w in samples:
+        assert is_alt3(w) == reference_is_alt3(w)
 
 
 class TestLifts:

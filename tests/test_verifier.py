@@ -20,9 +20,10 @@ from hecke3.heckecore import (
     symmetric_form,
     t_operator_of_F,
 )
-from hecke3.classify import TYPE_LABELS, canonical, classify
+from hecke3.classify import TYPE_LABELS, canonical, classify, reference_r_matrix
 from hecke3.cybe import check_cybe, check_symmetrized, classical_r, gl_tensor
 from hecke3.verifier import (
+    CheckReport,
     check_braid,
     check_component_identity,
     check_containments,
@@ -347,6 +348,9 @@ def _golden_cases(field):
         "cyclic_shift_type1_id": lambda: check_cyclic_shift_identity(
             type1.Y, Matrix.identity(field, 3), type1.q),
         "symmetrized_type1_at_5": lambda: check_symmetrized(classical_r(type1), 5),
+        "column_witness_context": lambda: CheckReport("column_witness_context", column_witness(
+            build_R(canonical("Type1", 2, field)).R, reference_r_matrix("Type1", 3, field),
+            type="Type1")),
     }
 
 
@@ -366,6 +370,7 @@ GOLDEN_WITNESS_DIGESTS = {
         "pairing_flip_2y": "42e5a04ab303a65b2e709edc48685f51d220c29f20a71bd4ca70931a4470d3d0",
         "cyclic_shift_type1_id": "242f687c1a0368ed2f554e043db698cd4538a7e9e9b897dd14cc2e42e10a81e8",
         "symmetrized_type1_at_5": "e4f1210f91c29b61bc0db535c58688dc7a50f51324e800bbcb85f22dbf475377",
+        "column_witness_context": "e2d31bd61cf79358311b628ceaf1824a4c3582fc721a2af73565cb867f615fff",
     },
     "Fp:7": {
         "braid": "1d835b4f681d4a66d7358c0e6bd0d0fb18dc25db7fc878400ec235f3a97a2093",
@@ -381,6 +386,7 @@ GOLDEN_WITNESS_DIGESTS = {
         "pairing_flip_2y": "42e5a04ab303a65b2e709edc48685f51d220c29f20a71bd4ca70931a4470d3d0",
         "cyclic_shift_type1_id": "a496cfe3309907b03cd30135a2720464d6cad80ebf927e23da3aa96e7eae6757",
         "symmetrized_type1_at_5": "8ae238f2a2b406f418cb1efc275121ede5fa18d572dd0103a40b056ee75a539b",
+        "column_witness_context": "e2d31bd61cf79358311b628ceaf1824a4c3582fc721a2af73565cb867f615fff",
     },
 }
 
