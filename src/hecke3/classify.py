@@ -24,14 +24,7 @@ from .fields import QQ
 from .jsonio import matrix_to_json, vector_to_json
 from .linalg import Matrix
 from .multilinear import idx2, pair_vt, std_basis
-from .heckecore import (
-    FOperator,
-    HeckeData,
-    HeckeSymmetry,
-    build_R,
-    extract_F,
-    g_value,
-)
+from .heckecore import FOperator, HeckeData, HeckeSymmetry, build_R, extract_F
 from .verifier import CheckReport, column_witness
 
 __all__ = [
@@ -111,12 +104,21 @@ def canonical(label: str, q=None, field=QQ) -> HeckeData:
     return HeckeData(field.one(), e[0], e[1], canonical_gram(label, field=field))
 
 
+# (q == 1, rank g, rank of g on the bivector plane) -> label.  With F nonzero,
+# (q-1)^2 = -4 delta makes q != 1 exactly when the restricted rank is 2, and
+# rank_res <= rank g <= rank_res + 2 with g != 0: these are the only patterns.
+_LABELS = {
+    (False, 3, 2): "Type1", (False, 2, 2): "Type2",
+    (True, 3, 1): "Type3", (True, 2, 1): "Type4", (True, 1, 1): "Type5",
+    (True, 2, 0): "Type6", (True, 1, 0): "Type7",
+}
+
+
 def classify(sym: HeckeSymmetry) -> ClassificationReport:
     """Determine the type of a verified Hecke symmetry.
 
-    Dispatch on (q, rank g, rank of g restricted to the bivector plane); a
-    zero invariant operator is Type 8.  For q != 1 the restricted rank is
-    forced to 2 by the q constraint and is asserted.
+    A zero invariant operator is Type 8; otherwise the label is read off
+    (q == 1, rank g, rank of g restricted to the bivector plane).
     """
     f_op = extract_F(sym)
     q = sym.q
@@ -124,41 +126,14 @@ def classify(sym: HeckeSymmetry) -> ClassificationReport:
         return ClassificationReport("Type8", q, 0, None, f_op)
     g = f_op.g
     rank_g = g.rank()
-    # the plane of t is the kernel of the form v |-> pair_vt(v, t)
-    a, b = Matrix(g.field, [[pair_vt(v, f_op.t) for v in std_basis(g.field)]]).kernel_basis()
-    gram = Matrix(
-        g.field,
-        [
-            [g_value(g, a, a), g_value(g, a, b)],
-            [g_value(g, a, b), g_value(g, b, b)],
-        ],
-    )
-    rank_res = gram.rank()
-    if not rank_res <= rank_g <= 2 + rank_res:
-        raise Hecke3Error("internal inconsistency: rank inequality violated")
-    if q != 1:
-        if rank_res != 2:
-            raise Hecke3Error(
-                "internal inconsistency: q != 1 forces a nondegenerate restriction"
-            )
-        if rank_g == 3:
-            label = "Type1"
-        elif rank_g == 2:
-            label = "Type2"
-        else:
-            raise Hecke3Error("internal inconsistency: impossible rank for q != 1")
-    else:
-        if rank_res == 2:
-            raise Hecke3Error(
-                "internal inconsistency: q = 1 forces a degenerate restriction"
-            )
-        if rank_res == 1:
-            label = {3: "Type3", 2: "Type4", 1: "Type5"}.get(rank_g)
-        else:
-            label = {2: "Type6", 1: "Type7"}.get(rank_g)
-        if label is None:
-            raise Hecke3Error("internal inconsistency: impossible rank pattern")
-    return ClassificationReport(label, q, rank_g, rank_res, f_op)
+    # the plane of t is the kernel of the form v |-> pair_vt(v, t); P's rows span it
+    n = Matrix(g.field, [[pair_vt(v, f_op.t) for v in std_basis(g.field)]])
+    P = Matrix(g.field, n.kernel_basis())
+    rank_res = (P * g * P.transpose()).rank()
+    key = (q == 1, rank_g, rank_res)
+    if key not in _LABELS:
+        raise Hecke3Error(f"internal inconsistency: impossible invariant pattern {key}")
+    return ClassificationReport(_LABELS[key], q, rank_g, rank_res, f_op)
 
 
 def _table_type1(q, one):

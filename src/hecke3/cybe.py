@@ -13,9 +13,8 @@ span of the factors of a minimal tensor decomposition of r.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from itertools import islice
+from itertools import combinations, product
 
 from .fields import QQ
 from .linalg import Matrix, echelon_span, span_coords
@@ -200,9 +199,9 @@ def carrier(t: GlTensor) -> LieSubalgebra:
 
 @dataclass(frozen=True)
 class FrobeniusResult:
-    """Outcome of the Frobenius witness search."""
+    """Outcome of the Frobenius decision."""
 
-    status: str            # "yes" | "no" | "inconclusive" | "not_applicable"
+    status: str            # "yes" | "no" | "not_applicable"
     witness: tuple | None  # functional coordinates in the echelon basis
 
     def to_json(self, field) -> dict:
@@ -213,54 +212,65 @@ class FrobeniusResult:
         }
 
 
-# Functionals tried by is_frobenius before it answers "inconclusive".
-_FROBENIUS_ATTEMPTS = 256
+def _center_dim(L: LieSubalgebra) -> int:
+    """Dimension of the centre: sum a_i x_i is central iff sum_i a_i c[i][j] = 0 for all j."""
+    d, c = L.dim, L.constants
+    rows = [[c[i][j][k] for i in range(d)] for j in range(d) for k in range(d)]
+    return d - Matrix(L.field, rows).rank()
 
 
-def _functional_stream(field, dim: int):
-    """Unit functionals, then sums of two or more units, then seeded random ones."""
+def _functionals(field, d: int):
+    """A finite set of functionals holding a witness whenever the field has one.
+
+    Unit functionals, then 0/1 sums in increasing mask order: these hold the
+    witnesses of the carriers of the eight types.  Then, with m = d/2: when
+    1, ..., m are invertible, every f in Z>=0^d with sum m (the degree-m
+    lattice of the simplex, unisolvent for the degree-m Pfaffian on that
+    hyperplane); otherwise all of F_p^d.
+    """
     o, z = field.one(), field.zero()
-    for k in range(dim):
-        f = [z] * dim
+    for k in range(d):
+        f = [z] * d
         f[k] = o
         yield f
-    for mask in range(1, 1 << dim):
+    for mask in range(1, 1 << d):
         if mask.bit_count() >= 2:
-            yield [o if mask >> k & 1 else z for k in range(dim)]
-    rng = random.Random(20240)
-    while True:
-        yield [field.of(rng.randint(-9, 9)) for _ in range(dim)]
+            yield [o if mask >> k & 1 else z for k in range(d)]
+    m, p = d // 2, field.characteristic
+    if p == 0 or p > m:
+        # stars and bars: d - 1 bars among m + d - 1 places
+        ends = ((-1,) + bars + (m + d - 1,) for bars in combinations(range(m + d - 1), d - 1))
+        points = ([b - a - 1 for a, b in zip(e, e[1:])] for e in ends)
+    else:
+        points = product(range(p), repeat=d)
+    for f in points:
+        if max(f) > 1:  # every 0/1 vector was tried above
+            yield [field.of(x) for x in f]
 
 
 def is_frobenius(L: LieSubalgebra) -> FrobeniusResult:
-    """Search for a functional f making (x, y) |-> f([x, y]) nondegenerate.
+    """Decide whether some functional f makes (x, y) |-> f([x, y]) nondegenerate.
 
-    A nonzero determinant certifies the positive exactly.  An identically
-    zero bracket makes the form vanish for every f: an exact negative.
-    Odd dimension admits no nondegenerate alternating form at all.  When
-    the sample is exhausted without a witness the answer is inconclusive
-    (sampling cannot certify a negative over an infinite field).
+    Odd dimension admits no nondegenerate alternating form.  A nonzero
+    centre lies in the kernel of every such form: an exact negative.
+    Otherwise det B_f = Pf(B_f)^2 with Pf a form of degree d/2 in f, and
+    :func:`_functionals` holds a witness whenever the field has one, so a
+    nonzero determinant is a witness and none at all is an exact negative.
     """
     if L.dim == 0:
         return FrobeniusResult("yes", ())
     if L.dim % 2 == 1:
         return FrobeniusResult("not_applicable", None)
-    c = L.constants
-    if all(all(x == 0 for x in c[i][j]) for i in range(L.dim) for j in range(L.dim)):
+    if _center_dim(L):
         return FrobeniusResult("no", None)
-    fld = L.field
-    for f in islice(_functional_stream(fld, L.dim), _FROBENIUS_ATTEMPTS):
-        form = Matrix(
-            fld,
-            [
-                [sum((fk * ck for fk, ck in zip(f, c[i][j])), fld.zero())
-                 for j in range(L.dim)]
-                for i in range(L.dim)
-            ],
-        )
+    fld, z = L.field, L.field.zero()
+    # the nonzero structure constants of each bracket, found once for every f
+    terms = [[[(k, x) for k, x in enumerate(cij) if x != 0] for cij in ci] for ci in L.constants]
+    for f in _functionals(fld, L.dim):
+        form = Matrix(fld, [[sum((f[k] * x for k, x in tij), z) for tij in ti] for ti in terms])
         if form.det() != 0:
             return FrobeniusResult("yes", tuple(f))
-    return FrobeniusResult("inconclusive", None)
+    return FrobeniusResult("no", None)
 
 
 def fingerprint(L: LieSubalgebra):
@@ -277,11 +287,6 @@ def fingerprint(L: LieSubalgebra):
         return (0, 0, 0, 0)
     c = L.constants
     derived = Matrix(fld, [list(c[i][j]) for i in range(d) for j in range(d)]).rank()
-    rows = []
-    for j in range(d):
-        for coord in range(d):
-            rows.append([c[i][j][coord] for i in range(d)])
-    center = d - Matrix(fld, rows).rank()
     ad = []
     for i in range(d):
         ad.append(Matrix(fld, [[c[i][j][k] for j in range(d)] for k in range(d)]))
@@ -289,7 +294,7 @@ def fingerprint(L: LieSubalgebra):
         fld,
         [[(ad[i] * ad[j]).trace() for j in range(d)] for i in range(d)],
     )
-    return (d, derived, center, killing.rank())
+    return (d, derived, _center_dim(L), killing.rank())
 
 
 def reference_carriers(field=QQ) -> dict:

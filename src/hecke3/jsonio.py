@@ -43,9 +43,9 @@ def vector_to_json(field, v):
     return [field.fmt(x) for x in v]
 
 
-def vector_from_json(field, data, length=3):
-    if not isinstance(data, list) or len(data) != length:
-        raise InputError(f"expected a list of {length} scalars")
+def vector_from_json(field, data):
+    if not isinstance(data, list) or len(data) != 3:
+        raise InputError("expected a list of 3 scalars")
     return [_scalar_from_json(field, x) for x in data]
 
 

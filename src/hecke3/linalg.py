@@ -40,11 +40,9 @@ class Matrix:
         return cls(field, [list(row) for row in zip(*cols)])
 
     @classmethod
-    def zeros(cls, field, nrows, ncols=None):
-        if ncols is None:
-            ncols = nrows
+    def zeros(cls, field, n):
         z = field.zero()
-        return cls(field, [[z] * ncols for _ in range(nrows)])
+        return cls(field, [[z] * n for _ in range(n)])
 
     @classmethod
     def identity(cls, field, n):

@@ -17,7 +17,6 @@ from .jsonio import vector_to_json
 from .linalg import Matrix
 from .multilinear import (
     alt2_basis,
-    basis_vector,
     change_of_basis,
     idx2,
     is_alt2,
@@ -375,24 +374,12 @@ def sample_strategy_a(field, rng) -> HeckeData:
     root is kept.
     """
     a, b = _random_independent_pair(field, rng)
-    # complete a to a basis deterministically
-    cols = [a]
-    for i in range(3):
-        cand = basis_vector(field, i)
-        if Matrix.from_columns(field, cols + [cand]).rank() == len(cols) + 1:
-            cols.append(cand)
-        if len(cols) == 3:
-            break
-    B = Matrix.from_columns(field, cols)
-    entries = [[field.zero()] * 3 for _ in range(3)]
-    for i in range(3):
-        for j in range(i, 3):
-            if i == 0 and j == 0:
-                continue
-            v = _random_scalar(field, rng)
-            entries[i][j] = v
-            entries[j][i] = v
-    g_new = Matrix(field, entries)
+    # complete a to a basis by the first standard vectors independent of it
+    e = std_basis(field)
+    pivots = Matrix.from_columns(field, [a] + e).rref()[1]
+    B = Matrix.from_columns(field, [a] + [e[p - 1] for p in pivots[1:]])
+    v = [_random_scalar(field, rng) for _ in range(5)]
+    g_new = Matrix(field, [[field.zero(), v[0], v[1]], [v[0], v[2], v[3]], [v[1], v[3], v[4]]])
     binv = B.inverse()
     g = binv.transpose() * g_new * binv
     gab = g_value(g, a, b)

@@ -1,17 +1,19 @@
 """Type determination, canonical fixtures, value tables, invariance."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from hecke3.errors import InvalidQ
+from hecke3.errors import Hecke3Error, InvalidQ
 from hecke3.fields import GF, QQ
 from hecke3.linalg import Matrix
 from hecke3.multilinear import idx2, random_invertible
 from hecke3.heckecore import build_R, conjugate
 from hecke3.classify import (
     TYPE_LABELS,
+    _LABELS,
     canonical,
     canonical_gram,
     check_value_tables,
@@ -109,6 +111,40 @@ class TestClassify:
         for label in TYPE_LABELS:
             q = f7.of(3) if label in ("Type1", "Type2") else None
             assert classify(build_R(canonical(label, q, f7))).label == label
+
+
+def reference_label(q_is_one, rank_g, rank_res):
+    """The label by the nested branches, each impossible pattern raising on its own."""
+    if not rank_res <= rank_g <= 2 + rank_res:
+        raise Hecke3Error("internal inconsistency: rank inequality violated")
+    if not q_is_one:
+        if rank_res != 2:
+            raise Hecke3Error("internal inconsistency: q != 1 forces a nondegenerate restriction")
+        if rank_g == 3:
+            return "Type1"
+        if rank_g == 2:
+            return "Type2"
+        raise Hecke3Error("internal inconsistency: impossible rank for q != 1")
+    if rank_res == 2:
+        raise Hecke3Error("internal inconsistency: q = 1 forces a degenerate restriction")
+    if rank_res == 1:
+        label = {3: "Type3", 2: "Type4", 1: "Type5"}.get(rank_g)
+    else:
+        label = {2: "Type6", 1: "Type7"}.get(rank_g)
+    if label is None:
+        raise Hecke3Error("internal inconsistency: impossible rank pattern")
+    return label
+
+
+def test_label_table_agrees_with_the_branches():
+    """On all 2 x 4 x 3 triples (q == 1, rank g, restricted rank) of a nonzero F."""
+    for key in itertools.product((False, True), range(4), range(3)):
+        try:
+            want = reference_label(*key)
+        except Hecke3Error:
+            want = None
+        assert _LABELS.get(key) == want, key
+    assert sorted(_LABELS.values()) == sorted(TYPE_LABELS[:7])
 
 
 class TestValueTables:

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -12,10 +13,13 @@ from hecke3.multilinear import lift_left, lift_right, matrix_of_map, random_inve
 from hecke3.verifier import column_witness
 from hecke3.classify import TYPE_LABELS, canonical
 from hecke3.cybe import (
+    LieSubalgebra,
+    _center_dim,
     carrier,
     check_cybe,
     check_symmetrized,
     classical_r,
+    FrobeniusResult,
     fingerprint,
     gl_tensor,
     is_frobenius,
@@ -280,6 +284,149 @@ class TestFrobenius:
                 ],
             )
             assert form.det() != 0, label
+
+
+def units(field, *pairs):
+    return [matrix_unit(field, i, j) for i, j in pairs]
+
+
+def sl3(field):
+    e = lambda i, j: matrix_unit(field, i, j)
+    off_diagonal = [e(i, j) for i in (1, 2, 3) for j in (1, 2, 3) if i != j]
+    return lie_subalgebra(field, off_diagonal + [e(1, 1) - e(2, 2), e(2, 2) - e(3, 3)])
+
+
+def form_of(L, f):
+    """B_f[i][j] = f([x_i, x_j]) from the structure constants."""
+    d, fld = L.dim, L.field
+    return Matrix(fld, [[sum((fk * ck for fk, ck in zip(f, L.constants[i][j])), fld.zero())
+                         for j in range(d)] for i in range(d)])
+
+
+def block_algebra(field, A):
+    """A structure-constant tensor on six symbols whose forms are B_f = [[0, A_f], [-A_f^T, 0]].
+
+    ``A(k)`` is the 3x3 integer matrix A_f at the k-th unit functional.  Only
+    the constants are read by the Frobenius decision; the basis is a placeholder
+    of the right length.
+    """
+    c = [[[field.zero()] * 6 for _ in range(6)] for _ in range(6)]
+    for k in range(6):
+        for i, row in enumerate(A(k)):
+            for j, x in enumerate(row):
+                c[i][3 + j][k] = field.of(x)
+                c[3 + j][i][k] = -field.of(x)
+    constants = tuple(tuple(tuple(cij) for cij in ci) for ci in c)
+    return LieSubalgebra(field, tuple(units(field, *product((1, 2), (1, 2, 3)))), constants)
+
+
+def skew_family(k):
+    """The generic 3x3 skew matrix [[0, f1, f2], [-f1, 0, f3], [-f2, -f3, 0]] at f = e_k."""
+    a = [[0] * 3 for _ in range(3)]
+    if k < 3:
+        i, j = ((0, 1), (0, 2), (1, 2))[k]
+        a[i][j], a[j][i] = 1, -1
+    return a
+
+
+def diagonal_family(k):
+    """diag(f1, f2, f3) at f = e_k."""
+    return [[int(i == j == k) for j in range(3)] for i in range(3)]
+
+
+def difference_family(k):
+    """diag(f1, f2, f1 - f2) at f = e_k: its determinant vanishes at every 0/1 vector."""
+    diagonal = [(1, 0, 1), (0, 1, -1)][k] if k < 2 else (0, 0, 0)
+    return [[diagonal[i] if i == j else 0 for j in range(3)] for i in range(3)]
+
+
+def exhaustive_status(L):
+    """"yes" iff some functional over the prime field gives a nonzero determinant."""
+    fld = L.field
+    for f in product(range(fld.characteristic), repeat=L.dim):
+        if form_of(L, [fld.of(x) for x in f]).det() != 0:
+            return "yes"
+    return "no"
+
+
+class TestFrobeniusDecision:
+    @pytest.mark.parametrize("field", [QQ, GF(3)], ids=["Q", "Fp3"])
+    def test_gl2_is_not_frobenius(self, field):
+        """The identity of gl2 is central, so every form is degenerate."""
+        L = lie_subalgebra(field, units(field, (1, 1), (1, 2), (2, 1), (2, 2)))
+        assert L.dim == 4 and _center_dim(L) == 1
+        assert is_frobenius(L) == FrobeniusResult("no", None)
+
+    @pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "Fp7"])
+    def test_sl3_is_not_frobenius_through_the_lattice(self, field):
+        """sl3 has no centre here, so the negative comes from every lattice point."""
+        L = sl3(field)
+        assert L.dim == 8 and _center_dim(L) == 0
+        assert is_frobenius(L) == FrobeniusResult("no", None)
+
+    def test_sl3_over_f3_is_not_frobenius_through_the_centre(self):
+        """Over F3 the identity has trace 0, so it lies in sl3 and is central."""
+        L = sl3(GF(3))
+        assert L.dim == 8 and _center_dim(L) == 1
+        assert is_frobenius(L) == FrobeniusResult("no", None)
+
+    @pytest.mark.parametrize("field", [QQ, GF(7), GF(3)], ids=["Q", "Fp7", "Fp3"])
+    def test_vanishing_pfaffian_without_centre(self, field):
+        """det of a 3x3 skew A_f is 0, so Pf(B_f) = 0 identically; over F3 every point is tried."""
+        L = block_algebra(field, skew_family)
+        assert _center_dim(L) == 0
+        assert is_frobenius(L) == FrobeniusResult("no", None)
+
+    @pytest.mark.parametrize("field", [QQ, GF(7), GF(3)], ids=["Q", "Fp7", "Fp3"])
+    def test_diagonal_block_has_a_witness(self, field):
+        """Pf(B_f) = +-f1 f2 f3 is nonzero at the 0/1 sum e1 + e2 + e3."""
+        L = block_algebra(field, diagonal_family)
+        res = is_frobenius(L)
+        assert res.status == "yes" and form_of(L, res.witness).det() != 0
+
+    @pytest.mark.parametrize("field", [QQ, GF(7), GF(3)], ids=["Q", "Fp7", "Fp3"])
+    def test_witness_beyond_the_zero_one_vectors(self, field):
+        """Pf = +-f1 f2 (f1 - f2) needs an entry 2: the lattice (or F3^6) supplies it."""
+        L = block_algebra(field, difference_family)
+        res = is_frobenius(L)
+        assert res.status == "yes" and form_of(L, res.witness).det() != 0
+        assert any(x not in (0, 1) for x in res.witness)
+
+    @pytest.mark.parametrize("p, max_dim", [(3, 6), (5, 4)])
+    def test_agrees_with_exhaustive_search(self, p, max_dim):
+        """Bracket closures of sparse random generators: the decision equals a search of F_p^d."""
+        field, rng = GF(p), random.Random(p)
+        seen = set()
+        tried = 0
+        while tried < 12:
+            gens = [Matrix(field, [[field.of(rng.randrange(p)) if rng.random() < 0.35
+                                    else field.zero() for _ in range(3)] for _ in range(3)])
+                    for _ in range(rng.randint(1, 3))]
+            L = lie_subalgebra(field, gens)
+            if L.dim == 0 or L.dim % 2 or L.dim > max_dim:
+                continue
+            tried += 1
+            res = is_frobenius(L)
+            assert res.status == exhaustive_status(L)
+            if res.status == "yes":
+                assert form_of(L, res.witness).det() != 0
+            seen.add(res.status)
+        assert seen == {"yes", "no"}
+
+    @pytest.mark.parametrize("field", [QQ, GF(3), GF(5), GF(7)], ids=["Q", "Fp3", "Fp5", "Fp7"])
+    def test_moved_carriers_keep_their_status(self, field):
+        """Types 3-6 and 8 are Frobenius, Type 7 is not, Types 1-2 have odd dimension."""
+        expected = {"Type1": "not_applicable", "Type2": "not_applicable", "Type7": "no"}
+        rng = random.Random(8)
+        for label in TYPE_LABELS:
+            q = field.of(2) if label in ("Type1", "Type2") else None
+            for _ in range(2):
+                sym = conjugate(build_R(canonical(label, q, field)), random_invertible(field, rng))
+                L = carrier(classical_r(sym))
+                res = is_frobenius(L)
+                assert res.status == expected.get(label, "yes"), label
+                if res.status == "yes" and L.dim:
+                    assert form_of(L, res.witness).det() != 0, label
 
 
 class TestFingerprint:

@@ -10,12 +10,13 @@ import pytest
 from hecke3.errors import SingularMatrix
 from hecke3.fields import GF, QQ
 from hecke3.linalg import Matrix
-from hecke3.multilinear import std_basis, wedge2
+from hecke3.multilinear import basis_vector, std_basis, wedge2
 from hecke3.heckecore import (
     FOperator,
     HeckeData,
     build_R,
     flip_matrix,
+    g_value,
     skewsymmetrizer_matrix,
     symmetric_form,
     t_operator_of_F,
@@ -24,6 +25,8 @@ from hecke3.classify import TYPE_LABELS, canonical, classify, reference_r_matrix
 from hecke3.cybe import check_cybe, check_symmetrized, classical_r, gl_tensor
 from hecke3.verifier import (
     CheckReport,
+    _random_independent_pair,
+    _random_scalar,
     check_braid,
     check_component_identity,
     check_containments,
@@ -261,6 +264,44 @@ class TestSamplers:
         for _ in range(10):
             q, a, b, g = sample_adversarial(QQ, rng)
             assert (q - 1) ** 2 != -4 * discriminant(a, b, g)
+
+
+def reference_sample_strategy_a(field, rng):
+    """Strategy A with a completed to a basis by rank tests, one g entry at a time."""
+    a, b = _random_independent_pair(field, rng)
+    cols = [a]
+    for i in range(3):
+        cand = basis_vector(field, i)
+        if Matrix.from_columns(field, cols + [cand]).rank() == len(cols) + 1:
+            cols.append(cand)
+        if len(cols) == 3:
+            break
+    B = Matrix.from_columns(field, cols)
+    entries = [[field.zero()] * 3 for _ in range(3)]
+    for i in range(3):
+        for j in range(i, 3):
+            if i == 0 and j == 0:
+                continue
+            v = _random_scalar(field, rng)
+            entries[i][j] = v
+            entries[j][i] = v
+    binv = B.inverse()
+    g = binv.transpose() * Matrix(field, entries) * binv
+    gab = g_value(g, a, b)
+    q = field.of(1) + 2 * gab
+    if q == 0:
+        q = field.of(1) - 2 * gab
+    return HeckeData(q, a, b, g)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7), GF(1_000_003)], ids=["Q", "Fp7", "Fp1000003"])
+def test_strategy_a_matches_the_reference_sampler(field):
+    """Same quadruple and the same random stream afterwards, on 30 seeds."""
+    for seed in range(30):
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        got, want = sample_strategy_a(field, rng), reference_sample_strategy_a(field, ref_rng)
+        assert (got.q, got.a, got.b, got.g) == (want.q, want.a, want.b, want.g), seed
+        assert rng.getstate() == ref_rng.getstate(), seed
 
 
 class TestFuzz:
