@@ -6,17 +6,20 @@ vectors a, b and a symmetric bilinear form g subject to
 solves for the admissible q values, builds R, and runs the exact checks.
 """
 
+import random
 from fractions import Fraction
 
 from hecke3 import (
     QQ,
     HeckeData,
     build_R,
+    check_component_identity,
     run_suite,
     solve_q,
     std_basis,
     symmetric_form,
 )
+from hecke3.multilinear import change_of_basis, random_invertible
 
 e1, e2, e3 = std_basis(QQ)
 
@@ -35,5 +38,10 @@ for q in qs:
             i, j = divmod(pos, 3)
             print(f"  {QQ.fmt(c)} * e{i+1}(x)e{j+1}")
     print("exact checks:")
-    for rep in run_suite(sym, random_bases=3):
+    for rep in run_suite(sym):
+        print(f"  {rep.name:28s} {'ok' if rep.passed else 'FAILED'}")
+    print("component identity in three random bases:")
+    rng = random.Random(0)
+    for _ in range(3):
+        rep = check_component_identity(change_of_basis(sym.Y, random_invertible(QQ, rng)), sym.q)
         print(f"  {rep.name:28s} {'ok' if rep.passed else 'FAILED'}")

@@ -33,11 +33,13 @@ from .errors import (
 )
 from .linalg import Matrix
 from .multilinear import (
+    bivector,
     change_of_basis,
     idx2,
     is_alt2,
     pair_vt,
     std_basis,
+    tensor2,
     vol,
     wedge2,
     zero_tensor,
@@ -152,12 +154,6 @@ class HeckeData:
         return self.g.field
 
 
-def _bivector_from_pairings(field, s):
-    """The bivector u = s0 e2^e3 + s1 e3^e1 + s2 e1^e2, so pair_vt(e_k, u) = s[k]."""
-    z = field.zero()
-    return [z, s[2], -s[1], -s[2], z, s[0], s[1], -s[0], z]
-
-
 def pairing_coordinates(Y: Matrix):
     """l[i][j][k] = pair_vt(e_i, Y(e_j e_k)), read off rows 5, 6 and 1 of Y.
 
@@ -183,7 +179,7 @@ def skewsymmetrizer_matrix(q, g: Matrix, t) -> Matrix:
         for k in range(3):
             s = [n[k] * r[i][j] + n[j] * r[i][k] - n[i] * r[j][k] + half * vol(e[i], e[j], e[k])
                  for i in range(3)]
-            cols.append(_bivector_from_pairings(fld, s))
+            cols.append(bivector(fld, s))
     return Matrix.from_columns(fld, cols)
 
 
@@ -246,13 +242,9 @@ def build_R(data: HeckeData) -> HeckeSymmetry:
 
 
 def flip_matrix(field) -> Matrix:
-    """The flip x(x)y |-> y(x)x."""
-    z, o = field.zero(), field.one()
-    rows = [[z] * 9 for _ in range(9)]
-    for i in range(3):
-        for j in range(3):
-            rows[idx2(j, i)][idx2(i, j)] = o
-    return Matrix(field, rows)
+    """The flip x(x)y |-> y(x)x: column (i, j) is e_j (x) e_i."""
+    e = std_basis(field)
+    return Matrix.from_columns(field, [tensor2(e[j], e[i]) for i in range(3) for j in range(3)])
 
 
 def hecke_residual(R: Matrix, q) -> Matrix:
@@ -341,7 +333,7 @@ def extract_F(sym: HeckeSymmetry) -> FOperator:
     fld = sym.field
     ell = pairing_coordinates(sym.Y)
     cols = [
-        _bivector_from_pairings(fld, [(ell[i][j][k] + ell[j][i][k]) / 2 for k in range(3)])
+        bivector(fld, [(ell[i][j][k] + ell[j][i][k]) / 2 for k in range(3)])
         for i in range(3)
         for j in range(3)
     ]
@@ -349,16 +341,10 @@ def extract_F(sym: HeckeSymmetry) -> FOperator:
     if lead is None:
         f_op = zero_F(fld)
     else:
-        t = [x / lead[m] for x in lead]
-        grows = [[fld.zero()] * 3 for _ in range(3)]
-        for i in range(3):
-            for j in range(3):
-                c = cols[idx2(i, j)]
-                coeff = c[m]
-                if [coeff * x for x in t] != c:
-                    raise NotHeckeSym0("the invariant operator does not have rank 1")
-                grows[i][j] = coeff
-        f_op = FOperator(Matrix(fld, grows), t)
+        g = Matrix(fld, [[cols[idx2(i, j)][m] for j in range(3)] for i in range(3)])
+        f_op = FOperator(g, [x / lead[m] for x in lead])
+        if f_op.matrix() != Matrix.from_columns(fld, cols):
+            raise NotHeckeSym0("the invariant operator does not have rank 1")
     if (sym.q - 1) ** 2 != -4 * f_op.delta():
         raise NotHeckeSym0(
             "the parameter-discriminant constraint fails for the extracted operator"

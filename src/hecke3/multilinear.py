@@ -30,6 +30,7 @@ __all__ = [
     "wedge_vt",
     "vol",
     "pair_vt",
+    "bivector",
     "is_alt2",
     "is_alt3",
     "alt2_basis",
@@ -144,6 +145,15 @@ def pair_vt(x, t):
     The caller guarantees t alternating.
     """
     return x[0] * t[5] + x[1] * t[6] + x[2] * t[1]
+
+
+def bivector(field, s):
+    """The bivector u = s0 e2^e3 + s1 e3^e1 + s2 e1^e2, inverse to pairing: pair_vt(e_k, u) = s[k].
+
+    Its coordinates are u[idx2(j, k)] = vol(s, e_j, e_k).
+    """
+    z = field.zero()
+    return [z, s[2], -s[1], -s[2], z, s[0], s[1], -s[0], z]
 
 
 def alt2_basis(field):

@@ -11,14 +11,16 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import product
 
 from .errors import InputError, NotHeckeSym0
 from .jsonio import vector_to_json
 from .linalg import Matrix
 from .multilinear import (
     alt2_basis,
-    change_of_basis,
+    bivector,
     idx2,
+    idx3,
     is_alt2,
     is_alt3,
     cyclic_shift,
@@ -27,7 +29,6 @@ from .multilinear import (
     slot_action,
     std_basis,
     tensor2,
-    vol,
     wedge2,
     wedge_vt,
 )
@@ -180,46 +181,32 @@ def check_containments(Y: Matrix, q) -> CheckReport:
     return CheckReport("containments", next(mismatches(), None))
 
 
-def check_component_identity(Y: Matrix, q, basis: Matrix | None = None) -> CheckReport:
+def check_component_identity(Y: Matrix, q) -> CheckReport:
     """Quadratic identity satisfied by the matrix components of Y.
 
-    With components Y(e_i e_j) = sum Y_ij^{kl} e_k e_l recomputed in the
-    supplied basis, the sum over l of
+    With components Y(e_i e_j) = sum Y_ij^{kl} e_k e_l, the sum over l of
     Y_ij^{rl} Y_lk^{rt} - Y_ik^{rl} Y_lj^{rt} must equal q, -q or 0
-    according to the index pattern.  Holding in every basis, this is
-    equivalent to the degree-3 containments.
+    according to the index pattern: the e_r e_r e_t coordinates of
+    (Id x Y)(Y x Id)w and of q w for w = e_i (x) e_j^e_k.  So it is the first
+    containment read where an index repeats.  When Y maps into Alt2 that
+    difference lies in V (x) Alt2, where vanishing on every x (x) x (x) y,
+    i.e. in every basis (pass ``change_of_basis(Y, P)``), is lying in Alt3.
     """
     fld = Y.field
     qq = fld.of(q)
-    zero = fld.zero()
-    yb = Y if basis is None else change_of_basis(Y, basis)
-    comp = yb.rows  # comp[idx2(k,l)][idx2(i,j)] = Y_ij^{kl}
-
-    def y(i, j, k, l):
-        return comp[idx2(k, l)][idx2(i, j)]
+    y1, y2 = slot_action(Y, 0, 1), slot_action(Y, 1, 2)
+    e = ([1, 0, 0], [0, 1, 0], [0, 0, 1])  # integer coordinates: w costs no field products
+    w = [tensor2(e[i], wedge2(e[j], e[k])) for i, j, k in product(range(3), repeat=3)]
+    yw = [y2(y1(x)) for x in w]  # w[idx3(i, j, k)] = e_i (x) e_j^e_k, zero when j = k
 
     def mismatches():
-        for r in range(3):
-            for t in range(3):
-                for i in range(3):
-                    for j in range(3):
-                        for k in range(3):
-                            acc = zero
-                            for l in range(3):
-                                acc = acc + y(i, j, r, l) * y(l, k, r, t) \
-                                    - y(i, k, r, l) * y(l, j, r, t)
-                            if i != r or t == r or {j, k} != {r, t}:
-                                want = zero
-                            elif j == r and k == t:
-                                want = qq
-                            else:
-                                want = -qq
-                            if acc != want:
-                                indices = [i + 1, j + 1, k + 1, r + 1, t + 1]
-                                yield _witness(fld, {"indices": indices}, acc, want)
+        for r, t, i, j, k in product(range(3), repeat=5):
+            n, c = idx3(i, j, k), idx3(r, r, t)
+            lhs, rhs = yw[n][c], qq * w[n][c]
+            if lhs != rhs:
+                yield _witness(fld, {"indices": [i + 1, j + 1, k + 1, r + 1, t + 1]}, lhs, rhs)
 
-    name = "component_identity" if basis is None else "component_identity[basis]"
-    return CheckReport(name, next(mismatches(), None))
+    return CheckReport("component_identity", next(mismatches(), None))
 
 
 def check_pairing_identities(Y: Matrix, q) -> CheckReport:
@@ -238,18 +225,17 @@ def check_pairing_identities(Y: Matrix, q) -> CheckReport:
     qq = fld.of(q)
     e = std_basis(fld)
     zero = fld.zero()
+    vol_e = [bivector(fld, v) for v in e]  # vol_e[i][idx2(j, k)] = vol(e_i, e_j, e_k)
 
     def mismatches():
         yield from _non_alternating_columns(Y)
         ell = pairing_coordinates(Y)  # ell[i][j][k] = L[e_i, e_j](e_k)
-        for i in range(3):
-            for j in range(3):
-                for k in range(3):
-                    lhs = ell[i][j][k] - ell[i][k][j]
-                    rhs = (qq + 1) * vol(e[i], e[j], e[k])
-                    if lhs != rhs:
-                        yield _witness(fld, {"indices": [i + 1, j + 1, k + 1]}, lhs, rhs,
-                                       identity="eigenvalue")
+        for i, j, k in product(range(3), repeat=3):
+            lhs = ell[i][j][k] - ell[i][k][j]
+            rhs = (qq + 1) * vol_e[i][idx2(j, k)]
+            if lhs != rhs:
+                yield _witness(fld, {"indices": [i + 1, j + 1, k + 1]}, lhs, rhs,
+                               identity="eigenvalue")
         xs = [(f"e{i+1}", e[i]) for i in range(3)]
         xs += [
             (f"e{i+1}+e{j+1}", [a + b for a, b in zip(e[i], e[j])])
@@ -261,24 +247,15 @@ def check_pairing_identities(Y: Matrix, q) -> CheckReport:
             lx = [[sum((x[i] * ell[i][j][u] for i in range(3)), zero) for u in range(3)]
                   for j in range(3)]
             lxx = [sum((x[j] * lx[j][u] for j in range(3)), zero) for u in range(3)]
-            volx = [[vol(x, e[u], e[v]) for v in range(3)] for u in range(3)]
-            for j in range(3):
-                for k in range(3):
-                    vxjk = vol(x, e[j], e[k])
-                    ljk = ell[j][k]
-                    for u in range(3):
-                        for v in range(3):
-                            lhs = (
-                                lx[j][u] * lx[k][v]
-                                - lx[j][v] * lx[k][u]
-                                - lxx[u] * ljk[v]
-                                + lxx[v] * ljk[u]
-                            )
-                            rhs = qq * vxjk * volx[u][v]
-                            if lhs != rhs:
-                                yield _witness(
-                                    fld, {"x": xname, "indices": [j + 1, k + 1, u + 1, v + 1]},
-                                    lhs, rhs, identity="wedge")
+            volx = bivector(fld, x)
+            for j, k in product(range(3), repeat=2):
+                lhs = [a - b for a, b in zip(wedge2(lx[j], lx[k]), wedge2(lxx, ell[j][k]))]
+                c = qq * volx[idx2(j, k)]
+                rhs = [c * v for v in volx]
+                for (u, v), a, b in zip(product(range(3), repeat=2), lhs, rhs):
+                    if a != b:
+                        yield _witness(fld, {"x": xname, "indices": [j + 1, k + 1, u + 1, v + 1]},
+                                       a, b, identity="wedge")
 
     return CheckReport("pairing_identities", next(mismatches(), None))
 
@@ -310,17 +287,16 @@ def check_cyclic_shift_identity(Y: Matrix, T: Matrix, q) -> CheckReport:
     return CheckReport("cyclic_shift_identity", next(mismatches(), None))
 
 
-def run_suite(sym: HeckeSymmetry, random_bases: int = 0, rng=None) -> list[CheckReport]:
+def run_suite(sym: HeckeSymmetry) -> list[CheckReport]:
     """All checks on one symmetry, in a fixed order.
 
-    ``random_bases`` extra bases (beyond the standard one) are used for the
-    component identity.  The traceless operator for the shift identity comes
-    from the extracted invariant operator.
+    The traceless operator for the shift identity comes from the extracted
+    invariant operator.
     """
-    return _suite_and_F(sym, random_bases, rng)[0]
+    return _suite_and_F(sym)[0]
 
 
-def _suite_and_F(sym: HeckeSymmetry, random_bases: int = 0, rng=None):
+def _suite_and_F(sym: HeckeSymmetry):
     """The reports of :func:`run_suite` and the extracted F (None when extraction failed)."""
     reports = [
         check_braid(sym.R),
@@ -328,14 +304,8 @@ def _suite_and_F(sym: HeckeSymmetry, random_bases: int = 0, rng=None):
         check_image_and_eigen(sym.Y, sym.q),
         check_containments(sym.Y, sym.q),
         check_component_identity(sym.Y, sym.q),
+        check_pairing_identities(sym.Y, sym.q),
     ]
-    if random_bases:
-        rng = rng or random.Random(0)
-        for _ in range(random_bases):
-            reports.append(
-                check_component_identity(sym.Y, sym.q, random_invertible(sym.field, rng))
-            )
-    reports.append(check_pairing_identities(sym.Y, sym.q))
     try:
         f_op = extract_F(sym)
     except NotHeckeSym0 as exc:

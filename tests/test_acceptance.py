@@ -13,7 +13,7 @@ import pytest
 from hecke3.errors import CharacteristicTwo, SingularDeformation
 from hecke3.fields import GF, QQ
 from hecke3.linalg import Matrix, echelon_span, span_equal
-from hecke3.multilinear import random_invertible, std_basis, wedge2
+from hecke3.multilinear import change_of_basis, random_invertible, std_basis, wedge2
 from hecke3.heckecore import (
     build_R,
     build_Y_from_F,
@@ -86,7 +86,11 @@ def sufficiency_suite(field, random_bases=10, seed=0):
     failures = []
     for label, data in canonical_symmetries(field):
         sym = build_R(data)
-        for rep in run_suite(sym, random_bases=random_bases, rng=rng):
+        moved = [
+            check_component_identity(change_of_basis(sym.Y, random_invertible(field, rng)), sym.q)
+            for _ in range(random_bases)
+        ]
+        for rep in run_suite(sym) + moved:
             if not rep.passed:
                 failures.append((label, field.fmt(sym.q), rep.name))
     return failures

@@ -7,26 +7,42 @@ from fractions import Fraction
 
 import pytest
 
-from hecke3.errors import SingularMatrix
+from hecke3.cli import main
+from hecke3.errors import NotHeckeSym0, SingularMatrix
 from hecke3.fields import GF, QQ
 from hecke3.linalg import Matrix
-from hecke3.multilinear import basis_vector, std_basis, wedge2
+from hecke3.multilinear import (
+    basis_vector,
+    change_of_basis,
+    idx2,
+    random_invertible,
+    std_basis,
+    vol,
+    wedge2,
+)
 from hecke3.heckecore import (
     FOperator,
     HeckeData,
+    HeckeSymmetry,
     build_R,
+    conjugate_data,
+    extract_F,
     flip_matrix,
     g_value,
+    pairing_coordinates,
     skewsymmetrizer_matrix,
     symmetric_form,
     t_operator_of_F,
 )
 from hecke3.classify import TYPE_LABELS, canonical, classify, reference_r_matrix
 from hecke3.cybe import check_cybe, check_symmetrized, classical_r, gl_tensor
+from hecke3.jsonio import matrix_to_json
 from hecke3.verifier import (
     CheckReport,
+    _non_alternating_columns,
     _random_independent_pair,
     _random_scalar,
+    _witness,
     check_braid,
     check_component_identity,
     check_containments,
@@ -128,10 +144,8 @@ class TestComponentIdentity:
         rng = random.Random(71)
         sym = build_R(canonical("Type4"))
         for _ in range(10):
-            from hecke3.multilinear import random_invertible
-
-            rep = check_component_identity(sym.Y, sym.q, random_invertible(QQ, rng))
-            assert rep.passed
+            moved = change_of_basis(sym.Y, random_invertible(QQ, rng))
+            assert check_component_identity(moved, sym.q).passed
 
     def test_broken_constraint_fails_with_tuple(self):
         q = QQ.of(2)
@@ -143,7 +157,7 @@ class TestComponentIdentity:
     def test_singular_basis_rejected(self):
         sym = family_sym(Fr(2))
         with pytest.raises(SingularMatrix):
-            check_component_identity(sym.Y, sym.q, Matrix.zeros(QQ, 3))
+            change_of_basis(sym.Y, Matrix.zeros(QQ, 3))
 
 
 class TestPairingIdentities:
@@ -195,10 +209,8 @@ class TestFormulationAgreement:
 
     def _verdicts(self, Y, q):
         rng = random.Random(5)
-        from hecke3.multilinear import random_invertible
-
         coords = check_component_identity(Y, q).passed and all(
-            check_component_identity(Y, q, random_invertible(QQ, rng)).passed
+            check_component_identity(change_of_basis(Y, random_invertible(QQ, rng)), q).passed
             for _ in range(10)
         )
         return (
@@ -223,7 +235,11 @@ class TestFormulationAgreement:
 
 class TestRunSuite:
     def test_all_pass_on_built_symmetry(self):
-        reports = run_suite(family_sym(Fr(2)), random_bases=3)
+        sym, rng = family_sym(Fr(2)), random.Random(0)
+        reports = run_suite(sym) + [
+            check_component_identity(change_of_basis(sym.Y, random_invertible(QQ, rng)), sym.q)
+            for _ in range(3)
+        ]
         assert all(r.passed for r in reports)
         names = [r.name for r in reports]
         assert names[0] == "braid" and "pairing_identities" in names
@@ -441,3 +457,177 @@ def test_golden_witness_bytes(field):
         assert not doc["passed"], name
         digests[name] = hashlib.sha256(json.dumps(doc).encode()).hexdigest()
     assert digests == GOLDEN_WITNESS_DIGESTS[field.name]
+
+
+def reference_component_identity(Y, q):
+    """The component identity as the index loop over Y's components it was first written as."""
+    fld = Y.field
+    qq = fld.of(q)
+    zero = fld.zero()
+    comp = Y.rows  # comp[idx2(k,l)][idx2(i,j)] = Y_ij^{kl}
+
+    def y(i, j, k, l):
+        return comp[idx2(k, l)][idx2(i, j)]
+
+    for r in range(3):
+        for t in range(3):
+            for i in range(3):
+                for j in range(3):
+                    for k in range(3):
+                        acc = zero
+                        for l in range(3):
+                            acc = acc + y(i, j, r, l) * y(l, k, r, t) \
+                                - y(i, k, r, l) * y(l, j, r, t)
+                        if i != r or t == r or {j, k} != {r, t}:
+                            want = zero
+                        elif j == r and k == t:
+                            want = qq
+                        else:
+                            want = -qq
+                        if acc != want:
+                            indices = [i + 1, j + 1, k + 1, r + 1, t + 1]
+                            return CheckReport("component_identity",
+                                               _witness(fld, {"indices": indices}, acc, want))
+    return CheckReport("component_identity")
+
+
+def reference_pairing_identities(Y, q):
+    """The pairing identities with every term written out and vol evaluated directly."""
+    fld = Y.field
+    qq = fld.of(q)
+    e = std_basis(fld)
+    zero = fld.zero()
+
+    def mismatches():
+        yield from _non_alternating_columns(Y)
+        ell = pairing_coordinates(Y)
+        for i in range(3):
+            for j in range(3):
+                for k in range(3):
+                    lhs = ell[i][j][k] - ell[i][k][j]
+                    rhs = (qq + 1) * vol(e[i], e[j], e[k])
+                    if lhs != rhs:
+                        yield _witness(fld, {"indices": [i + 1, j + 1, k + 1]}, lhs, rhs,
+                                       identity="eigenvalue")
+        xs = [(f"e{i+1}", e[i]) for i in range(3)]
+        xs += [
+            (f"e{i+1}+e{j+1}", [a + b for a, b in zip(e[i], e[j])])
+            for i in range(3)
+            for j in range(i + 1, 3)
+        ]
+        for xname, x in xs:
+            lx = [[sum((x[i] * ell[i][j][u] for i in range(3)), zero) for u in range(3)]
+                  for j in range(3)]
+            lxx = [sum((x[j] * lx[j][u] for j in range(3)), zero) for u in range(3)]
+            volx = [[vol(x, e[u], e[v]) for v in range(3)] for u in range(3)]
+            for j in range(3):
+                for k in range(3):
+                    vxjk = vol(x, e[j], e[k])
+                    ljk = ell[j][k]
+                    for u in range(3):
+                        for v in range(3):
+                            lhs = (
+                                lx[j][u] * lx[k][v]
+                                - lx[j][v] * lx[k][u]
+                                - lxx[u] * ljk[v]
+                                + lxx[v] * ljk[u]
+                            )
+                            rhs = qq * vxjk * volx[u][v]
+                            if lhs != rhs:
+                                yield _witness(
+                                    fld, {"x": xname, "indices": [j + 1, k + 1, u + 1, v + 1]},
+                                    lhs, rhs, identity="wedge")
+
+    return CheckReport("pairing_identities", next(mismatches(), None))
+
+
+def non_member_Y(field, squares):
+    """Y = (q+1)(P + sum of t (x) (e_i (x) e_i)*) at q = 2, with P = (Id - flip)/2.
+
+    ``squares`` maps i to the bivector t taking the column of e_i (x) e_i.
+    """
+    P = (Matrix.identity(field, 9) - flip_matrix(field)).scale(field.one() / 2)
+    cols = [P.col(c) for c in range(9)]
+    for i, t in squares.items():
+        cols[idx2(i, i)] = [a + b for a, b in zip(cols[idx2(i, i)], t)]
+    return Matrix.from_columns(field, cols).scale(field.of(3))
+
+
+def _bumped(Y, entries):
+    """Y with x added at (r, c) for each (r, c, x) of ``entries``."""
+    rows = [row[:] for row in Y.rows]
+    for r, c, x in entries:
+        rows[r][c] = rows[r][c] + x
+    return Matrix(Y.field, rows)
+
+
+def _reference_samples(field):
+    """(q, Y) pairs: valid, moved, sampled, adversarial, bumped and non-member operators."""
+    rng = random.Random(23)
+    e1, e2, e3 = std_basis(field)
+    out = []
+    for label in TYPE_LABELS:
+        q = 2 if label in ("Type1", "Type2") else None
+        sym = build_R(conjugate_data(canonical(label, q, field), random_invertible(field, rng)))
+        out.append((sym.q, sym.Y))
+    for _ in range(3):
+        sym = build_R(sample_strategy_a(field, rng))
+        out.append((sym.q, sym.Y))
+        q, a, b, g = sample_adversarial(field, rng)
+        out.append((q, skewsymmetrizer_matrix(q, g, wedge2(a, b))))
+    q, Y = out[2]  # a moved Type 3
+    one = field.one()
+    for c in (0, 1, 4, 7):
+        out.append((q, _bumped(Y, [(3 * c % 9, c, one)])))  # leaves the alternating square
+        out.append((q, _bumped(Y, [(idx2(0, 1), c, one), (idx2(1, 0), c, -one)])))  # stays in it
+        out.append((q, _bumped(Y, [(idx2(1, 2), c, one), (idx2(2, 1), c, -one)])))
+    out.append((field.of(2), non_member_Y(field, {0: wedge2(e1, e2)})))
+    out.append((field.of(2), non_member_Y(field, {0: wedge2(e1, e2), 1: wedge2(e2, e3)})))
+    return out
+
+
+FIELDS = [QQ, GF(3), GF(7), GF(1_000_003)]
+FIELD_IDS = ["Q", "Fp3", "Fp7", "Fp1000003"]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_component_and_pairing_match_the_reference_loops(field):
+    """Same documents, witnesses included, as the written-out loops."""
+    verdicts = set()
+    for q, Y in _reference_samples(field):
+        component = check_component_identity(Y, q).to_json()
+        assert component == reference_component_identity(Y, q).to_json()
+        pairing = check_pairing_identities(Y, q).to_json()
+        assert pairing == reference_pairing_identities(Y, q).to_json()
+        verdicts.add(component["passed"])
+    assert verdicts == {True, False}
+
+
+class TestNonMembers:
+    """Operators that pass from_matrix but are not Hecke symmetries of the polynomial algebra."""
+
+    @pytest.mark.parametrize("field", [QQ, GF(7), GF(1_000_003)], ids=["Q", "Fp7", "Fp1000003"])
+    def test_one_square_fails_every_degree_three_check(self, field):
+        e1, e2, _ = std_basis(field)
+        q = field.of(2)
+        Y = non_member_Y(field, {0: wedge2(e1, e2)})
+        sym = HeckeSymmetry.from_matrix(Matrix.identity(field, 9).scale(q) - Y)
+        assert sym.q == q
+        for check in (check_braid(sym.R), check_containments(sym.Y, q),
+                      check_component_identity(sym.Y, q), check_pairing_identities(sym.Y, q)):
+            assert not check.passed, check.name
+
+    @pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "Fp7"])
+    def test_two_squares_have_no_rank_one_invariant_operator(self, field, tmp_path, capsys):
+        e1, e2, e3 = std_basis(field)
+        q = field.of(2)
+        R = Matrix.identity(field, 9).scale(q) - non_member_Y(
+            field, {0: wedge2(e1, e2), 1: wedge2(e2, e3)})
+        with pytest.raises(NotHeckeSym0, match="^the invariant operator does not have rank 1$"):
+            extract_F(HeckeSymmetry.from_matrix(R))
+        path = tmp_path / "R.json"
+        path.write_text(json.dumps({"field": field.name, "q": "2", "R": matrix_to_json(R)}))
+        assert main(["verify", "--matrix", str(path)]) == 1
+        shift = json.loads(capsys.readouterr().out)[-1]
+        assert shift == {"name": "cyclic_shift_identity", "passed": False, "witness": {
+            "error": "no valid invariant operator: the invariant operator does not have rank 1"}}
