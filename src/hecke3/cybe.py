@@ -17,11 +17,11 @@ from dataclasses import dataclass, field as dc_field
 from itertools import combinations, product
 
 from .fields import QQ
-from .linalg import Matrix, echelon_span, span_coords
+from .linalg import Matrix, echelon_span, reduce_mod, span_coords
 from .heckecore import HeckeSymmetry, flip_matrix
 from .jsonio import matrix_to_json, vector_to_json
-from .multilinear import matrix_of_map, slot_action
-from .verifier import CheckReport, column_witness
+from .multilinear import slot_action, unit_tensors
+from .verifier import CheckReport, column_witness, columns_witness
 
 __all__ = [
     "GlTensor",
@@ -124,18 +124,18 @@ def check_cybe(t: GlTensor) -> CheckReport:
     """Classical Yang-Baxter equation on the third tensor power.
 
     r12, r13 and r23 are r acting on slots (1,2), (1,3) and (2,3); the sum of
-    the three commutators is formed one basis tensor at a time.
+    the three commutators is formed one basis tensor at a time, times d^2 for r = N / d.
     """
-    r12, r13, r23 = (slot_action(t.matrix, s, u) for s, u in ((0, 1), (0, 2), (1, 2)))
-    zero = Matrix.zeros(t.field, 27)
+    (r12, d), (r13, _), (r23, _) = (slot_action(t.matrix, *s) for s in ((0, 1), (0, 2), (1, 2)))
 
     def commutators(w):
-        out = [t.field.zero()] * 27
+        out = [0] * 27
         for x, y in ((r12, r13), (r12, r23), (r13, r23)):
             out = [a + b - c for a, b, c in zip(out, x(y(w)), y(x(w)))]
-        return out
+        return reduce_mod(out, t.field.characteristic)
 
-    return CheckReport("cybe", column_witness(matrix_of_map(t.field, commutators), zero))
+    columns = ((commutators(w), [0] * 27) for w in unit_tensors(3))
+    return CheckReport("cybe", columns_witness(t.field, columns, d * d))
 
 
 def check_symmetrized(t: GlTensor, q) -> CheckReport:

@@ -39,7 +39,6 @@ from .multilinear import (
     is_alt2,
     pair_vt,
     std_basis,
-    tensor2,
     vol,
     wedge2,
     zero_tensor,
@@ -242,9 +241,9 @@ def build_R(data: HeckeData) -> HeckeSymmetry:
 
 
 def flip_matrix(field) -> Matrix:
-    """The flip x(x)y |-> y(x)x: column (i, j) is e_j (x) e_i."""
-    e = std_basis(field)
-    return Matrix.from_columns(field, [tensor2(e[j], e[i]) for i in range(3) for j in range(3)])
+    """The flip x(x)y |-> y(x)x: row (i, j) of the identity is moved to row (j, i)."""
+    rows = Matrix.identity(field, 9).rows
+    return Matrix(field, [rows[idx2(j, i)] for i in range(3) for j in range(3)])
 
 
 def hecke_residual(R: Matrix, q) -> Matrix:

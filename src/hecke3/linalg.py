@@ -8,9 +8,12 @@ compared bit-exactly.
 
 from __future__ import annotations
 
+from math import lcm
+
 from .errors import DimensionMismatch, SingularMatrix
 
-__all__ = ["Matrix", "echelon_span", "span_coords", "span_equal"]
+__all__ = ["Matrix", "echelon_span", "span_coords", "span_equal", "integer_coordinates",
+           "reduce_mod"]
 
 
 class Matrix:
@@ -269,3 +272,17 @@ def span_coords(ech_rows, v):
 def span_equal(ech_a, ech_b) -> bool:
     """Spans given by echelonized bases are equal iff the bases coincide."""
     return ech_a == ech_b
+
+
+def integer_coordinates(field, xs):
+    """Integers n and a scale d > 0 with xs = n / d: d = 1 over F_p, lcm of denominators over Q."""
+    if field.characteristic:
+        return [x.v for x in xs], 1
+    d = lcm(*(x.denominator for x in xs))
+    return [x.numerator * (d // x.denominator) for x in xs], d
+
+
+def reduce_mod(ns, p):
+    """ns mod p as the residues nearest zero, which negation preserves; ns itself for p = 0 (Q)."""
+    h = p // 2
+    return [(n + h) % p - h for n in ns] if p else ns

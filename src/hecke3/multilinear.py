@@ -16,7 +16,7 @@ determinant).
 from __future__ import annotations
 
 from .errors import DimensionMismatch, NotAlternating
-from .linalg import Matrix
+from .linalg import Matrix, integer_coordinates, reduce_mod
 
 __all__ = [
     "idx2",
@@ -33,6 +33,7 @@ __all__ = [
     "bivector",
     "is_alt2",
     "is_alt3",
+    "unit_tensors",
     "alt2_basis",
     "slot_action",
     "matrix_of_map",
@@ -156,48 +157,50 @@ def bivector(field, s):
     return [z, s[2], -s[1], -s[2], z, s[0], s[1], -s[0], z]
 
 
-def alt2_basis(field):
-    """Basis e1^e2, e1^e3, e2^e3 of the alternating square."""
-    e = std_basis(field)
+def unit_tensors(degree: int):
+    """The 3**degree basis tensors in integer coordinates, which every field accepts."""
+    return [[int(i == j) for j in range(3 ** degree)] for i in range(3 ** degree)]
+
+
+def alt2_basis():
+    """Basis e1^e2, e1^e3, e2^e3 of the alternating square, in integer coordinates."""
+    e = unit_tensors(1)
     return [wedge2(e[0], e[1]), wedge2(e[0], e[2]), wedge2(e[1], e[2])]
 
 
 def slot_action(op2: Matrix, s: int, t: int):
-    """The map on 27 coordinates applying a 9x9 operator to slots (s, t).
+    """The 9x9 operator op2 = N / d on slots (s, t) of degree-3 tensors, as (act, d).
 
-    Slot s takes the operator's first tensor factor and slot t its second:
-    (0, 1) is Y (x) Id, (1, 2) is Id (x) Y, (0, 2) acts on the outer slots.
-    Each nonzero column is read once, into the moves of the basis tensors.
+    N and d come from :func:`~hecke3.linalg.integer_coordinates`; act(w) is N acting
+    on integer coordinates w, reduced mod p over F_p.  Slot s takes the first tensor
+    factor, slot t the second: (0, 1) is Y (x) Id, (1, 2) is Id (x) Y, (0, 2) acts on
+    the outer slots.  No field scalar is formed.
     """
-    zero = op2.field.zero()
-    weight = (9, 3, 1)
-    u = 3 - s - t  # the slot left alone
-    cols = [[] for _ in range(9)]
-    for r, row in enumerate(op2.rows):
-        off = weight[s] * (r // 3) + weight[t] * (r % 3)
-        for c, x in enumerate(row):
-            if x != 0:
-                cols[c].append((off, x))
-    moves = []
-    for p in range(27):
-        d = (p // 9, p // 3 % 3, p % 3)
-        base = weight[u] * d[u]
-        moves.append([(base + o, x) for o, x in cols[3 * d[s] + d[t]]])
+    modulus = op2.field.characteristic
+    n, d = integer_coordinates(op2.field, [x for row in op2.rows for x in row])
+    weight, u = (9, 3, 1), 3 - s - t  # u: the slot left alone
+    moves = []  # moves[b]: the (position, coefficient) pairs of N applied to basis tensor b
+    for b in range(27):
+        digit = (b // 9, b // 3 % 3, b % 3)
+        c, base = 3 * digit[s] + digit[t], weight[u] * digit[u]
+        moves.append([(base + weight[s] * (r // 3) + weight[t] * (r % 3), n[9 * r + c])
+                      for r in range(9) if n[9 * r + c]])
 
     def act(w):
-        out = [zero] * 27
+        out = [0] * 27
         for p, wp in enumerate(w):
-            if wp != 0:
+            if wp:
                 for o, x in moves[p]:
-                    out[o] = out[o] + x * wp
-        return out
+                    out[o] += x * wp
+        return reduce_mod(out, modulus)
 
-    return act
+    return act, d
 
 
-def matrix_of_map(field, act) -> Matrix:
-    """The 27x27 matrix whose columns are act applied to the basis tensors."""
-    return Matrix.from_columns(field, [act(e) for e in Matrix.identity(field, 27).rows])
+def matrix_of_map(field, action) -> Matrix:
+    """The 27x27 matrix of a slot action (act, d): columns act(e) / d on the basis tensors."""
+    act, d = action
+    return Matrix.from_columns(field, [act(e) for e in unit_tensors(3)]).scale(field.one() / d)
 
 
 def lift_left(op2: Matrix) -> Matrix:

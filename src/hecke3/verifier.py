@@ -15,7 +15,7 @@ from itertools import product
 
 from .errors import InputError, NotHeckeSym0
 from .jsonio import vector_to_json
-from .linalg import Matrix
+from .linalg import Matrix, integer_coordinates, reduce_mod
 from .multilinear import (
     alt2_basis,
     bivector,
@@ -24,11 +24,11 @@ from .multilinear import (
     is_alt2,
     is_alt3,
     cyclic_shift,
-    matrix_of_map,
     random_invertible,
     slot_action,
     std_basis,
     tensor2,
+    unit_tensors,
     wedge2,
     wedge_vt,
 )
@@ -51,6 +51,7 @@ from .heckecore import (
 __all__ = [
     "CheckReport",
     "column_witness",
+    "columns_witness",
     "check_braid",
     "check_hecke",
     "check_image_and_eigen",
@@ -90,28 +91,30 @@ def _basis_tensor(c: int, n: int):
     return digits[1:] if n == 9 else digits
 
 
-def _witness(field, input, lhs, rhs, **head) -> dict:
-    """The witness document; a side is text, a scalar or a coordinate list."""
+def _witness(field, input, lhs, rhs, scale=1, **head) -> dict:
+    """The witness document; a side is text, a scalar or a coordinate list (int n is n / scale)."""
 
     def side(x):
         if isinstance(x, str):
             return [x]
-        return vector_to_json(field, x if isinstance(x, list) else [x])
+        xs = x if isinstance(x, list) else [x]
+        return vector_to_json(field, xs if scale == 1 else [field.of(n) / scale for n in xs])
 
     return {**head, "input": input, "lhs": side(lhs), "rhs": side(rhs)}
 
 
 def column_witness(lhs: Matrix, rhs: Matrix, **context) -> dict | None:
-    """Witness at the first basis tensor where two operators differ, or None.
+    """Witness at the first basis tensor where two 9x9 or 27x27 operators differ, or None."""
+    return columns_witness(lhs.field, zip(lhs.transpose().rows, rhs.transpose().rows), **context)
 
-    Works for 9x9 and 27x27 operators; ``context`` keys are recorded in the
-    witness input ahead of the basis tensor.
+
+def columns_witness(field, columns, scale=1, **context) -> dict | None:
+    """:func:`column_witness` of the (lhs, rhs) column pairs, read up to the first mismatch.
+
+    Integer columns stand for n / scale; ``context`` keys precede the basis tensor.
     """
-    if lhs == rhs:
-        return None
-    c = next(c for c in range(lhs.ncols) if lhs.col(c) != rhs.col(c))
-    return _witness(lhs.field, {**context, "basis_tensor": _basis_tensor(c, lhs.ncols)},
-                    lhs.col(c), rhs.col(c))
+    return next((_witness(field, {**context, "basis_tensor": _basis_tensor(c, len(x))},
+                          x, y, scale) for c, (x, y) in enumerate(columns) if x != y), None)
 
 
 def _non_alternating_columns(Y: Matrix):
@@ -124,11 +127,10 @@ def _non_alternating_columns(Y: Matrix):
 
 
 def check_braid(R: Matrix) -> CheckReport:
-    """(R x Id)(Id x R)(R x Id) = (Id x R)(R x Id)(Id x R) on all 27 columns."""
-    r1, r2 = slot_action(R, 0, 1), slot_action(R, 1, 2)
-    lhs = matrix_of_map(R.field, lambda w: r1(r2(r1(w))))
-    rhs = matrix_of_map(R.field, lambda w: r2(r1(r2(w))))
-    return CheckReport("braid", column_witness(lhs, rhs))
+    """(R x Id)(Id x R)(R x Id) = (Id x R)(R x Id)(Id x R), times d^3 for R = N / d."""
+    (r1, d), (r2, _) = slot_action(R, 0, 1), slot_action(R, 1, 2)
+    columns = ((r1(r2(r1(w))), r2(r1(r2(w)))) for w in unit_tensors(3))
+    return CheckReport("braid", columns_witness(R.field, columns, d ** 3))
 
 
 def check_hecke(R: Matrix, q) -> CheckReport:
@@ -146,7 +148,7 @@ def check_image_and_eigen(Y: Matrix, q) -> CheckReport:
         if rk != 3:
             yield _witness(fld, {"rank": rk}, str(rk), "3")
         qq = fld.of(q)
-        for w in alt2_basis(fld):
+        for w in alt2_basis():
             got = Y.apply(w)
             want = [(qq + 1) * c for c in w]
             if got != want:
@@ -160,23 +162,22 @@ def check_containments(Y: Matrix, q) -> CheckReport:
 
     (Id x Y)(Y x Id)w - q w must be alternating for every w in V (x) Alt2,
     and (Y x Id)(Id x Y)w - q w for every w in Alt2 (x) V; both are checked
-    on the 9 spanning tensors of each space.
+    on the 9 spanning tensors of each space, times b d^2 for Y = N / d, q = a / b.
     """
-    fld = Y.field
-    qq = fld.of(q)
-    y1, y2 = slot_action(Y, 0, 1), slot_action(Y, 1, 2)
-    e = std_basis(fld)
+    fld, e = Y.field, unit_tensors(1)
+    (y1, d), (y2, _) = slot_action(Y, 0, 1), slot_action(Y, 1, 2)
+    (qn,), qd = integer_coordinates(fld, [fld.of(q)])
 
     def mismatches():
         for space, first, second in (("VxAlt2", y1, y2), ("Alt2xV", y2, y1)):
             for i in range(3):
-                for t in alt2_basis(fld):
+                for t in alt2_basis():
                     w = tensor2(e[i], t) if space == "VxAlt2" else tensor2(t, e[i])
-                    u = [a - qq * b for a, b in zip(second(first(w)), w)]
-                    if not is_alt3(u):
+                    u = [qd * a - qn * d * d * b for a, b in zip(second(first(w)), w)]
+                    if not is_alt3(u := reduce_mod(u, fld.characteristic)):
                         yield _witness(fld, {"space": space, "vector": i + 1,
                                              "bivector": vector_to_json(fld, t)},
-                                       u, "element of Alt3 expected")
+                                       u, "element of Alt3 expected", scale=qd * d * d)
 
     return CheckReport("containments", next(mismatches(), None))
 
@@ -191,20 +192,21 @@ def check_component_identity(Y: Matrix, q) -> CheckReport:
     containment read where an index repeats.  When Y maps into Alt2 that
     difference lies in V (x) Alt2, where vanishing on every x (x) x (x) y,
     i.e. in every basis (pass ``change_of_basis(Y, P)``), is lying in Alt3.
+    The sides are compared times b d^2, for Y = N / d and q = a / b.
     """
-    fld = Y.field
-    qq = fld.of(q)
-    y1, y2 = slot_action(Y, 0, 1), slot_action(Y, 1, 2)
-    e = ([1, 0, 0], [0, 1, 0], [0, 0, 1])  # integer coordinates: w costs no field products
+    fld, e = Y.field, unit_tensors(1)
+    (y1, d), (y2, _) = slot_action(Y, 0, 1), slot_action(Y, 1, 2)
+    (qn,), qd = integer_coordinates(fld, [fld.of(q)])
     w = [tensor2(e[i], wedge2(e[j], e[k])) for i, j, k in product(range(3), repeat=3)]
-    yw = [y2(y1(x)) for x in w]  # w[idx3(i, j, k)] = e_i (x) e_j^e_k, zero when j = k
+    yw = [None] * 27  # yw[n] = y2(y1(w[n])), formed the first time the loop reads it
 
     def mismatches():
         for r, t, i, j, k in product(range(3), repeat=5):
             n, c = idx3(i, j, k), idx3(r, r, t)
-            lhs, rhs = yw[n][c], qq * w[n][c]
-            if lhs != rhs:
-                yield _witness(fld, {"indices": [i + 1, j + 1, k + 1, r + 1, t + 1]}, lhs, rhs)
+            yw[n] = yw[n] or y2(y1(w[n]))
+            if reduce_mod([qd * yw[n][c] - qn * d * d * w[n][c]], fld.characteristic) != [0]:
+                yield _witness(fld, {"indices": [i + 1, j + 1, k + 1, r + 1, t + 1]},
+                               yw[n][c] * qd, qn * d * d * w[n][c], scale=qd * d * d)
 
     return CheckReport("component_identity", next(mismatches(), None))
 
@@ -265,24 +267,24 @@ def check_cyclic_shift_identity(Y: Matrix, T: Matrix, q) -> CheckReport:
 
     Both mixed products land in the alternating cube when shifted against
     each other, and their difference is controlled by the traceless
-    operator alone.
+    operator alone.  Compared times b m d^2, for Y = N / d, T = M / m, q = a / b.
     """
-    fld = Y.field
-    qq = fld.of(q)
-    y1, y2 = slot_action(Y, 0, 1), slot_action(Y, 1, 2)
-    e = std_basis(fld)
+    fld, e = Y.field, unit_tensors(1)
+    (y1, d), (y2, _) = slot_action(Y, 0, 1), slot_action(Y, 1, 2)
+    (qn,), qd = integer_coordinates(fld, [fld.of(q)])
+    tn, td = integer_coordinates(fld, [x for row in T.rows for x in row])
 
     def mismatches():
         for i in range(3):
-            tx2 = T.apply(e[i])
-            for t in alt2_basis(fld):
+            for t in alt2_basis():
                 tx, xt = tensor2(t, e[i]), tensor2(e[i], t)
-                shift = cyclic_shift(y2(y1(xt)))
-                lhs = [a - b for a, b in zip(y1(y2(tx)), shift)]
-                rhs = [2 * (qq + 1) * c for c in wedge_vt(tx2, t)]
+                lhs = [a - b for a, b in zip(y1(y2(tx)), cyclic_shift(y2(y1(xt))))]
+                lhs = reduce_mod([qd * td * a for a in lhs], fld.characteristic)
+                rhs = wedge_vt(tn[i::3], t)  # tn[i::3] = td T e_i
+                rhs = reduce_mod([2 * (qn + qd) * d * d * c for c in rhs], fld.characteristic)
                 if lhs != rhs:
                     yield _witness(fld, {"vector": i + 1, "bivector": vector_to_json(fld, t)},
-                                   lhs, rhs)
+                                   lhs, rhs, scale=qd * td * d * d)
 
     return CheckReport("cyclic_shift_identity", next(mismatches(), None))
 

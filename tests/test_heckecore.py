@@ -301,7 +301,7 @@ class TestBuildY:
         for j in range(9):
             assert is_alt2(Y.col(j))
         assert Y.rank() == 3
-        for w in alt2_basis(QQ):
+        for w in alt2_basis():
             assert Y.apply(w) == [(q + 1) * c for c in w]
 
 

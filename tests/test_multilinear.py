@@ -141,7 +141,7 @@ def test_pairing_nondegeneracy():
     """Vectors pair nondegenerately against a basis of the bivectors."""
     m = Matrix(
         QQ,
-        [[pair_vt(e, t) for t in alt2_basis(QQ)]
+        [[pair_vt(e, t) for t in alt2_basis()]
          for e in std_basis(QQ)],
     )
     assert m.det() != 0
@@ -247,7 +247,7 @@ class TestCyclicShift:
 
     def test_maps_v_alt2_onto_alt2_v(self):
         for i in range(3):
-            for t in alt2_basis(QQ):
+            for t in alt2_basis():
                 w = [ei * tc for ei in std_basis(QQ)[i] for tc in t]
                 assert front_slices_alternating(w)
                 assert back_slices_alternating(cyclic_shift(w))

@@ -4,21 +4,27 @@ import hashlib
 import json
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
 from hecke3.cli import main
 from hecke3.errors import NotHeckeSym0, SingularMatrix
+from hecke3 import fields
 from hecke3.fields import GF, QQ
-from hecke3.linalg import Matrix
+from hecke3.linalg import Matrix, integer_coordinates
 from hecke3.multilinear import (
     basis_vector,
     change_of_basis,
+    cyclic_shift,
     idx2,
+    is_alt3,
     random_invertible,
     std_basis,
+    tensor2,
     vol,
     wedge2,
+    wedge_vt,
 )
 from hecke3.heckecore import (
     FOperator,
@@ -36,7 +42,7 @@ from hecke3.heckecore import (
 )
 from hecke3.classify import TYPE_LABELS, canonical, classify, reference_r_matrix
 from hecke3.cybe import check_cybe, check_symmetrized, classical_r, gl_tensor
-from hecke3.jsonio import matrix_to_json
+from hecke3.jsonio import matrix_to_json, vector_to_json
 from hecke3.verifier import (
     CheckReport,
     _non_alternating_columns,
@@ -601,6 +607,180 @@ def test_component_and_pairing_match_the_reference_loops(field):
         assert pairing == reference_pairing_identities(Y, q).to_json()
         verdicts.add(component["passed"])
     assert verdicts == {True, False}
+
+
+def _kron_lifts(op):
+    """op on slots (1,2), (2,3) and (1,3) of degree-3 tensors, as dense 27x27 Kronecker products."""
+    ident3 = Matrix.identity(op.field, 3)
+    swap23 = ident3.kron(flip_matrix(op.field))
+    left = op.kron(ident3)
+    return left, ident3.kron(op), swap23 * left * swap23
+
+
+def _field_alt2_basis(field):
+    e = std_basis(field)
+    return [wedge2(e[0], e[1]), wedge2(e[0], e[2]), wedge2(e[1], e[2])]
+
+
+def reference_braid(R):
+    """The braid equation as products of the dense lifts."""
+    r1, r2, _ = _kron_lifts(R)
+    return CheckReport("braid", column_witness(r1 * (r2 * r1), r2 * (r1 * r2)))
+
+
+def reference_containments(Y, q):
+    """The containments in field coordinates, the dense lifts applied to each spanning tensor."""
+    fld, qq = Y.field, Y.field.of(q)
+    y1, y2, _ = _kron_lifts(Y)
+    e = std_basis(fld)
+    for space, first, second in (("VxAlt2", y1, y2), ("Alt2xV", y2, y1)):
+        for i in range(3):
+            for t in _field_alt2_basis(fld):
+                w = tensor2(e[i], t) if space == "VxAlt2" else tensor2(t, e[i])
+                u = [a - qq * b for a, b in zip(second.apply(first.apply(w)), w)]
+                if not is_alt3(u):
+                    return CheckReport("containments", _witness(
+                        fld, {"space": space, "vector": i + 1, "bivector": vector_to_json(fld, t)},
+                        u, "element of Alt3 expected"))
+    return CheckReport("containments")
+
+
+def reference_cyclic_shift_identity(Y, T, q):
+    """The cyclic-shift identity in field coordinates through the dense lifts."""
+    fld, qq = Y.field, Y.field.of(q)
+    y1, y2, _ = _kron_lifts(Y)
+    e = std_basis(fld)
+    for i in range(3):
+        for t in _field_alt2_basis(fld):
+            tx, xt = tensor2(t, e[i]), tensor2(e[i], t)
+            shift = cyclic_shift(y2.apply(y1.apply(xt)))
+            lhs = [a - b for a, b in zip(y1.apply(y2.apply(tx)), shift)]
+            rhs = [2 * (qq + 1) * c for c in wedge_vt(T.apply(e[i]), t)]
+            if lhs != rhs:
+                return CheckReport("cyclic_shift_identity", _witness(
+                    fld, {"vector": i + 1, "bivector": vector_to_json(fld, t)}, lhs, rhs))
+    return CheckReport("cyclic_shift_identity")
+
+
+def reference_cybe(t):
+    """The classical Yang-Baxter equation as commutators of the dense lifts."""
+    r12, r23, r13 = _kron_lifts(t.matrix)
+    total = zero = Matrix.zeros(t.field, 27)
+    for x, y in ((r12, r13), (r12, r23), (r13, r23)):
+        total = total + (x * y - y * x)
+    return CheckReport("cybe", column_witness(total, zero))
+
+
+def _traceless(field, q, Y):
+    """The traceless operator of Y's invariant operator, or a fixed 3x3 matrix when there is none."""
+    try:
+        return t_operator_of_F(extract_F(HeckeSymmetry(Matrix.identity(field, 9).scale(q) - Y, q)))
+    except NotHeckeSym0:
+        return Matrix.from_rows(field, [[1, 2, 0], [0, -1, 3], ["1/2", 0, 5]])
+
+
+def assert_integer_checks_match_kron_references(field, samples):
+    """Each integer-coordinate check gives the reference document, witness included."""
+    verdicts = {}
+    for q, Y in samples:
+        R = Matrix.identity(field, 9).scale(q) - Y
+        T = _traceless(field, q, Y)
+        r = gl_tensor(flip_matrix(field) * R - Matrix.identity(field, 9))
+        pairs = [
+            (check_braid(R), reference_braid(R)),
+            (check_containments(Y, q), reference_containments(Y, q)),
+            (check_component_identity(Y, q), reference_component_identity(Y, q)),
+            (check_cyclic_shift_identity(Y, T, q), reference_cyclic_shift_identity(Y, T, q)),
+            (check_cybe(r), reference_cybe(r)),
+        ]
+        for got, want in pairs:
+            assert got.to_json() == want.to_json()
+            verdicts.setdefault(got.name, set()).add(got.passed)
+    return verdicts
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_integer_checks_match_kron_references(field):
+    """Braid, containments, component, cyclic shift and CYBE agree with the field references."""
+    rng = random.Random(41)
+    samples = []
+    for label in TYPE_LABELS:
+        q = 2 if label in ("Type1", "Type2") else None
+        sym = build_R(conjugate_data(canonical(label, q, field), random_invertible(field, rng)))
+        samples.append((sym.q, sym.Y))
+    for _ in range(2):
+        sym = build_R(sample_strategy_a(field, rng))
+        samples.append((sym.q, sym.Y))
+        q, a, b, g = sample_adversarial(field, rng)
+        samples.append((q, skewsymmetrizer_matrix(q, g, wedge2(a, b))))
+    q, Y = samples[2]  # a moved Type 3
+    for c in (0, 4, 8):
+        samples.append((q, _bumped(Y, [(3 * c % 9, c, field.one())])))
+    verdicts = assert_integer_checks_match_kron_references(field, samples)
+    assert verdicts == dict.fromkeys(
+        ["braid", "containments", "component_identity", "cyclic_shift_identity", "cybe"],
+        {True, False})
+
+
+class TestIntegerScaling:
+    """Scales that the integer coordinates must clear: denominators of q, of Y and of T."""
+
+    @pytest.mark.parametrize("label, q", [("Type1", "1/2"), ("Type2", "-2/3")])
+    def test_q_with_a_denominator(self, label, q):
+        rng = random.Random(5)
+        sym = build_R(conjugate_data(canonical(label, q, QQ), random_invertible(QQ, rng)))
+        assert sym.q.denominator > 1
+        assert all(rep.passed for rep in run_suite(sym))
+        samples = [(sym.q, sym.Y), (sym.q, _bumped(sym.Y, [(1, 4, QQ.of("1/5"))]))]
+        verdicts = assert_integer_checks_match_kron_references(QQ, samples)
+        assert verdicts["braid"] == {True, False}
+
+    def test_pairwise_coprime_denominators(self):
+        primes = [3, 5, 7, 11, 13, 17, 19, 23, 29]
+        sym = build_R(conjugate_data(canonical("Type3"), random_invertible(QQ, random.Random(6))))
+        Y = _bumped(sym.Y, [(3 * k % 9, k, Fraction(1, p)) for k, p in enumerate(primes)])
+        assert integer_coordinates(QQ, [x for row in Y.rows for x in row])[1] % prod(primes) == 0
+        verdicts = assert_integer_checks_match_kron_references(QQ, [(sym.q, Y)])
+        assert all(v == {False} for v in verdicts.values())
+
+    @pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "Fp7"])
+    def test_zero_operator(self, field):
+        zero = Matrix.zeros(field, 9)
+        assert integer_coordinates(field, [x for row in zero.rows for x in row])[1] == 1
+        assert check_braid(zero).passed
+        assert check_cybe(gl_tensor(zero)).passed
+        q = field.of(2)
+        verdicts = assert_integer_checks_match_kron_references(field, [(q, zero)])
+        assert verdicts["containments"] == {False}
+
+    def test_large_prime_witness(self):
+        field = GF(2**61 - 1)
+        rng = random.Random(9)
+        sym = build_R(sample_strategy_a(field, rng))
+        q, a, b, g = sample_adversarial(field, rng)
+        bad = skewsymmetrizer_matrix(q, g, wedge2(a, b))
+        verdicts = assert_integer_checks_match_kron_references(field, [(sym.q, sym.Y), (q, bad)])
+        assert verdicts["braid"] == {True, False}
+        R = Matrix.identity(field, 9).scale(q) - bad
+        witness = check_braid(R).witness
+        assert any(int(x) > 2**40 for x in witness["lhs"] + witness["rhs"])
+
+
+def test_degree_three_kernel_forms_no_field_objects(monkeypatch):
+    """check_braid and check_containments build no Fp object on a valid operator."""
+    field = GF(1_000_003)
+    sym = build_R(sample_strategy_a(field, random.Random(3)))
+    made = []
+    init = fields.Fp.__init__
+
+    def counted(obj, v, p):
+        made.append(v)
+        init(obj, v, p)
+
+    monkeypatch.setattr(fields.Fp, "__init__", counted)
+    assert check_braid(sym.R).passed
+    assert check_containments(sym.Y, sym.q).passed
+    assert len(made) <= 9
 
 
 class TestNonMembers:
