@@ -103,8 +103,6 @@ def gl_tensor(m: Matrix) -> GlTensor:
     red, pivots = flat.rref()
     left = tuple(_unvec(fld, flat.col(c)) for c in pivots)
     right = tuple(_unvec(fld, red.rows[r]) for r in range(len(pivots)))
-    if sum((a.kron(b) for a, b in zip(left, right)), Matrix.zeros(fld, 9)) != m:
-        raise AssertionError("decomposition failed to reassemble")  # unreachable
     return GlTensor(m, left, right)
 
 

@@ -31,7 +31,7 @@ from .errors import (
     SingularDeformation,
     ZeroQ,
 )
-from .linalg import Matrix
+from .linalg import Matrix, integer_coordinates, reduce_mod
 from .multilinear import (
     bivector,
     change_of_basis,
@@ -39,6 +39,7 @@ from .multilinear import (
     is_alt2,
     pair_vt,
     std_basis,
+    unit_tensors,
     vol,
     wedge2,
     zero_tensor,
@@ -168,8 +169,7 @@ def skewsymmetrizer_matrix(q, g: Matrix, t) -> Matrix:
     :func:`build_R` and :func:`build_Y_from_F` validate first; adversarial
     harnesses call it with the q constraint deliberately broken.
     """
-    fld = g.field
-    e = std_basis(fld)
+    fld, e = g.field, unit_tensors(1)
     n = [pair_vt(v, t) for v in e]
     r = g.rows
     half = (q + 1) / 2
@@ -224,7 +224,7 @@ class HeckeSymmetry:
                 raise NotHeckeSym0(str(exc)) from exc
         else:
             q = fld.of(q)
-            if not hecke_residual(R, q).is_zero():
+            if any(map(any, hecke_residual(R, q)[0])):
                 raise NotHeckeSym0("the quadratic Hecke relation fails for the given q")
         if q == 0:
             raise NotHeckeSym0("the Hecke parameter is zero")
@@ -246,10 +246,34 @@ def flip_matrix(field) -> Matrix:
     return Matrix(field, [rows[idx2(j, i)] for i in range(3) for j in range(3)])
 
 
-def hecke_residual(R: Matrix, q) -> Matrix:
-    """(R - q*Id)(R + Id): zero exactly when R satisfies the quadratic relation at q."""
-    ident = Matrix.identity(R.field, R.nrows)
-    return (R - ident.scale(R.field.of(q))) * (R + ident)
+def hecke_residual(R: Matrix, q):
+    """(R - q*Id)(R + Id) times b d^2 for R = N / d and q = a / b, as (integer columns, b d^2).
+
+    It is the integer product (bN - a d Id)(N + d Id), reduced mod p over F_p,
+    so it is zero exactly when R satisfies the quadratic relation at q.
+    """
+    fld = R.field
+    n, d = integer_coordinates(fld, [x for row in R.rows for x in row])
+    (a,), b = integer_coordinates(fld, [fld.of(q)])
+    left = [[b * x - a * d * (r == c) for c, x in enumerate(n[9 * r:9 * r + 9])] for r in range(9)]
+    right = [[x + d * (r == c) for r, x in enumerate(n[c::9])] for c in range(9)]
+    cols = [reduce_mod([sum(x * y for x, y in zip(row, col)) for row in left], fld.characteristic)
+            for col in right]
+    return cols, b * d * d
+
+
+def _q_candidate(R: Matrix):
+    """The only q that (R - q)(R + 1) = 0 allows, unverified.
+
+    The relation forces R to act as q on the image of R + Id, so q is the
+    ratio R c / c on the first nonzero column c of R + Id.  R = -Id is
+    rejected as ambiguous.
+    """
+    M = R + Matrix.identity(R.field, R.nrows)
+    col, m = _leading(M.col(j) for j in range(M.ncols))
+    if col is None:
+        raise NoHeckeParameter("R = -Id: every q satisfies the relation")
+    return R.apply(col)[m] / col[m]
 
 
 def _leading(cols):
@@ -262,19 +286,9 @@ def _leading(cols):
 
 
 def extract_q(R: Matrix):
-    """The unique q with (R - q)(R + 1) = 0, when one exists.
-
-    The relation forces R to act as q on the image of R + Id, so the ratio
-    on any nonzero column of R + Id is the only candidate; it is then
-    verified globally.  R = -Id is rejected as ambiguous.
-    """
-    M = R + Matrix.identity(R.field, R.nrows)
-    col, m = _leading(M.col(j) for j in range(M.ncols))
-    if col is None:
-        raise NoHeckeParameter("R = -Id: every q satisfies the relation")
-    w = R.apply(col)
-    q = w[m] / col[m]
-    if not hecke_residual(R, q).is_zero():
+    """The unique q with (R - q)(R + 1) = 0, when one exists: :func:`_q_candidate`, verified."""
+    q = _q_candidate(R)
+    if any(map(any, hecke_residual(R, q)[0])):
         raise NoHeckeParameter("no q satisfies the quadratic Hecke relation")
     return q
 

@@ -12,8 +12,7 @@ from math import lcm
 
 from .errors import DimensionMismatch, SingularMatrix
 
-__all__ = ["Matrix", "echelon_span", "span_coords", "span_equal", "integer_coordinates",
-           "reduce_mod"]
+__all__ = ["Matrix", "echelon_span", "span_coords", "integer_coordinates", "reduce_mod"]
 
 
 class Matrix:
@@ -267,11 +266,6 @@ def span_coords(ech_rows, v):
         if f != 0:
             v = [a - f * b for a, b in zip(v, row)]
     return coords if all(x == 0 for x in v) else None
-
-
-def span_equal(ech_a, ech_b) -> bool:
-    """Spans given by echelonized bases are equal iff the bases coincide."""
-    return ech_a == ech_b
 
 
 def integer_coordinates(field, xs):

@@ -18,7 +18,6 @@ from .jsonio import vector_to_json
 from .linalg import Matrix, integer_coordinates, reduce_mod
 from .multilinear import (
     alt2_basis,
-    bivector,
     idx2,
     idx3,
     is_alt2,
@@ -29,12 +28,14 @@ from .multilinear import (
     std_basis,
     tensor2,
     unit_tensors,
+    vol,
     wedge2,
     wedge_vt,
 )
 from .heckecore import (
     HeckeData,
     HeckeSymmetry,
+    _q_candidate,
     build_R,
     build_Y_from_F,
     conjugate_data,
@@ -43,7 +44,6 @@ from .heckecore import (
     extract_q,
     g_value,
     hecke_residual,
-    pairing_coordinates,
     skewsymmetrizer_matrix,
     t_operator_of_F,
 )
@@ -117,12 +117,11 @@ def columns_witness(field, columns, scale=1, **context) -> dict | None:
                           x, y, scale) for c, (x, y) in enumerate(columns) if x != y), None)
 
 
-def _non_alternating_columns(Y: Matrix):
-    """Witnesses at the columns of Y outside the alternating square."""
+def _non_alternating_columns(Y: Matrix, n):
+    """Witnesses at the columns of Y = N / d outside the alternating square; n is N row-major."""
     for c in range(9):
-        col = Y.col(c)
-        if not is_alt2(col):
-            yield _witness(Y.field, {"basis_tensor": _basis_tensor(c, 9)}, col,
+        if not is_alt2(reduce_mod(n[c::9], Y.field.characteristic)):
+            yield _witness(Y.field, {"basis_tensor": _basis_tensor(c, 9)}, Y.col(c),
                            "alternating tensor expected")
 
 
@@ -134,8 +133,9 @@ def check_braid(R: Matrix) -> CheckReport:
 
 
 def check_hecke(R: Matrix, q) -> CheckReport:
-    """(R - q*Id)(R + Id) = 0 as a 9x9 identity."""
-    return CheckReport("hecke", column_witness(hecke_residual(R, q), Matrix.zeros(R.field, 9)))
+    """(R - q*Id)(R + Id) = 0 as a 9x9 identity, times b d^2 for R = N / d, q = a / b."""
+    cols, scale = hecke_residual(R, q)
+    return CheckReport("hecke", columns_witness(R.field, ((c, [0] * 9) for c in cols), scale))
 
 
 def check_image_and_eigen(Y: Matrix, q) -> CheckReport:
@@ -143,7 +143,8 @@ def check_image_and_eigen(Y: Matrix, q) -> CheckReport:
     fld = Y.field
 
     def mismatches():
-        yield from _non_alternating_columns(Y)
+        n, _ = integer_coordinates(fld, [x for row in Y.rows for x in row])
+        yield from _non_alternating_columns(Y, n)
         rk = Y.rank()
         if rk != 3:
             yield _witness(fld, {"rank": rk}, str(rk), "3")
@@ -215,49 +216,47 @@ def check_pairing_identities(Y: Matrix, q) -> CheckReport:
     """The two identities for the pairing forms of Y.
 
     With L[x,y](z) = pair_vt(x, Y(y z)), the coefficient of x ^ Y(y z), read
-    off Y by :func:`~hecke3.heckecore.pairing_coordinates`:
+    off rows 5, 6 and 1 of Y as :func:`~hecke3.heckecore.pairing_coordinates` does:
 
       * L[x,y](z) - L[x,z](y) = (q+1) vol(x,y,z)  (linear in all slots,
-        checked on basis triples);
+        checked on basis triples, times b d for Y = N / d and q = a / b);
       * (L[x,y] ^ L[x,z] - L[x,x] ^ L[y,z])(u,v) = q vol(x,y,z) vol(x,u,v),
         quadratic in x, so x additionally runs over e_i + e_j to pin the
-        polarization; together the sample decides the identity exactly.
+        polarization; together the sample decides the identity exactly
+        (compared times b d^2).
     """
-    fld = Y.field
-    qq = fld.of(q)
-    e = std_basis(fld)
-    zero = fld.zero()
-    vol_e = [bivector(fld, v) for v in e]  # vol_e[i][idx2(j, k)] = vol(e_i, e_j, e_k)
+    fld, p, e = Y.field, Y.field.characteristic, unit_tensors(1)
+    n, d = integer_coordinates(fld, [x for row in Y.rows for x in row])
+    (a,), b = integer_coordinates(fld, [fld.of(q)])
+    ell = [[n[9 * r + 3 * j:9 * r + 3 * j + 3] for j in range(3)] for r in (5, 6, 1)]  # d L
+
+    def vols(x):  # vols(x)[idx2(u, v)] = vol(x, e_u, e_v)
+        return [vol(x, e[u], e[v]) for u, v in product(range(3), repeat=2)]
 
     def mismatches():
-        yield from _non_alternating_columns(Y)
-        ell = pairing_coordinates(Y)  # ell[i][j][k] = L[e_i, e_j](e_k)
+        yield from _non_alternating_columns(Y, n)
+        vol_e = [vols(x) for x in e]
         for i, j, k in product(range(3), repeat=3):
-            lhs = ell[i][j][k] - ell[i][k][j]
-            rhs = (qq + 1) * vol_e[i][idx2(j, k)]
+            lhs, rhs = reduce_mod([b * (ell[i][j][k] - ell[i][k][j]),
+                                   (a + b) * d * vol_e[i][idx2(j, k)]], p)
             if lhs != rhs:
-                yield _witness(fld, {"indices": [i + 1, j + 1, k + 1]}, lhs, rhs,
+                yield _witness(fld, {"indices": [i + 1, j + 1, k + 1]}, lhs, rhs, scale=b * d,
                                identity="eigenvalue")
-        xs = [(f"e{i+1}", e[i]) for i in range(3)]
-        xs += [
-            (f"e{i+1}+e{j+1}", [a + b for a, b in zip(e[i], e[j])])
-            for i in range(3)
-            for j in range(i + 1, 3)
-        ]
+        xs = [(f"e{i+1}", e[i]) for i in range(3)] + [(f"e{i+1}+e{j+1}", [
+            s + t for s, t in zip(e[i], e[j])]) for i, j in ((0, 1), (0, 2), (1, 2))]
         for xname, x in xs:
-            # lx[j][u] = L[x, e_j](e_u) and lxx[u] = L[x, x](e_u), linear in each x
-            lx = [[sum((x[i] * ell[i][j][u] for i in range(3)), zero) for u in range(3)]
-                  for j in range(3)]
-            lxx = [sum((x[j] * lx[j][u] for j in range(3)), zero) for u in range(3)]
-            volx = bivector(fld, x)
+            # lx[j][u] = d L[x, e_j](e_u) and lxx[u] = d L[x, x](e_u), linear in each x
+            lx = [[sum(x[i] * ell[i][j][u] for i in range(3)) for u in range(3)] for j in range(3)]
+            lxx = [sum(x[j] * lx[j][u] for j in range(3)) for u in range(3)]
+            volx = vols(x)
             for j, k in product(range(3), repeat=2):
-                lhs = [a - b for a, b in zip(wedge2(lx[j], lx[k]), wedge2(lxx, ell[j][k]))]
-                c = qq * volx[idx2(j, k)]
-                rhs = [c * v for v in volx]
-                for (u, v), a, b in zip(product(range(3), repeat=2), lhs, rhs):
-                    if a != b:
+                lhs = [b * (s - t) for s, t in zip(wedge2(lx[j], lx[k]), wedge2(lxx, ell[j][k]))]
+                c = a * d * d * volx[idx2(j, k)]
+                for (u, v), s, t in zip(product(range(3), repeat=2), reduce_mod(lhs, p),
+                                        reduce_mod([c * w for w in volx], p)):
+                    if s != t:
                         yield _witness(fld, {"x": xname, "indices": [j + 1, k + 1, u + 1, v + 1]},
-                                       a, b, identity="wedge")
+                                       s, t, scale=b * d * d, identity="wedge")
 
     return CheckReport("pairing_identities", next(mismatches(), None))
 
@@ -429,27 +428,21 @@ def fuzz(field, trials: int, seed: int, strategy: str = "A",
             q, a, b, g = sample_adversarial(field, rng)
             Y = skewsymmetrizer_matrix(q, g, wedge2(a, b))
             R = Matrix.identity(field, 9).scale(q) - Y
-            braid = check_braid(R)
-            hecke = check_hecke(R, q)
-            if braid.passed and hecke.passed:
-                failures.append(
-                    {"trial": trial, "check": "adversarial",
-                     "witness": {"note": "broken constraint went undetected"}}
-                )
+            if check_braid(R).passed and check_hecke(R, q).passed:
+                failures.append({"trial": trial, "check": "adversarial",
+                                 "witness": {"note": "broken constraint went undetected"}})
             continue
         data = sampler(field, rng)
         sym = build_R(data)
         reports, f_op = _suite_and_F(sym)
-        for rep in reports:
-            if not rep.passed:
-                failures.append(
-                    {"trial": trial, "check": rep.name, "witness": rep.witness}
-                )
+        failures += [{"trial": trial, "check": rep.name, "witness": rep.witness}
+                     for rep in reports if not rep.passed]
         # a failed extraction is already the cyclic_shift_identity failure
         if f_op is not None and build_Y_from_F(sym.q, f_op) != sym.Y:
             failures.append({"trial": trial, "check": "roundtrip",
                              "witness": {"note": "rebuilt skewsymmetrizer differs"}})
-        if extract_q(sym.R) != sym.q:
+        # reports[1] is check_hecke: where it passed, extract_q would verify the candidate
+        if (_q_candidate(sym.R) if reports[1].passed else extract_q(sym.R)) != sym.q:
             failures.append({"trial": trial, "check": "parameter_roundtrip",
                              "witness": {"note": "extracted q differs"}})
     name = f"fuzz(field={field.name},strategy={strategy}," \

@@ -7,10 +7,10 @@ from itertools import product
 import pytest
 
 from hecke3.fields import GF, QQ
-from hecke3.linalg import Matrix, echelon_span, span_coords, span_equal
-from hecke3.heckecore import build_R, conjugate, deform, flip_matrix
+from hecke3.linalg import Matrix, echelon_span, span_coords
+from hecke3.heckecore import build_R, conjugate, conjugate_data, deform, flip_matrix
 from hecke3.multilinear import lift_left, lift_right, matrix_of_map, random_invertible, slot_action
-from hecke3.verifier import column_witness
+from hecke3.verifier import column_witness, sample_strategy_a
 from hecke3.classify import TYPE_LABELS, canonical
 from hecke3.cybe import (
     LieSubalgebra,
@@ -96,8 +96,27 @@ class TestClassicalR:
     def test_decomposition_reassembles(self):
         rng = random.Random(37)
         m = Matrix.from_rows(QQ, [[rng.randint(-3, 3) for _ in range(9)] for _ in range(9)])
-        t = gl_tensor(m)  # constructor asserts exact reassembly
-        assert len(t.left) == len(t.right)
+        assert reassembled(gl_tensor(m)) == m
+
+
+def reassembled(t):
+    """sum a_i (x) b_i over the factors of a decomposition."""
+    return sum((a.kron(b) for a, b in zip(t.left, t.right)), Matrix.zeros(t.field, 9))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3), GF(7), GF(1_000_003)],
+                         ids=["Q", "Fp3", "Fp7", "Fp1000003"])
+def test_classical_r_decomposition_reassembles(field):
+    """sum a_i (x) b_i = r for the eight types moved by random bases and strategy-A samples."""
+    rng = random.Random(43)
+    syms = [build_R(conjugate_data(canonical(label, 2 if label in ("Type1", "Type2") else None,
+                                             field), random_invertible(field, rng)))
+            for label in TYPE_LABELS]
+    syms += [build_R(sample_strategy_a(field, rng)) for _ in range(4)]
+    for sym in syms:
+        r = classical_r(sym)
+        assert len(r.left) == len(r.right)
+        assert reassembled(r) == r.matrix
 
 
 class TestR21:
@@ -206,9 +225,7 @@ class TestCarrier:
         for label in ("Type3", "Type4", "Type5", "Type6", "Type7", "Type8"):
             sub = carrier(classical_r(build_R(canonical(label))))
             ref = lie_subalgebra(QQ, refs[label])
-            assert span_equal(
-                echelon_span(QQ, sub.span_rows()), echelon_span(QQ, ref.span_rows())
-            ), label
+            assert echelon_span(QQ, sub.span_rows()) == echelon_span(QQ, ref.span_rows()), label
 
     def test_closure_flag_not_raised_on_these(self):
         for label in ("Type3", "Type6", "Type8"):

@@ -9,8 +9,8 @@ from math import prod
 import pytest
 
 from hecke3.cli import main
-from hecke3.errors import NotHeckeSym0, SingularMatrix
-from hecke3 import fields
+from hecke3.errors import NoHeckeParameter, NotHeckeSym0, SingularMatrix
+from hecke3 import fields, heckecore, verifier
 from hecke3.fields import GF, QQ
 from hecke3.linalg import Matrix, integer_coordinates
 from hecke3.multilinear import (
@@ -18,6 +18,7 @@ from hecke3.multilinear import (
     change_of_basis,
     cyclic_shift,
     idx2,
+    is_alt2,
     is_alt3,
     random_invertible,
     std_basis,
@@ -35,6 +36,7 @@ from hecke3.heckecore import (
     extract_F,
     flip_matrix,
     g_value,
+    hecke_residual,
     pairing_coordinates,
     skewsymmetrizer_matrix,
     symmetric_form,
@@ -45,7 +47,6 @@ from hecke3.cybe import check_cybe, check_symmetrized, classical_r, gl_tensor
 from hecke3.jsonio import matrix_to_json, vector_to_json
 from hecke3.verifier import (
     CheckReport,
-    _non_alternating_columns,
     _random_independent_pair,
     _random_scalar,
     _witness,
@@ -353,6 +354,39 @@ class TestFuzz:
         b = fuzz(QQ, 5, 99, "B")
         assert a.to_json() == b.to_json()
 
+    @pytest.mark.parametrize("strategy", ["A", "B"])
+    def test_residual_formed_once_per_valid_trial(self, monkeypatch, strategy):
+        """check_hecke forms (R - q)(R + 1); the parameter round trip reuses its verdict."""
+        calls = []
+
+        def counted(R, q):
+            calls.append(q)
+            return hecke_residual(R, q)
+
+        monkeypatch.setattr(verifier, "hecke_residual", counted)
+        monkeypatch.setattr(heckecore, "hecke_residual", counted)
+        assert fuzz(GF(7), 6, 3, strategy).passed
+        assert len(calls) == 6
+
+    def test_failing_hecke_trial_is_still_reported(self, monkeypatch):
+        """R fails the relation at its q = -1 but satisfies it at 2: both failures are reported."""
+        P = (Matrix.identity(QQ, 9) - flip_matrix(QQ)).scale(QQ.of("1/2"))
+        R = P.scale(QQ.of(3)) - Matrix.identity(QQ, 9)  # (R - 2)(R + 1) = 0
+        monkeypatch.setattr(verifier, "build_R", lambda data: HeckeSymmetry(R, QQ.of(-1)))
+        failures = fuzz(QQ, 2, 1, "A").witness["failures"]
+        assert [f["trial"] for f in failures if f["check"] == "hecke"] == [0, 1]
+        assert [f["witness"] for f in failures if f["check"] == "parameter_roundtrip"] == [
+            {"note": "extracted q differs"}] * 2
+
+    def test_failing_hecke_trial_still_verifies_the_extracted_q(self, monkeypatch):
+        """Where no q satisfies the relation, the round trip raises extract_q's error, as before."""
+        sym = build_R(canonical("Type3"))
+        Y = _bumped(sym.Y, [(1, 1, QQ.one()), (3, 1, -QQ.one())])  # stays in Alt2
+        bad = HeckeSymmetry(Matrix.identity(QQ, 9).scale(sym.q) - Y, sym.q)
+        monkeypatch.setattr(verifier, "build_R", lambda data: bad)
+        with pytest.raises(NoHeckeParameter, match="no q satisfies"):
+            fuzz(QQ, 1, 1, "A")
+
     def test_trials_validation(self):
         with pytest.raises(ValueError):
             fuzz(QQ, 0, 1, "A")
@@ -505,7 +539,10 @@ def reference_pairing_identities(Y, q):
     zero = fld.zero()
 
     def mismatches():
-        yield from _non_alternating_columns(Y)
+        for c in range(9):
+            if not is_alt2(Y.col(c)):
+                yield _witness(fld, {"basis_tensor": [c // 3 + 1, c % 3 + 1]}, Y.col(c),
+                               "alternating tensor expected")
         ell = pairing_coordinates(Y)
         for i in range(3):
             for j in range(3):
@@ -662,6 +699,13 @@ def reference_cyclic_shift_identity(Y, T, q):
     return CheckReport("cyclic_shift_identity")
 
 
+def reference_hecke(R, q):
+    """The quadratic relation as the product (R - q Id)(R + Id) of field matrices."""
+    ident = Matrix.identity(R.field, 9)
+    residual = (R - ident.scale(R.field.of(q))) * (R + ident)
+    return CheckReport("hecke", column_witness(residual, Matrix.zeros(R.field, 9)))
+
+
 def reference_cybe(t):
     """The classical Yang-Baxter equation as commutators of the dense lifts."""
     r12, r23, r13 = _kron_lifts(t.matrix)
@@ -688,8 +732,10 @@ def assert_integer_checks_match_kron_references(field, samples):
         r = gl_tensor(flip_matrix(field) * R - Matrix.identity(field, 9))
         pairs = [
             (check_braid(R), reference_braid(R)),
+            (check_hecke(R, q), reference_hecke(R, q)),
             (check_containments(Y, q), reference_containments(Y, q)),
             (check_component_identity(Y, q), reference_component_identity(Y, q)),
+            (check_pairing_identities(Y, q), reference_pairing_identities(Y, q)),
             (check_cyclic_shift_identity(Y, T, q), reference_cyclic_shift_identity(Y, T, q)),
             (check_cybe(r), reference_cybe(r)),
         ]
@@ -701,7 +747,7 @@ def assert_integer_checks_match_kron_references(field, samples):
 
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
 def test_integer_checks_match_kron_references(field):
-    """Braid, containments, component, cyclic shift and CYBE agree with the field references."""
+    """Every integer-coordinate check agrees with its field reference, and passes and fails."""
     rng = random.Random(41)
     samples = []
     for label in TYPE_LABELS:
@@ -718,8 +764,8 @@ def test_integer_checks_match_kron_references(field):
         samples.append((q, _bumped(Y, [(3 * c % 9, c, field.one())])))
     verdicts = assert_integer_checks_match_kron_references(field, samples)
     assert verdicts == dict.fromkeys(
-        ["braid", "containments", "component_identity", "cyclic_shift_identity", "cybe"],
-        {True, False})
+        ["braid", "hecke", "containments", "component_identity", "pairing_identities",
+         "cyclic_shift_identity", "cybe"], {True, False})
 
 
 class TestIntegerScaling:
@@ -731,9 +777,12 @@ class TestIntegerScaling:
         sym = build_R(conjugate_data(canonical(label, q, QQ), random_invertible(QQ, rng)))
         assert sym.q.denominator > 1
         assert all(rep.passed for rep in run_suite(sym))
-        samples = [(sym.q, sym.Y), (sym.q, _bumped(sym.Y, [(1, 4, QQ.of("1/5"))]))]
+        fifth = QQ.of("1/5")
+        samples = [(sym.q, sym.Y), (sym.q, _bumped(sym.Y, [(1, 4, fifth)])),
+                   (sym.q, _bumped(sym.Y, [(1, 1, fifth), (3, 1, -fifth)]))]  # stays in Alt2
         verdicts = assert_integer_checks_match_kron_references(QQ, samples)
-        assert verdicts["braid"] == {True, False}
+        assert verdicts["braid"] == verdicts["pairing_identities"] == {True, False}
+        assert check_pairing_identities(samples[2][1], sym.q).witness["identity"] == "eigenvalue"
 
     def test_pairwise_coprime_denominators(self):
         primes = [3, 5, 7, 11, 13, 17, 19, 23, 29]
@@ -767,7 +816,7 @@ class TestIntegerScaling:
 
 
 def test_degree_three_kernel_forms_no_field_objects(monkeypatch):
-    """check_braid and check_containments build no Fp object on a valid operator."""
+    """Braid, containments, Hecke and pairing build no Fp object on a valid operator."""
     field = GF(1_000_003)
     sym = build_R(sample_strategy_a(field, random.Random(3)))
     made = []
@@ -780,6 +829,8 @@ def test_degree_three_kernel_forms_no_field_objects(monkeypatch):
     monkeypatch.setattr(fields.Fp, "__init__", counted)
     assert check_braid(sym.R).passed
     assert check_containments(sym.Y, sym.q).passed
+    assert check_hecke(sym.R, sym.q).passed
+    assert check_pairing_identities(sym.Y, sym.q).passed
     assert len(made) <= 9
 
 
