@@ -15,9 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from itertools import combinations, product
+from operator import mul
 
 from .fields import QQ
-from .linalg import Matrix, echelon_span, reduce_mod, span_coords
+from .linalg import Matrix, echelon_span, field_scalars, integer_coordinates, reduce_mod
 from .heckecore import HeckeSymmetry, flip_matrix
 from .jsonio import matrix_to_json, vector_to_json
 from .multilinear import slot_action, unit_tensors
@@ -82,14 +83,8 @@ class GlTensor:
 
 def _flatten(m: Matrix) -> Matrix:
     """Permute the operator entries so simple tensors become rank-1 blocks."""
-    fld = m.field
-    out = Matrix.zeros(fld, 9)
-    for i in range(3):
-        for k in range(3):
-            for j in range(3):
-                for l in range(3):
-                    out.rows[3 * i + j][3 * k + l] = m.rows[3 * i + k][3 * j + l]
-    return out
+    return Matrix(m.field, [[m.rows[3 * i + k][3 * j + l] for k in range(3) for l in range(3)]
+                            for i in range(3) for j in range(3)])
 
 
 def gl_tensor(m: Matrix) -> GlTensor:
@@ -166,9 +161,6 @@ class LieSubalgebra:
     def dim(self) -> int:
         return len(self.basis)
 
-    def span_rows(self):
-        return [_vec(m) for m in self.basis]
-
     def to_json(self) -> dict:
         return {
             "dim": self.dim,
@@ -177,21 +169,34 @@ class LieSubalgebra:
         }
 
 
+def _bracket(x, y):
+    """xy - yx for 3x3 matrices given as row-major coordinate lists."""
+    return [sum(x[3 * i + k] * y[3 * k + j] - y[3 * i + k] * x[3 * k + j] for k in range(3))
+            for i in range(3) for j in range(3)]
+
+
 def lie_subalgebra(field, generators) -> LieSubalgebra:
-    """Bracket closure of the span of the given 3x3 matrices."""
-    rows = echelon_span(field, [_vec(m) for m in generators])
-    grew = False
+    """Bracket closure of the span of the given 3x3 matrices.
+
+    On the echelon basis N_k / d, a bracket B / d^2 has coordinates B[lead_k] / d^2
+    (pivot columns) and lies in the span iff d B = sum_k B[lead_k] N_k (mod p).
+    """
+    rows, grew, p = echelon_span(field, [_vec(m) for m in generators]), False, field.characteristic
     while True:
-        mats = [_unvec(field, r) for r in rows]
-        brackets = [[_vec(x * y - y * x) for y in mats] for x in mats]
-        consts = [[span_coords(rows, b) for b in bx] for bx in brackets]
-        new = [b for bx, cx in zip(brackets, consts) for b, c in zip(bx, cx) if c is None]
+        n, d = integer_coordinates(field, [x for r in rows for x in r])
+        basis = [n[9 * k:9 * k + 9] for k in range(len(rows))]
+        leads = [next(i for i, x in enumerate(v) if x) for v in basis]
+        free = [t for t in range(9) if t not in leads]  # d B = sum_k ... holds at the leads
+        brackets = [[_bracket(x, y) for y in basis] for x in basis]
+        consts = [[[b[lead] for lead in leads] for b in bx] for bx in brackets]
+        new = [b for bx, cx in zip(brackets, consts) for b, c in zip(bx, cx)
+               if any(reduce_mod([d * b[t] - sum(ck * v[t] for ck, v in zip(c, basis))
+                                  for t in free], p))]
         if not new:
             break
-        grew = True
-        rows = echelon_span(field, rows + new)
-    constants = tuple(tuple(tuple(c) for c in cx) for cx in consts)
-    return LieSubalgebra(field, tuple(mats), constants, grew)
+        grew, rows = True, echelon_span(field, rows + new)
+    constants = tuple(tuple(tuple(field_scalars(field, c, d * d)) for c in cx) for cx in consts)
+    return LieSubalgebra(field, tuple(_unvec(field, r) for r in rows), constants, grew)
 
 
 def carrier(t: GlTensor) -> LieSubalgebra:
@@ -291,14 +296,13 @@ def fingerprint(L: LieSubalgebra):
         return (0, 0, 0, 0)
     c = L.constants
     derived = Matrix(fld, [list(c[i][j]) for i in range(d) for j in range(d)]).rank()
-    ad = []
-    for i in range(d):
-        ad.append(Matrix(fld, [[c[i][j][k] for j in range(d)] for k in range(d)]))
-    killing = Matrix(
-        fld,
-        [[(ad[i] * ad[j]).trace() for j in range(d)] for i in range(d)],
-    )
-    return (d, derived, L.center_dim, killing.rank())
+    # trace(ad_i ad_j) = sum_{k,m} c[i][m][k] c[j][k][m], on integers c = C / e
+    n, _ = integer_coordinates(fld, [x for ci in c for cij in ci for x in cij])
+    C = [n[i * d * d:(i + 1) * d * d] for i in range(d)]  # C[j][k * d + m] = c[j][k][m]
+    adT = [[x for k in range(d) for x in Ci[k::d]] for Ci in C]  # adT[i][k * d + m] = c[i][m][k]
+    killing = field_scalars(fld, [sum(map(mul, adT[i], C[j])) for i in range(d) for j in range(d)])
+    return (d, derived, L.center_dim,
+            Matrix(fld, [killing[i * d:(i + 1) * d] for i in range(d)]).rank())
 
 
 def reference_carriers(field=QQ) -> dict:

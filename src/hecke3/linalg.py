@@ -1,18 +1,24 @@
 """Dense exact linear algebra over the scalar types.
 
-Everything here works entrywise with exact field elements; no floats are
-produced anywhere.  Echelon forms are fully reduced with leading coefficients
-normalized to 1, so bases of row spaces and kernels are canonical and can be
-compared bit-exactly.
+Matrices hold exact field elements, but products and elimination run on
+Python ints: each operand is converted once to integer coordinates N / d
+(:func:`integer_coordinates`), and one field scalar is formed per nonzero
+result entry (:func:`field_scalars`).  No floats are produced anywhere.
+Echelon forms are fully reduced with leading coefficients normalized to 1,
+so bases of row spaces and kernels are canonical and can be compared
+bit-exactly.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import lcm
+from operator import mul
 
 from .errors import DimensionMismatch, SingularMatrix
+from .fields import Fp
 
-__all__ = ["Matrix", "echelon_span", "span_coords", "integer_coordinates", "reduce_mod"]
+__all__ = ["Matrix", "echelon_span", "integer_coordinates", "field_scalars", "reduce_mod"]
 
 
 class Matrix:
@@ -100,33 +106,22 @@ class Matrix:
             raise DimensionMismatch(
                 f"cannot compose {self.nrows}x{self.ncols} with {other.nrows}x{other.ncols}"
             )
-        z = self.field.zero()
-        out = [[z] * other.ncols for _ in range(self.nrows)]
-        brows = other.rows
-        for i, arow in enumerate(self.rows):
-            orow = out[i]
-            for k, aik in enumerate(arow):
-                if aik == 0:
-                    continue
-                # skip zero entries: tensor lifts are sparse
-                for j, bkj in enumerate(brows[k]):
-                    if bkj != 0:
-                        orow[j] = orow[j] + aik * bkj
-        return Matrix(self.field, out)
+        fld, n, k, m = self.field, self.nrows, self.ncols, other.ncols
+        a, da = integer_coordinates(fld, [x for row in self.rows for x in row])
+        b, db = integer_coordinates(fld, [x for row in other.rows for x in row])
+        rows, cols = [a[i * k:(i + 1) * k] for i in range(n)], [b[j::m] for j in range(m)]
+        out = field_scalars(fld, [sum(map(mul, r, c)) for r in rows for c in cols], da * db)
+        return Matrix(fld, [out[i * m:(i + 1) * m] for i in range(n)])
 
     def apply(self, vec):
         """Matrix times coordinate column, as a plain list."""
         if len(vec) != self.ncols:
             raise DimensionMismatch(f"vector of length {len(vec)} vs {self.ncols} columns")
-        z = self.field.zero()
-        out = []
-        for row in self.rows:
-            acc = z
-            for a, x in zip(row, vec):
-                if a != 0 and x != 0:
-                    acc = acc + a * x
-            out.append(acc)
-        return out
+        fld, k = self.field, self.ncols
+        a, da = integer_coordinates(fld, [x for row in self.rows for x in row])
+        x, dx = integer_coordinates(fld, vec)
+        rows = (a[i * k:(i + 1) * k] for i in range(self.nrows))
+        return field_scalars(fld, [sum(map(mul, r, x)) for r in rows], da * dx)
 
     def col(self, j):
         return [row[j] for row in self.rows]
@@ -153,57 +148,69 @@ class Matrix:
                             orow[base + l] = a * b
         return Matrix(self.field, out)
 
-    def trace(self):
-        if self.nrows != self.ncols:
-            raise DimensionMismatch("trace of a non-square matrix")
-        acc = self.field.zero()
-        for i in range(self.nrows):
-            acc = acc + self.rows[i][i]
-        return acc
-
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.rows for x in row)
 
-    def rref(self):
-        """Reduced row echelon form and pivot column tuple."""
-        m = [row[:] for row in self.rows]
-        nr, nc = self.nrows, self.ncols
-        pivots = []
-        r = 0
-        for c in range(nc):
-            pr = next((i for i in range(r, nr) if m[i][c] != 0), None)
+    def _eliminate(self):
+        """One Gauss-Jordan elimination on integer rows: (rows, pivots, den, (det, scale)).
+
+        The RREF is rows / den; a square matrix of full rank has determinant
+        det / scale.  Over Q, on rows scaled to integers, it is fraction-free
+        (Bareiss): each step divides exactly by the previous pivot, so every
+        pivot ends equal to the last one, den.  Over F_p it runs on residues.
+        """
+        fld, p = self.field, self.field.characteristic
+        m, scale = [], 1
+        for row in self.rows:
+            n, d = integer_coordinates(fld, row)
+            m.append(n)
+            scale *= d
+        pivots, den, det = [], 1, 1
+        for c in range(self.ncols):
+            r = len(pivots)
+            pr = next((i for i in range(r, len(m)) if m[i][c]), None)
             if pr is None:
                 continue
-            m[r], m[pr] = m[pr], m[r]
+            if pr != r:
+                m[r], m[pr] = m[pr], m[r]
+                det = -det
             pv = m[r][c]
-            m[r] = [x / pv for x in m[r]]
-            for i in range(nr):
-                if i != r and m[i][c] != 0:
-                    f = m[i][c]
-                    m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+            if p:
+                inv = pow(pv, -1, p)
+                m[r] = top = [x * inv % p for x in m[r]]
+                det = det * pv % p
+                m = [row if i == r or not row[c] else
+                     [(x - row[c] * y) % p for x, y in zip(row, top)] for i, row in enumerate(m)]
+            else:
+                top = m[r]
+                m = [row if i == r or not any(row) else
+                     [(pv * x - row[c] * y) // den for x, y in zip(row, top)]
+                     for i, row in enumerate(m)]
+                den = pv
             pivots.append(c)
-            r += 1
-            if r == nr:
+            if len(pivots) == len(m):
                 break
-        return Matrix(self.field, m), tuple(pivots)
+        return m, tuple(pivots), den, (det if p else det * den, scale)
+
+    def rref(self):
+        """Reduced row echelon form and pivot column tuple."""
+        rows, pivots, den, _ = self._eliminate()
+        out = field_scalars(self.field, [x for row in rows for x in row], den)
+        k = self.ncols
+        return Matrix(self.field, [out[i * k:(i + 1) * k] for i in range(len(rows))]), pivots
 
     def rank(self) -> int:
-        return len(self.rref()[1])
+        return len(self._eliminate()[1])
 
     def kernel_basis(self):
         """Canonical basis of the right kernel, one vector per free column."""
         red, pivots = self.rref()
-        nc = self.ncols
         z, o = self.field.zero(), self.field.one()
-        pivset = set(pivots)
         basis = []
-        for f in range(nc):
-            if f in pivset:
-                continue
-            v = [z] * nc
-            v[f] = o
-            for r_i, c_i in enumerate(pivots):
-                v[c_i] = -red.rows[r_i][f]
+        for f in (f for f in range(self.ncols) if f not in pivots):
+            v = [o if j == f else z for j in range(self.ncols)]
+            for row, c in zip(red.rows, pivots):
+                v[c] = -row[f]
             basis.append(v)
         return basis
 
@@ -215,23 +222,8 @@ class Matrix:
     def det(self):
         if self.nrows != self.ncols:
             raise DimensionMismatch("determinant of a non-square matrix")
-        m = [row[:] for row in self.rows]
-        n = self.nrows
-        result = self.field.one()
-        for c in range(n):
-            pr = next((i for i in range(c, n) if m[i][c] != 0), None)
-            if pr is None:
-                return self.field.zero()
-            if pr != c:
-                m[c], m[pr] = m[pr], m[c]
-                result = -result
-            pv = m[c][c]
-            result = result * pv
-            for i in range(c + 1, n):
-                if m[i][c] != 0:
-                    f = m[i][c] / pv
-                    m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-        return result
+        _, pivots, _, (det, scale) = self._eliminate()
+        return field_scalars(self.field, [det if len(pivots) == self.nrows else 0], scale)[0]
 
     def inverse(self) -> "Matrix":
         if self.nrows != self.ncols:
@@ -256,24 +248,24 @@ def echelon_span(field, vectors):
     return Matrix.from_rows(field, vecs).row_space_basis()
 
 
-def span_coords(ech_rows, v):
-    """Coordinates of v in the span given by echelonized rows, or None outside it."""
-    coords = []
-    for row in ech_rows:
-        lead = next(i for i, x in enumerate(row) if x != 0)
-        f = v[lead] / row[lead]
-        coords.append(f)
-        if f != 0:
-            v = [a - f * b for a, b in zip(v, row)]
-    return coords if all(x == 0 for x in v) else None
-
-
 def integer_coordinates(field, xs):
     """Integers n and a scale d > 0 with xs = n / d: d = 1 over F_p, lcm of denominators over Q."""
     if field.characteristic:
-        return [x.v for x in xs], 1
-    d = lcm(*(x.denominator for x in xs))
-    return [x.numerator * (d // x.denominator) for x in xs], d
+        try:
+            return [x.v for x in xs], 1
+        except AttributeError:  # plain ints, which embed in every field
+            return [field.of(x).v for x in xs], 1
+    dens = [x.denominator for x in xs]
+    d = lcm(*dens)
+    return [x.numerator * (d // e) for x, e in zip(xs, dens)], d
+
+
+def field_scalars(field, ns, d=1):
+    """The field scalars n / d of integers ns, every 0 one shared zero (d is 1 over F_p)."""
+    z, p = field.zero(), field.characteristic
+    if p:
+        return [Fp(r, p) if (r := n % p) else z for n in ns]
+    return [Fraction(n, d) if n else z for n in ns]
 
 
 def reduce_mod(ns, p):

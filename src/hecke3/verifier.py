@@ -13,9 +13,9 @@ import random
 from dataclasses import dataclass
 from itertools import product
 
-from .errors import InputError, NotHeckeSym0
+from .errors import InputError, NoHeckeParameter, NotHeckeSym0
 from .jsonio import vector_to_json
-from .linalg import Matrix, integer_coordinates, reduce_mod
+from .linalg import Matrix, field_scalars, integer_coordinates, reduce_mod
 from .multilinear import (
     alt2_basis,
     idx2,
@@ -98,7 +98,7 @@ def _witness(field, input, lhs, rhs, scale=1, **head) -> dict:
         if isinstance(x, str):
             return [x]
         xs = x if isinstance(x, list) else [x]
-        return vector_to_json(field, xs if scale == 1 else [field.of(n) / scale for n in xs])
+        return vector_to_json(field, xs if scale == 1 else field_scalars(field, xs, scale))
 
     return {**head, "input": input, "lhs": side(lhs), "rhs": side(rhs)}
 
@@ -441,10 +441,14 @@ def fuzz(field, trials: int, seed: int, strategy: str = "A",
         if f_op is not None and build_Y_from_F(sym.q, f_op) != sym.Y:
             failures.append({"trial": trial, "check": "roundtrip",
                              "witness": {"note": "rebuilt skewsymmetrizer differs"}})
-        # reports[1] is check_hecke: where it passed, extract_q would verify the candidate
-        if (_q_candidate(sym.R) if reports[1].passed else extract_q(sym.R)) != sym.q:
+        try:  # reports[1] is check_hecke: where it passed, extract_q would verify the candidate
+            q = _q_candidate(sym.R) if reports[1].passed else extract_q(sym.R)
+            note = None if q == sym.q else "extracted q differs"
+        except NoHeckeParameter as exc:  # no q satisfies the relation
+            note = str(exc)
+        if note:
             failures.append({"trial": trial, "check": "parameter_roundtrip",
-                             "witness": {"note": "extracted q differs"}})
+                             "witness": {"note": note}})
     name = f"fuzz(field={field.name},strategy={strategy}," \
            f"trials={trials},seed={seed},adversarial={adversarial})"
     witness = {"failures": failures} if failures else None

@@ -1,0 +1,120 @@
+"""Field-object linear algebra, kept as the reference for the integer kernels of ``linalg``.
+
+Every function here computes entrywise on exact field elements (``Fraction``
+or ``Fp``), the way ``Matrix`` did before its products and elimination moved
+to Python ints.  The differential tests compare the two on the same inputs.
+"""
+
+from hecke3.errors import DimensionMismatch, SingularMatrix
+from hecke3.linalg import Matrix
+
+
+def mul(a: Matrix, b: Matrix) -> Matrix:
+    """a * b by sums of field products, skipping zero entries."""
+    if a.ncols != b.nrows:
+        raise DimensionMismatch("cannot compose")
+    z = a.field.zero()
+    out = [[z] * b.ncols for _ in range(a.nrows)]
+    for i, arow in enumerate(a.rows):
+        orow = out[i]
+        for k, aik in enumerate(arow):
+            if aik == 0:
+                continue
+            for j, bkj in enumerate(b.rows[k]):
+                if bkj != 0:
+                    orow[j] = orow[j] + aik * bkj
+    return Matrix(a.field, out)
+
+
+def apply(a: Matrix, vec):
+    """a times a coordinate column, as a plain list."""
+    if len(vec) != a.ncols:
+        raise DimensionMismatch("vector length")
+    z = a.field.zero()
+    out = []
+    for row in a.rows:
+        acc = z
+        for x, y in zip(row, vec):
+            if x != 0 and y != 0:
+                acc = acc + x * y
+        out.append(acc)
+    return out
+
+
+def rref(a: Matrix):
+    """Reduced row echelon form and pivot tuple, by field division."""
+    m = [row[:] for row in a.rows]
+    nr, nc = a.nrows, a.ncols
+    pivots = []
+    r = 0
+    for c in range(nc):
+        pr = next((i for i in range(r, nr) if m[i][c] != 0), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        pv = m[r][c]
+        m[r] = [x / pv for x in m[r]]
+        for i in range(nr):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == nr:
+            break
+    return Matrix(a.field, m), tuple(pivots)
+
+
+def det(a: Matrix):
+    """Determinant by forward elimination, the product of the pivots."""
+    if a.nrows != a.ncols:
+        raise DimensionMismatch("determinant of a non-square matrix")
+    m = [row[:] for row in a.rows]
+    n = a.nrows
+    result = a.field.one()
+    for c in range(n):
+        pr = next((i for i in range(c, n) if m[i][c] != 0), None)
+        if pr is None:
+            return a.field.zero()
+        if pr != c:
+            m[c], m[pr] = m[pr], m[c]
+            result = -result
+        pv = m[c][c]
+        result = result * pv
+        for i in range(c + 1, n):
+            if m[i][c] != 0:
+                f = m[i][c] / pv
+                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
+    return result
+
+
+def inverse(a: Matrix) -> Matrix:
+    """The inverse from the reduced echelon form of [a | Id]."""
+    n = a.nrows
+    ident = Matrix.identity(a.field, n)
+    red, pivots = rref(Matrix(a.field, [row[:] + irow[:] for row, irow in zip(a.rows, ident.rows)]))
+    if len(pivots) < n or pivots[:n] != tuple(range(n)):
+        raise SingularMatrix("matrix is singular")
+    return Matrix(a.field, [row[n:] for row in red.rows])
+
+
+def trace(a: Matrix):
+    """Sum of the diagonal entries."""
+    if a.nrows != a.ncols:
+        raise DimensionMismatch("trace of a non-square matrix")
+    acc = a.field.zero()
+    for i in range(a.nrows):
+        acc = acc + a.rows[i][i]
+    return acc
+
+
+def span_coords(ech_rows, v):
+    """Coordinates of v in the span given by echelonized rows, or None outside it."""
+    coords = []
+    for row in ech_rows:
+        lead = next(i for i, x in enumerate(row) if x != 0)
+        f = v[lead] / row[lead]
+        coords.append(f)
+        if f != 0:
+            v = [x - f * y for x, y in zip(v, row)]
+    return coords if all(x == 0 for x in v) else None

@@ -6,8 +6,9 @@ from itertools import product
 
 import pytest
 
+import field_reference as fref
 from hecke3.fields import GF, QQ
-from hecke3.linalg import Matrix, echelon_span, span_coords
+from hecke3.linalg import Matrix, echelon_span
 from hecke3.heckecore import build_R, conjugate, conjugate_data, deform, flip_matrix
 from hecke3.multilinear import lift_left, lift_right, matrix_of_map, random_invertible, slot_action
 from hecke3.verifier import column_witness, sample_strategy_a
@@ -15,6 +16,7 @@ from hecke3.classify import TYPE_LABELS, canonical
 from hecke3.cybe import (
     LieSubalgebra,
     _center_dim,
+    _functionals,
     carrier,
     check_cybe,
     check_symmetrized,
@@ -225,7 +227,7 @@ class TestCarrier:
         for label in ("Type3", "Type4", "Type5", "Type6", "Type7", "Type8"):
             sub = carrier(classical_r(build_R(canonical(label))))
             ref = lie_subalgebra(QQ, refs[label])
-            assert echelon_span(QQ, sub.span_rows()) == echelon_span(QQ, ref.span_rows()), label
+            assert sub.basis == ref.basis, label
 
     def test_closure_flag_not_raised_on_these(self):
         for label in ("Type3", "Type6", "Type8"):
@@ -244,7 +246,8 @@ class TestCarrier:
 def reference_structure_constants(L):
     """c[i][j] = coordinates of [x_i, x_j]: the brackets formed again, then located in the span."""
     vec = lambda m: [m.rows[i][j] for i in range(3) for j in range(3)]
-    return [[span_coords(L.span_rows(), vec(x * y - y * x)) for y in L.basis] for x in L.basis]
+    rows = [vec(m) for m in L.basis]
+    return [[fref.span_coords(rows, vec(x * y - y * x)) for y in L.basis] for x in L.basis]
 
 
 @pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "Fp7"])
@@ -261,6 +264,86 @@ def test_closure_constants_match_the_brackets(field):
     for L in algebras:
         ref = reference_structure_constants(L)
         assert [[list(c) for c in row] for row in L.constants] == ref
+
+
+def reference_echelon(field, vectors):
+    """Nonzero rows of the field-object reduced echelon form."""
+    vecs = [v for v in vectors if any(x != 0 for x in v)]
+    if not vecs:
+        return []
+    red, pivots = fref.rref(Matrix.from_rows(field, vecs))
+    return red.rows[:len(pivots)]
+
+
+def reference_closure(field, generators):
+    """(basis, constants, grew) of the field-object closure loop, brackets located by span_coords."""
+    vec = lambda m: [m.rows[i][j] for i in range(3) for j in range(3)]
+    rows, grew = reference_echelon(field, [vec(m) for m in generators]), False
+    while True:
+        mats = [Matrix(field, [r[3 * i:3 * i + 3] for i in range(3)]) for r in rows]
+        brackets = [[vec(fref.mul(x, y) - fref.mul(y, x)) for y in mats] for x in mats]
+        consts = [[fref.span_coords(rows, b) for b in bx] for bx in brackets]
+        new = [b for bx, cx in zip(brackets, consts) for b, c in zip(bx, cx) if c is None]
+        if not new:
+            return tuple(mats), consts, grew
+        grew, rows = True, reference_echelon(field, rows + new)
+
+
+def reference_fingerprint(L):
+    """The fingerprint with the Killing form as traces of d^2 products of ad matrices."""
+    fld, d, c = L.field, L.dim, L.constants
+    if d == 0:
+        return (0, 0, 0, 0)
+    rank = lambda rows: len(fref.rref(Matrix(fld, rows))[1])
+    derived = rank([list(c[i][j]) for i in range(d) for j in range(d)])
+    center = d - rank([[c[i][j][k] for i in range(d)] for j in range(d) for k in range(d)])
+    ad = [Matrix(fld, [[c[i][j][k] for j in range(d)] for k in range(d)]) for i in range(d)]
+    killing = [[fref.trace(fref.mul(ad[i], ad[j])) for j in range(d)] for i in range(d)]
+    return (d, derived, center, rank(killing))
+
+
+def reference_frobenius_witness(L):
+    """The first functional of _functionals whose form has a nonzero field-object determinant."""
+    return next((tuple(f) for f in _functionals(L.field, L.dim)
+                 if fref.det(form_of(L, f)) != 0), None)
+
+
+def differential_generators(field):
+    """Reference carrier generators, and the factors of r for moved types and strategy-A samples."""
+    rng = random.Random(29)
+    gens = [g for g in reference_carriers(field).values() if g is not None]
+    gens.append([matrix_unit(field, 1, 2), matrix_unit(field, 2, 1)])  # the closure grows
+    for label in TYPE_LABELS:
+        q = field.of(2) if label in ("Type1", "Type2") else None
+        for _ in range(2):
+            sym = conjugate(build_R(canonical(label, q, field)), random_invertible(field, rng))
+            r = classical_r(sym)
+            gens.append(list(r.left) + list(r.right))
+    for _ in range(4):
+        r = classical_r(build_R(sample_strategy_a(field, rng)))
+        gens.append(list(r.left) + list(r.right))
+    return gens
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3), GF(7), GF(1_000_003)],
+                         ids=["Q", "Fp3", "Fp7", "Fp1000003"])
+def test_integer_closure_matches_the_field_reference(field):
+    """Basis, constants, closure flag, fingerprint and Frobenius witness equal the references."""
+    dims, grew = set(), set()
+    for gens in differential_generators(field):
+        L = lie_subalgebra(field, gens)
+        basis, consts, closure_grew = reference_closure(field, gens)
+        assert L.basis == basis and L.closure_grew == closure_grew
+        assert [[list(c) for c in row] for row in L.constants] == consts
+        assert all(type(x) is type(field.zero()) for row in L.constants for c in row for x in c)
+        assert fingerprint(L) == reference_fingerprint(L)
+        res = is_frobenius(L)
+        if L.dim % 2 == 0 and not L.center_dim:
+            want = reference_frobenius_witness(L) if L.dim else ()
+            assert (res.status, res.witness) == ("yes" if want is not None else "no", want)
+        dims.add(L.dim)
+        grew.add(L.closure_grew)
+    assert dims >= {0, 2, 4, 6, 9} and grew == {False, True}
 
 
 class TestFrobenius:

