@@ -29,14 +29,11 @@ from .fields import GF, QQ, Fp, PrimeField, Rationals, parse_field
 from .linalg import Matrix
 from .multilinear import (
     alt2_basis,
-    basis_vector,
     cyclic_shift,
     idx2,
     idx3,
     is_alt2,
     is_alt3,
-    lift_left,
-    lift_right,
     std_basis,
     tensor2,
     vol,

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field as dc_field
 from itertools import combinations, product
 from operator import mul
 
+from .errors import Hecke3Error
 from .fields import QQ
 from .linalg import Matrix, echelon_span, field_scalars, integer_coordinates, reduce_mod
 from .heckecore import HeckeSymmetry, flip_matrix
@@ -194,7 +195,9 @@ def lie_subalgebra(field, generators) -> LieSubalgebra:
                                   for t in free], p))]
         if not new:
             break
-        grew, rows = True, echelon_span(field, rows + new)
+        grew, dim, rows = True, len(rows), echelon_span(field, rows + new)
+        if len(rows) == dim:
+            raise Hecke3Error("internal inconsistency: brackets outside the span did not grow it")
     constants = tuple(tuple(tuple(field_scalars(field, c, d * d)) for c in cx) for cx in consts)
     return LieSubalgebra(field, tuple(_unvec(field, r) for r in rows), constants, grew)
 

@@ -3,8 +3,8 @@
 Rational scalars are plain ``fractions.Fraction`` values (always normalized,
 positive denominator).  Prime-field scalars are :class:`Fp` residues that
 carry their modulus, so mixed-field arithmetic fails loudly instead of
-coercing.  Plain ``int`` operands are accepted everywhere: the integers embed
-canonically in every field.
+coercing.  A plain ``int`` may stand on either side of ``+`` and ``*`` and on
+the right of ``-`` and ``/``: the integers embed canonically in every field.
 
 Text forms: a scalar prints as ``"a/b"`` (rationals, ``/b`` omitted when the
 denominator is 1) or as its least nonnegative residue (prime fields).  Both
@@ -88,8 +88,9 @@ class Fp:
     """Residue modulo an odd prime p, with field arithmetic via operators.
 
     Instances are immutable and hashable.  Arithmetic accepts another
-    :class:`Fp` with the same modulus or a plain ``int``; anything else
-    (in particular a ``Fraction``) raises :class:`FieldMismatch`.
+    :class:`Fp` with the same modulus or a plain ``int``, which may stand on
+    the left only of ``+`` and ``*``; anything else (in particular a
+    ``Fraction``) raises :class:`FieldMismatch`.
     """
 
     __slots__ = ("v", "p")
@@ -120,9 +121,6 @@ class Fp:
     def __sub__(self, other):
         return Fp(self.v - self._lift(other), self.p)
 
-    def __rsub__(self, other):
-        return Fp(self._lift(other) - self.v, self.p)
-
     def __mul__(self, other):
         return Fp(self.v * self._lift(other), self.p)
 
@@ -134,16 +132,7 @@ class Fp:
             raise DivisionByZero(f"division by zero in F{self.p}")
         return Fp(self.v * pow(w, -1, self.p), self.p)
 
-    def __rtruediv__(self, other):
-        if self.v == 0:
-            raise DivisionByZero(f"division by zero in F{self.p}")
-        return Fp(self._lift(other) * pow(self.v, -1, self.p), self.p)
-
     def __pow__(self, n: int):
-        if n < 0:
-            if self.v == 0:
-                raise DivisionByZero(f"division by zero in F{self.p}")
-            return Fp(pow(pow(self.v, -1, self.p), -n, self.p), self.p)
         return Fp(pow(self.v, n, self.p), self.p)
 
     def __neg__(self):
@@ -235,15 +224,8 @@ class PrimeField:
             raise InputError(f"prime modulus {p} exceeds a machine word")
         if not is_prime(p):
             raise NotPrime(f"{p} is not a prime")
-        self.p = p
-
-    @property
-    def characteristic(self) -> int:
-        return self.p
-
-    @property
-    def name(self) -> str:
-        return f"Fp:{self.p}"
+        self.p = self.characteristic = p
+        self.name = f"Fp:{p}"
 
     def zero(self) -> Fp:
         return Fp(0, self.p)

@@ -52,14 +52,12 @@ __all__ = [
     "solve_q",
     "HeckeData",
     "skewsymmetrizer_matrix",
-    "pairing_coordinates",
     "build_R",
     "flip_matrix",
     "HeckeSymmetry",
     "hecke_residual",
     "extract_q",
     "FOperator",
-    "zero_F",
     "extract_F",
     "t_operator_of_F",
     "build_Y_from_F",
@@ -154,13 +152,14 @@ class HeckeData:
         return self.g.field
 
 
-def pairing_coordinates(Y: Matrix):
-    """l[i][j][k] = pair_vt(e_i, Y(e_j e_k)), read off rows 5, 6 and 1 of Y.
+def pairing_coordinates(ys):
+    """l[i][j][k] = pair_vt(e_i, Y(e_j e_k)), read off rows 5, 6 and 1 of Y given row-major.
 
     Those rows hold the t23, t31 and t12 coordinates of each column, so the
-    reading is exact only when every column of Y is alternating.
+    reading is exact only when every column of Y is alternating.  The entries
+    may be field scalars or the integer coordinates of Y.
     """
-    return [[[Y.rows[r][idx2(j, k)] for k in range(3)] for j in range(3)] for r in (5, 6, 1)]
+    return [[ys[9 * r + 3 * j:9 * r + 3 * j + 3] for j in range(3)] for r in (5, 6, 1)]
 
 
 def skewsymmetrizer_matrix(q, g: Matrix, t) -> Matrix:
@@ -330,10 +329,6 @@ class FOperator:
         return _gram_determinant(self.g, self.t)
 
 
-def zero_F(field) -> FOperator:
-    return FOperator(Matrix.zeros(field, 3), zero_tensor(field, 2))
-
-
 def extract_F(sym: HeckeSymmetry) -> FOperator:
     """Recover the invariant operator F from a Hecke symmetry.
 
@@ -344,7 +339,7 @@ def extract_F(sym: HeckeSymmetry) -> FOperator:
     operator is not a Hecke symmetry of the polynomial algebra.
     """
     fld = sym.field
-    ell = pairing_coordinates(sym.Y)
+    ell = pairing_coordinates([x for row in sym.Y.rows for x in row])
     cols = [
         bivector(fld, [(ell[i][j][k] + ell[j][i][k]) / 2 for k in range(3)])
         for i in range(3)
@@ -352,7 +347,7 @@ def extract_F(sym: HeckeSymmetry) -> FOperator:
     ]
     lead, m = _leading(cols)
     if lead is None:
-        f_op = zero_F(fld)
+        f_op = FOperator(Matrix.zeros(fld, 3), zero_tensor(fld, 2))
     else:
         g = Matrix(fld, [[cols[idx2(i, j)][m] for j in range(3)] for i in range(3)])
         f_op = FOperator(g, [x / lead[m] for x in lead])
@@ -409,7 +404,7 @@ def conjugate(sym: HeckeSymmetry, P: Matrix) -> HeckeSymmetry:
 
     A singular P raises :class:`~hecke3.errors.SingularMatrix`.
     """
-    return HeckeSymmetry(change_of_basis(sym.R, P.inverse()), sym.q)
+    return HeckeSymmetry(change_of_basis(sym.R, P), sym.q)
 
 
 def conjugate_data(data: HeckeData, P: Matrix) -> HeckeData:

@@ -214,11 +214,6 @@ class Matrix:
             basis.append(v)
         return basis
 
-    def row_space_basis(self):
-        """Nonzero rows of the reduced echelon form."""
-        red, pivots = self.rref()
-        return [red.rows[i][:] for i in range(len(pivots))]
-
     def det(self):
         if self.nrows != self.ncols:
             raise DimensionMismatch("determinant of a non-square matrix")
@@ -242,10 +237,8 @@ class Matrix:
 
 def echelon_span(field, vectors):
     """Canonical (RREF) basis of the span of the given coordinate vectors."""
-    vecs = [v for v in vectors if any(x != 0 for x in v)]
-    if not vecs:
-        return []
-    return Matrix.from_rows(field, vecs).row_space_basis()
+    red, pivots = Matrix.from_rows(field, vectors).rref()
+    return red.rows[:len(pivots)]
 
 
 def integer_coordinates(field, xs):

@@ -21,7 +21,6 @@ from .linalg import Matrix, integer_coordinates, reduce_mod
 __all__ = [
     "idx2",
     "idx3",
-    "basis_vector",
     "std_basis",
     "zero_tensor",
     "tensor2",
@@ -36,7 +35,6 @@ __all__ = [
     "unit_tensors",
     "alt2_basis",
     "slot_action",
-    "matrix_of_map",
     "lift_left",
     "lift_right",
     "cyclic_shift",
@@ -54,14 +52,8 @@ def idx3(i: int, j: int, k: int) -> int:
     return 9 * i + 3 * j + k
 
 
-def basis_vector(field, i: int):
-    v = [field.zero()] * 3
-    v[i] = field.one()
-    return v
-
-
 def std_basis(field):
-    return [basis_vector(field, i) for i in range(3)]
+    return [[field.one() if i == j else field.zero() for j in range(3)] for i in range(3)]
 
 
 def zero_tensor(field, degree: int):
@@ -197,20 +189,14 @@ def slot_action(op2: Matrix, s: int, t: int):
     return act, d
 
 
-def matrix_of_map(field, action) -> Matrix:
-    """The 27x27 matrix of a slot action (act, d): columns act(e) / d on the basis tensors."""
-    act, d = action
-    return Matrix.from_columns(field, [act(e) for e in unit_tensors(3)]).scale(field.one() / d)
-
-
 def lift_left(op2: Matrix) -> Matrix:
     """The operator Y (x) Id acting on the third tensor power."""
-    return matrix_of_map(op2.field, slot_action(op2, 0, 1))
+    return op2.kron(Matrix.identity(op2.field, 3))
 
 
 def lift_right(op2: Matrix) -> Matrix:
     """The operator Id (x) Y acting on the third tensor power."""
-    return matrix_of_map(op2.field, slot_action(op2, 1, 2))
+    return Matrix.identity(op2.field, 3).kron(op2)
 
 
 def random_invertible(field, rng) -> Matrix:
@@ -221,7 +207,7 @@ def random_invertible(field, rng) -> Matrix:
             return m
 
 
-def change_of_basis(op: Matrix, basis: Matrix) -> Matrix:
-    """Components of a degree-2 operator in the basis given by the columns (invertible)."""
-    binv = basis.inverse()
-    return binv.kron(binv) * op * basis.kron(basis)
+def change_of_basis(op: Matrix, P: Matrix) -> Matrix:
+    """A degree-2 operator transported along an invertible P: (P (x) P) op (P (x) P)^-1."""
+    Pinv = P.inverse()
+    return P.kron(P) * op * Pinv.kron(Pinv)

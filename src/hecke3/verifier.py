@@ -44,6 +44,7 @@ from .heckecore import (
     extract_q,
     g_value,
     hecke_residual,
+    pairing_coordinates,
     skewsymmetrizer_matrix,
     t_operator_of_F,
 )
@@ -191,8 +192,8 @@ def check_component_identity(Y: Matrix, q) -> CheckReport:
     according to the index pattern: the e_r e_r e_t coordinates of
     (Id x Y)(Y x Id)w and of q w for w = e_i (x) e_j^e_k.  So it is the first
     containment read where an index repeats.  When Y maps into Alt2 that
-    difference lies in V (x) Alt2, where vanishing on every x (x) x (x) y,
-    i.e. in every basis (pass ``change_of_basis(Y, P)``), is lying in Alt3.
+    difference lies in V (x) Alt2, where vanishing on every x (x) x (x) y, i.e.
+    for Y transported along every P (``change_of_basis(Y, P)``), is lying in Alt3.
     The sides are compared times b d^2, for Y = N / d and q = a / b.
     """
     fld, e = Y.field, unit_tensors(1)
@@ -216,7 +217,7 @@ def check_pairing_identities(Y: Matrix, q) -> CheckReport:
     """The two identities for the pairing forms of Y.
 
     With L[x,y](z) = pair_vt(x, Y(y z)), the coefficient of x ^ Y(y z), read
-    off rows 5, 6 and 1 of Y as :func:`~hecke3.heckecore.pairing_coordinates` does:
+    off rows 5, 6 and 1 of Y by :func:`~hecke3.heckecore.pairing_coordinates`:
 
       * L[x,y](z) - L[x,z](y) = (q+1) vol(x,y,z)  (linear in all slots,
         checked on basis triples, times b d for Y = N / d and q = a / b);
@@ -228,7 +229,7 @@ def check_pairing_identities(Y: Matrix, q) -> CheckReport:
     fld, p, e = Y.field, Y.field.characteristic, unit_tensors(1)
     n, d = integer_coordinates(fld, [x for row in Y.rows for x in row])
     (a,), b = integer_coordinates(fld, [fld.of(q)])
-    ell = [[n[9 * r + 3 * j:9 * r + 3 * j + 3] for j in range(3)] for r in (5, 6, 1)]  # d L
+    ell = pairing_coordinates(n)  # d L
 
     def vols(x):  # vols(x)[idx2(u, v)] = vol(x, e_u, e_v)
         return [vol(x, e[u], e[v]) for u, v in product(range(3), repeat=2)]

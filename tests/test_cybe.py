@@ -7,10 +7,12 @@ from itertools import product
 import pytest
 
 import field_reference as fref
+import hecke3.cybe as cybe
+from hecke3.errors import Hecke3Error
 from hecke3.fields import GF, QQ
 from hecke3.linalg import Matrix, echelon_span
 from hecke3.heckecore import build_R, conjugate, conjugate_data, deform, flip_matrix
-from hecke3.multilinear import lift_left, lift_right, matrix_of_map, random_invertible, slot_action
+from hecke3.multilinear import lift_left, lift_right, random_invertible, slot_action, unit_tensors
 from hecke3.verifier import column_witness, sample_strategy_a
 from hecke3.classify import TYPE_LABELS, canonical
 from hecke3.cybe import (
@@ -163,7 +165,9 @@ class TestCheckCybe:
                 r12, r13, r23 = factorwise_embeddings(t)
                 assert lift_left(t.matrix) == r12
                 assert lift_right(t.matrix) == r23
-                assert matrix_of_map(field, slot_action(t.matrix, 0, 2)) == r13
+                act, d = slot_action(t.matrix, 0, 2)
+                columns = [act(e) for e in unit_tensors(3)]
+                assert Matrix.from_columns(field, columns).scale(field.one() / d) == r13
                 total = zero
                 for x, y in ((r12, r13), (r12, r23), (r13, r23)):
                     total = total + (x * y - y * x)
@@ -241,6 +245,21 @@ class TestCarrier:
     def test_closure_grows_when_needed(self):
         sub = lie_subalgebra(QQ, [E(1, 2), E(2, 1)])
         assert sub.closure_grew and sub.dim == 3  # picks up the commutator
+
+    def test_closure_that_stops_growing_raises(self, monkeypatch):
+        """A membership test that calls every bracket new raises once the span stops growing."""
+        echelon, spans = cybe.echelon_span, []
+
+        def counted(field, vectors):
+            spans.append(vectors)
+            assert len(spans) <= 20, "the closure loop does not end"
+            return echelon(field, vectors)
+
+        monkeypatch.setattr(cybe, "reduce_mod", lambda ns, p: [1])
+        monkeypatch.setattr(cybe, "echelon_span", counted)
+        for gens in ([E(1, 2), E(2, 1)], [E(1, 3), E(2, 3)]):
+            with pytest.raises(Hecke3Error, match="internal inconsistency"):
+                lie_subalgebra(QQ, gens)
 
 
 def reference_structure_constants(L):

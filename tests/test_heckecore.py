@@ -422,9 +422,7 @@ class TestExtractF:
 
 class TestBuildYFromF:
     def test_zero_operator_at_q_one(self):
-        from hecke3.heckecore import zero_F
-
-        Y = build_Y_from_F(QQ.one(), zero_F(QQ))
+        Y = build_Y_from_F(QQ.one(), FOperator(Matrix.zeros(QQ, 3), zero_tensor(QQ, 2)))
         assert Y == build_R(HeckeData(QQ.one(), E1, E2, Matrix.zeros(QQ, 3))).Y
 
     def test_roundtrip_second_type(self):
@@ -568,7 +566,22 @@ class TestConjugate:
             sym = build_R(canonical("Type1", 3, field))
             for _ in range(5):
                 P = random_invertible(field, rng)
-                assert conjugate(sym, P).Y == change_of_basis(sym.Y, P.inverse())
+                assert conjugate(sym, P).Y == change_of_basis(sym.Y, P)
+
+    def test_one_inverse_per_transport(self, monkeypatch):
+        """conjugate inverts P once and agrees with transporting the quadruple."""
+        rng = random.Random(55)
+        inverse, calls = Matrix.inverse, []
+        monkeypatch.setattr(Matrix, "inverse", lambda m: calls.append(m) or inverse(m))
+        for field in (QQ, GF(7)):
+            for data in (canonical("Type1", 3, field), canonical("Type2", -1, field),
+                         canonical("Type5", field=field)):
+                P = random_invertible(field, rng)
+                sym = build_R(data)
+                calls.clear()
+                moved = conjugate(sym, P)
+                assert calls == [P]
+                assert moved == build_R(conjugate_data(data, P))
 
 
 class TestPrimeFieldConstruction:

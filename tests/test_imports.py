@@ -1,6 +1,8 @@
-"""Every package module uses each name it imports (``__init__`` re-exports, so it is exempt)."""
+"""Every package module uses each name it imports (``__init__`` re-exports, so it is exempt),
+and every name in a module's ``__all__`` exists on that module."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -33,3 +35,9 @@ def test_no_unused_imports(path):
 def test_the_check_sees_an_unused_import():
     src = "import random\nfrom itertools import islice, product\n\nprint(product)\n"
     assert unused_imports(src) == [(1, "random"), (2, "islice")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_all_names_resolve(path):
+    module = importlib.import_module(f"hecke3.{path.stem}")
+    assert [name for name in getattr(module, "__all__", []) if not hasattr(module, name)] == []

@@ -14,7 +14,6 @@ from hecke3 import fields, heckecore, verifier
 from hecke3.fields import GF, QQ
 from hecke3.linalg import Matrix, integer_coordinates
 from hecke3.multilinear import (
-    basis_vector,
     change_of_basis,
     cyclic_shift,
     idx2,
@@ -38,7 +37,6 @@ from hecke3.heckecore import (
     flip_matrix,
     g_value,
     hecke_residual,
-    pairing_coordinates,
     skewsymmetrizer_matrix,
     symmetric_form,
     t_operator_of_F,
@@ -295,7 +293,7 @@ def reference_sample_strategy_a(field, rng):
     a, b = _random_independent_pair(field, rng)
     cols = [a]
     for i in range(3):
-        cand = basis_vector(field, i)
+        cand = std_basis(field)[i]
         if Matrix.from_columns(field, cols + [cand]).rank() == len(cols) + 1:
             cols.append(cand)
         if len(cols) == 3:
@@ -548,7 +546,7 @@ def reference_pairing_identities(Y, q):
             if not is_alt2(Y.col(c)):
                 yield _witness(fld, {"basis_tensor": [c // 3 + 1, c % 3 + 1]}, Y.col(c),
                                "alternating tensor expected")
-        ell = pairing_coordinates(Y)
+        ell = [[[Y.rows[r][idx2(j, k)] for k in range(3)] for j in range(3)] for r in (5, 6, 1)]
         for i in range(3):
             for j in range(3):
                 for k in range(3):
