@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import cache
 from math import isqrt
 
 from .errors import (
@@ -133,6 +134,8 @@ class Fp:
         return Fp(self.v * pow(w, -1, self.p), self.p)
 
     def __pow__(self, n: int):
+        if n < 0 and not self.v:
+            raise DivisionByZero(f"zero to a negative power in F{self.p}")
         return Fp(pow(self.v, n, self.p), self.p)
 
     def __neg__(self):
@@ -260,41 +263,22 @@ class PrimeField:
         return str(self.of(x).v)
 
     def sqrt(self, x):
-        """Square root in F_p via Tonelli-Shanks, or None for a non-residue.
+        """Square root in F_p by Cipolla's method, or None for a non-residue.
 
-        The canonical root is the smaller of the two residues.
+        With t the first integer making w = t^2 - a a non-residue, (t + sqrt(w))^((p+1)/2),
+        computed in F_p[sqrt(w)], is a root of a.  The canonical root is the smaller of the
+        two residues.
         """
-        a = self.of(x).v
-        p = self.p
-        if a == 0:
-            return Fp(0, p)
+        a, p = self.of(x).v, self.p
         if pow(a, (p - 1) // 2, p) != 1:
-            return None
-        if p % 4 == 3:
-            r = pow(a, (p + 1) // 4, p)
-        else:
-            q, s = p - 1, 0
-            while q % 2 == 0:
-                q //= 2
-                s += 1
-            z = 2
-            while pow(z, (p - 1) // 2, p) != p - 1:
-                z += 1
-            c = pow(z, q, p)
-            r = pow(a, (q + 1) // 2, p)
-            t = pow(a, q, p)
-            m = s
-            while t != 1:
-                i, t2 = 0, t
-                while t2 != 1:
-                    t2 = t2 * t2 % p
-                    i += 1
-                b = pow(c, 1 << (m - i - 1), p)
-                r = r * b % p
-                c = b * b % p
-                t = t * c % p
-                m = i
-        return Fp(min(r, p - r), p)
+            return None if a else Fp(0, p)
+        t = next(t for t in range(p) if pow(t * t - a, (p - 1) // 2, p) == p - 1)
+        w, (u, v), (s, r), n = (t * t - a) % p, (1, 0), (t, 1), (p + 1) // 2
+        while n:  # (u + v sqrt(w)) *= (s + r sqrt(w)) for each set bit of n, squaring s + r sqrt(w)
+            if n & 1:
+                u, v = (u * s + v * r * w) % p, (u * r + v * s) % p
+            s, r, n = (s * s + r * r * w) % p, 2 * s * r % p, n >> 1
+        return Fp(min(u, p - u), p)
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
@@ -308,16 +292,10 @@ class PrimeField:
 
 QQ = Rationals()
 
-_GF_CACHE: dict[int, PrimeField] = {}
-
-
+@cache
 def GF(p: int) -> PrimeField:
     """Return the prime field F_p (cached)."""
-    fld = _GF_CACHE.get(p)
-    if fld is None:
-        fld = PrimeField(p)
-        _GF_CACHE[p] = fld
-    return fld
+    return PrimeField(p)
 
 
 def parse_field(spec: str):

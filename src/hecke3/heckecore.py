@@ -37,6 +37,7 @@ from .multilinear import (
     change_of_basis,
     idx2,
     is_alt2,
+    non_alternating_columns,
     pair_vt,
     std_basis,
     unit_tensors,
@@ -68,16 +69,8 @@ __all__ = [
 
 
 def g_value(g: Matrix, x, y):
-    """Evaluate the bilinear form given by a 3x3 matrix."""
-    acc = g.field.zero()
-    for i in range(3):
-        if x[i] == 0:
-            continue
-        row = g.rows[i]
-        for j in range(3):
-            if row[j] != 0 and y[j] != 0:
-                acc = acc + x[i] * row[j] * y[j]
-    return acc
+    """Evaluate the bilinear form given by a 3x3 matrix: the sum of x_i g_ij y_j."""
+    return sum((x[i] * g.rows[i][j] * y[j] for i in range(3) for j in range(3)), g.field.zero())
 
 
 def _checked_form(g: Matrix) -> Matrix:
@@ -196,7 +189,7 @@ class HeckeSymmetry:
 
     def __post_init__(self):
         Y = Matrix.identity(self.R.field, 9).scale(self.q) - self.R
-        if not all(is_alt2(Y.col(j)) for j in range(9)):
+        if non_alternating_columns(Y):
             raise NotHeckeSym0("the skewsymmetrizer image is not alternating")
         object.__setattr__(self, "Y", Y)
 
@@ -251,8 +244,7 @@ def hecke_residual(R: Matrix, q):
     It is the integer product (bN - a d Id)(N + d Id), reduced mod p over F_p,
     so it is zero exactly when R satisfies the quadratic relation at q.
     """
-    fld = R.field
-    n, d = integer_coordinates(fld, [x for row in R.rows for x in row])
+    fld, (n, d) = R.field, R.integers()
     (a,), b = integer_coordinates(fld, [fld.of(q)])
     left = [[b * x - a * d * (r == c) for c, x in enumerate(n[9 * r:9 * r + 9])] for r in range(9)]
     right = [[x + d * (r == c) for r, x in enumerate(n[c::9])] for c in range(9)]

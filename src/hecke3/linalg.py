@@ -107,8 +107,7 @@ class Matrix:
                 f"cannot compose {self.nrows}x{self.ncols} with {other.nrows}x{other.ncols}"
             )
         fld, n, k, m = self.field, self.nrows, self.ncols, other.ncols
-        a, da = integer_coordinates(fld, [x for row in self.rows for x in row])
-        b, db = integer_coordinates(fld, [x for row in other.rows for x in row])
+        (a, da), (b, db) = self.integers(), other.integers()
         rows, cols = [a[i * k:(i + 1) * k] for i in range(n)], [b[j::m] for j in range(m)]
         out = field_scalars(fld, [sum(map(mul, r, c)) for r in rows for c in cols], da * db)
         return Matrix(fld, [out[i * m:(i + 1) * m] for i in range(n)])
@@ -118,10 +117,13 @@ class Matrix:
         if len(vec) != self.ncols:
             raise DimensionMismatch(f"vector of length {len(vec)} vs {self.ncols} columns")
         fld, k = self.field, self.ncols
-        a, da = integer_coordinates(fld, [x for row in self.rows for x in row])
-        x, dx = integer_coordinates(fld, vec)
+        (a, da), (x, dx) = self.integers(), integer_coordinates(fld, vec)
         rows = (a[i * k:(i + 1) * k] for i in range(self.nrows))
         return field_scalars(fld, [sum(map(mul, r, x)) for r in rows], da * dx)
+
+    def integers(self):
+        """Integer coordinates (N, d) of the entries read row-major: self = N / d."""
+        return integer_coordinates(self.field, [x for row in self.rows for x in row])
 
     def col(self, j):
         return [row[j] for row in self.rows]
@@ -131,22 +133,8 @@ class Matrix:
 
     def kron(self, other) -> "Matrix":
         """Kronecker product, row-major composite indices."""
-        z = self.field.zero()
-        n2, m2 = other.nrows, other.ncols
-        out = [
-            [z] * (self.ncols * m2) for _ in range(self.nrows * n2)
-        ]
-        for i, arow in enumerate(self.rows):
-            for j, a in enumerate(arow):
-                if a == 0:
-                    continue
-                for k, brow in enumerate(other.rows):
-                    orow = out[i * n2 + k]
-                    base = j * m2
-                    for l, b in enumerate(brow):
-                        if b != 0:
-                            orow[base + l] = a * b
-        return Matrix(self.field, out)
+        return Matrix(self.field, [[a * b for a in ra for b in rb]
+                                   for ra in self.rows for rb in other.rows])
 
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.rows for x in row)

@@ -16,7 +16,7 @@ determinant).
 from __future__ import annotations
 
 from .errors import DimensionMismatch, NotAlternating
-from .linalg import Matrix, integer_coordinates, reduce_mod
+from .linalg import Matrix, reduce_mod
 
 __all__ = [
     "idx2",
@@ -91,6 +91,12 @@ def is_alt2(t) -> bool:
     return True
 
 
+def non_alternating_columns(op: Matrix):
+    """Indices of the columns of a 9x9 operator outside Alt2, read on its integer coordinates."""
+    n = reduce_mod(op.integers()[0], op.field.characteristic)
+    return [c for c in range(9) if not is_alt2(n[c::9])]
+
+
 def wedge_vt(x, t):
     """Wedge of a vector with an alternating degree-2 tensor.
 
@@ -163,13 +169,12 @@ def alt2_basis():
 def slot_action(op2: Matrix, s: int, t: int):
     """The 9x9 operator op2 = N / d on slots (s, t) of degree-3 tensors, as (act, d).
 
-    N and d come from :func:`~hecke3.linalg.integer_coordinates`; act(w) is N acting
+    N and d come from :meth:`~hecke3.linalg.Matrix.integers`; act(w) is N acting
     on integer coordinates w, reduced mod p over F_p.  Slot s takes the first tensor
     factor, slot t the second: (0, 1) is Y (x) Id, (1, 2) is Id (x) Y, (0, 2) acts on
     the outer slots.  No field scalar is formed.
     """
-    modulus = op2.field.characteristic
-    n, d = integer_coordinates(op2.field, [x for row in op2.rows for x in row])
+    modulus, (n, d) = op2.field.characteristic, op2.integers()
     weight, u = (9, 3, 1), 3 - s - t  # u: the slot left alone
     moves = []  # moves[b]: the (position, coefficient) pairs of N applied to basis tensor b
     for b in range(27):

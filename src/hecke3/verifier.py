@@ -20,9 +20,9 @@ from .multilinear import (
     alt2_basis,
     idx2,
     idx3,
-    is_alt2,
     is_alt3,
     cyclic_shift,
+    non_alternating_columns,
     random_invertible,
     slot_action,
     std_basis,
@@ -118,12 +118,11 @@ def columns_witness(field, columns, scale=1, **context) -> dict | None:
                           x, y, scale) for c, (x, y) in enumerate(columns) if x != y), None)
 
 
-def _non_alternating_columns(Y: Matrix, n):
-    """Witnesses at the columns of Y = N / d outside the alternating square; n is N row-major."""
-    for c in range(9):
-        if not is_alt2(reduce_mod(n[c::9], Y.field.characteristic)):
-            yield _witness(Y.field, {"basis_tensor": _basis_tensor(c, 9)}, Y.col(c),
-                           "alternating tensor expected")
+def _non_alternating_columns(Y: Matrix):
+    """Witnesses at the columns of Y outside the alternating square."""
+    for c in non_alternating_columns(Y):
+        yield _witness(Y.field, {"basis_tensor": _basis_tensor(c, 9)}, Y.col(c),
+                       "alternating tensor expected")
 
 
 def check_braid(R: Matrix) -> CheckReport:
@@ -144,8 +143,7 @@ def check_image_and_eigen(Y: Matrix, q) -> CheckReport:
     fld = Y.field
 
     def mismatches():
-        n, _ = integer_coordinates(fld, [x for row in Y.rows for x in row])
-        yield from _non_alternating_columns(Y, n)
+        yield from _non_alternating_columns(Y)
         rk = Y.rank()
         if rk != 3:
             yield _witness(fld, {"rank": rk}, str(rk), "3")
@@ -227,7 +225,7 @@ def check_pairing_identities(Y: Matrix, q) -> CheckReport:
         (compared times b d^2).
     """
     fld, p, e = Y.field, Y.field.characteristic, unit_tensors(1)
-    n, d = integer_coordinates(fld, [x for row in Y.rows for x in row])
+    n, d = Y.integers()
     (a,), b = integer_coordinates(fld, [fld.of(q)])
     ell = pairing_coordinates(n)  # d L
 
@@ -235,7 +233,7 @@ def check_pairing_identities(Y: Matrix, q) -> CheckReport:
         return [vol(x, e[u], e[v]) for u, v in product(range(3), repeat=2)]
 
     def mismatches():
-        yield from _non_alternating_columns(Y, n)
+        yield from _non_alternating_columns(Y)
         vol_e = [vols(x) for x in e]
         for i, j, k in product(range(3), repeat=3):
             lhs, rhs = reduce_mod([b * (ell[i][j][k] - ell[i][k][j]),
@@ -272,7 +270,7 @@ def check_cyclic_shift_identity(Y: Matrix, T: Matrix, q) -> CheckReport:
     fld, e = Y.field, unit_tensors(1)
     (y1, d), (y2, _) = slot_action(Y, 0, 1), slot_action(Y, 1, 2)
     (qn,), qd = integer_coordinates(fld, [fld.of(q)])
-    tn, td = integer_coordinates(fld, [x for row in T.rows for x in row])
+    tn, td = T.integers()
 
     def mismatches():
         for i in range(3):

@@ -3,10 +3,15 @@
 Every function here computes entrywise on exact field elements (``Fraction``
 or ``Fp``), the way ``Matrix`` did before its products and elimination moved
 to Python ints.  The differential tests compare the two on the same inputs.
+The zero-skipping Kronecker product, the Tonelli-Shanks square root and the
+column-by-column alternation test are the former forms of ``Matrix.kron``,
+``PrimeField.sqrt`` and ``multilinear.non_alternating_columns``.
 """
 
 from hecke3.errors import DimensionMismatch, SingularMatrix
+from hecke3.fields import Fp
 from hecke3.linalg import Matrix
+from hecke3.multilinear import is_alt2
 
 
 def mul(a: Matrix, b: Matrix) -> Matrix:
@@ -118,3 +123,59 @@ def span_coords(ech_rows, v):
         if f != 0:
             v = [x - f * y for x, y in zip(v, row)]
     return coords if all(x == 0 for x in v) else None
+
+
+def kron(a: Matrix, b: Matrix) -> Matrix:
+    """Kronecker product, row-major composite indices, forming only nonzero products."""
+    z = a.field.zero()
+    n2, m2 = b.nrows, b.ncols
+    out = [[z] * (a.ncols * m2) for _ in range(a.nrows * n2)]
+    for i, arow in enumerate(a.rows):
+        for j, x in enumerate(arow):
+            if x == 0:
+                continue
+            for k, brow in enumerate(b.rows):
+                orow = out[i * n2 + k]
+                for l, y in enumerate(brow):
+                    if y != 0:
+                        orow[j * m2 + l] = x * y
+    return Matrix(a.field, out)
+
+
+def sqrt_mod(field, x):
+    """Square root in F_p via Tonelli-Shanks, or None for a non-residue; the smaller root."""
+    a, p = field.of(x).v, field.p
+    if a == 0:
+        return Fp(0, p)
+    if pow(a, (p - 1) // 2, p) != 1:
+        return None
+    if p % 4 == 3:
+        r = pow(a, (p + 1) // 4, p)
+    else:
+        q, s = p - 1, 0
+        while q % 2 == 0:
+            q //= 2
+            s += 1
+        z = 2
+        while pow(z, (p - 1) // 2, p) != p - 1:
+            z += 1
+        c = pow(z, q, p)
+        r = pow(a, (q + 1) // 2, p)
+        t = pow(a, q, p)
+        m = s
+        while t != 1:
+            i, t2 = 0, t
+            while t2 != 1:
+                t2 = t2 * t2 % p
+                i += 1
+            b = pow(c, 1 << (m - i - 1), p)
+            r = r * b % p
+            c = b * b % p
+            t = t * c % p
+            m = i
+    return Fp(min(r, p - r), p)
+
+
+def non_alternating_columns(op: Matrix):
+    """Indices of the columns of a 9x9 operator outside Alt2, tested on field scalars."""
+    return [j for j in range(9) if not is_alt2(op.col(j))]

@@ -6,6 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+import field_reference as fref
+
 from hecke3.errors import (
     CharacteristicTwo,
     DivisionByZero,
@@ -60,6 +62,15 @@ class TestPrimeFieldArithmetic:
         assert x ** 2 == GF(13).of(12)
         assert x ** -1 * x == GF(13).one()
 
+    def test_zero_to_a_negative_power(self):
+        assert issubclass(DivisionByZero, ZeroDivisionError)
+        with pytest.raises(DivisionByZero):
+            GF(7).zero() ** -1
+        with pytest.raises(ZeroDivisionError):
+            GF(7).of(14) ** -2
+        assert GF(7).of(3) ** -1 == GF(7).of(5)
+        assert GF(7).zero() ** 0 == GF(7).one()
+
 
 class TestFieldMismatch:
     def test_fraction_plus_residue(self):
@@ -101,6 +112,19 @@ class TestSqrt:
             s = f.sqrt(f.of(v * v))
             assert s is not None and s * s == f.of(v * v)
 
+    @pytest.mark.parametrize("p", (3, 5, 7, 11, 13, 17, 97, 193, 257, 7681))
+    def test_cipolla_matches_tonelli_shanks_on_every_residue(self, p):
+        f = GF(p)
+        assert [f.sqrt(a) for a in range(p)] == [fref.sqrt_mod(f, a) for a in range(p)]
+
+    @pytest.mark.parametrize("p", (12289, 65537, 1_000_003, 998_244_353, 2**61 - 1,
+                                   4_611_686_018_427_387_847))
+    def test_cipolla_matches_tonelli_shanks_on_random_residues(self, p):
+        f, rng = GF(p), random.Random(p)
+        xs = [rng.randrange(p) for _ in range(300)]
+        for a in xs + [x * x % p for x in xs]:  # about half non-residues, then squares
+            assert f.sqrt(a) == fref.sqrt_mod(f, a)
+
     @given(st.fractions(min_value=-1000, max_value=1000, max_denominator=10**4))
     def test_sqrt_squares_back(self, x):
         s = QQ.sqrt(x * x)
@@ -124,6 +148,12 @@ class TestFieldGuard:
             GF(9)
         with pytest.raises(NotPrime):
             GF(1)
+
+    def test_one_field_object_per_prime(self):
+        assert GF(7) is GF(7) is parse_field("Fp:7")
+        for _ in range(2):  # a rejected modulus is rejected again, not cached
+            with pytest.raises(NotPrime):
+                GF(15)
 
     def test_bad_spec(self):
         with pytest.raises(InputError):

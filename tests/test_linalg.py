@@ -190,6 +190,22 @@ def test_integer_elimination_matches_the_field_reference(field):
                                 [x for row in fref.inverse(a).rows for x in row])
 
 
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "Fp7"])
+def test_kron_matches_the_zero_skipping_reference(field):
+    """kron by its definition equals the loop that formed only the nonzero products."""
+    rng = random.Random(13)
+    shapes = [((3, 3), (3, 3)), ((3, 3), (9, 9)), ((9, 9), (3, 3)), ((9, 9), (9, 9)),
+              ((2, 7), (3, 2))]
+    for (n, m), (k, l) in shapes:
+        for density in (1.0, 0.5, 0.2):
+            a = random_matrix(field, rng, n, m, density, coprime=True)
+            b = random_matrix(field, rng, k, l, density)
+            got, want = a.kron(b), fref.kron(a, b)
+            assert (got.nrows, got.ncols) == (want.nrows, want.ncols) == (n * k, m * l)
+            assert_same_scalars(field, [x for row in got.rows for x in row],
+                                [x for row in want.rows for x in row])
+
+
 def test_elimination_on_residues_forms_no_field_objects(monkeypatch):
     """Over F_p, rref forms one Fp per nonzero entry of its result plus a zero; det forms two."""
     field = GF(1_000_003)

@@ -8,17 +8,20 @@ from math import prod
 
 import pytest
 
+import field_reference as fref
 from hecke3.cli import main
 from hecke3.errors import NoHeckeParameter, NotHeckeSym0, SingularMatrix
 from hecke3 import fields, heckecore, verifier
 from hecke3.fields import GF, QQ
 from hecke3.linalg import Matrix, integer_coordinates
 from hecke3.multilinear import (
+    bivector,
     change_of_basis,
     cyclic_shift,
     idx2,
     is_alt2,
     is_alt3,
+    non_alternating_columns,
     random_invertible,
     std_basis,
     tensor2,
@@ -865,3 +868,52 @@ class TestNonMembers:
         shift = json.loads(capsys.readouterr().out)[-1]
         assert shift == {"name": "cyclic_shift_identity", "passed": False, "witness": {
             "error": "no valid invariant operator: the invariant operator does not have rank 1"}}
+
+
+def _gate_samples(field):
+    """Random alternating 9x9 operators, each also with one entry bumped out of Alt2, and
+    operators with 1 and 6 at (1,2) and (2,1) of a column: alternating over F7 only."""
+    rng = random.Random(31)
+
+    def scalar():
+        return field.of(Fraction(rng.randint(-9, 9), rng.randint(1, 5)))
+
+    out = []
+    for _ in range(8):
+        Y = Matrix.from_columns(field, [bivector(field, [scalar() for _ in range(3)])
+                                        for _ in range(9)])
+        bump = [(rng.randrange(9), rng.randrange(9), field.of(rng.randint(1, 6)))]
+        out += [Y, _bumped(Y, bump)]
+        c = rng.randrange(9)
+        rows = [row[:] for row in Y.rows]
+        rows[idx2(0, 1)][c], rows[idx2(1, 0)][c] = field.of(1), field.of(6)
+        out.append(Matrix(field, rows))
+    return out
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "Fp7"])
+def test_alternation_gate_matches_the_column_loop(field):
+    """The integer gate finds the columns the field-object is_alt2 loop finds."""
+    found = [non_alternating_columns(Y) for Y in _gate_samples(field)]
+    assert found == [fref.non_alternating_columns(Y) for Y in _gate_samples(field)]
+    assert [] in found and any(found)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "Fp7"])
+def test_constructor_rejects_where_the_checks_witness_a_column_first(field):
+    """HeckeSymmetry(q Id - Y, q) raises exactly when image_eigen and pairing lead with a column."""
+    q, raised = field.of(2), set()
+    for Y in _gate_samples(field):
+        bad = fref.non_alternating_columns(Y)
+        try:
+            HeckeSymmetry(Matrix.identity(field, 9).scale(q) - Y, q)
+        except NotHeckeSym0:
+            raised.add(True)
+            assert bad
+        else:
+            raised.add(False)
+            assert not bad
+        for report in (check_image_and_eigen(Y, q), check_pairing_identities(Y, q)):
+            first = (report.witness or {}).get("input", {}).get("basis_tensor")
+            assert first == ([bad[0] // 3 + 1, bad[0] % 3 + 1] if bad else None)
+    assert raised == {True, False}
