@@ -23,8 +23,8 @@ from .errors import Hecke3Error, InvalidQ
 from .fields import QQ
 from .jsonio import matrix_to_json, vector_to_json
 from .linalg import Matrix
-from .multilinear import idx2, pair_vt, std_basis
-from .heckecore import FOperator, HeckeData, HeckeSymmetry, build_R, extract_F
+from .multilinear import idx2, std_basis
+from .heckecore import FOperator, HeckeData, HeckeSymmetry, _t_matrix, build_R, extract_F
 from .verifier import CheckReport, column_witness
 
 __all__ = [
@@ -126,10 +126,8 @@ def classify(sym: HeckeSymmetry) -> ClassificationReport:
         return ClassificationReport("Type8", q, 0, None, f_op)
     g = f_op.g
     rank_g = g.rank()
-    # the plane of t is the kernel of the form v |-> pair_vt(v, t); P's rows span it
-    n = Matrix(g.field, [[pair_vt(v, f_op.t) for v in std_basis(g.field)]])
-    P = Matrix(g.field, n.kernel_basis())
-    rank_res = (P * g * P.transpose()).rank()
+    t = _t_matrix(g.field, f_op.t)  # its columns span the plane of the bivector
+    rank_res = (t.transpose() * g * t).rank()
     key = (q == 1, rank_g, rank_res)
     if key not in _LABELS:
         raise Hecke3Error(f"internal inconsistency: impossible invariant pattern {key}")

@@ -39,7 +39,6 @@ from .multilinear import (
     is_alt2,
     non_alternating_columns,
     pair_vt,
-    std_basis,
     unit_tensors,
     vol,
     wedge2,
@@ -87,19 +86,20 @@ def symmetric_form(field, rows) -> Matrix:
     return _checked_form(Matrix.from_rows(field, rows))
 
 
-def _gram_determinant(g: Matrix, t):
-    """n^T adj(g) n with n_k = pair_vt(e_k, t): minus the determinant of g bordered by n.
+def _t_matrix(field, t) -> Matrix:
+    """The bivector t as the 3x3 matrix t[3i+j]: a b^T - b a^T for t = a^b, spanning its plane."""
+    return Matrix(field, [t[0:3], t[3:6], t[6:9]])
 
-    For t = a^b, n = a x b and this is g(a,a) g(b,b) - g(a,b)^2.
-    """
-    n = [pair_vt(v, t) for v in std_basis(g.field)]
-    bordered = [row + [x] for row, x in zip(g.rows, n)] + [n + [g.field.zero()]]
-    return -Matrix(g.field, bordered).det()
+
+def _delta(g: Matrix, t):
+    """-tr(T^2)/2 for T = t g: T(V) lies in the plane of t = a^b, where T^2 = -discriminant."""
+    T = (_t_matrix(g.field, t) * g).rows
+    return -sum(T[i][j] * T[j][i] for i in range(3) for j in range(3)) / 2
 
 
 def discriminant(a, b, g: Matrix):
     """g(a,a) g(b,b) - g(a,b)^2: the Gram determinant of g on (a, b)."""
-    return _gram_determinant(g, wedge2(a, b))
+    return _delta(g, wedge2(a, b))
 
 
 def solve_q(a, b, g: Matrix):
@@ -318,7 +318,7 @@ class FOperator:
 
     def delta(self):
         """Gram determinant of g on the plane of the bivector (0 for F = 0)."""
-        return _gram_determinant(self.g, self.t)
+        return _delta(self.g, self.t)
 
 
 def extract_F(sym: HeckeSymmetry) -> FOperator:
@@ -357,8 +357,7 @@ def t_operator_of_F(f_op: FOperator) -> Matrix:
 
     It is invariant under the rescaling; for t = a^b it is v |-> g(b,v) a - g(a,v) b.
     """
-    t = f_op.t
-    return Matrix(f_op.field, [t[0:3], t[3:6], t[6:9]]) * f_op.g
+    return _t_matrix(f_op.field, f_op.t) * f_op.g
 
 
 def build_Y_from_F(q, f_op: FOperator) -> Matrix:

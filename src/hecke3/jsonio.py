@@ -25,10 +25,10 @@ __all__ = [
 
 
 def _scalar_from_json(field, x):
-    """A scalar given as JSON text or an integer; floats and booleans are rejected."""
+    """A scalar given as JSON text or an integer, read as its decimal text under the text bound."""
     if isinstance(x, bool) or not isinstance(x, (str, int)):
         raise InputError(f"a scalar must be a string or an integer, got {x!r}")
-    return field.of(x)
+    return field.parse(str(x))
 
 
 def _record_field(obj: dict, default_field):

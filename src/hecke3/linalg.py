@@ -5,8 +5,7 @@ Python ints: each operand is converted once to integer coordinates N / d
 (:func:`integer_coordinates`), and one field scalar is formed per nonzero
 result entry (:func:`field_scalars`).  No floats are produced anywhere.
 Echelon forms are fully reduced with leading coefficients normalized to 1,
-so bases of row spaces and kernels are canonical and can be compared
-bit-exactly.
+so bases of row spaces are canonical and can be compared bit-exactly.
 """
 
 from __future__ import annotations
@@ -189,18 +188,6 @@ class Matrix:
 
     def rank(self) -> int:
         return len(self._eliminate()[1])
-
-    def kernel_basis(self):
-        """Canonical basis of the right kernel, one vector per free column."""
-        red, pivots = self.rref()
-        z, o = self.field.zero(), self.field.one()
-        basis = []
-        for f in (f for f in range(self.ncols) if f not in pivots):
-            v = [o if j == f else z for j in range(self.ncols)]
-            for row, c in zip(red.rows, pivots):
-                v[c] = -row[f]
-            basis.append(v)
-        return basis
 
     def det(self):
         if self.nrows != self.ncols:

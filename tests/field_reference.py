@@ -3,15 +3,16 @@
 Every function here computes entrywise on exact field elements (``Fraction``
 or ``Fp``), the way ``Matrix`` did before its products and elimination moved
 to Python ints.  The differential tests compare the two on the same inputs.
-The zero-skipping Kronecker product, the Tonelli-Shanks square root and the
-column-by-column alternation test are the former forms of ``Matrix.kron``,
-``PrimeField.sqrt`` and ``multilinear.non_alternating_columns``.
+The zero-skipping Kronecker product, the Tonelli-Shanks square root, the
+column-by-column alternation test and the bordered Gram determinant are the
+former forms of ``Matrix.kron``, ``PrimeField.sqrt``,
+``multilinear.non_alternating_columns`` and ``heckecore.discriminant``.
 """
 
 from hecke3.errors import DimensionMismatch, SingularMatrix
 from hecke3.fields import Fp
 from hecke3.linalg import Matrix
-from hecke3.multilinear import is_alt2
+from hecke3.multilinear import is_alt2, pair_vt, std_basis
 
 
 def mul(a: Matrix, b: Matrix) -> Matrix:
@@ -179,3 +180,13 @@ def sqrt_mod(field, x):
 def non_alternating_columns(op: Matrix):
     """Indices of the columns of a 9x9 operator outside Alt2, tested on field scalars."""
     return [j for j in range(9) if not is_alt2(op.col(j))]
+
+
+def gram_determinant(g: Matrix, t):
+    """n^T adj(g) n with n_k = pair_vt(e_k, t): minus the determinant of g bordered by n.
+
+    For t = a^b, n = a x b and this is g(a,a) g(b,b) - g(a,b)^2.
+    """
+    n = [pair_vt(v, t) for v in std_basis(g.field)]
+    bordered = [row + [x] for row, x in zip(g.rows, n)] + [n + [g.field.zero()]]
+    return -det(Matrix(g.field, bordered))

@@ -10,7 +10,8 @@ from hecke3.errors import Hecke3Error, InvalidQ
 from hecke3.fields import GF, QQ
 from hecke3.linalg import Matrix
 from hecke3.multilinear import idx2, random_invertible
-from hecke3.heckecore import build_R, conjugate
+from hecke3.verifier import sample_strategy_a, sample_strategy_b
+from hecke3.heckecore import build_R, conjugate, conjugate_data, g_value
 from hecke3.classify import (
     TYPE_LABELS,
     _LABELS,
@@ -111,6 +112,25 @@ class TestClassify:
         for label in TYPE_LABELS:
             q = f7.of(3) if label in ("Type1", "Type2") else None
             assert classify(build_R(canonical(label, q, f7))).label == label
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3), GF(7)], ids=["Q", "Fp3", "Fp7"])
+def test_restricted_rank_is_the_rank_of_the_gram_matrix_on_a_and_b(field):
+    """rank(t^T g t) against the 2x2 Gram matrix of the quadruple's g on (a, b)."""
+    rng, seen = random.Random(43), set()
+    samples = [sample_strategy_a(field, rng) for _ in range(12)]
+    samples += [sample_strategy_b(field, rng) for _ in range(12)]
+    samples += [conjugate_data(canonical(label, 2 if label in ("Type1", "Type2") else None, field),
+                               random_invertible(field, rng)) for label in TYPE_LABELS]
+    for data in samples:
+        a, b, g = data.a, data.b, data.g
+        gram = Matrix(field, [[g_value(g, a, a), g_value(g, a, b)],
+                              [g_value(g, b, a), g_value(g, b, b)]])
+        rep = classify(build_R(data))
+        want = None if g.is_zero() else gram.rank()
+        assert rep.rank_restricted == want, (rep.label, g.rows)
+        seen.add(want)
+    assert seen == {None, 0, 1, 2}
 
 
 def reference_label(q_is_one, rank_g, rank_res):

@@ -19,8 +19,10 @@ from hecke3.classify import TYPE_LABELS, canonical
 from hecke3 import verifier
 from hecke3.cli import MAX_INPUT_BYTES, main
 from hecke3.fields import GF, QQ
-from hecke3.heckecore import build_R
+from hecke3.heckecore import build_R, skewsymmetrizer_matrix
 from hecke3.jsonio import hecke_data_to_json, matrix_to_json, symmetry_to_json
+from hecke3.linalg import Matrix
+from hecke3.multilinear import std_basis, wedge2
 from hecke3.verifier import MAX_FUZZ_TRIALS
 
 VERBS = ("construct", "verify", "classify", "rmatrix", "carrier", "deform", "fuzz", "table")
@@ -168,3 +170,24 @@ def test_trials_above_the_bound_are_rejected_before_any_trial(monkeypatch):
     assert code == 2
     assert doc["error"] == {"type": "InputError",
                             "message": f"trials must be <= {MAX_FUZZ_TRIALS}"}
+
+
+@pytest.mark.parametrize("verb", [["verify"], ["classify"], ["rmatrix"], ["carrier"],
+                                  ["deform", "--lambda=1/2"]], ids=lambda v: v[0])
+def test_integer_scalars_share_the_text_bound(tmp_path, verb):
+    """JSON integers of 2,502 digits are bad input, as text scalars of that length are.
+
+    Unbounded, their products outgrow Python's 4,300-digit int-to-text limit in
+    the witness of a failing check, which then raised out of ``main``.
+    """
+    big = 10 ** 2500 + 7
+    e1, e2, _ = std_basis(QQ)
+    g = Matrix.from_rows(QQ, [[big, 1, big], [1, big, big], [big, big, big]])
+    R = Matrix.identity(QQ, 9).scale(QQ.of(3)) - skewsymmetrizer_matrix(QQ.of(3), g, wedge2(e1, e2))
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"field": "Q", "q": "3",
+                                "R": [[int(x) for x in row] for row in R.rows]}))
+    code, doc = _run(verb + ["--matrix", str(path)])
+    assert code == 2
+    assert doc["error"]["type"] == "InputError"
+    assert doc["error"]["message"].startswith("bad matrix entry: bad rational scalar")

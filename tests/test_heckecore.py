@@ -49,7 +49,8 @@ from hecke3.heckecore import (
     symmetric_form,
     t_operator_of_F,
 )
-from hecke3.classify import canonical
+from hecke3.classify import TYPE_LABELS, canonical
+from hecke3.verifier import sample_strategy_a, sample_strategy_b
 
 E1, E2, E3 = std_basis(QQ)
 Fr = Fraction
@@ -194,6 +195,26 @@ class TestPairingCoordinateFormulas:
             assert FOperator(g, wedge2(a, b)).delta() == gram
 
 
+def moved_samples(field, rng):
+    """Strategy-A and -B quadruples, then the eight canonical types moved by random bases."""
+    for _ in range(12):
+        yield sample_strategy_a(field, rng)
+        yield sample_strategy_b(field, rng)
+    for label in TYPE_LABELS:
+        q = 2 if label in ("Type1", "Type2") else None
+        yield conjugate_data(canonical(label, q, field), random_invertible(field, rng))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3), GF(7)], ids=["Q", "Fp3", "Fp7"])
+def test_delta_matches_the_bordered_determinant(field):
+    """-tr(T^2)/2 against the bordered determinant, on the quadruple and on the extracted F."""
+    for data in moved_samples(field, random.Random(41)):
+        t = wedge2(data.a, data.b)
+        assert discriminant(data.a, data.b, data.g) == fref.gram_determinant(data.g, t)
+        f_op = extract_F(build_R(data))
+        assert f_op.delta() == fref.gram_determinant(f_op.g, f_op.t), data
+
+
 class TestDiscriminantAndSolveQ:
     def test_isotropic_pair(self):
         q = Fr(5)
@@ -327,7 +348,6 @@ class TestBuildR:
 
     def test_rank_of_skewsymmetrizer(self):
         rng = random.Random(17)
-        from hecke3.verifier import sample_strategy_a
 
         for _ in range(5):
             sym = build_R(sample_strategy_a(QQ, rng))
@@ -443,7 +463,6 @@ class TestBuildYFromF:
             build_Y_from_F(QQ.of(2), f_op)
 
     def test_roundtrip_random(self):
-        from hecke3.verifier import sample_strategy_a, sample_strategy_b
 
         rng = random.Random(41)
         for sampler in (sample_strategy_a, sample_strategy_b):
@@ -520,7 +539,6 @@ class TestDeform:
             deform(sym, Fr(-1, 2))
 
     def test_random_data_and_parameters(self):
-        from hecke3.verifier import sample_strategy_a
 
         rng = random.Random(77)
         done = 0

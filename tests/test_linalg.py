@@ -16,8 +16,8 @@ def test_identity_rank():
     assert Matrix.identity(QQ, 9).rank() == 9
 
 
-def test_zero_operator_kernel_is_everything():
-    assert len(Matrix.zeros(QQ, 9).kernel_basis()) == 9
+def test_zero_operator_has_rank_zero():
+    assert Matrix.zeros(QQ, 9).rank() == 0
 
 
 def test_mul_and_apply_agree():
@@ -42,15 +42,9 @@ def test_rref_is_canonical():
     assert red.rows[1] == [QQ.zero(), QQ.zero(), QQ.one()]
 
 
-def test_rank_nullity():
+def test_rank_with_dependent_rows():
     m = Matrix.from_rows(QQ, [[1, 2, 3], [2, 4, 6], [1, 0, 1]])
-    assert m.rank() + len(m.kernel_basis()) == 3
-
-
-def test_kernel_vectors_are_killed():
-    m = Matrix.from_rows(QQ, [[1, 2, 3], [2, 4, 6], [1, 0, 1]])
-    for v in m.kernel_basis():
-        assert all(x == 0 for x in m.apply(v))
+    assert m.rank() == 2
 
 
 def test_inverse():

@@ -185,6 +185,36 @@ class TestPairingIdentities:
         assert not rep.passed
 
 
+# Operators over F7 whose wedge identity first fails at a sum point x of the polarization
+# sample, with the witness indices there.  Each is a valid strategy-A or -B symmetry over F7
+# whose pairing coordinates were bumped at one to three positions (i, j, k) and (i, k, j)
+# alike, so its columns stay alternating and the eigenvalue identity holds.  Each also fails
+# at one other sum point, later in the sample order.
+POLARIZATION_CASES = [
+    ({"x": "e1+e2", "indices": [3, 2, 1, 2]}, 5,  # and at e2+e3
+     [[0, 0, 0, 0, 0, 0, 0, 0, 0], [0, 5, 0, 6, 1, 0, 0, 0, 0], [6, 0, 2, 0, 0, 0, 3, 0, 3],
+      [0, 2, 0, 1, 6, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 2, 1, 0, 2, 0],
+      [1, 0, 5, 0, 0, 0, 4, 0, 4], [0, 0, 0, 0, 5, 6, 0, 5, 0], [0, 0, 0, 0, 0, 0, 0, 0, 0]]),
+    ({"x": "e1+e2", "indices": [3, 1, 1, 3]}, 1,  # and at e1+e3
+     [[0, 0, 0, 0, 0, 0, 0, 0, 0], [0, 1, 0, 6, 0, 0, 0, 0, 0], [3, 0, 1, 0, 0, 0, 6, 0, 0],
+      [0, 6, 0, 1, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 1, 0, 6, 4],
+      [4, 0, 6, 0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 0, 6, 0, 1, 3], [0, 0, 0, 0, 0, 0, 0, 0, 0]]),
+    ({"x": "e1+e3", "indices": [2, 3, 1, 3]}, 1,  # and at e2+e3
+     [[0, 0, 0, 0, 0, 0, 0, 0, 0], [3, 1, 0, 6, 0, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0, 6, 0, 5],
+      [4, 6, 0, 1, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 1, 0, 6, 0],
+      [0, 0, 6, 0, 0, 0, 1, 0, 2], [0, 0, 0, 0, 0, 6, 0, 1, 0], [0, 0, 0, 0, 0, 0, 0, 0, 0]]),
+]
+
+
+@pytest.mark.parametrize("where, q, rows", POLARIZATION_CASES,
+                         ids=["e1+e2,q5", "e1+e2,q1", "e1+e3,q1"])
+def test_pairing_witness_at_a_sum_point_of_the_polarization(where, q, rows):
+    Y = Matrix.from_rows(GF(7), rows)
+    rep = check_pairing_identities(Y, q)
+    assert rep.witness["identity"] == "wedge" and rep.witness["input"] == where
+    assert rep.to_json() == reference_pairing_identities(Y, q).to_json()
+
+
 class TestCyclicShiftIdentity:
     def test_zero_traceless_operator(self):
         sym = build_R(canonical("Type8"))
