@@ -18,7 +18,7 @@ import os
 import sys
 
 from .errors import Hecke3Error, InputError
-from .fields import parse_field
+from .fields import clip, parse_field
 from .verifier import fuzz, run_suite
 from .classify import TYPE_LABELS, canonical, classify
 from .cybe import carrier, check_cybe, check_symmetrized, classical_r, fingerprint, is_frobenius
@@ -163,7 +163,7 @@ class _Parser(argparse.ArgumentParser):
     """An argument parser whose usage errors are invalid input, not exits."""
 
     def error(self, message):
-        raise InputError(message)
+        raise InputError(clip(message))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -42,7 +42,15 @@ __all__ = [
 # untrusted input.
 MAX_SCALAR_CHARS = 1000
 
+MAX_ECHO_CHARS = 200  # longest input text an error message quotes whole (see clip)
+
 _SCALAR_TEXT = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
+def clip(text: str) -> str:
+    """Input text quoted in an error message: past MAX_ECHO_CHARS it is cut and its length given."""
+    n = len(text)
+    return text if n <= MAX_ECHO_CHARS else f"{text[:MAX_ECHO_CHARS]}... ({n} characters)"
 
 
 def _parse_scalar(s: str):
@@ -180,12 +188,12 @@ class Rationals:
             return self.parse(x)
         if isinstance(x, Fp):
             raise FieldMismatch("prime-field element is not a rational scalar")
-        raise InputError(f"cannot interpret {x!r} as a rational scalar")
+        raise InputError(f"cannot interpret {clip(repr(x))} as a rational scalar")
 
     def parse(self, s: str) -> Fraction:
         value = _parse_scalar(s)
         if value is None:
-            raise InputError(f"bad rational scalar {s!r}")
+            raise InputError(f"bad rational scalar {clip(repr(s))}")
         return Fraction(value)
 
     def fmt(self, x) -> str:
@@ -220,11 +228,11 @@ class PrimeField:
 
     def __init__(self, p: int):
         if not isinstance(p, int) or p < 2:
-            raise NotPrime(f"{p!r} is not a prime")
+            raise NotPrime(f"{clip(repr(p))} is not a prime")
         if p == 2:
             raise CharacteristicTwo("characteristic 2 is not supported")
         if p.bit_length() > 63:
-            raise InputError(f"prime modulus {p} exceeds a machine word")
+            raise InputError(f"prime modulus {clip(repr(p))} exceeds a machine word")
         if not is_prime(p):
             raise NotPrime(f"{p} is not a prime")
         self.p = self.characteristic = p
@@ -251,12 +259,12 @@ class PrimeField:
             return Fp(x.numerator * pow(x.denominator, -1, self.p), self.p)
         if isinstance(x, str):
             return self.parse(x)
-        raise InputError(f"cannot interpret {x!r} as an F{self.p} scalar")
+        raise InputError(f"cannot interpret {clip(repr(x))} as an F{self.p} scalar")
 
     def parse(self, s: str) -> Fp:
         value = _parse_scalar(s)
         if value is None:
-            raise InputError(f"bad F{self.p} scalar {s.strip()!r}")
+            raise InputError(f"bad F{self.p} scalar {clip(repr(s.strip()))}")
         return self.of(value)
 
     def fmt(self, x) -> str:
@@ -301,7 +309,7 @@ def GF(p: int) -> PrimeField:
 def parse_field(spec: str):
     """Parse a field spec: ``"Q"`` or ``"Fp:<p>"``."""
     if not isinstance(spec, str):
-        raise InputError(f"field spec must be a string, got {spec!r}")
+        raise InputError(f"field spec must be a string, got {clip(repr(spec))}")
     spec = spec.strip()
     if spec == "Q":
         return QQ
@@ -309,6 +317,6 @@ def parse_field(spec: str):
         try:
             p = int(spec[3:])
         except ValueError as exc:
-            raise InputError(f"bad field spec {spec!r}") from exc
+            raise InputError(f"bad field spec {clip(repr(spec))}") from exc
         return GF(p)
-    raise InputError(f"bad field spec {spec!r} (expected 'Q' or 'Fp:<p>')")
+    raise InputError(f"bad field spec {clip(repr(spec))} (expected 'Q' or 'Fp:<p>')")

@@ -31,7 +31,7 @@ from .errors import (
     SingularDeformation,
     ZeroQ,
 )
-from .linalg import Matrix, integer_coordinates, reduce_mod
+from .linalg import Matrix, field_scalars, integer_coordinates, reduce_mod
 from .multilinear import (
     bivector,
     change_of_basis,
@@ -158,20 +158,26 @@ def pairing_coordinates(ys):
 def skewsymmetrizer_matrix(q, g: Matrix, t) -> Matrix:
     """Y from the form g and the bivector t by the pairing-coordinate formula, unvalidated.
 
-    :func:`build_R` and :func:`build_Y_from_F` validate first; adversarial
-    harnesses call it with the q constraint deliberately broken.
+    It is assembled on integers over one scale.  :func:`build_R` and :func:`build_Y_from_F`
+    validate first; adversarial harnesses call it with the q constraint deliberately broken.
     """
     fld, e = g.field, unit_tensors(1)
-    n = [pair_vt(v, t) for v in e]
-    r = g.rows
-    half = (q + 1) / 2
-    cols = []
-    for j in range(3):
-        for k in range(3):
-            s = [n[k] * r[i][j] + n[j] * r[i][k] - n[i] * r[j][k] + half * vol(e[i], e[j], e[k])
-                 for i in range(3)]
-            cols.append(bivector(fld, s))
-    return Matrix.from_columns(fld, cols)
+    (h,), hd = integer_coordinates(fld, [(fld.of(q) + 1) / 2])  # over F_p the 1/2 is in h
+    (r, gd), (tn, td) = g.integers(), integer_coordinates(fld, t)
+    n = [pair_vt(v, tn) for v in e]  # td n_k
+    s = [[h * gd * td * vol(e[i], e[j], e[k]) + hd * (n[k] * r[3 * i + j] + n[j] * r[3 * i + k]
+          - n[i] * r[3 * j + k]) for i in range(3)] for j in range(3) for k in range(3)]
+    cols = [[0, c[2], -c[1], -c[2], 0, c[0], c[1], -c[0], 0] for c in s]  # bivector(c)
+    out = field_scalars(fld, [c[i] for i in range(9) for c in cols], hd * gd * td)
+    return Matrix(fld, [out[9 * i:9 * i + 9] for i in range(9)])
+
+
+def q_id_minus(q, M: Matrix) -> Matrix:
+    """q Id - M = (a d Id - b N) / (b d) on integers, for a square M = N / d and q = a / b."""
+    fld, m, (n, d) = M.field, M.ncols, M.integers()
+    (a,), b = integer_coordinates(fld, [fld.of(q)])
+    out = field_scalars(fld, [a * d * (c % (m + 1) == 0) - b * x for c, x in enumerate(n)], b * d)
+    return Matrix(fld, [out[m * i:m * i + m] for i in range(M.nrows)])
 
 
 @dataclass(frozen=True)
@@ -188,7 +194,7 @@ class HeckeSymmetry:
     Y: Matrix = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        Y = Matrix.identity(self.R.field, 9).scale(self.q) - self.R
+        Y = q_id_minus(self.q, self.R)
         if non_alternating_columns(Y):
             raise NotHeckeSym0("the skewsymmetrizer image is not alternating")
         object.__setattr__(self, "Y", Y)
@@ -229,7 +235,7 @@ class HeckeSymmetry:
 def build_R(data: HeckeData) -> HeckeSymmetry:
     """The Hecke symmetry R = q*Id - Y of a validated quadruple."""
     Y = skewsymmetrizer_matrix(data.q, data.g, wedge2(data.a, data.b))
-    return HeckeSymmetry(Matrix.identity(data.field, 9).scale(data.q) - Y, data.q)
+    return HeckeSymmetry(q_id_minus(data.q, Y), data.q)
 
 
 def flip_matrix(field) -> Matrix:
@@ -260,7 +266,7 @@ def _q_candidate(R: Matrix):
     ratio R c / c on the first nonzero column c of R + Id.  R = -Id is
     rejected as ambiguous.
     """
-    M = R + Matrix.identity(R.field, R.nrows)
+    M = q_id_minus(-1, R)  # -(R + Id): the same image, and the same ratio on it
     col, m = _leading(M.col(j) for j in range(M.ncols))
     if col is None:
         raise NoHeckeParameter("R = -Id: every q satisfies the relation")
@@ -307,14 +313,10 @@ class FOperator:
     def is_zero(self) -> bool:
         return self.g.is_zero() or all(x == 0 for x in self.t)
 
-    def column(self, i: int, j: int):
-        """F(e_i e_j) as a coordinate list."""
-        c = self.g.rows[i][j]
-        return [c * x for x in self.t]
-
     def matrix(self) -> Matrix:
-        return Matrix.from_columns(
-            self.field, [self.column(i, j) for i in range(3) for j in range(3)])
+        """The 9x9 matrix of F: its column e_i e_j is g_ij t."""
+        return Matrix.from_columns(self.field, [[c * x for x in self.t] for row in self.g.rows
+                                                for c in row])
 
     def delta(self):
         """Gram determinant of g on the plane of the bivector (0 for F = 0)."""

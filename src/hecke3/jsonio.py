@@ -8,7 +8,7 @@ fixed by construction order.
 from __future__ import annotations
 
 from .errors import InputError
-from .fields import parse_field
+from .fields import clip, parse_field
 from .linalg import Matrix
 from .heckecore import HeckeData, HeckeSymmetry, build_R
 
@@ -27,7 +27,7 @@ __all__ = [
 def _scalar_from_json(field, x):
     """A scalar given as JSON text or an integer, read as its decimal text under the text bound."""
     if isinstance(x, bool) or not isinstance(x, (str, int)):
-        raise InputError(f"a scalar must be a string or an integer, got {x!r}")
+        raise InputError(f"a scalar must be a string or an integer, got {clip(repr(x))}")
     return field.parse(str(x))
 
 

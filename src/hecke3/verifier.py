@@ -45,6 +45,7 @@ from .heckecore import (
     g_value,
     hecke_residual,
     pairing_coordinates,
+    q_id_minus,
     skewsymmetrizer_matrix,
     t_operator_of_F,
 )
@@ -157,23 +158,36 @@ def check_image_and_eigen(Y: Matrix, q) -> CheckReport:
     return CheckReport("image_eigen", next(mismatches(), None))
 
 
-def check_containments(Y: Matrix, q) -> CheckReport:
+def braid_table(Y: Matrix):
+    """(vxa, axv, d): the 18 degree-3 columns the reformulated braid equation reads, for Y = N / d.
+
+    vxa[i][s] = (Id x N)(N x Id)(e_i (x) t_s) and axv[i][s] = (N x Id)(Id x N)(t_s (x) e_i)
+    for t_s in :func:`alt2_basis`, reduced mod p over F_p.  A check given no table forms its own.
+    """
+    (y1, d), (y2, _) = slot_action(Y, 0, 1), slot_action(Y, 1, 2)
+    e, alt = unit_tensors(1), alt2_basis()
+    return ([[y2(y1(tensor2(e[i], t))) for t in alt] for i in range(3)],
+            [[y1(y2(tensor2(t, e[i]))) for t in alt] for i in range(3)], d)
+
+
+def check_containments(Y: Matrix, q, table=None) -> CheckReport:
     """Degree-3 containments of the reformulated braid equation.
 
     (Id x Y)(Y x Id)w - q w must be alternating for every w in V (x) Alt2,
     and (Y x Id)(Id x Y)w - q w for every w in Alt2 (x) V; both are checked
-    on the 9 spanning tensors of each space, times b d^2 for Y = N / d, q = a / b.
+    on the 9 spanning tensors of each space (the :func:`braid_table` columns),
+    times b d^2 for Y = N / d, q = a / b.
     """
     fld, e = Y.field, unit_tensors(1)
-    (y1, d), (y2, _) = slot_action(Y, 0, 1), slot_action(Y, 1, 2)
+    vxa, axv, d = table or braid_table(Y)
     (qn,), qd = integer_coordinates(fld, [fld.of(q)])
 
     def mismatches():
-        for space, first, second in (("VxAlt2", y1, y2), ("Alt2xV", y2, y1)):
+        for space, cols in (("VxAlt2", vxa), ("Alt2xV", axv)):
             for i in range(3):
-                for t in alt2_basis():
+                for t, col in zip(alt2_basis(), cols[i]):
                     w = tensor2(e[i], t) if space == "VxAlt2" else tensor2(t, e[i])
-                    u = [qd * a - qn * d * d * b for a, b in zip(second(first(w)), w)]
+                    u = [qd * a - qn * d * d * b for a, b in zip(col, w)]
                     if not is_alt3(u := reduce_mod(u, fld.characteristic)):
                         yield _witness(fld, {"space": space, "vector": i + 1,
                                              "bivector": vector_to_json(fld, t)},
@@ -182,7 +196,7 @@ def check_containments(Y: Matrix, q) -> CheckReport:
     return CheckReport("containments", next(mismatches(), None))
 
 
-def check_component_identity(Y: Matrix, q) -> CheckReport:
+def check_component_identity(Y: Matrix, q, table=None) -> CheckReport:
     """Quadratic identity satisfied by the matrix components of Y.
 
     With components Y(e_i e_j) = sum Y_ij^{kl} e_k e_l, the sum over l of
@@ -192,18 +206,19 @@ def check_component_identity(Y: Matrix, q) -> CheckReport:
     containment read where an index repeats.  When Y maps into Alt2 that
     difference lies in V (x) Alt2, where vanishing on every x (x) x (x) y, i.e.
     for Y transported along every P (``change_of_basis(Y, P)``), is lying in Alt3.
-    The sides are compared times b d^2, for Y = N / d and q = a / b.
+    (Id x Y)(Y x Id)w is 0 or +- a V (x) Alt2 column of the :func:`braid_table`; the
+    sides are compared times b d^2, for Y = N / d and q = a / b.
     """
     fld, e = Y.field, unit_tensors(1)
-    (y1, d), (y2, _) = slot_action(Y, 0, 1), slot_action(Y, 1, 2)
+    vxa, _, d = table or braid_table(Y)
     (qn,), qd = integer_coordinates(fld, [fld.of(q)])
+    yw = [[0] * 27 if j == k else vxa[i][j + k - 1] if j < k else [-x for x in vxa[i][j + k - 1]]
+          for i, j, k in product(range(3), repeat=3)]  # e_j^e_k = +-alt2_basis()[j + k - 1]
     w = [tensor2(e[i], wedge2(e[j], e[k])) for i, j, k in product(range(3), repeat=3)]
-    yw = [None] * 27  # yw[n] = y2(y1(w[n])), formed the first time the loop reads it
 
     def mismatches():
         for r, t, i, j, k in product(range(3), repeat=5):
             n, c = idx3(i, j, k), idx3(r, r, t)
-            yw[n] = yw[n] or y2(y1(w[n]))
             if reduce_mod([qd * yw[n][c] - qn * d * d * w[n][c]], fld.characteristic) != [0]:
                 yield _witness(fld, {"indices": [i + 1, j + 1, k + 1, r + 1, t + 1]},
                                yw[n][c] * qd, qn * d * d * w[n][c], scale=qd * d * d)
@@ -220,9 +235,9 @@ def check_pairing_identities(Y: Matrix, q) -> CheckReport:
       * L[x,y](z) - L[x,z](y) = (q+1) vol(x,y,z)  (linear in all slots,
         checked on basis triples, times b d for Y = N / d and q = a / b);
       * (L[x,y] ^ L[x,z] - L[x,x] ^ L[y,z])(u,v) = q vol(x,y,z) vol(x,u,v),
-        quadratic in x, so x additionally runs over e_i + e_j to pin the
-        polarization; together the sample decides the identity exactly
-        (compared times b d^2).
+        quadratic in x with defect sum c_im x_i x_m, c_im in Z[q, l].  x = e1, e2, e3, e1+e2
+        and e1+e3 pin c_11, c_22, c_33, c_12, c_13; each component of c_23 is +- one of theirs
+        or the sum of two, so the sample decides the identity exactly (compared times b d^2).
     """
     fld, p, e = Y.field, Y.field.characteristic, unit_tensors(1)
     n, d = Y.integers()
@@ -241,8 +256,8 @@ def check_pairing_identities(Y: Matrix, q) -> CheckReport:
             if lhs != rhs:
                 yield _witness(fld, {"indices": [i + 1, j + 1, k + 1]}, lhs, rhs, scale=b * d,
                                identity="eigenvalue")
-        xs = [(f"e{i+1}", e[i]) for i in range(3)] + [(f"e{i+1}+e{j+1}", [
-            s + t for s, t in zip(e[i], e[j])]) for i, j in ((0, 1), (0, 2), (1, 2))]
+        xs = [(f"e{i+1}", e[i]) for i in range(3)] + [(f"e1+e{j+1}", [
+            s + t for s, t in zip(e[0], e[j])]) for j in (1, 2)]
         for xname, x in xs:
             # lx[j][u] = d L[x, e_j](e_u) and lxx[u] = d L[x, x](e_u), linear in each x
             lx = [[sum(x[i] * ell[i][j][u] for i in range(3)) for u in range(3)] for j in range(3)]
@@ -260,24 +275,24 @@ def check_pairing_identities(Y: Matrix, q) -> CheckReport:
     return CheckReport("pairing_identities", next(mismatches(), None))
 
 
-def check_cyclic_shift_identity(Y: Matrix, T: Matrix, q) -> CheckReport:
+def check_cyclic_shift_identity(Y: Matrix, T: Matrix, q, table=None) -> CheckReport:
     """Y1 Y2(t x) - shift(Y2 Y1(x t)) = 2(q+1) Tx ^ t for basis x and bivectors t.
 
     Both mixed products land in the alternating cube when shifted against
     each other, and their difference is controlled by the traceless
-    operator alone.  Compared times b m d^2, for Y = N / d, T = M / m, q = a / b.
+    operator alone.  Both products are :func:`braid_table` columns.  Compared
+    times b m d^2, for Y = N / d, T = M / m, q = a / b.
     """
-    fld, e = Y.field, unit_tensors(1)
-    (y1, d), (y2, _) = slot_action(Y, 0, 1), slot_action(Y, 1, 2)
+    fld = Y.field
+    vxa, axv, d = table or braid_table(Y)
     (qn,), qd = integer_coordinates(fld, [fld.of(q)])
     tn, td = T.integers()
 
     def mismatches():
         for i in range(3):
-            for t in alt2_basis():
-                tx, xt = tensor2(t, e[i]), tensor2(e[i], t)
-                lhs = [a - b for a, b in zip(y1(y2(tx)), cyclic_shift(y2(y1(xt))))]
-                lhs = reduce_mod([qd * td * a for a in lhs], fld.characteristic)
+            for t, ytx, yxt in zip(alt2_basis(), axv[i], vxa[i]):  # Y1 Y2(t x), Y2 Y1(x t)
+                lhs = reduce_mod([qd * td * (a - b) for a, b in zip(ytx, cyclic_shift(yxt))],
+                                 fld.characteristic)
                 rhs = wedge_vt(tn[i::3], t)  # tn[i::3] = td T e_i
                 rhs = reduce_mod([2 * (qn + qd) * d * d * c for c in rhs], fld.characteristic)
                 if lhs != rhs:
@@ -298,12 +313,13 @@ def run_suite(sym: HeckeSymmetry) -> list[CheckReport]:
 
 def _suite_and_F(sym: HeckeSymmetry):
     """The reports of :func:`run_suite` and the extracted F (None when extraction failed)."""
+    table = braid_table(sym.Y)  # read by the three degree-3 checks
     reports = [
         check_braid(sym.R),
         check_hecke(sym.R, sym.q),
         check_image_and_eigen(sym.Y, sym.q),
-        check_containments(sym.Y, sym.q),
-        check_component_identity(sym.Y, sym.q),
+        check_containments(sym.Y, sym.q, table),
+        check_component_identity(sym.Y, sym.q, table),
         check_pairing_identities(sym.Y, sym.q),
     ]
     try:
@@ -314,7 +330,7 @@ def _suite_and_F(sym: HeckeSymmetry):
             {"error": f"no valid invariant operator: {exc}"},
         ))
         return reports, None
-    reports.append(check_cyclic_shift_identity(sym.Y, t_operator_of_F(f_op), sym.q))
+    reports.append(check_cyclic_shift_identity(sym.Y, t_operator_of_F(f_op), sym.q, table))
     return reports, f_op
 
 
@@ -324,14 +340,9 @@ def _random_scalar(field, rng):
     return field.of(rng.randint(0, field.characteristic - 1))
 
 
-def _random_vector(field, rng):
-    return [_random_scalar(field, rng) for _ in range(3)]
-
-
 def _random_independent_pair(field, rng):
     while True:
-        a = _random_vector(field, rng)
-        b = _random_vector(field, rng)
+        a, b = ([_random_scalar(field, rng) for _ in range(3)] for _ in range(2))
         if any(x != 0 for x in wedge2(a, b)):
             return a, b
 
@@ -425,8 +436,7 @@ def fuzz(field, trials: int, seed: int, strategy: str = "A",
         rng = random.Random(seed * 1_000_003 + trial)
         if adversarial:
             q, a, b, g = sample_adversarial(field, rng)
-            Y = skewsymmetrizer_matrix(q, g, wedge2(a, b))
-            R = Matrix.identity(field, 9).scale(q) - Y
+            R = q_id_minus(q, skewsymmetrizer_matrix(q, g, wedge2(a, b)))
             if check_braid(R).passed and check_hecke(R, q).passed:
                 failures.append({"trial": trial, "check": "adversarial",
                                  "witness": {"note": "broken constraint went undetected"}})

@@ -6,13 +6,16 @@ to Python ints.  The differential tests compare the two on the same inputs.
 The zero-skipping Kronecker product, the Tonelli-Shanks square root, the
 column-by-column alternation test and the bordered Gram determinant are the
 former forms of ``Matrix.kron``, ``PrimeField.sqrt``,
-``multilinear.non_alternating_columns`` and ``heckecore.discriminant``.
+``multilinear.non_alternating_columns`` and ``heckecore.discriminant``; the
+skewsymmetrizer assembled entry by entry and ``q Id - M`` as a difference of
+field matrices are those of ``heckecore.skewsymmetrizer_matrix`` and
+``heckecore.q_id_minus``.
 """
 
 from hecke3.errors import DimensionMismatch, SingularMatrix
 from hecke3.fields import Fp
 from hecke3.linalg import Matrix
-from hecke3.multilinear import is_alt2, pair_vt, std_basis
+from hecke3.multilinear import bivector, is_alt2, pair_vt, std_basis, unit_tensors, vol
 
 
 def mul(a: Matrix, b: Matrix) -> Matrix:
@@ -190,3 +193,23 @@ def gram_determinant(g: Matrix, t):
     n = [pair_vt(v, t) for v in std_basis(g.field)]
     bordered = [row + [x] for row, x in zip(g.rows, n)] + [n + [g.field.zero()]]
     return -det(Matrix(g.field, bordered))
+
+
+def skewsymmetrizer_matrix(q, g: Matrix, t) -> Matrix:
+    """Y from the form g and the bivector t, each entry formed from field scalars."""
+    fld, e = g.field, unit_tensors(1)
+    n = [pair_vt(v, t) for v in e]
+    r = g.rows
+    half = (q + 1) / 2
+    cols = []
+    for j in range(3):
+        for k in range(3):
+            s = [n[k] * r[i][j] + n[j] * r[i][k] - n[i] * r[j][k] + half * vol(e[i], e[j], e[k])
+                 for i in range(3)]
+            cols.append(bivector(fld, s))
+    return Matrix.from_columns(fld, cols)
+
+
+def q_id_minus(q, M: Matrix) -> Matrix:
+    """q Id - M as the difference of two field matrices."""
+    return Matrix.identity(M.field, M.nrows).scale(q) - M

@@ -10,6 +10,7 @@ so that none abbreviates it.
 import contextlib
 import io
 import json
+import re
 import sys
 
 import pytest
@@ -144,6 +145,32 @@ def _oversized_document():
     """A valid record followed by blanks, one byte past the input cap."""
     text = json.dumps(symmetry_to_json(build_R(canonical("Type8"))))
     return (text + " " * (MAX_INPUT_BYTES + 1 - len(text))).encode()
+
+
+# an error document quotes at most fields.MAX_ECHO_CHARS characters of its input text
+MAX_ERROR_DOCUMENT_BYTES = 512
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "--data", "{q}"],
+    ["--field", "Fp:" + "9" * 5000, "table"],
+    ["--field", "Fp:" + "9" * 4000, "table"],
+    ["fuzz", "--trials", "1", "--seed", "9" * 5000],
+    ["fuzz", "--trials", "9" * 5000, "--seed", "1"],
+], ids=["q-200000-digits", "field-5000-nines", "field-4000-nines", "seed-5000-digits",
+        "trials-5000-digits"])
+def test_overlong_input_text_is_echoed_bounded(tmp_path, argv):
+    """Rejected text is quoted cut to a fixed prefix plus its length, in one small document."""
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps({"q": "9" * 200_000, "a": ["1", "0", "0"], "b": ["0", "1", "0"],
+                                "g": [["0", "0", "0"]] * 3}))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main([a.format(q=path) for a in argv])
+    assert code == 2
+    assert len(out.getvalue().encode()) < MAX_ERROR_DOCUMENT_BYTES
+    message = json.loads(out.getvalue())["error"]["message"]
+    assert int(re.search(r"9'?\.\.\. \((\d+) characters\)", message)[1]) >= 4000
 
 
 def test_oversized_file_is_bad_input(tmp_path):

@@ -15,7 +15,7 @@ from hecke3.errors import (
     InputError,
     NotPrime,
 )
-from hecke3.fields import GF, MAX_SCALAR_CHARS, QQ, parse_field
+from hecke3.fields import GF, MAX_ECHO_CHARS, MAX_SCALAR_CHARS, QQ, clip, parse_field
 
 
 class TestRationalArithmetic:
@@ -201,3 +201,15 @@ def test_prime_field_agrees_with_rationals_mod_p():
         assert f.of(a) - f.of(b) == f.of(a - b)
         if f.of(b) != 0:
             assert f.of(a) / f.of(b) == f.of(a / b)
+
+
+def test_clip_keeps_short_text_and_cuts_long_text():
+    """Error messages quote input text whole up to a fixed length, else a prefix and its length."""
+    for text in ("", "x", "'1/0'", "9" * MAX_ECHO_CHARS):
+        assert clip(text) == text
+    long = "7" * MAX_ECHO_CHARS + "8" * 10_000
+    assert clip(long) == "7" * MAX_ECHO_CHARS + f"... ({len(long)} characters)"
+    with pytest.raises(InputError) as exc:
+        QQ.parse(long)
+    assert str(exc.value) == f"bad rational scalar {clip(repr(long))}"
+    assert len(str(exc.value)) < MAX_ECHO_CHARS + 50

@@ -437,7 +437,7 @@ class TestExtractF:
         f_op = extract_F(sym)
         for i in range(3):
             for j in range(3):
-                assert f_op.column(i, j) == f_op.column(j, i)
+                assert f_op.matrix().col(idx2(i, j)) == f_op.matrix().col(idx2(j, i))
 
 
 class TestBuildYFromF:
