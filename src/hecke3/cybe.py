@@ -45,17 +45,7 @@ __all__ = [
 
 def matrix_unit(field, i: int, j: int) -> Matrix:
     """The 3x3 matrix unit E_ij (1-based indices, as in E13)."""
-    m = Matrix.zeros(field, 3)
-    m.rows[i - 1][j - 1] = field.one()
-    return m
-
-
-def _vec(m: Matrix):
-    return [m.rows[i][j] for i in range(3) for j in range(3)]
-
-
-def _unvec(field, v) -> Matrix:
-    return Matrix(field, [[v[3 * i + j] for j in range(3)] for i in range(3)])
+    return Matrix.of_integers(field, 3, 3, [int(c == 3 * i + j - 4) for c in range(9)])
 
 
 @dataclass(frozen=True)
@@ -84,8 +74,9 @@ class GlTensor:
 
 def _flatten(m: Matrix) -> Matrix:
     """Permute the operator entries so simple tensors become rank-1 blocks."""
-    return Matrix(m.field, [[m.rows[3 * i + k][3 * j + l] for k in range(3) for l in range(3)]
-                            for i in range(3) for j in range(3)])
+    n, d, r = *m.integers(), range(3)
+    return Matrix.of_integers(m.field, 9, 9, [n[9 * (3 * i + k) + 3 * j + l]
+                                              for i in r for j in r for k in r for l in r], d)
 
 
 def gl_tensor(m: Matrix) -> GlTensor:
@@ -94,11 +85,12 @@ def gl_tensor(m: Matrix) -> GlTensor:
     Rank factorization of the flattening: pivot columns give the left
     factors, reduced rows the right factors.
     """
-    fld = m.field
-    flat = _flatten(m)
+    fld, flat = m.field, _flatten(m)
     red, pivots = flat.rref()
-    left = tuple(_unvec(fld, flat.col(c)) for c in pivots)
-    right = tuple(_unvec(fld, red.rows[r]) for r in range(len(pivots)))
+    (fn, fd), (rn, rd) = flat.integers(), red.integers()
+    left = tuple(Matrix.of_integers(fld, 3, 3, fn[c::9], fd) for c in pivots)
+    right = tuple(Matrix.of_integers(fld, 3, 3, rn[9 * r:9 * r + 9], rd)
+                  for r in range(len(pivots)))
     return GlTensor(m, left, right)
 
 
@@ -182,7 +174,9 @@ def lie_subalgebra(field, generators) -> LieSubalgebra:
     On the echelon basis N_k / d, a bracket B / d^2 has coordinates B[lead_k] / d^2
     (pivot columns) and lies in the span iff d B = sum_k B[lead_k] N_k (mod p).
     """
-    rows, grew, p = echelon_span(field, [_vec(m) for m in generators]), False, field.characteristic
+    # a generator N / e spans the line of its integer coordinates N
+    rows = echelon_span(field, [m.integers()[0] for m in generators])
+    grew, p = False, field.characteristic
     while True:
         n, d = integer_coordinates(field, [x for r in rows for x in r])
         basis = [n[9 * k:9 * k + 9] for k in range(len(rows))]
@@ -199,7 +193,8 @@ def lie_subalgebra(field, generators) -> LieSubalgebra:
         if len(rows) == dim:
             raise Hecke3Error("internal inconsistency: brackets outside the span did not grow it")
     constants = tuple(tuple(tuple(field_scalars(field, c, d * d)) for c in cx) for cx in consts)
-    return LieSubalgebra(field, tuple(_unvec(field, r) for r in rows), constants, grew)
+    return LieSubalgebra(field, tuple(Matrix.of_integers(field, 3, 3, v, d) for v in basis),
+                         constants, grew)
 
 
 def carrier(t: GlTensor) -> LieSubalgebra:
@@ -303,9 +298,8 @@ def fingerprint(L: LieSubalgebra):
     n, _ = integer_coordinates(fld, [x for ci in c for cij in ci for x in cij])
     C = [n[i * d * d:(i + 1) * d * d] for i in range(d)]  # C[j][k * d + m] = c[j][k][m]
     adT = [[x for k in range(d) for x in Ci[k::d]] for Ci in C]  # adT[i][k * d + m] = c[i][m][k]
-    killing = field_scalars(fld, [sum(map(mul, adT[i], C[j])) for i in range(d) for j in range(d)])
-    return (d, derived, L.center_dim,
-            Matrix(fld, [killing[i * d:(i + 1) * d] for i in range(d)]).rank())
+    killing = [sum(map(mul, adT[i], C[j])) for i in range(d) for j in range(d)]
+    return (d, derived, L.center_dim, Matrix.of_integers(fld, d, d, killing).rank())
 
 
 def reference_carriers(field=QQ) -> dict:

@@ -31,7 +31,7 @@ from .errors import (
     SingularDeformation,
     ZeroQ,
 )
-from .linalg import Matrix, field_scalars, integer_coordinates, reduce_mod
+from .linalg import Matrix, integer_coordinates, reduce_mod
 from .multilinear import (
     bivector,
     change_of_basis,
@@ -69,14 +69,15 @@ __all__ = [
 
 def g_value(g: Matrix, x, y):
     """Evaluate the bilinear form given by a 3x3 matrix: the sum of x_i g_ij y_j."""
-    return sum((x[i] * g.rows[i][j] * y[j] for i in range(3) for j in range(3)), g.field.zero())
+    r = g.rows
+    return sum((x[i] * r[i][j] * y[j] for i in range(3) for j in range(3)), g.field.zero())
 
 
 def _checked_form(g: Matrix) -> Matrix:
     """g itself, once it is known to be a symmetric 3x3 matrix."""
     if g.nrows != 3 or g.ncols != 3:
         raise InputError("bilinear form must be 3x3")
-    if any(g.rows[i][j] != g.rows[j][i] for i in range(3) for j in range(i + 1, 3)):
+    if g != g.transpose():
         raise InputError("bilinear form must be symmetric")
     return g
 
@@ -167,17 +168,8 @@ def skewsymmetrizer_matrix(q, g: Matrix, t) -> Matrix:
     n = [pair_vt(v, tn) for v in e]  # td n_k
     s = [[h * gd * td * vol(e[i], e[j], e[k]) + hd * (n[k] * r[3 * i + j] + n[j] * r[3 * i + k]
           - n[i] * r[3 * j + k]) for i in range(3)] for j in range(3) for k in range(3)]
-    cols = [[0, c[2], -c[1], -c[2], 0, c[0], c[1], -c[0], 0] for c in s]  # bivector(c)
-    out = field_scalars(fld, [c[i] for i in range(9) for c in cols], hd * gd * td)
-    return Matrix(fld, [out[9 * i:9 * i + 9] for i in range(9)])
-
-
-def q_id_minus(q, M: Matrix) -> Matrix:
-    """q Id - M = (a d Id - b N) / (b d) on integers, for a square M = N / d and q = a / b."""
-    fld, m, (n, d) = M.field, M.ncols, M.integers()
-    (a,), b = integer_coordinates(fld, [fld.of(q)])
-    out = field_scalars(fld, [a * d * (c % (m + 1) == 0) - b * x for c, x in enumerate(n)], b * d)
-    return Matrix(fld, [out[m * i:m * i + m] for i in range(M.nrows)])
+    cols = [bivector(c) for c in s]
+    return Matrix.of_integers(fld, 9, 9, [c[i] for i in range(9) for c in cols], hd * gd * td)
 
 
 @dataclass(frozen=True)
@@ -194,7 +186,7 @@ class HeckeSymmetry:
     Y: Matrix = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        Y = q_id_minus(self.q, self.R)
+        Y = Matrix.identity(self.R.field, 9).scale(self.q) - self.R
         if non_alternating_columns(Y):
             raise NotHeckeSym0("the skewsymmetrizer image is not alternating")
         object.__setattr__(self, "Y", Y)
@@ -222,7 +214,7 @@ class HeckeSymmetry:
                 raise NotHeckeSym0(str(exc)) from exc
         else:
             q = fld.of(q)
-            if any(map(any, hecke_residual(R, q)[0])):
+            if not hecke_residual(R, q).is_zero():
                 raise NotHeckeSym0("the quadratic Hecke relation fails for the given q")
         if q == 0:
             raise NotHeckeSym0("the Hecke parameter is zero")
@@ -235,28 +227,19 @@ class HeckeSymmetry:
 def build_R(data: HeckeData) -> HeckeSymmetry:
     """The Hecke symmetry R = q*Id - Y of a validated quadruple."""
     Y = skewsymmetrizer_matrix(data.q, data.g, wedge2(data.a, data.b))
-    return HeckeSymmetry(q_id_minus(data.q, Y), data.q)
+    return HeckeSymmetry(Matrix.identity(data.field, 9).scale(data.q) - Y, data.q)
 
 
 def flip_matrix(field) -> Matrix:
     """The flip x(x)y |-> y(x)x: row (i, j) of the identity is moved to row (j, i)."""
-    rows = Matrix.identity(field, 9).rows
-    return Matrix(field, [rows[idx2(j, i)] for i in range(3) for j in range(3)])
+    return Matrix.of_integers(field, 9, 9, [int(c == idx2(j, i)) for i in range(3)
+                                            for j in range(3) for c in range(9)])
 
 
-def hecke_residual(R: Matrix, q):
-    """(R - q*Id)(R + Id) times b d^2 for R = N / d and q = a / b, as (integer columns, b d^2).
-
-    It is the integer product (bN - a d Id)(N + d Id), reduced mod p over F_p,
-    so it is zero exactly when R satisfies the quadratic relation at q.
-    """
-    fld, (n, d) = R.field, R.integers()
-    (a,), b = integer_coordinates(fld, [fld.of(q)])
-    left = [[b * x - a * d * (r == c) for c, x in enumerate(n[9 * r:9 * r + 9])] for r in range(9)]
-    right = [[x + d * (r == c) for r, x in enumerate(n[c::9])] for c in range(9)]
-    cols = [reduce_mod([sum(x * y for x, y in zip(row, col)) for row in left], fld.characteristic)
-            for col in right]
-    return cols, b * d * d
+def hecke_residual(R: Matrix, q) -> Matrix:
+    """(R - q*Id)(R + Id): zero exactly when R satisfies the quadratic relation at q."""
+    Id = Matrix.identity(R.field, 9)
+    return (R - Id.scale(q)) * (R + Id)
 
 
 def _q_candidate(R: Matrix):
@@ -266,7 +249,7 @@ def _q_candidate(R: Matrix):
     ratio R c / c on the first nonzero column c of R + Id.  R = -Id is
     rejected as ambiguous.
     """
-    M = q_id_minus(-1, R)  # -(R + Id): the same image, and the same ratio on it
+    M = R + Matrix.identity(R.field, 9)
     col, m = _leading(M.col(j) for j in range(M.ncols))
     if col is None:
         raise NoHeckeParameter("R = -Id: every q satisfies the relation")
@@ -285,7 +268,7 @@ def _leading(cols):
 def extract_q(R: Matrix):
     """The unique q with (R - q)(R + 1) = 0, when one exists: :func:`_q_candidate`, verified."""
     q = _q_candidate(R)
-    if any(map(any, hecke_residual(R, q)[0])):
+    if not hecke_residual(R, q).is_zero():
         raise NoHeckeParameter("no q satisfies the quadratic Hecke relation")
     return q
 
@@ -314,9 +297,9 @@ class FOperator:
         return self.g.is_zero() or all(x == 0 for x in self.t)
 
     def matrix(self) -> Matrix:
-        """The 9x9 matrix of F: its column e_i e_j is g_ij t."""
-        return Matrix.from_columns(self.field, [[c * x for x in self.t] for row in self.g.rows
-                                                for c in row])
+        """The 9x9 matrix of F: its column e_i e_j is g_ij t, so its entry (r, c) is t_r g_c."""
+        (gn, gd), (tn, td) = self.g.integers(), integer_coordinates(self.field, self.t)
+        return Matrix.of_integers(self.field, 9, 9, [x * y for x in tn for y in gn], gd * td)
 
     def delta(self):
         """Gram determinant of g on the plane of the bivector (0 for F = 0)."""
@@ -332,20 +315,18 @@ def extract_F(sym: HeckeSymmetry) -> FOperator:
     discriminant must match the symmetry's q; any violation means the
     operator is not a Hecke symmetry of the polynomial algebra.
     """
-    fld = sym.field
-    ell = pairing_coordinates([x for row in sym.Y.rows for x in row])
-    cols = [
-        bivector(fld, [(ell[i][j][k] + ell[j][i][k]) / 2 for k in range(3)])
-        for i in range(3)
-        for j in range(3)
-    ]
+    fld, p, (n, d) = sym.field, sym.field.characteristic, sym.Y.integers()
+    ell = pairing_coordinates(n)  # d l
+    cols = [reduce_mod(bivector([ell[i][j][k] + ell[j][i][k] for k in range(3)]), p)
+            for i in range(3) for j in range(3)]  # the columns of 2 d F
     lead, m = _leading(cols)
     if lead is None:
         f_op = FOperator(Matrix.zeros(fld, 3), zero_tensor(fld, 2))
     else:
-        g = Matrix(fld, [[cols[idx2(i, j)][m] for j in range(3)] for i in range(3)])
-        f_op = FOperator(g, [x / lead[m] for x in lead])
-        if f_op.matrix() != Matrix.from_columns(fld, cols):
+        g = Matrix.of_integers(fld, 3, 3, [c[m] for c in cols], 2 * d)  # cols[idx2(i, j)][m]
+        lm = fld.of(lead[m])
+        f_op = FOperator(g, [fld.of(x) / lm for x in lead])
+        if any(reduce_mod([c[k] * lead[m] - c[m] * lead[k] for c in cols for k in range(9)], p)):
             raise NotHeckeSym0("the invariant operator does not have rank 1")
     if (sym.q - 1) ** 2 != -4 * f_op.delta():
         raise NotHeckeSym0(

@@ -1,17 +1,19 @@
 """Dense exact linear algebra over the scalar types.
 
-Matrices hold exact field elements, but products and elimination run on
-Python ints: each operand is converted once to integer coordinates N / d
-(:func:`integer_coordinates`), and one field scalar is formed per nonzero
-result entry (:func:`field_scalars`).  No floats are produced anywhere.
-Echelon forms are fully reduced with leading coefficients normalized to 1,
-so bases of row spaces are canonical and can be compared bit-exactly.
+A matrix is stored as its integer coordinates: row-major Python ints N and
+one scale d > 0 with the matrix equal to N / d.  Over Q the pair is reduced
+(gcd(d, *N) = 1), over F_p N holds residues and d = 1, so equal matrices have
+equal pairs.  Arithmetic, products and elimination run on N; field scalars
+are formed only where a caller reads entries (``rows``, ``col``, ``apply``,
+``det``).  No floats are produced anywhere.  Echelon forms are fully reduced
+with leading coefficients normalized to 1, so bases of row spaces are
+canonical and can be compared bit-exactly.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 
 from .errors import DimensionMismatch, SingularMatrix
@@ -21,82 +23,101 @@ __all__ = ["Matrix", "echelon_span", "integer_coordinates", "field_scalars", "re
 
 
 class Matrix:
-    """An exact matrix over a fixed field.
+    """An exact matrix over a fixed field, held as row-major integers N over a scale d.
 
-    ``rows`` is a list of row lists.  The constructor trusts its input; use
-    :meth:`from_rows` to coerce entries (ints, strings, fractions) through
-    the field.
+    ``Matrix(field, rows)`` converts rows of field scalars (or ints) once;
+    :meth:`from_rows` first coerces entries (ints, strings, fractions) through
+    the field, and :meth:`of_integers` takes integer coordinates as they are.
+    ``rows`` forms fresh lists of field scalars on each read.
     """
 
-    __slots__ = ("field", "rows")
+    __slots__ = ("field", "nrows", "ncols", "N", "d")
 
     def __init__(self, field, rows):
-        self.field = field
-        self.rows = rows
+        nrows, ncols = len(rows), len(rows[0]) if rows else 0
+        if any(len(r) != ncols for r in rows):
+            raise DimensionMismatch("ragged rows")
+        self.field, self.nrows, self.ncols = field, nrows, ncols
+        self.N, self.d = integer_coordinates(field, [x for row in rows for x in row])
+
+    @classmethod
+    def of_integers(cls, field, nrows, ncols, N, d=1) -> "Matrix":
+        """The nrows x ncols matrix N / d of row-major integers N and a scale d > 0."""
+        p, m = field.characteristic, cls.__new__(cls)
+        if p:  # a scale d != 1 is folded into the residues
+            inv = pow(d, -1, p)
+            N, d = [x % p for x in N] if inv == 1 else [x * inv % p for x in N], 1
+        elif (g := gcd(d, *N)) != 1:
+            N, d = [x // g for x in N], d // g
+        m.field, m.nrows, m.ncols, m.N, m.d = field, nrows, ncols, N, d
+        return m
 
     @classmethod
     def from_rows(cls, field, rows):
-        data = [[field.of(x) for x in row] for row in rows]
-        if data and any(len(r) != len(data[0]) for r in data):
-            raise DimensionMismatch("ragged rows")
-        return cls(field, data)
+        return cls(field, [[field.of(x) for x in row] for row in rows])
 
     @classmethod
     def from_columns(cls, field, cols):
-        """The matrix with the given coordinate columns (entries trusted)."""
-        return cls(field, [list(row) for row in zip(*cols)])
+        """The matrix with the given coordinate columns."""
+        return cls(field, list(zip(*cols)))
 
     @classmethod
     def zeros(cls, field, n):
-        z = field.zero()
-        return cls(field, [[z] * n for _ in range(n)])
+        return cls.of_integers(field, n, n, [0] * (n * n))
 
     @classmethod
     def identity(cls, field, n):
-        z, o = field.zero(), field.one()
-        return cls(field, [[o if i == j else z for j in range(n)] for i in range(n)])
+        return cls.of_integers(field, n, n, [int(c % (n + 1) == 0) for c in range(n * n)])
 
     @property
-    def nrows(self) -> int:
-        return len(self.rows)
+    def rows(self):
+        """The entries as field scalars, in fresh row lists: writing into them changes nothing."""
+        out, k = field_scalars(self.field, self.N, self.d), self.ncols
+        return [out[i * k:(i + 1) * k] for i in range(self.nrows)]
 
-    @property
-    def ncols(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
+    def integers(self):
+        """The integer coordinates (N, d) of the entries read row-major: self = N / d."""
+        return self.N, self.d
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        return self.rows == other.rows
+        return (self.field == other.field and self.nrows == other.nrows
+                and self.ncols == other.ncols and self.d == other.d and self.N == other.N)
 
     def __hash__(self):
-        return hash(tuple(tuple(r) for r in self.rows))
+        return hash((self.nrows, self.ncols, self.d, tuple(self.N)))
+
+    def _combine(self, other, sign):
+        """self + sign * other, over the product of the two scales."""
+        self._same_shape(other)
+        (a, da), (b, db) = self.integers(), other.integers()
+        return Matrix.of_integers(self.field, self.nrows, self.ncols,
+                                  [x * db + sign * y * da for x, y in zip(a, b)], da * db)
 
     def __add__(self, other):
-        self._same_shape(other)
-        return Matrix(
-            self.field,
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)],
-        )
+        return self._combine(other, 1)
 
     def __sub__(self, other):
-        self._same_shape(other)
-        return Matrix(
-            self.field,
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)],
-        )
+        return self._combine(other, -1)
 
     def __neg__(self):
-        return Matrix(self.field, [[-a for a in row] for row in self.rows])
+        return Matrix.of_integers(self.field, self.nrows, self.ncols, [-x for x in self.N], self.d)
 
     def scale(self, c) -> "Matrix":
-        return Matrix(self.field, [[c * a for a in row] for row in self.rows])
+        (cn,), cd = integer_coordinates(self.field, [self.field.of(c)])
+        return Matrix.of_integers(self.field, self.nrows, self.ncols,
+                                  [cn * x for x in self.N], cd * self.d)
 
     def _same_shape(self, other):
         if self.nrows != other.nrows or self.ncols != other.ncols:
             raise DimensionMismatch(
                 f"{self.nrows}x{self.ncols} vs {other.nrows}x{other.ncols}"
             )
+
+    def _int_rows(self):
+        k, n = self.ncols, self.N
+        return [n[i * k:(i + 1) * k] for i in range(self.nrows)]
 
     def __mul__(self, other):
         if not isinstance(other, Matrix):
@@ -105,53 +126,47 @@ class Matrix:
             raise DimensionMismatch(
                 f"cannot compose {self.nrows}x{self.ncols} with {other.nrows}x{other.ncols}"
             )
-        fld, n, k, m = self.field, self.nrows, self.ncols, other.ncols
-        (a, da), (b, db) = self.integers(), other.integers()
-        rows, cols = [a[i * k:(i + 1) * k] for i in range(n)], [b[j::m] for j in range(m)]
-        out = field_scalars(fld, [sum(map(mul, r, c)) for r in rows for c in cols], da * db)
-        return Matrix(fld, [out[i * m:(i + 1) * m] for i in range(n)])
+        m, b = other.ncols, other.N
+        cols = [b[j::m] for j in range(m)]
+        return Matrix.of_integers(self.field, self.nrows, m, [
+            sum(map(mul, r, c)) for r in self._int_rows() for c in cols], self.d * other.d)
 
     def apply(self, vec):
         """Matrix times coordinate column, as a plain list."""
         if len(vec) != self.ncols:
             raise DimensionMismatch(f"vector of length {len(vec)} vs {self.ncols} columns")
-        fld, k = self.field, self.ncols
-        (a, da), (x, dx) = self.integers(), integer_coordinates(fld, vec)
-        rows = (a[i * k:(i + 1) * k] for i in range(self.nrows))
-        return field_scalars(fld, [sum(map(mul, r, x)) for r in rows], da * dx)
-
-    def integers(self):
-        """Integer coordinates (N, d) of the entries read row-major: self = N / d."""
-        return integer_coordinates(self.field, [x for row in self.rows for x in row])
+        x, dx = integer_coordinates(self.field, vec)
+        return field_scalars(self.field, [sum(map(mul, r, x)) for r in self._int_rows()],
+                             self.d * dx)
 
     def col(self, j):
-        return [row[j] for row in self.rows]
+        return field_scalars(self.field, self.N[j::self.ncols], self.d)
 
     def transpose(self) -> "Matrix":
-        return Matrix.from_columns(self.field, self.rows)
+        k, n = self.ncols, self.N
+        return Matrix.of_integers(self.field, k, self.nrows,
+                                  [x for j in range(k) for x in n[j::k]], self.d)
 
     def kron(self, other) -> "Matrix":
         """Kronecker product, row-major composite indices."""
-        return Matrix(self.field, [[a * b for a in ra for b in rb]
-                                   for ra in self.rows for rb in other.rows])
+        brows = other._int_rows()
+        return Matrix.of_integers(
+            self.field, self.nrows * other.nrows, self.ncols * other.ncols,
+            [x * y for ra in self._int_rows() for rb in brows for x in ra for y in rb],
+            self.d * other.d)
 
     def is_zero(self) -> bool:
-        return all(x == 0 for row in self.rows for x in row)
+        return not any(self.N)
 
     def _eliminate(self):
-        """One Gauss-Jordan elimination on integer rows: (rows, pivots, den, (det, scale)).
+        """One Gauss-Jordan elimination on the integer rows: (rows, pivots, den, (det, scale)).
 
         The RREF is rows / den; a square matrix of full rank has determinant
-        det / scale.  Over Q, on rows scaled to integers, it is fraction-free
-        (Bareiss): each step divides exactly by the previous pivot, so every
-        pivot ends equal to the last one, den.  Over F_p it runs on residues.
+        det / scale.  Over Q it is fraction-free (Bareiss): each step divides
+        exactly by the previous pivot, so every pivot ends equal to the last
+        one, den, which may be negative.  Over F_p it runs on residues.
         """
-        fld, p = self.field, self.field.characteristic
-        m, scale = [], 1
-        for row in self.rows:
-            n, d = integer_coordinates(fld, row)
-            m.append(n)
-            scale *= d
+        p, m = self.field.characteristic, self._int_rows()
         pivots, den, det = [], 1, 1
         for c in range(self.ncols):
             r = len(pivots)
@@ -177,14 +192,14 @@ class Matrix:
             pivots.append(c)
             if len(pivots) == len(m):
                 break
-        return m, tuple(pivots), den, (det if p else det * den, scale)
+        return m, tuple(pivots), den, (det if p else det * den, self.d ** self.nrows)
 
     def rref(self):
         """Reduced row echelon form and pivot column tuple."""
         rows, pivots, den, _ = self._eliminate()
-        out = field_scalars(self.field, [x for row in rows for x in row], den)
-        k = self.ncols
-        return Matrix(self.field, [out[i * k:(i + 1) * k] for i in range(len(rows))]), pivots
+        s = -1 if den < 0 else 1  # a negative last Bareiss pivot: the scale must be positive
+        return Matrix.of_integers(self.field, self.nrows, self.ncols,
+                                  [s * x for row in rows for x in row], s * den), pivots
 
     def rank(self) -> int:
         return len(self._eliminate()[1])
@@ -196,15 +211,17 @@ class Matrix:
         return field_scalars(self.field, [det if len(pivots) == self.nrows else 0], scale)[0]
 
     def inverse(self) -> "Matrix":
+        """The right half of the RREF of [self | Id]."""
         if self.nrows != self.ncols:
             raise DimensionMismatch("inverse of a non-square matrix")
-        n = self.nrows
-        ident = Matrix.identity(self.field, n)
-        aug = Matrix(self.field, [row[:] + irow[:] for row, irow in zip(self.rows, ident.rows)])
+        n, d = self.nrows, self.d
+        aug = Matrix.of_integers(self.field, n, 2 * n, [x for i, row in enumerate(self._int_rows())
+                                 for x in row + [d * (i == j) for j in range(n)]], d)
         red, pivots = aug.rref()
-        if len(pivots) < n or pivots[:n] != tuple(range(n)):
+        if pivots[:n] != tuple(range(n)):
             raise SingularMatrix("matrix is singular")
-        return Matrix(self.field, [row[n:] for row in red.rows])
+        return Matrix.of_integers(self.field, n, n,
+                                  [x for row in red._int_rows() for x in row[n:]], red.d)
 
     def __repr__(self):
         return f"Matrix({self.field.name}, {self.nrows}x{self.ncols})"

@@ -146,13 +146,12 @@ def pair_vt(x, t):
     return x[0] * t[5] + x[1] * t[6] + x[2] * t[1]
 
 
-def bivector(field, s):
+def bivector(s):
     """The bivector u = s0 e2^e3 + s1 e3^e1 + s2 e1^e2, inverse to pairing: pair_vt(e_k, u) = s[k].
 
-    Its coordinates are u[idx2(j, k)] = vol(s, e_j, e_k).
+    Its coordinates are u[idx2(j, k)] = vol(s, e_j, e_k); the three zeros are the int 0.
     """
-    z = field.zero()
-    return [z, s[2], -s[1], -s[2], z, s[0], s[1], -s[0], z]
+    return [0, s[2], -s[1], -s[2], 0, s[0], s[1], -s[0], 0]
 
 
 def unit_tensors(degree: int):

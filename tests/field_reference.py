@@ -7,9 +7,9 @@ The zero-skipping Kronecker product, the Tonelli-Shanks square root, the
 column-by-column alternation test and the bordered Gram determinant are the
 former forms of ``Matrix.kron``, ``PrimeField.sqrt``,
 ``multilinear.non_alternating_columns`` and ``heckecore.discriminant``; the
-skewsymmetrizer assembled entry by entry and ``q Id - M`` as a difference of
-field matrices are those of ``heckecore.skewsymmetrizer_matrix`` and
-``heckecore.q_id_minus``.
+skewsymmetrizer assembled entry by entry is that of
+``heckecore.skewsymmetrizer_matrix``, and ``q Id - M`` formed entry by entry
+checks the ``Matrix`` expression ``Matrix.identity(...).scale(q) - M``.
 """
 
 from hecke3.errors import DimensionMismatch, SingularMatrix
@@ -206,10 +206,39 @@ def skewsymmetrizer_matrix(q, g: Matrix, t) -> Matrix:
         for k in range(3):
             s = [n[k] * r[i][j] + n[j] * r[i][k] - n[i] * r[j][k] + half * vol(e[i], e[j], e[k])
                  for i in range(3)]
-            cols.append(bivector(fld, s))
+            cols.append(bivector(s))
     return Matrix.from_columns(fld, cols)
 
 
 def q_id_minus(q, M: Matrix) -> Matrix:
-    """q Id - M as the difference of two field matrices."""
-    return Matrix.identity(M.field, M.nrows).scale(q) - M
+    """q Id - M entry by entry on the field scalars of M's rows."""
+    q, z = M.field.of(q), M.field.zero()
+    return Matrix(M.field, [[(q if i == j else z) - x for j, x in enumerate(row)]
+                            for i, row in enumerate(M.rows)])
+
+
+def extract_F(sym):
+    """heckecore.extract_F on field scalars: the halved pairing coordinates of Y as field
+    scalars, and rank 1 tested by comparing the 81 products g_ij t with the 9 columns."""
+    from hecke3.errors import NotHeckeSym0
+    from hecke3.heckecore import FOperator, pairing_coordinates
+    from hecke3.multilinear import zero_tensor
+
+    fld = sym.field
+    ell = pairing_coordinates([x for row in sym.Y.rows for x in row])
+    cols = [[fld.of(x) for x in bivector([(ell[i][j][k] + ell[j][i][k]) / 2 for k in range(3)])]
+            for i in range(3) for j in range(3)]
+    lead = next((c for c in cols if any(x != 0 for x in c)), None)
+    if lead is None:
+        f_op = FOperator(Matrix.zeros(fld, 3), zero_tensor(fld, 2))
+    else:
+        m = next(k for k, x in enumerate(lead) if x != 0)
+        g = Matrix(fld, [[cols[3 * i + j][m] for j in range(3)] for i in range(3)])
+        f_op = FOperator(g, [x / lead[m] for x in lead])
+        gr = g.rows
+        if any(gr[i][j] * f_op.t[k] != cols[3 * i + j][k]
+               for i in range(3) for j in range(3) for k in range(9)):
+            raise NotHeckeSym0("the invariant operator does not have rank 1")
+    if (sym.q - 1) ** 2 != -4 * f_op.delta():
+        raise NotHeckeSym0("the parameter-discriminant constraint fails for the extracted operator")
+    return f_op

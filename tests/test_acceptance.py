@@ -111,16 +111,16 @@ def roundtrip_trials(field, strategy, trials, seed):
 
 
 def simple_tensor_matrix(field, a, b):
-    m = Matrix.zeros(field, 9)
+    ar, br, rows = a.rows, b.rows, Matrix.zeros(field, 9).rows
     for i in range(3):
         for j in range(3):
-            if a.rows[i][j] == 0:
+            if ar[i][j] == 0:
                 continue
             for k in range(3):
                 for l in range(3):
-                    if b.rows[k][l] != 0:
-                        m.rows[3 * i + k][3 * j + l] = a.rows[i][j] * b.rows[k][l]
-    return m
+                    if br[k][l] != 0:
+                        rows[3 * i + k][3 * j + l] = ar[i][j] * br[k][l]
+    return Matrix(field, rows)
 
 
 def family_reference_r(field, q, with_tail=True):

@@ -10,6 +10,7 @@ import random
 
 import pytest
 
+import field_reference as fref
 from hecke3 import verifier
 from hecke3.classify import TYPE_LABELS, canonical
 from hecke3.errors import NotHeckeSym0
@@ -19,7 +20,6 @@ from hecke3.heckecore import (
     build_R,
     conjugate_data,
     extract_F,
-    q_id_minus,
     skewsymmetrizer_matrix,
     t_operator_of_F,
 )
@@ -79,15 +79,17 @@ def _samples(field):
     for _ in range(3):
         syms.append(build_R(sample_strategy_a(field, rng)))
         q, a, b, g = sample_adversarial(field, rng)
-        syms.append(HeckeSymmetry(q_id_minus(q, skewsymmetrizer_matrix(q, g, wedge2(a, b))), q))
+        Y = skewsymmetrizer_matrix(q, g, wedge2(a, b))
+        syms.append(HeckeSymmetry(fref.q_id_minus(q, Y), q))
     e1, e2, _ = std_basis(field)
     q = field.of(2)
-    syms.append(HeckeSymmetry.from_matrix(q_id_minus(q, non_member_Y(field, {0: wedge2(e1, e2)}))))
+    Y = non_member_Y(field, {0: wedge2(e1, e2)})
+    syms.append(HeckeSymmetry.from_matrix(fref.q_id_minus(q, Y)))
     # l[0][1][2] += 1 and l[1][0][2] -= 1 leave F = (l_i(j,k) + l_j(i,k)) / 2 as it was
     one, sym = field.one(), syms[-3]
     Y = _bumped(sym.Y, [(idx2(1, 2), idx2(1, 2), one), (idx2(2, 1), idx2(1, 2), -one),
                         (idx2(2, 0), idx2(0, 2), -one), (idx2(0, 2), idx2(0, 2), one)])
-    syms.append(HeckeSymmetry(q_id_minus(sym.q, Y), sym.q))
+    syms.append(HeckeSymmetry(fref.q_id_minus(sym.q, Y), sym.q))
     return syms
 
 

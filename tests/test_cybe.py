@@ -42,16 +42,16 @@ def E(i, j):
 
 def simple_tensor_matrix(a, b):
     """The operator a (x) b on the tensor square."""
-    m = Matrix.zeros(QQ, 9)
+    ar, br, rows = a.rows, b.rows, Matrix.zeros(QQ, 9).rows
     for i in range(3):
         for j in range(3):
-            if a.rows[i][j] == 0:
+            if ar[i][j] == 0:
                 continue
             for k in range(3):
                 for l in range(3):
-                    if b.rows[k][l] != 0:
-                        m.rows[3 * i + k][3 * j + l] = a.rows[i][j] * b.rows[k][l]
-    return m
+                    if br[k][l] != 0:
+                        rows[3 * i + k][3 * j + l] = ar[i][j] * br[k][l]
+    return Matrix(QQ, rows)
 
 
 def sum_tensors(*pairs):

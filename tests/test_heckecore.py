@@ -493,8 +493,9 @@ class TestFromMatrix:
 
     def test_rejects_non_alternating_image(self):
         # R = Id - 2E, E the projection onto e1 e1: quadratic relation at q = 1
-        R = Matrix.identity(QQ, 9)
-        R.rows[0][0] = QQ.of(-1)
+        rows = Matrix.identity(QQ, 9).rows
+        rows[0][0] = QQ.of(-1)
+        R = Matrix(QQ, rows)
         with pytest.raises(NotHeckeSym0, match="not alternating"):
             HeckeSymmetry.from_matrix(R)
         with pytest.raises(NotHeckeSym0, match="not alternating"):

@@ -1,10 +1,12 @@
 """The skewsymmetrizer and q Id - M, built on integer coordinates, against the field references.
 
 ``heckecore.skewsymmetrizer_matrix`` assembles Y's 81 entries as integers over
-one scale and ``heckecore.q_id_minus`` forms (a d Id - b N) / (b d); the
-references in ``field_reference`` compute both on field scalars.  The two must
-give equal matrices with equal hashes, entries of the field's own scalar type,
-and equal ``HeckeSymmetry`` values.
+one scale, and ``Matrix.identity(...).scale(q) - M`` forms q Id - M on the
+integer coordinates of ``Matrix``; the references in ``field_reference``
+compute both on field scalars.  The two must give equal matrices with equal
+hashes, entries of the field's own scalar type, and equal ``HeckeSymmetry``
+values.  ``heckecore.extract_F`` reads Y's integer coordinates and must give
+the invariant operator, or the error, of the field-scalar extraction.
 """
 
 import random
@@ -13,11 +15,13 @@ from fractions import Fraction
 import pytest
 
 import field_reference as fref
+from hecke3.errors import NotHeckeSym0
 from hecke3.fields import GF, QQ
-from hecke3.heckecore import HeckeSymmetry, q_id_minus, skewsymmetrizer_matrix
+from hecke3.heckecore import HeckeSymmetry, extract_F, skewsymmetrizer_matrix
 from hecke3.linalg import Matrix
 from hecke3.multilinear import wedge2
 from hecke3.verifier import sample_adversarial, sample_strategy_a, sample_strategy_b
+from test_verifier import _reference_samples
 
 FIELDS = [QQ, GF(3), GF(7), GF(2**61 - 1)]
 FIELD_IDS = ["Q", "Fp3", "Fp7", "Fp2^61-1"]
@@ -64,7 +68,7 @@ def test_integer_construction_matches_the_field_reference(field):
     for q, g, t in _samples(field):
         Y = skewsymmetrizer_matrix(q, g, t)
         _assert_same(Y, fref.skewsymmetrizer_matrix(q, g, t))
-        R = q_id_minus(q, Y)
+        R = Matrix.identity(field, 9).scale(q) - Y
         _assert_same(R, fref.q_id_minus(q, Y))
         sym = HeckeSymmetry(R, q)
         ref = HeckeSymmetry(fref.q_id_minus(q, Y), q)
@@ -79,3 +83,28 @@ def test_coprime_denominators_reach_the_common_scale():
     Y = skewsymmetrizer_matrix(q, g, t)
     assert Y.integers()[1] > 1
     _assert_same(Y, fref.skewsymmetrizer_matrix(q, g, t))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_extract_F_on_integers_matches_the_field_reference(field):
+    """Same (g, t), or the same error, on valid, adversarial, bumped and non-member operators."""
+    outcomes = set()
+    for q, Y in _reference_samples(field):
+        try:
+            sym = HeckeSymmetry(fref.q_id_minus(q, Y), q)
+        except NotHeckeSym0:
+            continue  # Y leaves the alternating square: no symmetry to extract from
+        try:
+            want = fref.extract_F(sym)
+        except NotHeckeSym0 as exc:
+            with pytest.raises(NotHeckeSym0, match=f"^{exc}$"):
+                extract_F(sym)
+            outcomes.add(str(exc))
+            continue
+        got = extract_F(sym)
+        assert got.g == want.g and hash(got.g) == hash(want.g)
+        assert got.t == want.t
+        assert {type(x) for x in got.t} == {type(field.zero())}
+        outcomes.add("zero" if got.is_zero() else "rank 1")
+    assert outcomes == {"zero", "rank 1", "the invariant operator does not have rank 1",
+                        "the parameter-discriminant constraint fails for the extracted operator"}

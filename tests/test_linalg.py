@@ -1,5 +1,6 @@
 """Exact dense linear algebra."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -221,3 +222,139 @@ def test_elimination_on_residues_forms_no_field_objects(monkeypatch):
         made.clear()
         m.det()
         assert len(made) <= 2
+
+
+def assert_canonical(m):
+    """The stored pair is the reduced one: d > 0, gcd(d, *N) = 1 over Q; residues, d = 1 over F_p."""
+    n, d = m.integers()
+    assert len(n) == m.nrows * m.ncols and all(type(x) is int for x in n)
+    p = m.field.characteristic
+    if p:
+        assert d == 1 and all(0 <= x < p for x in n)
+    else:
+        assert d > 0 and math.gcd(d, *n) == 1
+
+
+def reference_entrywise(f, *ms):
+    """The matrix of f applied entry by entry to the field scalars of the rows of ms."""
+    rows = zip(*(m.rows for m in ms))
+    return Matrix(ms[0].field, [[f(*xs) for xs in zip(*r)] for r in rows])
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_integer_storage_matches_the_field_reference(field):
+    """+, -, unary -, scale, transpose, col and kron on (N, d) equal the entrywise reference."""
+    rng = random.Random(17)
+    half = Fraction(1, 2)
+    for a in matrix_corpus(field, 7):
+        b = random_matrix(field, rng, a.nrows, a.ncols, 0.5, coprime=True)
+        c = field.of(Fraction(rng.randint(-9, 9), 11))
+        cases = [
+            (a + b, reference_entrywise(lambda x, y: x + y, a, b)),
+            (a - b, reference_entrywise(lambda x, y: x - y, a, b)),
+            (-a, reference_entrywise(lambda x: -x, a)),
+            (a.scale(c), reference_entrywise(lambda x: c * x, a)),
+            (a.scale(half), reference_entrywise(lambda x: field.of(half) * x, a)),
+            (a.transpose(), Matrix(field, [list(col) for col in zip(*a.rows)])),
+            (a.kron(b), fref.kron(a, b)),
+        ]
+        for got, want in cases:
+            assert (got.nrows, got.ncols) == (want.nrows, want.ncols)
+            assert_same_scalars(field, [x for row in got.rows for x in row],
+                                [x for row in want.rows for x in row])
+            assert got == want and hash(got) == hash(want)
+            assert_canonical(got)
+        for j in range(a.ncols):
+            assert_same_scalars(field, a.col(j), [row[j] for row in a.rows])
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_equal_matrices_by_different_routes_compare_and_hash_equal(field):
+    """Every route to one matrix ends at the one reduced pair (N, d)."""
+    rng = random.Random(19)
+    for a in matrix_corpus(field, 9):
+        routes = [a.scale(2).scale(Fraction(1, 2)), (a + a) - a, Matrix(field, a.rows),
+                  Matrix.from_rows(field, a.rows), a.transpose().transpose(), -(-a),
+                  a.scale(field.of(3)) - a.scale(2), a * Matrix.identity(field, a.ncols)]
+        if a.nrows == a.ncols and a.rank() == a.nrows:
+            routes.append(a.inverse().inverse())
+        for m in routes:
+            assert_canonical(m)
+            assert m == a and hash(m) == hash(a) and m.integers() == a.integers()
+        b = random_matrix(field, rng, a.nrows, a.ncols, coprime=True)
+        assert (a + b) - b == a and ((a + b) == a) == b.is_zero()
+
+
+def test_rref_and_inverse_after_a_negative_last_bareiss_pivot():
+    """Bareiss ends on a negative pivot here; rref and inverse still store a positive scale."""
+    cases = [Matrix.from_rows(QQ, [[1, 0], [0, -1]]),
+             Matrix.from_rows(QQ, [[2, 1, 0], [1, 0, 0], [0, 0, 3]]),
+             Matrix.from_rows(QQ, [[0, 1, 2], [1, 0, "1/3"], [4, 5, 0]])]
+    for a in cases:
+        assert a._eliminate()[2] < 0  # the last pivot, den
+        red, pivots = a.rref()
+        assert red == Matrix.identity(QQ, a.nrows) and pivots == tuple(range(a.nrows))
+        assert hash(red) == hash(Matrix.identity(QQ, a.nrows))
+        inv = a.inverse()
+        assert_canonical(red)
+        assert_canonical(inv)
+        assert inv == fref.inverse(a) and hash(inv) == hash(fref.inverse(a))
+        assert a * inv == Matrix.identity(QQ, a.nrows)
+    wide = Matrix.from_rows(QQ, [[1, 0, 2], [0, -1, 5]])  # a 2 x 3 echelon form ending on -1
+    assert wide._eliminate()[2] < 0
+    red, _ = wide.rref()
+    assert_canonical(red)
+    assert red == fref.rref(wide)[0]
+
+
+@pytest.mark.parametrize("field", FIELDS[1:], ids=FIELD_IDS[1:])
+def test_prime_field_matrix_from_integers_over_a_scale(field):
+    """Over F_p a scale d != 1 is folded in as its inverse: the stored pair has d = 1."""
+    p = field.characteristic
+    n = [1, -2, 3, 0, 5, p + 4]
+    for d in (1, 2, p - 1, 2 * p + 5, -4):
+        if d % p == 0:
+            continue
+        m = Matrix.of_integers(field, 2, 3, n, d)
+        assert_canonical(m)
+        want = Matrix.from_rows(field, [[Fraction(x, d) for x in r] for r in (n[:3], n[3:])])
+        assert m == want and hash(m) == hash(want)
+        assert m.scale(d) == Matrix.of_integers(field, 2, 3, n)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_empty_and_single_row_shapes(field):
+    empty = Matrix(field, [])
+    assert (empty.nrows, empty.ncols) == (0, 0) and empty.rows == []
+    assert empty == Matrix.zeros(field, 0) == Matrix.identity(field, 0)
+    assert empty.rank() == 0 and empty.det() == field.one() and empty.inverse() == empty
+    assert empty * empty == empty and empty.transpose() == empty and empty.is_zero()
+    assert_canonical(empty.rref()[0])
+    row = Matrix.from_rows(field, [[0, 2, Fraction(1, 5), -3]])
+    assert (row.nrows, row.ncols) == (1, 4)
+    col = row.transpose()
+    assert (col.nrows, col.ncols) == (4, 1) and col.col(0) == row.rows[0]
+    red, pivots = row.rref()
+    assert pivots == (1,) and red == fref.rref(row)[0]
+    assert (row * col).rows == [[fref.apply(row, col.col(0))[0]]]
+    assert (col * row) == fref.mul(col, row) and row.kron(col) == fref.kron(row, col)
+    assert row.apply(col.col(0)) == fref.apply(row, col.col(0))
+    for m in (red, row * col, col * row, row.kron(col), row + row, row.scale(0)):
+        assert_canonical(m)
+    assert row.scale(0) == Matrix.from_rows(field, [[0] * 4]) and row.scale(0).is_zero()
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "Fp7"])
+def test_writing_into_rows_leaves_the_matrix_unchanged(field):
+    """rows forms fresh lists on each read; writing into them changes no matrix."""
+    a = Matrix.from_rows(field, [[1, 2, 0], [0, Fraction(3, 5), 1]])
+    before, key = a.integers()[0][:], hash(a)
+    rows = a.rows
+    rows[0][0] = field.of(9)
+    rows[1].append(field.one())
+    rows.append([field.zero()] * 3)
+    a.rows[1][2] = field.of(4)
+    assert a.integers()[0] == before and hash(a) == key
+    assert a == Matrix.from_rows(field, [[1, 2, 0], [0, Fraction(3, 5), 1]])
+    assert a.rows == [[field.of(1), field.of(2), field.zero()],
+                      [field.zero(), field.of(Fraction(3, 5)), field.one()]]

@@ -910,7 +910,7 @@ def _gate_samples(field):
 
     out = []
     for _ in range(8):
-        Y = Matrix.from_columns(field, [bivector(field, [scalar() for _ in range(3)])
+        Y = Matrix.from_columns(field, [bivector([scalar() for _ in range(3)])
                                         for _ in range(9)])
         bump = [(rng.randrange(9), rng.randrange(9), field.of(rng.randint(1, 6)))]
         out += [Y, _bumped(Y, bump)]
