@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
-from .errors import DimensionMismatch, SingularMatrix
+from .errors import DimensionMismatch, FieldMismatch, SingularMatrix
 from .fields import Fp
 
 __all__ = ["Matrix", "echelon_span", "integer_coordinates", "field_scalars", "reduce_mod"]
@@ -42,7 +42,7 @@ class Matrix:
 
     @classmethod
     def of_integers(cls, field, nrows, ncols, N, d=1) -> "Matrix":
-        """The nrows x ncols matrix N / d of row-major integers N and a scale d > 0."""
+        """The nrows x ncols matrix N / d of row-major integers N: d > 0 over Q, a unit over F_p."""
         p, m = field.characteristic, cls.__new__(cls)
         if p:  # a scale d != 1 is folded into the residues
             inv = pow(d, -1, p)
@@ -90,7 +90,9 @@ class Matrix:
 
     def _combine(self, other, sign):
         """self + sign * other, over the product of the two scales."""
-        self._same_shape(other)
+        self._same_field(other)
+        if self.nrows != other.nrows or self.ncols != other.ncols:
+            raise DimensionMismatch(f"{self.nrows}x{self.ncols} vs {other.nrows}x{other.ncols}")
         (a, da), (b, db) = self.integers(), other.integers()
         return Matrix.of_integers(self.field, self.nrows, self.ncols,
                                   [x * db + sign * y * da for x, y in zip(a, b)], da * db)
@@ -109,11 +111,9 @@ class Matrix:
         return Matrix.of_integers(self.field, self.nrows, self.ncols,
                                   [cn * x for x in self.N], cd * self.d)
 
-    def _same_shape(self, other):
-        if self.nrows != other.nrows or self.ncols != other.ncols:
-            raise DimensionMismatch(
-                f"{self.nrows}x{self.ncols} vs {other.nrows}x{other.ncols}"
-            )
+    def _same_field(self, other):
+        if self.field != other.field:
+            raise FieldMismatch(f"{self.field.name} matrix mixed with {other.field.name} matrix")
 
     def _int_rows(self):
         k, n = self.ncols, self.N
@@ -122,6 +122,7 @@ class Matrix:
     def __mul__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
+        self._same_field(other)
         if self.ncols != other.nrows:
             raise DimensionMismatch(
                 f"cannot compose {self.nrows}x{self.ncols} with {other.nrows}x{other.ncols}"
@@ -149,6 +150,7 @@ class Matrix:
 
     def kron(self, other) -> "Matrix":
         """Kronecker product, row-major composite indices."""
+        self._same_field(other)
         brows = other._int_rows()
         return Matrix.of_integers(
             self.field, self.nrows * other.nrows, self.ncols * other.ncols,

@@ -8,7 +8,7 @@ import pytest
 
 import field_reference as fref
 from hecke3 import fields
-from hecke3.errors import DimensionMismatch, SingularMatrix
+from hecke3.errors import DimensionMismatch, FieldMismatch, SingularMatrix
 from hecke3.fields import GF, QQ
 from hecke3.linalg import Matrix, echelon_span
 
@@ -358,3 +358,12 @@ def test_writing_into_rows_leaves_the_matrix_unchanged(field):
     assert a == Matrix.from_rows(field, [[1, 2, 0], [0, Fraction(3, 5), 1]])
     assert a.rows == [[field.of(1), field.of(2), field.zero()],
                       [field.zero(), field.of(Fraction(3, 5)), field.one()]]
+
+
+def test_matrices_over_different_fields_do_not_mix():
+    a, b = Matrix.identity(QQ, 2), Matrix.identity(GF(7), 2)
+    for op in (lambda: a + b, lambda: a - b, lambda: a * b, lambda: a.kron(b),
+               lambda: b * Matrix.identity(GF(5), 2)):
+        with pytest.raises(FieldMismatch):
+            op()
+    assert a != b
