@@ -10,12 +10,15 @@ former forms of ``Matrix.kron``, ``PrimeField.sqrt``,
 skewsymmetrizer assembled entry by entry is that of
 ``heckecore.skewsymmetrizer_matrix``, and ``q Id - M`` formed entry by entry
 checks the ``Matrix`` expression ``Matrix.identity(...).scale(q) - M``.
+``extract_F`` is the former field-scalar body of ``heckecore.extract_F``.
 """
 
-from hecke3.errors import DimensionMismatch, SingularMatrix
+from hecke3.errors import DimensionMismatch, NotHeckeSym0, SingularMatrix
 from hecke3.fields import Fp
+from hecke3.heckecore import FOperator, pairing_coordinates
 from hecke3.linalg import Matrix
-from hecke3.multilinear import bivector, is_alt2, pair_vt, std_basis, unit_tensors, vol
+from hecke3.multilinear import (bivector, is_alt2, pair_vt, std_basis, unit_tensors, vol,
+                                zero_tensor)
 
 
 def mul(a: Matrix, b: Matrix) -> Matrix:
@@ -220,10 +223,6 @@ def q_id_minus(q, M: Matrix) -> Matrix:
 def extract_F(sym):
     """heckecore.extract_F on field scalars: the halved pairing coordinates of Y as field
     scalars, and rank 1 tested by comparing the 81 products g_ij t with the 9 columns."""
-    from hecke3.errors import NotHeckeSym0
-    from hecke3.heckecore import FOperator, pairing_coordinates
-    from hecke3.multilinear import zero_tensor
-
     fld = sym.field
     ell = pairing_coordinates([x for row in sym.Y.rows for x in row])
     cols = [[fld.of(x) for x in bivector([(ell[i][j][k] + ell[j][i][k]) / 2 for k in range(3)])]
