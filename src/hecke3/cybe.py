@@ -17,9 +17,9 @@ from dataclasses import dataclass, field as dc_field
 from itertools import combinations, product
 from operator import mul
 
-from .errors import Hecke3Error
+from .errors import FieldMismatch, Hecke3Error
 from .fields import QQ
-from .linalg import Matrix, echelon_span, field_scalars, integer_coordinates, reduce_mod
+from .linalg import Matrix, field_scalars, reduce_mod
 from .heckecore import HeckeSymmetry, flip_matrix
 from .jsonio import matrix_to_json, vector_to_json
 from .multilinear import slot_action, unit_tensors
@@ -137,13 +137,13 @@ def check_symmetrized(t: GlTensor, q) -> CheckReport:
 class LieSubalgebra:
     """A bracket-closed subalgebra of gl(3) with an echelonized basis.
 
-    ``constants[i][j]`` holds the coordinates of [x_i, x_j] in the basis, as
-    computed by the last pass of the closure; ``center_dim`` is derived once.
+    ``constants`` is the dim^2 x dim matrix whose row dim * i + j holds the coordinates
+    of [x_i, x_j] in the basis, from the last pass of the closure; ``center_dim`` is derived once.
     """
 
     field: object
     basis: tuple          # 3x3 matrices, canonical echelon order
-    constants: tuple
+    constants: Matrix
     closure_grew: bool = False
     center_dim: int = dc_field(init=False, repr=False, compare=False)
 
@@ -174,25 +174,26 @@ def lie_subalgebra(field, generators) -> LieSubalgebra:
     On the echelon basis N_k / d, a bracket B / d^2 has coordinates B[lead_k] / d^2
     (pivot columns) and lies in the span iff d B = sum_k B[lead_k] N_k (mod p).
     """
+    if any(m.field != field for m in generators):
+        raise FieldMismatch(f"a generator of a {field.name} subalgebra lies over another field")
     # a generator N / e spans the line of its integer coordinates N
-    rows = echelon_span(field, [m.integers()[0] for m in generators])
-    grew, p = False, field.characteristic
+    rows, grew, dim, p = [m.integers()[0] for m in generators], False, None, field.characteristic
     while True:
-        n, d = integer_coordinates(field, [x for r in rows for x in r])
-        basis = [n[9 * k:9 * k + 9] for k in range(len(rows))]
-        leads = [next(i for i, x in enumerate(v) if x) for v in basis]
+        red, leads = Matrix.of_integers(field, len(rows), 9, [x for r in rows for x in r]).rref()
+        if len(leads) == dim:
+            raise Hecke3Error("internal inconsistency: brackets outside the span did not grow it")
+        (n, d), dim = red.integers(), len(leads)
+        basis = [n[9 * k:9 * k + 9] for k in range(dim)]
         free = [t for t in range(9) if t not in leads]  # d B = sum_k ... holds at the leads
-        brackets = [[_bracket(x, y) for y in basis] for x in basis]
-        consts = [[[b[lead] for lead in leads] for b in bx] for bx in brackets]
-        new = [b for bx, cx in zip(brackets, consts) for b, c in zip(bx, cx)
+        brackets = [_bracket(x, y) for x in basis for y in basis]
+        consts = [[b[lead] for lead in leads] for b in brackets]
+        new = [b for b, c in zip(brackets, consts)
                if any(reduce_mod([d * b[t] - sum(ck * v[t] for ck, v in zip(c, basis))
                                   for t in free], p))]
         if not new:
             break
-        grew, dim, rows = True, len(rows), echelon_span(field, rows + new)
-        if len(rows) == dim:
-            raise Hecke3Error("internal inconsistency: brackets outside the span did not grow it")
-    constants = tuple(tuple(tuple(field_scalars(field, c, d * d)) for c in cx) for cx in consts)
+        grew, rows = True, basis + new
+    constants = Matrix.of_integers(field, dim * dim, dim, [x for c in consts for x in c], d * d)
     return LieSubalgebra(field, tuple(Matrix.of_integers(field, 3, 3, v, d) for v in basis),
                          constants, grew)
 
@@ -219,13 +220,12 @@ class FrobeniusResult:
 
 def _center_dim(L: LieSubalgebra) -> int:
     """Dimension of the centre: sum a_i x_i is central iff sum_i a_i c[i][j] = 0 for all j."""
-    d, c = L.dim, L.constants
-    rows = [[c[i][j][k] for i in range(d)] for j in range(d) for k in range(d)]
-    return d - Matrix(L.field, rows).rank()
+    d = L.dim  # the constants read as d x d^2 have row i = every c[i][j][k]
+    return d - Matrix.of_integers(L.field, d, d * d, L.constants.integers()[0]).rank()
 
 
 def _functionals(field, d: int):
-    """A finite set of functionals holding a witness whenever the field has one.
+    """A finite set of integer functionals holding a witness whenever the field has one.
 
     Unit functionals, then 0/1 sums in increasing mask order: these hold the
     witnesses of the carriers of the eight types.  Then, with m = d/2: when
@@ -233,14 +233,11 @@ def _functionals(field, d: int):
     lattice of the simplex, unisolvent for the degree-m Pfaffian on that
     hyperplane); otherwise all of F_p^d.
     """
-    o, z = field.one(), field.zero()
     for k in range(d):
-        f = [z] * d
-        f[k] = o
-        yield f
+        yield [int(i == k) for i in range(d)]
     for mask in range(1, 1 << d):
         if mask.bit_count() >= 2:
-            yield [o if mask >> k & 1 else z for k in range(d)]
+            yield [mask >> k & 1 for k in range(d)]
     m, p = d // 2, field.characteristic
     if p == 0 or p > m:
         # stars and bars: d - 1 bars among m + d - 1 places
@@ -252,7 +249,7 @@ def _functionals(field, d: int):
         points = product(range(p), repeat=d)
     for f in points:
         if max(f) > 1:  # every 0/1 vector was tried above
-            yield [field.of(x) for x in f]
+            yield list(f)
 
 
 def is_frobenius(L: LieSubalgebra) -> FrobeniusResult:
@@ -270,13 +267,13 @@ def is_frobenius(L: LieSubalgebra) -> FrobeniusResult:
         return FrobeniusResult("not_applicable", None)
     if L.center_dim:
         return FrobeniusResult("no", None)
-    fld, z = L.field, L.field.zero()
+    fld, d, (n, e) = L.field, L.dim, L.constants.integers()
     # the nonzero structure constants of each bracket, found once for every f
-    terms = [[[(k, x) for k, x in enumerate(cij) if x != 0] for cij in ci] for ci in L.constants]
-    for f in _functionals(fld, L.dim):
-        form = Matrix(fld, [[sum((f[k] * x for k, x in tij), z) for tij in ti] for ti in terms])
+    terms = [[(k, x) for k, x in enumerate(n[r:r + d]) if x] for r in range(0, d * d * d, d)]
+    for f in _functionals(fld, d):
+        form = Matrix.of_integers(fld, d, d, [sum(f[k] * x for k, x in t) for t in terms], e)
         if form.det() != 0:
-            return FrobeniusResult("yes", tuple(f))
+            return FrobeniusResult("yes", tuple(field_scalars(fld, f)))
     return FrobeniusResult("no", None)
 
 
@@ -288,18 +285,15 @@ def fingerprint(L: LieSubalgebra):
     rank is included; the quadruple is a strictly finer isomorphism
     invariant and separates all six.
     """
-    fld = L.field
     d = L.dim
     if d == 0:
         return (0, 0, 0, 0)
-    c = L.constants
-    derived = Matrix(fld, [list(c[i][j]) for i in range(d) for j in range(d)]).rank()
     # trace(ad_i ad_j) = sum_{k,m} c[i][m][k] c[j][k][m], on integers c = C / e
-    n, _ = integer_coordinates(fld, [x for ci in c for cij in ci for x in cij])
+    n, _ = L.constants.integers()
     C = [n[i * d * d:(i + 1) * d * d] for i in range(d)]  # C[j][k * d + m] = c[j][k][m]
     adT = [[x for k in range(d) for x in Ci[k::d]] for Ci in C]  # adT[i][k * d + m] = c[i][m][k]
     killing = [sum(map(mul, adT[i], C[j])) for i in range(d) for j in range(d)]
-    return (d, derived, L.center_dim, Matrix.of_integers(fld, d, d, killing).rank())
+    return (d, L.constants.rank(), L.center_dim, Matrix.of_integers(L.field, d, d, killing).rank())
 
 
 def reference_carriers(field=QQ) -> dict:

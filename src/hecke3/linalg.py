@@ -19,16 +19,16 @@ from operator import mul
 from .errors import DimensionMismatch, FieldMismatch, SingularMatrix
 from .fields import Fp
 
-__all__ = ["Matrix", "echelon_span", "integer_coordinates", "field_scalars", "reduce_mod"]
+__all__ = ["Matrix", "integer_coordinates", "field_scalars", "reduce_mod"]
 
 
 class Matrix:
     """An exact matrix over a fixed field, held as row-major integers N over a scale d.
 
-    ``Matrix(field, rows)`` converts rows of field scalars (or ints) once;
-    :meth:`from_rows` first coerces entries (ints, strings, fractions) through
-    the field, and :meth:`of_integers` takes integer coordinates as they are.
-    ``rows`` forms fresh lists of field scalars on each read.
+    ``Matrix(field, rows)`` and :meth:`from_rows` convert rows once, coercing entries other
+    than field scalars and ints (text, fractions over F_p) through the field;
+    :meth:`of_integers` takes integer coordinates as they are.  ``rows`` forms fresh lists
+    of field scalars on each read.
     """
 
     __slots__ = ("field", "nrows", "ncols", "N", "d")
@@ -54,7 +54,7 @@ class Matrix:
 
     @classmethod
     def from_rows(cls, field, rows):
-        return cls(field, [[field.of(x) for x in row] for row in rows])
+        return cls(field, rows)
 
     @classmethod
     def from_columns(cls, field, cols):
@@ -107,7 +107,7 @@ class Matrix:
         return Matrix.of_integers(self.field, self.nrows, self.ncols, [-x for x in self.N], self.d)
 
     def scale(self, c) -> "Matrix":
-        (cn,), cd = integer_coordinates(self.field, [self.field.of(c)])
+        (cn,), cd = integer_coordinates(self.field, [c])
         return Matrix.of_integers(self.field, self.nrows, self.ncols,
                                   [cn * x for x in self.N], cd * self.d)
 
@@ -229,22 +229,21 @@ class Matrix:
         return f"Matrix({self.field.name}, {self.nrows}x{self.ncols})"
 
 
-def echelon_span(field, vectors):
-    """Canonical (RREF) basis of the span of the given coordinate vectors."""
-    red, pivots = Matrix.from_rows(field, vectors).rref()
-    return red.rows[:len(pivots)]
-
-
 def integer_coordinates(field, xs):
-    """Integers n and a scale d > 0 with xs = n / d: d = 1 over F_p, lcm of denominators over Q."""
-    if field.characteristic:
-        try:
-            return [x.v for x in xs], 1
-        except AttributeError:  # plain ints, which embed in every field
-            return [field.of(x).v for x in xs], 1
-    dens = [x.denominator for x in xs]
-    d = lcm(*dens)
-    return [x.numerator * (d // e) for x, e in zip(xs, dens)], d
+    """Integers n and a scale d > 0 with xs = n / d: d = 1 over F_p, lcm of denominators over Q.
+
+    Entries other than the field's own scalars and ints go through ``field.of``.
+    """
+    try:
+        if not (p := field.characteristic):
+            dens = [x.denominator for x in xs]
+            d = lcm(*dens)
+            return [x.numerator * (d // e) for x, e in zip(xs, dens)], d
+        if len(ns := [x.v for x in xs if x.p == p]) == len(xs):
+            return ns, 1
+    except AttributeError:  # text, floats, and ints over F_p
+        pass
+    return integer_coordinates(field, [field.of(x) for x in xs])
 
 
 def field_scalars(field, ns, d=1):

@@ -183,7 +183,7 @@ def check_containments(Y: Matrix, q, table=None) -> CheckReport:
     """
     fld, e = Y.field, unit_tensors(1)
     vxa, axv, d = table or braid_table(Y)
-    (qn,), qd = integer_coordinates(fld, [fld.of(q)])
+    (qn,), qd = integer_coordinates(fld, [q])
 
     def mismatches():
         for space, cols in (("VxAlt2", vxa), ("Alt2xV", axv)):
@@ -214,7 +214,7 @@ def check_component_identity(Y: Matrix, q, table=None) -> CheckReport:
     """
     fld, e = Y.field, unit_tensors(1)
     vxa, _, d = table or braid_table(Y)
-    (qn,), qd = integer_coordinates(fld, [fld.of(q)])
+    (qn,), qd = integer_coordinates(fld, [q])
     yw = [[0] * 27 if j == k else vxa[i][j + k - 1] if j < k else [-x for x in vxa[i][j + k - 1]]
           for i, j, k in product(range(3), repeat=3)]  # e_j^e_k = +-alt2_basis()[j + k - 1]
     w = [tensor2(e[i], wedge2(e[j], e[k])) for i, j, k in product(range(3), repeat=3)]
@@ -244,7 +244,7 @@ def check_pairing_identities(Y: Matrix, q) -> CheckReport:
     """
     fld, p, e = Y.field, Y.field.characteristic, unit_tensors(1)
     n, d = Y.integers()
-    (a,), b = integer_coordinates(fld, [fld.of(q)])
+    (a,), b = integer_coordinates(fld, [q])
     ell = pairing_coordinates(n)  # d L
 
     def vols(x):  # vols(x)[idx2(u, v)] = vol(x, e_u, e_v)
@@ -288,7 +288,7 @@ def check_cyclic_shift_identity(Y: Matrix, T: Matrix, q, table=None) -> CheckRep
     """
     fld = Y.field
     vxa, axv, d = table or braid_table(Y)
-    (qn,), qd = integer_coordinates(fld, [fld.of(q)])
+    (qn,), qd = integer_coordinates(fld, [q])
     tn, td = T.integers()
 
     def mismatches():

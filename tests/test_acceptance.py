@@ -12,7 +12,7 @@ import pytest
 
 from hecke3.errors import CharacteristicTwo, SingularDeformation
 from hecke3.fields import GF, QQ
-from hecke3.linalg import Matrix, echelon_span
+from hecke3.linalg import Matrix
 from hecke3.multilinear import change_of_basis, random_invertible, std_basis, wedge2
 from hecke3.heckecore import (
     build_R,

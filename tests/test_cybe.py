@@ -8,9 +8,9 @@ import pytest
 
 import field_reference as fref
 import hecke3.cybe as cybe
-from hecke3.errors import Hecke3Error
+from hecke3.errors import FieldMismatch, Hecke3Error
 from hecke3.fields import GF, QQ
-from hecke3.linalg import Matrix, echelon_span
+from hecke3.linalg import Matrix
 from hecke3.heckecore import build_R, conjugate, conjugate_data, deform, flip_matrix
 from hecke3.multilinear import lift_left, lift_right, random_invertible, slot_action, unit_tensors
 from hecke3.verifier import column_witness, sample_strategy_a
@@ -248,18 +248,36 @@ class TestCarrier:
 
     def test_closure_that_stops_growing_raises(self, monkeypatch):
         """A membership test that calls every bracket new raises once the span stops growing."""
-        echelon, spans = cybe.echelon_span, []
+        rref, passes = Matrix.rref, []
 
-        def counted(field, vectors):
-            spans.append(vectors)
-            assert len(spans) <= 20, "the closure loop does not end"
-            return echelon(field, vectors)
+        def counted(m):
+            passes.append(m)
+            assert len(passes) <= 20, "the closure loop does not end"
+            return rref(m)
 
         monkeypatch.setattr(cybe, "reduce_mod", lambda ns, p: [1])
-        monkeypatch.setattr(cybe, "echelon_span", counted)
+        monkeypatch.setattr(Matrix, "rref", counted)
         for gens in ([E(1, 2), E(2, 1)], [E(1, 3), E(2, 3)]):
             with pytest.raises(Hecke3Error, match="internal inconsistency"):
                 lie_subalgebra(QQ, gens)
+
+
+    def test_generators_over_another_field_are_rejected(self):
+        """Generators over F_5 or Q, with or without denominators, do not close over F_7."""
+        f7, f5 = GF(7), GF(5)
+        halves = Matrix.from_rows(QQ, [["1/2", 0, 0], [0, 0, "3/5"], [0, 0, 0]])
+        for gens in ([matrix_unit(f5, 1, 2), matrix_unit(f5, 2, 1)], [E(1, 2), E(2, 1)],
+                     [matrix_unit(f7, 1, 3), halves], [matrix_unit(f7, 1, 2), E(2, 1)]):
+            with pytest.raises(FieldMismatch):
+                lie_subalgebra(f7, gens)
+        assert lie_subalgebra(f7, [matrix_unit(f7, 1, 2), matrix_unit(f7, 2, 1)]).dim == 3
+
+
+def constants_of(L):
+    """The structure constants as nested lists: c[i][j] = coordinates of [x_i, x_j]."""
+    rows, d = L.constants.rows, L.dim
+    assert (L.constants.nrows, L.constants.ncols) == (d * d, d)
+    return [[rows[d * i + j] for j in range(d)] for i in range(d)]
 
 
 def reference_structure_constants(L):
@@ -282,7 +300,7 @@ def test_closure_constants_match_the_brackets(field):
     assert {L.dim for L in algebras} >= {0, 2, 4, 6, 9}
     for L in algebras:
         ref = reference_structure_constants(L)
-        assert [[list(c) for c in row] for row in L.constants] == ref
+        assert constants_of(L) == ref
 
 
 def reference_echelon(field, vectors):
@@ -310,7 +328,7 @@ def reference_closure(field, generators):
 
 def reference_fingerprint(L):
     """The fingerprint with the Killing form as traces of d^2 products of ad matrices."""
-    fld, d, c = L.field, L.dim, L.constants
+    fld, d, c = L.field, L.dim, constants_of(L)
     if d == 0:
         return (0, 0, 0, 0)
     rank = lambda rows: len(fref.rref(Matrix(fld, rows))[1])
@@ -323,12 +341,13 @@ def reference_fingerprint(L):
 
 def reference_frobenius_witness(L):
     """The first functional of _functionals whose form has a nonzero field-object determinant."""
-    return next((tuple(f) for f in _functionals(L.field, L.dim)
+    return next((tuple(L.field.of(x) for x in f) for f in _functionals(L.field, L.dim)
                  if fref.det(form_of(L, f)) != 0), None)
 
 
 def differential_generators(field):
-    """Reference carrier generators, and the factors of r for moved types and strategy-A samples."""
+    """Reference carrier generators, the factors of r for moved types and strategy-A samples,
+    and 30 sparse random sets of 1-4 generators with entries in {-1, 0, 1}."""
     rng = random.Random(29)
     gens = [g for g in reference_carriers(field).values() if g is not None]
     gens.append([matrix_unit(field, 1, 2), matrix_unit(field, 2, 1)])  # the closure grows
@@ -341,6 +360,11 @@ def differential_generators(field):
     for _ in range(4):
         r = classical_r(build_R(sample_strategy_a(field, rng)))
         gens.append(list(r.left) + list(r.right))
+    sparse = random.Random(29)
+    for _ in range(30):
+        gens.append([Matrix.from_rows(field, [[sparse.choice((-1, 1)) if sparse.random() < 0.3 else 0
+                                              for _ in range(3)] for _ in range(3)])
+                     for _ in range(sparse.randint(1, 4))])
     return gens
 
 
@@ -353,8 +377,9 @@ def test_integer_closure_matches_the_field_reference(field):
         L = lie_subalgebra(field, gens)
         basis, consts, closure_grew = reference_closure(field, gens)
         assert L.basis == basis and L.closure_grew == closure_grew
-        assert [[list(c) for c in row] for row in L.constants] == consts
-        assert all(type(x) is type(field.zero()) for row in L.constants for c in row for x in c)
+        assert isinstance(L.constants, Matrix) and L.constants.field == field
+        assert constants_of(L) == consts
+        assert all(type(x) is type(field.zero()) for row in consts for c in row for x in c)
         assert fingerprint(L) == reference_fingerprint(L)
         res = is_frobenius(L)
         if L.dim % 2 == 0 and not L.center_dim:
@@ -417,8 +442,8 @@ def sl3(field):
 
 def form_of(L, f):
     """B_f[i][j] = f([x_i, x_j]) from the structure constants."""
-    d, fld = L.dim, L.field
-    return Matrix(fld, [[sum((fk * ck for fk, ck in zip(f, L.constants[i][j])), fld.zero())
+    d, fld, c = L.dim, L.field, constants_of(L)
+    return Matrix(fld, [[sum((fk * ck for fk, ck in zip(f, c[i][j])), fld.zero())
                          for j in range(d)] for i in range(d)])
 
 
@@ -435,7 +460,7 @@ def block_algebra(field, A):
             for j, x in enumerate(row):
                 c[i][3 + j][k] = field.of(x)
                 c[3 + j][i][k] = -field.of(x)
-    constants = tuple(tuple(tuple(cij) for cij in ci) for ci in c)
+    constants = Matrix(field, [c[i][j] for i in range(6) for j in range(6)])
     return LieSubalgebra(field, tuple(units(field, *product((1, 2), (1, 2, 3)))), constants)
 
 

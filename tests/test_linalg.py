@@ -8,9 +8,9 @@ import pytest
 
 import field_reference as fref
 from hecke3 import fields
-from hecke3.errors import DimensionMismatch, FieldMismatch, SingularMatrix
-from hecke3.fields import GF, QQ
-from hecke3.linalg import Matrix, echelon_span
+from hecke3.errors import DimensionMismatch, FieldMismatch, InputError, SingularMatrix
+from hecke3.fields import GF, QQ, Fp
+from hecke3.linalg import Matrix
 
 
 def test_identity_rank():
@@ -87,6 +87,12 @@ def test_from_columns_is_the_transpose_of_from_rows():
     assert (m.nrows, m.ncols) == (3, 2)
     assert m == Matrix.from_rows(QQ, cols).transpose()
     assert [m.col(j) for j in range(2)] == cols
+
+
+def echelon_span(field, vectors):
+    """Canonical basis of the span of the given coordinate vectors: the nonzero rows of the RREF."""
+    red, pivots = Matrix.from_rows(field, vectors).rref()
+    return red.rows[:len(pivots)]
 
 
 def test_span_helpers():
@@ -367,3 +373,15 @@ def test_matrices_over_different_fields_do_not_mix():
         with pytest.raises(FieldMismatch):
             op()
     assert a != b
+    # entries are field scalars, ints or text; anything else raises a Hecke3Error
+    for field, bad, error in ((GF(7), Fp(1, 5), FieldMismatch), (QQ, Fp(1, 7), FieldMismatch),
+                              (QQ, 0.5, InputError), (GF(7), 0.5, InputError)):
+        one = Matrix.identity(field, 1)
+        for op in (lambda: Matrix(field, [[bad]]), lambda: Matrix(field, [[1, bad]]),
+                   lambda: one.apply([bad]), lambda: Matrix.from_rows(field, [[bad]])):
+            with pytest.raises(error):
+                op()
+    for field in (QQ, GF(7)):
+        half = Matrix.from_rows(field, [[Fraction(1, 2)]])
+        assert Matrix(field, [["1/2"]]) == half
+        assert Matrix.identity(field, 1).apply(["1/2"]) == half.col(0)
