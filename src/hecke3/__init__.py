@@ -66,6 +66,7 @@ from .verifier import (
     check_hecke,
     check_image_and_eigen,
     check_pairing_identities,
+    check_value_tables,
     fuzz,
     run_suite,
     sample_strategy_a,
@@ -76,7 +77,6 @@ from .classify import (
     ClassificationReport,
     canonical,
     canonical_gram,
-    check_value_tables,
     classify,
     reference_r_matrix,
 )

@@ -24,8 +24,7 @@ from .fields import QQ
 from .jsonio import matrix_to_json, vector_to_json
 from .linalg import Matrix
 from .multilinear import idx2, std_basis
-from .heckecore import FOperator, HeckeData, HeckeSymmetry, _t_matrix, build_R, extract_F
-from .verifier import CheckReport, column_witness
+from .heckecore import FOperator, HeckeData, HeckeSymmetry, _t_matrix, extract_F
 
 __all__ = [
     "TYPE_LABELS",
@@ -34,7 +33,6 @@ __all__ = [
     "canonical",
     "classify",
     "reference_r_matrix",
-    "check_value_tables",
 ]
 
 TYPE_LABELS = tuple(f"Type{n}" for n in range(1, 9))
@@ -67,7 +65,6 @@ class ClassificationReport:
 
 def canonical_gram(label: str, q=None, field=QQ) -> Matrix:
     """The canonical form matrix of a type (q needed for Types 1 and 2)."""
-    z, o = field.zero(), field.one()
     if label in ("Type1", "Type2"):
         if q is None:
             raise InvalidQ(f"{label} needs an explicit q")
@@ -75,8 +72,7 @@ def canonical_gram(label: str, q=None, field=QQ) -> Matrix:
         if q == 0 or q == 1:
             raise InvalidQ(f"{label} needs q outside {{0, 1}}")
         s = (q - 1) / 2
-        corner = o if label == "Type1" else z
-        return Matrix(field, [[z, s, z], [s, z, z], [z, z, corner]])
+        return Matrix.from_rows(field, [[0, s, 0], [s, 0, 0], [0, 0, int(label == "Type1")]])
     grams = {
         "Type3": [[1, 0, 0], [0, 0, 1], [0, 1, 0]],
         "Type4": [[1, 0, 0], [0, 0, 0], [0, 0, 1]],
@@ -193,14 +189,3 @@ def reference_r_matrix(label: str, q, field=QQ) -> Matrix:
             rows[idx2(k, l)][idx2(i, j)] = c
     return Matrix(field, rows)
 
-
-def check_value_tables(q, field=QQ) -> CheckReport:
-    """Compare built symmetries of Types 1 to 6 against the value tables."""
-    for label in ("Type1", "Type2", "Type3", "Type4", "Type5", "Type6"):
-        use_q = q if label in ("Type1", "Type2") else None
-        built = build_R(canonical(label, use_q, field)).R
-        expected = reference_r_matrix(label, use_q, field)
-        witness = column_witness(built, expected, type=label)
-        if witness is not None:
-            break
-    return CheckReport("value_tables", witness)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field as dc_field
 from itertools import combinations, product
 from operator import mul
 
-from .errors import FieldMismatch, Hecke3Error
+from .errors import DimensionMismatch, FieldMismatch, Hecke3Error
 from .fields import QQ
 from .linalg import Matrix, field_scalars, reduce_mod
 from .heckecore import HeckeSymmetry, flip_matrix
@@ -85,6 +85,8 @@ def gl_tensor(m: Matrix) -> GlTensor:
     Rank factorization of the flattening: pivot columns give the left
     factors, reduced rows the right factors.
     """
+    if m.nrows != 9 or m.ncols != 9:
+        raise DimensionMismatch(f"gl(3) (x) gl(3) element must be 9x9, got {m.nrows}x{m.ncols}")
     fld, flat = m.field, _flatten(m)
     red, pivots = flat.rref()
     (fn, fd), (rn, rd) = flat.integers(), red.integers()
@@ -176,6 +178,8 @@ def lie_subalgebra(field, generators) -> LieSubalgebra:
     """
     if any(m.field != field for m in generators):
         raise FieldMismatch(f"a generator of a {field.name} subalgebra lies over another field")
+    if any(m.nrows != 3 or m.ncols != 3 for m in generators):
+        raise DimensionMismatch("a generator of a subalgebra of gl(3) must be 3x3")
     # a generator N / e spans the line of its integer coordinates N
     rows, grew, dim, p = [m.integers()[0] for m in generators], False, None, field.characteristic
     while True:

@@ -166,17 +166,27 @@ class Fp:
         return f"Fp({self.v}, {self.p})"
 
 
-class Rationals:
+class _Field:
+    """Shared by both fields: the constants are ``of(0)`` and ``of(1)``; a field is its ``name``."""
+
+    def zero(self):
+        return self.of(0)
+
+    def one(self):
+        return self.of(1)
+
+    def __eq__(self, other):
+        return isinstance(other, _Field) and other.name == self.name
+
+    def __hash__(self):
+        return hash(self.name)
+
+
+class Rationals(_Field):
     """The field of rational numbers, elements are ``Fraction`` values."""
 
     characteristic = 0
     name = "Q"
-
-    def zero(self) -> Fraction:
-        return Fraction(0)
-
-    def one(self) -> Fraction:
-        return Fraction(1)
 
     def of(self, x) -> Fraction:
         """Coerce an int, Fraction or text form into this field."""
@@ -213,17 +223,11 @@ class Rationals:
             return Fraction(rn, rd)
         return None
 
-    def __eq__(self, other):
-        return isinstance(other, Rationals)
-
-    def __hash__(self):
-        return hash("Q")
-
     def __repr__(self):
         return "Rationals()"
 
 
-class PrimeField:
+class PrimeField(_Field):
     """The finite field F_p for an odd prime p fitting in a machine word."""
 
     def __init__(self, p: int):
@@ -237,12 +241,6 @@ class PrimeField:
             raise NotPrime(f"{p} is not a prime")
         self.p = self.characteristic = p
         self.name = f"Fp:{p}"
-
-    def zero(self) -> Fp:
-        return Fp(0, self.p)
-
-    def one(self) -> Fp:
-        return Fp(1, self.p)
 
     def of(self, x) -> Fp:
         if isinstance(x, Fp):
@@ -287,12 +285,6 @@ class PrimeField:
                 u, v = (u * s + v * r * w) % p, (u * r + v * s) % p
             s, r, n = (s * s + r * r * w) % p, 2 * s * r % p, n >> 1
         return Fp(min(u, p - u), p)
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("Fp", self.p))
 
     def __repr__(self):
         return f"PrimeField({self.p})"

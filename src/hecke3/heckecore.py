@@ -92,15 +92,9 @@ def _t_matrix(field, t) -> Matrix:
     return Matrix(field, [t[0:3], t[3:6], t[6:9]])
 
 
-def _delta(g: Matrix, t):
-    """-tr(T^2)/2 for T = t g: T(V) lies in the plane of t = a^b, where T^2 = -discriminant."""
-    T = (_t_matrix(g.field, t) * g).rows
-    return -sum(T[i][j] * T[j][i] for i in range(3) for j in range(3)) / 2
-
-
 def discriminant(a, b, g: Matrix):
-    """g(a,a) g(b,b) - g(a,b)^2: the Gram determinant of g on (a, b)."""
-    return _delta(g, wedge2(a, b))
+    """g(a,a) g(b,b) - g(a,b)^2: the Gram determinant of g on (a, b), as :meth:`FOperator.delta`."""
+    return FOperator(g, wedge2(a, b)).delta()
 
 
 def solve_q(a, b, g: Matrix):
@@ -176,9 +170,8 @@ def skewsymmetrizer_matrix(q, g: Matrix, t) -> Matrix:
 class HeckeSymmetry:
     """An operator R with its parameter q; the state is the pair (R, q).
 
-    The skewsymmetrizer Y = q*Id - R is derived once, on construction.
-    Every instance has Y mapping into the alternating square; later code
-    relies on this instead of checking it again.
+    The constructor is the one gate for q: it coerces q into R's field and rejects 0.  It
+    derives Y = q*Id - R once, mapping into the alternating square; later code relies on this.
     """
 
     R: Matrix
@@ -186,7 +179,10 @@ class HeckeSymmetry:
     Y: Matrix = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        Y = Matrix.identity(self.R.field, 9).scale(self.q) - self.R
+        object.__setattr__(self, "q", q := self.R.field.of(self.q))
+        if q == 0:
+            raise NotHeckeSym0("the Hecke parameter is zero")
+        Y = Matrix.identity(self.R.field, 9).scale(q) - self.R
         if non_alternating_columns(Y):
             raise NotHeckeSym0("the skewsymmetrizer image is not alternating")
         object.__setattr__(self, "Y", Y)
@@ -206,18 +202,13 @@ class HeckeSymmetry:
         """
         if R.nrows != 9 or R.ncols != 9:
             raise InputError("R must be a 9x9 matrix")
-        fld = R.field
         if q is None:
             try:
                 q = extract_q(R)
             except NoHeckeParameter as exc:
                 raise NotHeckeSym0(str(exc)) from exc
-        else:
-            q = fld.of(q)
-            if not hecke_residual(R, q).is_zero():
-                raise NotHeckeSym0("the quadratic Hecke relation fails for the given q")
-        if q == 0:
-            raise NotHeckeSym0("the Hecke parameter is zero")
+        elif not hecke_residual(R, q).is_zero():
+            raise NotHeckeSym0("the quadratic Hecke relation fails for the given q")
         sym = cls(R, q)
         if sym.Y.rank() != 3:
             raise NotHeckeSym0("the skewsymmetrizer image is not the full alternating square")
@@ -242,20 +233,6 @@ def hecke_residual(R: Matrix, q) -> Matrix:
     return (R - Id.scale(q)) * (R + Id)
 
 
-def _q_candidate(R: Matrix):
-    """The only q that (R - q)(R + 1) = 0 allows, unverified.
-
-    The relation forces R to act as q on the image of R + Id, so q is the
-    ratio R c / c on the first nonzero column c of R + Id.  R = -Id is
-    rejected as ambiguous.
-    """
-    M = R + Matrix.identity(R.field, 9)
-    col, m = _leading(M.col(j) for j in range(M.ncols))
-    if col is None:
-        raise NoHeckeParameter("R = -Id: every q satisfies the relation")
-    return R.apply(col)[m] / col[m]
-
-
 def _leading(cols):
     """The first nonzero column and the index of its first nonzero entry, or (None, None)."""
     for c in cols:
@@ -266,8 +243,17 @@ def _leading(cols):
 
 
 def extract_q(R: Matrix):
-    """The unique q with (R - q)(R + 1) = 0, when one exists: :func:`_q_candidate`, verified."""
-    q = _q_candidate(R)
+    """The unique q with (R - q)(R + 1) = 0, when one exists; the one reader of q from R.
+
+    The relation forces R to act as q on the image of R + Id, so the candidate
+    is the ratio R c / c on the first nonzero column c of R + Id, then verified.
+    R = -Id is rejected as ambiguous.
+    """
+    M = R + Matrix.identity(R.field, 9)
+    col, m = _leading(M.col(j) for j in range(M.ncols))
+    if col is None:
+        raise NoHeckeParameter("R = -Id: every q satisfies the relation")
+    q = R.apply(col)[m] / col[m]
     if not hecke_residual(R, q).is_zero():
         raise NoHeckeParameter("no q satisfies the quadratic Hecke relation")
     return q
@@ -302,8 +288,12 @@ class FOperator:
         return Matrix.of_integers(self.field, 9, 9, [x * y for x in tn for y in gn], gd * td)
 
     def delta(self):
-        """Gram determinant of g on the plane of the bivector (0 for F = 0)."""
-        return _delta(self.g, self.t)
+        """Gram determinant of g on the plane of t (0 for F = 0): -tr(T^2)/2 for T = t g.
+
+        T (:func:`t_operator_of_F`) maps V into the plane of t = a^b, where T^2 = -delta.
+        """
+        T = t_operator_of_F(self).rows
+        return -sum(T[i][j] * T[j][i] for i in range(3) for j in range(3)) / 2
 
 
 def extract_F(sym: HeckeSymmetry) -> FOperator:

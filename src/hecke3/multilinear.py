@@ -171,8 +171,10 @@ def slot_action(op2: Matrix, s: int, t: int):
     N and d come from :meth:`~hecke3.linalg.Matrix.integers`; act(w) is N acting
     on integer coordinates w, reduced mod p over F_p.  Slot s takes the first tensor
     factor, slot t the second: (0, 1) is Y (x) Id, (1, 2) is Id (x) Y, (0, 2) acts on
-    the outer slots.  No field scalar is formed.
+    the outer slots.  No field scalar is formed.  The one shape check of the degree-3 actions.
     """
+    if op2.nrows != 9 or op2.ncols != 9:
+        raise DimensionMismatch(f"a degree-2 operator must be 9x9, got {op2.nrows}x{op2.ncols}")
     modulus, (n, d) = op2.field.characteristic, op2.integers()
     weight, u = (9, 3, 1), 3 - s - t  # u: the slot left alone
     moves = []  # moves[b]: the (position, coefficient) pairs of N applied to basis tensor b

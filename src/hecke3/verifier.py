@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .errors import InputError, NoHeckeParameter, NotHeckeSym0
+from .fields import QQ
 from .jsonio import vector_to_json
 from .linalg import Matrix, field_scalars, integer_coordinates, reduce_mod
 from .multilinear import (
@@ -35,7 +36,6 @@ from .multilinear import (
 from .heckecore import (
     HeckeData,
     HeckeSymmetry,
-    _q_candidate,
     build_R,
     build_Y_from_F,
     conjugate_data,
@@ -48,6 +48,7 @@ from .heckecore import (
     skewsymmetrizer_matrix,
     t_operator_of_F,
 )
+from .classify import TYPE_LABELS, canonical, reference_r_matrix
 
 __all__ = [
     "CheckReport",
@@ -60,6 +61,7 @@ __all__ = [
     "check_component_identity",
     "check_pairing_identities",
     "check_cyclic_shift_identity",
+    "check_value_tables",
     "run_suite",
     "sample_strategy_a",
     "sample_strategy_b",
@@ -305,6 +307,18 @@ def check_cyclic_shift_identity(Y: Matrix, T: Matrix, q, table=None) -> CheckRep
     return CheckReport("cyclic_shift_identity", next(mismatches(), None))
 
 
+def check_value_tables(q, field=QQ) -> CheckReport:
+    """Compare built symmetries of Types 1 to 6 against the value tables."""
+    for label in ("Type1", "Type2", "Type3", "Type4", "Type5", "Type6"):
+        use_q = q if label in ("Type1", "Type2") else None
+        built = build_R(canonical(label, use_q, field)).R
+        expected = reference_r_matrix(label, use_q, field)
+        witness = column_witness(built, expected, type=label)
+        if witness is not None:
+            break
+    return CheckReport("value_tables", witness)
+
+
 def run_suite(sym: HeckeSymmetry) -> list[CheckReport]:
     """All checks on one symmetry, in a fixed order.
 
@@ -378,8 +392,6 @@ _CANONICAL_Q_POOL = (2, 3, -1, "1/2", 5, "-2/3")
 
 def sample_strategy_b(field, rng) -> HeckeData:
     """A canonical type at an admissible q, transported by a random basis."""
-    from .classify import TYPE_LABELS, canonical
-
     label = rng.choice(TYPE_LABELS)
     if label in ("Type1", "Type2"):
         while True:
@@ -405,13 +417,9 @@ def sample_adversarial(field, rng):
     while True:
         data = sample_strategy_a(field, rng)
         for i in range(3):
-            for j in range(i, 3):
-                bump = field.one()
-                rows = data.g.rows
-                rows[i][j] = rows[i][j] + bump
-                if i != j:
-                    rows[j][i] = rows[j][i] + bump
-                cand = Matrix(field, rows)
+            for j in range(i, 3):  # g + E_ij + E_ji, or g + E_ii
+                cand = data.g + Matrix.of_integers(field, 3, 3, [int(c in (3 * i + j, 3 * j + i))
+                                                                 for c in range(9)])
                 if (data.q - 1) ** 2 != -4 * discriminant(data.a, data.b, cand):
                     return data.q, data.a, data.b, cand
         # every single-entry bump kept the constraint (not expected); resample
@@ -453,9 +461,12 @@ def fuzz(field, trials: int, seed: int, strategy: str = "A",
         if f_op is not None and build_Y_from_F(sym.q, f_op) != sym.Y:
             failures.append({"trial": trial, "check": "roundtrip",
                              "witness": {"note": "rebuilt skewsymmetrizer differs"}})
-        try:  # reports[1] is check_hecke: where it passed, extract_q would verify the candidate
-            q = _q_candidate(sym.R) if reports[1].passed else extract_q(sym.R)
-            note = None if q == sym.q else "extracted q differs"
+        # reports[1] is check_hecke.  Where it passed, (R - q)(R + Id) = 0 makes R act as q
+        # on the image of R + Id, so extract_q's candidate is q, unless R = -Id.  No sampler
+        # gives R = -Id: it needs Y = (q+1) Id inside Alt2, so q = -1 and Y = 0; then F = 0
+        # and delta = 0, against (q-1)^2 = 4 = -4 delta.  So extract_q runs only where it failed.
+        try:
+            note = None if reports[1].passed or extract_q(sym.R) == sym.q else "extracted q differs"
         except NoHeckeParameter as exc:  # no q satisfies the relation
             note = str(exc)
         if note:

@@ -13,7 +13,7 @@ import pytest
 from hecke3.errors import CharacteristicTwo, SingularDeformation
 from hecke3.fields import GF, QQ
 from hecke3.linalg import Matrix
-from hecke3.multilinear import change_of_basis, random_invertible, std_basis, wedge2
+from hecke3.multilinear import change_of_basis, random_invertible, wedge2
 from hecke3.heckecore import (
     build_R,
     build_Y_from_F,
@@ -21,23 +21,19 @@ from hecke3.heckecore import (
     deform,
     extract_F,
     extract_q,
-    flip_matrix,
     skewsymmetrizer_matrix,
 )
 from hecke3.verifier import (
     check_braid,
     check_component_identity,
-    check_containments,
-    check_cyclic_shift_identity,
     check_hecke,
-    check_image_and_eigen,
-    check_pairing_identities,
+    check_value_tables,
     run_suite,
     sample_adversarial,
     sample_strategy_a,
     sample_strategy_b,
 )
-from hecke3.classify import TYPE_LABELS, canonical, check_value_tables, classify
+from hecke3.classify import TYPE_LABELS, canonical, classify
 from hecke3.cybe import (
     carrier,
     check_cybe,
@@ -47,7 +43,6 @@ from hecke3.cybe import (
     is_frobenius,
     lie_subalgebra,
     matrix_unit,
-    r21,
     reference_carriers,
 )
 

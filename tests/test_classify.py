@@ -10,14 +10,13 @@ from hecke3.errors import Hecke3Error, InvalidQ
 from hecke3.fields import GF, QQ
 from hecke3.linalg import Matrix
 from hecke3.multilinear import idx2, random_invertible
-from hecke3.verifier import sample_strategy_a, sample_strategy_b
+from hecke3.verifier import check_value_tables, sample_strategy_a, sample_strategy_b
 from hecke3.heckecore import build_R, conjugate, conjugate_data, g_value
 from hecke3.classify import (
     TYPE_LABELS,
     _LABELS,
     canonical,
     canonical_gram,
-    check_value_tables,
     classify,
     reference_r_matrix,
 )

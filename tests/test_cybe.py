@@ -8,14 +8,15 @@ import pytest
 
 import field_reference as fref
 import hecke3.cybe as cybe
-from hecke3.errors import FieldMismatch, Hecke3Error
+from hecke3.errors import DimensionMismatch, FieldMismatch, Hecke3Error
 from hecke3.fields import GF, QQ
 from hecke3.linalg import Matrix
 from hecke3.heckecore import build_R, conjugate, conjugate_data, deform, flip_matrix
 from hecke3.multilinear import lift_left, lift_right, random_invertible, slot_action, unit_tensors
-from hecke3.verifier import column_witness, sample_strategy_a
+from hecke3.verifier import braid_table, check_braid, column_witness, sample_strategy_a
 from hecke3.classify import TYPE_LABELS, canonical
 from hecke3.cybe import (
+    GlTensor,
     LieSubalgebra,
     _center_dim,
     _functionals,
@@ -271,6 +272,28 @@ class TestCarrier:
             with pytest.raises(FieldMismatch):
                 lie_subalgebra(f7, gens)
         assert lie_subalgebra(f7, [matrix_unit(f7, 1, 2), matrix_unit(f7, 2, 1)]).dim == 3
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_generators_of_the_wrong_shape_are_rejected(self, n):
+        """A 2x2 generator used to raise IndexError, a 4x4 one to be read off its first 9 entries."""
+        for gens in ([Matrix.identity(QQ, n)], [E(1, 2), Matrix.identity(QQ, n)]):
+            with pytest.raises(DimensionMismatch, match="must be 3x3"):
+                lie_subalgebra(QQ, gens)
+
+
+WRONG_SHAPES = [Matrix.identity(QQ, 3), Matrix.identity(QQ, 27),
+                Matrix.of_integers(QQ, 9, 3, [1] * 27), Matrix.of_integers(QQ, 3, 9, [1] * 27)]
+
+
+@pytest.mark.parametrize("op", WRONG_SHAPES, ids=["3x3", "27x27", "9x3", "3x9"])
+def test_degree3_actions_reject_operators_that_are_not_9x9(op):
+    """slot_action is the one shape check of braid, braid table and CYBE; gl_tensor has its own."""
+    for act in (lambda: slot_action(op, 0, 1), lambda: check_braid(op), lambda: braid_table(op),
+                lambda: check_cybe(GlTensor(op, (), ()))):
+        with pytest.raises(DimensionMismatch, match="degree-2 operator must be 9x9"):
+            act()
+    with pytest.raises(DimensionMismatch, match="must be 9x9"):
+        gl_tensor(op)
 
 
 def constants_of(L):

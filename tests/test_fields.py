@@ -15,7 +15,9 @@ from hecke3.errors import (
     InputError,
     NotPrime,
 )
-from hecke3.fields import GF, MAX_ECHO_CHARS, MAX_SCALAR_CHARS, QQ, clip, parse_field
+from hecke3.fields import (
+    GF, MAX_ECHO_CHARS, MAX_SCALAR_CHARS, QQ, PrimeField, Rationals, clip, parse_field,
+)
 
 
 class TestRationalArithmetic:
@@ -154,6 +156,17 @@ class TestFieldGuard:
         for _ in range(2):  # a rejected modulus is rejected again, not cached
             with pytest.raises(NotPrime):
                 GF(15)
+
+    @pytest.mark.parametrize("field", [QQ, GF(3), GF(7), GF(1_000_003)], ids=lambda f: f.name)
+    def test_a_field_is_its_name(self, field):
+        """One base defines the constants and equality; the two fields define none of it."""
+        same = Rationals() if field is QQ else PrimeField(field.p)
+        assert same is not field and same == field and hash(same) == hash(field.name)
+        assert field != parse_field("Fp:5") and field != field.name
+        assert (field.zero(), field.one()) == (field.of(0), field.of(1))
+        assert type(field.zero()) is type(field.one()) is type(field.of(2))
+        for cls in (Rationals, PrimeField):
+            assert not {"zero", "one", "__eq__", "__hash__"} & set(vars(cls))
 
     def test_bad_spec(self):
         with pytest.raises(InputError):

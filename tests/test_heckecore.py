@@ -50,7 +50,7 @@ from hecke3.heckecore import (
     t_operator_of_F,
 )
 from hecke3.classify import TYPE_LABELS, canonical
-from hecke3.verifier import sample_strategy_a, sample_strategy_b
+from hecke3.verifier import run_suite, sample_strategy_a, sample_strategy_b
 
 E1, E2, E3 = std_basis(QQ)
 Fr = Fraction
@@ -500,6 +500,51 @@ class TestFromMatrix:
             HeckeSymmetry.from_matrix(R)
         with pytest.raises(NotHeckeSym0, match="not alternating"):
             HeckeSymmetry(R, QQ.one())
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "Fp7"])
+class TestTheGateForQ:
+    """HeckeSymmetry coerces q into R's field and rejects q = 0 before the alternation gate."""
+
+    def test_every_form_of_q_gives_one_symmetry(self, field):
+        built = build_R(canonical("Type1", 2, field))
+        syms = [HeckeSymmetry(built.R, q) for q in (2, Fr(2), "2", " 4/2", field.of(2))]
+        assert len(set(syms) | {built}) == 1
+        for sym in syms:
+            assert sym == built and hash(sym) == hash(built)
+            assert sym.q == 2 and type(sym.q) is type(field.one())
+            assert [r.name for r in run_suite(sym) if not r.passed] == []
+            assert deform(sym, 2) == deform(built, 2) and deform(sym, 2).q == 3
+
+    def test_zero_q_is_rejected_first(self, field):
+        zeros = [0, Fr(0), "0", field.zero()] + (["7", Fr(7, 3)] if field.characteristic else [])
+        for q in zeros:  # q Id - Id = -Id would also fail the alternation gate
+            with pytest.raises(NotHeckeSym0, match="^the Hecke parameter is zero$"):
+                HeckeSymmetry(Matrix.identity(field, 9), q)
+
+    def test_bad_q_text_is_an_input_error(self, field):
+        with pytest.raises(InputError):
+            HeckeSymmetry(flip_matrix(field), "two")
+
+    def test_from_matrix_errors_in_order(self, field):
+        zero = Matrix.zeros(field, 9)  # (R - 0)(R + Id) = 0: only q = 0 satisfies the relation
+        with pytest.raises(NotHeckeSym0, match="relation fails"):
+            HeckeSymmetry.from_matrix(flip_matrix(field), 0)  # relation before zero
+        for q in (None, 0, "0"):
+            with pytest.raises(NotHeckeSym0, match="^the Hecke parameter is zero$"):
+                HeckeSymmetry.from_matrix(zero, q)
+        assert HeckeSymmetry.from_matrix(flip_matrix(field), "1").q == 1
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7), GF(1_000_003)], ids=["Q", "Fp7", "Fp1000003"])
+def test_extract_q_reads_the_parameter_of_every_sampled_symmetry(field):
+    """fuzz reads q with extract_q only where check_hecke failed; on valid samples it is q."""
+    rng = random.Random(19)
+    for _ in range(12):
+        for sampler in (sample_strategy_a, sample_strategy_b):
+            sym = build_R(sampler(field, rng))
+            assert extract_q(sym.R) == sym.q
+            assert HeckeSymmetry.from_matrix(sym.R) == sym
 
 
 class TestDeform:

@@ -65,11 +65,18 @@ def _assert_same(got, want):
 
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
 def test_integer_construction_matches_the_field_reference(field):
-    for q, g, t in _samples(field):
+    samples = _samples(field)
+    assert sum(q == 0 for q, _, _ in samples) == (field == GF(7))
+    for q, g, t in samples:
         Y = skewsymmetrizer_matrix(q, g, t)
         _assert_same(Y, fref.skewsymmetrizer_matrix(q, g, t))
         R = Matrix.identity(field, 9).scale(q) - Y
         _assert_same(R, fref.q_id_minus(q, Y))
+        if q == 0:  # the coprime sample over F_7, q = 7/d: the constructor's gate rejects it
+            for op in (R, fref.q_id_minus(q, Y)):
+                with pytest.raises(NotHeckeSym0, match="^the Hecke parameter is zero$"):
+                    HeckeSymmetry(op, q)
+            continue
         sym = HeckeSymmetry(R, q)
         ref = HeckeSymmetry(fref.q_id_minus(q, Y), q)
         assert sym == ref
