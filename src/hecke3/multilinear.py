@@ -35,6 +35,8 @@ __all__ = [
     "unit_tensors",
     "alt2_basis",
     "slot_action",
+    "slot_product",
+    "unpack",
     "lift_left",
     "lift_right",
     "cyclic_shift",
@@ -166,33 +168,47 @@ def alt2_basis():
 
 
 def slot_action(op2: Matrix, s: int, t: int):
-    """The 9x9 operator op2 = N / d on slots (s, t) of degree-3 tensors, as (act, d).
+    """The 9x9 operator op2 = N / d on slots (s, t) of degree-3 tensors, as (moves, d, m).
 
-    N and d come from :meth:`~hecke3.linalg.Matrix.integers`; act(w) is N acting
-    on integer coordinates w, reduced mod p over F_p.  Slot s takes the first tensor
-    factor, slot t the second: (0, 1) is Y (x) Id, (1, 2) is Id (x) Y, (0, 2) acts on
-    the outer slots.  No field scalar is formed.  The one shape check of the degree-3 actions.
+    moves[b] lists the (position, coefficient) pairs of N applied to basis tensor b, N read
+    from :meth:`~hecke3.linalg.Matrix.integers` as residues nearest zero over F_p; m is the
+    largest |coefficient|.  Slot s takes the first tensor factor, slot t the second: (0, 1) is
+    Y (x) Id, (1, 2) is Id (x) Y, (0, 2) the outer slots.  The one shape check of degree 3.
     """
     if op2.nrows != 9 or op2.ncols != 9:
         raise DimensionMismatch(f"a degree-2 operator must be 9x9, got {op2.nrows}x{op2.ncols}")
-    modulus, (n, d) = op2.field.characteristic, op2.integers()
-    weight, u = (9, 3, 1), 3 - s - t  # u: the slot left alone
-    moves = []  # moves[b]: the (position, coefficient) pairs of N applied to basis tensor b
+    (n, d), weight, u, moves = op2.integers(), (9, 3, 1), 3 - s - t, []  # u: the slot left alone
+    n = reduce_mod(n, op2.field.characteristic)
     for b in range(27):
         digit = (b // 9, b // 3 % 3, b % 3)
         c, base = 3 * digit[s] + digit[t], weight[u] * digit[u]
         moves.append([(base + weight[s] * (r // 3) + weight[t] * (r % 3), n[9 * r + c])
                       for r in range(9) if n[9 * r + c]])
+    return moves, d, max(map(abs, n))
 
-    def act(w):
-        out = [0] * 27
-        for p, wp in enumerate(w):
-            if wp:
-                for o, x in moves[p]:
-                    out[o] += x * wp
-        return reduce_mod(out, modulus)
 
-    return act, d
+def slot_product(factors, w):
+    """The 27 columns of the product of the move tables ``factors``, leftmost first, packed.
+
+    Column c_0..c_26 is the int sum c_k 2^(w k), exact to unpack while every |c_k| < 2^(w-1).
+    With at most 9 moves of |coefficient| <= m per column, a k-fold product has |c_k| <= (9m)^k
+    and a difference of two 2 (9m)^k, so w = k bitlen(9m) + 2; a sum of six 2-fold products
+    (the CYBE commutators) needs w = 2 bitlen(9m) + 4.
+    """
+    cols = [1 << (w * b) for b in range(27)]
+    for moves in factors:  # right multiplication combines whole columns
+        prev, cols = cols, [0] * 27
+        for b, mv in enumerate(moves):
+            for o, x in mv:
+                cols[b] += x * prev[o]
+    return cols
+
+
+def unpack(v, w, p):
+    """The 27 coordinates of the packed column v of width w, reduced mod p (p = 0: exact)."""
+    mask, half = (1 << w) - 1, 1 << (w - 1)
+    v += half * ((1 << 27 * w) - 1) // mask  # half added to every coordinate: all in [0, 2^w)
+    return reduce_mod([((v >> s) & mask) - half for s in range(0, 27 * w, w)], p)
 
 
 def lift_left(op2: Matrix) -> Matrix:

@@ -26,9 +26,11 @@ from .multilinear import (
     non_alternating_columns,
     random_invertible,
     slot_action,
+    slot_product,
     std_basis,
     tensor2,
     unit_tensors,
+    unpack,
     vol,
     wedge2,
     wedge_vt,
@@ -133,9 +135,13 @@ def _non_alternating_columns(Y: Matrix):
 
 
 def check_braid(R: Matrix) -> CheckReport:
-    """(R x Id)(Id x R)(R x Id) = (Id x R)(R x Id)(Id x R), times d^3 for R = N / d."""
-    (r1, d), (r2, _) = slot_action(R, 0, 1), slot_action(R, 1, 2)
-    columns = ((r1(r2(r1(w))), r2(r1(r2(w)))) for w in unit_tensors(3))
+    """(R x Id)(Id x R)(R x Id) = (Id x R)(R x Id)(Id x R), times d^3 for R = N / d, on packed
+    columns: over Q equal ints are equal columns, over F_p their difference is tested mod p."""
+    (r1, d, m), (r2, _, _) = slot_action(R, 0, 1), slot_action(R, 1, 2)
+    w, p, zero = 3 * (9 * m).bit_length() + 2, R.field.characteristic, [0] * 27
+    columns = (((unpack(x, w, p), unpack(y, w, p))
+                if x != y and (not p or any(unpack(x - y, w, p))) else (zero, zero))
+               for x, y in zip(slot_product((r1, r2, r1), w), slot_product((r2, r1, r2), w)))
     return CheckReport("braid", columns_witness(R.field, columns, d ** 3))
 
 
@@ -145,20 +151,21 @@ def check_hecke(R: Matrix, q) -> CheckReport:
 
 
 def check_image_and_eigen(Y: Matrix, q) -> CheckReport:
-    """Image of Y is exactly the alternating square and Yw = (q+1)w there."""
-    fld = Y.field
+    """Image of Y is exactly the alternating square and Yw = (q+1)w there: for Y = N / d and
+    q = a / b, b (column jk - column kj of N) = (a + b) d (e_j ^ e_k)."""
+    (n, d), fld, p = Y.integers(), Y.field, Y.field.characteristic
 
     def mismatches():
         yield from _non_alternating_columns(Y)
         rk = Y.rank()
         if rk != 3:
             yield _witness(fld, {"rank": rk}, str(rk), "3")
-        qq = fld.of(q)
-        for w in alt2_basis():
-            got = Y.apply(w)
-            want = [(qq + 1) * c for c in w]
+        (a,), b = integer_coordinates(fld, [q])  # q is read only after the image test
+        for (j, k), w in zip(((0, 1), (0, 2), (1, 2)), alt2_basis()):
+            got = reduce_mod([b * (x - y) for x, y in zip(n[idx2(j, k)::9], n[idx2(k, j)::9])], p)
+            want = reduce_mod([(a + b) * d * c for c in w], p)
             if got != want:
-                yield _witness(fld, {"bivector": vector_to_json(fld, w)}, got, want)
+                yield _witness(fld, {"bivector": vector_to_json(fld, w)}, got, want, scale=b * d)
 
     return CheckReport("image_eigen", next(mismatches(), None))
 
@@ -167,12 +174,16 @@ def braid_table(Y: Matrix):
     """(vxa, axv, d): the 18 degree-3 columns the reformulated braid equation reads, for Y = N / d.
 
     vxa[i][s] = (Id x N)(N x Id)(e_i (x) t_s) and axv[i][s] = (N x Id)(Id x N)(t_s (x) e_i)
-    for t_s in :func:`alt2_basis`, reduced mod p over F_p.  A check given no table forms its own.
+    for t_s = e_j ^ e_k in :func:`alt2_basis`: the packed columns (i,j,k) - (i,k,j) and
+    (j,k,i) - (k,j,i) of the products, unpacked mod p.  A check given no table forms its own.
     """
-    (y1, d), (y2, _) = slot_action(Y, 0, 1), slot_action(Y, 1, 2)
-    e, alt = unit_tensors(1), alt2_basis()
-    return ([[y2(y1(tensor2(e[i], t))) for t in alt] for i in range(3)],
-            [[y1(y2(tensor2(t, e[i]))) for t in alt] for i in range(3)], d)
+    (y1, d, m), (y2, _, _) = slot_action(Y, 0, 1), slot_action(Y, 1, 2)
+    w, p, pairs = 2 * (9 * m).bit_length() + 2, Y.field.characteristic, ((0, 1), (0, 2), (1, 2))
+    y21, y12 = slot_product((y2, y1), w), slot_product((y1, y2), w)
+    return ([[unpack(y21[idx3(i, j, k)] - y21[idx3(i, k, j)], w, p) for j, k in pairs]
+             for i in range(3)],
+            [[unpack(y12[idx3(j, k, i)] - y12[idx3(k, j, i)], w, p) for j, k in pairs]
+             for i in range(3)], d)
 
 
 def check_containments(Y: Matrix, q, table=None) -> CheckReport:

@@ -10,13 +10,16 @@ former forms of ``Matrix.kron``, ``PrimeField.sqrt``,
 skewsymmetrizer assembled entry by entry is that of
 ``heckecore.skewsymmetrizer_matrix``, and ``q Id - M`` formed entry by entry
 checks the ``Matrix`` expression ``Matrix.identity(...).scale(q) - M``.
-``extract_F`` is the former field-scalar body of ``heckecore.extract_F``.
+``extract_F`` is the former field-scalar body of ``heckecore.extract_F``, and
+``slot_action`` the former list action of ``multilinear.slot_action``, one
+coordinate at a time, which the packed columns of ``multilinear.slot_product``
+replaced.
 """
 
 from hecke3.errors import DimensionMismatch, NotHeckeSym0, SingularMatrix
 from hecke3.fields import Fp
 from hecke3.heckecore import FOperator, pairing_coordinates
-from hecke3.linalg import Matrix
+from hecke3.linalg import Matrix, reduce_mod
 from hecke3.multilinear import (bivector, is_alt2, pair_vt, std_basis, unit_tensors, vol,
                                 zero_tensor)
 
@@ -241,3 +244,29 @@ def extract_F(sym):
     if (sym.q - 1) ** 2 != -4 * f_op.delta():
         raise NotHeckeSym0("the parameter-discriminant constraint fails for the extracted operator")
     return f_op
+
+
+def slot_action(op2: Matrix, s: int, t: int):
+    """The 9x9 operator op2 = N / d on slots (s, t) of degree-3 tensors, as (act, d).
+
+    act(w) is N acting on the integer coordinates w one coordinate at a time, reduced mod p
+    (to the residues nearest zero) over F_p.
+    """
+    modulus, (n, d) = op2.field.characteristic, op2.integers()
+    weight, u = (9, 3, 1), 3 - s - t  # u: the slot left alone
+    moves = []  # moves[b]: the (position, coefficient) pairs of N applied to basis tensor b
+    for b in range(27):
+        digit = (b // 9, b // 3 % 3, b % 3)
+        c, base = 3 * digit[s] + digit[t], weight[u] * digit[u]
+        moves.append([(base + weight[s] * (r // 3) + weight[t] * (r % 3), n[9 * r + c])
+                      for r in range(9) if n[9 * r + c]])
+
+    def act(w):
+        out = [0] * 27
+        for p, wp in enumerate(w):
+            if wp:
+                for o, x in moves[p]:
+                    out[o] += x * wp
+        return reduce_mod(out, modulus)
+
+    return act, d

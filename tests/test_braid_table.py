@@ -53,15 +53,15 @@ def per_check_columns(Y):
     ((N x Id)(Id x N)(t_s (x) e_i), (Id x N)(N x Id)(e_i (x) t_s)).
     """
     e = unit_tensors(1)
-    (y1, _), (y2, _) = slot_action(Y, 0, 1), slot_action(Y, 1, 2)
+    (y1, _), (y2, _) = fref.slot_action(Y, 0, 1), fref.slot_action(Y, 1, 2)
     containments = {
         "VxAlt2": [[y2(y1(tensor2(e[i], t))) for t in alt2_basis()] for i in range(3)],
         "Alt2xV": [[y1(y2(tensor2(t, e[i]))) for t in alt2_basis()] for i in range(3)],
     }
-    (y1, _), (y2, _) = slot_action(Y, 0, 1), slot_action(Y, 1, 2)
+    (y1, _), (y2, _) = fref.slot_action(Y, 0, 1), fref.slot_action(Y, 1, 2)
     component = {(i, j, k): y2(y1(tensor2(e[i], wedge2(e[j], e[k]))))
                  for i in range(3) for j in range(3) for k in range(3)}
-    (y1, _), (y2, _) = slot_action(Y, 0, 1), slot_action(Y, 1, 2)
+    (y1, _), (y2, _) = fref.slot_action(Y, 0, 1), fref.slot_action(Y, 1, 2)
     shift = [[(y1(y2(tensor2(t, e[i]))), y2(y1(tensor2(e[i], t)))) for t in alt2_basis()]
              for i in range(3)]
     return containments, component, shift

@@ -166,7 +166,7 @@ class TestCheckCybe:
                 r12, r13, r23 = factorwise_embeddings(t)
                 assert lift_left(t.matrix) == r12
                 assert lift_right(t.matrix) == r23
-                act, d = slot_action(t.matrix, 0, 2)
+                act, d = fref.slot_action(t.matrix, 0, 2)
                 columns = [act(e) for e in unit_tensors(3)]
                 assert Matrix.from_columns(field, columns).scale(field.one() / d) == r13
                 total = zero
