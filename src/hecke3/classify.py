@@ -93,8 +93,7 @@ def canonical(label: str, q=None, field=QQ) -> HeckeData:
     """
     e = std_basis(field)
     if label in ("Type1", "Type2"):
-        g = canonical_gram(label, q, field)
-        return HeckeData(field.of(q), e[0], e[1], g)
+        return HeckeData(q, e[0], e[1], canonical_gram(label, q, field))
     if q is not None and field.of(q) != 1:
         raise InvalidQ(f"{label} exists only at q = 1")
     return HeckeData(field.one(), e[0], e[1], canonical_gram(label, field=field))

@@ -125,11 +125,10 @@ def check_cybe(t: GlTensor) -> CheckReport:
 
 
 def check_symmetrized(t: GlTensor, q) -> CheckReport:
-    """r + r21 = (q - 1)(R0 + Id) as a 9x9 identity."""
+    """r + r21 = (q - 1)(R0 + Id) as a 9x9 identity; the caller's q is read, not tested."""
     fld = t.field
-    qq = fld.of(q)
     lhs = t.matrix + r21(t)
-    rhs = (flip_matrix(fld) + Matrix.identity(fld, 9)).scale(qq - 1)
+    rhs = (flip_matrix(fld) + Matrix.identity(fld, 9)).scale(fld.of(q) - 1)
     return CheckReport("symmetrized", column_witness(lhs, rhs))
 
 

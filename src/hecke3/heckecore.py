@@ -22,6 +22,7 @@ from F up to the rescaling (g, t) -> (c g, t / c).
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from fractions import Fraction
 
 from .errors import (
     InputError,
@@ -42,11 +43,9 @@ from .multilinear import (
     unit_tensors,
     vol,
     wedge2,
-    zero_tensor,
 )
 
 __all__ = [
-    "g_value",
     "symmetric_form",
     "discriminant",
     "solve_q",
@@ -65,12 +64,6 @@ __all__ = [
     "conjugate",
     "conjugate_data",
 ]
-
-
-def g_value(g: Matrix, x, y):
-    """Evaluate the bilinear form given by a 3x3 matrix: the sum of x_i g_ij y_j."""
-    r = g.rows
-    return sum((x[i] * r[i][j] * y[j] for i in range(3) for j in range(3)), g.field.zero())
 
 
 def _checked_form(g: Matrix) -> Matrix:
@@ -124,16 +117,8 @@ class HeckeData:
     def __post_init__(self):
         if len(self.a) != 3 or len(self.b) != 3:
             raise InputError("a and b must be 3-dimensional vectors")
-        fld = _checked_form(self.g).field
-        object.__setattr__(self, "q", fld.of(self.q))
-        if self.q == 0:
-            raise ZeroQ("the Hecke parameter q must be nonzero")
-        lhs = (self.q - 1) ** 2
-        rhs = -4 * discriminant(self.a, self.b, self.g)
-        if lhs != rhs:
-            raise InvalidConstraint(
-                f"(q-1)^2 = {fld.fmt(lhs)} but -4*discriminant = {fld.fmt(rhs)}"
-            )
+        f_op = FOperator(_checked_form(self.g), wedge2(self.a, self.b))
+        object.__setattr__(self, "q", _admissible_q(self.q, f_op))
 
     @property
     def field(self):
@@ -170,8 +155,9 @@ def skewsymmetrizer_matrix(q, g: Matrix, t) -> Matrix:
 class HeckeSymmetry:
     """An operator R with its parameter q; the state is the pair (R, q).
 
-    The constructor is the one gate for q: it coerces q into R's field and rejects 0.  It
-    derives Y = q*Id - R once, mapping into the alternating square; later code relies on this.
+    The constructor is the one gate for q on an operator: it coerces q into R's field and rejects
+    0 with NotHeckeSym0 (R may have no pair (q, F), as under ``verify --matrix``).  It derives
+    Y = q*Id - R once, mapping into the alternating square; later code relies on this.
     """
 
     R: Matrix
@@ -263,9 +249,9 @@ def extract_q(R: Matrix):
 class FOperator:
     """The invariant operator F(x y) = g(x,y) t with t an alternating bivector.
 
-    ``t`` is normalized so that its first nonzero coordinate is 1, the
-    compensating scalar being folded into ``g``; the zero operator is stored
-    as (g = 0, t = 0).
+    The pair (g, t) is stored as given, and equality compares it: FOperator(2g, t/2) is the
+    same operator as FOperator(g, t) but not equal to it (compare :meth:`matrix`).
+    :func:`extract_F` returns the normalized pair.
     """
 
     g: Matrix
@@ -291,9 +277,25 @@ class FOperator:
         """Gram determinant of g on the plane of t (0 for F = 0): -tr(T^2)/2 for T = t g.
 
         T (:func:`t_operator_of_F`) maps V into the plane of t = a^b, where T^2 = -delta.
+        With T = N / d on integers, delta = -sum N_ij N_ji / (2 d^2), one field scalar.
         """
-        T = t_operator_of_F(self).rows
-        return -sum(T[i][j] * T[j][i] for i in range(3) for j in range(3)) / 2
+        n, d = t_operator_of_F(self).integers()
+        return self.field.of(Fraction(-sum(n[3 * i + j] * n[3 * j + i] for i in range(3)
+                                            for j in range(3)), 2 * d * d))
+
+
+def _admissible_q(q, f_op: FOperator):
+    """q in F's field once the pair (q, F) is admissible: the one statement of the rule for q.
+
+    q = 0 raises ZeroQ before the constraint is tested.  InvalidConstraint quotes no value:
+    -4 delta of a quadruple within the input bounds can be too long to print.
+    """
+    q = f_op.field.of(q)
+    if q == 0:
+        raise ZeroQ("the Hecke parameter q must be nonzero")
+    if (q - 1) ** 2 != -4 * f_op.delta():
+        raise InvalidConstraint("(q-1)^2 = -4*discriminant(F) fails for the requested q")
+    return q
 
 
 def extract_F(sym: HeckeSymmetry) -> FOperator:
@@ -303,7 +305,9 @@ def extract_F(sym: HeckeSymmetry) -> FOperator:
     coordinates of F(e_i e_j) are (l_i(j,k) + l_j(i,k)) / 2 with l those of Y,
     symmetric in (i, j) by construction.  F must have rank at most 1 and its
     discriminant must match the symmetry's q; any violation means the
-    operator is not a Hecke symmetry of the polynomial algebra.
+    operator is not a Hecke symmetry of the polynomial algebra.  The bivector t
+    is normalized so that its first nonzero coordinate is 1, the compensating scalar
+    folded into g; the zero operator is returned as (g = 0, t = 0).
     """
     fld, p, (n, d) = sym.field, sym.field.characteristic, sym.Y.integers()
     ell = pairing_coordinates(n)  # d l
@@ -311,17 +315,17 @@ def extract_F(sym: HeckeSymmetry) -> FOperator:
             for i in range(3) for j in range(3)]  # the columns of 2 d F
     lead, m = _leading(cols)
     if lead is None:
-        f_op = FOperator(Matrix.zeros(fld, 3), zero_tensor(fld, 2))
+        f_op = FOperator(Matrix.zeros(fld, 3), [fld.zero()] * 9)
     else:
         g = Matrix.of_integers(fld, 3, 3, [c[m] for c in cols], 2 * d)  # cols[idx2(i, j)][m]
         lm = fld.of(lead[m])
         f_op = FOperator(g, [fld.of(x) / lm for x in lead])
         if any(reduce_mod([c[k] * lead[m] - c[m] * lead[k] for c in cols for k in range(9)], p)):
             raise NotHeckeSym0("the invariant operator does not have rank 1")
-    if (sym.q - 1) ** 2 != -4 * f_op.delta():
-        raise NotHeckeSym0(
-            "the parameter-discriminant constraint fails for the extracted operator"
-        )
+    try:
+        _admissible_q(sym.q, f_op)
+    except InvalidConstraint:
+        raise NotHeckeSym0("the parameter-discriminant constraint fails for the extracted operator")
     return f_op
 
 
@@ -335,15 +339,7 @@ def t_operator_of_F(f_op: FOperator) -> Matrix:
 
 def build_Y_from_F(q, f_op: FOperator) -> Matrix:
     """Reassemble the skewsymmetrizer from the pair (q, F); inverse of ``extract_F o build_R``."""
-    fld = f_op.field
-    q = fld.of(q)
-    if (q - 1) ** 2 != -4 * f_op.delta():
-        raise InvalidConstraint(
-            "(q-1)^2 = -4*discriminant(F) fails for the requested q"
-        )
-    if q == 0:
-        raise ZeroQ("the Hecke parameter q must be nonzero")
-    return skewsymmetrizer_matrix(q, f_op.g, f_op.t)
+    return skewsymmetrizer_matrix(_admissible_q(q, f_op), f_op.g, f_op.t)
 
 
 def deform(sym: HeckeSymmetry, lam) -> HeckeSymmetry:

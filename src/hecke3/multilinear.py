@@ -22,7 +22,6 @@ __all__ = [
     "idx2",
     "idx3",
     "std_basis",
-    "zero_tensor",
     "tensor2",
     "wedge2",
     "wedge3",
@@ -56,10 +55,6 @@ def idx3(i: int, j: int, k: int) -> int:
 
 def std_basis(field):
     return [[field.one() if i == j else field.zero() for j in range(3)] for i in range(3)]
-
-
-def zero_tensor(field, degree: int):
-    return [field.zero()] * (3 ** degree)
 
 
 def _check_len(t, n, what):

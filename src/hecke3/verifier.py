@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from itertools import product
 
-from .errors import InputError, NoHeckeParameter, NotHeckeSym0
+from .errors import InputError, InvalidConstraint, InvalidQ, NoHeckeParameter, NotHeckeSym0
 from .fields import QQ
 from .jsonio import vector_to_json
 from .linalg import Matrix, field_scalars, integer_coordinates, reduce_mod
@@ -41,10 +41,8 @@ from .heckecore import (
     build_R,
     build_Y_from_F,
     conjugate_data,
-    discriminant,
     extract_F,
     extract_q,
-    g_value,
     hecke_residual,
     pairing_coordinates,
     skewsymmetrizer_matrix,
@@ -152,7 +150,8 @@ def check_hecke(R: Matrix, q) -> CheckReport:
 
 def check_image_and_eigen(Y: Matrix, q) -> CheckReport:
     """Image of Y is exactly the alternating square and Yw = (q+1)w there: for Y = N / d and
-    q = a / b, b (column jk - column kj of N) = (a + b) d (e_j ^ e_k)."""
+    q = a / b, b (column jk - column kj of N) = (a + b) d (e_j ^ e_k).  It reads the caller's q
+    and does not test it: :class:`HeckeSymmetry` is the gate for q."""
     (n, d), fld, p = Y.integers(), Y.field, Y.field.characteristic
 
     def mismatches():
@@ -391,11 +390,8 @@ def sample_strategy_a(field, rng) -> HeckeData:
     g_new = Matrix(field, [[field.zero(), v[0], v[1]], [v[0], v[2], v[3]], [v[1], v[3], v[4]]])
     binv = B.inverse()
     g = binv.transpose() * g_new * binv
-    gab = g_value(g, a, b)
-    q = field.of(1) + 2 * gab
-    if q == 0:
-        q = field.of(1) - 2 * gab
-    return HeckeData(q, a, b, g)
+    gab = sum(x * y for x, y in zip(a, g.apply(b)))  # g(a, b)
+    return HeckeData(field.one() + 2 * gab or field.one() - 2 * gab, a, b, g)
 
 
 _CANONICAL_Q_POOL = (2, 3, -1, "1/2", 5, "-2/3")
@@ -404,24 +400,19 @@ _CANONICAL_Q_POOL = (2, 3, -1, "1/2", 5, "-2/3")
 def sample_strategy_b(field, rng) -> HeckeData:
     """A canonical type at an admissible q, transported by a random basis."""
     label = rng.choice(TYPE_LABELS)
-    if label in ("Type1", "Type2"):
-        while True:
-            try:
-                q = field.of(rng.choice(_CANONICAL_Q_POOL))
-            except InputError:
-                continue  # denominator vanishes in this field
-            if q != 0 and q != 1:
-                break
-        data = canonical(label, q, field)
-    else:
-        data = canonical(label, field=field)
-    return conjugate_data(data, random_invertible(field, rng))
+    while True:
+        try:
+            data = canonical(label, rng.choice(_CANONICAL_Q_POOL)
+                             if label in ("Type1", "Type2") else None, field)
+        except (InputError, InvalidQ):  # over F_p a pool value can be 0, 1 or not exist
+            continue
+        return conjugate_data(data, random_invertible(field, rng))
 
 
 def sample_adversarial(field, rng):
     """Quadruple of the right shape whose q constraint is deliberately broken.
 
-    Returns (q, a, b, g) such that (q-1)^2 != -4*discriminant; feeding it to
+    Returns (q, a, b, g) that ``HeckeData`` rejects with InvalidConstraint; feeding it to
     the raw skewsymmetrizer assembly yields an operator with image in the
     alternating square that cannot satisfy the braid equation.
     """
@@ -431,7 +422,9 @@ def sample_adversarial(field, rng):
             for j in range(i, 3):  # g + E_ij + E_ji, or g + E_ii
                 cand = data.g + Matrix.of_integers(field, 3, 3, [int(c in (3 * i + j, 3 * j + i))
                                                                  for c in range(9)])
-                if (data.q - 1) ** 2 != -4 * discriminant(data.a, data.b, cand):
+                try:
+                    HeckeData(data.q, data.a, data.b, cand)
+                except InvalidConstraint:
                     return data.q, data.a, data.b, cand
         # every single-entry bump kept the constraint (not expected); resample
 

@@ -13,15 +13,16 @@ checks the ``Matrix`` expression ``Matrix.identity(...).scale(q) - M``.
 ``extract_F`` is the former field-scalar body of ``heckecore.extract_F``, and
 ``slot_action`` the former list action of ``multilinear.slot_action``, one
 coordinate at a time, which the packed columns of ``multilinear.slot_product``
-replaced.
+replaced.  ``delta`` is the former field-scalar -tr(T^2)/2 of ``FOperator.delta``, and
+``g_value`` the former ``heckecore.g_value``, which evaluated a form on field scalars.
 """
 
 from hecke3.errors import DimensionMismatch, NotHeckeSym0, SingularMatrix
 from hecke3.fields import Fp
 from hecke3.heckecore import FOperator, pairing_coordinates
 from hecke3.linalg import Matrix, reduce_mod
-from hecke3.multilinear import (bivector, is_alt2, pair_vt, std_basis, unit_tensors, vol,
-                                zero_tensor)
+from hecke3.heckecore import t_operator_of_F
+from hecke3.multilinear import bivector, is_alt2, pair_vt, std_basis, unit_tensors, vol
 
 
 def mul(a: Matrix, b: Matrix) -> Matrix:
@@ -191,6 +192,18 @@ def non_alternating_columns(op: Matrix):
     return [j for j in range(9) if not is_alt2(op.col(j))]
 
 
+def g_value(g: Matrix, x, y):
+    """Evaluate the bilinear form given by a 3x3 matrix: the sum of x_i g_ij y_j."""
+    r = g.rows
+    return sum((x[i] * r[i][j] * y[j] for i in range(3) for j in range(3)), g.field.zero())
+
+
+def delta(f_op: FOperator):
+    """-tr(T^2)/2 for T = t g, summed on the field scalars of T's rows."""
+    T = t_operator_of_F(f_op).rows
+    return -sum(T[i][j] * T[j][i] for i in range(3) for j in range(3)) / 2
+
+
 def gram_determinant(g: Matrix, t):
     """n^T adj(g) n with n_k = pair_vt(e_k, t): minus the determinant of g bordered by n.
 
@@ -232,7 +245,7 @@ def extract_F(sym):
             for i in range(3) for j in range(3)]
     lead = next((c for c in cols if any(x != 0 for x in c)), None)
     if lead is None:
-        f_op = FOperator(Matrix.zeros(fld, 3), zero_tensor(fld, 2))
+        f_op = FOperator(Matrix.zeros(fld, 3), [fld.zero()] * 9)
     else:
         m = next(k for k, x in enumerate(lead) if x != 0)
         g = Matrix(fld, [[cols[3 * i + j][m] for j in range(3)] for i in range(3)])

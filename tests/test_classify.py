@@ -6,12 +6,13 @@ from fractions import Fraction
 
 import pytest
 
+import field_reference as fref
 from hecke3.errors import Hecke3Error, InvalidQ
 from hecke3.fields import GF, QQ
 from hecke3.linalg import Matrix
 from hecke3.multilinear import idx2, random_invertible
 from hecke3.verifier import check_value_tables, sample_strategy_a, sample_strategy_b
-from hecke3.heckecore import build_R, conjugate, conjugate_data, g_value
+from hecke3.heckecore import build_R, conjugate, conjugate_data
 from hecke3.classify import (
     TYPE_LABELS,
     _LABELS,
@@ -123,8 +124,8 @@ def test_restricted_rank_is_the_rank_of_the_gram_matrix_on_a_and_b(field):
                                random_invertible(field, rng)) for label in TYPE_LABELS]
     for data in samples:
         a, b, g = data.a, data.b, data.g
-        gram = Matrix(field, [[g_value(g, a, a), g_value(g, a, b)],
-                              [g_value(g, b, a), g_value(g, b, b)]])
+        gram = Matrix(field, [[fref.g_value(g, a, a), fref.g_value(g, a, b)],
+                              [fref.g_value(g, b, a), fref.g_value(g, b, b)]])
         rep = classify(build_R(data))
         want = None if g.is_zero() else gram.rank()
         assert rep.rank_restricted == want, (rep.label, g.rows)

@@ -1,4 +1,5 @@
-"""CLI output pinned byte for byte: the `table` hashes and one digest of a verb corpus.
+"""CLI output pinned byte for byte: the `table` hashes, one digest of a verb corpus, and the
+error documents of the rule for q.
 
 Everything runs in-process.  The corpus digest covers the stdout bytes and
 exit code of verify, classify, rmatrix, carrier and deform on the eight
@@ -105,3 +106,28 @@ CORPUS_DIGESTS = {
 @pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "Fp7"])
 def test_verb_corpus_bytes(field, tmp_path):
     assert corpus_digest(field, tmp_path) == CORPUS_DIGESTS[field.name]
+
+
+def _error_document(kind, message):
+    return json.dumps({"error": {"type": kind, "message": message}}, indent=2) + "\n"
+
+
+E1, E2 = ["1", "0", "0"], ["0", "1", "0"]
+
+
+@pytest.mark.parametrize("argv, quadruple, kind, message", [
+    (["construct"], {"q": "0", "a": E1, "b": E2, "g": [["0", "-1/2", "0"], ["-1/2", "0", "0"],
+                                                       ["0", "0", "0"]]},
+     "ZeroQ", "the Hecke parameter q must be nonzero"),
+    (["construct"], {"q": "2", "a": E1, "b": E2, "g": [["0", "0", "0"]] * 3},
+     "InvalidConstraint", "(q-1)^2 = -4*discriminant(F) fails for the requested q"),
+    (["construct"], {"field": "Fp:7", "q": "7", "a": E1, "b": E2, "g": [["0", "0", "0"]] * 3},
+     "ZeroQ", "the Hecke parameter q must be nonzero"),
+    (["construct", "--type", "1", "--q", "1"], None, "InvalidQ", "Type1 needs q outside {0, 1}"),
+], ids=["zero-q", "broken-constraint", "q-7-over-Fp7", "type1-at-q-1"])
+def test_error_documents_of_the_rule_for_q(tmp_path, argv, quadruple, kind, message):
+    if quadruple is not None:
+        path = tmp_path / "quadruple.json"
+        path.write_text(json.dumps(quadruple))
+        argv = argv + ["--data", str(path)]
+    assert _run(argv) == (2, _error_document(kind, message))

@@ -218,3 +218,28 @@ def test_integer_scalars_share_the_text_bound(tmp_path, verb):
     assert code == 2
     assert doc["error"]["type"] == "InputError"
     assert doc["error"]["message"].startswith("bad matrix entry: bad rational scalar")
+
+
+def _long_quadruple():
+    """A quadruple over Q whose scalars all fit the text bound and whose -4 delta does not.
+
+    Each scalar has 999 characters; -4 delta has more digits than Python's 4,300-digit
+    int-to-text limit, so an error text that printed it raised out of ``main``.
+    """
+    f1 = "7" * 499 + "/" + "3" * 499
+    f2 = "5" * 499 + "/" + "1" * 498 + "3"
+    f3 = "2" * 499 + "/" + "9" * 498 + "7"
+    return {"field": "Q", "q": f1, "a": [f1, f2, f3], "b": [f2, f3, f1],
+            "g": [[f1, f2, f3], [f2, f3, f1], [f3, f1, f2]]}
+
+
+@pytest.mark.parametrize("verb", ["construct", "verify"])
+def test_a_failing_constraint_on_long_scalars_is_one_small_document(tmp_path, verb):
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(_long_quadruple()))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main([verb, "--data", str(path)])
+    assert code == 2
+    assert json.loads(out.getvalue())["error"]["type"] == "InvalidConstraint"
+    assert len(out.getvalue().encode()) < MAX_ERROR_DOCUMENT_BYTES

@@ -28,7 +28,6 @@ from hecke3.multilinear import (
     tensor2,
     vol,
     wedge2,
-    zero_tensor,
 )
 from hecke3.heckecore import (
     FOperator,
@@ -43,7 +42,6 @@ from hecke3.heckecore import (
     extract_F,
     extract_q,
     flip_matrix,
-    g_value,
     skewsymmetrizer_matrix,
     solve_q,
     symmetric_form,
@@ -107,7 +105,7 @@ class TestTOperator:
             e = std_basis(QQ)
             for i in range(3):
                 for j in range(3):
-                    assert g_value(g, e[i], T.apply(e[j])) == -g_value(
+                    assert fref.g_value(g, e[i], T.apply(e[j])) == -fref.g_value(
                         g, T.apply(e[i]), e[j]
                     )
 
@@ -141,7 +139,7 @@ def reference_skewsymmetrizer(q, a, b, g):
     e = std_basis(fld)
 
     def T(v):
-        return [g_value(g, b, v) * x - g_value(g, a, v) * y for x, y in zip(a, b)]
+        return [fref.g_value(g, b, v) * x - fref.g_value(g, a, v) * y for x, y in zip(a, b)]
 
     ab = wedge2(a, b)
     half = (q + 1) / 2
@@ -190,7 +188,7 @@ class TestPairingCoordinateFormulas:
 
     def test_discriminant_equals_the_gram_determinant(self, field):
         for _, a, b, g in random_quadruples(field, random.Random(37)):
-            gram = g_value(g, a, a) * g_value(g, b, b) - g_value(g, a, b) ** 2
+            gram = fref.g_value(g, a, a) * fref.g_value(g, b, b) - fref.g_value(g, a, b) ** 2
             assert discriminant(a, b, g) == gram
             assert FOperator(g, wedge2(a, b)).delta() == gram
 
@@ -291,7 +289,7 @@ class TestBuildY:
         q = Fr(2)
         sym = build_R(HeckeData(q, E1, E2, family_gram(q)))
         col = sym.R.col(idx2(1, 0))
-        expected = zero_tensor(QQ, 2)
+        expected = [QQ.zero()] * 9
         expected[idx2(0, 1)] = q
         assert col == expected
 
@@ -308,7 +306,7 @@ class TestBuildY:
             (0, 1): w12,
             (0, 2): [a + b for a, b in zip(w13, w23)],
             (1, 0): [-c for c in w12],
-            (1, 1): zero_tensor(QQ, 2),
+            (1, 1): [QQ.zero()] * 9,
             (1, 2): w23,
             (2, 0): [b - a for a, b in zip(w13, w23)],
             (2, 1): [-c for c in w23],
@@ -340,7 +338,7 @@ class TestBuildR:
     def test_third_type_square_value(self):
         sym = build_R(canonical("Type3"))
         col = sym.R.col(idx2(2, 2))
-        expected = zero_tensor(QQ, 2)
+        expected = [QQ.zero()] * 9
         expected[idx2(2, 2)] = Fr(1)
         expected[idx2(0, 2)] = Fr(2)
         expected[idx2(2, 0)] = Fr(-2)
@@ -364,7 +362,7 @@ class TestPairingForm:
         for _ in range(20):
             x = [Fr(rng.randint(-4, 4)) for _ in range(3)]
             got = pairing_coeffs(sym.Y, x, x)
-            want = [g_value(g, x, x) * c for c in ab_form]
+            want = [fref.g_value(g, x, x) * c for c in ab_form]
             assert got == want
 
     def test_zero_vector(self):
@@ -442,7 +440,7 @@ class TestExtractF:
 
 class TestBuildYFromF:
     def test_zero_operator_at_q_one(self):
-        Y = build_Y_from_F(QQ.one(), FOperator(Matrix.zeros(QQ, 3), zero_tensor(QQ, 2)))
+        Y = build_Y_from_F(QQ.one(), FOperator(Matrix.zeros(QQ, 3), [QQ.zero()] * 9))
         assert Y == build_R(HeckeData(QQ.one(), E1, E2, Matrix.zeros(QQ, 3))).Y
 
     def test_roundtrip_second_type(self):
@@ -534,6 +532,74 @@ class TestTheGateForQ:
             with pytest.raises(NotHeckeSym0, match="^the Hecke parameter is zero$"):
                 HeckeSymmetry.from_matrix(zero, q)
         assert HeckeSymmetry.from_matrix(flip_matrix(field), "1").q == 1
+
+
+def rule_corpus(field):
+    """(q, a, b, g) over the edge cases of the rule for q, then perturbed sampled quadruples.
+
+    The forms give delta = 0, -1 and -1/4 on (e1, e2), and g = 0; the pairs include t = 0;
+    q includes 0, -1 and, over F_p, multiples of p as text.  One pair, one form and one q
+    carry the pairwise coprime denominators 11, 5 and 13, units in every field used here.
+    """
+    e1, e2, _ = std_basis(field)
+    forms = [Matrix.zeros(field, 3), symmetric_form(field, [[0, 0, 0], [0, 0, 0], [0, 0, 1]]),
+             symmetric_form(field, [[0, 1, 0], [1, 0, 0], [0, 0, 0]]),
+             symmetric_form(field, [[0, "-1/2", 0], ["-1/2", 0, 0], [0, 0, 1]]),
+             symmetric_form(field, [["1/5", "2/5", 0], ["2/5", "-3/5", "1/5"], [0, "1/5", 2]])]
+    pairs = [(e1, e2), (e1, e1), (e1, [field.zero()] * 3),
+             ([field.of(x) for x in ("1/11", 2, 0)], [field.of(x) for x in (0, "3/11", 1)])]
+    p = field.characteristic
+    qs = [0, "0", -1, 1, 2, 3, "1/2", "-1/13", "27/13"] + ([str(p), f"{3 * p}/13"] if p else [])
+    for q in qs:
+        for a, b in pairs:
+            for g in forms:
+                yield q, a, b, g
+    rng = random.Random(47)
+    for _ in range(8):
+        for sampler in (sample_strategy_a, sample_strategy_b):
+            data = sampler(field, rng)
+            yield data.q, data.a, data.b, data.g
+            yield data.q + 1, data.a, data.b, data.g
+
+
+def rule_outcome(call):
+    """The class of the rule's error that call raises, or None when it returns."""
+    try:
+        call()
+    except (ZeroQ, InvalidConstraint) as exc:
+        return type(exc)
+    return None
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3), GF(7), GF(1_000_003), GF(2**61 - 1)],
+                         ids=["Q", "Fp3", "Fp7", "Fp1000003", "Fp2^61-1"])
+def test_one_rule_one_answer(field):
+    """HeckeData, build_Y_from_F and extract_F answer a pair (q, F) alike, ZeroQ first.
+
+    The expected answer is formed from the bordered Gram determinant on field scalars.
+    """
+    seen = set()
+    for q, a, b, g in rule_corpus(field):
+        f_op = FOperator(g, wedge2(a, b))
+        assert f_op.delta() == fref.delta(f_op) == fref.gram_determinant(g, f_op.t)
+        qq = field.of(q)
+        want = ZeroQ if qq == 0 else (
+            InvalidConstraint if (qq - 1) ** 2 != -4 * fref.gram_determinant(g, f_op.t) else None)
+        seen.add(want)
+        assert rule_outcome(lambda: HeckeData(q, a, b, g)) is want, (q, a, b, g.rows)
+        assert rule_outcome(lambda: build_Y_from_F(q, f_op)) is want, (q, a, b, g.rows)
+        if want is ZeroQ:
+            continue
+        Y = skewsymmetrizer_matrix(qq, g, f_op.t)
+        sym = HeckeSymmetry(Matrix.identity(field, 9).scale(qq) - Y, q)
+        if want is None:
+            assert build_R(HeckeData(q, a, b, g)) == sym and build_Y_from_F(q, f_op) == Y
+            assert extract_F(sym).matrix() == f_op.matrix()
+        else:
+            with pytest.raises(NotHeckeSym0, match="^the parameter-discriminant constraint "
+                                                   "fails for the extracted operator$"):
+                extract_F(sym)
+    assert seen == {None, ZeroQ, InvalidConstraint}
 
 
 @pytest.mark.parametrize("field", [QQ, GF(7), GF(1_000_003)], ids=["Q", "Fp7", "Fp1000003"])

@@ -1,6 +1,7 @@
 """Every package module, test and demo uses each name it imports (``__init__`` re-exports, so
-it is exempt), every name in a module's ``__all__`` exists on that module, and the package's
-modules import one another at the top only, along an acyclic graph."""
+it is exempt), every name in a module's ``__all__`` exists on that module, the package's
+modules import one another at the top only, along an acyclic graph, and the errors of the rule
+for q are raised in one function."""
 
 import ast
 import importlib
@@ -92,3 +93,41 @@ def test_the_graph_checks_see_a_cycle_and_a_nested_import():
     assert first_cycle({"a": {"b"}, "b": set(), "c": {"a", "b"}}) is None
     src = "from .fields import QQ\n\ndef f():\n    from .classify import canonical\n"
     assert package_imports(src) == ({"fields"}, {"classify"})
+
+
+RULE_ERRORS = {"ZeroQ", "InvalidConstraint"}
+
+
+def rule_raisers(source: str, module: str):
+    """The functions, as "module:qualified.name", holding a raise of ZeroQ or InvalidConstraint.
+
+    A raise outside every function is reported as "module:".
+    """
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.Raise) and child.exc is not None:
+                target = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+                if (getattr(target, "id", None) or getattr(target, "attr", None)) in RULE_ERRORS:
+                    found.add(f"{module}:{'.'.join(scope)}")
+            visit(child, scope)
+
+    visit(ast.parse(source), [])
+    return found
+
+
+def test_the_rule_for_q_has_one_home():
+    raisers = set().union(*(rule_raisers(p.read_text(), p.stem) for p in PACKAGE.glob("*.py")))
+    assert len(raisers) == 1, sorted(raisers)
+
+
+def test_the_rule_check_sees_every_raise():
+    src = ("class A:\n    def f(self):\n        raise ZeroQ('x')\n\n"
+           "def g():\n    def h():\n        raise errors.InvalidConstraint\n"
+           "    if True:\n        raise InvalidConstraint('y') from None\n    raise ValueError\n\n"
+           "raise ZeroQ\n")
+    assert rule_raisers(src, "m") == {"m:A.f", "m:g.h", "m:g", "m:"}

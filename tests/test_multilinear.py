@@ -25,7 +25,6 @@ from hecke3.multilinear import (
     wedge2,
     wedge3,
     wedge_vt,
-    zero_tensor,
 )
 
 E1, E2, E3 = std_basis(QQ)
@@ -211,10 +210,10 @@ class TestLifts:
     def test_flip_right_action(self):
         from hecke3.heckecore import flip_matrix
 
-        w = zero_tensor(QQ, 3)
+        w = [QQ.zero()] * 27
         w[idx3(0, 1, 2)] = Fraction(1)  # e1 e2 e3
         out = lift_right(flip_matrix(QQ)).apply(w)
-        expected = zero_tensor(QQ, 3)
+        expected = [QQ.zero()] * 27
         expected[idx3(0, 2, 1)] = Fraction(1)  # e1 e3 e2
         assert out == expected
 
@@ -231,7 +230,7 @@ class TestLifts:
 
 class TestCyclicShift:
     def test_basis_action(self):
-        w = zero_tensor(QQ, 3)
+        w = [QQ.zero()] * 27
         w[idx3(0, 1, 2)] = Fraction(1)
         out = cyclic_shift(w)
         assert out[idx3(1, 2, 0)] == 1 and sum(1 for c in out if c != 0) == 1
