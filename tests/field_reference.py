@@ -19,9 +19,8 @@ replaced.  ``delta`` is the former field-scalar -tr(T^2)/2 of ``FOperator.delta`
 
 from hecke3.errors import DimensionMismatch, NotHeckeSym0, SingularMatrix
 from hecke3.fields import Fp
-from hecke3.heckecore import FOperator, pairing_coordinates
+from hecke3.heckecore import FOperator, pairing_coordinates, t_operator_of_F
 from hecke3.linalg import Matrix, reduce_mod
-from hecke3.heckecore import t_operator_of_F
 from hecke3.multilinear import bivector, is_alt2, pair_vt, std_basis, unit_tensors, vol
 
 
