@@ -46,8 +46,9 @@ def _read_json(path: str):
     except (OSError, ValueError, RecursionError) as exc:
         # ValueError covers oversized input, malformed JSON and undecodable
         # bytes; RecursionError comes from documents nested too deeply for the
-        # decoder
-        raise InputError(f"cannot read JSON from {path!r}: {exc}") from exc
+        # decoder.  An OSError's own text would quote the path a second time
+        reason = getattr(exc, "strerror", None) or exc
+        raise InputError(f"cannot read JSON from {clip(repr(path))}: {reason}") from exc
 
 
 def _emit(doc) -> None:
@@ -86,7 +87,7 @@ def cmd_construct(args, field) -> int:
             raise InputError("construct needs --type N or --data FILE")
         label = f"Type{args.type}"
         if label not in TYPE_LABELS:
-            raise InputError(f"unknown type {args.type}")
+            raise InputError(f"unknown type {clip(str(args.type))}")
         q = field.parse(args.q) if args.q is not None else None
         sym = build_R(canonical(label, q, field))
     _emit(symmetry_to_json(sym))

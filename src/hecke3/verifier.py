@@ -18,12 +18,15 @@ from .fields import QQ
 from .jsonio import vector_to_json
 from .linalg import Matrix, field_scalars, integer_coordinates, reduce_mod
 from .multilinear import (
+    _ALT3_UNIT,
     alt2_basis,
+    bivector,
     idx2,
     idx3,
     is_alt3,
     cyclic_shift,
     non_alternating_columns,
+    pair_vt,
     random_invertible,
     slot_action,
     slot_product,
@@ -31,9 +34,7 @@ from .multilinear import (
     tensor2,
     unit_tensors,
     unpack,
-    vol,
     wedge2,
-    wedge_vt,
 )
 from .heckecore import (
     HeckeData,
@@ -71,6 +72,8 @@ __all__ = [
 
 # bound on one fuzz run's trials: the CLI takes the count from outside
 MAX_FUZZ_TRIALS = 10_000
+# (j, k) of the basis e_j ^ e_k of Alt2 in alt2_basis() order: the pairs j < k in product order
+_PAIRS = ((0, 1), (0, 2), (1, 2))
 
 
 @dataclass(frozen=True)
@@ -160,7 +163,7 @@ def check_image_and_eigen(Y: Matrix, q) -> CheckReport:
         if rk != 3:
             yield _witness(fld, {"rank": rk}, str(rk), "3")
         (a,), b = integer_coordinates(fld, [q])  # q is read only after the image test
-        for (j, k), w in zip(((0, 1), (0, 2), (1, 2)), alt2_basis()):
+        for (j, k), w in zip(_PAIRS, alt2_basis()):
             got = reduce_mod([b * (x - y) for x, y in zip(n[idx2(j, k)::9], n[idx2(k, j)::9])], p)
             want = reduce_mod([(a + b) * d * c for c in w], p)
             if got != want:
@@ -177,12 +180,24 @@ def braid_table(Y: Matrix):
     (j,k,i) - (k,j,i) of the products, unpacked mod p.  A check given no table forms its own.
     """
     (y1, d, m), (y2, _, _) = slot_action(Y, 0, 1), slot_action(Y, 1, 2)
-    w, p, pairs = 2 * (9 * m).bit_length() + 2, Y.field.characteristic, ((0, 1), (0, 2), (1, 2))
+    w, p = 2 * (9 * m).bit_length() + 2, Y.field.characteristic
     y21, y12 = slot_product((y2, y1), w), slot_product((y1, y2), w)
-    return ([[unpack(y21[idx3(i, j, k)] - y21[idx3(i, k, j)], w, p) for j, k in pairs]
+    return ([[unpack(y21[idx3(i, j, k)] - y21[idx3(i, k, j)], w, p) for j, k in _PAIRS]
              for i in range(3)],
-            [[unpack(y12[idx3(j, k, i)] - y12[idx3(k, j, i)], w, p) for j, k in pairs]
+            [[unpack(y12[idx3(j, k, i)] - y12[idx3(k, j, i)], w, p) for j, k in _PAIRS]
              for i in range(3)], d)
+
+
+def _containment_differences(Y: Matrix, q, table):
+    """(space, i, t, column, u) of the 18 spanning tensors w of :func:`check_containments`, in
+    its order, with u = b column - a d^2 w mod p for Y = N / d, q = a / b; then b and b d^2."""
+    vxa, axv, d = table or braid_table(Y)
+    (a,), b = integer_coordinates(Y.field, [q])
+    e, p = unit_tensors(1), Y.field.characteristic
+    return [(s, i, t, col, reduce_mod([b * x - a * d * d * y for x, y in zip(col, w)], p))
+            for s, cols in (("VxAlt2", vxa), ("Alt2xV", axv)) for i in range(3)
+            for t, col in zip(alt2_basis(), cols[i])
+            for w in [tensor2(e[i], t) if s == "VxAlt2" else tensor2(t, e[i])]], b, b * d * d
 
 
 def check_containments(Y: Matrix, q, table=None) -> CheckReport:
@@ -193,22 +208,11 @@ def check_containments(Y: Matrix, q, table=None) -> CheckReport:
     on the 9 spanning tensors of each space (the :func:`braid_table` columns),
     times b d^2 for Y = N / d, q = a / b.
     """
-    fld, e = Y.field, unit_tensors(1)
-    vxa, axv, d = table or braid_table(Y)
-    (qn,), qd = integer_coordinates(fld, [q])
-
-    def mismatches():
-        for space, cols in (("VxAlt2", vxa), ("Alt2xV", axv)):
-            for i in range(3):
-                for t, col in zip(alt2_basis(), cols[i]):
-                    w = tensor2(e[i], t) if space == "VxAlt2" else tensor2(t, e[i])
-                    u = [qd * a - qn * d * d * b for a, b in zip(col, w)]
-                    if not is_alt3(u := reduce_mod(u, fld.characteristic)):
-                        yield _witness(fld, {"space": space, "vector": i + 1,
-                                             "bivector": vector_to_json(fld, t)},
-                                       u, "element of Alt3 expected", scale=qd * d * d)
-
-    return CheckReport("containments", next(mismatches(), None))
+    diffs, _, scale = _containment_differences(Y, q, table)
+    return CheckReport("containments", next((_witness(
+        Y.field, {"space": space, "vector": i + 1, "bivector": vector_to_json(Y.field, t)},
+        u, "element of Alt3 expected", scale=scale) for space, i, t, _, u in diffs
+        if not is_alt3(u)), None))
 
 
 def check_component_identity(Y: Matrix, q, table=None) -> CheckReport:
@@ -220,23 +224,19 @@ def check_component_identity(Y: Matrix, q, table=None) -> CheckReport:
     (Id x Y)(Y x Id)w and of q w for w = e_i (x) e_j^e_k.  So it is the first
     containment read where an index repeats.  When Y maps into Alt2 that
     difference lies in V (x) Alt2, where vanishing on every x (x) x (x) y, i.e.
-    for Y transported along every P (``change_of_basis(Y, P)``), is lying in Alt3.
-    (Id x Y)(Y x Id)w is 0 or +- a V (x) Alt2 column of the :func:`braid_table`; the
-    sides are compared times b d^2, for Y = N / d and q = a / b.
+    for Y transported along every P (``change_of_basis(Y, P)``), is lying in Alt3.  Read off
+    the V (x) Alt2 differences of the containments (times b d^2, for Y = N / d and q = a / b)
+    at j < k: j = k gives 0, and j > k mirrors j < k later in the loop order.
     """
-    fld, e = Y.field, unit_tensors(1)
-    vxa, _, d = table or braid_table(Y)
-    (qn,), qd = integer_coordinates(fld, [q])
-    yw = [[0] * 27 if j == k else vxa[i][j + k - 1] if j < k else [-x for x in vxa[i][j + k - 1]]
-          for i, j, k in product(range(3), repeat=3)]  # e_j^e_k = +-alt2_basis()[j + k - 1]
-    w = [tensor2(e[i], wedge2(e[j], e[k])) for i, j, k in product(range(3), repeat=3)]
+    diffs, b, scale = _containment_differences(Y, q, table)
 
     def mismatches():
-        for r, t, i, j, k in product(range(3), repeat=5):
-            n, c = idx3(i, j, k), idx3(r, r, t)
-            if reduce_mod([qd * yw[n][c] - qn * d * d * w[n][c]], fld.characteristic) != [0]:
-                yield _witness(fld, {"indices": [i + 1, j + 1, k + 1, r + 1, t + 1]},
-                               yw[n][c] * qd, qn * d * d * w[n][c], scale=qd * d * d)
+        for r, t, i in product(range(3), repeat=3):
+            c = idx3(r, r, t)
+            for (j, k), (_, _, _, col, u) in zip(_PAIRS, diffs[3 * i:3 * i + 3]):  # V (x) Alt2
+                if u[c]:
+                    yield _witness(Y.field, {"indices": [i + 1, j + 1, k + 1, r + 1, t + 1]},
+                                   b * col[c], b * col[c] - u[c], scale=scale)
 
     return CheckReport("component_identity", next(mismatches(), None))
 
@@ -253,21 +253,19 @@ def check_pairing_identities(Y: Matrix, q) -> CheckReport:
         quadratic in x with defect sum c_im x_i x_m, c_im in Z[q, l].  x = e1, e2, e3, e1+e2
         and e1+e3 pin c_11, c_22, c_33, c_12, c_13; each component of c_23 is +- one of theirs
         or the sum of two, so the sample decides the identity exactly (compared times b d^2).
+        Both sides alternate in (u, v), and u < v comes first in product order: read at u < v.
+    vol(e_i, e_j, e_k) = _ALT3_UNIT[idx3(i, j, k)] and vol(x, e_u, e_v) = bivector(x)[idx2(u, v)].
     """
     fld, p, e = Y.field, Y.field.characteristic, unit_tensors(1)
     n, d = Y.integers()
     (a,), b = integer_coordinates(fld, [q])
     ell = pairing_coordinates(n)  # d L
 
-    def vols(x):  # vols(x)[idx2(u, v)] = vol(x, e_u, e_v)
-        return [vol(x, e[u], e[v]) for u, v in product(range(3), repeat=2)]
-
     def mismatches():
         yield from _non_alternating_columns(Y)
-        vol_e = [vols(x) for x in e]
         for i, j, k in product(range(3), repeat=3):
             lhs, rhs = reduce_mod([b * (ell[i][j][k] - ell[i][k][j]),
-                                   (a + b) * d * vol_e[i][idx2(j, k)]], p)
+                                   (a + b) * d * _ALT3_UNIT[idx3(i, j, k)]], p)
             if lhs != rhs:
                 yield _witness(fld, {"indices": [i + 1, j + 1, k + 1]}, lhs, rhs, scale=b * d,
                                identity="eigenvalue")
@@ -277,15 +275,14 @@ def check_pairing_identities(Y: Matrix, q) -> CheckReport:
             # lx[j][u] = d L[x, e_j](e_u) and lxx[u] = d L[x, x](e_u), linear in each x
             lx = [[sum(x[i] * ell[i][j][u] for i in range(3)) for u in range(3)] for j in range(3)]
             lxx = [sum(x[j] * lx[j][u] for j in range(3)) for u in range(3)]
-            volx = vols(x)
-            for j, k in product(range(3), repeat=2):
-                lhs = [b * (s - t) for s, t in zip(wedge2(lx[j], lx[k]), wedge2(lxx, ell[j][k]))]
-                c = a * d * d * volx[idx2(j, k)]
-                for (u, v), s, t in zip(product(range(3), repeat=2), reduce_mod(lhs, p),
-                                        reduce_mod([c * w for w in volx], p)):
-                    if s != t:
-                        yield _witness(fld, {"x": xname, "indices": [j + 1, k + 1, u + 1, v + 1]},
-                                       s, t, scale=b * d * d, identity="wedge")
+            volx = bivector(x)
+            for (j, k), (u, v) in product(product(range(3), repeat=2), _PAIRS):
+                s, t = reduce_mod([b * (lx[j][u] * lx[k][v] - lx[j][v] * lx[k][u]
+                                        - lxx[u] * ell[j][k][v] + lxx[v] * ell[j][k][u]),
+                                   a * d * d * volx[idx2(j, k)] * volx[idx2(u, v)]], p)
+                if s != t:
+                    yield _witness(fld, {"x": xname, "indices": [j + 1, k + 1, u + 1, v + 1]},
+                                   s, t, scale=b * d * d, identity="wedge")
 
     return CheckReport("pairing_identities", next(mismatches(), None))
 
@@ -295,10 +292,11 @@ def check_cyclic_shift_identity(Y: Matrix, T: Matrix, q, table=None) -> CheckRep
 
     Both mixed products land in the alternating cube when shifted against
     each other, and their difference is controlled by the traceless
-    operator alone.  Both products are :func:`braid_table` columns.  Compared
-    times b m d^2, for Y = N / d, T = M / m, q = a / b.
+    operator alone.  Both products are :func:`braid_table` columns, and
+    Tx ^ t = pair_vt(Tx, t) e1^e2^e3.  Compared times b m d^2, for Y = N / d,
+    T = M / m, q = a / b.
     """
-    fld = Y.field
+    fld, p = Y.field, Y.field.characteristic
     vxa, axv, d = table or braid_table(Y)
     (qn,), qd = integer_coordinates(fld, [q])
     tn, td = T.integers()
@@ -306,10 +304,9 @@ def check_cyclic_shift_identity(Y: Matrix, T: Matrix, q, table=None) -> CheckRep
     def mismatches():
         for i in range(3):
             for t, ytx, yxt in zip(alt2_basis(), axv[i], vxa[i]):  # Y1 Y2(t x), Y2 Y1(x t)
-                lhs = reduce_mod([qd * td * (a - b) for a, b in zip(ytx, cyclic_shift(yxt))],
-                                 fld.characteristic)
-                rhs = wedge_vt(tn[i::3], t)  # tn[i::3] = td T e_i
-                rhs = reduce_mod([2 * (qn + qd) * d * d * c for c in rhs], fld.characteristic)
+                lhs = reduce_mod([qd * td * (a - b) for a, b in zip(ytx, cyclic_shift(yxt))], p)
+                c = 2 * (qn + qd) * d * d * pair_vt(tn[i::3], t)  # tn[i::3] = td T e_i
+                rhs = reduce_mod([c * s for s in _ALT3_UNIT], p)
                 if lhs != rhs:
                     yield _witness(fld, {"vector": i + 1, "bivector": vector_to_json(fld, t)},
                                    lhs, rhs, scale=qd * td * d * d)

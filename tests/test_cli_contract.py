@@ -157,8 +157,10 @@ MAX_ERROR_DOCUMENT_BYTES = 512
     ["--field", "Fp:" + "9" * 4000, "table"],
     ["fuzz", "--trials", "1", "--seed", "9" * 5000],
     ["fuzz", "--trials", "9" * 5000, "--seed", "1"],
+    ["construct", "--type", "9" * 4000],
+    ["verify", "--matrix", "9" * 5000],
 ], ids=["q-200000-digits", "field-5000-nines", "field-4000-nines", "seed-5000-digits",
-        "trials-5000-digits"])
+        "trials-5000-digits", "type-4000-nines", "path-5000-nines"])
 def test_overlong_input_text_is_echoed_bounded(tmp_path, argv):
     """Rejected text is quoted cut to a fixed prefix plus its length, in one small document."""
     path = tmp_path / "q.json"

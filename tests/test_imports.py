@@ -1,7 +1,8 @@
 """Every package module, test and demo uses each name it imports (``__init__`` re-exports, so
 it is exempt), every name in a module's ``__all__`` exists on that module, the package's
-modules import one another at the top only, along an acyclic graph, and the errors of the rule
-for q are raised in one function."""
+modules import one another at the top only, along an acyclic graph, the errors of the rule
+for q are raised in one function, and no package line is longer than 100 characters (so the
+package's line count is not met by packing more code onto each line)."""
 
 import ast
 import importlib
@@ -131,3 +132,22 @@ def test_the_rule_check_sees_every_raise():
            "    if True:\n        raise InvalidConstraint('y') from None\n    raise ValueError\n\n"
            "raise ZeroQ\n")
     assert rule_raisers(src, "m") == {"m:A.f", "m:g.h", "m:g", "m:"}
+
+
+MAX_LINE_CHARS = 100
+
+
+def long_lines(source: str):
+    """(line number, length) of each line longer than MAX_LINE_CHARS characters."""
+    return [(n, len(line)) for n, line in enumerate(source.splitlines(), 1)
+            if len(line) > MAX_LINE_CHARS]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
+def test_no_package_line_is_longer_than_100_characters(path):
+    assert long_lines(path.read_text()) == []
+
+
+def test_the_line_check_sees_a_long_line():
+    src = "x = 1\n" + "y = '" + "a" * 95 + "'\n" + "z" * 100 + "\n"
+    assert long_lines(src) == [(2, 101)]

@@ -687,15 +687,24 @@ def _reference_samples(field):
     return out
 
 
-FIELDS = [QQ, GF(3), GF(7), GF(1_000_003)]
-FIELD_IDS = ["Q", "Fp3", "Fp7", "Fp1000003"]
+def _variant_samples(field, rng):
+    """Strategy-B symmetries, each also at q + 1 and scaled to 3 Y: valid and failing operators."""
+    out = []
+    for _ in range(4):
+        sym = build_R(sample_strategy_b(field, rng))
+        out += [(sym.q, sym.Y), (sym.q + 1, sym.Y), (sym.q, sym.Y.scale(field.of(3)))]
+    return out
+
+
+FIELDS = [QQ, GF(3), GF(7), GF(1_000_003), GF(2**61 - 1)]
+FIELD_IDS = ["Q", "Fp3", "Fp7", "Fp1000003", "Fp2^61-1"]
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
 def test_component_and_pairing_match_the_reference_loops(field):
     """Same documents, witnesses included, as the written-out loops."""
     verdicts = set()
-    for q, Y in _reference_samples(field):
+    for q, Y in _reference_samples(field) + _variant_samples(field, random.Random(29)):
         component = check_component_identity(Y, q).to_json()
         assert component == reference_component_identity(Y, q).to_json()
         pairing = check_pairing_identities(Y, q).to_json()
@@ -782,11 +791,13 @@ def _traceless(field, q, Y):
 
 
 def assert_integer_checks_match_kron_references(field, samples):
-    """Each integer-coordinate check gives the reference document, witness included."""
+    """Each integer-coordinate check gives the reference document, witness included; the
+    cyclic-shift identity also with the traceless operator doubled."""
     verdicts = {}
     for q, Y in samples:
         R = Matrix.identity(field, 9).scale(q) - Y
         T = _traceless(field, q, Y)
+        T2 = T.scale(field.of(2))
         r = gl_tensor(flip_matrix(field) * R - Matrix.identity(field, 9))
         pairs = [
             (check_braid(R), reference_braid(R)),
@@ -795,6 +806,7 @@ def assert_integer_checks_match_kron_references(field, samples):
             (check_component_identity(Y, q), reference_component_identity(Y, q)),
             (check_pairing_identities(Y, q), reference_pairing_identities(Y, q)),
             (check_cyclic_shift_identity(Y, T, q), reference_cyclic_shift_identity(Y, T, q)),
+            (check_cyclic_shift_identity(Y, T2, q), reference_cyclic_shift_identity(Y, T2, q)),
             (check_cybe(r), reference_cybe(r)),
         ]
         for got, want in pairs:
@@ -820,6 +832,7 @@ def test_integer_checks_match_kron_references(field):
     q, Y = samples[2]  # a moved Type 3
     for c in (0, 4, 8):
         samples.append((q, _bumped(Y, [(3 * c % 9, c, field.one())])))
+    samples += _variant_samples(field, rng)
     verdicts = assert_integer_checks_match_kron_references(field, samples)
     assert verdicts == dict.fromkeys(
         ["braid", "hecke", "containments", "component_identity", "pairing_identities",
