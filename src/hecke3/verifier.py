@@ -72,8 +72,8 @@ __all__ = [
 
 # bound on one fuzz run's trials: the CLI takes the count from outside
 MAX_FUZZ_TRIALS = 10_000
-# (j, k) of the basis e_j ^ e_k of Alt2 in alt2_basis() order: the pairs j < k in product order
-_PAIRS = ((0, 1), (0, 2), (1, 2))
+# the basis e_j ^ e_k of Alt2, built from no input, and its (j, k): j < k in product order
+_ALT2, _PAIRS = alt2_basis(), ((0, 1), (0, 2), (1, 2))
 
 
 @dataclass(frozen=True)
@@ -163,7 +163,7 @@ def check_image_and_eigen(Y: Matrix, q) -> CheckReport:
         if rk != 3:
             yield _witness(fld, {"rank": rk}, str(rk), "3")
         (a,), b = integer_coordinates(fld, [q])  # q is read only after the image test
-        for (j, k), w in zip(_PAIRS, alt2_basis()):
+        for (j, k), w in zip(_PAIRS, _ALT2):
             got = reduce_mod([b * (x - y) for x, y in zip(n[idx2(j, k)::9], n[idx2(k, j)::9])], p)
             want = reduce_mod([(a + b) * d * c for c in w], p)
             if got != want:
@@ -188,30 +188,24 @@ def braid_table(Y: Matrix):
              for i in range(3)], d)
 
 
-def _containment_differences(Y: Matrix, q, table):
-    """(space, i, t, column, u) of the 18 spanning tensors w of :func:`check_containments`, in
-    its order, with u = b column - a d^2 w mod p for Y = N / d, q = a / b; then b and b d^2."""
-    vxa, axv, d = table or braid_table(Y)
-    (a,), b = integer_coordinates(Y.field, [q])
-    e, p = unit_tensors(1), Y.field.characteristic
-    return [(s, i, t, col, reduce_mod([b * x - a * d * d * y for x, y in zip(col, w)], p))
-            for s, cols in (("VxAlt2", vxa), ("Alt2xV", axv)) for i in range(3)
-            for t, col in zip(alt2_basis(), cols[i])
-            for w in [tensor2(e[i], t) if s == "VxAlt2" else tensor2(t, e[i])]], b, b * d * d
-
-
 def check_containments(Y: Matrix, q, table=None) -> CheckReport:
     """Degree-3 containments of the reformulated braid equation.
 
     (Id x Y)(Y x Id)w - q w must be alternating for every w in V (x) Alt2,
     and (Y x Id)(Id x Y)w - q w for every w in Alt2 (x) V; both are checked
     on the 9 spanning tensors of each space (the :func:`braid_table` columns),
-    times b d^2 for Y = N / d, q = a / b.
+    as b column - a d^2 w reduced mod p, for Y = N / d, q = a / b.
     """
-    diffs, _, scale = _containment_differences(Y, q, table)
+    vxa, axv, d = table or braid_table(Y)
+    (a,), b = integer_coordinates(Y.field, [q])
+    e, p = unit_tensors(1), Y.field.characteristic
+    diffs = ((s, i, t, reduce_mod([b * x - a * d * d * y for x, y in zip(col, w)], p))
+             for s, cols in (("VxAlt2", vxa), ("Alt2xV", axv)) for i in range(3)
+             for t, col in zip(_ALT2, cols[i])
+             for w in [tensor2(e[i], t) if s == "VxAlt2" else tensor2(t, e[i])])
     return CheckReport("containments", next((_witness(
-        Y.field, {"space": space, "vector": i + 1, "bivector": vector_to_json(Y.field, t)},
-        u, "element of Alt3 expected", scale=scale) for space, i, t, _, u in diffs
+        Y.field, {"space": s, "vector": i + 1, "bivector": vector_to_json(Y.field, t)},
+        u, "element of Alt3 expected", scale=b * d * d) for s, i, t, u in diffs
         if not is_alt3(u)), None))
 
 
@@ -225,18 +219,22 @@ def check_component_identity(Y: Matrix, q, table=None) -> CheckReport:
     containment read where an index repeats.  When Y maps into Alt2 that
     difference lies in V (x) Alt2, where vanishing on every x (x) x (x) y, i.e.
     for Y transported along every P (``change_of_basis(Y, P)``), is lying in Alt3.  Read off
-    the V (x) Alt2 differences of the containments (times b d^2, for Y = N / d and q = a / b)
-    at j < k: j = k gives 0, and j > k mirrors j < k later in the loop order.
+    the V (x) Alt2 columns of :func:`braid_table` (times b d^2, for Y = N / d and q = a / b)
+    at j < k: j = k gives 0, and j > k mirrors j < k later in the loop order.  The e_r e_r e_t
+    coordinate of w is e_i[r] (e_j^e_k)[idx2(r, t)]: that of e_j^e_k when i = r, else 0.
     """
-    diffs, b, scale = _containment_differences(Y, q, table)
+    vxa, _, d = table or braid_table(Y)
+    (a,), b = integer_coordinates(Y.field, [q])
+    p = Y.field.characteristic
 
     def mismatches():
         for r, t, i in product(range(3), repeat=3):
-            c = idx3(r, r, t)
-            for (j, k), (_, _, _, col, u) in zip(_PAIRS, diffs[3 * i:3 * i + 3]):  # V (x) Alt2
-                if u[c]:
+            c, rt = idx3(r, r, t), idx2(r, t)
+            for (j, k), s, col in zip(_PAIRS, _ALT2, vxa[i]):
+                lhs, rhs = reduce_mod([b * col[c], a * d * d * s[rt] if i == r else 0], p)
+                if lhs != rhs:
                     yield _witness(Y.field, {"indices": [i + 1, j + 1, k + 1, r + 1, t + 1]},
-                                   b * col[c], b * col[c] - u[c], scale=scale)
+                                   lhs, rhs, scale=b * d * d)
 
     return CheckReport("component_identity", next(mismatches(), None))
 
@@ -303,7 +301,7 @@ def check_cyclic_shift_identity(Y: Matrix, T: Matrix, q, table=None) -> CheckRep
 
     def mismatches():
         for i in range(3):
-            for t, ytx, yxt in zip(alt2_basis(), axv[i], vxa[i]):  # Y1 Y2(t x), Y2 Y1(x t)
+            for t, ytx, yxt in zip(_ALT2, axv[i], vxa[i]):  # Y1 Y2(t x), Y2 Y1(x t)
                 lhs = reduce_mod([qd * td * (a - b) for a, b in zip(ytx, cyclic_shift(yxt))], p)
                 c = 2 * (qn + qd) * d * d * pair_vt(tn[i::3], t)  # tn[i::3] = td T e_i
                 rhs = reduce_mod([c * s for s in _ALT3_UNIT], p)

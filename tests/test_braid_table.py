@@ -26,6 +26,7 @@ from hecke3.heckecore import (
 from hecke3.multilinear import (
     alt2_basis,
     idx2,
+    is_alt3,
     random_invertible,
     slot_action,
     std_basis,
@@ -120,6 +121,21 @@ def test_a_suite_forms_the_slot_actions_of_y_and_r_twice_each(monkeypatch):
     monkeypatch.setattr(verifier, "slot_action", counted)
     assert all(rep.passed for rep in run_suite(sym))
     assert sorted(seen) == ["R", "R", "Y", "Y"]
+
+
+def test_the_containments_test_all_18_spanning_tensors(monkeypatch):
+    """Both halves run: no report is known to tell V (x) Alt2 from Alt2 (x) V apart, and
+    whether one half implies the other for every Y with alternating columns is unproven."""
+    sym = build_R(sample_strategy_a(QQ, random.Random(4)))
+    seen = []
+
+    def counted(u):
+        seen.append(u)
+        return is_alt3(u)
+
+    monkeypatch.setattr(verifier, "is_alt3", counted)
+    assert check_containments(sym.Y, sym.q).passed
+    assert len(seen) == 18
 
 
 @pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "Fp7"])
