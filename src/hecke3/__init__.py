@@ -18,7 +18,6 @@ from .errors import (
     InvalidConstraint,
     InvalidQ,
     NoHeckeParameter,
-    NotAlternating,
     NotHeckeSym0,
     NotPrime,
     SingularDeformation,
@@ -38,8 +37,6 @@ from .multilinear import (
     tensor2,
     vol,
     wedge2,
-    wedge3,
-    wedge_vt,
 )
 from .heckecore import (
     FOperator,

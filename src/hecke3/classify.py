@@ -28,6 +28,7 @@ from .heckecore import FOperator, HeckeData, HeckeSymmetry, _t_matrix, extract_F
 
 __all__ = [
     "TYPE_LABELS",
+    "Q_FAMILIES",
     "ClassificationReport",
     "canonical_gram",
     "canonical",
@@ -36,6 +37,8 @@ __all__ = [
 ]
 
 TYPE_LABELS = tuple(f"Type{n}" for n in range(1, 9))
+# the two one-parameter families, which take a q; the other six live at q = 1
+Q_FAMILIES = TYPE_LABELS[:2]
 
 
 @dataclass(frozen=True)
@@ -65,7 +68,7 @@ class ClassificationReport:
 
 def canonical_gram(label: str, q=None, field=QQ) -> Matrix:
     """The canonical form matrix of a type (q needed for Types 1 and 2)."""
-    if label in ("Type1", "Type2"):
+    if label in Q_FAMILIES:
         if q is None:
             raise InvalidQ(f"{label} needs an explicit q")
         q = field.of(q)
@@ -92,7 +95,7 @@ def canonical(label: str, q=None, field=QQ) -> HeckeData:
     Types 3 to 8 live at q = 1; passing any other q for them is an error.
     """
     e = std_basis(field)
-    if label in ("Type1", "Type2"):
+    if label in Q_FAMILIES:
         return HeckeData(q, e[0], e[1], canonical_gram(label, q, field))
     if q is not None and field.of(q) != 1:
         raise InvalidQ(f"{label} exists only at q = 1")
@@ -165,7 +168,7 @@ def reference_r_matrix(label: str, q, field=QQ) -> Matrix:
     5 and 6 differ from their neighbours in a handful of entries only.
     """
     one = field.one()
-    if label in ("Type1", "Type2"):
+    if label in Q_FAMILIES:
         q = field.of(q)
         table = _table_type1(q, one)
         if label == "Type2":

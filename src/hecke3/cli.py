@@ -20,7 +20,7 @@ import sys
 from .errors import Hecke3Error, InputError
 from .fields import clip, parse_field
 from .verifier import fuzz, run_suite
-from .classify import TYPE_LABELS, canonical, classify
+from .classify import Q_FAMILIES, TYPE_LABELS, canonical, classify
 from .cybe import carrier, check_cybe, check_symmetrized, classical_r, fingerprint, is_frobenius
 from .heckecore import build_R, deform
 from .jsonio import hecke_data_to_json, load_symmetry, symmetry_to_json
@@ -144,7 +144,7 @@ def cmd_table(args, field) -> int:
     q = field.parse(args.q)
     entries = []
     for label in TYPE_LABELS:
-        use_q = q if label in ("Type1", "Type2") else None
+        use_q = q if label in Q_FAMILIES else None
         data = canonical(label, use_q, field)
         sym = build_R(data)
         r = classical_r(sym)

@@ -24,6 +24,7 @@ from .heckecore import HeckeSymmetry, flip_matrix
 from .jsonio import matrix_to_json, vector_to_json
 from .multilinear import slot_action, slot_product, unpack
 from .verifier import CheckReport, column_witness, columns_witness
+from .classify import TYPE_LABELS
 
 __all__ = [
     "GlTensor",
@@ -301,13 +302,12 @@ def reference_carriers(field=QQ) -> dict:
     """The carrier subalgebras of the eight canonical types, as generators."""
     E = lambda i, j: matrix_unit(field, i, j)
     h = E(1, 1) + E(3, 3)
-    return {
-        "Type1": None,
-        "Type2": None,
-        "Type3": [E(1, 1), E(1, 3), E(2, 1), E(2, 3), E(3, 1), E(3, 3)],
-        "Type4": [h, E(1, 3) - E(3, 1), E(2, 1), E(2, 3)],
-        "Type5": [h, E(2, 1), E(2, 3), E(3, 1)],
-        "Type6": [E(1, 3), E(3, 3)],
-        "Type7": [E(1, 3), E(2, 3)],
-        "Type8": [],
-    }
+    return dict(zip(TYPE_LABELS, [
+        None, None,
+        [E(1, 1), E(1, 3), E(2, 1), E(2, 3), E(3, 1), E(3, 3)],
+        [h, E(1, 3) - E(3, 1), E(2, 1), E(2, 3)],
+        [h, E(2, 1), E(2, 3), E(3, 1)],
+        [E(1, 3), E(3, 3)],
+        [E(1, 3), E(2, 3)],
+        [],
+    ]))

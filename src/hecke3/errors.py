@@ -33,10 +33,6 @@ class SingularMatrix(Hecke3Error):
     """A matrix required to be invertible is singular."""
 
 
-class NotAlternating(Hecke3Error):
-    """A tensor required to be alternating is not."""
-
-
 class InvalidConstraint(Hecke3Error):
     """The quadratic constraint linking q and the form discriminant fails."""
 

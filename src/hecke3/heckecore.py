@@ -34,14 +34,16 @@ from .errors import (
 )
 from .linalg import Matrix, integer_coordinates, reduce_mod
 from .multilinear import (
+    _ALT3_UNIT,
     bivector,
     change_of_basis,
     idx2,
+    idx3,
     is_alt2,
     non_alternating_columns,
     pair_vt,
+    pairing_coordinates,
     unit_tensors,
-    vol,
     wedge2,
 )
 
@@ -125,16 +127,6 @@ class HeckeData:
         return self.g.field
 
 
-def pairing_coordinates(ys):
-    """l[i][j][k] = pair_vt(e_i, Y(e_j e_k)), read off rows 5, 6 and 1 of Y given row-major.
-
-    Those rows hold the t23, t31 and t12 coordinates of each column, so the
-    reading is exact only when every column of Y is alternating.  The entries
-    may be field scalars or the integer coordinates of Y.
-    """
-    return [[ys[9 * r + 3 * j:9 * r + 3 * j + 3] for j in range(3)] for r in (5, 6, 1)]
-
-
 def skewsymmetrizer_matrix(q, g: Matrix, t) -> Matrix:
     """Y from the form g and the bivector t by the pairing-coordinate formula, unvalidated.
 
@@ -145,7 +137,7 @@ def skewsymmetrizer_matrix(q, g: Matrix, t) -> Matrix:
     (h,), hd = integer_coordinates(fld, [(fld.of(q) + 1) / 2])  # over F_p the 1/2 is in h
     (r, gd), (tn, td) = g.integers(), integer_coordinates(fld, t)
     n = [pair_vt(v, tn) for v in e]  # td n_k
-    s = [[h * gd * td * vol(e[i], e[j], e[k]) + hd * (n[k] * r[3 * i + j] + n[j] * r[3 * i + k]
+    s = [[h * gd * td * _ALT3_UNIT[idx3(i, j, k)] + hd * (n[k] * r[3 * i + j] + n[j] * r[3 * i + k]
           - n[i] * r[3 * j + k]) for i in range(3)] for j in range(3) for k in range(3)]
     cols = [bivector(c) for c in s]
     return Matrix.of_integers(fld, 9, 9, [c[i] for i in range(9) for c in cols], hd * gd * td)

@@ -7,15 +7,18 @@ e_i (x) e_j (x) e_k at 9*(i-1) + 3*(j-1) + (k-1).  Operators on the tensor
 powers are square :class:`~hecke3.linalg.Matrix` objects acting on coordinate
 columns.
 
-The wedge products follow the convention x ^ y = xy - yx and
-x ^ y ^ z = xyz + yzx + zxy - zyx - xzy - yxz, and ``vol`` is the alternating
-trilinear volume form pinned by vol(e1, e2, e3) = 1 (the coordinate
-determinant).
+The wedge follows x ^ y = xy - yx, and ``vol`` is the alternating trilinear volume form
+pinned by vol(e1, e2, e3) = 1 (the coordinate determinant).  The convention
+x ^ y ^ z = xyz + yzx + zxy - zyx - xzy - yxz defines only e1 ^ e2 ^ e3, whose
+e_i (x) e_j (x) e_k coordinate is vol(e_i, e_j, e_k).  That tensor, the Alt2 pair order
+and the pairing rows 5, 6 and 1 are defined here and nowhere else.
 """
 
 from __future__ import annotations
 
-from .errors import DimensionMismatch, NotAlternating
+from itertools import product
+
+from .errors import DimensionMismatch
 from .linalg import Matrix, reduce_mod
 
 __all__ = [
@@ -24,10 +27,9 @@ __all__ = [
     "std_basis",
     "tensor2",
     "wedge2",
-    "wedge3",
-    "wedge_vt",
     "vol",
     "pair_vt",
+    "pairing_coordinates",
     "bivector",
     "is_alt2",
     "is_alt3",
@@ -72,11 +74,6 @@ def wedge2(x, y):
     return [xi * yj - yi * xj for xi, yi in zip(x, y) for xj, yj in zip(x, y)]
 
 
-def wedge3(x, y, z):
-    """Full alternation of x(x)y(x)z over the six permutations."""
-    return wedge_vt(x, wedge2(y, z))
-
-
 def is_alt2(t) -> bool:
     _check_len(t, 9, "degree-2 tensor")
     for i in range(3):
@@ -94,34 +91,10 @@ def non_alternating_columns(op: Matrix):
     return [c for c in range(9) if not is_alt2(n[c::9])]
 
 
-def wedge_vt(x, t):
-    """Wedge of a vector with an alternating degree-2 tensor.
-
-    Extends x ^ (y ^ z) = x ^ y ^ z bilinearly; requires t alternating.
-    With w = x (x) t the wedge is w + shift(w) + shift^2(w).
-    """
-    if not is_alt2(t):
-        raise NotAlternating("second factor must be alternating")
-    w = tensor2(x, t)
-    s = cyclic_shift(w)
-    return [a + b + c for a, b, c in zip(w, s, cyclic_shift(s))]
-
-
 def cyclic_shift(w):
     """Coordinate action of x(x)y(x)z |-> y(x)z(x)x."""
     _check_len(w, 27, "degree-3 tensor")
     return [w[idx3(k, i, j)] for i in range(3) for j in range(3) for k in range(3)]
-
-
-# e1^e2^e3 in integer coordinates: every alternating 3-tensor is a multiple of it
-_ALT3_UNIT = wedge3([1, 0, 0], [0, 1, 0], [0, 0, 1])
-
-
-def is_alt3(w) -> bool:
-    """w = c e1^e2^e3, with c the e1 (x) e2 (x) e3 coordinate of w."""
-    _check_len(w, 27, "degree-3 tensor")
-    c = w[idx3(0, 1, 2)]
-    return all(x == c * s if s else x == 0 for x, s in zip(w, _ALT3_UNIT))
 
 
 def vol(x, y, z):
@@ -131,6 +104,24 @@ def vol(x, y, z):
         - x[1] * (y[0] * z[2] - y[2] * z[0])
         + x[2] * (y[0] * z[1] - y[1] * z[0])
     )
+
+
+def unit_tensors(degree: int):
+    """The 3**degree basis tensors in integer coordinates, which every field accepts."""
+    return [[int(i == j) for j in range(3 ** degree)] for i in range(3 ** degree)]
+
+
+# e1^e2^e3, vol(e_i, e_j, e_k) at idx3(i, j, k): every alternating 3-tensor is a multiple of it
+_ALT3_UNIT = [vol(*triple) for triple in product(unit_tensors(1), repeat=3)]
+# the (j, k) of the Alt2 basis e_j ^ e_k: j < k, in product order
+_ALT2_PAIRS = ((0, 1), (0, 2), (1, 2))
+
+
+def is_alt3(w) -> bool:
+    """w = c e1^e2^e3, with c the e1 (x) e2 (x) e3 coordinate of w."""
+    _check_len(w, 27, "degree-3 tensor")
+    c = w[idx3(0, 1, 2)]
+    return all(x == c * s if s else x == 0 for x, s in zip(w, _ALT3_UNIT))
 
 
 def pair_vt(x, t):
@@ -143,6 +134,16 @@ def pair_vt(x, t):
     return x[0] * t[5] + x[1] * t[6] + x[2] * t[1]
 
 
+def pairing_coordinates(ys):
+    """l[i][j][k] = pair_vt(e_i, Y(e_j e_k)), read off rows 5, 6 and 1 of Y given row-major.
+
+    Those rows hold the t23, t31 and t12 coordinates of each column, so the
+    reading is exact only when every column of Y is alternating.  The entries
+    may be field scalars or the integer coordinates of Y.
+    """
+    return [[ys[9 * r + 3 * j:9 * r + 3 * j + 3] for j in range(3)] for r in (5, 6, 1)]
+
+
 def bivector(s):
     """The bivector u = s0 e2^e3 + s1 e3^e1 + s2 e1^e2, inverse to pairing: pair_vt(e_k, u) = s[k].
 
@@ -151,15 +152,10 @@ def bivector(s):
     return [0, s[2], -s[1], -s[2], 0, s[0], s[1], -s[0], 0]
 
 
-def unit_tensors(degree: int):
-    """The 3**degree basis tensors in integer coordinates, which every field accepts."""
-    return [[int(i == j) for j in range(3 ** degree)] for i in range(3 ** degree)]
-
-
 def alt2_basis():
     """Basis e1^e2, e1^e3, e2^e3 of the alternating square, in integer coordinates."""
     e = unit_tensors(1)
-    return [wedge2(e[0], e[1]), wedge2(e[0], e[2]), wedge2(e[1], e[2])]
+    return [wedge2(e[j], e[k]) for j, k in _ALT2_PAIRS]
 
 
 def slot_action(op2: Matrix, s: int, t: int):

@@ -18,6 +18,7 @@ from .fields import QQ
 from .jsonio import vector_to_json
 from .linalg import Matrix, field_scalars, integer_coordinates, reduce_mod
 from .multilinear import (
+    _ALT2_PAIRS,
     _ALT3_UNIT,
     alt2_basis,
     bivector,
@@ -27,6 +28,7 @@ from .multilinear import (
     cyclic_shift,
     non_alternating_columns,
     pair_vt,
+    pairing_coordinates,
     random_invertible,
     slot_action,
     slot_product,
@@ -45,11 +47,10 @@ from .heckecore import (
     extract_F,
     extract_q,
     hecke_residual,
-    pairing_coordinates,
     skewsymmetrizer_matrix,
     t_operator_of_F,
 )
-from .classify import TYPE_LABELS, canonical, reference_r_matrix
+from .classify import Q_FAMILIES, TYPE_LABELS, canonical, reference_r_matrix
 
 __all__ = [
     "CheckReport",
@@ -72,8 +73,8 @@ __all__ = [
 
 # bound on one fuzz run's trials: the CLI takes the count from outside
 MAX_FUZZ_TRIALS = 10_000
-# the basis e_j ^ e_k of Alt2, built from no input, and its (j, k): j < k in product order
-_ALT2, _PAIRS = alt2_basis(), ((0, 1), (0, 2), (1, 2))
+# the basis e_j ^ e_k of Alt2, built from no input, for (j, k) in _ALT2_PAIRS
+_ALT2 = alt2_basis()
 
 
 @dataclass(frozen=True)
@@ -163,7 +164,7 @@ def check_image_and_eigen(Y: Matrix, q) -> CheckReport:
         if rk != 3:
             yield _witness(fld, {"rank": rk}, str(rk), "3")
         (a,), b = integer_coordinates(fld, [q])  # q is read only after the image test
-        for (j, k), w in zip(_PAIRS, _ALT2):
+        for (j, k), w in zip(_ALT2_PAIRS, _ALT2):
             got = reduce_mod([b * (x - y) for x, y in zip(n[idx2(j, k)::9], n[idx2(k, j)::9])], p)
             want = reduce_mod([(a + b) * d * c for c in w], p)
             if got != want:
@@ -182,9 +183,9 @@ def braid_table(Y: Matrix):
     (y1, d, m), (y2, _, _) = slot_action(Y, 0, 1), slot_action(Y, 1, 2)
     w, p = 2 * (9 * m).bit_length() + 2, Y.field.characteristic
     y21, y12 = slot_product((y2, y1), w), slot_product((y1, y2), w)
-    return ([[unpack(y21[idx3(i, j, k)] - y21[idx3(i, k, j)], w, p) for j, k in _PAIRS]
+    return ([[unpack(y21[idx3(i, j, k)] - y21[idx3(i, k, j)], w, p) for j, k in _ALT2_PAIRS]
              for i in range(3)],
-            [[unpack(y12[idx3(j, k, i)] - y12[idx3(k, j, i)], w, p) for j, k in _PAIRS]
+            [[unpack(y12[idx3(j, k, i)] - y12[idx3(k, j, i)], w, p) for j, k in _ALT2_PAIRS]
              for i in range(3)], d)
 
 
@@ -230,7 +231,7 @@ def check_component_identity(Y: Matrix, q, table=None) -> CheckReport:
     def mismatches():
         for r, t, i in product(range(3), repeat=3):
             c, rt = idx3(r, r, t), idx2(r, t)
-            for (j, k), s, col in zip(_PAIRS, _ALT2, vxa[i]):
+            for (j, k), s, col in zip(_ALT2_PAIRS, _ALT2, vxa[i]):
                 lhs, rhs = reduce_mod([b * col[c], a * d * d * s[rt] if i == r else 0], p)
                 if lhs != rhs:
                     yield _witness(Y.field, {"indices": [i + 1, j + 1, k + 1, r + 1, t + 1]},
@@ -243,7 +244,7 @@ def check_pairing_identities(Y: Matrix, q) -> CheckReport:
     """The two identities for the pairing forms of Y.
 
     With L[x,y](z) = pair_vt(x, Y(y z)), the coefficient of x ^ Y(y z), read
-    off rows 5, 6 and 1 of Y by :func:`~hecke3.heckecore.pairing_coordinates`:
+    off rows 5, 6 and 1 of Y by :func:`~hecke3.multilinear.pairing_coordinates`:
 
       * L[x,y](z) - L[x,z](y) = (q+1) vol(x,y,z)  (linear in all slots,
         checked on basis triples, times b d for Y = N / d and q = a / b);
@@ -274,7 +275,7 @@ def check_pairing_identities(Y: Matrix, q) -> CheckReport:
             lx = [[sum(x[i] * ell[i][j][u] for i in range(3)) for u in range(3)] for j in range(3)]
             lxx = [sum(x[j] * lx[j][u] for j in range(3)) for u in range(3)]
             volx = bivector(x)
-            for (j, k), (u, v) in product(product(range(3), repeat=2), _PAIRS):
+            for (j, k), (u, v) in product(product(range(3), repeat=2), _ALT2_PAIRS):
                 s, t = reduce_mod([b * (lx[j][u] * lx[k][v] - lx[j][v] * lx[k][u]
                                         - lxx[u] * ell[j][k][v] + lxx[v] * ell[j][k][u]),
                                    a * d * d * volx[idx2(j, k)] * volx[idx2(u, v)]], p)
@@ -314,8 +315,8 @@ def check_cyclic_shift_identity(Y: Matrix, T: Matrix, q, table=None) -> CheckRep
 
 def check_value_tables(q, field=QQ) -> CheckReport:
     """Compare built symmetries of Types 1 to 6 against the value tables."""
-    for label in ("Type1", "Type2", "Type3", "Type4", "Type5", "Type6"):
-        use_q = q if label in ("Type1", "Type2") else None
+    for label in TYPE_LABELS[:6]:
+        use_q = q if label in Q_FAMILIES else None
         built = build_R(canonical(label, use_q, field)).R
         expected = reference_r_matrix(label, use_q, field)
         witness = column_witness(built, expected, type=label)
@@ -398,7 +399,7 @@ def sample_strategy_b(field, rng) -> HeckeData:
     while True:
         try:
             data = canonical(label, rng.choice(_CANONICAL_Q_POOL)
-                             if label in ("Type1", "Type2") else None, field)
+                             if label in Q_FAMILIES else None, field)
         except (InputError, InvalidQ):  # over F_p a pool value can be 0, 1 or not exist
             continue
         return conjugate_data(data, random_invertible(field, rng))

@@ -15,13 +15,26 @@ checks the ``Matrix`` expression ``Matrix.identity(...).scale(q) - M``.
 coordinate at a time, which the packed columns of ``multilinear.slot_product``
 replaced.  ``delta`` is the former field-scalar -tr(T^2)/2 of ``FOperator.delta``, and
 ``g_value`` the former ``heckecore.g_value``, which evaluated a form on field scalars.
+``wedge_vt`` and ``wedge3`` are the former list wedges of ``multilinear``, which built
+e1^e2^e3 through two cyclic shifts before ``multilinear._ALT3_UNIT`` was read off ``vol``.
 """
 
 from hecke3.errors import DimensionMismatch, NotHeckeSym0, SingularMatrix
 from hecke3.fields import Fp
-from hecke3.heckecore import FOperator, pairing_coordinates, t_operator_of_F
+from hecke3.heckecore import FOperator, t_operator_of_F
 from hecke3.linalg import Matrix, reduce_mod
-from hecke3.multilinear import bivector, is_alt2, pair_vt, std_basis, unit_tensors, vol
+from hecke3.multilinear import (
+    bivector,
+    cyclic_shift,
+    is_alt2,
+    pair_vt,
+    pairing_coordinates,
+    std_basis,
+    tensor2,
+    unit_tensors,
+    vol,
+    wedge2,
+)
 
 
 def mul(a: Matrix, b: Matrix) -> Matrix:
@@ -195,6 +208,21 @@ def g_value(g: Matrix, x, y):
     """Evaluate the bilinear form given by a 3x3 matrix: the sum of x_i g_ij y_j."""
     r = g.rows
     return sum((x[i] * r[i][j] * y[j] for i in range(3) for j in range(3)), g.field.zero())
+
+
+def wedge_vt(x, t):
+    """x ^ t for an alternating degree-2 tensor t, extending x ^ (y ^ z) = x ^ y ^ z bilinearly.
+
+    With w = x (x) t the wedge is w + shift(w) + shift^2(w).
+    """
+    w = tensor2(x, t)
+    s = cyclic_shift(w)
+    return [a + b + c for a, b, c in zip(w, s, cyclic_shift(s))]
+
+
+def wedge3(x, y, z):
+    """Full alternation of x (x) y (x) z over the six permutations."""
+    return wedge_vt(x, wedge2(y, z))
 
 
 def delta(f_op: FOperator):

@@ -1,11 +1,13 @@
 """Every package module, test and demo uses each name it imports (``__init__`` re-exports, so
 it is exempt), every name in a module's ``__all__`` exists on that module, the package's
 modules import one another at the top only, along an acyclic graph, the errors of the rule
-for q are raised in one function, and no package line is longer than 100 characters (so the
-package's line count is not met by packing more code onto each line)."""
+for q are raised in one function, the type labels are spelled out in ``classify`` only, and no
+package line is longer than 100 characters (so the package's line count is not met by packing
+more code onto each line)."""
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -132,6 +134,30 @@ def test_the_rule_check_sees_every_raise():
            "    if True:\n        raise InvalidConstraint('y') from None\n    raise ValueError\n\n"
            "raise ZeroQ\n")
     assert rule_raisers(src, "m") == {"m:A.f", "m:g.h", "m:g", "m:"}
+
+
+TYPE_LABEL = re.compile(r"^Type[1-8]$")
+
+
+def type_label_constants(source: str):
+    """(line number, text) of each string constant that is a type label, such as "Type1"."""
+    return sorted((node.lineno, node.value) for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and TYPE_LABEL.match(node.value))
+
+
+def test_the_type_labels_have_one_home():
+    """Other modules read classify.TYPE_LABELS and classify.Q_FAMILIES."""
+    found = {p.stem: labels for p in PACKAGE.glob("*.py") if p.stem != "classify"
+             and (labels := type_label_constants(p.read_text()))}
+    assert found == {}
+
+
+def test_the_label_check_sees_every_label_constant():
+    src = ('x = ("Type1", "Type2")\nif label == "Type8":\n    pass\n'
+           'y = {"Type3": 1, "Type9": 2, "Type10": 3, "type4": 4}\nz = f"Type{n}"\n'
+           '"""Type5 docstring"""\n')
+    assert type_label_constants(src) == [(1, "Type1"), (1, "Type2"), (2, "Type8"), (4, "Type3")]
 
 
 MAX_LINE_CHARS = 100

@@ -1,16 +1,24 @@
-"""Wedge products, the volume form, subspace tests, lifts and the shift."""
+"""Wedge products, the volume form, the tensor layout, subspace tests, lifts and the shift.
+
+``wedge3`` and ``wedge_vt`` are the list references in ``field_reference``; the layout tests
+pin e1^e2^e3, the Alt2 pair order and the pairing rows, each defined once in ``multilinear``.
+"""
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
 
-from hecke3.errors import NotAlternating
+from field_reference import wedge3, wedge_vt
 from hecke3.fields import GF, QQ
 from hecke3.linalg import Matrix
 from hecke3.multilinear import (
+    _ALT2_PAIRS,
+    _ALT3_UNIT,
     alt2_basis,
+    bivector,
     cyclic_shift,
     idx2,
     idx3,
@@ -19,12 +27,12 @@ from hecke3.multilinear import (
     lift_left,
     lift_right,
     pair_vt,
+    pairing_coordinates,
     std_basis,
     tensor2,
+    unit_tensors,
     vol,
     wedge2,
-    wedge3,
-    wedge_vt,
 )
 
 E1, E2, E3 = std_basis(QQ)
@@ -96,11 +104,6 @@ def test_wedge_vt_cyclic_evenness():
     assert wedge_vt(E3, wedge2(E1, E2)) == wedge3(E1, E2, E3)
 
 
-def test_wedge_vt_requires_alternating():
-    with pytest.raises(NotAlternating):
-        wedge_vt(E1, tensor2(E2, E3))
-
-
 def test_vol_normalization_and_antisymmetry():
     assert vol(E1, E2, E3) == 1
     assert vol(E2, E1, E3) == -1
@@ -134,6 +137,40 @@ def test_four_argument_alternation():
             - f(vs[3]) * vol(vs[0], vs[1], vs[2])
         )
         assert acc == 0
+
+
+def test_the_alternating_cube_unit_is_the_wedge_and_the_volume():
+    """e1^e2^e3 equals the list wedge and vol(e_i, e_j, e_k) at each of the 27 unit triples."""
+    e = unit_tensors(1)
+    assert _ALT3_UNIT == wedge3(*e)
+    assert [_ALT3_UNIT[idx3(i, j, k)] for i, j, k in product(range(3), repeat=3)] == [
+        vol(e[i], e[j], e[k]) for i, j, k in product(range(3), repeat=3)]
+    assert sorted(_ALT3_UNIT) == [-1] * 3 + [0] * 21 + [1] * 3
+
+
+def test_alt2_basis_follows_the_pair_order():
+    """The pairs are j < k in product order, and alt2_basis() is e_j^e_k in that order."""
+    e = unit_tensors(1)
+    pairs = [(j, k) for j, k in product(range(3), repeat=2) if j < k]
+    assert list(_ALT2_PAIRS) == pairs
+    assert alt2_basis() == [wedge2(e[j], e[k]) for j, k in pairs]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7), GF(2 ** 61 - 1)], ids=["Q", "Fp7", "Fp2^61-1"])
+def test_pairing_coordinates_agree_with_pair_vt(field):
+    """On Y with random bivector columns, l[i][j][k] = pair_vt(e_i, Y(e_j e_k)) for every
+    column, read off the field scalars and off the integer coordinates of Y."""
+    rng = random.Random(11)
+    e = std_basis(field)
+    for _ in range(20):
+        s = [[field.of(Fraction(rng.randint(-9, 9), rng.randint(1, 4))) for _ in range(3)]
+             for _ in range(9)]
+        Y = Matrix.from_columns(field, [[field.of(x) for x in bivector(c)] for c in s])
+        (n, d), ys = Y.integers(), [x for row in Y.rows for x in row]
+        ell, ell_n = pairing_coordinates(ys), pairing_coordinates(n)
+        for i, j, k in product(range(3), repeat=3):
+            assert ell[i][j][k] == pair_vt(e[i], Y.col(idx2(j, k))) == s[idx2(j, k)][i]
+            assert ell_n[i][j][k] == pair_vt(e[i], n[idx2(j, k)::9])
 
 
 def test_pairing_nondegeneracy():

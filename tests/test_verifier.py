@@ -27,7 +27,6 @@ from hecke3.multilinear import (
     tensor2,
     vol,
     wedge2,
-    wedge_vt,
 )
 from hecke3.heckecore import (
     FOperator,
@@ -759,7 +758,7 @@ def reference_cyclic_shift_identity(Y, T, q):
             tx, xt = tensor2(t, e[i]), tensor2(e[i], t)
             shift = cyclic_shift(y2.apply(y1.apply(xt)))
             lhs = [a - b for a, b in zip(y1.apply(y2.apply(tx)), shift)]
-            rhs = [2 * (qq + 1) * c for c in wedge_vt(T.apply(e[i]), t)]
+            rhs = [2 * (qq + 1) * c for c in fref.wedge_vt(T.apply(e[i]), t)]
             if lhs != rhs:
                 return CheckReport("cyclic_shift_identity", _witness(
                     fld, {"vector": i + 1, "bivector": vector_to_json(fld, t)}, lhs, rhs))
