@@ -32,7 +32,7 @@ from .errors import (
     SingularDeformation,
     ZeroQ,
 )
-from .linalg import Matrix, integer_coordinates, reduce_mod
+from .linalg import Matrix, field_scalars, integer_coordinates, reduce_mod
 from .multilinear import (
     _ALT3_UNIT,
     bivector,
@@ -109,18 +109,21 @@ def solve_q(a, b, g: Matrix):
 
 @dataclass(frozen=True)
 class HeckeData:
-    """A validated parametrizing quadruple (q, a, b, g); q is coerced into g's field."""
+    """A validated quadruple (q, a, b, g), q coerced into g's field; t = a^b formed on integers."""
 
     q: object
     a: list
     b: list
     g: Matrix
+    t: list = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.a) != 3 or len(self.b) != 3:
             raise InputError("a and b must be 3-dimensional vectors")
-        f_op = FOperator(_checked_form(self.g), wedge2(self.a, self.b))
-        object.__setattr__(self, "q", _admissible_q(self.q, f_op))
+        fld = _checked_form(self.g).field
+        (an, ad), (bn, bd) = integer_coordinates(fld, self.a), integer_coordinates(fld, self.b)
+        object.__setattr__(self, "t", t := field_scalars(fld, wedge2(an, bn), ad * bd))
+        object.__setattr__(self, "q", _admissible_q(self.q, FOperator(self.g, t)))
 
     @property
     def field(self):
@@ -195,7 +198,7 @@ class HeckeSymmetry:
 
 def build_R(data: HeckeData) -> HeckeSymmetry:
     """The Hecke symmetry R = q*Id - Y of a validated quadruple."""
-    Y = skewsymmetrizer_matrix(data.q, data.g, wedge2(data.a, data.b))
+    Y = skewsymmetrizer_matrix(data.q, data.g, data.t)
     return HeckeSymmetry(Matrix.identity(data.field, 9).scale(data.q) - Y, data.q)
 
 

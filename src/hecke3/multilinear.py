@@ -38,6 +38,7 @@ __all__ = [
     "slot_action",
     "slot_product",
     "unpack",
+    "vanishes_mod",
     "lift_left",
     "lift_right",
     "cyclic_shift",
@@ -165,16 +166,17 @@ def slot_action(op2: Matrix, s: int, t: int):
     from :meth:`~hecke3.linalg.Matrix.integers` as residues nearest zero over F_p; m is the
     largest |coefficient|.  Slot s takes the first tensor factor, slot t the second: (0, 1) is
     Y (x) Id, (1, 2) is Id (x) Y, (0, 2) the outer slots.  The one shape check of degree 3.
+    One scan lists the moves of N e_c for each column c; basis tensor b reads those of its
+    column (digits s and t), shifted by the weight of its slot u left alone.
     """
     if op2.nrows != 9 or op2.ncols != 9:
         raise DimensionMismatch(f"a degree-2 operator must be 9x9, got {op2.nrows}x{op2.ncols}")
-    (n, d), weight, u, moves = op2.integers(), (9, 3, 1), 3 - s - t, []  # u: the slot left alone
+    (n, d), weight, u = op2.integers(), (9, 3, 1), 3 - s - t  # u: the slot left alone
     n = reduce_mod(n, op2.field.characteristic)
-    for b in range(27):
-        digit = (b // 9, b // 3 % 3, b % 3)
-        c, base = 3 * digit[s] + digit[t], weight[u] * digit[u]
-        moves.append([(base + weight[s] * (r // 3) + weight[t] * (r % 3), n[9 * r + c])
-                      for r in range(9) if n[9 * r + c]])
+    offsets = [weight[s] * (r // 3) + weight[t] * (r % 3) for r in range(9)]
+    cols = [[(o, x) for o, x in zip(offsets, n[c::9]) if x] for c in range(9)]  # N e_c
+    moves = [[(weight[u] * digit[u] + o, x) for o, x in cols[3 * digit[s] + digit[t]]]
+             for digit in product(range(3), repeat=3)]
     return moves, d, max(map(abs, n))
 
 
@@ -195,11 +197,24 @@ def slot_product(factors, w):
     return cols
 
 
+def _lanes(v, w):
+    """The 27 coordinates of the packed column v of width w, each plus 2^(w-1): in [0, 2^w)."""
+    mask, half = (1 << w) - 1, 1 << (w - 1)
+    v += half * ((1 << 27 * w) - 1) // mask
+    return [(v >> s) & mask for s in range(0, 27 * w, w)]
+
+
 def unpack(v, w, p):
     """The 27 coordinates of the packed column v of width w, reduced mod p (p = 0: exact)."""
-    mask, half = (1 << w) - 1, 1 << (w - 1)
-    v += half * ((1 << 27 * w) - 1) // mask  # half added to every coordinate: all in [0, 2^w)
-    return reduce_mod([((v >> s) & mask) - half for s in range(0, 27 * w, w)], p)
+    half = 1 << (w - 1)
+    return reduce_mod([x - half for x in _lanes(v, w)], p)
+
+
+def vanishes_mod(v, w, p):
+    """Whether every coordinate of the packed column v of width w is 0 mod p, for p > 0: each
+    lane is its coordinate plus 2^(w-1), so every lane must be 2^(w-1) mod p."""
+    h = (1 << (w - 1)) % p
+    return all(x % p == h for x in _lanes(v, w))
 
 
 def lift_left(op2: Matrix) -> Matrix:

@@ -36,6 +36,7 @@ from .multilinear import (
     tensor2,
     unit_tensors,
     unpack,
+    vanishes_mod,
     wedge2,
 )
 from .heckecore import (
@@ -136,13 +137,19 @@ def _non_alternating_columns(Y: Matrix):
                        "alternating tensor expected")
 
 
+def _mismatches(keys, lhs, rhs, p):
+    """(key, lhs, rhs) where the integer lists differ mod p, in order; each side reduced once."""
+    return ((k, x, y) for k, x, y in zip(keys, reduce_mod(lhs, p), reduce_mod(rhs, p)) if x != y)
+
+
 def check_braid(R: Matrix) -> CheckReport:
     """(R x Id)(Id x R)(R x Id) = (Id x R)(R x Id)(Id x R), times d^3 for R = N / d, on packed
-    columns: over Q equal ints are equal columns, over F_p their difference is tested mod p."""
+    columns: over Q equal ints are equal columns, over F_p their difference is tested mod p lane
+    by lane.  Only the witness column is unpacked."""
     (r1, d, m), (r2, _, _) = slot_action(R, 0, 1), slot_action(R, 1, 2)
     w, p, zero = 3 * (9 * m).bit_length() + 2, R.field.characteristic, [0] * 27
     columns = (((unpack(x, w, p), unpack(y, w, p))
-                if x != y and (not p or any(unpack(x - y, w, p))) else (zero, zero))
+                if x != y and (not p or not vanishes_mod(x - y, w, p)) else (zero, zero))
                for x, y in zip(slot_product((r1, r2, r1), w), slot_product((r2, r1, r2), w)))
     return CheckReport("braid", columns_witness(R.field, columns, d ** 3))
 
@@ -223,21 +230,18 @@ def check_component_identity(Y: Matrix, q, table=None) -> CheckReport:
     the V (x) Alt2 columns of :func:`braid_table` (times b d^2, for Y = N / d and q = a / b)
     at j < k: j = k gives 0, and j > k mirrors j < k later in the loop order.  The e_r e_r e_t
     coordinate of w is e_i[r] (e_j^e_k)[idx2(r, t)]: that of e_j^e_k when i = r, else 0.
+    Each side is formed on all 81 (r, t, i, j, k) in loop order and reduced mod p once.
     """
     vxa, _, d = table or braid_table(Y)
     (a,), b = integer_coordinates(Y.field, [q])
-    p = Y.field.characteristic
-
-    def mismatches():
-        for r, t, i in product(range(3), repeat=3):
-            c, rt = idx3(r, r, t), idx2(r, t)
-            for (j, k), s, col in zip(_ALT2_PAIRS, _ALT2, vxa[i]):
-                lhs, rhs = reduce_mod([b * col[c], a * d * d * s[rt] if i == r else 0], p)
-                if lhs != rhs:
-                    yield _witness(Y.field, {"indices": [i + 1, j + 1, k + 1, r + 1, t + 1]},
-                                   lhs, rhs, scale=b * d * d)
-
-    return CheckReport("component_identity", next(mismatches(), None))
+    cells = [(r, t, i, j, k, s) for r, t, i in product(range(3), repeat=3)
+             for s, (j, k) in enumerate(_ALT2_PAIRS)]
+    lhs = [b * vxa[i][s][idx3(r, r, t)] for r, t, i, j, k, s in cells]
+    rhs = [a * d * d * _ALT2[s][idx2(r, t)] if i == r else 0 for r, t, i, j, k, s in cells]
+    return CheckReport("component_identity", next((_witness(
+        Y.field, {"indices": [i + 1, j + 1, k + 1, r + 1, t + 1]}, x, y, scale=b * d * d)
+        for (r, t, i, j, k, _), x, y in _mismatches(cells, lhs, rhs, Y.field.characteristic)),
+        None))
 
 
 def check_pairing_identities(Y: Matrix, q) -> CheckReport:
@@ -262,26 +266,26 @@ def check_pairing_identities(Y: Matrix, q) -> CheckReport:
 
     def mismatches():
         yield from _non_alternating_columns(Y)
-        for i, j, k in product(range(3), repeat=3):
-            lhs, rhs = reduce_mod([b * (ell[i][j][k] - ell[i][k][j]),
-                                   (a + b) * d * _ALT3_UNIT[idx3(i, j, k)]], p)
-            if lhs != rhs:
-                yield _witness(fld, {"indices": [i + 1, j + 1, k + 1]}, lhs, rhs, scale=b * d,
-                               identity="eigenvalue")
+        triples = list(product(range(3), repeat=3))  # in idx3 order, as _ALT3_UNIT
+        for (i, j, k), s, t in _mismatches(
+                triples, [b * (ell[i][j][k] - ell[i][k][j]) for i, j, k in triples],
+                [(a + b) * d * c for c in _ALT3_UNIT], p):
+            yield _witness(fld, {"indices": [i + 1, j + 1, k + 1]}, s, t, scale=b * d,
+                           identity="eigenvalue")
         xs = [(f"e{i+1}", e[i]) for i in range(3)] + [(f"e1+e{j+1}", [
             s + t for s, t in zip(e[0], e[j])]) for j in (1, 2)]
+        cells = list(product(product(range(3), repeat=2), _ALT2_PAIRS))
         for xname, x in xs:
             # lx[j][u] = d L[x, e_j](e_u) and lxx[u] = d L[x, x](e_u), linear in each x
             lx = [[sum(x[i] * ell[i][j][u] for i in range(3)) for u in range(3)] for j in range(3)]
             lxx = [sum(x[j] * lx[j][u] for j in range(3)) for u in range(3)]
             volx = bivector(x)
-            for (j, k), (u, v) in product(product(range(3), repeat=2), _ALT2_PAIRS):
-                s, t = reduce_mod([b * (lx[j][u] * lx[k][v] - lx[j][v] * lx[k][u]
-                                        - lxx[u] * ell[j][k][v] + lxx[v] * ell[j][k][u]),
-                                   a * d * d * volx[idx2(j, k)] * volx[idx2(u, v)]], p)
-                if s != t:
-                    yield _witness(fld, {"x": xname, "indices": [j + 1, k + 1, u + 1, v + 1]},
-                                   s, t, scale=b * d * d, identity="wedge")
+            lhs = [b * (lx[j][u] * lx[k][v] - lx[j][v] * lx[k][u] - lxx[u] * ell[j][k][v]
+                        + lxx[v] * ell[j][k][u]) for (j, k), (u, v) in cells]
+            rhs = [a * d * d * volx[idx2(j, k)] * volx[idx2(u, v)] for (j, k), (u, v) in cells]
+            for ((j, k), (u, v)), s, t in _mismatches(cells, lhs, rhs, p):
+                yield _witness(fld, {"x": xname, "indices": [j + 1, k + 1, u + 1, v + 1]},
+                               s, t, scale=b * d * d, identity="wedge")
 
     return CheckReport("pairing_identities", next(mismatches(), None))
 
@@ -357,16 +361,17 @@ def _suite_and_F(sym: HeckeSymmetry):
     return reports, f_op
 
 
-def _random_scalar(field, rng):
-    if field.characteristic == 0:
-        return field.of(rng.randint(-4, 4))
-    return field.of(rng.randint(0, field.characteristic - 1))
+def _random_int(field, rng):
+    """A random integer coordinate: in [-4, 4] over Q, a residue over F_p."""
+    p = field.characteristic
+    return rng.randint(0, p - 1) if p else rng.randint(-4, 4)
 
 
 def _random_independent_pair(field, rng):
+    """The integer coordinates of two random vectors a, b with a^b != 0 in the field."""
     while True:
-        a, b = ([_random_scalar(field, rng) for _ in range(3)] for _ in range(2))
-        if any(x != 0 for x in wedge2(a, b)):
+        a, b = ([_random_int(field, rng) for _ in range(3)] for _ in range(2))
+        if any(reduce_mod(wedge2(a, b), field.characteristic)):
             return a, b
 
 
@@ -377,16 +382,18 @@ def sample_strategy_a(field, rng) -> HeckeData:
     is then -g(a,b)^2 and q = 1 +/- 2 g(a,b) lies in the field.  The nonzero
     root is kept.
     """
-    a, b = _random_independent_pair(field, rng)
+    an, bn = _random_independent_pair(field, rng)
+    a, b = [field.of(x) for x in an], [field.of(x) for x in bn]
     # complete a to a basis by the first standard vectors independent of it
     e = std_basis(field)
     pivots = Matrix.from_columns(field, [a] + e).rref()[1]
     B = Matrix.from_columns(field, [a] + [e[p - 1] for p in pivots[1:]])
-    v = [_random_scalar(field, rng) for _ in range(5)]
-    g_new = Matrix(field, [[field.zero(), v[0], v[1]], [v[0], v[2], v[3]], [v[1], v[3], v[4]]])
+    v = [_random_int(field, rng) for _ in range(5)]
+    g_new = Matrix.of_integers(field, 3, 3, [0, v[0], v[1], v[0], v[2], v[3], v[1], v[3], v[4]])
     binv = B.inverse()
     g = binv.transpose() * g_new * binv
-    gab = sum(x * y for x, y in zip(a, g.apply(b)))  # g(a, b)
+    gn, gd = g.integers()
+    gab, = field_scalars(field, [sum(x * y for x, y in zip(gn, tensor2(an, bn)))], gd)  # g(a, b)
     return HeckeData(field.one() + 2 * gab or field.one() - 2 * gab, a, b, g)
 
 

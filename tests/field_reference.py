@@ -17,15 +17,26 @@ replaced.  ``delta`` is the former field-scalar -tr(T^2)/2 of ``FOperator.delta`
 ``g_value`` the former ``heckecore.g_value``, which evaluated a form on field scalars.
 ``wedge_vt`` and ``wedge3`` are the former list wedges of ``multilinear``, which built
 e1^e2^e3 through two cyclic shifts before ``multilinear._ALT3_UNIT`` was read off ``vol``.
+``component_identity`` and ``pairing_identities`` are the former bodies of the verifier's
+checks, which reduced each (lhs, rhs) pair mod p on its own where the checks now reduce
+each side of a block once.
 """
+
+from itertools import product
+
 
 from hecke3.errors import DimensionMismatch, NotHeckeSym0, SingularMatrix
 from hecke3.fields import Fp
 from hecke3.heckecore import FOperator, t_operator_of_F
-from hecke3.linalg import Matrix, reduce_mod
+from hecke3.linalg import Matrix, integer_coordinates, reduce_mod
 from hecke3.multilinear import (
+    _ALT2_PAIRS,
+    _ALT3_UNIT,
+    alt2_basis,
     bivector,
     cyclic_shift,
+    idx2,
+    idx3,
     is_alt2,
     pair_vt,
     pairing_coordinates,
@@ -35,6 +46,7 @@ from hecke3.multilinear import (
     vol,
     wedge2,
 )
+from hecke3.verifier import CheckReport, _non_alternating_columns, _witness, braid_table
 
 
 def mul(a: Matrix, b: Matrix) -> Matrix:
@@ -310,3 +322,53 @@ def slot_action(op2: Matrix, s: int, t: int):
         return reduce_mod(out, modulus)
 
     return act, d
+
+
+def component_identity(Y: Matrix, q, table=None):
+    """verifier.check_component_identity with each (lhs, rhs) pair reduced mod p on its own."""
+    vxa, _, d = table or braid_table(Y)
+    (a,), b = integer_coordinates(Y.field, [q])
+    p = Y.field.characteristic
+
+    def mismatches():
+        for r, t, i in product(range(3), repeat=3):
+            c, rt = idx3(r, r, t), idx2(r, t)
+            for (j, k), s, col in zip(_ALT2_PAIRS, alt2_basis(), vxa[i]):
+                lhs, rhs = reduce_mod([b * col[c], a * d * d * s[rt] if i == r else 0], p)
+                if lhs != rhs:
+                    yield _witness(Y.field, {"indices": [i + 1, j + 1, k + 1, r + 1, t + 1]},
+                                   lhs, rhs, scale=b * d * d)
+
+    return CheckReport("component_identity", next(mismatches(), None))
+
+
+def pairing_identities(Y: Matrix, q):
+    """verifier.check_pairing_identities with each (lhs, rhs) pair reduced mod p on its own."""
+    fld, p, e = Y.field, Y.field.characteristic, unit_tensors(1)
+    n, d = Y.integers()
+    (a,), b = integer_coordinates(fld, [q])
+    ell = pairing_coordinates(n)  # d L
+
+    def mismatches():
+        yield from _non_alternating_columns(Y)
+        for i, j, k in product(range(3), repeat=3):
+            lhs, rhs = reduce_mod([b * (ell[i][j][k] - ell[i][k][j]),
+                                   (a + b) * d * _ALT3_UNIT[idx3(i, j, k)]], p)
+            if lhs != rhs:
+                yield _witness(fld, {"indices": [i + 1, j + 1, k + 1]}, lhs, rhs, scale=b * d,
+                               identity="eigenvalue")
+        xs = [(f"e{i+1}", e[i]) for i in range(3)] + [(f"e1+e{j+1}", [
+            s + t for s, t in zip(e[0], e[j])]) for j in (1, 2)]
+        for xname, x in xs:
+            lx = [[sum(x[i] * ell[i][j][u] for i in range(3)) for u in range(3)] for j in range(3)]
+            lxx = [sum(x[j] * lx[j][u] for j in range(3)) for u in range(3)]
+            volx = bivector(x)
+            for (j, k), (u, v) in product(product(range(3), repeat=2), _ALT2_PAIRS):
+                s, t = reduce_mod([b * (lx[j][u] * lx[k][v] - lx[j][v] * lx[k][u]
+                                        - lxx[u] * ell[j][k][v] + lxx[v] * ell[j][k][u]),
+                                   a * d * d * volx[idx2(j, k)] * volx[idx2(u, v)]], p)
+                if s != t:
+                    yield _witness(fld, {"x": xname, "indices": [j + 1, k + 1, u + 1, v + 1]},
+                                   s, t, scale=b * d * d, identity="wedge")
+
+    return CheckReport("pairing_identities", next(mismatches(), None))

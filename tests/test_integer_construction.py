@@ -17,9 +17,15 @@ import pytest
 import field_reference as fref
 from hecke3.errors import NotHeckeSym0
 from hecke3.fields import GF, QQ
-from hecke3.heckecore import HeckeSymmetry, extract_F, skewsymmetrizer_matrix
+from hecke3.heckecore import (
+    HeckeData,
+    HeckeSymmetry,
+    conjugate_data,
+    extract_F,
+    skewsymmetrizer_matrix,
+)
 from hecke3.linalg import Matrix
-from hecke3.multilinear import wedge2
+from hecke3.multilinear import random_invertible, wedge2
 from hecke3.verifier import sample_adversarial, sample_strategy_a, sample_strategy_b
 from test_verifier import _reference_samples
 
@@ -115,3 +121,19 @@ def test_extract_F_on_integers_matches_the_field_reference(field):
         outcomes.add("zero" if got.is_zero() else "rank 1")
     assert outcomes == {"zero", "rank 1", "the invariant operator does not have rank 1",
                         "the parameter-discriminant constraint fails for the extracted operator"}
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_hecke_data_t_is_the_wedge_of_a_and_b_on_field_scalars(field):
+    """HeckeData forms t = a^b on the integer coordinates of a and b: it equals wedge2 on the
+    field scalars, also where a and b have denominators, and takes no part in == or repr."""
+    rng, denominators = random.Random(43), set()
+    for n in range(12):
+        data = (sample_strategy_a if n % 2 else sample_strategy_b)(field, rng)
+        moved = conjugate_data(data, random_invertible(field, rng).inverse())
+        for d in (data, moved):
+            assert d.t == wedge2(d.a, d.b)
+            assert {type(x) for x in d.t} == {type(field.one())}
+            assert HeckeData(d.q, d.a, d.b, d.g) == d and "t=" not in repr(d)
+            denominators.update(getattr(x, "denominator", 1) > 1 for x in d.a + d.b)
+    assert denominators == ({False, True} if field is QQ else {False})

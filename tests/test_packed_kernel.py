@@ -9,7 +9,9 @@ strategy A and B symmetries (their R, Y and classical r), adversarial
 operators, the zero operator, and extreme operators whose entries are all
 +-m; on the extreme operators the exact coordinates of every product and
 difference are checked against the packing bound 2^(w - 1).  The checks
-unpack a column only where the packed ints cannot decide it.
+unpack a column only where the packed ints cannot decide it: over F_p the braid
+check tests a difference lane by lane (``multilinear.vanishes_mod``), which must
+agree with unpacking it to zero.
 """
 
 import random
@@ -34,6 +36,7 @@ from hecke3.multilinear import (
     tensor2,
     unit_tensors,
     unpack,
+    vanishes_mod,
     wedge2,
 )
 from hecke3.verifier import (
@@ -120,6 +123,49 @@ def exact_product(factors):
 
 def largest(cols):
     return max(abs(c) for col in cols for c in col)
+
+
+def zero_columns(op, cols):
+    """op with the columns ``cols`` set to zero."""
+    n, d = op.integers()
+    return Matrix.of_integers(op.field, 9, 9, [0 if c % 9 in cols else x for c, x in enumerate(n)],
+                              d)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_slot_action_matches_the_list_action_move_for_move(field):
+    """The move tables read off one scan of the columns hold, per basis tensor, the set of moves
+    the list action applied one basis tensor at a time, on all three slot pairs; d and m too."""
+    ops = [op for _, op in samples(field)]
+    ops += [zero_columns(op, cols) for op in ops[:6] for cols in ({0, 4, 8}, set(range(9)) - {5})]
+    for op in ops:
+        for s, t in PAIRS:
+            moves, d, m = slot_action(op, s, t)
+            act, d_ref = fref.slot_action(op, s, t)
+            assert d == d_ref
+            assert m == max((abs(x) for mv in moves for _, x in mv), default=0)
+            assert all(len(set(mv)) == len(mv) for mv in moves)
+            assert [set(mv) for mv in moves] == [{(o, x) for o, x in enumerate(act(e)) if x}
+                                                 for e in unit_tensors(3)]
+
+
+@pytest.mark.parametrize("p", [3, 7, 1000003, 2**61 - 1], ids=FIELD_IDS[1:])
+def test_vanishes_mod_is_unpacking_to_zero(p):
+    """The lane test agrees with unpacking to zero on columns whose coordinates sit at 0, +-1,
+    +-p, the largest multiple of p in range and +-(2^(w - 1) - 1), the packing bound."""
+    rng, verdicts = random.Random(p), set()
+    for w in (p.bit_length() + 2, 3 * p.bit_length() + 7):
+        top = 2 ** (w - 1) - 1
+        zeros = (0, p, -p, top - top % p, top % p - top)  # every one is 0 mod p
+        values = zeros + (1, -1, top, -top)
+        for n in range(400):
+            coords = [rng.choice(zeros) for _ in range(27)]
+            for _ in range(n % 3):  # up to two coordinates off zero mod p, or none
+                coords[rng.randrange(27)] = rng.choice(values)
+            v = sum(c << (w * k) for k, c in enumerate(coords))
+            assert vanishes_mod(v, w, p) == (not any(unpack(v, w, p))), coords
+            verdicts.add(vanishes_mod(v, w, p))
+    assert verdicts == {True, False}
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
@@ -242,21 +288,18 @@ def recorded_unpacks(monkeypatch, module):
 
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
 def test_braid_unpacks_differences_mod_p_and_both_sides_only_at_the_witness(field, monkeypatch):
-    """Over Q unequal packed ints are a mismatch and only the witness column is unpacked; over
-    F_p each unequal pair up to the first mismatch unpacks its difference, mod p."""
+    """Over Q unequal packed ints are a mismatch, over F_p their difference is tested lane by lane
+    (vanishes_mod); over both, unpack runs on no column of a pass and on both sides of the
+    witness column only."""
     calls, p = recorded_unpacks(monkeypatch, verifier), field.characteristic
+    verdicts = set()
     for name, R in samples(field):
-        (r1, _, m), (r2, _, _) = slot_action(R, 0, 1), slot_action(R, 1, 2)
-        w = 3 * (9 * m).bit_length() + 2
-        pairs = list(zip(slot_product((r1, r2, r1), w), slot_product((r2, r1, r2), w)))
+        w = 3 * (9 * slot_action(R, 0, 1)[2]).bit_length() + 2
         calls.clear()
         report = check_braid(R)
-        assert all(call == (w, p) for call in calls), name
-        if report.passed:
-            assert len(calls) == (sum(x != y for x, y in pairs) if p else 0), name
-        else:
-            c = idx3(*(i - 1 for i in report.witness["input"]["basis_tensor"]))
-            assert len(calls) == (sum(x != y for x, y in pairs[:c + 1]) if p else 0) + 2, name
+        assert calls == ([] if report.passed else [(w, p)] * 2), name
+        verdicts.add(report.passed)
+    assert verdicts == {True, False}
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)

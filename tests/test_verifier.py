@@ -13,7 +13,7 @@ from hecke3.cli import main
 from hecke3.errors import NoHeckeParameter, NotHeckeSym0, SingularMatrix
 from hecke3 import fields, heckecore, verifier
 from hecke3.fields import GF, QQ
-from hecke3.linalg import Matrix, integer_coordinates
+from hecke3.linalg import Matrix, integer_coordinates, reduce_mod
 from hecke3.multilinear import (
     bivector,
     change_of_basis,
@@ -48,8 +48,9 @@ from hecke3.jsonio import hecke_data_to_json, matrix_to_json, vector_to_json
 from hecke3.verifier import (
     CheckReport,
     _random_independent_pair,
-    _random_scalar,
+    _random_int,
     _witness,
+    braid_table,
     check_braid,
     check_component_identity,
     check_containments,
@@ -344,7 +345,7 @@ class TestSamplers:
 
 def reference_sample_strategy_a(field, rng):
     """Strategy A with a completed to a basis by rank tests, one g entry at a time."""
-    a, b = _random_independent_pair(field, rng)
+    a, b = ([field.of(x) for x in v] for v in _random_independent_pair(field, rng))
     cols = [a]
     for i in range(3):
         cand = std_basis(field)[i]
@@ -358,7 +359,7 @@ def reference_sample_strategy_a(field, rng):
         for j in range(i, 3):
             if i == 0 and j == 0:
                 continue
-            v = _random_scalar(field, rng)
+            v = field.of(_random_int(field, rng))
             entries[i][j] = v
             entries[j][i] = v
     binv = B.inverse()
@@ -710,6 +711,46 @@ def test_component_and_pairing_match_the_reference_loops(field):
         assert pairing == reference_pairing_identities(Y, q).to_json()
         verdicts.add(component["passed"])
     assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_component_and_pairing_match_the_pairwise_reductions(field):
+    """Each side reduced once, whole, gives the document, witness included, of each (lhs, rhs)
+    pair reduced on its own (field_reference), also at q + 1, at 3 Y and on adversarial Y."""
+    rng = random.Random(47)
+    base = _reference_samples(field) + _variant_samples(field, random.Random(29))
+    samples = base + [(q + 1, Y) for q, Y in base] + [(q, Y.scale(field.of(3))) for q, Y in base]
+    for _ in range(10):
+        q, a, b, g = sample_adversarial(field, rng)
+        samples.append((q, skewsymmetrizer_matrix(q, g, wedge2(a, b))))
+    component, pairing = set(), set()
+    for q, Y in samples:
+        got = check_component_identity(Y, q).to_json()
+        assert got == fref.component_identity(Y, q).to_json()
+        component.add(got["passed"])
+        got = check_pairing_identities(Y, q).to_json()
+        assert got == fref.pairing_identities(Y, q).to_json()
+        pairing.add((got["witness"] or {}).get("identity"))
+    assert component == {True, False}
+    assert pairing >= {None, "eigenvalue", "wedge"}
+
+
+def test_a_passing_fp_suite_reduces_each_side_of_a_block_once(monkeypatch):
+    """The pairing check reduces two lists per block (the eigenvalue block and one block per
+    point x, 12 in all), the component identity two; each list holds the whole block."""
+    field, calls = GF(1_000_003), []
+    monkeypatch.setattr(verifier, "reduce_mod", lambda ns, p: calls.append(len(ns)) or
+                        reduce_mod(ns, p))
+    rng = random.Random(53)
+    for sampler in (sample_strategy_a, sample_strategy_b) * 2:
+        sym = build_R(sampler(field, rng))
+        table = braid_table(sym.Y)
+        calls.clear()
+        assert check_pairing_identities(sym.Y, sym.q).passed
+        assert calls == [27] * 12
+        calls.clear()
+        assert check_component_identity(sym.Y, sym.q, table).passed
+        assert calls == [81] * 2
 
 
 def _kron_lifts(op):
