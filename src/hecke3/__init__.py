@@ -91,7 +91,6 @@ from .cybe import (
     lie_subalgebra,
     matrix_unit,
     r21,
-    reference_carriers,
 )
 
 __version__ = "0.1.0"

@@ -14,17 +14,15 @@ span of the factors of a minimal tensor decomposition of r.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 from operator import mul
 
 from .errors import DimensionMismatch, FieldMismatch, Hecke3Error
-from .fields import QQ
 from .linalg import Matrix, field_scalars, reduce_mod
 from .heckecore import HeckeSymmetry, flip_matrix
 from .jsonio import matrix_to_json, vector_to_json
 from .multilinear import slot_action, slot_product, unpack
 from .verifier import CheckReport, column_witness, columns_witness
-from .classify import TYPE_LABELS
 
 __all__ = [
     "GlTensor",
@@ -40,7 +38,6 @@ __all__ = [
     "FrobeniusResult",
     "fingerprint",
     "matrix_unit",
-    "reference_carriers",
 ]
 
 
@@ -138,7 +135,8 @@ class LieSubalgebra:
     """A bracket-closed subalgebra of gl(3) with an echelonized basis.
 
     ``constants`` is the dim^2 x dim matrix whose row dim * i + j holds the coordinates
-    of [x_i, x_j] in the basis, from the last pass of the closure; ``center_dim`` is derived once.
+    of [x_i, x_j] in the basis, from the last pass of the closure: formed for i < j, the
+    negated row i < j for i > j, and 0 for i = j; ``center_dim`` is derived once.
     """
 
     field: object
@@ -172,7 +170,8 @@ def lie_subalgebra(field, generators) -> LieSubalgebra:
     """Bracket closure of the span of the given 3x3 matrices.
 
     On the echelon basis N_k / d, a bracket B / d^2 has coordinates B[lead_k] / d^2
-    (pivot columns) and lies in the span iff d B = sum_k B[lead_k] N_k (mod p).
+    (pivot columns) and lies in the span iff d B = sum_k B[lead_k] N_k (mod p).  Each pass
+    forms and tests [x_i, x_j] for i < j only.
     """
     if any(m.field != field for m in generators):
         raise FieldMismatch(f"a generator of a {field.name} subalgebra lies over another field")
@@ -187,7 +186,7 @@ def lie_subalgebra(field, generators) -> LieSubalgebra:
         (n, d), dim = red.integers(), len(leads)
         basis = [n[9 * k:9 * k + 9] for k in range(dim)]
         free = [t for t in range(9) if t not in leads]  # d B = sum_k ... holds at the leads
-        brackets = [_bracket(x, y) for x in basis for y in basis]
+        brackets = [_bracket(x, y) for x, y in combinations(basis, 2)]
         consts = [[b[lead] for lead in leads] for b in brackets]
         new = [b for b, c in zip(brackets, consts)
                if any(reduce_mod([d * b[t] - sum(ck * v[t] for ck, v in zip(c, basis))
@@ -195,7 +194,10 @@ def lie_subalgebra(field, generators) -> LieSubalgebra:
         if not new:
             break
         grew, rows = True, basis + new
-    constants = Matrix.of_integers(field, dim * dim, dim, [x for c in consts for x in c], d * d)
+    upper = dict(zip(combinations(range(dim), 2), consts))  # [x_j, x_i] = -[x_i, x_j]
+    full = [upper[i, j] if i < j else [-x for x in upper[j, i]] if j < i else [0] * dim
+            for i in range(dim) for j in range(dim)]
+    constants = Matrix.of_integers(field, dim * dim, dim, [x for c in full for x in c], d * d)
     return LieSubalgebra(field, tuple(Matrix.of_integers(field, 3, 3, v, d) for v in basis),
                          constants, grew)
 
@@ -294,20 +296,10 @@ def fingerprint(L: LieSubalgebra):
     n, _ = L.constants.integers()
     C = [n[i * d * d:(i + 1) * d * d] for i in range(d)]  # C[j][k * d + m] = c[j][k][m]
     adT = [[x for k in range(d) for x in Ci[k::d]] for Ci in C]  # adT[i][k * d + m] = c[i][m][k]
-    killing = [sum(map(mul, adT[i], C[j])) for i in range(d) for j in range(d)]
-    return (d, L.constants.rank(), L.center_dim, Matrix.of_integers(L.field, d, d, killing).rank())
-
-
-def reference_carriers(field=QQ) -> dict:
-    """The carrier subalgebras of the eight canonical types, as generators."""
-    E = lambda i, j: matrix_unit(field, i, j)
-    h = E(1, 1) + E(3, 3)
-    return dict(zip(TYPE_LABELS, [
-        None, None,
-        [E(1, 1), E(1, 3), E(2, 1), E(2, 3), E(3, 1), E(3, 3)],
-        [h, E(1, 3) - E(3, 1), E(2, 1), E(2, 3)],
-        [h, E(2, 1), E(2, 3), E(3, 1)],
-        [E(1, 3), E(3, 3)],
-        [E(1, 3), E(2, 3)],
-        [],
-    ]))
+    killing = [0] * (d * d)  # symmetric: formed for i <= j
+    for i, j in combinations_with_replacement(range(d), 2):
+        killing[d * i + j] = killing[d * j + i] = sum(map(mul, adT[i], C[j]))
+    # rows i > j of the constants are negated rows i < j, rows i = j are 0
+    derived = [x for i, j in combinations(range(d), 2) for x in C[i][d * j:d * j + d]]
+    return (d, Matrix.of_integers(L.field, len(derived) // d, d, derived).rank(), L.center_dim,
+            Matrix.of_integers(L.field, d, d, killing).rank())

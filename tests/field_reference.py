@@ -19,13 +19,24 @@ replaced.  ``delta`` is the former field-scalar -tr(T^2)/2 of ``FOperator.delta`
 e1^e2^e3 through two cyclic shifts before ``multilinear._ALT3_UNIT`` was read off ``vol``.
 ``component_identity`` and ``pairing_identities`` are the former bodies of the verifier's
 checks, which reduced each (lhs, rhs) pair mod p on its own where the checks now reduce
-each side of a block once.
+each side of a block once.  ``lie_subalgebra`` and ``fingerprint`` are the former bodies of
+``cybe.lie_subalgebra`` and ``cybe.fingerprint``, which formed all dim^2 brackets [x_i, x_j] on
+each closure pass and ranked all dim^2 rows of the constants, where the package now forms
+i < j only, and formed the Killing form at every (i, j), where the package forms i <= j.
 """
 
+import operator
 from itertools import product
 
 
-from hecke3.errors import DimensionMismatch, NotHeckeSym0, SingularMatrix
+from hecke3.cybe import LieSubalgebra, _bracket
+from hecke3.errors import (
+    DimensionMismatch,
+    FieldMismatch,
+    Hecke3Error,
+    NotHeckeSym0,
+    SingularMatrix,
+)
 from hecke3.fields import Fp
 from hecke3.heckecore import FOperator, t_operator_of_F
 from hecke3.linalg import Matrix, integer_coordinates, reduce_mod
@@ -372,3 +383,42 @@ def pairing_identities(Y: Matrix, q):
                                    s, t, scale=b * d * d, identity="wedge")
 
     return CheckReport("pairing_identities", next(mismatches(), None))
+
+
+def lie_subalgebra(field, generators) -> LieSubalgebra:
+    """cybe.lie_subalgebra forming and testing every bracket [x_i, x_j], i and j in range(dim)."""
+    if any(m.field != field for m in generators):
+        raise FieldMismatch(f"a generator of a {field.name} subalgebra lies over another field")
+    if any(m.nrows != 3 or m.ncols != 3 for m in generators):
+        raise DimensionMismatch("a generator of a subalgebra of gl(3) must be 3x3")
+    rows, grew, dim, p = [m.integers()[0] for m in generators], False, None, field.characteristic
+    while True:
+        red, leads = Matrix.of_integers(field, len(rows), 9, [x for r in rows for x in r]).rref()
+        if len(leads) == dim:
+            raise Hecke3Error("internal inconsistency: brackets outside the span did not grow it")
+        (n, d), dim = red.integers(), len(leads)
+        basis = [n[9 * k:9 * k + 9] for k in range(dim)]
+        free = [t for t in range(9) if t not in leads]
+        brackets = [_bracket(x, y) for x in basis for y in basis]
+        consts = [[b[lead] for lead in leads] for b in brackets]
+        new = [b for b, c in zip(brackets, consts)
+               if any(reduce_mod([d * b[t] - sum(ck * v[t] for ck, v in zip(c, basis))
+                                  for t in free], p))]
+        if not new:
+            break
+        grew, rows = True, basis + new
+    constants = Matrix.of_integers(field, dim * dim, dim, [x for c in consts for x in c], d * d)
+    return LieSubalgebra(field, tuple(Matrix.of_integers(field, 3, 3, v, d) for v in basis),
+                         constants, grew)
+
+
+def fingerprint(L: LieSubalgebra):
+    """cybe.fingerprint ranking all dim^2 rows of the constants, Killing form at every (i, j)."""
+    d = L.dim
+    if d == 0:
+        return (0, 0, 0, 0)
+    n, _ = L.constants.integers()
+    C = [n[i * d * d:(i + 1) * d * d] for i in range(d)]
+    adT = [[x for k in range(d) for x in Ci[k::d]] for Ci in C]
+    killing = [sum(map(operator.mul, adT[i], C[j])) for i in range(d) for j in range(d)]
+    return (d, L.constants.rank(), L.center_dim, Matrix.of_integers(L.field, d, d, killing).rank())

@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+from paper_reference import reference_carriers
 from hecke3.errors import CharacteristicTwo, SingularDeformation
 from hecke3.fields import GF, QQ
 from hecke3.linalg import Matrix
@@ -43,7 +44,6 @@ from hecke3.cybe import (
     is_frobenius,
     lie_subalgebra,
     matrix_unit,
-    reference_carriers,
 )
 
 Fr = Fraction

@@ -7,6 +7,7 @@ from itertools import product
 import pytest
 
 import field_reference as fref
+from paper_reference import reference_carriers
 import hecke3.cybe as cybe
 from hecke3.errors import DimensionMismatch, FieldMismatch, Hecke3Error
 from hecke3.fields import GF, QQ
@@ -31,7 +32,6 @@ from hecke3.cybe import (
     lie_subalgebra,
     matrix_unit,
     r21,
-    reference_carriers,
 )
 
 Fr = Fraction
@@ -411,6 +411,98 @@ def test_integer_closure_matches_the_field_reference(field):
         dims.add(L.dim)
         grew.add(L.closure_grew)
     assert dims >= {0, 2, 4, 6, 9} and grew == {False, True}
+
+
+def transported_carrier_generators(field, rng):
+    """The listed carrier generators moved by a random P, x -> P x P^-1."""
+    gens = []
+    for listed in reference_carriers(field).values():
+        if listed is not None:
+            P = random_invertible(field, rng)
+            gens.append([P * x * P.inverse() for x in listed])
+    return gens
+
+
+def growing_generators(field, rng, count):
+    """``count`` sets of 2-3 sparse generators, entries in {-2, ..., 2}, whose closure grows."""
+    found = []
+    while len(found) < count:
+        gens = [Matrix.from_rows(field, [[rng.randint(-2, 2) if rng.random() < 0.3 else 0
+                                          for _ in range(3)] for _ in range(3)])
+                for _ in range(rng.randint(2, 3))]
+        if fref.lie_subalgebra(field, gens).closure_grew:
+            found.append(gens)
+    return found
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3), GF(7), GF(1_000_003)],
+                         ids=["Q", "Fp3", "Fp7", "Fp1000003"])
+def test_half_bracket_closure_matches_the_full_closure(field):
+    """Brackets for i < j only, mirrored by sign, give the LieSubalgebra and fingerprint of the
+    former closure that formed all dim^2 brackets, bit for bit: on the listed carriers moved by
+    P, on growing closures, and on the differential sets (the eight types moved by P among them)."""
+    rng = random.Random(26)
+    sets = (transported_carrier_generators(field, rng) + growing_generators(field, rng, 12)
+            + differential_generators(field))
+    dims, grew = set(), set()
+    for gens in sets:
+        L, ref = lie_subalgebra(field, gens), fref.lie_subalgebra(field, gens)
+        assert L == ref
+        assert isinstance(L.constants, Matrix) and L.constants.integers() == ref.constants.integers()
+        assert L.center_dim == ref.center_dim
+        assert fingerprint(L) == fref.fingerprint(ref)
+        dims.add(L.dim)
+        grew.add(L.closure_grew)
+    assert dims >= {0, 1, 2, 3, 4, 6, 9} and grew == {False, True}
+
+
+def recorded_passes(monkeypatch):
+    """Record the _bracket calls and the dimension of each closure pass (one rref per pass)."""
+    brackets, dims = [], []
+    bracket, rref = cybe._bracket, Matrix.rref
+
+    def counted_bracket(x, y):
+        brackets.append(1)
+        return bracket(x, y)
+
+    def counted_rref(m):
+        red, leads = rref(m)
+        dims.append(len(leads))
+        return red, leads
+
+    monkeypatch.setattr(cybe, "_bracket", counted_bracket)
+    monkeypatch.setattr(Matrix, "rref", counted_rref)
+    return brackets, dims
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3), GF(7), GF(1_000_003)],
+                         ids=["Q", "Fp3", "Fp7", "Fp1000003"])
+def test_each_closure_pass_forms_the_brackets_i_lt_j_once(field, monkeypatch):
+    """A pass at dimension k calls _bracket k(k - 1)/2 times: 36 on the gl(3) carrier of
+    Type 1, 1 + 3 on E12, E21 (which grows to sl(2)), and the sum over the passes of a growth."""
+    rng = random.Random(9)
+    gl3 = classical_r(build_R(canonical("Type1", field.of(2), field)))
+    brackets, dims = recorded_passes(monkeypatch)
+    L = carrier(gl3)
+    assert (L.dim, L.closure_grew, dims, len(brackets)) == (9, False, [9], 36)
+    brackets.clear()
+    dims.clear()
+    assert lie_subalgebra(field, units(field, (1, 2), (2, 1))).dim == 3
+    assert (dims, len(brackets)) == ([2, 3], 4)
+    for gens in growing_generators(field, rng, 4):
+        brackets.clear()
+        dims.clear()
+        assert lie_subalgebra(field, gens).closure_grew and len(dims) >= 2
+        assert len(brackets) == sum(k * (k - 1) // 2 for k in dims)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3), GF(7)], ids=["Q", "Fp3", "Fp7"])
+def test_fingerprint_at_dimensions_one_and_three(field):
+    """E13 alone has no row i < j; E12 with E21 grows to sl(2), whose Killing form is
+    nondegenerate over these fields."""
+    for gens, want in (([(1, 3)], (1, 0, 1, 0)), ([(1, 2), (2, 1)], (3, 3, 0, 3))):
+        L = lie_subalgebra(field, units(field, *gens))
+        assert fingerprint(L) == reference_fingerprint(L) == fref.fingerprint(L) == want
 
 
 class TestFrobenius:
