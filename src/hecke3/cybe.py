@@ -136,7 +136,7 @@ class LieSubalgebra:
 
     ``constants`` is the dim^2 x dim matrix whose row dim * i + j holds the coordinates
     of [x_i, x_j] in the basis, from the last pass of the closure: formed for i < j, the
-    negated row i < j for i > j, and 0 for i = j; ``center_dim`` is derived once.
+    negation of row dim * j + i for i > j, and 0 for i = j; ``center_dim`` is derived once.
     """
 
     field: object
@@ -301,5 +301,5 @@ def fingerprint(L: LieSubalgebra):
         killing[d * i + j] = killing[d * j + i] = sum(map(mul, adT[i], C[j]))
     # rows i > j of the constants are negated rows i < j, rows i = j are 0
     derived = [x for i, j in combinations(range(d), 2) for x in C[i][d * j:d * j + d]]
-    return (d, Matrix.of_integers(L.field, len(derived) // d, d, derived).rank(), L.center_dim,
+    return (d, Matrix.of_integers(L.field, d * (d - 1) // 2, d, derived).rank(), L.center_dim,
             Matrix.of_integers(L.field, d, d, killing).rank())

@@ -448,7 +448,8 @@ def test_half_bracket_closure_matches_the_full_closure(field):
     for gens in sets:
         L, ref = lie_subalgebra(field, gens), fref.lie_subalgebra(field, gens)
         assert L == ref
-        assert isinstance(L.constants, Matrix) and L.constants.integers() == ref.constants.integers()
+        assert isinstance(L.constants, Matrix)
+        assert L.constants.integers() == ref.constants.integers()
         assert L.center_dim == ref.center_dim
         assert fingerprint(L) == fref.fingerprint(ref)
         dims.add(L.dim)
@@ -480,8 +481,8 @@ def recorded_passes(monkeypatch):
 def test_each_closure_pass_forms_the_brackets_i_lt_j_once(field, monkeypatch):
     """A pass at dimension k calls _bracket k(k - 1)/2 times: 36 on the gl(3) carrier of
     Type 1, 1 + 3 on E12, E21 (which grows to sl(2)), and the sum over the passes of a growth."""
-    rng = random.Random(9)
     gl3 = classical_r(build_R(canonical("Type1", field.of(2), field)))
+    growing = growing_generators(field, random.Random(9), 4)
     brackets, dims = recorded_passes(monkeypatch)
     L = carrier(gl3)
     assert (L.dim, L.closure_grew, dims, len(brackets)) == (9, False, [9], 36)
@@ -489,7 +490,7 @@ def test_each_closure_pass_forms_the_brackets_i_lt_j_once(field, monkeypatch):
     dims.clear()
     assert lie_subalgebra(field, units(field, (1, 2), (2, 1))).dim == 3
     assert (dims, len(brackets)) == ([2, 3], 4)
-    for gens in growing_generators(field, rng, 4):
+    for gens in growing:
         brackets.clear()
         dims.clear()
         assert lie_subalgebra(field, gens).closure_grew and len(dims) >= 2
