@@ -63,7 +63,6 @@ from .verifier import (
     check_hecke,
     check_image_and_eigen,
     check_pairing_identities,
-    check_value_tables,
     fuzz,
     run_suite,
     sample_strategy_a,
@@ -75,7 +74,6 @@ from .classify import (
     canonical,
     canonical_gram,
     classify,
-    reference_r_matrix,
 )
 from .cybe import (
     FrobeniusResult,
@@ -89,7 +87,6 @@ from .cybe import (
     gl_tensor,
     is_frobenius,
     lie_subalgebra,
-    matrix_unit,
     r21,
 )
 

@@ -19,11 +19,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import Hecke3Error, InvalidQ
-from .fields import QQ
+from .errors import Hecke3Error, InputError, InvalidQ
+from .fields import QQ, clip
 from .jsonio import matrix_to_json, vector_to_json
 from .linalg import Matrix
-from .multilinear import idx2, std_basis
+from .multilinear import std_basis
 from .heckecore import FOperator, HeckeData, HeckeSymmetry, _t_matrix, extract_F
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "canonical_gram",
     "canonical",
     "classify",
-    "reference_r_matrix",
 ]
 
 TYPE_LABELS = tuple(f"Type{n}" for n in range(1, 9))
@@ -68,6 +67,8 @@ class ClassificationReport:
 
 def canonical_gram(label: str, q=None, field=QQ) -> Matrix:
     """The canonical form matrix of a type (q needed for Types 1 and 2)."""
+    if label not in TYPE_LABELS:
+        raise InputError(f"unknown type label {clip(repr(label))}")
     if label in Q_FAMILIES:
         if q is None:
             raise InvalidQ(f"{label} needs an explicit q")
@@ -84,8 +85,6 @@ def canonical_gram(label: str, q=None, field=QQ) -> Matrix:
         "Type7": [[0, 0, 0], [0, 0, 0], [0, 0, 1]],
         "Type8": [[0, 0, 0], [0, 0, 0], [0, 0, 0]],
     }
-    if label not in grams:
-        raise InvalidQ(f"unknown type label {label!r}")
     return Matrix.from_rows(field, grams[label])
 
 
@@ -94,12 +93,13 @@ def canonical(label: str, q=None, field=QQ) -> HeckeData:
 
     Types 3 to 8 live at q = 1; passing any other q for them is an error.
     """
+    g = canonical_gram(label, q if label in Q_FAMILIES else None, field)
     e = std_basis(field)
     if label in Q_FAMILIES:
-        return HeckeData(q, e[0], e[1], canonical_gram(label, q, field))
+        return HeckeData(q, e[0], e[1], g)
     if q is not None and field.of(q) != 1:
         raise InvalidQ(f"{label} exists only at q = 1")
-    return HeckeData(field.one(), e[0], e[1], canonical_gram(label, field=field))
+    return HeckeData(field.one(), e[0], e[1], g)
 
 
 # (q == 1, rank g, rank of g on the bivector plane) -> label.  With F nonzero,
@@ -130,64 +130,3 @@ def classify(sym: HeckeSymmetry) -> ClassificationReport:
     if key not in _LABELS:
         raise Hecke3Error(f"internal inconsistency: impossible invariant pattern {key}")
     return ClassificationReport(_LABELS[key], q, rank_g, rank_res, f_op)
-
-
-def _table_type1(q, one):
-    """R values of the first family on basis monomials, as sparse columns."""
-    return {
-        (0, 0): {(0, 0): q},
-        (0, 1): {(0, 1): q - 1, (1, 0): one},
-        (0, 2): {(0, 2): q - 1, (2, 0): one},
-        (1, 0): {(0, 1): q},
-        (1, 1): {(1, 1): q},
-        (1, 2): {(2, 1): q},
-        (2, 0): {(0, 2): q},
-        (2, 1): {(2, 1): q - 1, (1, 2): one},
-        (2, 2): {(2, 2): q, (0, 1): -one, (1, 0): one},
-    }
-
-
-def _table_type3(one):
-    return {
-        (0, 0): {(0, 0): one, (0, 1): one, (1, 0): -one},
-        (0, 1): {(1, 0): one},
-        (0, 2): {(2, 0): one, (1, 2): -one, (2, 1): one},
-        (1, 0): {(0, 1): one},
-        (1, 1): {(1, 1): one},
-        (1, 2): {(2, 1): one},
-        (2, 0): {(0, 2): one, (1, 2): -one, (2, 1): one},
-        (2, 1): {(1, 2): one},
-        (2, 2): {(2, 2): one, (0, 2): 2 * one, (2, 0): -2 * one},
-    }
-
-
-def reference_r_matrix(label: str, q, field=QQ) -> Matrix:
-    """Hard-coded R values of Types 1 to 6 on the nine basis monomials.
-
-    Types 1 and 2 take the given q; Types 3 to 6 are at q = 1.  Types 2, 4,
-    5 and 6 differ from their neighbours in a handful of entries only.
-    """
-    one = field.one()
-    if label in Q_FAMILIES:
-        q = field.of(q)
-        table = _table_type1(q, one)
-        if label == "Type2":
-            table[(2, 2)] = {(2, 2): q}
-    else:
-        table = _table_type3(one)
-        if label == "Type4":
-            table[(2, 2)] = {(2, 2): one, (0, 1): -one, (1, 0): one}
-        elif label == "Type5":
-            table[(2, 2)] = {(2, 2): one}
-        elif label == "Type6":
-            table[(0, 0)] = {(0, 0): one}
-            table[(0, 2)] = {(2, 0): one}
-            table[(2, 0)] = {(0, 2): one}
-        elif label != "Type3":
-            raise InvalidQ(f"no reference table for {label}")
-    rows = [[field.zero()] * 9 for _ in range(9)]
-    for (i, j), entries in table.items():
-        for (k, l), c in entries.items():
-            rows[idx2(k, l)][idx2(i, j)] = c
-    return Matrix(field, rows)
-

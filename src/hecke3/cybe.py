@@ -37,13 +37,7 @@ __all__ = [
     "is_frobenius",
     "FrobeniusResult",
     "fingerprint",
-    "matrix_unit",
 ]
-
-
-def matrix_unit(field, i: int, j: int) -> Matrix:
-    """The 3x3 matrix unit E_ij (1-based indices, as in E13)."""
-    return Matrix.of_integers(field, 3, 3, [int(c == 3 * i + j - 4) for c in range(9)])
 
 
 @dataclass(frozen=True)

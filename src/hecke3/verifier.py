@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from itertools import product
 
 from .errors import InputError, InvalidConstraint, InvalidQ, NoHeckeParameter, NotHeckeSym0
-from .fields import QQ
 from .jsonio import vector_to_json
 from .linalg import Matrix, field_scalars, integer_coordinates, reduce_mod
 from .multilinear import (
@@ -51,7 +50,7 @@ from .heckecore import (
     skewsymmetrizer_matrix,
     t_operator_of_F,
 )
-from .classify import Q_FAMILIES, TYPE_LABELS, canonical, reference_r_matrix
+from .classify import Q_FAMILIES, TYPE_LABELS, canonical
 
 __all__ = [
     "CheckReport",
@@ -64,7 +63,6 @@ __all__ = [
     "check_component_identity",
     "check_pairing_identities",
     "check_cyclic_shift_identity",
-    "check_value_tables",
     "run_suite",
     "sample_strategy_a",
     "sample_strategy_b",
@@ -315,18 +313,6 @@ def check_cyclic_shift_identity(Y: Matrix, T: Matrix, q, table=None) -> CheckRep
                                    lhs, rhs, scale=qd * td * d * d)
 
     return CheckReport("cyclic_shift_identity", next(mismatches(), None))
-
-
-def check_value_tables(q, field=QQ) -> CheckReport:
-    """Compare built symmetries of Types 1 to 6 against the value tables."""
-    for label in TYPE_LABELS[:6]:
-        use_q = q if label in Q_FAMILIES else None
-        built = build_R(canonical(label, use_q, field)).R
-        expected = reference_r_matrix(label, use_q, field)
-        witness = column_witness(built, expected, type=label)
-        if witness is not None:
-            break
-    return CheckReport("value_tables", witness)
 
 
 def run_suite(sym: HeckeSymmetry) -> list[CheckReport]:

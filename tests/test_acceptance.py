@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from paper_reference import reference_carriers
+from paper_reference import check_value_tables, matrix_unit, reference_carriers
 from hecke3.errors import CharacteristicTwo, SingularDeformation
 from hecke3.fields import GF, QQ
 from hecke3.linalg import Matrix
@@ -28,7 +28,6 @@ from hecke3.verifier import (
     check_braid,
     check_component_identity,
     check_hecke,
-    check_value_tables,
     run_suite,
     sample_adversarial,
     sample_strategy_a,
@@ -43,7 +42,6 @@ from hecke3.cybe import (
     fingerprint,
     is_frobenius,
     lie_subalgebra,
-    matrix_unit,
 )
 
 Fr = Fraction

@@ -7,11 +7,12 @@ from fractions import Fraction
 import pytest
 
 import field_reference as fref
-from hecke3.errors import Hecke3Error, InvalidQ
-from hecke3.fields import GF, QQ
+from paper_reference import check_value_tables, reference_r_matrix
+from hecke3.errors import Hecke3Error, InputError, InvalidQ
+from hecke3.fields import GF, QQ, clip
 from hecke3.linalg import Matrix
 from hecke3.multilinear import idx2, random_invertible
-from hecke3.verifier import check_value_tables, sample_strategy_a, sample_strategy_b
+from hecke3.verifier import sample_strategy_a, sample_strategy_b
 from hecke3.heckecore import build_R, conjugate, conjugate_data
 from hecke3.classify import (
     TYPE_LABELS,
@@ -19,7 +20,6 @@ from hecke3.classify import (
     canonical,
     canonical_gram,
     classify,
-    reference_r_matrix,
 )
 
 Fr = Fraction
@@ -58,6 +58,16 @@ class TestCanonical:
             canonical("Type1")
         with pytest.raises(InvalidQ):
             canonical("Type3", Fr(2))
+
+    @pytest.mark.parametrize("label", ["Type9", "Type0", "type1", "Type", 1, None,
+                                       pytest.param("T" * 300, id="300-characters")])
+    def test_unknown_labels_are_input_errors(self, label):
+        """Tested before any q: "Type9" at q = 2 is not a q = 1 type given the wrong q."""
+        for fn in (canonical, canonical_gram):
+            for args in ((), (2,), (Fr(1, 2), GF(7)), (None, GF(7))):
+                with pytest.raises(InputError) as err:
+                    fn(label, *args)
+                assert str(err.value) == f"unknown type label {clip(repr(label))}"
 
     def test_all_canonical_data_valid(self):
         for label in TYPE_LABELS:

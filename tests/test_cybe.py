@@ -7,7 +7,7 @@ from itertools import product
 import pytest
 
 import field_reference as fref
-from paper_reference import reference_carriers
+from paper_reference import matrix_unit, reference_carriers
 import hecke3.cybe as cybe
 from hecke3.errors import DimensionMismatch, FieldMismatch, Hecke3Error
 from hecke3.fields import GF, QQ
@@ -30,7 +30,6 @@ from hecke3.cybe import (
     gl_tensor,
     is_frobenius,
     lie_subalgebra,
-    matrix_unit,
     r21,
 )
 

@@ -1,5 +1,6 @@
 """Every package module, test and demo uses each name it imports (``__init__`` re-exports, so
-it is exempt), every name in a module's ``__all__`` exists on that module, the package's
+it is exempt), every name in a module's ``__all__`` exists on that module and is read outside
+the tests (so the package exports no test-only code), the package's
 modules import one another at the top only, along an acyclic graph, the errors of the rule
 for q are raised in one function, the type labels are spelled out in ``classify`` only, and no
 package line is longer than 100 characters (so the package's line count is not met by packing
@@ -50,6 +51,60 @@ def test_the_check_sees_an_unused_import():
 def test_all_names_resolve(path):
     module = importlib.import_module(f"hecke3.{path.stem}")
     assert [name for name in getattr(module, "__all__", []) if not hasattr(module, name)] == []
+
+
+def exported_names(source: str):
+    """The names a module lists in its ``__all__``."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__"
+                                                for t in node.targets):
+            return [elt.value for elt in node.value.elts]
+    return []
+
+
+def names_read(source: str, strings=False):
+    """The names a module reads as a name or attribute, and with ``strings`` its str constants."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            read.add(node.value)
+    return read
+
+
+def unread_exports(package: dict, readers: list, tracer: list):
+    """(module, name) of each ``__all__`` name of a package module (source by module name) that
+    no package module, reader source or tracer source reads.
+
+    A definition, an ``__all__`` entry and an import are not reads, so ``__init__``'s
+    re-exports do not count.  The tracer wraps functions by name, so its string constants are
+    reads too.
+    """
+    read = set().union(*(names_read(s) for s in [*package.values(), *readers]),
+                       *(names_read(s, strings=True) for s in tracer))
+    return sorted((m, n) for m, s in package.items() for n in exported_names(s) if n not in read)
+
+
+def test_every_export_is_read_outside_the_tests():
+    """A name only tests read belongs in ``tests/`` (``paper_reference``, ``field_reference``)."""
+    package = {p.stem: p.read_text() for p in MODULES}
+    demos = [p.read_text() for p in sorted(ROOT.glob("demos/*.py"))]
+    bench = [p.read_text() for p in sorted(ROOT.glob("bench/*.py"))]
+    assert unread_exports(package, demos, bench) == []
+
+
+def test_the_export_check_sees_an_unread_name():
+    package = {"m": '__all__ = ["used", "unread", "wrapped"]\n\n'
+                    "def used():\n    pass\n\ndef unread():\n    pass\n\n"
+                    "def wrapped():\n    pass\n",
+               "n": "from .m import used, unread\n\nused()\n"}
+    tracer = ['for attr in ("wrapped",):\n    wrap(h.m, attr)\n']
+    assert unread_exports(package, [], tracer) == [("m", "unread")]
+    assert unread_exports(package, ["print('unread')\n"], []) == [("m", "unread"), ("m", "wrapped")]
+    assert unread_exports(package, ["import hecke3\n\nhecke3.m.unread()\n"], tracer) == []
 
 
 def package_imports(source: str):

@@ -9,6 +9,7 @@ from math import prod
 import pytest
 
 import field_reference as fref
+from paper_reference import reference_r_matrix
 from hecke3.cli import main
 from hecke3.errors import NoHeckeParameter, NotHeckeSym0, SingularMatrix
 from hecke3 import fields, heckecore, verifier
@@ -42,7 +43,7 @@ from hecke3.heckecore import (
     symmetric_form,
     t_operator_of_F,
 )
-from hecke3.classify import TYPE_LABELS, canonical, classify, reference_r_matrix
+from hecke3.classify import TYPE_LABELS, canonical, classify
 from hecke3.cybe import check_cybe, check_symmetrized, classical_r, gl_tensor
 from hecke3.jsonio import hecke_data_to_json, matrix_to_json, vector_to_json
 from hecke3.verifier import (
