@@ -24,7 +24,7 @@ from .fields import QQ, clip
 from .jsonio import matrix_to_json, vector_to_json
 from .linalg import Matrix
 from .multilinear import std_basis
-from .heckecore import FOperator, HeckeData, HeckeSymmetry, _t_matrix, extract_F
+from .heckecore import FOperator, HeckeData, HeckeSymmetry, extract_F
 
 __all__ = [
     "TYPE_LABELS",
@@ -78,14 +78,14 @@ def canonical_gram(label: str, q=None, field=QQ) -> Matrix:
         s = (q - 1) / 2
         return Matrix.from_rows(field, [[0, s, 0], [s, 0, 0], [0, 0, int(label == "Type1")]])
     grams = {
-        "Type3": [[1, 0, 0], [0, 0, 1], [0, 1, 0]],
-        "Type4": [[1, 0, 0], [0, 0, 0], [0, 0, 1]],
-        "Type5": [[1, 0, 0], [0, 0, 0], [0, 0, 0]],
-        "Type6": [[0, 0, 0], [0, 0, 1], [0, 1, 0]],
-        "Type7": [[0, 0, 0], [0, 0, 0], [0, 0, 1]],
-        "Type8": [[0, 0, 0], [0, 0, 0], [0, 0, 0]],
+        "Type3": [1, 0, 0, 0, 0, 1, 0, 1, 0],
+        "Type4": [1, 0, 0, 0, 0, 0, 0, 0, 1],
+        "Type5": [1, 0, 0, 0, 0, 0, 0, 0, 0],
+        "Type6": [0, 0, 0, 0, 0, 1, 0, 1, 0],
+        "Type7": [0, 0, 0, 0, 0, 0, 0, 0, 1],
+        "Type8": [0, 0, 0, 0, 0, 0, 0, 0, 0],
     }
-    return Matrix.from_rows(field, grams[label])
+    return Matrix.of_integers(field, 3, 3, grams[label])
 
 
 def canonical(label: str, q=None, field=QQ) -> HeckeData:
@@ -124,7 +124,7 @@ def classify(sym: HeckeSymmetry) -> ClassificationReport:
         return ClassificationReport("Type8", q, 0, None, f_op)
     g = f_op.g
     rank_g = g.rank()
-    t = _t_matrix(g.field, f_op.t)  # its columns span the plane of the bivector
+    t = f_op.plane  # its columns span the plane of the bivector
     rank_res = (t.transpose() * g * t).rank()
     key = (q == 1, rank_g, rank_res)
     if key not in _LABELS:

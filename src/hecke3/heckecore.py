@@ -22,7 +22,6 @@ from F up to the rescaling (g, t) -> (c g, t / c).
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
 
 from .errors import (
     InputError,
@@ -80,11 +79,6 @@ def _checked_form(g: Matrix) -> Matrix:
 def symmetric_form(field, rows) -> Matrix:
     """Build a symmetric 3x3 form matrix, rejecting asymmetric input."""
     return _checked_form(Matrix.from_rows(field, rows))
-
-
-def _t_matrix(field, t) -> Matrix:
-    """The bivector t as the 3x3 matrix t[3i+j]: a b^T - b a^T for t = a^b, spanning its plane."""
-    return Matrix(field, [t[0:3], t[3:6], t[6:9]])
 
 
 def discriminant(a, b, g: Matrix):
@@ -246,26 +240,31 @@ class FOperator:
 
     The pair (g, t) is stored as given, and equality compares it: FOperator(2g, t/2) is the
     same operator as FOperator(g, t) but not equal to it (compare :meth:`matrix`).
-    :func:`extract_F` returns the normalized pair.
+    :func:`extract_F` returns the normalized pair.  ``plane`` is t as the 3x3 matrix t[3i+j],
+    a b^T - b a^T for t = a^b, whose columns span the plane of t: derived once, on integers.
     """
 
     g: Matrix
     t: list
+    plane: Matrix = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not is_alt2(self.t):
+        fld = self.g.field
+        n, d = integer_coordinates(fld, self.t)
+        if not is_alt2(reduce_mod(n, fld.characteristic)):
             raise InputError("the bivector part must be alternating")
+        object.__setattr__(self, "plane", Matrix.of_integers(fld, 3, 3, n, d))
 
     @property
     def field(self):
         return self.g.field
 
     def is_zero(self) -> bool:
-        return self.g.is_zero() or all(x == 0 for x in self.t)
+        return self.g.is_zero() or self.plane.is_zero()
 
     def matrix(self) -> Matrix:
         """The 9x9 matrix of F: its column e_i e_j is g_ij t, so its entry (r, c) is t_r g_c."""
-        (gn, gd), (tn, td) = self.g.integers(), integer_coordinates(self.field, self.t)
+        (gn, gd), (tn, td) = self.g.integers(), self.plane.integers()
         return Matrix.of_integers(self.field, 9, 9, [x * y for x in tn for y in gn], gd * td)
 
     def delta(self):
@@ -275,8 +274,8 @@ class FOperator:
         With T = N / d on integers, delta = -sum N_ij N_ji / (2 d^2), one field scalar.
         """
         n, d = t_operator_of_F(self).integers()
-        return self.field.of(Fraction(-sum(n[3 * i + j] * n[3 * j + i] for i in range(3)
-                                            for j in range(3)), 2 * d * d))
+        return field_scalars(self.field, [-sum(n[3 * i + j] * n[3 * j + i] for i in range(3)
+                                               for j in range(3))], 2 * d * d)[0]
 
 
 def _admissible_q(q, f_op: FOperator):
@@ -313,8 +312,7 @@ def extract_F(sym: HeckeSymmetry) -> FOperator:
         f_op = FOperator(Matrix.zeros(fld, 3), [fld.zero()] * 9)
     else:
         g = Matrix.of_integers(fld, 3, 3, [c[m] for c in cols], 2 * d)  # cols[idx2(i, j)][m]
-        lm = fld.of(lead[m])
-        f_op = FOperator(g, [fld.of(x) / lm for x in lead])
+        f_op = FOperator(g, field_scalars(fld, lead, lead[m]))
         if any(reduce_mod([c[k] * lead[m] - c[m] * lead[k] for c in cols for k in range(9)], p)):
             raise NotHeckeSym0("the invariant operator does not have rank 1")
     try:
@@ -325,11 +323,11 @@ def extract_F(sym: HeckeSymmetry) -> FOperator:
 
 
 def t_operator_of_F(f_op: FOperator) -> Matrix:
-    """The traceless operator t g of F = g (x) t, t read as the 3x3 matrix t[3i+j].
+    """The traceless operator t g of F = g (x) t, t read as the 3x3 matrix ``plane``.
 
     It is invariant under the rescaling; for t = a^b it is v |-> g(b,v) a - g(a,v) b.
     """
-    return _t_matrix(f_op.field, f_op.t) * f_op.g
+    return f_op.plane * f_op.g
 
 
 def build_Y_from_F(q, f_op: FOperator) -> Matrix:

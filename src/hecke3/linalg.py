@@ -25,10 +25,9 @@ __all__ = ["Matrix", "integer_coordinates", "field_scalars", "reduce_mod"]
 class Matrix:
     """An exact matrix over a fixed field, held as row-major integers N over a scale d.
 
-    ``Matrix(field, rows)`` and :meth:`from_rows` convert rows once, coercing entries other
-    than field scalars and ints (text, fractions over F_p) through the field;
-    :meth:`of_integers` takes integer coordinates as they are.  ``rows`` forms fresh lists
-    of field scalars on each read.
+    ``Matrix(field, rows)`` and :meth:`from_rows` convert entries once, by
+    :func:`integer_coordinates`; integer data enters through :meth:`of_integers`, which takes
+    it as it is.  ``rows`` forms fresh lists of field scalars on each read.
     """
 
     __slots__ = ("field", "nrows", "ncols", "N", "d")
@@ -232,7 +231,8 @@ class Matrix:
 def integer_coordinates(field, xs):
     """Integers n and a scale d > 0 with xs = n / d: d = 1 over F_p, lcm of denominators over Q.
 
-    Entries other than the field's own scalars and ints go through ``field.of``.
+    Over F_p every entry but an ``Fp`` (an int too) goes through ``field.of``; integer data
+    enters through :meth:`Matrix.of_integers` instead, and leaves through :func:`field_scalars`.
     """
     try:
         if not (p := field.characteristic):
@@ -247,10 +247,11 @@ def integer_coordinates(field, xs):
 
 
 def field_scalars(field, ns, d=1):
-    """The field scalars n / d of integers ns, every 0 one shared zero (d is 1 over F_p)."""
+    """The field scalars n / d of integers ns (n d^-1 mod p over F_p), 0 as one shared zero."""
     z, p = field.zero(), field.characteristic
     if p:
-        return [Fp(r, p) if (r := n % p) else z for n in ns]
+        inv = pow(d, -1, p)
+        return [Fp(r, p) if (r := n * inv % p) else z for n in ns]
     return [Fraction(n, d) if n else z for n in ns]
 
 

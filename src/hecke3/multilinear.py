@@ -19,7 +19,7 @@ from __future__ import annotations
 from itertools import product
 
 from .errors import DimensionMismatch
-from .linalg import Matrix, reduce_mod
+from .linalg import Matrix, field_scalars, reduce_mod
 
 __all__ = [
     "idx2",
@@ -57,7 +57,7 @@ def idx3(i: int, j: int, k: int) -> int:
 
 
 def std_basis(field):
-    return [[field.one() if i == j else field.zero() for j in range(3)] for i in range(3)]
+    return [field_scalars(field, e) for e in unit_tensors(1)]
 
 
 def _check_len(t, n, what):
@@ -230,7 +230,7 @@ def lift_right(op2: Matrix) -> Matrix:
 def random_invertible(field, rng) -> Matrix:
     """Random invertible 3x3 matrix with integer entries in [-3, 3]."""
     while True:
-        m = Matrix.from_rows(field, [[rng.randint(-3, 3) for _ in range(3)] for _ in range(3)])
+        m = Matrix.of_integers(field, 3, 3, [rng.randint(-3, 3) for _ in range(9)])
         if m.det() != 0:
             return m
 

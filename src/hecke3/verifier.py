@@ -109,23 +109,20 @@ def _witness(field, input, lhs, rhs, scale=1, **head) -> dict:
     return {**head, "input": input, "lhs": side(lhs), "rhs": side(rhs)}
 
 
-def column_witness(lhs: Matrix, rhs: Matrix, **context) -> dict | None:
+def column_witness(lhs: Matrix, rhs: Matrix) -> dict | None:
     """Witness at the first basis tensor where two 9x9 or 27x27 operators differ, or None.
 
     The columns are compared on integer coordinates, both sides over the product of the scales.
     """
     (a, da), (b, db), n = lhs.integers(), rhs.integers(), lhs.ncols
     columns = (([x * db for x in a[c::n]], [y * da for y in b[c::n]]) for c in range(n))
-    return columns_witness(lhs.field, columns, da * db, **context)
+    return columns_witness(lhs.field, columns, da * db)
 
 
-def columns_witness(field, columns, scale=1, **context) -> dict | None:
-    """:func:`column_witness` of the (lhs, rhs) column pairs, read up to the first mismatch.
-
-    Integer columns stand for n / scale; ``context`` keys precede the basis tensor.
-    """
-    return next((_witness(field, {**context, "basis_tensor": _basis_tensor(c, len(x))},
-                          x, y, scale) for c, (x, y) in enumerate(columns) if x != y), None)
+def columns_witness(field, columns, scale=1) -> dict | None:
+    """:func:`column_witness` of (lhs, rhs) integer column pairs, each n for n / scale."""
+    return next((_witness(field, {"basis_tensor": _basis_tensor(c, len(x))}, x, y, scale)
+                 for c, (x, y) in enumerate(columns) if x != y), None)
 
 
 def _non_alternating_columns(Y: Matrix):
@@ -369,7 +366,7 @@ def sample_strategy_a(field, rng) -> HeckeData:
     root is kept.
     """
     an, bn = _random_independent_pair(field, rng)
-    a, b = [field.of(x) for x in an], [field.of(x) for x in bn]
+    a, b = field_scalars(field, an), field_scalars(field, bn)
     # complete a to a basis by the first standard vectors independent of it
     e = std_basis(field)
     pivots = Matrix.from_columns(field, [a] + e).rref()[1]

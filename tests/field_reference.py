@@ -15,6 +15,11 @@ checks the ``Matrix`` expression ``Matrix.identity(...).scale(q) - M``.
 coordinate at a time, which the packed columns of ``multilinear.slot_product``
 replaced.  ``delta`` is the former field-scalar -tr(T^2)/2 of ``FOperator.delta``, and
 ``g_value`` the former ``heckecore.g_value``, which evaluated a form on field scalars.
+``t_matrix`` is the former ``heckecore._t_matrix``, which turned the field scalars of t back
+into a matrix on each use where ``FOperator.plane`` is now formed once on integers, and
+``t_operator_of_F`` multiplies it by g on field products.  ``is_bivector``, ``f_matrix`` and
+``is_zero`` are ``FOperator``'s former alternation test, ``matrix`` and ``is_zero`` on the
+field scalars of t, and ``ratios`` the former ``fld.of(x) / lm`` of ``extract_F``.
 ``wedge_vt`` and ``wedge3`` are the former list wedges of ``multilinear``, which built
 e1^e2^e3 through two cyclic shifts before ``multilinear._ALT3_UNIT`` was read off ``vol``.
 ``component_identity`` and ``pairing_identities`` are the former bodies of the verifier's
@@ -38,7 +43,7 @@ from hecke3.errors import (
     SingularMatrix,
 )
 from hecke3.fields import Fp
-from hecke3.heckecore import FOperator, t_operator_of_F
+from hecke3.heckecore import FOperator
 from hecke3.linalg import Matrix, integer_coordinates, reduce_mod
 from hecke3.multilinear import (
     _ALT2_PAIRS,
@@ -246,6 +251,38 @@ def wedge_vt(x, t):
 def wedge3(x, y, z):
     """Full alternation of x (x) y (x) z over the six permutations."""
     return wedge_vt(x, wedge2(y, z))
+
+
+def t_matrix(field, t) -> Matrix:
+    """The bivector t as the 3x3 matrix t[3i+j], formed from its field scalars."""
+    return Matrix(field, [t[0:3], t[3:6], t[6:9]])
+
+
+def t_operator_of_F(f_op: FOperator) -> Matrix:
+    """t g by sums of field products, t read off the field scalars of ``f_op.t``."""
+    return mul(t_matrix(f_op.field, f_op.t), f_op.g)
+
+
+def is_bivector(t) -> bool:
+    """The alternation test on the field scalars of t: t_ii = 0 and t_ij = -t_ji."""
+    return is_alt2(t)
+
+
+def f_matrix(f_op: FOperator) -> Matrix:
+    """The 9x9 matrix of F, its entry (r, c) the field product t_r g_c."""
+    g = [x for row in f_op.g.rows for x in row]
+    return Matrix(f_op.field, [[x * y for y in g] for x in f_op.t])
+
+
+def is_zero(f_op: FOperator) -> bool:
+    """Whether g or the field scalars of t all vanish."""
+    return f_op.g.is_zero() or all(x == 0 for x in f_op.t)
+
+
+def ratios(field, ns, d):
+    """The field scalars n / d, each formed by field division: ``field.of(n) / field.of(d)``."""
+    dd = field.of(d)
+    return [field.of(n) / dd for n in ns]
 
 
 def delta(f_op: FOperator):

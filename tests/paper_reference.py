@@ -2,8 +2,9 @@
 
 ``reference_r_matrix`` gives the listed R values of Types 1 to 6 on the nine basis
 monomials, and ``check_value_tables`` compares them with the symmetries the package
-builds.  ``reference_carriers`` gives, for each of the eight canonical types, generators
-of the carrier subalgebra listed in the paper (``None`` where no carrier is listed).
+builds, its witness input led by the type (``typed_witness``).  ``reference_carriers``
+gives, for each of the eight canonical types, generators of the carrier subalgebra listed
+in the paper (``None`` where no carrier is listed).
 """
 
 from hecke3.classify import Q_FAMILIES, TYPE_LABELS, canonical
@@ -79,13 +80,20 @@ def reference_r_matrix(label: str, q, field=QQ) -> Matrix:
     return Matrix(field, rows)
 
 
+def typed_witness(witness, label):
+    """A column witness with the type label as the first key of its input; None stays None."""
+    if witness is not None:
+        witness["input"] = {"type": label, **witness["input"]}
+    return witness
+
+
 def check_value_tables(q, field=QQ) -> CheckReport:
     """Compare built symmetries of Types 1 to 6 against the value tables."""
     for label in TYPE_LABELS[:6]:
         use_q = q if label in Q_FAMILIES else None
         built = build_R(canonical(label, use_q, field)).R
         expected = reference_r_matrix(label, use_q, field)
-        witness = column_witness(built, expected, type=label)
+        witness = typed_witness(column_witness(built, expected), label)
         if witness is not None:
             break
     return CheckReport("value_tables", witness)

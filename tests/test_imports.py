@@ -2,9 +2,10 @@
 it is exempt), every name in a module's ``__all__`` exists on that module and is read outside
 the tests (so the package exports no test-only code), the package's
 modules import one another at the top only, along an acyclic graph, the errors of the rule
-for q are raised in one function, the type labels are spelled out in ``classify`` only, and no
-package line is longer than 100 characters (so the package's line count is not met by packing
-more code onto each line)."""
+for q are raised in one function, the type labels are spelled out in ``classify`` only,
+``fractions`` is imported by ``fields`` and ``linalg`` only (elsewhere integers become field
+scalars through ``linalg.field_scalars``), and no package line is longer than 100 characters
+(so the package's line count is not met by packing more code onto each line)."""
 
 import ast
 import importlib
@@ -189,6 +190,31 @@ def test_the_rule_check_sees_every_raise():
            "    if True:\n        raise InvalidConstraint('y') from None\n    raise ValueError\n\n"
            "raise ZeroQ\n")
     assert rule_raisers(src, "m") == {"m:A.f", "m:g.h", "m:g", "m:"}
+
+
+FRACTION_HOMES = {"fields", "linalg"}
+
+
+def fraction_importers(package: dict):
+    """The package modules (source by module name) that import ``fractions`` in any form."""
+    return sorted(m for m, source in package.items() if any(
+        isinstance(node, ast.Import) and any(a.name.split(".")[0] == "fractions"
+                                             for a in node.names)
+        or isinstance(node, ast.ImportFrom) and node.level == 0 and node.module == "fractions"
+        for node in ast.walk(ast.parse(source))))
+
+
+def test_fractions_has_one_home():
+    """Other modules form field scalars with linalg.field_scalars, not with Fraction."""
+    package = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert set(fraction_importers(package)) <= FRACTION_HOMES
+
+
+def test_the_fractions_check_sees_every_import():
+    package = {"a": "from fractions import Fraction\n", "b": "import fractions as fr\n",
+               "c": "def f():\n    import os, fractions\n", "d": "from .fractions import x\n",
+               "e": "from fractionsx import y\nx = 'from fractions import Fraction'\n"}
+    assert fraction_importers(package) == ["a", "b", "c"]
 
 
 TYPE_LABEL = re.compile(r"^Type[1-8]$")

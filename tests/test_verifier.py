@@ -9,7 +9,7 @@ from math import prod
 import pytest
 
 import field_reference as fref
-from paper_reference import reference_r_matrix
+from paper_reference import reference_r_matrix, typed_witness
 from hecke3.cli import main
 from hecke3.errors import NoHeckeParameter, NotHeckeSym0, SingularMatrix
 from hecke3 import fields, heckecore, verifier
@@ -504,9 +504,9 @@ def _golden_cases(field):
         "cyclic_shift_type1_id": lambda: check_cyclic_shift_identity(
             type1.Y, Matrix.identity(field, 3), type1.q),
         "symmetrized_type1_at_5": lambda: check_symmetrized(classical_r(type1), 5),
-        "column_witness_context": lambda: CheckReport("column_witness_context", column_witness(
-            build_R(canonical("Type1", 2, field)).R, reference_r_matrix("Type1", 3, field),
-            type="Type1")),
+        "column_witness_context": lambda: CheckReport("column_witness_context", typed_witness(
+            column_witness(build_R(canonical("Type1", 2, field)).R,
+                           reference_r_matrix("Type1", 3, field)), "Type1")),
     }
 
 
