@@ -180,15 +180,15 @@ def slot_action(op2: Matrix, s: int, t: int):
     return moves, d, max(map(abs, n))
 
 
-def slot_product(factors, w):
-    """The 27 columns of the product of the move tables ``factors``, leftmost first, packed.
+def slot_product(factors, w, cols=None):
+    """The packed ``cols`` (default: the identity's 27 columns) times the move tables ``factors``.
 
     Column c_0..c_26 is the int sum c_k 2^(w k), exact to unpack while every |c_k| < 2^(w-1).
-    With at most 9 moves of |coefficient| <= m per column, a k-fold product has |c_k| <= (9m)^k
-    and a difference of two 2 (9m)^k, so w = k bitlen(9m) + 2; a sum of six 2-fold products
-    (the CYBE commutators) needs w = 2 bitlen(9m) + 4.
+    Six 2-fold products (the CYBE commutators) of <= 9 moves of |coefficient| <= m per column
+    need w = 2 bitlen(9m) + 4.  An entry of a braid side of M = a d Id - b N sums 27 products of
+    3 N moves, 15 of 2, 3 of 1 and 1 of none: with s = |a| d + 3 b m, w = 3 bitlen(s) + 2.
     """
-    cols = [1 << (w * b) for b in range(27)]
+    cols = cols or [1 << (w * b) for b in range(27)]
     for moves in factors:  # right multiplication combines whole columns
         prev, cols = cols, [0] * 27
         for b, mv in enumerate(moves):

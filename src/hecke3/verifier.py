@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from itertools import product
 
-from .errors import InputError, InvalidConstraint, InvalidQ, NoHeckeParameter, NotHeckeSym0
+from .errors import InputError, InvalidConstraint, NoHeckeParameter, NotHeckeSym0
 from .jsonio import vector_to_json
 from .linalg import Matrix, field_scalars, integer_coordinates, reduce_mod
 from .multilinear import (
@@ -137,16 +137,16 @@ def _mismatches(keys, lhs, rhs, p):
     return ((k, x, y) for k, x, y in zip(keys, reduce_mod(lhs, p), reduce_mod(rhs, p)) if x != y)
 
 
-def check_braid(R: Matrix) -> CheckReport:
-    """(R x Id)(Id x R)(R x Id) = (Id x R)(R x Id)(Id x R), times d^3 for R = N / d, on packed
-    columns: over Q equal ints are equal columns, over F_p their difference is tested mod p lane
-    by lane.  Only the witness column is unpacked."""
-    (r1, d, m), (r2, _, _) = slot_action(R, 0, 1), slot_action(R, 1, 2)
-    w, p, zero = 3 * (9 * m).bit_length() + 2, R.field.characteristic, [0] * 27
+def check_braid(R: Matrix, table=None) -> CheckReport:
+    """R1 R2 R1 = R2 R1 R2 (R1 = R x Id, R2 = Id x R) on the packed sides of a :func:`braid_table`,
+    times (b d)^3 at width 3 bitlen(|a| d + 3 b m) + 2; alone, of Y = -R at q = 0.  Over Q equal
+    ints are equal columns, over F_p their difference is tested lane by lane; a witness unpacks."""
+    lhs, rhs, w, scale = (table or _braid_products(-R, 0))[3]
+    p, zero = R.field.characteristic, [0] * 27
     columns = (((unpack(x, w, p), unpack(y, w, p))
                 if x != y and (not p or not vanishes_mod(x - y, w, p)) else (zero, zero))
-               for x, y in zip(slot_product((r1, r2, r1), w), slot_product((r2, r1, r2), w)))
-    return CheckReport("braid", columns_witness(R.field, columns, d ** 3))
+               for x, y in zip(lhs, rhs))
+    return CheckReport("braid", columns_witness(R.field, columns, scale))
 
 
 def check_hecke(R: Matrix, q) -> CheckReport:
@@ -175,20 +175,36 @@ def check_image_and_eigen(Y: Matrix, q) -> CheckReport:
     return CheckReport("image_eigen", next(mismatches(), None))
 
 
-def braid_table(Y: Matrix):
-    """(vxa, axv, d): the 18 degree-3 columns the reformulated braid equation reads, for Y = N / d.
+def _braid_products(Y: Matrix, q):
+    """The packed N2 N1, N1 N2, d and braid of :func:`braid_table`, before any unpack."""
+    (a,), b = integer_coordinates(Y.field, [q])
+    (y1, d, m), (y2, _, _) = slot_action(Y, 0, 1), slot_action(Y, 1, 2)
+    w, ad = 3 * (abs(a) * d + 3 * b * m).bit_length() + 2, a * d
+    n1, n2 = slot_product((y1,), w), slot_product((y2,), w)
+    y12, y21 = slot_product((y2,), w, n1), slot_product((y1,), w, n2)
+    lin = [(ad * ad << w * c) - a * b * d * (x + y) for c, (x, y) in enumerate(zip(n1, n2))]
+    m12, m21 = ([u + b * b * x for u, x in zip(lin, yy)] for yy in (y12, y21))
+    sides = ([ad * x - b * y for x, y in zip(mm, slot_product((last,), w, mm))]
+             for mm, last in ((m12, y1), (m21, y2)))  # (M1 M2) M1 and (M2 M1) M2
+    return y21, y12, d, (*sides, w, (b * d) ** 3)
+
+
+def braid_table(Y: Matrix, q):
+    """(vxa, axv, d, braid): the degree-3 columns the braid checks read, for Y = N / d, q = a / b.
 
     vxa[i][s] = (Id x N)(N x Id)(e_i (x) t_s) and axv[i][s] = (N x Id)(Id x N)(t_s (x) e_i)
     for t_s = e_j ^ e_k in :func:`alt2_basis`: the packed columns (i,j,k) - (i,k,j) and
-    (j,k,i) - (k,j,i) of the products, unpacked mod p.  A check given no table forms its own.
+    (j,k,i) - (k,j,i) of the products, unpacked mod p.  braid = (lhs, rhs, w, (b d)^3) packs
+    M1 M2 M1 and M2 M1 M2 for M = a d Id - b N = b d (q Id - Y): one more factor on M1 M2 =
+    (a d)^2 - a b d (N1 + N2) + b^2 N1 N2, so lhs - rhs = (b d)^3 (-q^2 (Y1 - Y2) + q (Y1^2 - Y2^2)
+    - (Y1 Y2 Y1 - Y2 Y1 Y2)); w = 3 bitlen(|a| d + 3 b m) + 2 (:func:`slot_product`).
     """
-    (y1, d, m), (y2, _, _) = slot_action(Y, 0, 1), slot_action(Y, 1, 2)
-    w, p = 2 * (9 * m).bit_length() + 2, Y.field.characteristic
-    y21, y12 = slot_product((y2, y1), w), slot_product((y1, y2), w)
+    y21, y12, d, braid = _braid_products(Y, q)
+    w, p = braid[2], Y.field.characteristic
     return ([[unpack(y21[idx3(i, j, k)] - y21[idx3(i, k, j)], w, p) for j, k in _ALT2_PAIRS]
              for i in range(3)],
             [[unpack(y12[idx3(j, k, i)] - y12[idx3(k, j, i)], w, p) for j, k in _ALT2_PAIRS]
-             for i in range(3)], d)
+             for i in range(3)], d, braid)
 
 
 def check_containments(Y: Matrix, q, table=None) -> CheckReport:
@@ -199,7 +215,7 @@ def check_containments(Y: Matrix, q, table=None) -> CheckReport:
     on the 9 spanning tensors of each space (the :func:`braid_table` columns),
     as b column - a d^2 w reduced mod p, for Y = N / d, q = a / b.
     """
-    vxa, axv, d = table or braid_table(Y)
+    vxa, axv, d, _ = table or braid_table(Y, q)
     (a,), b = integer_coordinates(Y.field, [q])
     e, p = unit_tensors(1), Y.field.characteristic
     diffs = ((s, i, t, reduce_mod([b * x - a * d * d * y for x, y in zip(col, w)], p))
@@ -227,7 +243,7 @@ def check_component_identity(Y: Matrix, q, table=None) -> CheckReport:
     coordinate of w is e_i[r] (e_j^e_k)[idx2(r, t)]: that of e_j^e_k when i = r, else 0.
     Each side is formed on all 81 (r, t, i, j, k) in loop order and reduced mod p once.
     """
-    vxa, _, d = table or braid_table(Y)
+    vxa, _, d, _ = table or braid_table(Y, q)
     (a,), b = integer_coordinates(Y.field, [q])
     cells = [(r, t, i, j, k, s) for r, t, i in product(range(3), repeat=3)
              for s, (j, k) in enumerate(_ALT2_PAIRS)]
@@ -295,7 +311,7 @@ def check_cyclic_shift_identity(Y: Matrix, T: Matrix, q, table=None) -> CheckRep
     T = M / m, q = a / b.
     """
     fld, p = Y.field, Y.field.characteristic
-    vxa, axv, d = table or braid_table(Y)
+    vxa, axv, d, _ = table or braid_table(Y, q)
     (qn,), qd = integer_coordinates(fld, [q])
     tn, td = T.integers()
 
@@ -323,9 +339,9 @@ def run_suite(sym: HeckeSymmetry) -> list[CheckReport]:
 
 def _suite_and_F(sym: HeckeSymmetry):
     """The reports of :func:`run_suite` and the extracted F (None when extraction failed)."""
-    table = braid_table(sym.Y)  # read by the three degree-3 checks
+    table = braid_table(sym.Y, sym.q)  # read by the braid and the three degree-3 checks
     reports = [
-        check_braid(sym.R),
+        check_braid(sym.R, table),
         check_hecke(sym.R, sym.q),
         check_image_and_eigen(sym.Y, sym.q),
         check_containments(sym.Y, sym.q, table),
@@ -384,15 +400,14 @@ _CANONICAL_Q_POOL = (2, 3, -1, "1/2", 5, "-2/3")
 
 
 def sample_strategy_b(field, rng) -> HeckeData:
-    """A canonical type at an admissible q, transported by a random basis."""
-    label = rng.choice(TYPE_LABELS)
-    while True:
+    """A canonical type transported by a random basis; a pool q not in the field, 0 or 1 redraws."""
+    label, q = rng.choice(TYPE_LABELS), None
+    while label in Q_FAMILIES and q in (None, 0, 1):
         try:
-            data = canonical(label, rng.choice(_CANONICAL_Q_POOL)
-                             if label in Q_FAMILIES else None, field)
-        except (InputError, InvalidQ):  # over F_p a pool value can be 0, 1 or not exist
+            q = field.of(rng.choice(_CANONICAL_Q_POOL))
+        except InputError:  # -2/3 over F_3
             continue
-        return conjugate_data(data, random_invertible(field, rng))
+    return conjugate_data(canonical(label, q, field), random_invertible(field, rng))
 
 
 def sample_adversarial(field, rng):

@@ -24,7 +24,9 @@ field scalars of t, and ``ratios`` the former ``fld.of(x) / lm`` of ``extract_F`
 e1^e2^e3 through two cyclic shifts before ``multilinear._ALT3_UNIT`` was read off ``vol``.
 ``component_identity`` and ``pairing_identities`` are the former bodies of the verifier's
 checks, which reduced each (lhs, rhs) pair mod p on its own where the checks now reduce
-each side of a block once.  ``lie_subalgebra`` and ``fingerprint`` are the former bodies of
+each side of a block once.  ``braid`` is the former body of ``verifier.check_braid``, which formed
+two slot actions of R and both of R's 3-fold products where the suite now reads the braid off
+``braid_table``'s products of Y.  ``lie_subalgebra`` and ``fingerprint`` are the former bodies of
 ``cybe.lie_subalgebra`` and ``cybe.fingerprint``, which formed all dim^2 brackets [x_i, x_j] on
 each closure pass and ranked all dim^2 rows of the constants, where the package now forms
 i < j only, and formed the Killing form at every (i, j), where the package forms i <= j.
@@ -44,6 +46,7 @@ from hecke3.errors import (
 )
 from hecke3.fields import Fp
 from hecke3.heckecore import FOperator
+from hecke3 import multilinear
 from hecke3.linalg import Matrix, integer_coordinates, reduce_mod
 from hecke3.multilinear import (
     _ALT2_PAIRS,
@@ -56,13 +59,22 @@ from hecke3.multilinear import (
     is_alt2,
     pair_vt,
     pairing_coordinates,
+    slot_product,
     std_basis,
     tensor2,
     unit_tensors,
+    unpack,
+    vanishes_mod,
     vol,
     wedge2,
 )
-from hecke3.verifier import CheckReport, _non_alternating_columns, _witness, braid_table
+from hecke3.verifier import (
+    CheckReport,
+    _non_alternating_columns,
+    _witness,
+    braid_table,
+    columns_witness,
+)
 
 
 def mul(a: Matrix, b: Matrix) -> Matrix:
@@ -372,9 +384,21 @@ def slot_action(op2: Matrix, s: int, t: int):
     return act, d
 
 
+def braid(R: Matrix) -> CheckReport:
+    """The former verifier.check_braid: R's own two slot actions and both of R's 3-fold products,
+    packed at width 3 bitlen(9m) + 2, times d^3 for R = N / d; over F_p a difference is tested
+    lane by lane.  Only the witness column is unpacked."""
+    (r1, d, m), (r2, _, _) = multilinear.slot_action(R, 0, 1), multilinear.slot_action(R, 1, 2)
+    w, p, zero = 3 * (9 * m).bit_length() + 2, R.field.characteristic, [0] * 27
+    columns = (((unpack(x, w, p), unpack(y, w, p))
+                if x != y and (not p or not vanishes_mod(x - y, w, p)) else (zero, zero))
+               for x, y in zip(slot_product((r1, r2, r1), w), slot_product((r2, r1, r2), w)))
+    return CheckReport("braid", columns_witness(R.field, columns, d ** 3))
+
+
 def component_identity(Y: Matrix, q, table=None):
     """verifier.check_component_identity with each (lhs, rhs) pair reduced mod p on its own."""
-    vxa, _, d = table or braid_table(Y)
+    vxa, _, d, _ = table or braid_table(Y, q)
     (a,), b = integer_coordinates(Y.field, [q])
     p = Y.field.characteristic
 

@@ -1,9 +1,11 @@
-"""The one table of degree-3 columns read by the reformulated braid checks.
+"""The one table of degree-3 columns read by the braid checks.
 
 ``verifier.braid_table`` forms the 18 columns of (Id x Y)(Y x Id) on V (x) Alt2
 and (Y x Id)(Id x Y) on Alt2 (x) V once.  The containments, the component
 identity and the cyclic-shift identity used to form them each from their own
 pair of slot actions; that per-check formation is kept here as the reference.
+The braid equation of R = q Id - Y is read off the same products of Y; the former
+check_braid, which formed R's own products, is ``field_reference.braid``.
 """
 
 import random
@@ -20,9 +22,11 @@ from hecke3.heckecore import (
     build_R,
     conjugate_data,
     extract_F,
+    flip_matrix,
     skewsymmetrizer_matrix,
     t_operator_of_F,
 )
+from hecke3.linalg import Matrix
 from hecke3.multilinear import (
     alt2_basis,
     idx2,
@@ -36,12 +40,14 @@ from hecke3.multilinear import (
 )
 from hecke3.verifier import (
     braid_table,
+    check_braid,
     check_component_identity,
     check_containments,
     check_cyclic_shift_identity,
     run_suite,
     sample_adversarial,
     sample_strategy_a,
+    sample_strategy_b,
 )
 from test_verifier import _bumped, non_member_Y
 
@@ -97,7 +103,7 @@ def _samples(field):
 @pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "Fp7"])
 def test_table_holds_the_columns_each_check_formed(field):
     for sym in _samples(field):
-        vxa, axv, d = braid_table(sym.Y)
+        vxa, axv, d, _ = braid_table(sym.Y, sym.q)
         assert d == sym.Y.integers()[1]
         containments, component, shift = per_check_columns(sym.Y)
         assert containments == {"VxAlt2": vxa, "Alt2xV": axv}
@@ -110,8 +116,8 @@ def test_table_holds_the_columns_each_check_formed(field):
                 assert col == (vxa[i][s] if j < k else [-x for x in vxa[i][s]])
 
 
-def test_a_suite_forms_the_slot_actions_of_y_and_r_twice_each(monkeypatch):
-    sym = build_R(sample_strategy_a(QQ, random.Random(4)))
+def counted_slot_actions(monkeypatch, sym):
+    """The operators verifier.slot_action is given, as "Y", "R" or "other", in a filling list."""
     seen = []
 
     def counted(op, s, t):
@@ -119,8 +125,71 @@ def test_a_suite_forms_the_slot_actions_of_y_and_r_twice_each(monkeypatch):
         return slot_action(op, s, t)
 
     monkeypatch.setattr(verifier, "slot_action", counted)
+    return seen
+
+
+def test_a_suite_forms_the_slot_actions_of_y_twice_and_of_r_never(monkeypatch):
+    sym = build_R(sample_strategy_a(QQ, random.Random(4)))
+    seen = counted_slot_actions(monkeypatch, sym)
     assert all(rep.passed for rep in run_suite(sym))
-    assert sorted(seen) == ["R", "R", "Y", "Y"]
+    assert seen == ["Y", "Y"]
+
+
+def test_check_braid_alone_forms_two_slot_actions(monkeypatch):
+    sym = build_R(sample_strategy_a(QQ, random.Random(4)))
+    seen = counted_slot_actions(monkeypatch, sym)
+    assert check_braid(sym.R).passed
+    assert len(seen) == 2
+
+
+FIELDS = [QQ, GF(3), GF(7), GF(1_000_003), GF(2**61 - 1)]
+FIELD_IDS = ["Q", "Fp3", "Fp7", "Fp1000003", "Fp2^61-1"]
+
+
+def braid_corpus(field):
+    """(q, Y) pairs: strategy A and B symmetries, each also at q + 1 and scaled to 3 Y,
+    adversarial operators, and the flip at q = 1 (Y = Id - flip)."""
+    rng = random.Random(29)
+    out = []
+    for sampler in (sample_strategy_a, sample_strategy_b) * 4:
+        sym = build_R(sampler(field, rng))
+        out += [(sym.q, sym.Y), (sym.q + 1, sym.Y), (sym.q, sym.Y.scale(field.of(3)))]
+    for _ in range(4):
+        q, a, b, g = sample_adversarial(field, rng)
+        out.append((q, skewsymmetrizer_matrix(q, g, wedge2(a, b))))
+    out.append((field.one(), Matrix.identity(field, 9) - flip_matrix(field)))
+    return out
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_braid_reports_equal_the_former_kernel_in_the_suite_and_alone(field):
+    """The braid read off the table of (Y, q), alone on R = q Id - Y, and run_suite's first report
+    equal the former check_braid on R, witnesses included; the corpus passes and fails."""
+    verdicts = set()
+    for q, Y in braid_corpus(field):
+        R = Matrix.identity(field, 9).scale(q) - Y
+        want = fref.braid(R).to_json()
+        assert check_braid(R, braid_table(Y, q)).to_json() == want
+        assert check_braid(R).to_json() == want
+        if q != 0:  # HeckeSymmetry's gate; q + 1 = 0 has no suite
+            assert run_suite(HeckeSymmetry(R, q))[0].to_json() == want
+        verdicts.add(want["passed"])
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("field", [QQ, GF(1_000_003)], ids=["Q", "Fp1000003"])
+def test_the_adversarial_fuzz_braid_equals_the_former_kernel(field, monkeypatch):
+    seen = []
+
+    def compared(R, table=None):
+        report = check_braid(R, table)
+        assert report.to_json() == fref.braid(R).to_json()
+        seen.append(report.passed)
+        return report
+
+    monkeypatch.setattr(verifier, "check_braid", compared)
+    assert verifier.fuzz(field, 6, 1, adversarial=True).passed
+    assert seen == [False] * 6
 
 
 def test_the_containments_test_all_18_spanning_tensors(monkeypatch):

@@ -15,6 +15,7 @@ agree with unpacking it to zero.
 """
 
 import random
+from fractions import Fraction
 from functools import lru_cache
 
 import pytest
@@ -25,7 +26,7 @@ from hecke3 import verifier
 from hecke3.cybe import GlTensor, check_cybe, classical_r
 from hecke3.fields import GF, QQ
 from hecke3.heckecore import build_R, skewsymmetrizer_matrix
-from hecke3.linalg import Matrix, field_scalars, reduce_mod
+from hecke3.linalg import Matrix, field_scalars, integer_coordinates, reduce_mod
 from hecke3.multilinear import (
     alt2_basis,
     idx3,
@@ -53,6 +54,7 @@ FIELDS = [QQ, GF(3), GF(7), GF(1000003), GF(2**61 - 1)]
 FIELD_IDS = ["Q", "Fp3", "Fp7", "Fp1000003", "Fp2^61-1"]
 PAIRS = ((0, 1), (0, 2), (1, 2))  # e_j ^ e_k = alt2_basis()[s] for (j, k) = PAIRS[s]
 NUMERATOR_30 = 123456789012345678901234567891  # 30 digits
+NUMERATOR_20 = 98765432109876543211  # 20 digits
 
 
 def extreme_operators(field):
@@ -186,7 +188,7 @@ def test_braid_witness_matches_the_list_action_and_the_dense_products(field):
 def test_braid_table_matches_the_list_action_and_the_dense_products(field):
     e = unit_tensors(1)
     for name, Y in samples(field):
-        vxa, axv, d = braid_table(Y)
+        vxa, axv, d, _ = braid_table(Y, 0)
         assert d == Y.integers()[1], name
         (y1, _), (y2, _) = fref.slot_action(Y, 0, 1), fref.slot_action(Y, 1, 2)
         assert vxa == [[y2(y1(tensor2(e[i], t))) for t in alt2_basis()] for i in range(3)], name
@@ -233,34 +235,67 @@ def test_cybe_witness_matches_the_list_action_and_the_dense_products(field):
     assert verdicts == {True, False}
 
 
+def extreme_pairs(field):
+    """(q, Y) on the extreme operators: q = 0 (the braid of R alone) and q far from 0, 10^30 / 7
+    and -10^30 / 7 over Q, also against Y with 20-digit entries, and p - 2 over F_p."""
+    p = field.characteristic
+    ys = extreme_operators(field)
+    if not p:
+        rng = random.Random(43)
+        ys += [Matrix.of_integers(field, 9, 9, [rng.choice((-1, 1)) * NUMERATOR_20
+                                                for _ in range(81)], d) for d in (1, 3)]
+    qs = [0, p - 2] if p else [0, Fraction(10 ** 30, 7), Fraction(-10 ** 30, 7)]
+    return [(field.of(q), Y) for Y in ys for q in qs]
+
+
+def affine(moves, ad, b):
+    """The move table of a d Id - b N from that of N."""
+    return [[(c, ad)] + [(o, -b * x) for o, x in mv] for c, mv in enumerate(moves)]
+
+
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
-def test_extreme_operators_stay_inside_the_packing_bound(field):
-    """Every product and difference the three checks unpack stays below 2^(w - 1), and a
-    width from bitlen(m) in place of bitlen(9m) would not hold it."""
+def test_extreme_operators_stay_inside_the_packing_bound(field, monkeypatch):
+    """Every product and difference the degree-3 checks unpack stays below 2^(w - 1) at the width
+    w they pack at: for the braid and its table of (Y, q = a / b), Y = N / d, the rule's
+    w = 3 bitlen(|a| d + 3 b m) + 2, reached as (3m)^3 by the all-plus operator at q = 0, where
+    bitlen(m) would not hold it; for CYBE 2 bitlen(9m) + 4.  The braid reports, witnesses
+    included, equal the former kernel's in the suite and alone."""
+    widths, packed = [], verifier.slot_product
+    monkeypatch.setattr(verifier, "slot_product",
+                        lambda factors, w, cols=None: widths.append(w) or packed(factors, w, cols))
+    for q, Y in extreme_pairs(field):
+        (y1, d, m), (y2, _, _) = slot_action(Y, 0, 1), slot_action(Y, 1, 2)
+        assert m == max(abs(x) for x in reduce_mod(Y.integers()[0], field.characteristic)) > 0
+        (a,), b = integer_coordinates(field, [q])
+        widths.clear()
+        table = braid_table(Y, q)
+        w = 3 * (abs(a) * d + 3 * b * m).bit_length() + 2
+        assert set(widths) == {w}
+
+        m1, m2 = affine(y1, a * d, b), affine(y2, a * d, b)
+        lhs, rhs = exact_product((m1, m2, m1)), exact_product((m2, m1, m2))
+        diff = [[x - y for x, y in zip(u, v)] for u, v in zip(lhs, rhs)]
+        y21, y12 = exact_product((y2, y1)), exact_product((y1, y2))
+        cols = [[x - y for x, y in zip(p[idx3(*u)], p[idx3(*v)])]
+                for p, u, v in [(y21, (i, j, k), (i, k, j)) for i in range(3) for j, k in PAIRS]
+                + [(y12, (j, k, i), (k, j, i)) for i in range(3) for j, k in PAIRS]]
+        assert largest(lhs + rhs + diff + cols) < 2 ** (w - 1)
+        if a == 0 and Y.integers()[0] == [Y.integers()[0][0]] * 81:  # all plus
+            assert largest(lhs) == (3 * m) ** 3 >= 2 ** (3 * m.bit_length() + 1)
+
+        R = Matrix.identity(field, 9).scale(q) - Y
+        want = fref.braid(R).to_json()
+        assert check_braid(R, table).to_json() == want
+        assert check_braid(R).to_json() == want
+
     for op in extreme_operators(field):
         a01, a02, a12 = (slot_action(op, *s) for s in PAIRS)
-        m = a01[2]
-        assert m == max(abs(x) for x in reduce_mod(op.integers()[0], field.characteristic)) > 0
-        bits, tight = (9 * m).bit_length(), m.bit_length()
-        r1, r2, r13 = a01[0], a12[0], a02[0]
-
-        lhs, rhs = exact_product((r1, r2, r1)), exact_product((r2, r1, r2))
-        diff = [[x - y for x, y in zip(a, b)] for a, b in zip(lhs, rhs)]
-        assert largest(lhs + rhs + diff) < 2 ** (3 * bits + 1)
-        if op.integers()[0] == [op.integers()[0][0]] * 81:  # all plus: 27 m^3 in every entry
-            assert largest(lhs) >= 2 ** (3 * tight + 1)
-
-        y21, y12 = exact_product((r2, r1)), exact_product((r1, r2))
-        table = [[x - y for x, y in zip(p[idx3(*a)], p[idx3(*b)])]
-                 for p, a, b in [(y21, (i, j, k), (i, k, j)) for i in range(3) for j, k in PAIRS]
-                 + [(y12, (j, k, i), (k, j, i)) for i in range(3) for j, k in PAIRS]]
-        assert largest(y21 + y12 + table) < 2 ** (2 * bits + 1)
-
+        m, (r1, r13, r2) = a01[2], (a01[0], a02[0], a12[0])
         products = [exact_product(f) for x, y in ((r1, r13), (r1, r2), (r13, r2))
                     for f in ((x, y), (y, x))]
         total = [[sum(p[c][o] * (-1) ** n for n, p in enumerate(products)) for o in range(27)]
                  for c in range(27)]
-        assert largest(sum(products, []) + total) < 2 ** (2 * bits + 3)
+        assert largest(sum(products, []) + total) < 2 ** (2 * (9 * m).bit_length() + 3)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
@@ -294,7 +329,7 @@ def test_braid_unpacks_differences_mod_p_and_both_sides_only_at_the_witness(fiel
     calls, p = recorded_unpacks(monkeypatch, verifier), field.characteristic
     verdicts = set()
     for name, R in samples(field):
-        w = 3 * (9 * slot_action(R, 0, 1)[2]).bit_length() + 2
+        w = 3 * (3 * slot_action(R, 0, 1)[2]).bit_length() + 2  # alone: Y = -R, q = 0
         calls.clear()
         report = check_braid(R)
         assert calls == ([] if report.passed else [(w, p)] * 2), name

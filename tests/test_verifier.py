@@ -11,7 +11,7 @@ import pytest
 import field_reference as fref
 from paper_reference import reference_r_matrix, typed_witness
 from hecke3.cli import main
-from hecke3.errors import NoHeckeParameter, NotHeckeSym0, SingularMatrix
+from hecke3.errors import InputError, NoHeckeParameter, NotHeckeSym0, SingularMatrix
 from hecke3 import fields, heckecore, verifier
 from hecke3.fields import GF, QQ
 from hecke3.linalg import Matrix, integer_coordinates, reduce_mod
@@ -329,11 +329,31 @@ class TestSamplers:
                 assert d.q != 0
 
     def test_strategy_b_always_valid(self):
-        for field in (QQ, GF(7)):
+        """Over F_3 and F_5 pool values are 0 (3, 5), 1 (-2/3 over F_5) or absent (-2/3 over F_3)."""
+        for field in (QQ, GF(3), GF(5), GF(7)):
             rng = random.Random(4)
             for _ in range(20):
                 d = sample_strategy_b(field, rng)
                 assert d.q != 0
+
+    @pytest.mark.parametrize("field", [QQ, GF(3), GF(7)], ids=["Q", "Fp3", "Fp7"])
+    def test_strategy_b_raises_what_canonical_raises(self, field, monkeypatch):
+        """Only a pool q that is not in the field, or is 0 or 1 there, is drawn again: an error of
+        canonical itself propagates, where a retry on every InputError would loop for ever."""
+        calls = []
+
+        def broken(label, q=None, field=QQ):
+            calls.append(label)
+            if len(calls) > 50:  # a sampler that retries fails here rather than hangs
+                raise RuntimeError("canonical called again after it raised")
+            raise InputError("a defect in canonical")
+
+        monkeypatch.setattr(verifier, "canonical", broken)
+        for seed in range(12):
+            calls.clear()
+            with pytest.raises(InputError, match="a defect in canonical"):
+                sample_strategy_b(field, random.Random(seed))
+            assert len(calls) == 1
 
     def test_adversarial_breaks_constraint(self):
         rng = random.Random(6)
@@ -745,7 +765,7 @@ def test_a_passing_fp_suite_reduces_each_side_of_a_block_once(monkeypatch):
     rng = random.Random(53)
     for sampler in (sample_strategy_a, sample_strategy_b) * 2:
         sym = build_R(sampler(field, rng))
-        table = braid_table(sym.Y)
+        table = braid_table(sym.Y, sym.q)
         calls.clear()
         assert check_pairing_identities(sym.Y, sym.q).passed
         assert calls == [27] * 12
