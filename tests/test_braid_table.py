@@ -49,7 +49,7 @@ from hecke3.verifier import (
     sample_strategy_a,
     sample_strategy_b,
 )
-from test_verifier import _bumped, non_member_Y
+from test_verifier import FIELD_IDS, FIELDS, _bumped, non_member_Y
 
 
 def per_check_columns(Y):
@@ -140,10 +140,6 @@ def test_check_braid_alone_forms_two_slot_actions(monkeypatch):
     seen = counted_slot_actions(monkeypatch, sym)
     assert check_braid(sym.R).passed
     assert len(seen) == 2
-
-
-FIELDS = [QQ, GF(3), GF(7), GF(1_000_003), GF(2**61 - 1)]
-FIELD_IDS = ["Q", "Fp3", "Fp7", "Fp1000003", "Fp2^61-1"]
 
 
 def braid_corpus(field):
