@@ -21,8 +21,8 @@ from .errors import DimensionMismatch, FieldMismatch, Hecke3Error
 from .linalg import Matrix, field_scalars, reduce_mod
 from .heckecore import HeckeSymmetry, flip_matrix
 from .jsonio import matrix_to_json, vector_to_json
-from .multilinear import slot_action, slot_product, unpack
-from .verifier import CheckReport, column_witness, columns_witness
+from .multilinear import slot_action, slot_product
+from .verifier import CheckReport, column_witness, packed_witness
 
 __all__ = [
     "GlTensor",
@@ -104,16 +104,16 @@ def check_cybe(t: GlTensor) -> CheckReport:
     """Classical Yang-Baxter equation on the third tensor power.
 
     r12, r13 and r23 are r acting on slots (1,2), (1,3) and (2,3); the sum of the three
-    commutators is formed on packed columns, times d^2 for r = N / d, and unpacked where nonzero.
+    commutators is formed on packed columns, times d^2 for r = N / d, and decided by
+    :func:`~hecke3.verifier.packed_witness`: only the witness column unpacks.
     """
     (r12, d, m), (r13, _, _), (r23, _, _) = (slot_action(t.matrix, *s)
                                              for s in ((0, 1), (0, 2), (1, 2)))
-    w, p, total = 2 * (9 * m).bit_length() + 4, t.field.characteristic, [0] * 27
+    w, total = 2 * (9 * m).bit_length() + 4, [0] * 27
     for x, y in ((r12, r13), (r12, r23), (r13, r23)):
         total = [s + a - b for s, a, b in zip(total, slot_product((x, y), w),
                                               slot_product((y, x), w))]
-    columns = ((unpack(v, w, p) if v else [0] * 27, [0] * 27) for v in total)
-    return CheckReport("cybe", columns_witness(t.field, columns, d * d))
+    return CheckReport("cybe", packed_witness(t.field, total, [0] * 27, w, d * d))
 
 
 def check_symmetrized(t: GlTensor, q) -> CheckReport:

@@ -197,24 +197,28 @@ def slot_product(factors, w, cols=None):
     return cols
 
 
-def _lanes(v, w):
-    """The 27 coordinates of the packed column v of width w, each plus 2^(w-1): in [0, 2^w)."""
-    mask, half = (1 << w) - 1, 1 << (w - 1)
-    v += half * ((1 << 27 * w) - 1) // mask
-    return [(v >> s) & mask for s in range(0, 27 * w, w)]
+def unpack(columns, w, p):
+    """The 27 coordinates of each packed column of width w, reduced mod p (p = 0: exact): a lane
+    of v + 2^(w-1) ones (ones = sum_k 2^(w k)) is its coordinate plus 2^(w-1), in [0, 2^w)."""
+    mask, half, lift = (1 << w) - 1, 1 << (w - 1), ((1 << 27 * w) - 1) // ((1 << w) - 1) << (w - 1)
+    return [reduce_mod([(u >> s & mask) - half for s in range(0, 27 * w, w)], p)
+            for u in (v + lift for v in columns)]
 
 
-def unpack(v, w, p):
-    """The 27 coordinates of the packed column v of width w, reduced mod p (p = 0: exact)."""
-    half = 1 << (w - 1)
-    return reduce_mod([x - half for x in _lanes(v, w)], p)
-
-
-def vanishes_mod(v, w, p):
-    """Whether every coordinate of the packed column v of width w is 0 mod p, for p > 0: each
-    lane is its coordinate plus 2^(w-1), so every lane must be 2^(w-1) mod p."""
-    h = (1 << (w - 1)) % p
-    return all(x % p == h for x in _lanes(v, w))
+def vanishes_mod(columns, w, p):
+    """Whether every coordinate of each packed column of width w is 0 mod p (p = 0: v == 0).
+    One division decides v = sum c_k X^k (X = 2^w, |c_k| < X/2): for ones = sum X^k, t = (X/2 - 1)
+    // p, high = (X/2) ones and z = v/p + t ones, all c_k are 0 mod p iff p | v and (z | z + (X/2 -
+    2t - 1) ones) & high == 0.  If all c_k = p u_k, then |u_k| <= t, z has the digits u_k + t in [0,
+    2t], and adding X/2 - 2t - 1 sets no bit w-1.  Conversely, |v/p|, t ones < X^27/4, so -X^27/4 <
+    z < X^27: a negative z fails z & high at its top digit (& reads two's complement); z & high == 0
+    keeps each digit below X/2, the addition carries nothing, and each z_k <= 2t.  So v = sum p (z_k
+    - t) X^k, |p (z_k - t)| <= p t < X/2: balanced base-X digits are unique: c_k = p (z_k - t)."""
+    if not p:
+        return [not v for v in columns]
+    ones, t = ((1 << 27 * w) - 1) // ((1 << w) - 1), ((1 << (w - 1)) - 1) // p
+    high, lo, hi = ones << (w - 1), t * ones, ((1 << (w - 1)) - t - 1) * ones
+    return [not r and not (u + lo | u + hi) & high for u, r in (divmod(v, p) for v in columns)]
 
 
 def lift_left(op2: Matrix) -> Matrix:

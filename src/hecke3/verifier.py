@@ -56,6 +56,7 @@ __all__ = [
     "CheckReport",
     "column_witness",
     "columns_witness",
+    "packed_witness",
     "check_braid",
     "check_hecke",
     "check_image_and_eigen",
@@ -125,6 +126,16 @@ def columns_witness(field, columns, scale=1) -> dict | None:
                  for c, (x, y) in enumerate(columns) if x != y), None)
 
 
+def packed_witness(field, lhs, rhs, w, scale) -> dict | None:
+    """:func:`columns_witness` of packed columns of width w (c_k for c_k / scale): one
+    :func:`~hecke3.multilinear.vanishes_mod` call tests lhs - rhs, and only the witness unpacks."""
+    p = field.characteristic
+    zero = vanishes_mod([x - y for x, y in zip(lhs, rhs)], w, p)
+    c = zero.index(False) if False in zero else None
+    return c if c is None else _witness(field, {"basis_tensor": _basis_tensor(c, 27)},
+                                        *unpack([lhs[c], rhs[c]], w, p), scale)
+
+
 def _non_alternating_columns(Y: Matrix):
     """Witnesses at the columns of Y outside the alternating square."""
     for c in non_alternating_columns(Y):
@@ -139,14 +150,10 @@ def _mismatches(keys, lhs, rhs, p):
 
 def check_braid(R: Matrix, table=None) -> CheckReport:
     """R1 R2 R1 = R2 R1 R2 (R1 = R x Id, R2 = Id x R) on the packed sides of a :func:`braid_table`,
-    times (b d)^3 at width 3 bitlen(|a| d + 3 b m) + 2; alone, of Y = -R at q = 0.  Over Q equal
-    ints are equal columns, over F_p their difference is tested lane by lane; a witness unpacks."""
+    times (b d)^3 at width 3 bitlen(|a| d + 3 b m) + 2; alone, of Y = -R at q = 0.  The sides'
+    27 differences are decided in one :func:`packed_witness` call; only the witness unpacks."""
     lhs, rhs, w, scale = (table or _braid_products(-R, 0))[3]
-    p, zero = R.field.characteristic, [0] * 27
-    columns = (((unpack(x, w, p), unpack(y, w, p))
-                if x != y and (not p or not vanishes_mod(x - y, w, p)) else (zero, zero))
-               for x, y in zip(lhs, rhs))
-    return CheckReport("braid", columns_witness(R.field, columns, scale))
+    return CheckReport("braid", packed_witness(R.field, lhs, rhs, w, scale))
 
 
 def check_hecke(R: Matrix, q) -> CheckReport:
@@ -200,11 +207,10 @@ def braid_table(Y: Matrix, q):
     - (Y1 Y2 Y1 - Y2 Y1 Y2)); w = 3 bitlen(|a| d + 3 b m) + 2 (:func:`slot_product`).
     """
     y21, y12, d, braid = _braid_products(Y, q)
-    w, p = braid[2], Y.field.characteristic
-    return ([[unpack(y21[idx3(i, j, k)] - y21[idx3(i, k, j)], w, p) for j, k in _ALT2_PAIRS]
-             for i in range(3)],
-            [[unpack(y12[idx3(j, k, i)] - y12[idx3(k, j, i)], w, p) for j, k in _ALT2_PAIRS]
-             for i in range(3)], d, braid)
+    diffs = [y21[idx3(i, j, k)] - y21[idx3(i, k, j)] for i in range(3) for j, k in _ALT2_PAIRS]
+    diffs += [y12[idx3(j, k, i)] - y12[idx3(k, j, i)] for i in range(3) for j, k in _ALT2_PAIRS]
+    cols = unpack(diffs, braid[2], Y.field.characteristic)
+    return [cols[i:i + 3] for i in (0, 3, 6)], [cols[i:i + 3] for i in (9, 12, 15)], d, braid
 
 
 def check_containments(Y: Matrix, q, table=None) -> CheckReport:

@@ -26,7 +26,10 @@ e1^e2^e3 through two cyclic shifts before ``multilinear._ALT3_UNIT`` was read of
 checks, which reduced each (lhs, rhs) pair mod p on its own where the checks now reduce
 each side of a block once.  ``braid`` is the former body of ``verifier.check_braid``, which formed
 two slot actions of R and both of R's 3-fold products where the suite now reads the braid off
-``braid_table``'s products of Y.  ``lie_subalgebra`` and ``fingerprint`` are the former bodies of
+``braid_table``'s products of Y.  ``unpack`` and ``vanishes_mod`` are the former
+``multilinear`` kernels of one packed column each, which read all 27 lanes of a column (over F_p,
+every column of a passing braid) where ``multilinear.vanishes_mod`` now decides a batch of
+columns with one exact division each.  ``lie_subalgebra`` and ``fingerprint`` are the former bodies of
 ``cybe.lie_subalgebra`` and ``cybe.fingerprint``, which formed all dim^2 brackets [x_i, x_j] on
 each closure pass and ranked all dim^2 rows of the constants, where the package now forms
 i < j only, and formed the Killing form at every (i, j), where the package forms i <= j.
@@ -63,8 +66,6 @@ from hecke3.multilinear import (
     std_basis,
     tensor2,
     unit_tensors,
-    unpack,
-    vanishes_mod,
     vol,
     wedge2,
 )
@@ -382,6 +383,26 @@ def slot_action(op2: Matrix, s: int, t: int):
         return reduce_mod(out, modulus)
 
     return act, d
+
+
+def _lanes(v, w):
+    """The 27 coordinates of the packed column v of width w, each plus 2^(w-1): in [0, 2^w)."""
+    mask, half = (1 << w) - 1, 1 << (w - 1)
+    v += half * ((1 << 27 * w) - 1) // mask
+    return [(v >> s) & mask for s in range(0, 27 * w, w)]
+
+
+def unpack(v, w, p):
+    """The 27 coordinates of the packed column v of width w, reduced mod p (p = 0: exact)."""
+    half = 1 << (w - 1)
+    return reduce_mod([x - half for x in _lanes(v, w)], p)
+
+
+def vanishes_mod(v, w, p):
+    """Whether every coordinate of the packed column v of width w is 0 mod p, for p > 0: each
+    lane is its coordinate plus 2^(w-1), so every lane must be 2^(w-1) mod p."""
+    h = (1 << (w - 1)) % p
+    return all(x % p == h for x in _lanes(v, w))
 
 
 def braid(R: Matrix) -> CheckReport:

@@ -9,19 +9,20 @@ strategy A and B symmetries (their R, Y and classical r), adversarial
 operators, the zero operator, and extreme operators whose entries are all
 +-m; on the extreme operators the exact coordinates of every product and
 difference are checked against the packing bound 2^(w - 1).  The checks
-unpack a column only where the packed ints cannot decide it: over F_p the braid
-check tests a difference lane by lane (``multilinear.vanishes_mod``), which must
-agree with unpacking it to zero.
+decide each packed column with ``multilinear.vanishes_mod``, one exact division
+per column over F_p, and unpack only the two sides of the witness column; the
+batch kernels ``vanishes_mod`` and ``unpack`` are compared with the former
+lane-by-lane kernels of ``field_reference``.
 """
 
 import random
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 
 import pytest
 
 import field_reference as fref
-import hecke3.cybe as cybe
 from hecke3 import verifier
 from hecke3.cybe import GlTensor, check_cybe, classical_r
 from hecke3.fields import GF, QQ
@@ -151,22 +152,43 @@ def test_slot_action_matches_the_list_action_move_for_move(field):
                                                  for e in unit_tensors(3)]
 
 
+def lane_values(w, p):
+    """(zeros, others): coordinates below the packing bound 2^(w - 1) that are 0 mod p (0, +-p,
+    +-the largest multiple of p) and that need not be (+-1, +-(2^(w - 1) - 1))."""
+    top = 2 ** (w - 1) - 1
+    zeros = sorted({c for c in (0, p, -p, top - top % p, top % p - top) if abs(c) <= top})
+    return zeros, sorted({c for c in (1, -1, top, -top) if abs(c) <= top} - set(zeros))
+
+
 @pytest.mark.parametrize("p", [3, 7, 1000003, 2**61 - 1], ids=FIELD_IDS[1:])
 def test_vanishes_mod_is_unpacking_to_zero(p):
-    """The lane test agrees with unpacking to zero on columns whose coordinates sit at 0, +-1,
-    +-p, the largest multiple of p in range and +-(2^(w - 1) - 1), the packing bound."""
+    """The batch kernels agree, column by column and in the batch's order, with the former
+    lane-by-lane kernels of field_reference and with the coordinates themselves, at every width
+    from 1 (below bitlen(p), where t = (2^(w - 1) - 1) // p = 0 and only 0 vanishes) to
+    3 bitlen(p) + 7.  The columns: every pair of lane values on two adjacent lanes (the low two
+    and the top two), the rest 0, which is where a carry between lanes would
+    fool a test of the whole int, and columns of values that are 0 mod p with up to two others."""
     rng, verdicts = random.Random(p), set()
-    for w in (p.bit_length() + 2, 3 * p.bit_length() + 7):
-        top = 2 ** (w - 1) - 1
-        zeros = (0, p, -p, top - top % p, top % p - top)  # every one is 0 mod p
-        values = zeros + (1, -1, top, -top)
-        for n in range(400):
-            coords = [rng.choice(zeros) for _ in range(27)]
-            for _ in range(n % 3):  # up to two coordinates off zero mod p, or none
-                coords[rng.randrange(27)] = rng.choice(values)
-            v = sum(c << (w * k) for k, c in enumerate(coords))
-            assert vanishes_mod(v, w, p) == (not any(unpack(v, w, p))), coords
-            verdicts.add(vanishes_mod(v, w, p))
+    for w in range(1, 3 * p.bit_length() + 8):
+        zeros, others = lane_values(w, p)
+        columns = []
+        for (a, b), k in product(product(zeros + others, repeat=2), (0, 25)):
+            columns.append([0] * 27)
+            columns[-1][k:k + 2] = a, b
+        for n in range(60):
+            columns.append([rng.choice(zeros) for _ in range(27)])
+            for _ in range(n % 3 if others else 0):
+                columns[-1][rng.randrange(27)] = rng.choice(others)
+        rng.shuffle(columns)
+        packed = [sum(c << (w * k) for k, c in enumerate(col)) for col in columns]
+        got = vanishes_mod(packed, w, p)
+        assert got == [fref.vanishes_mod(v, w, p) for v in packed], w
+        assert got == [not any(reduce_mod(col, p)) for col in columns], w
+        assert got == [vanishes_mod([v], w, p)[0] for v in packed], w
+        assert vanishes_mod(packed, w, 0) == [not any(col) for col in columns], w
+        assert unpack(packed, w, p) == [fref.unpack(v, w, p) for v in packed], w
+        assert unpack(packed, w, 0) == columns, w
+        verdicts.update(got)
     assert verdicts == {True, False}
 
 
@@ -305,45 +327,60 @@ def test_packed_columns_unpack_to_the_exact_product(field):
     for name, op in samples(field):
         (r1, _, m), (r2, _, _) = slot_action(op, 0, 1), slot_action(op, 1, 2)
         w = 3 * (9 * m).bit_length() + 2
-        got = [unpack(v, w, p) for v in slot_product((r1, r2, r2), w)]
+        got = unpack(slot_product((r1, r2, r2), w), w, p)
         assert got == [reduce_mod(col, p) for col in exact_product((r1, r2, r2))], name
 
 
-def recorded_unpacks(monkeypatch, module):
-    """The (width, modulus) of every unpack the module calls, in a list that fills as it runs."""
-    calls = []
+def recorded(monkeypatch, name):
+    """The (width, modulus, batch size) of every call of verifier.<name> (``unpack`` or
+    ``vanishes_mod``), in a list that fills as it runs: check_braid, braid_table and, through
+    packed_witness, check_cybe all call them there."""
+    calls, kernel = [], getattr(verifier, name)
 
-    def recording(v, w, p):
-        calls.append((w, p))
-        return unpack(v, w, p)
+    def recording(columns, w, p):
+        calls.append((w, p, len(columns)))
+        return kernel(columns, w, p)
 
-    monkeypatch.setattr(module, "unpack", recording)
+    monkeypatch.setattr(verifier, name, recording)
     return calls
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
 def test_braid_unpacks_differences_mod_p_and_both_sides_only_at_the_witness(field, monkeypatch):
-    """Over Q unequal packed ints are a mismatch, over F_p their difference is tested lane by lane
-    (vanishes_mod); over both, unpack runs on no column of a pass and on both sides of the
-    witness column only."""
-    calls, p = recorded_unpacks(monkeypatch, verifier), field.characteristic
+    """One vanishes_mod call decides the 27 differences of the packed sides (over Q, v == 0; over
+    F_p, one exact division each); over both, unpack runs on no column of a pass and once, on the
+    two sides of the witness column, on a failure.  braid_table unpacks its 18 differences in one
+    call."""
+    unpacks, p = recorded(monkeypatch, "unpack"), field.characteristic
+    tests = recorded(monkeypatch, "vanishes_mod")
     verdicts = set()
     for name, R in samples(field):
         w = 3 * (3 * slot_action(R, 0, 1)[2]).bit_length() + 2  # alone: Y = -R, q = 0
-        calls.clear()
+        unpacks.clear()
+        tests.clear()
         report = check_braid(R)
-        assert calls == ([] if report.passed else [(w, p)] * 2), name
+        assert tests == [(w, p, 27)], name
+        assert unpacks == ([] if report.passed else [(w, p, 2)]), name
         verdicts.add(report.passed)
+        unpacks.clear()
+        braid_table(-R, 0)
+        assert unpacks == [(w, p, 18)], name
     assert verdicts == {True, False}
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
 def test_cybe_unpacks_only_nonzero_columns_up_to_the_witness(field, monkeypatch):
-    calls, p = recorded_unpacks(monkeypatch, cybe), field.characteristic
+    """As the braid: one vanishes_mod call on the 27 columns of the commutator sum, and over Q and
+    F_p alike no unpack on a pass and one, of the witness column and its zero side, on a failure."""
+    unpacks, p = recorded(monkeypatch, "unpack"), field.characteristic
+    tests = recorded(monkeypatch, "vanishes_mod")
+    verdicts = set()
     for name, op in samples(field):
-        calls.clear()
+        w = 2 * (9 * slot_action(op, 0, 1)[2]).bit_length() + 4
+        unpacks.clear()
+        tests.clear()
         report = check_cybe(GlTensor(op, (), ()))
-        m = slot_action(op, 0, 1)[2]
-        assert all(call == (2 * (9 * m).bit_length() + 4, p) for call in calls), name
-        if not p:
-            assert len(calls) == (0 if report.passed else 1), name
+        assert tests == [(w, p, 27)], name
+        assert unpacks == ([] if report.passed else [(w, p, 2)]), name
+        verdicts.add(report.passed)
+    assert verdicts == {True, False}
