@@ -166,8 +166,8 @@ def test_vanishes_mod_is_unpacking_to_zero(p):
     lane-by-lane kernels of field_reference and with the coordinates themselves, at every width
     from 1 (below bitlen(p), where t = (2^(w - 1) - 1) // p = 0 and only 0 vanishes) to
     3 bitlen(p) + 7.  The columns: every pair of lane values on two adjacent lanes (the low two
-    and the top two), the rest 0, which is where a carry between lanes would
-    fool a test of the whole int, and columns of values that are 0 mod p with up to two others."""
+    and the top two) with the rest 0, where a carry between lanes can make the whole int a
+    multiple of p though a lane is not, and columns of values 0 mod p with up to two others."""
     rng, verdicts = random.Random(p), set()
     for w in range(1, 3 * p.bit_length() + 8):
         zeros, others = lane_values(w, p)
