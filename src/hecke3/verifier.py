@@ -4,7 +4,8 @@ Each check returns a :class:`CheckReport`; a failing report carries a witness
 (the first offending basis tensor or index tuple, with both side values).
 There are no tolerances anywhere: a check passes iff the identity holds
 bit-exactly.  Witness indices are printed 1-based to match the e1, e2, e3
-naming.
+naming.  Every check but the containments' Alt3 test compares integer sides in one of two
+shapes: flat, each reduced mod p once (:func:`_first_witness`), or packed (:func:`packed_witness`).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import random
 from dataclasses import dataclass
 from itertools import product
 
-from .errors import InputError, InvalidConstraint, NoHeckeParameter, NotHeckeSym0
+from .errors import DimensionMismatch, InputError, InvalidConstraint, NoHeckeParameter, NotHeckeSym0
 from .jsonio import vector_to_json
 from .linalg import Matrix, field_scalars, integer_coordinates, reduce_mod
 from .multilinear import (
@@ -55,7 +56,6 @@ from .classify import Q_FAMILIES, TYPE_LABELS, canonical
 __all__ = [
     "CheckReport",
     "column_witness",
-    "columns_witness",
     "packed_witness",
     "check_braid",
     "check_hecke",
@@ -99,15 +99,25 @@ def _basis_tensor(c: int, n: int):
 
 
 def _witness(field, input, lhs, rhs, scale=1, **head) -> dict:
-    """The witness document; a side is text, a scalar or a coordinate list (int n is n / scale)."""
+    """The witness document; a side is text or integer coordinates, each n for n / scale."""
 
     def side(x):
-        if isinstance(x, str):
-            return [x]
-        xs = x if isinstance(x, list) else [x]
-        return vector_to_json(field, xs if scale == 1 else field_scalars(field, xs, scale))
+        return [x] if isinstance(x, str) else vector_to_json(field, field_scalars(field, x, scale))
 
     return {**head, "input": input, "lhs": side(lhs), "rhs": side(rhs)}
+
+
+def _first_witness(field, lhs, rhs, scale, input, size=1, **head) -> dict | None:
+    """Witness at the first block of ``size`` coordinates where the integer sides differ mod p
+    (each n for n / scale), or None; each side is reduced once, and ``input(block)`` is formed
+    for the witness block only."""
+    p = field.characteristic
+    lhs, rhs = reduce_mod(lhs, p), reduce_mod(rhs, p)
+    if lhs == rhs:
+        return None
+    c = next(k for k, (x, y) in enumerate(zip(lhs, rhs)) if x != y) // size
+    block = slice(c * size, (c + 1) * size)
+    return _witness(field, input(c), lhs[block], rhs[block], scale, **head)
 
 
 def column_witness(lhs: Matrix, rhs: Matrix) -> dict | None:
@@ -115,19 +125,17 @@ def column_witness(lhs: Matrix, rhs: Matrix) -> dict | None:
 
     The columns are compared on integer coordinates, both sides over the product of the scales.
     """
+    if (lhs.nrows, lhs.ncols) != (rhs.nrows, rhs.ncols):
+        raise DimensionMismatch(f"{lhs.nrows}x{lhs.ncols} vs {rhs.nrows}x{rhs.ncols}")
+    lhs._same_field(rhs)
     (a, da), (b, db), n = lhs.integers(), rhs.integers(), lhs.ncols
-    columns = (([x * db for x in a[c::n]], [y * da for y in b[c::n]]) for c in range(n))
-    return columns_witness(lhs.field, columns, da * db)
-
-
-def columns_witness(field, columns, scale=1) -> dict | None:
-    """:func:`column_witness` of (lhs, rhs) integer column pairs, each n for n / scale."""
-    return next((_witness(field, {"basis_tensor": _basis_tensor(c, len(x))}, x, y, scale)
-                 for c, (x, y) in enumerate(columns) if x != y), None)
+    return _first_witness(lhs.field, [x * db for c in range(n) for x in a[c::n]],
+                          [y * da for c in range(n) for y in b[c::n]], da * db,
+                          lambda c: {"basis_tensor": _basis_tensor(c, n)}, n)
 
 
 def packed_witness(field, lhs, rhs, w, scale) -> dict | None:
-    """:func:`columns_witness` of packed columns of width w (c_k for c_k / scale): one
+    """:func:`column_witness` of packed columns of width w (c_k for c_k / scale): one
     :func:`~hecke3.multilinear.vanishes_mod` call tests lhs - rhs, and only the witness unpacks."""
     p = field.characteristic
     zero = vanishes_mod([x - y for x, y in zip(lhs, rhs)], w, p)
@@ -136,16 +144,11 @@ def packed_witness(field, lhs, rhs, w, scale) -> dict | None:
                                         *unpack([lhs[c], rhs[c]], w, p), scale)
 
 
-def _non_alternating_columns(Y: Matrix):
-    """Witnesses at the columns of Y outside the alternating square."""
-    for c in non_alternating_columns(Y):
-        yield _witness(Y.field, {"basis_tensor": _basis_tensor(c, 9)}, Y.col(c),
-                       "alternating tensor expected")
-
-
-def _mismatches(keys, lhs, rhs, p):
-    """(key, lhs, rhs) where the integer lists differ mod p, in order; each side reduced once."""
-    return ((k, x, y) for k, x, y in zip(keys, reduce_mod(lhs, p), reduce_mod(rhs, p)) if x != y)
+def _alternation_witness(Y: Matrix) -> dict | None:
+    """Witness at the first column of Y outside the alternating square, or None."""
+    (n, d), bad = Y.integers(), non_alternating_columns(Y)
+    return _witness(Y.field, {"basis_tensor": _basis_tensor(bad[0], 9)}, n[bad[0]::9],
+                    "alternating tensor expected", d) if bad else None
 
 
 def check_braid(R: Matrix, table=None) -> CheckReport:
@@ -165,21 +168,17 @@ def check_image_and_eigen(Y: Matrix, q) -> CheckReport:
     """Image of Y is exactly the alternating square and Yw = (q+1)w there: for Y = N / d and
     q = a / b, b (column jk - column kj of N) = (a + b) d (e_j ^ e_k).  It reads the caller's q
     and does not test it: :class:`HeckeSymmetry` is the gate for q."""
-    (n, d), fld, p = Y.integers(), Y.field, Y.field.characteristic
+    (n, d), fld = Y.integers(), Y.field
 
-    def mismatches():
-        yield from _non_alternating_columns(Y)
-        rk = Y.rank()
-        if rk != 3:
-            yield _witness(fld, {"rank": rk}, str(rk), "3")
-        (a,), b = integer_coordinates(fld, [q])  # q is read only after the image test
-        for (j, k), w in zip(_ALT2_PAIRS, _ALT2):
-            got = reduce_mod([b * (x - y) for x, y in zip(n[idx2(j, k)::9], n[idx2(k, j)::9])], p)
-            want = reduce_mod([(a + b) * d * c for c in w], p)
-            if got != want:
-                yield _witness(fld, {"bivector": vector_to_json(fld, w)}, got, want, scale=b * d)
+    def eigen():  # q is read only after the image test
+        (a,), b = integer_coordinates(fld, [q])
+        return _first_witness(fld, [b * (x - y) for j, k in _ALT2_PAIRS
+                                    for x, y in zip(n[idx2(j, k)::9], n[idx2(k, j)::9])],
+                              [(a + b) * d * c for w in _ALT2 for c in w], b * d,
+                              lambda s: {"bivector": vector_to_json(fld, _ALT2[s])}, 9)
 
-    return CheckReport("image_eigen", next(mismatches(), None))
+    return CheckReport("image_eigen", _alternation_witness(Y) or (rk := Y.rank()) != 3
+                       and _witness(fld, {"rank": rk}, str(rk), "3") or eigen())
 
 
 def _braid_products(Y: Matrix, q):
@@ -255,10 +254,9 @@ def check_component_identity(Y: Matrix, q, table=None) -> CheckReport:
              for s, (j, k) in enumerate(_ALT2_PAIRS)]
     lhs = [b * vxa[i][s][idx3(r, r, t)] for r, t, i, j, k, s in cells]
     rhs = [a * d * d * _ALT2[s][idx2(r, t)] if i == r else 0 for r, t, i, j, k, s in cells]
-    return CheckReport("component_identity", next((_witness(
-        Y.field, {"indices": [i + 1, j + 1, k + 1, r + 1, t + 1]}, x, y, scale=b * d * d)
-        for (r, t, i, j, k, _), x, y in _mismatches(cells, lhs, rhs, Y.field.characteristic)),
-        None))
+    return CheckReport("component_identity", _first_witness(
+        Y.field, lhs, rhs, b * d * d,
+        lambda c: {"indices": [cells[c][x] + 1 for x in (2, 3, 4, 0, 1)]}))  # i, j, k, r, t
 
 
 def check_pairing_identities(Y: Matrix, q) -> CheckReport:
@@ -276,35 +274,32 @@ def check_pairing_identities(Y: Matrix, q) -> CheckReport:
         Both sides alternate in (u, v), and u < v comes first in product order: read at u < v.
     vol(e_i, e_j, e_k) = _ALT3_UNIT[idx3(i, j, k)] and vol(x, e_u, e_v) = bivector(x)[idx2(u, v)].
     """
-    fld, p, e = Y.field, Y.field.characteristic, unit_tensors(1)
+    fld, e = Y.field, unit_tensors(1)
     n, d = Y.integers()
     (a,), b = integer_coordinates(fld, [q])
     ell = pairing_coordinates(n)  # d L
+    triples = list(product(range(3), repeat=3))  # in idx3 order, as _ALT3_UNIT
+    cells = list(product(product(range(3), repeat=2), _ALT2_PAIRS))
 
-    def mismatches():
-        yield from _non_alternating_columns(Y)
-        triples = list(product(range(3), repeat=3))  # in idx3 order, as _ALT3_UNIT
-        for (i, j, k), s, t in _mismatches(
-                triples, [b * (ell[i][j][k] - ell[i][k][j]) for i, j, k in triples],
-                [(a + b) * d * c for c in _ALT3_UNIT], p):
-            yield _witness(fld, {"indices": [i + 1, j + 1, k + 1]}, s, t, scale=b * d,
-                           identity="eigenvalue")
-        xs = [(f"e{i+1}", e[i]) for i in range(3)] + [(f"e1+e{j+1}", [
-            s + t for s, t in zip(e[0], e[j])]) for j in (1, 2)]
-        cells = list(product(product(range(3), repeat=2), _ALT2_PAIRS))
-        for xname, x in xs:
-            # lx[j][u] = d L[x, e_j](e_u) and lxx[u] = d L[x, x](e_u), linear in each x
-            lx = [[sum(x[i] * ell[i][j][u] for i in range(3)) for u in range(3)] for j in range(3)]
-            lxx = [sum(x[j] * lx[j][u] for j in range(3)) for u in range(3)]
-            volx = bivector(x)
-            lhs = [b * (lx[j][u] * lx[k][v] - lx[j][v] * lx[k][u] - lxx[u] * ell[j][k][v]
-                        + lxx[v] * ell[j][k][u]) for (j, k), (u, v) in cells]
-            rhs = [a * d * d * volx[idx2(j, k)] * volx[idx2(u, v)] for (j, k), (u, v) in cells]
-            for ((j, k), (u, v)), s, t in _mismatches(cells, lhs, rhs, p):
-                yield _witness(fld, {"x": xname, "indices": [j + 1, k + 1, u + 1, v + 1]},
-                               s, t, scale=b * d * d, identity="wedge")
+    def wedge(xname, x):
+        # lx[j][u] = d L[x, e_j](e_u) and lxx[u] = d L[x, x](e_u), linear in each x
+        lx = [[sum(x[i] * ell[i][j][u] for i in range(3)) for u in range(3)] for j in range(3)]
+        lxx = [sum(x[j] * lx[j][u] for j in range(3)) for u in range(3)]
+        volx = bivector(x)
+        return _first_witness(
+            fld, [b * (lx[j][u] * lx[k][v] - lx[j][v] * lx[k][u] - lxx[u] * ell[j][k][v]
+                       + lxx[v] * ell[j][k][u]) for (j, k), (u, v) in cells],
+            [a * d * d * volx[idx2(j, k)] * volx[idx2(u, v)] for (j, k), (u, v) in cells],
+            b * d * d, lambda c: {"x": xname, "indices": [z + 1 for jk in cells[c] for z in jk]},
+            identity="wedge")
 
-    return CheckReport("pairing_identities", next(mismatches(), None))
+    xs = [(f"e{i+1}", e[i]) for i in range(3)] + [(f"e1+e{j+1}", [
+        s + t for s, t in zip(e[0], e[j])]) for j in (1, 2)]
+    return CheckReport("pairing_identities", _alternation_witness(Y) or _first_witness(
+        fld, [b * (ell[i][j][k] - ell[i][k][j]) for i, j, k in triples],
+        [(a + b) * d * c for c in _ALT3_UNIT], b * d,
+        lambda c: {"indices": [z + 1 for z in triples[c]]}, identity="eigenvalue")
+        or next(filter(None, (wedge(*x) for x in xs)), None))
 
 
 def check_cyclic_shift_identity(Y: Matrix, T: Matrix, q, table=None) -> CheckReport:
@@ -314,24 +309,22 @@ def check_cyclic_shift_identity(Y: Matrix, T: Matrix, q, table=None) -> CheckRep
     each other, and their difference is controlled by the traceless
     operator alone.  Both products are :func:`braid_table` columns, and
     Tx ^ t = pair_vt(Tx, t) e1^e2^e3.  Compared times b m d^2, for Y = N / d,
-    T = M / m, q = a / b.
+    T = M / m, q = a / b.  T must be a 3x3 operator over Y's field.
     """
-    fld, p = Y.field, Y.field.characteristic
+    if T.nrows != 3 or T.ncols != 3:
+        raise DimensionMismatch("the traceless operator of the shift identity must be 3x3")
+    Y._same_field(T)
+    fld = Y.field
     vxa, axv, d, _ = table or braid_table(Y, q)
     (qn,), qd = integer_coordinates(fld, [q])
     tn, td = T.integers()
-
-    def mismatches():
-        for i in range(3):
-            for t, ytx, yxt in zip(_ALT2, axv[i], vxa[i]):  # Y1 Y2(t x), Y2 Y1(x t)
-                lhs = reduce_mod([qd * td * (a - b) for a, b in zip(ytx, cyclic_shift(yxt))], p)
-                c = 2 * (qn + qd) * d * d * pair_vt(tn[i::3], t)  # tn[i::3] = td T e_i
-                rhs = reduce_mod([c * s for s in _ALT3_UNIT], p)
-                if lhs != rhs:
-                    yield _witness(fld, {"vector": i + 1, "bivector": vector_to_json(fld, t)},
-                                   lhs, rhs, scale=qd * td * d * d)
-
-    return CheckReport("cyclic_shift_identity", next(mismatches(), None))
+    # Y1 Y2(t x) - shift(Y2 Y1(x t)) and 2(q+1) pair_vt(td T e_i, t) d^2, tn[i::3] = td T e_i
+    lhs = [qd * td * (a - b) for i in range(3) for ytx, yxt in zip(axv[i], vxa[i])
+           for a, b in zip(ytx, cyclic_shift(yxt))]
+    cs = [2 * (qn + qd) * d * d * pair_vt(tn[i::3], t) for i in range(3) for t in _ALT2]
+    return CheckReport("cyclic_shift_identity", _first_witness(
+        fld, lhs, [c * s for c in cs for s in _ALT3_UNIT], qd * td * d * d,
+        lambda c: {"vector": c // 3 + 1, "bivector": vector_to_json(fld, _ALT2[c % 3])}, 27))
 
 
 def run_suite(sym: HeckeSymmetry) -> list[CheckReport]:

@@ -33,6 +33,13 @@ columns with one exact division each.  ``lie_subalgebra`` and ``fingerprint`` ar
 ``cybe.lie_subalgebra`` and ``cybe.fingerprint``, which formed all dim^2 brackets [x_i, x_j] on
 each closure pass and ranked all dim^2 rows of the constants, where the package now forms
 i < j only, and formed the Killing form at every (i, j), where the package forms i <= j.
+``_witness``, ``columns_witness``, ``column_witness`` and ``_non_alternating_columns`` are the
+former witness builders of ``verifier``: ``_witness`` took field scalars as well as integer
+coordinates, and each comparison loop was written out by hand where the checks now share
+``verifier._first_witness``; the references of this module and of ``test_verifier`` pass field
+scalars to ``_witness``.  ``image_and_eigen`` and ``cyclic_shift_identity`` are the former bodies
+of ``verifier.check_image_and_eigen`` and ``verifier.check_cyclic_shift_identity``, which reduced
+each bivector's block mod p on its own; the latter read any T, of any shape or field.
 """
 
 import operator
@@ -50,7 +57,7 @@ from hecke3.errors import (
 from hecke3.fields import Fp
 from hecke3.heckecore import FOperator
 from hecke3 import multilinear
-from hecke3.linalg import Matrix, integer_coordinates, reduce_mod
+from hecke3.linalg import Matrix, field_scalars, integer_coordinates, reduce_mod
 from hecke3.multilinear import (
     _ALT2_PAIRS,
     _ALT3_UNIT,
@@ -69,13 +76,40 @@ from hecke3.multilinear import (
     vol,
     wedge2,
 )
-from hecke3.verifier import (
-    CheckReport,
-    _non_alternating_columns,
-    _witness,
-    braid_table,
-    columns_witness,
-)
+from hecke3.jsonio import vector_to_json
+from hecke3.verifier import CheckReport, _basis_tensor, braid_table
+
+
+def _witness(field, input, lhs, rhs, scale=1, **head) -> dict:
+    """The witness document; a side is text, a scalar or a coordinate list (int n is n / scale)."""
+
+    def side(x):
+        if isinstance(x, str):
+            return [x]
+        xs = x if isinstance(x, list) else [x]
+        return vector_to_json(field, xs if scale == 1 else field_scalars(field, xs, scale))
+
+    return {**head, "input": input, "lhs": side(lhs), "rhs": side(rhs)}
+
+
+def column_witness(lhs: Matrix, rhs: Matrix):
+    """The former verifier.column_witness: integer columns over the product of the scales."""
+    (a, da), (b, db), n = lhs.integers(), rhs.integers(), lhs.ncols
+    columns = (([x * db for x in a[c::n]], [y * da for y in b[c::n]]) for c in range(n))
+    return columns_witness(lhs.field, columns, da * db)
+
+
+def columns_witness(field, columns, scale=1):
+    """The witness of the first (lhs, rhs) integer column pair that differs, each n for n / scale."""
+    return next((_witness(field, {"basis_tensor": _basis_tensor(c, len(x))}, x, y, scale)
+                 for c, (x, y) in enumerate(columns) if x != y), None)
+
+
+def _non_alternating_columns(Y: Matrix):
+    """Witnesses at the columns of Y outside the alternating square, from its field scalars."""
+    for c in multilinear.non_alternating_columns(Y):
+        yield _witness(Y.field, {"basis_tensor": _basis_tensor(c, 9)}, Y.col(c),
+                       "alternating tensor expected")
 
 
 def mul(a: Matrix, b: Matrix) -> Matrix:
@@ -433,6 +467,45 @@ def component_identity(Y: Matrix, q, table=None):
                                    lhs, rhs, scale=b * d * d)
 
     return CheckReport("component_identity", next(mismatches(), None))
+
+
+def image_and_eigen(Y: Matrix, q):
+    """The former verifier.check_image_and_eigen: one reduction per bivector's block."""
+    (n, d), fld, p = Y.integers(), Y.field, Y.field.characteristic
+
+    def mismatches():
+        yield from _non_alternating_columns(Y)
+        rk = Y.rank()
+        if rk != 3:
+            yield _witness(fld, {"rank": rk}, str(rk), "3")
+        (a,), b = integer_coordinates(fld, [q])
+        for (j, k), w in zip(_ALT2_PAIRS, alt2_basis()):
+            got = reduce_mod([b * (x - y) for x, y in zip(n[idx2(j, k)::9], n[idx2(k, j)::9])], p)
+            want = reduce_mod([(a + b) * d * c for c in w], p)
+            if got != want:
+                yield _witness(fld, {"bivector": vector_to_json(fld, w)}, got, want, scale=b * d)
+
+    return CheckReport("image_eigen", next(mismatches(), None))
+
+
+def cyclic_shift_identity(Y: Matrix, T: Matrix, q, table=None):
+    """The former verifier.check_cyclic_shift_identity: one reduction per (vector, bivector)."""
+    fld, p = Y.field, Y.field.characteristic
+    vxa, axv, d, _ = table or braid_table(Y, q)
+    (qn,), qd = integer_coordinates(fld, [q])
+    tn, td = T.integers()
+
+    def mismatches():
+        for i in range(3):
+            for t, ytx, yxt in zip(alt2_basis(), axv[i], vxa[i]):  # Y1 Y2(t x), Y2 Y1(x t)
+                lhs = reduce_mod([qd * td * (a - b) for a, b in zip(ytx, cyclic_shift(yxt))], p)
+                c = 2 * (qn + qd) * d * d * pair_vt(tn[i::3], t)  # tn[i::3] = td T e_i
+                rhs = reduce_mod([c * s for s in _ALT3_UNIT], p)
+                if lhs != rhs:
+                    yield _witness(fld, {"vector": i + 1, "bivector": vector_to_json(fld, t)},
+                                   lhs, rhs, scale=qd * td * d * d)
+
+    return CheckReport("cyclic_shift_identity", next(mismatches(), None))
 
 
 def pairing_identities(Y: Matrix, q):

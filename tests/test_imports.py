@@ -4,7 +4,8 @@ the tests (so the package exports no test-only code), the package's
 modules import one another at the top only, along an acyclic graph, the errors of the rule
 for q are raised in one function, the type labels are spelled out in ``classify`` only,
 ``fractions`` is imported by ``fields`` and ``linalg`` only (elsewhere integers become field
-scalars through ``linalg.field_scalars``), and no package line is longer than 100 characters
+scalars through ``linalg.field_scalars``), one function builds a witness document (a dict with
+the keys "lhs" and "rhs"), and no package line is longer than 100 characters
 (so the package's line count is not met by packing more code onto each line)."""
 
 import ast
@@ -239,6 +240,47 @@ def test_the_label_check_sees_every_label_constant():
            'y = {"Type3": 1, "Type9": 2, "Type10": 3, "type4": 4}\nz = f"Type{n}"\n'
            '"""Type5 docstring"""\n')
     assert type_label_constants(src) == [(1, "Type1"), (1, "Type2"), (2, "Type8"), (4, "Type3")]
+
+
+WITNESS_SIDES = {"lhs", "rhs"}
+
+
+def witness_builders(source: str, module: str):
+    """The scope, as "module:qualified.name", of each dict display or ``dict(...)`` call with
+    the key "lhs" or "rhs", a witness document; one outside every function is "module:"."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.Dict):
+                keys = {getattr(k, "value", None) for k in child.keys}
+            elif isinstance(child, ast.Call) and getattr(child.func, "id", None) == "dict":
+                keys = {k.arg for k in child.keywords}
+            else:
+                keys = set()
+            if keys & WITNESS_SIDES:
+                found.append(f"{module}:{'.'.join(scope)}")
+            visit(child, scope)
+
+    visit(ast.parse(source), [])
+    return sorted(found)
+
+
+def test_the_witness_document_has_one_home():
+    """Every check builds its witness through verifier._witness."""
+    found = [b for p in PACKAGE.glob("*.py") for b in witness_builders(p.read_text(), p.stem)]
+    assert found == ["verifier:_witness"]
+
+
+def test_the_witness_check_sees_a_second_builder():
+    src = ('def _witness(x, y):\n    return {"input": 0, "lhs": x, "rhs": y}\n\n'
+           "class C:\n    def f(self, x):\n        return {**x, 'rhs': 1}\n\n"
+           'def g(x):\n    def h():\n        return dict(lhs=x)\n    return {"lhsx": x}\n\n'
+           'W = [{"lhs": 1}]\n')
+    assert witness_builders(src, "m") == ["m:", "m:C.f", "m:_witness", "m:g.h"]
 
 
 MAX_LINE_CHARS = 100

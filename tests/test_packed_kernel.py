@@ -45,7 +45,6 @@ from hecke3.verifier import (
     braid_table,
     check_braid,
     column_witness,
-    columns_witness,
     sample_adversarial,
     sample_strategy_a,
     sample_strategy_b,
@@ -199,7 +198,7 @@ def test_braid_witness_matches_the_list_action_and_the_dense_products(field):
         report = check_braid(R)
         (r1, d), (r2, _) = fref.slot_action(R, 0, 1), fref.slot_action(R, 1, 2)
         columns = ((r1(r2(r1(w))), r2(r1(r2(w)))) for w in unit_tensors(3))
-        assert report.witness == columns_witness(field, columns, d ** 3), name
+        assert report.witness == fref.columns_witness(field, columns, d ** 3), name
         L, _, Rr = dense_slots(R)
         assert report.witness == column_witness(L * Rr * L, Rr * L * Rr), name
         verdicts.add(report.passed)
@@ -238,7 +237,7 @@ def reference_cybe_witness(op):
         return reduce_mod(out, field.characteristic)
 
     columns = ((commutators(w), [0] * 27) for w in unit_tensors(3))
-    return columns_witness(field, columns, d * d)
+    return fref.columns_witness(field, columns, d * d)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)

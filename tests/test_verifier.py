@@ -11,7 +11,14 @@ import pytest
 import field_reference as fref
 from paper_reference import reference_r_matrix, typed_witness
 from hecke3.cli import main
-from hecke3.errors import InputError, NoHeckeParameter, NotHeckeSym0, SingularMatrix
+from hecke3.errors import (
+    DimensionMismatch,
+    FieldMismatch,
+    InputError,
+    NoHeckeParameter,
+    NotHeckeSym0,
+    SingularMatrix,
+)
 from hecke3 import fields, heckecore, verifier
 from hecke3.fields import GF, QQ
 from hecke3.linalg import Matrix, integer_coordinates, reduce_mod
@@ -50,7 +57,6 @@ from hecke3.verifier import (
     CheckReport,
     _random_independent_pair,
     _random_int,
-    _witness,
     braid_table,
     check_braid,
     check_component_identity,
@@ -241,6 +247,34 @@ class TestCyclicShiftIdentity:
         T = t_operator_of_F(FOperator(d.g, wedge2(d.a, d.b)))
         rep = check_cyclic_shift_identity(sym.Y, T.scale(QQ.of(2)), sym.q)
         assert not rep.passed
+
+    def test_a_9x9_operator_is_rejected(self):
+        # the former body read a 9x9 T's entries tn[i::3] and returned a failing report
+        sym = build_R(canonical("Type3"))
+        with pytest.raises(DimensionMismatch, match="must be 3x3"):
+            check_cyclic_shift_identity(sym.Y, Matrix.identity(QQ, 9), sym.q)
+
+    def test_a_2x2_operator_is_rejected(self):
+        # the former body raised a bare IndexError
+        sym = build_R(canonical("Type3"))
+        with pytest.raises(DimensionMismatch, match="must be 3x3"):
+            check_cyclic_shift_identity(sym.Y, Matrix.identity(QQ, 2), sym.q)
+
+    def test_an_operator_over_another_field_is_rejected(self):
+        # the former body raised a bare ValueError ("base is not invertible") formatting the
+        # witness over F_7 at the scale 7 of T
+        field = GF(7)
+        sym = build_R(canonical("Type3", field=field))
+        T = Matrix.from_rows(QQ, [["1/7", 0, 0], [0, 1, 0], [0, 0, -1]])
+        with pytest.raises(FieldMismatch, match="Fp:7 matrix mixed with Q matrix"):
+            check_cyclic_shift_identity(sym.Y, T, sym.q)
+
+
+@pytest.mark.parametrize("rhs", [Matrix.zeros(QQ, 27), Matrix.zeros(GF(7), 9)], ids=["27x27", "Fp7"])
+def test_column_witness_rejects_operators_of_another_shape_or_field(rhs):
+    # the former body returned a witness at the first column for 27x27 and None for F_7
+    with pytest.raises(DimensionMismatch if rhs.ncols == 27 else FieldMismatch):
+        column_witness(Matrix.zeros(QQ, 9), rhs)
 
 
 class TestFormulationAgreement:
@@ -606,7 +640,7 @@ def reference_component_identity(Y, q):
                         if acc != want:
                             indices = [i + 1, j + 1, k + 1, r + 1, t + 1]
                             return CheckReport("component_identity",
-                                               _witness(fld, {"indices": indices}, acc, want))
+                                               fref._witness(fld, {"indices": indices}, acc, want))
     return CheckReport("component_identity")
 
 
@@ -620,8 +654,8 @@ def reference_pairing_identities(Y, q):
     def mismatches():
         for c in range(9):
             if not is_alt2(Y.col(c)):
-                yield _witness(fld, {"basis_tensor": [c // 3 + 1, c % 3 + 1]}, Y.col(c),
-                               "alternating tensor expected")
+                yield fref._witness(fld, {"basis_tensor": [c // 3 + 1, c % 3 + 1]}, Y.col(c),
+                                    "alternating tensor expected")
         ell = [[[Y.rows[r][idx2(j, k)] for k in range(3)] for j in range(3)] for r in (5, 6, 1)]
         for i in range(3):
             for j in range(3):
@@ -629,8 +663,8 @@ def reference_pairing_identities(Y, q):
                     lhs = ell[i][j][k] - ell[i][k][j]
                     rhs = (qq + 1) * vol(e[i], e[j], e[k])
                     if lhs != rhs:
-                        yield _witness(fld, {"indices": [i + 1, j + 1, k + 1]}, lhs, rhs,
-                                       identity="eigenvalue")
+                        yield fref._witness(fld, {"indices": [i + 1, j + 1, k + 1]}, lhs, rhs,
+                                            identity="eigenvalue")
         xs = [(f"e{i+1}", e[i]) for i in range(3)]
         xs += [
             (f"e{i+1}+e{j+1}", [a + b for a, b in zip(e[i], e[j])])
@@ -656,7 +690,7 @@ def reference_pairing_identities(Y, q):
                             )
                             rhs = qq * vxjk * volx[u][v]
                             if lhs != rhs:
-                                yield _witness(
+                                yield fref._witness(
                                     fld, {"x": xname, "indices": [j + 1, k + 1, u + 1, v + 1]},
                                     lhs, rhs, identity="wedge")
 
@@ -721,17 +755,56 @@ FIELDS = [QQ, GF(3), GF(7), GF(1_000_003), GF(2**61 - 1)]
 FIELD_IDS = ["Q", "Fp3", "Fp7", "Fp1000003", "Fp2^61-1"]
 
 
+def _image_samples(field):
+    """(q, Y) at q = 4 that fail the image and eigenvalue check each its own way: 9 columns
+    outside Alt2 (Id), rank 0 and rank 2 inside Alt2, and Y acting as q + 1 on e1^e2 and e1^e3
+    only (as 2(q + 1) on e2^e3)."""
+    q = field.of(4)
+    P = (Matrix.identity(field, 9) - flip_matrix(field)).scale((q + 1) / 2)
+    zeroed, doubled = [P.col(c) for c in range(9)], [P.col(c) for c in range(9)]
+    for c in (idx2(1, 2), idx2(2, 1)):
+        zeroed[c] = [field.zero()] * 9
+        doubled[c] = [2 * x for x in doubled[c]]
+    return [(q, Matrix.identity(field, 9)), (q, Matrix.zeros(field, 9)),
+            (q, Matrix.from_columns(field, zeroed)), (q, Matrix.from_columns(field, doubled))]
+
+
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
 def test_component_and_pairing_match_the_reference_loops(field):
-    """Same documents, witnesses included, as the written-out loops."""
-    verdicts = set()
-    for q, Y in _reference_samples(field) + _variant_samples(field, random.Random(29)):
-        component = check_component_identity(Y, q).to_json()
-        assert component == reference_component_identity(Y, q).to_json()
-        pairing = check_pairing_identities(Y, q).to_json()
-        assert pairing == reference_pairing_identities(Y, q).to_json()
-        verdicts.add(component["passed"])
-    assert verdicts == {True, False}
+    """Same documents, witnesses included, as the written-out loops and the former bodies
+    (field_reference) of every check that shares one comparison of integer sides: the Hecke
+    relation and column_witness (Y^2 = (q + 1) Y on 9x9, Y x Id = Id x Y on 27x27), the image
+    and eigenvalue check, the component and pairing identities, and the cyclic-shift identity
+    with the traceless operator, twice it and a fixed wrong T."""
+    witnesses = {}
+    ident3, ident9 = Matrix.identity(field, 3), Matrix.identity(field, 9)
+    wrong_t = Matrix.from_rows(field, [[1, 2, 0], [0, -1, 3], [4, 0, 5]])
+    for q, Y in (_reference_samples(field) + _variant_samples(field, random.Random(29))
+                 + _image_samples(field)):
+        R, T = ident9.scale(q) - Y, _traceless(field, q, Y)
+        residual, zero = hecke_residual(R, q), Matrix.zeros(field, 9)
+        pairs = [
+            (check_hecke(R, q), CheckReport("hecke", fref.column_witness(residual, zero))),
+            (CheckReport("columns9", column_witness(Y * Y, Y.scale(q + 1))),
+             CheckReport("columns9", fref.column_witness(Y * Y, Y.scale(q + 1)))),
+            (CheckReport("columns27", column_witness(Y.kron(ident3), ident3.kron(Y))),
+             CheckReport("columns27", fref.column_witness(Y.kron(ident3), ident3.kron(Y)))),
+            (check_image_and_eigen(Y, q), fref.image_and_eigen(Y, q)),
+            (check_component_identity(Y, q), reference_component_identity(Y, q)),
+            (check_pairing_identities(Y, q), reference_pairing_identities(Y, q)),
+        ] + [(check_cyclic_shift_identity(Y, t, q), fref.cyclic_shift_identity(Y, t, q))
+             for t in (T, T.scale(field.of(2)), wrong_t)]
+        for got, want in pairs:
+            assert got.to_json() == want.to_json(), got.name
+            witness = got.witness or {}
+            witnesses.setdefault(got.name, set()).add(
+                witness.get("identity") or next(iter(witness.get("input", {None: 0}))))
+    assert witnesses == {
+        "hecke": {None, "basis_tensor"}, "columns9": {None, "basis_tensor"},
+        "columns27": {None, "basis_tensor"}, "image_eigen": {None, "basis_tensor", "rank", "bivector"},
+        "component_identity": {None, "indices"},
+        "pairing_identities": {None, "basis_tensor", "eigenvalue", "wedge"},
+        "cyclic_shift_identity": {None, "vector"}}
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
@@ -774,6 +847,50 @@ def test_a_passing_fp_suite_reduces_each_side_of_a_block_once(monkeypatch):
         assert calls == [81] * 2
 
 
+def _counted(monkeypatch, names):
+    """Counts of the calls of the verifier's functions ``names``, by name."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _fn=getattr(verifier, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(verifier, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("field", [QQ, GF(1_000_003)], ids=["Q", "Fp1000003"])
+def test_only_a_failing_check_builds_a_witness(field, monkeypatch):
+    """A passing run_suite calls neither _witness nor vector_to_json: no witness input (a
+    bivector's text, an index list) is formed before a block fails.  Each failing check builds
+    exactly one witness, whichever way it fails."""
+    rng = random.Random(61)
+    syms = [build_R(sampler(field, rng)) for sampler in (sample_strategy_a, sample_strategy_b) * 3]
+    calls = _counted(monkeypatch, ["_witness", "vector_to_json"])
+    for sym in syms:
+        assert all(rep.passed for rep in run_suite(sym))
+    assert calls == {"_witness": 0, "vector_to_json": 0}
+    q, a, b, g = sample_adversarial(field, rng)
+    bad = skewsymmetrizer_matrix(q, g, wedge2(a, b))
+    sym, wrong_t = syms[0], Matrix.from_rows(field, [[1, 2, 0], [0, -1, 3], [4, 0, 5]])
+    samples = [(q, bad)] + [(sym.q, _bumped(sym.Y, [(3 * c % 9, c, field.one())])) for c in (0, 4)]
+    samples += [(sym.q + 1, sym.Y), (sym.q, sym.Y.scale(field.of(3)))] + _image_samples(field)
+    failed = set()
+    for q, Y in samples:
+        R = Matrix.identity(field, 9).scale(q) - Y
+        for check in (lambda: check_braid(R), lambda: check_hecke(R, q),
+                      lambda: check_image_and_eigen(Y, q), lambda: check_containments(Y, q),
+                      lambda: check_component_identity(Y, q),
+                      lambda: check_pairing_identities(Y, q),
+                      lambda: check_cyclic_shift_identity(Y, wrong_t, q)):
+            calls["_witness"] = 0
+            report = check()
+            assert calls["_witness"] == (not report.passed), report.name
+            if not report.passed:
+                failed.add(report.name)
+    assert failed == {"braid", "hecke", "image_eigen", "containments",
+                      "component_identity", "pairing_identities", "cyclic_shift_identity"}
+
+
 def _kron_lifts(op):
     """op on slots (1,2), (2,3) and (1,3) of degree-3 tensors, as dense 27x27 Kronecker products."""
     ident3 = Matrix.identity(op.field, 3)
@@ -804,7 +921,7 @@ def reference_containments(Y, q):
                 w = tensor2(e[i], t) if space == "VxAlt2" else tensor2(t, e[i])
                 u = [a - qq * b for a, b in zip(second.apply(first.apply(w)), w)]
                 if not is_alt3(u):
-                    return CheckReport("containments", _witness(
+                    return CheckReport("containments", fref._witness(
                         fld, {"space": space, "vector": i + 1, "bivector": vector_to_json(fld, t)},
                         u, "element of Alt3 expected"))
     return CheckReport("containments")
@@ -822,7 +939,7 @@ def reference_cyclic_shift_identity(Y, T, q):
             lhs = [a - b for a, b in zip(y1.apply(y2.apply(tx)), shift)]
             rhs = [2 * (qq + 1) * c for c in fref.wedge_vt(T.apply(e[i]), t)]
             if lhs != rhs:
-                return CheckReport("cyclic_shift_identity", _witness(
+                return CheckReport("cyclic_shift_identity", fref._witness(
                     fld, {"vector": i + 1, "bivector": vector_to_json(fld, t)}, lhs, rhs))
     return CheckReport("cyclic_shift_identity")
 
