@@ -72,7 +72,6 @@ from .classify import (
     TYPE_LABELS,
     ClassificationReport,
     canonical,
-    canonical_gram,
     classify,
 )
 from .cybe import (

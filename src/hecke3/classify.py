@@ -30,7 +30,6 @@ __all__ = [
     "TYPE_LABELS",
     "Q_FAMILIES",
     "ClassificationReport",
-    "canonical_gram",
     "canonical",
     "classify",
 ]
@@ -65,10 +64,26 @@ class ClassificationReport:
         }
 
 
-def canonical_gram(label: str, q=None, field=QQ) -> Matrix:
-    """The canonical form matrix of a type (q needed for Types 1 and 2)."""
+# the integer forms of the six q = 1 types, row-major
+_FORMS = {
+    "Type3": [1, 0, 0, 0, 0, 1, 0, 1, 0],
+    "Type4": [1, 0, 0, 0, 0, 0, 0, 0, 1],
+    "Type5": [1, 0, 0, 0, 0, 0, 0, 0, 0],
+    "Type6": [0, 0, 0, 0, 0, 1, 0, 1, 0],
+    "Type7": [0, 0, 0, 0, 0, 0, 0, 0, 1],
+    "Type8": [0, 0, 0, 0, 0, 0, 0, 0, 0],
+}
+
+
+def canonical(label: str, q=None, field=QQ) -> HeckeData:
+    """Canonical quadruple of a type: a = e1, b = e2, the listed form.
+
+    An unknown label is rejected before q is read.  Types 1 and 2 need an explicit q
+    outside {0, 1}; Types 3 to 8 live at q = 1, and any other q for them is an error.
+    """
     if label not in TYPE_LABELS:
         raise InputError(f"unknown type label {clip(repr(label))}")
+    e = std_basis(field)
     if label in Q_FAMILIES:
         if q is None:
             raise InvalidQ(f"{label} needs an explicit q")
@@ -76,30 +91,11 @@ def canonical_gram(label: str, q=None, field=QQ) -> Matrix:
         if q == 0 or q == 1:
             raise InvalidQ(f"{label} needs q outside {{0, 1}}")
         s = (q - 1) / 2
-        return Matrix.from_rows(field, [[0, s, 0], [s, 0, 0], [0, 0, int(label == "Type1")]])
-    grams = {
-        "Type3": [1, 0, 0, 0, 0, 1, 0, 1, 0],
-        "Type4": [1, 0, 0, 0, 0, 0, 0, 0, 1],
-        "Type5": [1, 0, 0, 0, 0, 0, 0, 0, 0],
-        "Type6": [0, 0, 0, 0, 0, 1, 0, 1, 0],
-        "Type7": [0, 0, 0, 0, 0, 0, 0, 0, 1],
-        "Type8": [0, 0, 0, 0, 0, 0, 0, 0, 0],
-    }
-    return Matrix.of_integers(field, 3, 3, grams[label])
-
-
-def canonical(label: str, q=None, field=QQ) -> HeckeData:
-    """Canonical quadruple of a type: a = e1, b = e2, the listed form.
-
-    Types 3 to 8 live at q = 1; passing any other q for them is an error.
-    """
-    g = canonical_gram(label, q if label in Q_FAMILIES else None, field)
-    e = std_basis(field)
-    if label in Q_FAMILIES:
+        g = Matrix.from_rows(field, [[0, s, 0], [s, 0, 0], [0, 0, int(label == "Type1")]])
         return HeckeData(q, e[0], e[1], g)
     if q is not None and field.of(q) != 1:
         raise InvalidQ(f"{label} exists only at q = 1")
-    return HeckeData(field.one(), e[0], e[1], g)
+    return HeckeData(field.one(), e[0], e[1], Matrix.of_integers(field, 3, 3, _FORMS[label]))
 
 
 # (q == 1, rank g, rank of g on the bivector plane) -> label.  With F nonzero,

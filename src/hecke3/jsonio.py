@@ -31,9 +31,9 @@ def _scalar_from_json(field, x):
     return field.parse(str(x))
 
 
-def _record_field(obj: dict, default_field):
-    """The field named by a record's "field" key, else the default field."""
-    fld = parse_field(obj["field"]) if "field" in obj else default_field
+def _record_field(obj, default_field):
+    """The field named by a record's "field" key, else (a bare matrix too) the default field."""
+    fld = parse_field(obj["field"]) if isinstance(obj, dict) and "field" in obj else default_field
     if fld is None:
         raise InputError("no field given and no default field set")
     return fld
@@ -106,7 +106,8 @@ def load_symmetry(obj, default_field=None) -> HeckeSymmetry:
 
     Bare and record matrices are validated (quadratic relation, image and
     eigenvalue conditions); quadruple input is built, which validates the
-    q constraint instead.
+    q constraint instead.  A record's "field" key names its field; a record
+    without one, or a bare matrix, is read over ``default_field``.
     """
     if isinstance(obj, dict) and {"a", "b", "g"} <= set(obj):
         return build_R(hecke_data_from_json(obj, default_field))
@@ -116,8 +117,6 @@ def load_symmetry(obj, default_field=None) -> HeckeSymmetry:
         q = _scalar_from_json(fld, obj["q"]) if "q" in obj else None
         return HeckeSymmetry.from_matrix(R, q)
     if isinstance(obj, list):
-        if default_field is None:
-            raise InputError("a bare matrix needs --field (or HECKE3_FIELD)")
-        R = matrix_from_json(default_field, obj, 9, 9)
+        R = matrix_from_json(_record_field(obj, default_field), obj, 9, 9)
         return HeckeSymmetry.from_matrix(R)
     raise InputError("unrecognized input document")

@@ -57,8 +57,8 @@ class Matrix:
 
     @classmethod
     def from_columns(cls, field, cols):
-        """The matrix with the given coordinate columns."""
-        return cls(field, list(zip(*cols)))
+        """The matrix with the given coordinate columns; ragged columns raise DimensionMismatch."""
+        return cls(field, cols).transpose()
 
     @classmethod
     def zeros(cls, field, n):
@@ -140,6 +140,8 @@ class Matrix:
                              self.d * dx)
 
     def col(self, j):
+        if not 0 <= j < self.ncols:
+            raise DimensionMismatch(f"no column {j} in a {self.nrows}x{self.ncols} matrix")
         return field_scalars(self.field, self.N[j::self.ncols], self.d)
 
     def transpose(self) -> "Matrix":

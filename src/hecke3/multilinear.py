@@ -72,6 +72,8 @@ def tensor2(x, y):
 
 def wedge2(x, y):
     """x ^ y = x(x)y - y(x)x."""
+    _check_len(x, 3, "vector")
+    _check_len(y, 3, "vector")
     return [xi * yj - yi * xj for xi, yi in zip(x, y) for xj, yj in zip(x, y)]
 
 

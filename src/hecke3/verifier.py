@@ -433,10 +433,11 @@ def fuzz(field, trials: int, seed: int, strategy: str = "A",
          adversarial: bool = False) -> CheckReport:
     """Deterministic sampling harness running the full suite per trial.
 
-    Per-trial random streams are derived from (seed, trial index), so the
-    aggregate is independent of execution order.  In adversarial mode the
-    q constraint is broken on purpose and a trial counts as expected when
-    the braid or quadratic check fails.
+    Per-trial random streams are derived from (seed, trial index), so the aggregate is
+    independent of execution order.  In adversarial mode the q constraint is broken on purpose
+    and a trial counts as expected when the braid or quadratic check fails.  That mode ignores
+    ``strategy``: every adversarial trial comes from strategy A's sampler, while the report's
+    name still gives the strategy passed.
     """
     if trials < 1:
         raise InputError("trials must be >= 1")

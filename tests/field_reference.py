@@ -40,22 +40,27 @@ coordinates, and each comparison loop was written out by hand where the checks n
 scalars to ``_witness``.  ``image_and_eigen`` and ``cyclic_shift_identity`` are the former bodies
 of ``verifier.check_image_and_eigen`` and ``verifier.check_cyclic_shift_identity``, which reduced
 each bivector's block mod p on its own; the latter read any T, of any shape or field.
+``canonical_gram`` and ``canonical`` are the former pair of ``classify``, which split a type's
+rule for q and its form between two functions where ``classify.canonical`` now states both.
 """
 
 import operator
 from itertools import product
 
 
+from hecke3.classify import Q_FAMILIES, TYPE_LABELS
 from hecke3.cybe import LieSubalgebra, _bracket
 from hecke3.errors import (
     DimensionMismatch,
     FieldMismatch,
     Hecke3Error,
+    InputError,
+    InvalidQ,
     NotHeckeSym0,
     SingularMatrix,
 )
-from hecke3.fields import Fp
-from hecke3.heckecore import FOperator
+from hecke3.fields import QQ, Fp, clip
+from hecke3.heckecore import FOperator, HeckeData
 from hecke3 import multilinear
 from hecke3.linalg import Matrix, field_scalars, integer_coordinates, reduce_mod
 from hecke3.multilinear import (
@@ -577,3 +582,37 @@ def fingerprint(L: LieSubalgebra):
     adT = [[x for k in range(d) for x in Ci[k::d]] for Ci in C]
     killing = [sum(map(operator.mul, adT[i], C[j])) for i in range(d) for j in range(d)]
     return (d, L.constants.rank(), L.center_dim, Matrix.of_integers(L.field, d, d, killing).rank())
+
+
+def canonical_gram(label: str, q=None, field=QQ) -> Matrix:
+    """The canonical form matrix of a type (q needed for Types 1 and 2)."""
+    if label not in TYPE_LABELS:
+        raise InputError(f"unknown type label {clip(repr(label))}")
+    if label in Q_FAMILIES:
+        if q is None:
+            raise InvalidQ(f"{label} needs an explicit q")
+        q = field.of(q)
+        if q == 0 or q == 1:
+            raise InvalidQ(f"{label} needs q outside {{0, 1}}")
+        s = (q - 1) / 2
+        return Matrix.from_rows(field, [[0, s, 0], [s, 0, 0], [0, 0, int(label == "Type1")]])
+    grams = {
+        "Type3": [1, 0, 0, 0, 0, 1, 0, 1, 0],
+        "Type4": [1, 0, 0, 0, 0, 0, 0, 0, 1],
+        "Type5": [1, 0, 0, 0, 0, 0, 0, 0, 0],
+        "Type6": [0, 0, 0, 0, 0, 1, 0, 1, 0],
+        "Type7": [0, 0, 0, 0, 0, 0, 0, 0, 1],
+        "Type8": [0, 0, 0, 0, 0, 0, 0, 0, 0],
+    }
+    return Matrix.of_integers(field, 3, 3, grams[label])
+
+
+def canonical(label: str, q=None, field=QQ) -> HeckeData:
+    """Canonical quadruple of a type, its form from ``canonical_gram``."""
+    g = canonical_gram(label, q if label in Q_FAMILIES else None, field)
+    e = std_basis(field)
+    if label in Q_FAMILIES:
+        return HeckeData(q, e[0], e[1], g)
+    if q is not None and field.of(q) != 1:
+        raise InvalidQ(f"{label} exists only at q = 1")
+    return HeckeData(field.one(), e[0], e[1], g)

@@ -18,7 +18,6 @@ from hecke3.classify import (
     TYPE_LABELS,
     _LABELS,
     canonical,
-    canonical_gram,
     classify,
 )
 
@@ -39,15 +38,15 @@ EXPECTED_INVARIANTS = {
 
 class TestCanonical:
     def test_first_family_gram(self):
-        g = canonical_gram("Type1", Fr(2))
+        g = canonical("Type1", Fr(2)).g
         assert g.rows == Matrix.from_rows(QQ, [[0, "1/2", 0], ["1/2", 0, 0], [0, 0, 1]]).rows
 
     def test_sixth_gram(self):
-        g = canonical_gram("Type6")
+        g = canonical("Type6").g
         assert g == Matrix.from_rows(QQ, [[0, 0, 0], [0, 0, 1], [0, 1, 0]])
 
     def test_eighth_gram_is_zero(self):
-        assert canonical_gram("Type8").is_zero()
+        assert canonical("Type8").g.is_zero()
 
     def test_q_validation(self):
         with pytest.raises(InvalidQ):
@@ -63,11 +62,25 @@ class TestCanonical:
                                        pytest.param("T" * 300, id="300-characters")])
     def test_unknown_labels_are_input_errors(self, label):
         """Tested before any q: "Type9" at q = 2 is not a q = 1 type given the wrong q."""
-        for fn in (canonical, canonical_gram):
-            for args in ((), (2,), (Fr(1, 2), GF(7)), (None, GF(7))):
-                with pytest.raises(InputError) as err:
-                    fn(label, *args)
-                assert str(err.value) == f"unknown type label {clip(repr(label))}"
+        for args in ((), (2,), (Fr(1, 2), GF(7)), (None, GF(7))):
+            with pytest.raises(InputError) as err:
+                canonical(label, *args)
+            assert str(err.value) == f"unknown type label {clip(repr(label))}"
+
+    @pytest.mark.parametrize("field", [QQ, GF(3), GF(7), GF(1_000_003)],
+                             ids=["Q", "F3", "F7", "F1000003"])
+    def test_canonical_matches_the_former_form_and_quadruple_pair(self, field):
+        """Equal quadruples, or the same error type and text, in the same order of checks."""
+
+        def outcome(fn, label, q):
+            try:
+                return fn(label, q, field)
+            except Exception as exc:
+                return type(exc), str(exc)
+
+        for label in TYPE_LABELS + ("Type9",):
+            for q in (None, 0, 1, 2, 3, -1, "1/2", "-2/3", "x"):
+                assert outcome(canonical, label, q) == outcome(fref.canonical, label, q), (label, q)
 
     def test_all_canonical_data_valid(self):
         for label in TYPE_LABELS:

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from hecke3.cli import main
+from hecke3.errors import InputError
 from hecke3.fields import QQ
 from hecke3.multilinear import idx2
 from hecke3.heckecore import build_R, flip_matrix, skewsymmetrizer_matrix, symmetric_form
@@ -211,6 +212,18 @@ class TestSerializationRoundtrips:
         sym = build_R(canonical("Type5"))
         loaded = load_symmetry(json.loads(json.dumps(matrix_to_json(sym.R))), QQ)
         assert loaded.R == sym.R
+
+    def test_no_field_and_no_default_field_is_one_input_error(self):
+        """A bare matrix and records with no "field" key meet the same field rule."""
+        sym = build_R(canonical("Type5"))
+        quadruple = hecke_data_to_json(canonical("Type5"))
+        del quadruple["field"]
+        documents = [matrix_to_json(sym.R), {"q": "1", "R": matrix_to_json(sym.R)}, quadruple]
+        for doc in documents:
+            with pytest.raises(InputError) as err:
+                load_symmetry(doc)
+            assert str(err.value) == "no field given and no default field set"
+            assert load_symmetry(doc, QQ).R == sym.R
 
     def test_scalar_strings_not_numbers(self):
         doc = hecke_data_to_json(canonical("Type1", Fr(1, 2)))

@@ -89,6 +89,24 @@ def test_from_columns_is_the_transpose_of_from_rows():
     assert [m.col(j) for j in range(2)] == cols
 
 
+def test_from_columns_rejects_ragged_columns():
+    """The columns meet the constructor's shape check before they are transposed."""
+    for cols in ([[1, 2, 3], [4, 5]], [[1], [2, 3]], [[1, 2], []]):
+        with pytest.raises(DimensionMismatch):
+            Matrix.from_columns(QQ, cols)
+
+
+def test_col_rejects_an_index_outside_the_columns():
+    m = Matrix.from_rows(QQ, [[1, 2], [3, 4], [5, 6]])
+    assert [m.col(j) for j in range(2)] == [[1, 3, 5], [2, 4, 6]]
+    for j in (2, 3, -1, -2):
+        with pytest.raises(DimensionMismatch):
+            m.col(j)
+    for j in (3, -1):
+        with pytest.raises(DimensionMismatch):
+            Matrix.identity(QQ, 3).col(j)
+
+
 def echelon_span(field, vectors):
     """Canonical basis of the span of the given coordinate vectors: the nonzero rows of the RREF."""
     red, pivots = Matrix.from_rows(field, vectors).rref()

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from field_reference import wedge3, wedge_vt
+from hecke3.errors import DimensionMismatch
 from hecke3.fields import GF, QQ
 from hecke3.linalg import Matrix
 from hecke3.multilinear import (
@@ -69,6 +70,13 @@ def test_wedge2_alternation():
 def test_wedge2_antisymmetry_and_membership(x, y):
     assert wedge2(x, y) == [-c for c in wedge2(y, x)]
     assert is_alt2(wedge2(x, y))
+
+
+@pytest.mark.parametrize("x, y", [([1, 2, 3], [1, 2]), ([1, 2], [1, 2, 3]),
+                                  ([1, 2, 3, 4], [1, 2, 3, 4]), ([], [])])
+def test_wedge2_rejects_vectors_that_are_not_3_dimensional(x, y):
+    with pytest.raises(DimensionMismatch):
+        wedge2(x, y)
 
 
 def test_wedge3_six_terms():
