@@ -39,6 +39,10 @@ __all__ = [
     "fingerprint",
 ]
 
+# row 9 (3i + j) + 3k + l: [E_ij, E_kl] = d_jk E_il - d_li E_kj on the unit basis E_11, ..., E_33
+_GL3_CONSTANTS = [int(j == k and c == 3 * i + l) - int(l == i and c == 3 * k + j)
+                  for i, j, k, l in product(range(3), repeat=4) for c in range(9)]
+
 
 @dataclass(frozen=True)
 class GlTensor:
@@ -165,7 +169,9 @@ def lie_subalgebra(field, generators) -> LieSubalgebra:
 
     On the echelon basis N_k / d, a bracket B / d^2 has coordinates B[lead_k] / d^2
     (pivot columns) and lies in the span iff d B = sum_k B[lead_k] N_k (mod p).  Each pass
-    forms and tests [x_i, x_j] for i < j only.
+    forms and tests [x_i, x_j] for i < j only, but a pass at dimension 9 forms none: over every
+    field a 9-dimensional subspace of gl(3) is gl(3), closed, with the echelon basis E_11, ...,
+    E_33 at d = 1 (nine leads in nine columns) and the constants ``_GL3_CONSTANTS``.
     """
     if any(m.field != field for m in generators):
         raise FieldMismatch(f"a generator of a {field.name} subalgebra lies over another field")
@@ -179,6 +185,9 @@ def lie_subalgebra(field, generators) -> LieSubalgebra:
             raise Hecke3Error("internal inconsistency: brackets outside the span did not grow it")
         (n, d), dim = red.integers(), len(leads)
         basis = [n[9 * k:9 * k + 9] for k in range(dim)]
+        if dim == 9:  # gl(3), by the lemma above
+            constants = Matrix.of_integers(field, 81, 9, _GL3_CONSTANTS)
+            break
         free = [t for t in range(9) if t not in leads]  # d B = sum_k ... holds at the leads
         brackets = [_bracket(x, y) for x, y in combinations(basis, 2)]
         consts = [[b[lead] for lead in leads] for b in brackets]
@@ -188,10 +197,11 @@ def lie_subalgebra(field, generators) -> LieSubalgebra:
         if not new:
             break
         grew, rows = True, basis + new
-    upper = dict(zip(combinations(range(dim), 2), consts))  # [x_j, x_i] = -[x_i, x_j]
-    full = [upper[i, j] if i < j else [-x for x in upper[j, i]] if j < i else [0] * dim
-            for i in range(dim) for j in range(dim)]
-    constants = Matrix.of_integers(field, dim * dim, dim, [x for c in full for x in c], d * d)
+    if dim < 9:
+        upper = dict(zip(combinations(range(dim), 2), consts))  # [x_j, x_i] = -[x_i, x_j]
+        full = [upper[i, j] if i < j else [-x for x in upper[j, i]] if j < i else [0] * dim
+                for i in range(dim) for j in range(dim)]
+        constants = Matrix.of_integers(field, dim * dim, dim, [x for c in full for x in c], d * d)
     return LieSubalgebra(field, tuple(Matrix.of_integers(field, 3, 3, v, d) for v in basis),
                          constants, grew)
 
@@ -217,9 +227,11 @@ class FrobeniusResult:
 
 
 def _center_dim(L: LieSubalgebra) -> int:
-    """Dimension of the centre: sum a_i x_i is central iff sum_i a_i c[i][j] = 0 for all j."""
-    d = L.dim  # the constants read as d x d^2 have row i = every c[i][j][k]
-    return d - Matrix.of_integers(L.field, d, d * d, L.constants.integers()[0]).rank()
+    """Dimension of the centre: sum a_i x_i is central iff sum_i a_i c[i][j] = 0 for all j.
+
+    At d = 9, gl(3), it is 1 over every field: x E_ij = E_ij x for all i, j forces x = c Id."""
+    d, (n, _) = L.dim, L.constants.integers()  # read as d x d^2: row i = every c[i][j][k]
+    return 1 if d == 9 else d - Matrix.of_integers(L.field, d, d * d, n).rank()
 
 
 def _functionals(field, d: int):
@@ -281,11 +293,13 @@ def fingerprint(L: LieSubalgebra):
     The first three invariants do not separate all carrier subalgebras that
     occur here (two of the dimension-4 carriers share them), so the Killing
     rank is included; the quadruple is a strictly finer isomorphism
-    invariant and separates all six.
+    invariant and separates all six.  At d = 9, gl(3), its derived algebra is sl(3)
+    (E_ij = [E_ii, E_ij] and E_ii - E_jj = [E_ij, E_ji] for i != j) and its Killing form is
+    6 tr(xy) - 2 tr(x) tr(y), with the scalars as kernel except over F_3: -2 tr(x) tr(y).
     """
     d = L.dim
-    if d == 0:
-        return (0, 0, 0, 0)
+    if d == 9:
+        return (9, 8, 1, 1 if L.field.characteristic == 3 else 8)
     # trace(ad_i ad_j) = sum_{k,m} c[i][m][k] c[j][k][m], on integers c = C / e
     n, _ = L.constants.integers()
     C = [n[i * d * d:(i + 1) * d * d] for i in range(d)]  # C[j][k * d + m] = c[j][k][m]

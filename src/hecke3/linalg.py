@@ -42,6 +42,8 @@ class Matrix:
     @classmethod
     def of_integers(cls, field, nrows, ncols, N, d=1) -> "Matrix":
         """The nrows x ncols matrix N / d of row-major integers N: d > 0 over Q, a unit over F_p."""
+        if len(N) != nrows * ncols:
+            raise DimensionMismatch(f"a {nrows}x{ncols} matrix from {len(N)} entries")
         p, m = field.characteristic, cls.__new__(cls)
         if p:  # a scale d != 1 is folded into the residues
             inv = pow(d, -1, p)

@@ -102,6 +102,8 @@ def cyclic_shift(w):
 
 def vol(x, y, z):
     """The alternating trilinear form with vol(e1,e2,e3) = 1 (a determinant)."""
+    for v in (x, y, z):
+        _check_len(v, 3, "vector")
     return (
         x[0] * (y[1] * z[2] - y[2] * z[1])
         - x[1] * (y[0] * z[2] - y[2] * z[0])

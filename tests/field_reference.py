@@ -33,6 +33,10 @@ columns with one exact division each.  ``lie_subalgebra`` and ``fingerprint`` ar
 ``cybe.lie_subalgebra`` and ``cybe.fingerprint``, which formed all dim^2 brackets [x_i, x_j] on
 each closure pass and ranked all dim^2 rows of the constants, where the package now forms
 i < j only, and formed the Killing form at every (i, j), where the package forms i <= j.
+``_center_dim`` is the former ``cybe._center_dim``, an elimination of the constants at every
+dimension; ``lie_subalgebra`` stores it as ``center_dim``, and ``fingerprint`` reads it.  The
+three treated gl(3) like every other carrier, where the package reads its brackets, centre and
+ranks off a lemma at dimension 9.
 ``_witness``, ``columns_witness``, ``column_witness`` and ``_non_alternating_columns`` are the
 former witness builders of ``verifier``: ``_witness`` took field scalars as well as integer
 coordinates, and each comparison loop was written out by hand where the checks now share
@@ -568,8 +572,16 @@ def lie_subalgebra(field, generators) -> LieSubalgebra:
             break
         grew, rows = True, basis + new
     constants = Matrix.of_integers(field, dim * dim, dim, [x for c in consts for x in c], d * d)
-    return LieSubalgebra(field, tuple(Matrix.of_integers(field, 3, 3, v, d) for v in basis),
-                         constants, grew)
+    L = LieSubalgebra(field, tuple(Matrix.of_integers(field, 3, 3, v, d) for v in basis),
+                      constants, grew)
+    object.__setattr__(L, "center_dim", _center_dim(L))
+    return L
+
+
+def _center_dim(L: LieSubalgebra) -> int:
+    """cybe._center_dim eliminating the constants at every dimension, gl(3) included."""
+    d = L.dim  # the constants read as d x d^2 have row i = every c[i][j][k]
+    return d - Matrix.of_integers(L.field, d, d * d, L.constants.integers()[0]).rank()
 
 
 def fingerprint(L: LieSubalgebra):
@@ -581,7 +593,8 @@ def fingerprint(L: LieSubalgebra):
     C = [n[i * d * d:(i + 1) * d * d] for i in range(d)]
     adT = [[x for k in range(d) for x in Ci[k::d]] for Ci in C]
     killing = [sum(map(operator.mul, adT[i], C[j])) for i in range(d) for j in range(d)]
-    return (d, L.constants.rank(), L.center_dim, Matrix.of_integers(L.field, d, d, killing).rank())
+    killing_rank = Matrix.of_integers(L.field, d, d, killing).rank()
+    return (d, L.constants.rank(), _center_dim(L), killing_rank)
 
 
 def canonical_gram(label: str, q=None, field=QQ) -> Matrix:

@@ -434,26 +434,48 @@ def growing_generators(field, rng, count):
     return found
 
 
-@pytest.mark.parametrize("field", [QQ, GF(3), GF(7), GF(1_000_003)],
-                         ids=["Q", "Fp3", "Fp7", "Fp1000003"])
+def gl3_boundary_generators(field, rng):
+    """Generators on both sides of dimension 9: the unit basis and sets that grow to gl(3), each
+    also moved by a random P, and E12, E23, E31, whose closure stops at sl(3), dimension 8."""
+    grow = [units(field, (1, 1), (1, 2), (2, 3), (3, 1)),
+            units(field, (1, 2), (2, 3), (3, 1), (2, 2))]
+    gens = [units(field, *product((1, 2, 3), repeat=2)), units(field, (1, 2), (2, 3), (3, 1))]
+    for listed in gens[:1] + grow:
+        P = random_invertible(field, rng)
+        gens += [listed, [P * x * P.inverse() for x in listed]]
+    return gens
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3), GF(5), GF(7), GF(1_000_003)],
+                         ids=["Q", "Fp3", "Fp5", "Fp7", "Fp1000003"])
 def test_half_bracket_closure_matches_the_full_closure(field):
-    """Brackets for i < j only, mirrored by sign, give the LieSubalgebra and fingerprint of the
-    former closure that formed all dim^2 brackets, bit for bit: on the listed carriers moved by
-    P, on growing closures, and on the differential sets (the eight types moved by P among them)."""
+    """Brackets for i < j only, mirrored by sign, and gl(3) read off the lemma at dimension 9,
+    give the LieSubalgebra (constants included), centre dimension, fingerprint and Frobenius
+    document of the former closure, which formed all dim^2 brackets and eliminated for the
+    centre and the ranks at every dimension, bit for bit: on gl(3) spanned at once or reached by
+    growth, on the listed carriers moved by P, on growing closures, and on the differential sets
+    (the eight types moved by P among them)."""
     rng = random.Random(26)
-    sets = (transported_carrier_generators(field, rng) + growing_generators(field, rng, 12)
-            + differential_generators(field))
-    dims, grew = set(), set()
+    sets = (gl3_boundary_generators(field, rng) + transported_carrier_generators(field, rng)
+            + growing_generators(field, rng, 12) + differential_generators(field))
+    seen = set()
     for gens in sets:
         L, ref = lie_subalgebra(field, gens), fref.lie_subalgebra(field, gens)
         assert L == ref
         assert isinstance(L.constants, Matrix)
         assert L.constants.integers() == ref.constants.integers()
-        assert L.center_dim == ref.center_dim
+        assert L.center_dim == _center_dim(L) == ref.center_dim == fref._center_dim(ref)
         assert fingerprint(L) == fref.fingerprint(ref)
-        dims.add(L.dim)
-        grew.add(L.closure_grew)
-    assert dims >= {0, 1, 2, 3, 4, 6, 9} and grew == {False, True}
+        assert is_frobenius(L).to_json(field) == is_frobenius(ref).to_json(field)
+        seen.add((L.dim, L.closure_grew))
+    assert {d for d, _ in seen} >= {0, 1, 2, 3, 4, 6, 8, 9}
+    assert {(9, False), (9, True), (8, True)} <= seen
+
+
+def test_the_gl3_constants_are_the_brackets_of_the_unit_basis():
+    """Row 9a + b of the module constant is [E_a, E_b] in the unit basis, formed by _bracket."""
+    e = unit_tensors(2)
+    assert cybe._GL3_CONSTANTS == [x for a in e for b in e for x in cybe._bracket(a, b)]
 
 
 def recorded_passes(monkeypatch):
@@ -478,13 +500,16 @@ def recorded_passes(monkeypatch):
 @pytest.mark.parametrize("field", [QQ, GF(3), GF(7), GF(1_000_003)],
                          ids=["Q", "Fp3", "Fp7", "Fp1000003"])
 def test_each_closure_pass_forms_the_brackets_i_lt_j_once(field, monkeypatch):
-    """A pass at dimension k calls _bracket k(k - 1)/2 times: 36 on the gl(3) carrier of
-    Type 1, 1 + 3 on E12, E21 (which grows to sl(2)), and the sum over the passes of a growth."""
+    """A pass at dimension k < 9 calls _bracket k(k - 1)/2 times and a pass at dimension 9
+    none (gl(3), by the lemma of lie_subalgebra; the former closure formed 36 there): 0 on the
+    gl(3) carrier of Type 1, 1 + 3 on E12, E21 (which grows to sl(2)), and the sum over the
+    passes below 9 of a growth, to gl(3) among them."""
     gl3 = classical_r(build_R(canonical("Type1", field.of(2), field)))
     growing = growing_generators(field, random.Random(9), 4)
+    growing.append(units(field, (1, 1), (1, 2), (2, 3), (3, 1)))
     brackets, dims = recorded_passes(monkeypatch)
     L = carrier(gl3)
-    assert (L.dim, L.closure_grew, dims, len(brackets)) == (9, False, [9], 36)
+    assert (L.dim, L.closure_grew, dims, len(brackets)) == (9, False, [9], 0)
     brackets.clear()
     dims.clear()
     assert lie_subalgebra(field, units(field, (1, 2), (2, 1))).dim == 3
@@ -493,7 +518,8 @@ def test_each_closure_pass_forms_the_brackets_i_lt_j_once(field, monkeypatch):
         brackets.clear()
         dims.clear()
         assert lie_subalgebra(field, gens).closure_grew and len(dims) >= 2
-        assert len(brackets) == sum(k * (k - 1) // 2 for k in dims)
+        assert len(brackets) == sum(k * (k - 1) // 2 for k in dims if k < 9)
+    assert dims[-1] == 9
 
 
 @pytest.mark.parametrize("field", [QQ, GF(3), GF(7)], ids=["Q", "Fp3", "Fp7"])

@@ -347,6 +347,16 @@ def test_prime_field_matrix_from_integers_over_a_scale(field):
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_of_integers_rejects_a_list_of_another_length(field):
+    """The integer door checks that it holds nrows * ncols entries, as the constructor does."""
+    for nrows, ncols, n in ((3, 3, [1, 2, 3, 4]), (3, 3, list(range(10))), (2, 3, [1] * 5),
+                            (0, 0, [1]), (1, 2, [])):
+        with pytest.raises(DimensionMismatch, match=f"a {nrows}x{ncols} matrix from {len(n)} entries"):
+            Matrix.of_integers(field, nrows, ncols, n)
+    assert Matrix.of_integers(field, 0, 0, []).rank() == 0
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
 def test_empty_and_single_row_shapes(field):
     empty = Matrix(field, [])
     assert (empty.nrows, empty.ncols) == (0, 0) and empty.rows == []

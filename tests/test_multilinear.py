@@ -118,6 +118,13 @@ def test_vol_normalization_and_antisymmetry():
     assert vol(E1, [a + b for a, b in zip(E1, E2)], E3) == 1
 
 
+@pytest.mark.parametrize("args", [([1, 0, 0, 5], E2, E3), ([1, 0], E2, E3), (E1, [0, 1], E3),
+                                  (E1, E2, [0, 0, 1, 0]), ([], [], [])])
+def test_vol_rejects_vectors_that_are_not_3_dimensional(args):
+    with pytest.raises(DimensionMismatch, match="vector must have 3 coordinates"):
+        vol(*args)
+
+
 @given(vec3, vec3, vec3)
 def test_pair_vt_matches_vol(u, x, y):
     assert pair_vt(u, wedge2(x, y)) == vol(u, x, y)
