@@ -33,6 +33,8 @@ from .errors import (
 )
 from .linalg import Matrix, field_scalars, integer_coordinates, reduce_mod
 from .multilinear import (
+    _ALT2,
+    _ALT2_PAIRS,
     _ALT3_UNIT,
     bivector,
     change_of_basis,
@@ -168,13 +170,9 @@ class HeckeSymmetry:
 
     @classmethod
     def from_matrix(cls, R: Matrix, q=None) -> "HeckeSymmetry":
-        """Validate a raw 9x9 matrix as a Hecke symmetry.
-
-        Checks the quadratic relation and that Y has rank 3.  Then Y maps
-        into the alternating square (the gate of the constructor) and onto it,
-        and Y(Y - (q+1) Id) = (R - q Id)(R + Id) = 0 makes q+1 its eigenvalue
-        there.  The braid equation is the verifier's job.
-        """
+        """Validate a raw 9x9 matrix as a Hecke symmetry: the quadratic relation, then rank Y = 3
+        (read off the lemma of :func:`_acts_on_alt2_as_q_plus_1` where it applies), so Y maps onto
+        Alt2 and (R - q)(R + 1) = 0 makes q+1 its eigenvalue there.  The braid is the verifier's."""
         if R.nrows != 9 or R.ncols != 9:
             raise InputError("R must be a 9x9 matrix")
         if q is None:
@@ -185,7 +183,7 @@ class HeckeSymmetry:
         elif not hecke_residual(R, q).is_zero():
             raise NotHeckeSym0("the quadratic Hecke relation fails for the given q")
         sym = cls(R, q)
-        if sym.Y.rank() != 3:
+        if (sym.q == -1 or not _acts_on_alt2_as_q_plus_1(sym.Y, sym.q)) and sym.Y.rank() != 3:
             raise NotHeckeSym0("the skewsymmetrizer image is not the full alternating square")
         return sym
 
@@ -203,9 +201,25 @@ def flip_matrix(field) -> Matrix:
 
 
 def hecke_residual(R: Matrix, q) -> Matrix:
-    """(R - q*Id)(R + Id): zero exactly when R satisfies the quadratic relation at q."""
+    """(R - q*Id)(R + Id) = Y^2 - (q+1) Y; no product where _acts_on_alt2_as_q_plus_1 holds."""
     Id = Matrix.identity(R.field, 9)
-    return (R - Id.scale(q)) * (R + Id)
+    M = R - Id.scale(q)  # R's shape and q are tested first
+    return Matrix.zeros(R.field, 9) if _acts_on_alt2_as_q_plus_1(-M, q) else M * (R + Id)
+
+
+def _alt2_eigen_sides(Y: Matrix, q):
+    """b (column jk - column kj of N), (a + b) d (e_j ^ e_k) mod p and b d, Y = N / d, q = a / b."""
+    (n, d), ((a,), b), p = Y.integers(), integer_coordinates(Y.field, [q]), Y.field.characteristic
+    return (reduce_mod([b * (x - y) for j, k in _ALT2_PAIRS
+                        for x, y in zip(n[idx2(j, k)::9], n[idx2(k, j)::9])], p),
+            reduce_mod([(a + b) * d * c for w in _ALT2 for c in w], p), b * d)
+
+
+def _acts_on_alt2_as_q_plus_1(Y: Matrix, q) -> bool:
+    """Y maps into Alt2 (tested before q is read) and acts there as q + 1 (_alt2_eigen_sides).
+    Lemma: then (R - q)(R + 1) = Y^2 - (q+1) Y = 0 for R = q*Id - Y; rank Y = 3 if q + 1 != 0.
+    Proof: Yx is in Alt2, so Y(Yx) = (q+1) Yx.  If q + 1 != 0, Alt2 = Y(Alt2) <= Im Y <= Alt2."""
+    return not non_alternating_columns(Y) and (s := _alt2_eigen_sides(Y, q))[0] == s[1]
 
 
 def _leading(cols):

@@ -10,7 +10,7 @@ columns.
 The wedge follows x ^ y = xy - yx, and ``vol`` is the alternating trilinear volume form
 pinned by vol(e1, e2, e3) = 1 (the coordinate determinant).  The convention
 x ^ y ^ z = xyz + yzx + zxy - zyx - xzy - yxz defines only e1 ^ e2 ^ e3, whose
-e_i (x) e_j (x) e_k coordinate is vol(e_i, e_j, e_k).  That tensor, the Alt2 pair order
+e_i (x) e_j (x) e_k coordinate is vol(e_i, e_j, e_k).  That tensor, the Alt2 pairs and basis
 and the pairing rows 5, 6 and 1 are defined here and nowhere else.
 """
 
@@ -78,18 +78,15 @@ def wedge2(x, y):
 
 
 def is_alt2(t) -> bool:
+    """t_ii = 0 and t_ij = -t_ji: idx2 positions 0, 4, 8, and pairs (1, 3), (2, 6), (5, 7)."""
     _check_len(t, 9, "degree-2 tensor")
-    for i in range(3):
-        if t[idx2(i, i)] != 0:
-            return False
-        for j in range(i + 1, 3):
-            if t[idx2(i, j)] != -t[idx2(j, i)]:
-                return False
-    return True
+    return t[0] == t[4] == t[8] == 0 and t[1] == -t[3] and t[2] == -t[6] and t[5] == -t[7]
 
 
 def non_alternating_columns(op: Matrix):
     """Indices of the columns of a 9x9 operator outside Alt2, read on its integer coordinates."""
+    if op.nrows != 9 or op.ncols != 9:
+        raise DimensionMismatch(f"a degree-2 operator must be 9x9, got {op.nrows}x{op.ncols}")
     n = reduce_mod(op.integers()[0], op.field.characteristic)
     return [c for c in range(9) if not is_alt2(n[c::9])]
 
@@ -161,6 +158,9 @@ def alt2_basis():
     """Basis e1^e2, e1^e3, e2^e3 of the alternating square, in integer coordinates."""
     e = unit_tensors(1)
     return [wedge2(e[j], e[k]) for j, k in _ALT2_PAIRS]
+
+
+_ALT2 = alt2_basis()  # e_j ^ e_k for (j, k) in _ALT2_PAIRS, built from no input
 
 
 def slot_action(op2: Matrix, s: int, t: int):

@@ -18,9 +18,9 @@ from .errors import DimensionMismatch, InputError, InvalidConstraint, NoHeckePar
 from .jsonio import vector_to_json
 from .linalg import Matrix, field_scalars, integer_coordinates, reduce_mod
 from .multilinear import (
+    _ALT2,
     _ALT2_PAIRS,
     _ALT3_UNIT,
-    alt2_basis,
     bivector,
     idx2,
     idx3,
@@ -40,6 +40,8 @@ from .multilinear import (
     wedge2,
 )
 from .heckecore import (
+    _acts_on_alt2_as_q_plus_1,
+    _alt2_eigen_sides,
     HeckeData,
     HeckeSymmetry,
     build_R,
@@ -73,8 +75,6 @@ __all__ = [
 
 # bound on one fuzz run's trials: the CLI takes the count from outside
 MAX_FUZZ_TRIALS = 10_000
-# the basis e_j ^ e_k of Alt2, built from no input, for (j, k) in _ALT2_PAIRS
-_ALT2 = alt2_basis()
 
 
 @dataclass(frozen=True)
@@ -160,25 +160,21 @@ def check_braid(R: Matrix, table=None) -> CheckReport:
 
 
 def check_hecke(R: Matrix, q) -> CheckReport:
-    """(R - q*Id)(R + Id) = 0 as a 9x9 identity."""
+    """(R - q*Id)(R + Id) = 0 as a 9x9 identity, read off ``heckecore.hecke_residual``."""
     return CheckReport("hecke", column_witness(hecke_residual(R, q), Matrix.zeros(R.field, 9)))
 
 
 def check_image_and_eigen(Y: Matrix, q) -> CheckReport:
-    """Image of Y is exactly the alternating square and Yw = (q+1)w there: for Y = N / d and
-    q = a / b, b (column jk - column kj of N) = (a + b) d (e_j ^ e_k).  It reads the caller's q
-    and does not test it: :class:`HeckeSymmetry` is the gate for q."""
-    (n, d), fld = Y.integers(), Y.field
-
-    def eigen():  # q is read only after the image test
-        (a,), b = integer_coordinates(fld, [q])
-        return _first_witness(fld, [b * (x - y) for j, k in _ALT2_PAIRS
-                                    for x, y in zip(n[idx2(j, k)::9], n[idx2(k, j)::9])],
-                              [(a + b) * d * c for w in _ALT2 for c in w], b * d,
-                              lambda s: {"bivector": vector_to_json(fld, _ALT2[s])}, 9)
-
+    """Image of Y is exactly Alt2 and Yw = (q+1)w there (``heckecore._alt2_eigen_sides``).  Rank 3
+    is read off a lemma where Y acts on Alt2 as q + 1 != 0; else alternation, rank and eigenvalue
+    are tested in turn.  q is read after alternation, untested: :class:`HeckeSymmetry` gates it."""
+    fld = Y.field
+    if _acts_on_alt2_as_q_plus_1(Y, q) and fld.of(q) != -1:
+        return CheckReport("image_eigen")
     return CheckReport("image_eigen", _alternation_witness(Y) or (rk := Y.rank()) != 3
-                       and _witness(fld, {"rank": rk}, str(rk), "3") or eigen())
+                       and _witness(fld, {"rank": rk}, str(rk), "3") or _first_witness(
+                           fld, *_alt2_eigen_sides(Y, q),
+                           lambda s: {"bivector": vector_to_json(fld, _ALT2[s])}, 9))
 
 
 def _braid_products(Y: Matrix, q):

@@ -46,6 +46,12 @@ of ``verifier.check_image_and_eigen`` and ``verifier.check_cyclic_shift_identity
 each bivector's block mod p on its own; the latter read any T, of any shape or field.
 ``canonical_gram`` and ``canonical`` are the former pair of ``classify``, which split a type's
 rule for q and its form between two functions where ``classify.canonical`` now states both.
+``hecke_residual``, ``check_hecke``, ``check_image_and_eigen``, ``extract_q`` and ``from_matrix``
+are the former ``heckecore`` and ``verifier`` bodies, which formed the 9x9 product
+(R - q Id)(R + Id) and ranked Y by elimination on every input, where the package reads both off
+how Y acts on Alt2 when it acts there as q + 1.  ``non_alternating_columns_unchecked`` is the
+former ``multilinear.non_alternating_columns``, which read any operator's first 81 integers in
+columns of 9 and so reported a non-9x9 shape as a column of the wrong length.
 """
 
 import operator
@@ -60,11 +66,12 @@ from hecke3.errors import (
     Hecke3Error,
     InputError,
     InvalidQ,
+    NoHeckeParameter,
     NotHeckeSym0,
     SingularMatrix,
 )
 from hecke3.fields import QQ, Fp, clip
-from hecke3.heckecore import FOperator, HeckeData
+from hecke3.heckecore import FOperator, HeckeData, HeckeSymmetry, _leading
 from hecke3 import multilinear
 from hecke3.linalg import Matrix, field_scalars, integer_coordinates, reduce_mod
 from hecke3.multilinear import (
@@ -86,7 +93,8 @@ from hecke3.multilinear import (
     wedge2,
 )
 from hecke3.jsonio import vector_to_json
-from hecke3.verifier import CheckReport, _basis_tensor, braid_table
+from hecke3.verifier import CheckReport, _basis_tensor, _first_witness, braid_table
+from hecke3 import verifier
 
 
 def _witness(field, input, lhs, rhs, scale=1, **head) -> dict:
@@ -629,3 +637,73 @@ def canonical(label: str, q=None, field=QQ) -> HeckeData:
     if q is not None and field.of(q) != 1:
         raise InvalidQ(f"{label} exists only at q = 1")
     return HeckeData(field.one(), e[0], e[1], g)
+
+
+def hecke_residual(R: Matrix, q) -> Matrix:
+    """The former heckecore.hecke_residual: (R - q Id)(R + Id), a 9x9 product on every input."""
+    Id = Matrix.identity(R.field, 9)
+    return (R - Id.scale(q)) * (R + Id)
+
+
+def check_hecke(R: Matrix, q) -> CheckReport:
+    """The former verifier.check_hecke, on the product of :func:`hecke_residual`."""
+    return CheckReport("hecke", verifier.column_witness(hecke_residual(R, q),
+                                                        Matrix.zeros(R.field, 9)))
+
+
+def non_alternating_columns_unchecked(op: Matrix):
+    """The former multilinear.non_alternating_columns: no shape check, so the columns of a
+    non-9x9 operator reach is_alt2 with 1, 3 or 81 coordinates and raise there."""
+    n = reduce_mod(op.integers()[0], op.field.characteristic)
+    return [c for c in range(9) if not is_alt2(n[c::9])]
+
+
+def check_image_and_eigen(Y: Matrix, q) -> CheckReport:
+    """The former verifier.check_image_and_eigen: alternation, then the rank by elimination, then
+    b (column jk - column kj of N) = (a + b) d (e_j ^ e_k) for Y = N / d and q = a / b."""
+    (n, d), fld, basis = Y.integers(), Y.field, alt2_basis()
+
+    def alternation():
+        bad = non_alternating_columns_unchecked(Y)
+        return verifier._witness(fld, {"basis_tensor": _basis_tensor(bad[0], 9)}, n[bad[0]::9],
+                                 "alternating tensor expected", d) if bad else None
+
+    def eigen():  # q is read only after the image test
+        (a,), b = integer_coordinates(fld, [q])
+        return _first_witness(fld, [b * (x - y) for j, k in _ALT2_PAIRS
+                                    for x, y in zip(n[idx2(j, k)::9], n[idx2(k, j)::9])],
+                              [(a + b) * d * c for w in basis for c in w], b * d,
+                              lambda s: {"bivector": vector_to_json(fld, basis[s])}, 9)
+
+    return CheckReport("image_eigen", alternation() or (rk := Y.rank()) != 3
+                       and verifier._witness(fld, {"rank": rk}, str(rk), "3") or eigen())
+
+
+def extract_q(R: Matrix):
+    """The former heckecore.extract_q, verified by the product of :func:`hecke_residual`."""
+    M = R + Matrix.identity(R.field, 9)
+    col, m = _leading(M.col(j) for j in range(M.ncols))
+    if col is None:
+        raise NoHeckeParameter("R = -Id: every q satisfies the relation")
+    q = R.apply(col)[m] / col[m]
+    if not hecke_residual(R, q).is_zero():
+        raise NoHeckeParameter("no q satisfies the quadratic Hecke relation")
+    return q
+
+
+def from_matrix(R: Matrix, q=None) -> HeckeSymmetry:
+    """The former HeckeSymmetry.from_matrix: the relation by a product, then rank Y = 3 by
+    elimination."""
+    if R.nrows != 9 or R.ncols != 9:
+        raise InputError("R must be a 9x9 matrix")
+    if q is None:
+        try:
+            q = extract_q(R)
+        except NoHeckeParameter as exc:
+            raise NotHeckeSym0(str(exc)) from exc
+    elif not hecke_residual(R, q).is_zero():
+        raise NotHeckeSym0("the quadratic Hecke relation fails for the given q")
+    sym = HeckeSymmetry(R, q)
+    if sym.Y.rank() != 3:
+        raise NotHeckeSym0("the skewsymmetrizer image is not the full alternating square")
+    return sym

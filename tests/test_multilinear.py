@@ -14,7 +14,7 @@ from hypothesis import given, strategies as st
 from field_reference import wedge3, wedge_vt
 from hecke3.errors import DimensionMismatch
 from hecke3.fields import GF, QQ
-from hecke3.linalg import Matrix
+from hecke3.linalg import Matrix, field_scalars
 from hecke3.multilinear import (
     _ALT2_PAIRS,
     _ALT3_UNIT,
@@ -202,6 +202,20 @@ class TestSubspaceQueries:
     def test_alt2(self):
         assert is_alt2(wedge2(E1, E2))
         assert not is_alt2(tensor2(E1, E2))
+
+    @pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "Fp7"])
+    def test_alt2_is_minus_the_transpose(self, field):
+        """is_alt2 reads six comparisons; it agrees with t = -t^T, as a list and as a tuple, on
+        bivectors and on each of them with any one coordinate moved."""
+        seen = set()
+        for s in ([1, 2, 3], [0, 0, 1], [-4, 0, 5]):
+            base = field_scalars(field, bivector(s))
+            for k, x in product(range(9), (0, 1, -1, 3)):
+                t = base[:k] + [base[k] + x] + base[k + 1:]
+                want = t == [-t[idx2(j, i)] for i in range(3) for j in range(3)]
+                assert is_alt2(t) == is_alt2(tuple(t)) == want
+                seen.add(want)
+        assert seen == {True, False}
 
     def test_v_alt2(self):
         w = [a * b for a in E1 for b in wedge2(E2, E3)]
