@@ -36,6 +36,8 @@ from .multilinear import (
     _ALT2,
     _ALT2_PAIRS,
     _ALT3_UNIT,
+    _check_len,
+    _checked_operator,
     bivector,
     change_of_basis,
     idx2,
@@ -68,12 +70,13 @@ __all__ = [
     "conjugate_data",
 ]
 
+_FLIP = [int(c == idx2(j, i)) for i in range(3) for j in range(3) for c in range(9)]  # flip_matrix
+
 
 def _checked_form(g: Matrix) -> Matrix:
-    """g itself, once it is known to be a symmetric 3x3 matrix."""
-    if g.nrows != 3 or g.ncols != 3:
-        raise InputError("bilinear form must be 3x3")
-    if g != g.transpose():
+    """g itself, once it is a degree-1 operator whose integer pairs (1, 3), (2, 6), (5, 7) agree:
+    the one form rule.  Equal matrices have equal integers, so this is g = g^T."""
+    if (n := _checked_operator(g, 1).integers()[0])[1] != n[3] or n[2] != n[6] or n[5] != n[7]:
         raise InputError("bilinear form must be symmetric")
     return g
 
@@ -105,7 +108,8 @@ def solve_q(a, b, g: Matrix):
 
 @dataclass(frozen=True)
 class HeckeData:
-    """A validated quadruple (q, a, b, g), q coerced into g's field; t = a^b formed on integers."""
+    """A validated quadruple (q, a, b, g), q coerced into g's field; t = a^b formed on integers.
+    :func:`wedge2` checks a and b, then :class:`FOperator` g, then :func:`_admissible_q` q."""
 
     q: object
     a: list
@@ -114,9 +118,7 @@ class HeckeData:
     t: list = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(self.a) != 3 or len(self.b) != 3:
-            raise InputError("a and b must be 3-dimensional vectors")
-        fld = _checked_form(self.g).field
+        fld = self.g.field
         (an, ad), (bn, bd) = integer_coordinates(fld, self.a), integer_coordinates(fld, self.b)
         object.__setattr__(self, "t", t := field_scalars(fld, wedge2(an, bn), ad * bd))
         object.__setattr__(self, "q", _admissible_q(self.q, FOperator(self.g, t)))
@@ -127,12 +129,12 @@ class HeckeData:
 
 
 def skewsymmetrizer_matrix(q, g: Matrix, t) -> Matrix:
-    """Y from the form g and the bivector t by the pairing-coordinate formula, unvalidated.
-
-    It is assembled on integers over one scale.  :func:`build_R` and :func:`build_Y_from_F`
-    validate first; adversarial harnesses call it with the q constraint deliberately broken.
-    """
-    fld, e = g.field, unit_tensors(1)
+    """Y from the form g and the bivector t by the pairing-coordinate formula, on integers over
+    one scale.  Only shapes are checked (g 3x3, t of 9 coordinates); q's constraint, g's symmetry
+    and t's alternation are not: :func:`build_R` and :func:`build_Y_from_F` validate first, and
+    adversarial harnesses and tests break them on purpose."""
+    fld, e = _checked_operator(g, 1).field, unit_tensors(1)
+    _check_len(t, 9, "degree-2 tensor")
     (h,), hd = integer_coordinates(fld, [(fld.of(q) + 1) / 2])  # over F_p the 1/2 is in h
     (r, gd), (tn, td) = g.integers(), integer_coordinates(fld, t)
     n = [pair_vt(v, tn) for v in e]  # td n_k
@@ -173,8 +175,7 @@ class HeckeSymmetry:
         """Validate a raw 9x9 matrix as a Hecke symmetry: the quadratic relation, then rank Y = 3
         (read off the lemma of :func:`_acts_on_alt2_as_q_plus_1` where it applies), so Y maps onto
         Alt2 and (R - q)(R + 1) = 0 makes q+1 its eigenvalue there.  The braid is the verifier's."""
-        if R.nrows != 9 or R.ncols != 9:
-            raise InputError("R must be a 9x9 matrix")
+        _checked_operator(R, 2)
         if q is None:
             try:
                 q = extract_q(R)
@@ -196,8 +197,7 @@ def build_R(data: HeckeData) -> HeckeSymmetry:
 
 def flip_matrix(field) -> Matrix:
     """The flip x(x)y |-> y(x)x: row (i, j) of the identity is moved to row (j, i)."""
-    return Matrix.of_integers(field, 9, 9, [int(c == idx2(j, i)) for i in range(3)
-                                            for j in range(3) for c in range(9)])
+    return Matrix.of_integers(field, 9, 9, _FLIP.copy())
 
 
 def hecke_residual(R: Matrix, q) -> Matrix:
@@ -256,6 +256,7 @@ class FOperator:
     same operator as FOperator(g, t) but not equal to it (compare :meth:`matrix`).
     :func:`extract_F` returns the normalized pair.  ``plane`` is t as the 3x3 matrix t[3i+j],
     a b^T - b a^T for t = a^b, whose columns span the plane of t: derived once, on integers.
+    The one door for the pair: g passes :func:`_checked_form`, then t must be alternating.
     """
 
     g: Matrix
@@ -263,7 +264,7 @@ class FOperator:
     plane: Matrix = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        fld = self.g.field
+        fld = _checked_form(self.g).field
         n, d = integer_coordinates(fld, self.t)
         if not is_alt2(reduce_mod(n, fld.characteristic)):
             raise InputError("the bivector part must be alternating")

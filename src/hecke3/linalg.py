@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
-from .errors import DimensionMismatch, FieldMismatch, SingularMatrix
+from .errors import DimensionMismatch, DivisionByZero, FieldMismatch, SingularMatrix
 from .fields import Fp
 
 __all__ = ["Matrix", "integer_coordinates", "field_scalars", "reduce_mod"]
@@ -41,14 +41,17 @@ class Matrix:
 
     @classmethod
     def of_integers(cls, field, nrows, ncols, N, d=1) -> "Matrix":
-        """The nrows x ncols matrix N / d of row-major integers N: d > 0 over Q, a unit over F_p."""
+        """The nrows x ncols matrix N / d of row-major integers N, for a scale d that is not 0 in
+        the field: over Q a negative d changes the signs of N and d, over F_p d is folded into N."""
         if len(N) != nrows * ncols:
             raise DimensionMismatch(f"a {nrows}x{ncols} matrix from {len(N)} entries")
         p, m = field.characteristic, cls.__new__(cls)
-        if p:  # a scale d != 1 is folded into the residues
+        if d != 1 and not (d % p if p else d):
+            raise DivisionByZero(f"a matrix scale of 0 in {field.name}")
+        if p:
             inv = pow(d, -1, p)
             N, d = [x % p for x in N] if inv == 1 else [x * inv % p for x in N], 1
-        elif (g := gcd(d, *N)) != 1:
+        elif (g := gcd(d, *N) if d > 0 else -gcd(d, *N)) != 1:
             N, d = [x // g for x in N], d // g
         m.field, m.nrows, m.ncols, m.N, m.d = field, nrows, ncols, N, d
         return m
@@ -68,7 +71,7 @@ class Matrix:
 
     @classmethod
     def identity(cls, field, n):
-        return cls.of_integers(field, n, n, [int(c % (n + 1) == 0) for c in range(n * n)])
+        return cls.of_integers(field, n, n, (([1] + [0] * n) * n)[:n * n])  # every (n+1)-th is 1
 
     @property
     def rows(self):
@@ -201,10 +204,9 @@ class Matrix:
 
     def rref(self):
         """Reduced row echelon form and pivot column tuple."""
-        rows, pivots, den, _ = self._eliminate()
-        s = -1 if den < 0 else 1  # a negative last Bareiss pivot: the scale must be positive
+        rows, pivots, den, _ = self._eliminate()  # of_integers turns a negative den positive
         return Matrix.of_integers(self.field, self.nrows, self.ncols,
-                                  [s * x for row in rows for x in row], s * den), pivots
+                                  [x for row in rows for x in row], den), pivots
 
     def rank(self) -> int:
         return len(self._eliminate()[1])

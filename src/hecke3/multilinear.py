@@ -65,6 +65,13 @@ def _check_len(t, n, what):
         raise DimensionMismatch(f"{what} must have {n} coordinates, got {len(t)}")
 
 
+def _checked_operator(m: Matrix, k: int) -> Matrix:
+    """m itself, once it is a degree-k operator, n x n for n = 3^k: the one shape rule."""
+    if m.nrows != (n := 3 ** k) or m.ncols != n:
+        raise DimensionMismatch(f"a degree-{k} operator must be {n}x{n}, got {m.nrows}x{m.ncols}")
+    return m
+
+
 def tensor2(x, y):
     """Plain tensor product x (x) y of two vectors."""
     return [xi * yj for xi in x for yj in y]
@@ -85,9 +92,7 @@ def is_alt2(t) -> bool:
 
 def non_alternating_columns(op: Matrix):
     """Indices of the columns of a 9x9 operator outside Alt2, read on its integer coordinates."""
-    if op.nrows != 9 or op.ncols != 9:
-        raise DimensionMismatch(f"a degree-2 operator must be 9x9, got {op.nrows}x{op.ncols}")
-    n = reduce_mod(op.integers()[0], op.field.characteristic)
+    n = reduce_mod(_checked_operator(op, 2).integers()[0], op.field.characteristic)
     return [c for c in range(9) if not is_alt2(n[c::9])]
 
 
@@ -169,13 +174,11 @@ def slot_action(op2: Matrix, s: int, t: int):
     moves[b] lists the (position, coefficient) pairs of N applied to basis tensor b, N read
     from :meth:`~hecke3.linalg.Matrix.integers` as residues nearest zero over F_p; m is the
     largest |coefficient|.  Slot s takes the first tensor factor, slot t the second: (0, 1) is
-    Y (x) Id, (1, 2) is Id (x) Y, (0, 2) the outer slots.  The one shape check of degree 3.
-    One scan lists the moves of N e_c for each column c; basis tensor b reads those of its
-    column (digits s and t), shifted by the weight of its slot u left alone.
+    Y (x) Id, (1, 2) is Id (x) Y, (0, 2) the outer slots.  The shape check of every degree-3
+    action.  One scan lists the moves of N e_c for each column c; basis tensor b reads those of
+    its column (digits s and t), shifted by the weight of its slot u left alone.
     """
-    if op2.nrows != 9 or op2.ncols != 9:
-        raise DimensionMismatch(f"a degree-2 operator must be 9x9, got {op2.nrows}x{op2.ncols}")
-    (n, d), weight, u = op2.integers(), (9, 3, 1), 3 - s - t  # u: the slot left alone
+    (n, d), weight, u = _checked_operator(op2, 2).integers(), (9, 3, 1), 3 - s - t
     n = reduce_mod(n, op2.field.characteristic)
     offsets = [weight[s] * (r // 3) + weight[t] * (r % 3) for r in range(9)]
     cols = [[(o, x) for o, x in zip(offsets, n[c::9]) if x] for c in range(9)]  # N e_c

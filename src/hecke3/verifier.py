@@ -21,6 +21,7 @@ from .multilinear import (
     _ALT2,
     _ALT2_PAIRS,
     _ALT3_UNIT,
+    _checked_operator,
     bivector,
     idx2,
     idx3,
@@ -123,11 +124,14 @@ def _first_witness(field, lhs, rhs, scale, input, size=1, **head) -> dict | None
 def column_witness(lhs: Matrix, rhs: Matrix) -> dict | None:
     """Witness at the first basis tensor where two 9x9 or 27x27 operators differ, or None.
 
-    The columns are compared on integer coordinates, both sides over the product of the scales.
+    Equal operators have equal integer coordinates, so they are decided without a scan; others
+    are compared column by column on integer coordinates, both sides over the product of the scales.
     """
     if (lhs.nrows, lhs.ncols) != (rhs.nrows, rhs.ncols):
         raise DimensionMismatch(f"{lhs.nrows}x{lhs.ncols} vs {rhs.nrows}x{rhs.ncols}")
     lhs._same_field(rhs)
+    if lhs == rhs:
+        return None
     (a, da), (b, db), n = lhs.integers(), rhs.integers(), lhs.ncols
     return _first_witness(lhs.field, [x * db for c in range(n) for x in a[c::n]],
                           [y * da for c in range(n) for y in b[c::n]], da * db,
@@ -307,8 +311,7 @@ def check_cyclic_shift_identity(Y: Matrix, T: Matrix, q, table=None) -> CheckRep
     Tx ^ t = pair_vt(Tx, t) e1^e2^e3.  Compared times b m d^2, for Y = N / d,
     T = M / m, q = a / b.  T must be a 3x3 operator over Y's field.
     """
-    if T.nrows != 3 or T.ncols != 3:
-        raise DimensionMismatch("the traceless operator of the shift identity must be 3x3")
+    _checked_operator(T, 1)
     Y._same_field(T)
     fld = Y.field
     vxa, axv, d, _ = table or braid_table(Y, q)

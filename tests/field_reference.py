@@ -52,10 +52,16 @@ are the former ``heckecore`` and ``verifier`` bodies, which formed the 9x9 produ
 how Y acts on Alt2 when it acts there as q + 1.  ``non_alternating_columns_unchecked`` is the
 former ``multilinear.non_alternating_columns``, which read any operator's first 81 integers in
 columns of 9 and so reported a non-9x9 shape as a column of the wrong length.
+``checked_form``, ``hecke_data``, ``identity``, ``flip_matrix``, ``of_integers`` and
+``column_witness_scanned`` are the former ``heckecore._checked_form`` (its own shape text, and
+g against its transpose), ``HeckeData.__post_init__`` (its own length and form checks),
+``Matrix.identity`` and ``heckecore.flip_matrix`` (a call per entry), ``Matrix.of_integers``
+(any scale taken as it is) and ``verifier.column_witness``, which scanned equal operators too.
 """
 
 import operator
 from itertools import product
+from math import gcd
 
 
 from hecke3.classify import Q_FAMILIES, TYPE_LABELS
@@ -71,7 +77,7 @@ from hecke3.errors import (
     SingularMatrix,
 )
 from hecke3.fields import QQ, Fp, clip
-from hecke3.heckecore import FOperator, HeckeData, HeckeSymmetry, _leading
+from hecke3.heckecore import FOperator, HeckeData, HeckeSymmetry, _admissible_q, _leading
 from hecke3 import multilinear
 from hecke3.linalg import Matrix, field_scalars, integer_coordinates, reduce_mod
 from hecke3.multilinear import (
@@ -707,3 +713,56 @@ def from_matrix(R: Matrix, q=None) -> HeckeSymmetry:
     if sym.Y.rank() != 3:
         raise NotHeckeSym0("the skewsymmetrizer image is not the full alternating square")
     return sym
+
+
+def checked_form(g: Matrix) -> Matrix:
+    """The former heckecore._checked_form: its own 3x3 text, then g against its transpose."""
+    if g.nrows != 3 or g.ncols != 3:
+        raise InputError("bilinear form must be 3x3")
+    if g != g.transpose():
+        raise InputError("bilinear form must be symmetric")
+    return g
+
+
+def hecke_data(q, a, b, g):
+    """The former HeckeData.__post_init__, as the pair (q, t) it stored."""
+    if len(a) != 3 or len(b) != 3:
+        raise InputError("a and b must be 3-dimensional vectors")
+    fld = checked_form(g).field
+    (an, ad), (bn, bd) = integer_coordinates(fld, a), integer_coordinates(fld, b)
+    t = field_scalars(fld, wedge2(an, bn), ad * bd)
+    return _admissible_q(q, FOperator(g, t)), t
+
+
+def of_integers(field, nrows, ncols, N, d=1):
+    """The former Matrix.of_integers, as the pair (N, d) it stored: any scale taken as it is."""
+    if len(N) != nrows * ncols:
+        raise DimensionMismatch(f"a {nrows}x{ncols} matrix from {len(N)} entries")
+    if p := field.characteristic:
+        inv = pow(d, -1, p)
+        return [x % p for x in N] if inv == 1 else [x * inv % p for x in N], 1
+    if (g := gcd(d, *N)) != 1:
+        return [x // g for x in N], d // g
+    return N, d
+
+
+def identity(field, n) -> Matrix:
+    """The former Matrix.identity: one int(...) per entry."""
+    return Matrix.of_integers(field, n, n, [int(c % (n + 1) == 0) for c in range(n * n)])
+
+
+def flip_matrix(field) -> Matrix:
+    """The former heckecore.flip_matrix: one int(...) per entry."""
+    return Matrix.of_integers(field, 9, 9, [int(c == idx2(j, i)) for i in range(3)
+                                            for j in range(3) for c in range(9)])
+
+
+def column_witness_scanned(lhs: Matrix, rhs: Matrix):
+    """The former verifier.column_witness: equal operators are reduced and scanned too."""
+    if (lhs.nrows, lhs.ncols) != (rhs.nrows, rhs.ncols):
+        raise DimensionMismatch(f"{lhs.nrows}x{lhs.ncols} vs {rhs.nrows}x{rhs.ncols}")
+    lhs._same_field(rhs)
+    (a, da), (b, db), n = lhs.integers(), rhs.integers(), lhs.ncols
+    return _first_witness(lhs.field, [x * db for c in range(n) for x in a[c::n]],
+                          [y * da for c in range(n) for y in b[c::n]], da * db,
+                          lambda c: {"basis_tensor": _basis_tensor(c, n)}, n)

@@ -13,7 +13,7 @@ import pytest
 
 import field_reference as fref
 from hecke3.classify import TYPE_LABELS, canonical
-from hecke3.errors import DimensionMismatch
+from hecke3.errors import DimensionMismatch, InputError
 from hecke3.fields import GF, QQ
 from hecke3.heckecore import (
     HeckeSymmetry,
@@ -208,7 +208,9 @@ def test_a_degree_2_operator_that_is_not_9x9_is_named_as_one(field, shape):
 def test_malformed_input_raises_as_before(field):
     """A non-9x9 R, or a q outside the field, raises from check_hecke, hecke_residual and
     from_matrix what the former bodies raise, and from check_image_and_eigen on the Y of a
-    symmetry too: the lemma runs only after their own validation."""
+    symmetry too: the lemma runs only after their own validation.  The one exception is by
+    design: from_matrix names a non-9x9 R by the degree-2 shape rule, where the former body
+    raised InputError("R must be a 9x9 matrix")."""
     sym = _moved(field, "Type3", None, random.Random(89))
     bad_q = ["1/3", GF(5).of(2)] if field.characteristic else ["x", GF(7).of(2)]
     cases = [(_shaped(field, *shape), sym.q) for shape in SHAPES] + [(sym.R, q) for q in bad_q]
@@ -221,9 +223,13 @@ def test_malformed_input_raises_as_before(field):
         if R is sym.R:
             pairs.append((lambda: check_image_and_eigen(sym.Y, q),
                           lambda: fref.check_image_and_eigen(sym.Y, q)))
-        for new, old in pairs:
-            got = _outcome(new)
-            assert got == _outcome(old)
+        for k, (new, old) in enumerate(pairs):
+            got, want = _outcome(new), _outcome(old)
+            if k >= 2 and R is not sym.R:  # from_matrix on a non-9x9 R
+                assert want == (InputError, "R must be a 9x9 matrix")
+                want = (DimensionMismatch, f"a degree-2 operator must be 9x9, got "
+                                           f"{R.nrows}x{R.ncols}")
+            assert got == want
             seen.add(got[0].__name__ if isinstance(got, tuple) else "value")
     assert {"DimensionMismatch", "InputError", "FieldMismatch"} <= seen
     # The one input that reads q sooner: an alternating Y of rank below 3 with q outside the

@@ -7,6 +7,7 @@ import pytest
 
 import field_reference as fref
 from hecke3.errors import (
+    DimensionMismatch,
     InputError,
     InvalidConstraint,
     NoHeckeParameter,
@@ -262,7 +263,9 @@ class TestHeckeDataValidation:
     @pytest.mark.parametrize("rows", [[[0, 0], [0, 0]], [[0, 1, 0], [1, 0, 0]]],
                              ids=["2x2", "2x3"])
     def test_form_of_the_wrong_shape(self, rows):
-        with pytest.raises(InputError, match="bilinear form must be 3x3"):
+        """The degree-1 shape rule; it used to be InputError("bilinear form must be 3x3")."""
+        want = f"^a degree-1 operator must be 3x3, got {len(rows)}x{len(rows[0])}$"
+        with pytest.raises(DimensionMismatch, match=want):
             HeckeData(QQ.one(), E1, E2, Matrix.from_rows(QQ, rows))
 
     @pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "Fp7"])

@@ -5,7 +5,8 @@ modules import one another at the top only, along an acyclic graph, the errors o
 for q are raised in one function, the type labels are spelled out in ``classify`` only,
 ``fractions`` is imported by ``fields`` and ``linalg`` only (elsewhere integers become field
 scalars through ``linalg.field_scalars``), one function builds a witness document (a dict with
-the keys "lhs" and "rhs"), and no package line is longer than 100 characters
+the keys "lhs" and "rhs"), one function states the shape rule of an operator (it compares
+``.nrows`` or ``.ncols`` with 3 or 9), and no package line is longer than 100 characters
 (so the package's line count is not met by packing more code onto each line)."""
 
 import ast
@@ -281,6 +282,51 @@ def test_the_witness_check_sees_a_second_builder():
            'def g(x):\n    def h():\n        return dict(lhs=x)\n    return {"lhsx": x}\n\n'
            'W = [{"lhs": 1}]\n')
     assert witness_builders(src, "m") == ["m:", "m:C.f", "m:_witness", "m:g.h"]
+
+
+SHAPE_RULE_HOME = "multilinear:_checked_operator"
+SHAPE_ATTRS = {"nrows", "ncols"}
+
+
+def shape_comparers(source: str, module: str):
+    """The scope, as "module:qualified.name", of each comparison of ``.nrows`` or ``.ncols`` with
+    the int 3 or 9, each side alone or in a tuple; one outside every function is "module:"."""
+    found = []
+
+    def items(node):
+        return node.elts if isinstance(node, ast.Tuple) else [node]
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.Compare):
+                sides = [x for side in [child.left, *child.comparators] for x in items(side)]
+                if any(isinstance(x, ast.Attribute) and x.attr in SHAPE_ATTRS for x in sides) and \
+                        any(isinstance(x, ast.Constant) and type(x.value) is int
+                            and x.value in (3, 9) for x in sides):
+                    found.append(f"{module}:{'.'.join(scope)}")
+            visit(child, scope)
+
+    visit(ast.parse(source), [])
+    return sorted(found)
+
+
+def test_the_operator_shape_rule_has_one_home():
+    """Every entry that takes an operator checks its shape through multilinear._checked_operator."""
+    found = [f for p in PACKAGE.glob("*.py") for f in shape_comparers(p.read_text(), p.stem)]
+    assert [f for f in found if f != SHAPE_RULE_HOME] == []
+
+
+def test_the_shape_check_sees_a_second_copy():
+    src = ("def _checked_operator(m, k):\n    if m.nrows != (n := 3 ** k) or m.ncols != n:\n"
+           "        raise ValueError\n\n"
+           "def slot_action(op2):\n    if op2.nrows != 9 or op2.ncols != 9:\n        raise E\n\n"
+           "class G:\n    def f(self, m):\n        return (m.nrows, m.ncols) == (3, 3)\n\n"
+           "def g(m, n):\n    return 9 > m.ncols, m.nrows == n, len(m) == 9, m.d == 3\n\n"
+           "ok = [x.nrows == 3.0 for x in y]\n")
+    assert shape_comparers(src, "m") == ["m:G.f", "m:g", "m:slot_action", "m:slot_action"]
 
 
 MAX_LINE_CHARS = 100

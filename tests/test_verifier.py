@@ -891,6 +891,29 @@ def test_only_a_failing_check_builds_a_witness(field, monkeypatch):
                       "component_identity", "pairing_identities", "cyclic_shift_identity"}
 
 
+@pytest.mark.parametrize("field", [QQ, GF(1_000_003)], ids=["Q", "Fp1000003"])
+def test_equal_operators_are_not_scanned(field, monkeypatch):
+    """column_witness decides equal operators by their integer coordinates: a passing check_hecke
+    or check_symmetrized calls _first_witness zero times, a failing one once.  Operators of
+    different shapes or fields still raise."""
+    rng = random.Random(67)
+    syms = [build_R(sampler(field, rng)) for sampler in (sample_strategy_a, sample_strategy_b) * 2]
+    calls = _counted(monkeypatch, ["_first_witness"])
+    for sym in syms:
+        assert check_hecke(sym.R, sym.q).passed
+        assert check_symmetrized(classical_r(sym), sym.q).passed
+    assert calls == {"_first_witness": 0}
+    sym = syms[0]
+    assert not check_hecke(sym.R, sym.q + 1).passed
+    assert not check_symmetrized(classical_r(sym), sym.q + 1).passed
+    assert calls == {"_first_witness": 2}
+    zero = Matrix.zeros(field, 9)
+    with pytest.raises(DimensionMismatch, match="^9x9 vs 3x3$"):
+        column_witness(zero, Matrix.zeros(field, 3))
+    with pytest.raises(FieldMismatch):
+        column_witness(zero, Matrix.zeros(GF(7), 9))
+
+
 def _kron_lifts(op):
     """op on slots (1,2), (2,3) and (1,3) of degree-3 tensors, as dense 27x27 Kronecker products."""
     ident3 = Matrix.identity(op.field, 3)
