@@ -208,7 +208,8 @@ def hecke_residual(R: Matrix, q) -> Matrix:
 
 
 def _alt2_eigen_sides(Y: Matrix, q):
-    """b (column jk - column kj of N), (a + b) d (e_j ^ e_k) mod p and b d, Y = N / d, q = a / b."""
+    """Y(e_j^e_k) = (q+1) e_j^e_k, stated once, for the verifier too: b (column jk - column kj of
+    N), (a + b) d e_j^e_k mod p and b d, for Y = N / d, q = a / b, (j, k) in _ALT2_PAIRS order."""
     (n, d), ((a,), b), p = Y.integers(), integer_coordinates(Y.field, [q]), Y.field.characteristic
     return (reduce_mod([b * (x - y) for j, k in _ALT2_PAIRS
                         for x, y in zip(n[idx2(j, k)::9], n[idx2(k, j)::9])], p),

@@ -41,7 +41,6 @@ from .multilinear import (
     wedge2,
 )
 from .heckecore import (
-    _acts_on_alt2_as_q_plus_1,
     _alt2_eigen_sides,
     HeckeData,
     HeckeSymmetry,
@@ -165,20 +164,21 @@ def check_braid(R: Matrix, table=None) -> CheckReport:
 
 def check_hecke(R: Matrix, q) -> CheckReport:
     """(R - q*Id)(R + Id) = 0 as a 9x9 identity, read off ``heckecore.hecke_residual``."""
-    return CheckReport("hecke", column_witness(hecke_residual(R, q), Matrix.zeros(R.field, 9)))
+    zero = (res := hecke_residual(R, q)).is_zero()  # the zero operator only for a witness
+    return CheckReport("hecke", None if zero else column_witness(res, Matrix.zeros(R.field, 9)))
 
 
 def check_image_and_eigen(Y: Matrix, q) -> CheckReport:
-    """Image of Y is exactly Alt2 and Yw = (q+1)w there (``heckecore._alt2_eigen_sides``).  Rank 3
-    is read off a lemma where Y acts on Alt2 as q + 1 != 0; else alternation, rank and eigenvalue
-    are tested in turn.  q is read after alternation, untested: :class:`HeckeSymmetry` gates it."""
-    fld = Y.field
-    if _acts_on_alt2_as_q_plus_1(Y, q) and fld.of(q) != -1:
-        return CheckReport("image_eigen")
-    return CheckReport("image_eigen", _alternation_witness(Y) or (rk := Y.rank()) != 3
-                       and _witness(fld, {"rank": rk}, str(rk), "3") or _first_witness(
-                           fld, *_alt2_eigen_sides(Y, q),
-                           lambda s: {"bivector": vector_to_json(fld, _ALT2[s])}, 9))
+    """Image of Y is exactly Alt2 and Yw = (q+1)w there: alternation, then the sides of
+    ``heckecore._alt2_eigen_sides`` formed once; rank 3 read off the lemma where they agree and
+    q + 1 != 0, else Y ranked.  q is read after alternation, untested: HeckeSymmetry gates it."""
+    if bad := _alternation_witness(Y):
+        return CheckReport("image_eigen", bad)
+    fld, (lhs, rhs, scale) = Y.field, _alt2_eigen_sides(Y, q)
+    rk = 3 if lhs == rhs and fld.of(q) != -1 else Y.rank()
+    return CheckReport("image_eigen", rk != 3 and _witness(fld, {"rank": rk}, str(rk), "3") or
+                       lhs != rhs and _first_witness(fld, lhs, rhs, scale, lambda s: {
+                           "bivector": vector_to_json(fld, _ALT2[s])}, 9) or None)
 
 
 def _braid_products(Y: Matrix, q):
@@ -263,28 +263,32 @@ def check_pairing_identities(Y: Matrix, q) -> CheckReport:
     """The two identities for the pairing forms of Y.
 
     With L[x,y](z) = pair_vt(x, Y(y z)), the coefficient of x ^ Y(y z), read
-    off rows 5, 6 and 1 of Y by :func:`~hecke3.multilinear.pairing_coordinates`:
+    off Y by :func:`~hecke3.multilinear.pairing_coordinates`:
 
-      * L[x,y](z) - L[x,z](y) = (q+1) vol(x,y,z)  (linear in all slots,
-        checked on basis triples, times b d for Y = N / d and q = a / b);
-      * (L[x,y] ^ L[x,z] - L[x,x] ^ L[y,z])(u,v) = q vol(x,y,z) vol(x,u,v),
-        quadratic in x with defect sum c_im x_i x_m, c_im in Z[q, l].  x = e1, e2, e3, e1+e2
-        and e1+e3 pin c_11, c_22, c_33, c_12, c_13; each component of c_23 is +- one of theirs
-        or the sum of two, so the sample decides the identity exactly (compared times b d^2).
-        Both sides alternate in (u, v), and u < v comes first in product order: read at u < v.
-    vol(e_i, e_j, e_k) = _ALT3_UNIT[idx3(i, j, k)] and vol(x, e_u, e_v) = bivector(x)[idx2(u, v)].
+      * L[x,y](z) - L[x,z](y) = (q+1) vol(x,y,z), linear: at (e_i, e_j, e_k), times b d for
+        Y = N / d, q = a / b, it is pair_vt(e_i, .) of the sides of ``heckecore._alt2_eigen_sides``
+        at pair (j, k), as d L[e_i,e_j](e_k) = pair_vt(e_i, column jk of N) and vol(e_i,e_j,e_k) =
+        pair_vt(e_i, e_j^e_k).  Read i first, pair second, they first fail where the triples do in
+        product order: j = k gives 0 = 0, and j > k fails iff (i, k, j), which comes first, does.
+      * (L[x,y] ^ L[x,z] - L[x,x] ^ L[y,z])(u,v) = q vol(x,y,z) vol(x,u,v), vol(x, e_u, e_v) =
+        bivector(x)[idx2(u, v)]: quadratic in x with defect sum c_im x_i x_m, c_im in Z[q, l].
+        x = e1, e2, e3, e1+e2 and e1+e3 pin c_11, c_22, c_33, c_12, c_13; each component of c_23
+        is +- one of theirs or the sum of two, so the sample decides the identity exactly
+        (compared times b d^2).  Both sides alternate in (u, v); u < v comes first: read there.
     """
-    fld, e = Y.field, unit_tensors(1)
-    n, d = Y.integers()
+    fld, e, (n, d) = Y.field, unit_tensors(1), Y.integers()
     (a,), b = integer_coordinates(fld, [q])
+    if bad := _alternation_witness(Y):
+        return CheckReport("pairing_identities", bad)
     ell = pairing_coordinates(n)  # d L
-    triples = list(product(range(3), repeat=3))  # in idx3 order, as _ALT3_UNIT
+    *sides, scale = _alt2_eigen_sides(Y, q)  # e_i paired with each side at pair (j, k): i, pair
+    eigen = [[pair_vt(v, w[9 * s:9 * s + 9]) for v in e for s in range(3)] for w in sides]
     cells = list(product(product(range(3), repeat=2), _ALT2_PAIRS))
 
     def wedge(xname, x):
-        # lx[j][u] = d L[x, e_j](e_u) and lxx[u] = d L[x, x](e_u), linear in each x
-        lx = [[sum(x[i] * ell[i][j][u] for i in range(3)) for u in range(3)] for j in range(3)]
-        lxx = [sum(x[j] * lx[j][u] for j in range(3)) for u in range(3)]
+        # lx[j][u] = d L[x, e_j](e_u) = sum_i x_i ell[i][j][u], lxx[u] = d L[x, x](e_u) likewise
+        lx = [[x[0] * r + x[1] * s + x[2] * t for r, s, t in zip(*rows)] for rows in zip(*ell)]
+        lxx = [x[0] * r + x[1] * s + x[2] * t for r, s, t in zip(*lx)]
         volx = bivector(x)
         return _first_witness(
             fld, [b * (lx[j][u] * lx[k][v] - lx[j][v] * lx[k][u] - lxx[u] * ell[j][k][v]
@@ -295,10 +299,8 @@ def check_pairing_identities(Y: Matrix, q) -> CheckReport:
 
     xs = [(f"e{i+1}", e[i]) for i in range(3)] + [(f"e1+e{j+1}", [
         s + t for s, t in zip(e[0], e[j])]) for j in (1, 2)]
-    return CheckReport("pairing_identities", _alternation_witness(Y) or _first_witness(
-        fld, [b * (ell[i][j][k] - ell[i][k][j]) for i, j, k in triples],
-        [(a + b) * d * c for c in _ALT3_UNIT], b * d,
-        lambda c: {"indices": [z + 1 for z in triples[c]]}, identity="eigenvalue")
+    return CheckReport("pairing_identities", _first_witness(fld, *eigen, scale, lambda c: {
+        "indices": [c // 3 + 1, *(z + 1 for z in _ALT2_PAIRS[c % 3])]}, identity="eigenvalue")
         or next(filter(None, (wedge(*x) for x in xs)), None))
 
 

@@ -156,29 +156,28 @@ def test_the_graph_checks_see_a_cycle_and_a_nested_import():
     assert package_imports(src) == ({"fields"}, {"classify"})
 
 
+def scoped_nodes(tree, scope=()):
+    """(scope, node) for each node below ``tree`` but the def and class statements: the scope is
+    the qualified name of the innermost function or class holding the node, "" outside every one."""
+    for child in ast.iter_child_nodes(tree):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from scoped_nodes(child, (*scope, child.name))
+        else:
+            yield ".".join(scope), child
+            yield from scoped_nodes(child, scope)
+
+
 RULE_ERRORS = {"ZeroQ", "InvalidConstraint"}
 
 
 def rule_raisers(source: str, module: str):
-    """The functions, as "module:qualified.name", holding a raise of ZeroQ or InvalidConstraint.
-
-    A raise outside every function is reported as "module:".
-    """
-    found = set()
-
-    def visit(node, scope):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                visit(child, scope + [child.name])
-                continue
-            if isinstance(child, ast.Raise) and child.exc is not None:
-                target = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
-                if (getattr(target, "id", None) or getattr(target, "attr", None)) in RULE_ERRORS:
-                    found.add(f"{module}:{'.'.join(scope)}")
-            visit(child, scope)
-
-    visit(ast.parse(source), [])
-    return found
+    """The functions, as "module:qualified.name", holding a raise of ZeroQ or InvalidConstraint;
+    a raise outside every function is reported as "module:"."""
+    raised = [(s, n.exc.func if isinstance(n.exc, ast.Call) else n.exc)
+              for s, n in scoped_nodes(ast.parse(source))
+              if isinstance(n, ast.Raise) and n.exc is not None]
+    return {f"{module}:{s}" for s, t in raised
+            if (getattr(t, "id", None) or getattr(t, "attr", None)) in RULE_ERRORS}
 
 
 def test_the_rule_for_q_has_one_home():
@@ -249,25 +248,15 @@ WITNESS_SIDES = {"lhs", "rhs"}
 def witness_builders(source: str, module: str):
     """The scope, as "module:qualified.name", of each dict display or ``dict(...)`` call with
     the key "lhs" or "rhs", a witness document; one outside every function is "module:"."""
-    found = []
 
-    def visit(node, scope):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                visit(child, scope + [child.name])
-                continue
-            if isinstance(child, ast.Dict):
-                keys = {getattr(k, "value", None) for k in child.keys}
-            elif isinstance(child, ast.Call) and getattr(child.func, "id", None) == "dict":
-                keys = {k.arg for k in child.keywords}
-            else:
-                keys = set()
-            if keys & WITNESS_SIDES:
-                found.append(f"{module}:{'.'.join(scope)}")
-            visit(child, scope)
+    def keys(node):
+        if isinstance(node, ast.Dict):
+            return {getattr(k, "value", None) for k in node.keys}
+        dict_call = isinstance(node, ast.Call) and getattr(node.func, "id", None) == "dict"
+        return {k.arg for k in node.keywords} if dict_call else set()
 
-    visit(ast.parse(source), [])
-    return sorted(found)
+    return sorted(f"{module}:{s}" for s, node in scoped_nodes(ast.parse(source))
+                  if keys(node) & WITNESS_SIDES)
 
 
 def test_the_witness_document_has_one_home():
@@ -291,26 +280,16 @@ SHAPE_ATTRS = {"nrows", "ncols"}
 def shape_comparers(source: str, module: str):
     """The scope, as "module:qualified.name", of each comparison of ``.nrows`` or ``.ncols`` with
     the int 3 or 9, each side alone or in a tuple; one outside every function is "module:"."""
-    found = []
 
-    def items(node):
-        return node.elts if isinstance(node, ast.Tuple) else [node]
+    def compares_shape(node):
+        sides = [x for side in [node.left, *node.comparators]
+                 for x in (side.elts if isinstance(side, ast.Tuple) else [side])]
+        attrs = any(isinstance(x, ast.Attribute) and x.attr in SHAPE_ATTRS for x in sides)
+        return attrs and any(isinstance(x, ast.Constant) and type(x.value) is int
+                             and x.value in (3, 9) for x in sides)
 
-    def visit(node, scope):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                visit(child, scope + [child.name])
-                continue
-            if isinstance(child, ast.Compare):
-                sides = [x for side in [child.left, *child.comparators] for x in items(side)]
-                if any(isinstance(x, ast.Attribute) and x.attr in SHAPE_ATTRS for x in sides) and \
-                        any(isinstance(x, ast.Constant) and type(x.value) is int
-                            and x.value in (3, 9) for x in sides):
-                    found.append(f"{module}:{'.'.join(scope)}")
-            visit(child, scope)
-
-    visit(ast.parse(source), [])
-    return sorted(found)
+    return sorted(f"{module}:{s}" for s, node in scoped_nodes(ast.parse(source))
+                  if isinstance(node, ast.Compare) and compares_shape(node))
 
 
 def test_the_operator_shape_rule_has_one_home():

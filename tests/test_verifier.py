@@ -830,8 +830,9 @@ def test_component_and_pairing_match_the_pairwise_reductions(field):
 
 
 def test_a_passing_fp_suite_reduces_each_side_of_a_block_once(monkeypatch):
-    """The pairing check reduces two lists per block (the eigenvalue block and one block per
-    point x, 12 in all), the component identity two; each list holds the whole block."""
+    """The pairing check reduces two lists per block (the eigenvalue block of 9 pairings of the
+    eigen sides, then one block of 27 per point x: 12 in all), the component identity two; each
+    list holds the whole block."""
     field, calls = GF(1_000_003), []
     monkeypatch.setattr(verifier, "reduce_mod", lambda ns, p: calls.append(len(ns)) or
                         reduce_mod(ns, p))
@@ -841,7 +842,7 @@ def test_a_passing_fp_suite_reduces_each_side_of_a_block_once(monkeypatch):
         table = braid_table(sym.Y, sym.q)
         calls.clear()
         assert check_pairing_identities(sym.Y, sym.q).passed
-        assert calls == [27] * 12
+        assert calls == [9, 9] + [27] * 10
         calls.clear()
         assert check_component_identity(sym.Y, sym.q, table).passed
         assert calls == [81] * 2
@@ -894,19 +895,22 @@ def test_only_a_failing_check_builds_a_witness(field, monkeypatch):
 @pytest.mark.parametrize("field", [QQ, GF(1_000_003)], ids=["Q", "Fp1000003"])
 def test_equal_operators_are_not_scanned(field, monkeypatch):
     """column_witness decides equal operators by their integer coordinates: a passing check_hecke
-    or check_symmetrized calls _first_witness zero times, a failing one once.  Operators of
-    different shapes or fields still raise."""
+    or check_symmetrized calls _first_witness zero times, a failing one once.  A passing
+    check_hecke decides its zero residual without column_witness, and a failing one calls it once
+    and gives the former body's witness.  Operators of different shapes or fields still raise."""
     rng = random.Random(67)
     syms = [build_R(sampler(field, rng)) for sampler in (sample_strategy_a, sample_strategy_b) * 2]
-    calls = _counted(monkeypatch, ["_first_witness"])
+    calls = _counted(monkeypatch, ["_first_witness", "column_witness"])
     for sym in syms:
         assert check_hecke(sym.R, sym.q).passed
         assert check_symmetrized(classical_r(sym), sym.q).passed
-    assert calls == {"_first_witness": 0}
+    assert calls == {"_first_witness": 0, "column_witness": 0}
     sym = syms[0]
-    assert not check_hecke(sym.R, sym.q + 1).passed
+    report = check_hecke(sym.R, sym.q + 1)
+    assert not report.passed
     assert not check_symmetrized(classical_r(sym), sym.q + 1).passed
-    assert calls == {"_first_witness": 2}
+    assert calls == {"_first_witness": 2, "column_witness": 1}
+    assert report.to_json() == fref.check_hecke(sym.R, sym.q + 1).to_json()
     zero = Matrix.zeros(field, 9)
     with pytest.raises(DimensionMismatch, match="^9x9 vs 3x3$"):
         column_witness(zero, Matrix.zeros(field, 3))
