@@ -99,18 +99,13 @@ def non_alternating_columns(op: Matrix):
 def cyclic_shift(w):
     """Coordinate action of x(x)y(x)z |-> y(x)z(x)x."""
     _check_len(w, 27, "degree-3 tensor")
-    return [w[idx3(k, i, j)] for i in range(3) for j in range(3) for k in range(3)]
+    return [w[c] for c in _SHIFT]
 
 
 def vol(x, y, z):
-    """The alternating trilinear form with vol(e1,e2,e3) = 1 (a determinant)."""
-    for v in (x, y, z):
-        _check_len(v, 3, "vector")
-    return (
-        x[0] * (y[1] * z[2] - y[2] * z[1])
-        - x[1] * (y[0] * z[2] - y[2] * z[0])
-        + x[2] * (y[0] * z[1] - y[1] * z[0])
-    )
+    """The alternating trilinear form with vol(e1,e2,e3) = 1: the determinant pair_vt(x, y ^ z)."""
+    _check_len(x, 3, "vector")
+    return pair_vt(x, wedge2(y, z))
 
 
 def unit_tensors(degree: int):
@@ -118,10 +113,20 @@ def unit_tensors(degree: int):
     return [[int(i == j) for j in range(3 ** degree)] for i in range(3 ** degree)]
 
 
+def pair_vt(x, t):
+    """Coefficient of x ^ t against e1^e2^e3, for a t the caller guarantees alternating.
+
+    Reads the three independent coordinates of t straight off: the pairing
+    is x_1 t_23 + x_2 t_31 + x_3 t_12, so pair_vt(x, y ^ z) = vol(x, y, z).
+    """
+    return x[0] * t[5] + x[1] * t[6] + x[2] * t[1]
+
+
 # e1^e2^e3, vol(e_i, e_j, e_k) at idx3(i, j, k): every alternating 3-tensor is a multiple of it
 _ALT3_UNIT = [vol(*triple) for triple in product(unit_tensors(1), repeat=3)]
 # the (j, k) of the Alt2 basis e_j ^ e_k: j < k, in product order
 _ALT2_PAIRS = ((0, 1), (0, 2), (1, 2))
+_SHIFT = [idx3(k, i, j) for i, j, k in product(range(3), repeat=3)]  # cyclic_shift's sources
 
 
 def is_alt3(w) -> bool:
@@ -129,16 +134,6 @@ def is_alt3(w) -> bool:
     _check_len(w, 27, "degree-3 tensor")
     c = w[idx3(0, 1, 2)]
     return all(x == c * s if s else x == 0 for x, s in zip(w, _ALT3_UNIT))
-
-
-def pair_vt(x, t):
-    """Coefficient of x ^ t against e1^e2^e3, for an alternating t.
-
-    Reads the three independent coordinates of t straight off: the pairing
-    is x_1 t_23 + x_2 t_31 + x_3 t_12, so pair_vt(x, y ^ z) = vol(x, y, z).
-    The caller guarantees t alternating.
-    """
-    return x[0] * t[5] + x[1] * t[6] + x[2] * t[1]
 
 
 def pairing_coordinates(ys):

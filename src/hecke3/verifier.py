@@ -4,8 +4,8 @@ Each check returns a :class:`CheckReport`; a failing report carries a witness
 (the first offending basis tensor or index tuple, with both side values).
 There are no tolerances anywhere: a check passes iff the identity holds
 bit-exactly.  Witness indices are printed 1-based to match the e1, e2, e3
-naming.  Every check but the containments' Alt3 test compares integer sides in one of two
-shapes: flat, each reduced mod p once (:func:`_first_witness`), or packed (:func:`packed_witness`).
+naming.  Every check reduces each side mod p once and compares integer sides in one of two
+shapes: flat (:func:`_first_witness`, or Alt3 block by block), or packed (:func:`packed_witness`).
 """
 
 from __future__ import annotations
@@ -212,25 +212,39 @@ def braid_table(Y: Matrix, q):
     return [cols[i:i + 3] for i in (0, 3, 6)], [cols[i:i + 3] for i in (9, 12, 15)], d, braid
 
 
+# Fixed data, built from no input: the 18 spanning tensors e_i (x) t_s, then t_s (x) e_i (i, s);
+_SPANNING = ([tensor2(v, t) for v in unit_tensors(1) for t in _ALT2]
+             + [tensor2(t, v) for v in unit_tensors(1) for t in _ALT2])
+# the 81 component cells (i, s, e_r e_r e_t position, 1-based i, j, k, r, t), right sides / a d^2;
+_CELLS = [(i, s, idx3(r, r, t), (i + 1, j + 1, k + 1, r + 1, t + 1))
+          for r, t, i in product(range(3), repeat=3) for s, (j, k) in enumerate(_ALT2_PAIRS)]
+_UNITS = [_ALT2[s][idx2(r, t)] if i == r else 0 for r, t, i, s in product(range(3), repeat=4)]
+# the pairing sample, its wedge cells (j, k, u, v), u < v, and vol(x, e_j, e_k) vol(x, e_u, e_v)
+_SAMPLE = (("e1", (1, 0, 0)), ("e2", (0, 1, 0)), ("e3", (0, 0, 1)), ("e1+e2", (1, 1, 0)),
+           ("e1+e3", (1, 0, 1)))
+_WEDGE_CELLS = [(j, k, u, v) for j, k in product(range(3), repeat=2) for u, v in _ALT2_PAIRS]
+_WEDGE_VOLS = [bx[idx2(j, k)] * bx[idx2(u, v)] for bx in (bivector(x) for _, x in _SAMPLE)
+               for j, k, u, v in _WEDGE_CELLS]
+
+
 def check_containments(Y: Matrix, q, table=None) -> CheckReport:
     """Degree-3 containments of the reformulated braid equation.
 
     (Id x Y)(Y x Id)w - q w must be alternating for every w in V (x) Alt2,
     and (Y x Id)(Id x Y)w - q w for every w in Alt2 (x) V; both are checked
     on the 9 spanning tensors of each space (the :func:`braid_table` columns),
-    as b column - a d^2 w reduced mod p, for Y = N / d, q = a / b.
+    as b column - a d^2 w for Y = N / d, q = a / b: all 18 reduced mod p once, tested in turn.
     """
     vxa, axv, d, _ = table or braid_table(Y, q)
     (a,), b = integer_coordinates(Y.field, [q])
-    e, p = unit_tensors(1), Y.field.characteristic
-    diffs = ((s, i, t, reduce_mod([b * x - a * d * d * y for x, y in zip(col, w)], p))
-             for s, cols in (("VxAlt2", vxa), ("Alt2xV", axv)) for i in range(3)
-             for t, col in zip(_ALT2, cols[i])
-             for w in [tensor2(e[i], t) if s == "VxAlt2" else tensor2(t, e[i])])
-    return CheckReport("containments", next((_witness(
-        Y.field, {"space": s, "vector": i + 1, "bivector": vector_to_json(Y.field, t)},
-        u, "element of Alt3 expected", scale=b * d * d) for s, i, t, u in diffs
-        if not is_alt3(u)), None))
+    cols, ad2 = [col for half in (vxa, axv) for row in half for col in row], a * d * d
+    diffs = reduce_mod([b * x - ad2 * y for col, w in zip(cols, _SPANNING) for x, y in zip(col, w)],
+                       Y.field.characteristic)
+    c = next((c for c in range(18) if not is_alt3(diffs[27 * c:27 * c + 27])), None)
+    return CheckReport("containments", c if c is None else _witness(Y.field, {
+        "space": ("VxAlt2", "Alt2xV")[c // 9], "vector": c // 3 % 3 + 1,
+        "bivector": vector_to_json(Y.field, _ALT2[c % 3])}, diffs[27 * c:27 * c + 27],
+        "element of Alt3 expected", b * d * d))
 
 
 def check_component_identity(Y: Matrix, q, table=None) -> CheckReport:
@@ -250,13 +264,9 @@ def check_component_identity(Y: Matrix, q, table=None) -> CheckReport:
     """
     vxa, _, d, _ = table or braid_table(Y, q)
     (a,), b = integer_coordinates(Y.field, [q])
-    cells = [(r, t, i, j, k, s) for r, t, i in product(range(3), repeat=3)
-             for s, (j, k) in enumerate(_ALT2_PAIRS)]
-    lhs = [b * vxa[i][s][idx3(r, r, t)] for r, t, i, j, k, s in cells]
-    rhs = [a * d * d * _ALT2[s][idx2(r, t)] if i == r else 0 for r, t, i, j, k, s in cells]
     return CheckReport("component_identity", _first_witness(
-        Y.field, lhs, rhs, b * d * d,
-        lambda c: {"indices": [cells[c][x] + 1 for x in (2, 3, 4, 0, 1)]}))  # i, j, k, r, t
+        Y.field, [b * vxa[i][s][c] for i, s, c, _ in _CELLS], [a * d * d * u for u in _UNITS],
+        b * d * d, lambda c: {"indices": [*_CELLS[c][3]]}))
 
 
 def check_pairing_identities(Y: Matrix, q) -> CheckReport:
@@ -283,25 +293,19 @@ def check_pairing_identities(Y: Matrix, q) -> CheckReport:
     ell = pairing_coordinates(n)  # d L
     *sides, scale = _alt2_eigen_sides(Y, q)  # e_i paired with each side at pair (j, k): i, pair
     eigen = [[pair_vt(v, w[9 * s:9 * s + 9]) for v in e for s in range(3)] for w in sides]
-    cells = list(product(product(range(3), repeat=2), _ALT2_PAIRS))
-
-    def wedge(xname, x):
-        # lx[j][u] = d L[x, e_j](e_u) = sum_i x_i ell[i][j][u], lxx[u] = d L[x, x](e_u) likewise
-        lx = [[x[0] * r + x[1] * s + x[2] * t for r, s, t in zip(*rows)] for rows in zip(*ell)]
-        lxx = [x[0] * r + x[1] * s + x[2] * t for r, s, t in zip(*lx)]
-        volx = bivector(x)
-        return _first_witness(
-            fld, [b * (lx[j][u] * lx[k][v] - lx[j][v] * lx[k][u] - lxx[u] * ell[j][k][v]
-                       + lxx[v] * ell[j][k][u]) for (j, k), (u, v) in cells],
-            [a * d * d * volx[idx2(j, k)] * volx[idx2(u, v)] for (j, k), (u, v) in cells],
-            b * d * d, lambda c: {"x": xname, "indices": [z + 1 for jk in cells[c] for z in jk]},
-            identity="wedge")
-
-    xs = [(f"e{i+1}", e[i]) for i in range(3)] + [(f"e1+e{j+1}", [
-        s + t for s, t in zip(e[0], e[j])]) for j in (1, 2)]
-    return CheckReport("pairing_identities", _first_witness(fld, *eigen, scale, lambda c: {
-        "indices": [c // 3 + 1, *(z + 1 for z in _ALT2_PAIRS[c % 3])]}, identity="eigenvalue")
-        or next(filter(None, (wedge(*x) for x in xs)), None))
+    if bad := _first_witness(fld, *eigen, scale, lambda c: {
+            "indices": [c // 3 + 1, *(z + 1 for z in _ALT2_PAIRS[c % 3])]}, identity="eigenvalue"):
+        return CheckReport("pairing_identities", bad)
+    lxs = [[[x[0] * r + x[1] * s + x[2] * t for r, s, t in zip(*rows)] for rows in zip(*ell)]
+           for _, x in _SAMPLE]  # lx[j][u] = d L[x, e_j](e_u) = sum_i x_i ell[i][j][u]
+    xxs = [[x[0] * r + x[1] * s + x[2] * t for r, s, t in zip(*lx)]
+           for (_, x), lx in zip(_SAMPLE, lxs)]  # xx[u] = d L[x, x](e_u) likewise
+    wedge = [b * (lx[j][u] * lx[k][v] - lx[j][v] * lx[k][u] - xx[u] * ell[j][k][v] + xx[v] *
+                  ell[j][k][u]) for lx, xx in zip(lxs, xxs) for j, k, u, v in _WEDGE_CELLS]
+    return CheckReport("pairing_identities", _first_witness(
+        fld, wedge, [a * d * d * v for v in _WEDGE_VOLS], b * d * d, lambda c: {
+            "x": _SAMPLE[c // 27][0], "indices": [z + 1 for z in _WEDGE_CELLS[c % 27]]},
+        identity="wedge"))
 
 
 def check_cyclic_shift_identity(Y: Matrix, T: Matrix, q, table=None) -> CheckReport:

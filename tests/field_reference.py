@@ -21,10 +21,13 @@ into a matrix on each use where ``FOperator.plane`` is now formed once on intege
 ``is_zero`` are ``FOperator``'s former alternation test, ``matrix`` and ``is_zero`` on the
 field scalars of t, and ``ratios`` the former ``fld.of(x) / lm`` of ``extract_F``.
 ``wedge_vt`` and ``wedge3`` are the former list wedges of ``multilinear``, which built
-e1^e2^e3 through two cyclic shifts before ``multilinear._ALT3_UNIT`` was read off ``vol``.
-``component_identity`` and ``pairing_identities`` are the former bodies of the verifier's
-checks, which reduced each (lhs, rhs) pair mod p on its own where the checks now reduce
-each side of a block once.  ``braid`` is the former body of ``verifier.check_braid``, which formed
+e1^e2^e3 through two cyclic shifts before ``multilinear._ALT3_UNIT`` was read off ``vol``;
+``vol`` is the former ``multilinear.vol``, the determinant written out, where the package now
+reads it off ``pair_vt(x, y ^ z)``.  ``component_identity``, ``containments`` and
+``pairing_identities`` are the former bodies of the verifier's checks, which reduced each
+(lhs, rhs) pair, or each spanning tensor's difference, mod p on its own and rebuilt their fixed
+index data on every call, where the checks now reduce each side of an identity once.
+``braid`` is the former body of ``verifier.check_braid``, which formed
 two slot actions of R and both of R's 3-fold products where the suite now reads the braid off
 ``braid_table``'s products of Y.  ``unpack`` and ``vanishes_mod`` are the former
 ``multilinear`` kernels of one packed column each, which read all 27 lanes of a column (over F_p,
@@ -89,13 +92,13 @@ from hecke3.multilinear import (
     idx2,
     idx3,
     is_alt2,
+    is_alt3,
     pair_vt,
     pairing_coordinates,
     slot_product,
     std_basis,
     tensor2,
     unit_tensors,
-    vol,
     wedge2,
 )
 from hecke3.jsonio import vector_to_json
@@ -308,6 +311,15 @@ def g_value(g: Matrix, x, y):
     return sum((x[i] * r[i][j] * y[j] for i in range(3) for j in range(3)), g.field.zero())
 
 
+def vol(x, y, z):
+    """The former multilinear.vol: the 3x3 determinant of (x, y, z) written out."""
+    return (
+        x[0] * (y[1] * z[2] - y[2] * z[1])
+        - x[1] * (y[0] * z[2] - y[2] * z[0])
+        + x[2] * (y[0] * z[1] - y[1] * z[0])
+    )
+
+
 def wedge_vt(x, t):
     """x ^ t for an alternating degree-2 tensor t, extending x ^ (y ^ z) = x ^ y ^ z bilinearly.
 
@@ -472,6 +484,22 @@ def braid(R: Matrix) -> CheckReport:
                 if x != y and (not p or not vanishes_mod(x - y, w, p)) else (zero, zero))
                for x, y in zip(slot_product((r1, r2, r1), w), slot_product((r2, r1, r2), w)))
     return CheckReport("braid", columns_witness(R.field, columns, d ** 3))
+
+
+def containments(Y: Matrix, q, table=None):
+    """The former verifier.check_containments: the 18 spanning tensors in turn, each difference
+    b column - a d^2 w reduced mod p on its own, stopping at the first outside Alt3."""
+    vxa, axv, d, _ = table or braid_table(Y, q)
+    (a,), b = integer_coordinates(Y.field, [q])
+    e, p = unit_tensors(1), Y.field.characteristic
+    diffs = ((s, i, t, reduce_mod([b * x - a * d * d * y for x, y in zip(col, w)], p))
+             for s, cols in (("VxAlt2", vxa), ("Alt2xV", axv)) for i in range(3)
+             for t, col in zip(alt2_basis(), cols[i])
+             for w in [tensor2(e[i], t) if s == "VxAlt2" else tensor2(t, e[i])])
+    return CheckReport("containments", next((_witness(
+        Y.field, {"space": s, "vector": i + 1, "bivector": vector_to_json(Y.field, t)},
+        u, "element of Alt3 expected", scale=b * d * d) for s, i, t, u in diffs
+        if not is_alt3(u)), None))
 
 
 def component_identity(Y: Matrix, q, table=None):

@@ -11,7 +11,7 @@ from itertools import product
 import pytest
 from hypothesis import given, strategies as st
 
-from field_reference import wedge3, wedge_vt
+from field_reference import vol as determinant, wedge3, wedge_vt
 from hecke3.errors import DimensionMismatch
 from hecke3.fields import GF, QQ
 from hecke3.linalg import Matrix, field_scalars
@@ -127,7 +127,8 @@ def test_vol_rejects_vectors_that_are_not_3_dimensional(args):
 
 @given(vec3, vec3, vec3)
 def test_pair_vt_matches_vol(u, x, y):
-    assert pair_vt(u, wedge2(x, y)) == vol(u, x, y)
+    """pair_vt(u, x ^ y), which vol reads, is the 3x3 determinant written out."""
+    assert pair_vt(u, wedge2(x, y)) == vol(u, x, y) == determinant(u, x, y)
 
 
 @given(vec3, vec3, vec3)

@@ -1,0 +1,131 @@
+"""One pass per identity: the pairing, containment and component checks.
+
+Each check compares its identity once, each side reduced mod p once, on fixed tensor data that
+``verifier`` builds at import: the polarization sample and the wedge identity's vol products,
+the 18 spanning tensors of V (x) Alt2 and Alt2 (x) V, and the component identity's 81 cells.
+These tests compare the documents, or the type and text of what is raised, of
+``check_pairing_identities``, ``check_containments`` and ``check_component_identity`` with the
+former bodies in ``field_reference`` (``pairing_identities``, ``containments`` and
+``component_identity``), count the Alt3 tests of the containments against the former body's,
+and read the checks' source for the calls each identity makes.
+"""
+
+import ast
+import inspect
+
+import pytest
+
+import field_reference as fref
+from test_eigen_sides import FIELDS, FIELD_IDS, _outcome, _samples
+from test_verifier import POLARIZATION_CASES
+from hecke3 import multilinear, verifier
+from hecke3.jsonio import vector_to_json
+from hecke3.linalg import Matrix
+from hecke3.multilinear import alt2_basis
+from hecke3.verifier import (
+    braid_table,
+    check_component_identity,
+    check_containments,
+    check_pairing_identities,
+)
+
+CHECKS = [
+    ("pairing", lambda Y, q, table: check_pairing_identities(Y, q),
+     lambda Y, q, table: fref.pairing_identities(Y, q)),
+    ("containments", check_containments, fref.containments),
+    ("component", check_component_identity, fref.component_identity),
+]
+
+
+def _doctored(table, half, i, s):
+    """The braid table with 1 added at e1 (x) e1 (x) e1 of column (i, s) of V (x) Alt2 (half 0)
+    or Alt2 (x) V (half 1): that coordinate of e1^e2^e3 is 0, so only this column leaves Alt3."""
+    halves = [[[col[:] for col in row] for row in h] for h in table[:2]]
+    halves[half][i][s][0] += 1
+    return (*halves, *table[2:])
+
+
+def _cases(field):
+    """(q, Y, table): the eigen-sides samples (strategy A and B symmetries at q, q + 1 and -1,
+    adversarial, bumped and rank-deficient operators) and a non-alternating Y with a q outside
+    the field, each with the table the check forms; the F_7 operators whose wedge identity first
+    fails at e1+e2 or e1+e3; and a passing symmetry's table doctored at each of the 18 columns."""
+    bad_q = f"1/{field.characteristic}" if field.characteristic else "x"
+    samples = _samples(field) + [(bad_q, Matrix.identity(field, 9))]
+    if field.characteristic == 7:
+        samples += [(field.of(q), Matrix.from_rows(field, rows))
+                    for _, q, rows in POLARIZATION_CASES]
+    out = [(q, Y, None) for q, Y in samples]
+    q, Y = samples[0]
+    table = braid_table(Y, q)
+    return out + [(q, Y, _doctored(table, half, i, s))
+                  for half in (0, 1) for i in range(3) for s in range(3)]
+
+
+def _input(doc):
+    """The witness input of a document as a hashable key, or the name of what was raised."""
+    if isinstance(doc, tuple):
+        return doc[0].__name__
+    witness = (doc["witness"] or {}).get("input")
+    return witness and tuple((k, str(v)) for k, v in witness.items())
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_the_checks_match_the_references(field):
+    """Same documents, witnesses included, as the former bodies on every case; the doctored
+    tables reach all 18 containment witnesses, the Alt2 (x) V ones of which no known Y does."""
+    seen = {name: set() for name, _, _ in CHECKS}
+    for q, Y, table in _cases(field):
+        for name, got, want in CHECKS:
+            doc = _outcome(lambda: got(Y, q, table))
+            assert doc == _outcome(lambda: want(Y, q, table)), (name, q)
+            seen[name].add(_input(doc))
+    bivectors = [str(vector_to_json(field, t)) for t in alt2_basis()]
+    assert {(("space", space), ("vector", str(i + 1)), ("bivector", t))
+            for space in ("VxAlt2", "Alt2xV") for i in range(3) for t in bivectors
+            } <= seen["containments"]
+    assert {None, "InputError"} <= seen["pairing"] & seen["containments"] & seen["component"]
+    if field.characteristic == 7:
+        assert {("x", "e1+e2"), ("x", "e1+e3")} <= {key[0] for key in seen["pairing"]
+                                                    if isinstance(key, tuple)}
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_the_containments_test_alt3_as_often_as_before(field, monkeypatch):
+    """All 18 differences are formed at once, but Alt3 is still tested block by block up to the
+    first failure: as many is_alt3 calls as the former body made, on every case."""
+    calls = {"verifier": 0, "reference": 0}
+    for who, module in (("verifier", verifier), ("reference", fref)):
+        def counted(w, _who=who):
+            calls[_who] += 1
+            return multilinear.is_alt3(w)
+        monkeypatch.setattr(module, "is_alt3", counted)
+    for q, Y, table in _cases(field):
+        calls.update(dict.fromkeys(calls, 0))
+        assert _outcome(lambda: check_containments(Y, q, table)) == _outcome(
+            lambda: fref.containments(Y, q, table))
+        assert calls["verifier"] == calls["reference"], q
+
+
+def _calls(fn):
+    """The names called in the body of ``fn``, with repeats, and whether it defines a function."""
+    tree = ast.parse(inspect.getsource(fn))
+    names = [getattr(n.func, "id", None) or getattr(n.func, "attr", None)
+             for n in ast.walk(tree) if isinstance(n, ast.Call)]
+    nested = [n for n in ast.walk(tree.body[0]) if isinstance(n, ast.FunctionDef)][1:]
+    return names, bool(nested)
+
+
+def test_each_identity_is_compared_once_on_fixed_data():
+    """The pairing check makes two comparisons (the eigenvalue, then the wedge identity) and
+    nests no function; the containments reduce once; no check, nor cyclic_shift, builds the
+    fixed index data a call at a time."""
+    fixed = {"product", "idx2", "idx3", "tensor2", "bivector"}
+    checks = (check_pairing_identities, check_containments, check_component_identity,
+              multilinear.cyclic_shift)
+    for fn in checks:
+        names, nested = _calls(fn)
+        assert not fixed & set(names), fn.__name__
+        assert not nested, fn.__name__
+    assert _calls(check_pairing_identities)[0].count("_first_witness") == 2
+    assert _calls(check_containments)[0].count("reduce_mod") == 1

@@ -7,11 +7,13 @@ e1+e3, which vanish exactly when c_11, c_22, c_33, c_12 and c_13 do.  The test
 computes every c_im symbolically and shows that each nonzero component of
 c_23 is +-1 times one component, or the sum of two components, of those five.
 So c_23 vanishes wherever they do, at any q and l in any field, and the point
-e2+e3 can never be the first to fail.
+e2+e3 can never be the first to fail.  A last test pins the check's sample to exactly
+these five points, in that order, so the proof covers the sample the package ships.
 """
 
 from itertools import product
 
+from hecke3 import verifier
 from hecke3.multilinear import idx2, unit_tensors, vol, wedge2
 
 
@@ -118,3 +120,12 @@ def test_defect_vanishes_on_a_valid_pairing():
     c = coefficients()
     assert all(at(p) == 0 for comps in c.values() for p in comps)
     assert any(p.terms for comps in c.values() for p in comps)
+
+
+def test_the_check_samples_exactly_these_points():
+    """The wedge identity is evaluated at e1, e2, e3, e1+e2 and e1+e3, named so, in that order."""
+    e = unit_tensors(1)
+    sums = [("e1+e2", [s + t for s, t in zip(e[0], e[1])]),
+            ("e1+e3", [s + t for s, t in zip(e[0], e[2])])]
+    assert [(name, list(x)) for name, x in verifier._SAMPLE] == [
+        ("e1", e[0]), ("e2", e[1]), ("e3", e[2])] + sums
