@@ -135,8 +135,8 @@ def skewsymmetrizer_matrix(q, g: Matrix, t) -> Matrix:
     adversarial harnesses and tests break them on purpose."""
     fld, e = _checked_operator(g, 1).field, unit_tensors(1)
     _check_len(t, 9, "degree-2 tensor")
-    (h,), hd = integer_coordinates(fld, [(fld.of(q) + 1) / 2])  # over F_p the 1/2 is in h
-    (r, gd), (tn, td) = g.integers(), integer_coordinates(fld, t)
+    (a,), b = integer_coordinates(fld, [q])  # (q + 1) / 2 = h / hd below
+    h, hd, (r, gd), (tn, td) = a + b, 2 * b, g.integers(), integer_coordinates(fld, t)
     n = [pair_vt(v, tn) for v in e]  # td n_k
     s = [[h * gd * td * _ALT3_UNIT[idx3(i, j, k)] + hd * (n[k] * r[3 * i + j] + n[j] * r[3 * i + k]
           - n[i] * r[3 * j + k]) for i in range(3)] for j in range(3) for k in range(3)]
@@ -287,23 +287,29 @@ class FOperator:
         """Gram determinant of g on the plane of t (0 for F = 0): -tr(T^2)/2 for T = t g.
 
         T (:func:`t_operator_of_F`) maps V into the plane of t = a^b, where T^2 = -delta.
-        With T = N / d on integers, delta = -sum N_ij N_ji / (2 d^2), one field scalar.
+        With T = N / d on integers, delta = -S / (2 d^2) (:func:`_trace_of_square`).
         """
-        n, d = t_operator_of_F(self).integers()
-        return field_scalars(self.field, [-sum(n[3 * i + j] * n[3 * j + i] for i in range(3)
-                                               for j in range(3))], 2 * d * d)[0]
+        s, d = _trace_of_square(self)
+        return field_scalars(self.field, [-s], 2 * d * d)[0]
+
+
+def _trace_of_square(f_op: FOperator):
+    """(S, d) with tr(T^2) = S / d^2 for T = t g = N / d: S = sum N_ij N_ji, on integers."""
+    n, d = t_operator_of_F(f_op).integers()
+    return sum(n[3 * i + j] * n[3 * j + i] for i in range(3) for j in range(3)), d
 
 
 def _admissible_q(q, f_op: FOperator):
     """q in F's field once the pair (q, F) is admissible: the one statement of the rule for q.
 
-    q = 0 raises ZeroQ before the constraint is tested.  InvalidConstraint quotes no value:
-    -4 delta of a quadruple within the input bounds can be too long to print.
+    q = 0 raises ZeroQ before (q - 1)^2 = -4 delta is decided on integers: q = a / b and
+    delta = -S / (2 d^2) give (a - b)^2 d^2 = 2 S b^2 (mod p).  InvalidConstraint quotes no
+    value: -4 delta of a quadruple within the input bounds can be too long to print.
     """
-    q = f_op.field.of(q)
-    if q == 0:
+    if (q := f_op.field.of(q)) == 0:
         raise ZeroQ("the Hecke parameter q must be nonzero")
-    if (q - 1) ** 2 != -4 * f_op.delta():
+    ((a,), b), (s, d) = integer_coordinates(f_op.field, [q]), _trace_of_square(f_op)
+    if reduce_mod([(a - b) ** 2 * d * d - 2 * s * b * b], f_op.field.characteristic)[0]:
         raise InvalidConstraint("(q-1)^2 = -4*discriminant(F) fails for the requested q")
     return q
 

@@ -127,13 +127,16 @@ _ALT3_UNIT = [vol(*triple) for triple in product(unit_tensors(1), repeat=3)]
 # the (j, k) of the Alt2 basis e_j ^ e_k: j < k, in product order
 _ALT2_PAIRS = ((0, 1), (0, 2), (1, 2))
 _SHIFT = [idx3(k, i, j) for i, j, k in product(range(3), repeat=3)]  # cyclic_shift's sources
+# braid_table's positions (i,j,k), (i,k,j) of V (x) Alt2, then (j,k,i), (k,j,i) of Alt2 (x) V
+_ANTISYM = ([(idx3(i, j, k), idx3(i, k, j)) for i in range(3) for j, k in _ALT2_PAIRS],
+            [(idx3(j, k, i), idx3(k, j, i)) for i in range(3) for j, k in _ALT2_PAIRS])
 
 
 def is_alt3(w) -> bool:
     """w = c e1^e2^e3, with c the e1 (x) e2 (x) e3 coordinate of w."""
     _check_len(w, 27, "degree-3 tensor")
     c = w[idx3(0, 1, 2)]
-    return all(x == c * s if s else x == 0 for x, s in zip(w, _ALT3_UNIT))
+    return list(w) == [c * s for s in _ALT3_UNIT]
 
 
 def pairing_coordinates(ys):
@@ -236,9 +239,9 @@ def lift_right(op2: Matrix) -> Matrix:
 def random_invertible(field, rng) -> Matrix:
     """Random invertible 3x3 matrix with integer entries in [-3, 3]."""
     while True:
-        m = Matrix.of_integers(field, 3, 3, [rng.randint(-3, 3) for _ in range(9)])
-        if m.det() != 0:
-            return m
+        n = [rng.randint(-3, 3) for _ in range(9)]  # det = vol of the rows, not 0 in the field
+        if reduce_mod([vol(n[:3], n[3:6], n[6:])], field.characteristic)[0]:
+            return Matrix.of_integers(field, 3, 3, n)
 
 
 def change_of_basis(op: Matrix, P: Matrix) -> Matrix:

@@ -21,6 +21,7 @@ from .multilinear import (
     _ALT2,
     _ALT2_PAIRS,
     _ALT3_UNIT,
+    _ANTISYM,
     _checked_operator,
     bivector,
     idx2,
@@ -33,7 +34,6 @@ from .multilinear import (
     random_invertible,
     slot_action,
     slot_product,
-    std_basis,
     tensor2,
     unit_tensors,
     unpack,
@@ -206,15 +206,16 @@ def braid_table(Y: Matrix, q):
     - (Y1 Y2 Y1 - Y2 Y1 Y2)); w = 3 bitlen(|a| d + 3 b m) + 2 (:func:`slot_product`).
     """
     y21, y12, d, braid = _braid_products(Y, q)
-    diffs = [y21[idx3(i, j, k)] - y21[idx3(i, k, j)] for i in range(3) for j, k in _ALT2_PAIRS]
-    diffs += [y12[idx3(j, k, i)] - y12[idx3(k, j, i)] for i in range(3) for j, k in _ALT2_PAIRS]
+    diffs = [y[u] - y[v] for y, pairs in zip((y21, y12), _ANTISYM) for u, v in pairs]
     cols = unpack(diffs, braid[2], Y.field.characteristic)
     return [cols[i:i + 3] for i in (0, 3, 6)], [cols[i:i + 3] for i in (9, 12, 15)], d, braid
 
 
-# Fixed data, built from no input: the 18 spanning tensors e_i (x) t_s, then t_s (x) e_i (i, s);
-_SPANNING = ([tensor2(v, t) for v in unit_tensors(1) for t in _ALT2]
-             + [tensor2(t, v) for v in unit_tensors(1) for t in _ALT2])
+# Fixed data, built from no input: the 36 (flat position, value) nonzero coordinates of the 18
+# spanning tensors e_i (x) t_s, then t_s (x) e_i (i, s), laid end to end;
+_SPANNING = [(k, u) for k, u in enumerate(
+    [x for v in unit_tensors(1) for t in _ALT2 for x in tensor2(v, t)]
+    + [x for v in unit_tensors(1) for t in _ALT2 for x in tensor2(t, v)]) if u]
 # the 81 component cells (i, s, e_r e_r e_t position, 1-based i, j, k, r, t), right sides / a d^2;
 _CELLS = [(i, s, idx3(r, r, t), (i + 1, j + 1, k + 1, r + 1, t + 1))
           for r, t, i in product(range(3), repeat=3) for s, (j, k) in enumerate(_ALT2_PAIRS)]
@@ -237,9 +238,10 @@ def check_containments(Y: Matrix, q, table=None) -> CheckReport:
     """
     vxa, axv, d, _ = table or braid_table(Y, q)
     (a,), b = integer_coordinates(Y.field, [q])
-    cols, ad2 = [col for half in (vxa, axv) for row in half for col in row], a * d * d
-    diffs = reduce_mod([b * x - ad2 * y for col, w in zip(cols, _SPANNING) for x, y in zip(col, w)],
-                       Y.field.characteristic)
+    diffs = [b * x for half in (vxa, axv) for row in half for col in row for x in col]
+    for k, u in _SPANNING:
+        diffs[k] -= a * d * d * u
+    diffs = reduce_mod(diffs, Y.field.characteristic)
     c = next((c for c in range(18) if not is_alt3(diffs[27 * c:27 * c + 27])), None)
     return CheckReport("containments", c if c is None else _witness(Y.field, {
         "space": ("VxAlt2", "Alt2xV")[c // 9], "vector": c // 3 % 3 + 1,
@@ -381,23 +383,27 @@ def _random_independent_pair(field, rng):
 def sample_strategy_a(field, rng) -> HeckeData:
     """Generic data with g isotropic on a, so an admissible q always exists.
 
-    In a basis starting with a, the form has a zero corner; the discriminant
+    In a basis B starting with a, the form G has a zero corner; the discriminant
     is then -g(a,b)^2 and q = 1 +/- 2 g(a,b) lies in the field.  The nonzero
-    root is kept.
+    root is kept.  B is a, then e_i for i != L, the last index with a_L != 0 in the field: the
+    pivots of an elimination of (a, e1, e2, e3).  Proof: e_i is outside span(a, e_m : m < i) for
+    i < L (coordinate L forces a's coefficient to 0) and for i > L (the span vanishes at i), and
+    e_L = (a - sum_{m<L} a_m e_m) / a_L is inside.  So det B = +-a_L, and g = B^-T G B^-1 =
+    adj^T G adj / det^2 on integers, the rows of adj B the cross products of B's columns.
     """
     an, bn = _random_independent_pair(field, rng)
-    a, b = field_scalars(field, an), field_scalars(field, bn)
-    # complete a to a basis by the first standard vectors independent of it
-    e = std_basis(field)
-    pivots = Matrix.from_columns(field, [a] + e).rref()[1]
-    B = Matrix.from_columns(field, [a] + [e[p - 1] for p in pivots[1:]])
     v = [_random_int(field, rng) for _ in range(5)]
-    g_new = Matrix.of_integers(field, 3, 3, [0, v[0], v[1], v[0], v[2], v[3], v[1], v[3], v[4]])
-    binv = B.inverse()
-    g = binv.transpose() * g_new * binv
-    gn, gd = g.integers()
-    gab, = field_scalars(field, [sum(x * y for x, y in zip(gn, tensor2(an, bn)))], gd)  # g(a, b)
-    return HeckeData(field.one() + 2 * gab or field.one() - 2 * gab, a, b, g)
+    G = [0, v[0], v[1], v[0], v[2], v[3], v[1], v[3], v[4]]  # the form in the basis B
+    L, e = max(i for i, x in enumerate(reduce_mod(an, field.characteristic)) if x), unit_tensors(1)
+    B = [an] + [e[i] for i in range(3) if i != L]  # the columns of B
+    adj = [[pair_vt(x, w) for x in e] for w in (wedge2(B[i - 2], B[i - 1]) for i in range(3))]
+    s = sum(x * y for x, y in zip(an, adj[0])) ** 2  # det(B)^2
+    ga = [sum(G[3 * i + j] * adj[j][n] for j in range(3)) for i in range(3) for n in range(3)]
+    gn = [sum(adj[i][m] * ga[3 * i + n] for i in range(3)) for m in range(3) for n in range(3)]
+    gab = sum(x * y for x, y in zip(gn, tensor2(an, bn)))  # g(a, b) = gab / s
+    q = field_scalars(field, [s + 2 * gab, s - 2 * gab], s)
+    return HeckeData(q[0] or q[1], field_scalars(field, an), field_scalars(field, bn),
+                     Matrix.of_integers(field, 3, 3, gn, s))
 
 
 _CANONICAL_Q_POOL = (2, 3, -1, "1/2", 5, "-2/3")

@@ -60,6 +60,11 @@ columns of 9 and so reported a non-9x9 shape as a column of the wrong length.
 g against its transpose), ``HeckeData.__post_init__`` (its own length and form checks),
 ``Matrix.identity`` and ``heckecore.flip_matrix`` (a call per entry), ``Matrix.of_integers``
 (any scale taken as it is) and ``verifier.column_witness``, which scanned equal operators too.
+``admissible_q``, ``sample_strategy_a`` and ``random_invertible`` are the former
+``heckecore._admissible_q``, ``verifier.sample_strategy_a`` and ``multilinear.random_invertible``:
+the rule for q on the field scalars (q - 1)^2 and -4 ``FOperator.delta()``; strategy A's basis
+completed by an rref of (a, e1, e2, e3), then inverted and applied to the form by two 3x3 products;
+and invertibility read off ``Matrix.det()``, where the package decides all three on integers.
 """
 
 import operator
@@ -74,10 +79,12 @@ from hecke3.errors import (
     FieldMismatch,
     Hecke3Error,
     InputError,
+    InvalidConstraint,
     InvalidQ,
     NoHeckeParameter,
     NotHeckeSym0,
     SingularMatrix,
+    ZeroQ,
 )
 from hecke3.fields import QQ, Fp, clip
 from hecke3.heckecore import FOperator, HeckeData, HeckeSymmetry, _admissible_q, _leading
@@ -794,3 +801,38 @@ def column_witness_scanned(lhs: Matrix, rhs: Matrix):
     return _first_witness(lhs.field, [x * db for c in range(n) for x in a[c::n]],
                           [y * da for c in range(n) for y in b[c::n]], da * db,
                           lambda c: {"basis_tensor": _basis_tensor(c, n)}, n)
+
+
+def admissible_q(q, f_op: FOperator):
+    """The former heckecore._admissible_q: (q - 1)^2 = -4 delta on field scalars."""
+    q = f_op.field.of(q)
+    if q == 0:
+        raise ZeroQ("the Hecke parameter q must be nonzero")
+    if (q - 1) ** 2 != -4 * f_op.delta():
+        raise InvalidConstraint("(q-1)^2 = -4*discriminant(F) fails for the requested q")
+    return q
+
+
+def sample_strategy_a(field, rng) -> HeckeData:
+    """The former verifier.sample_strategy_a: B from an rref's pivots, g = B^-T G B^-1 by
+    products of field matrices, g(a, b) and q on field scalars."""
+    an, bn = verifier._random_independent_pair(field, rng)
+    a, b = field_scalars(field, an), field_scalars(field, bn)
+    e = std_basis(field)
+    pivots = Matrix.from_columns(field, [a] + e).rref()[1]
+    B = Matrix.from_columns(field, [a] + [e[p - 1] for p in pivots[1:]])
+    v = [verifier._random_int(field, rng) for _ in range(5)]
+    g_new = Matrix.of_integers(field, 3, 3, [0, v[0], v[1], v[0], v[2], v[3], v[1], v[3], v[4]])
+    binv = B.inverse()
+    g = binv.transpose() * g_new * binv
+    gn, gd = g.integers()
+    gab, = field_scalars(field, [sum(x * y for x, y in zip(gn, tensor2(an, bn)))], gd)
+    return HeckeData(field.one() + 2 * gab or field.one() - 2 * gab, a, b, g)
+
+
+def random_invertible(field, rng) -> Matrix:
+    """The former multilinear.random_invertible: each draw tested by ``Matrix.det()``."""
+    while True:
+        m = Matrix.of_integers(field, 3, 3, [rng.randint(-3, 3) for _ in range(9)])
+        if m.det() != 0:
+            return m

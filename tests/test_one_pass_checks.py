@@ -20,7 +20,7 @@ from test_eigen_sides import FIELDS, FIELD_IDS, _outcome, _samples
 from test_verifier import POLARIZATION_CASES
 from hecke3 import multilinear, verifier
 from hecke3.jsonio import vector_to_json
-from hecke3.linalg import Matrix
+from hecke3.linalg import Matrix, integer_coordinates, reduce_mod
 from hecke3.multilinear import alt2_basis
 from hecke3.verifier import (
     braid_table,
@@ -118,14 +118,28 @@ def _calls(fn):
 
 def test_each_identity_is_compared_once_on_fixed_data():
     """The pairing check makes two comparisons (the eigenvalue, then the wedge identity) and
-    nests no function; the containments reduce once; no check, nor cyclic_shift, builds the
-    fixed index data a call at a time."""
+    nests no function; the containments reduce once; no check, nor cyclic_shift or braid_table,
+    builds the fixed index data a call at a time."""
     fixed = {"product", "idx2", "idx3", "tensor2", "bivector"}
     checks = (check_pairing_identities, check_containments, check_component_identity,
-              multilinear.cyclic_shift)
+              multilinear.cyclic_shift, braid_table)
     for fn in checks:
         names, nested = _calls(fn)
         assert not fixed & set(names), fn.__name__
         assert not nested, fn.__name__
     assert _calls(check_pairing_identities)[0].count("_first_witness") == 2
     assert _calls(check_containments)[0].count("reduce_mod") == 1
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_is_alt3_gives_a_tuple_the_verdict_of_its_list(field):
+    """is_alt3 takes any sequence of 27 scalars: c e1^e2^e3 passes, as list or tuple, and
+    each single coordinate changed fails; field scalars and their integer coordinates (residues
+    nearest zero over F_p) agree."""
+    for c in (field.zero(), field.one(), field.of(-2), field.of(5)):
+        w = [c * s for s in multilinear._ALT3_UNIT]
+        cases = [(w, True)] + [(w[:k] + [w[k] + 1] + w[k + 1:], False) for k in range(27)]
+        for v, want in cases:
+            assert multilinear.is_alt3(v) is multilinear.is_alt3(tuple(v)) is want, (c, v)
+            ints = reduce_mod(integer_coordinates(field, v)[0], field.characteristic)
+            assert multilinear.is_alt3(ints) is multilinear.is_alt3(tuple(ints)) is want
