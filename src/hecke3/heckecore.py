@@ -255,21 +255,23 @@ class FOperator:
 
     The pair (g, t) is stored as given, and equality compares it: FOperator(2g, t/2) is the
     same operator as FOperator(g, t) but not equal to it (compare :meth:`matrix`).
-    :func:`extract_F` returns the normalized pair.  ``plane`` is t as the 3x3 matrix t[3i+j],
-    a b^T - b a^T for t = a^b, whose columns span the plane of t: derived once, on integers.
-    The one door for the pair: g passes :func:`_checked_form`, then t must be alternating.
+    :func:`extract_F` returns the normalized pair.  ``plane`` (t as the 3x3 matrix t[3i+j],
+    a b^T - b a^T for t = a^b, whose columns span t's plane) and ``T`` = t g are formed once, on
+    integers.  The one door for the pair: g passes :func:`_checked_form`, then t must alternate.
     """
 
     g: Matrix
     t: list
     plane: Matrix = dc_field(init=False, repr=False, compare=False)
+    T: Matrix = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         fld = _checked_form(self.g).field
         n, d = integer_coordinates(fld, self.t)
         if not is_alt2(reduce_mod(n, fld.characteristic)):
             raise InputError("the bivector part must be alternating")
-        object.__setattr__(self, "plane", Matrix.of_integers(fld, 3, 3, n, d))
+        object.__setattr__(self, "plane", plane := Matrix.of_integers(fld, 3, 3, n, d))
+        object.__setattr__(self, "T", plane * self.g)
 
     @property
     def field(self):
@@ -295,7 +297,7 @@ class FOperator:
 
 def _trace_of_square(f_op: FOperator):
     """(S, d) with tr(T^2) = S / d^2 for T = t g = N / d: S = sum N_ij N_ji, on integers."""
-    n, d = t_operator_of_F(f_op).integers()
+    n, d = f_op.T.integers()
     return sum(n[3 * i + j] * n[3 * j + i] for i in range(3) for j in range(3)), d
 
 
@@ -345,11 +347,11 @@ def extract_F(sym: HeckeSymmetry) -> FOperator:
 
 
 def t_operator_of_F(f_op: FOperator) -> Matrix:
-    """The traceless operator t g of F = g (x) t, t read as the 3x3 matrix ``plane``.
+    """The traceless operator t g of F = g (x) t, t read as the 3x3 matrix ``plane``: ``F.T``.
 
     It is invariant under the rescaling; for t = a^b it is v |-> g(b,v) a - g(a,v) b.
     """
-    return f_op.plane * f_op.g
+    return f_op.T
 
 
 def build_Y_from_F(q, f_op: FOperator) -> Matrix:

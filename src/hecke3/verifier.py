@@ -41,7 +41,9 @@ from .multilinear import (
     wedge2,
 )
 from .heckecore import (
+    _admissible_q,
     _alt2_eigen_sides,
+    FOperator,
     HeckeData,
     HeckeSymmetry,
     build_R,
@@ -137,14 +139,15 @@ def column_witness(lhs: Matrix, rhs: Matrix) -> dict | None:
                           lambda c: {"basis_tensor": _basis_tensor(c, n)}, n)
 
 
-def packed_witness(field, lhs, rhs, w, scale) -> dict | None:
-    """:func:`column_witness` of packed columns of width w (c_k for c_k / scale): one
-    :func:`~hecke3.multilinear.vanishes_mod` call tests lhs - rhs, and only the witness unpacks."""
+def packed_witness(field, lhs, rhs, w, scale, shared=()) -> dict | None:
+    """:func:`column_witness` of packed columns of width w (c_k for c_k / scale), each side plus
+    sum k col[c] over (k, col) in ``shared``: one :func:`~hecke3.multilinear.vanishes_mod` call
+    tests lhs - rhs, and only the witness column c forms that sum and unpacks."""
     p = field.characteristic
     zero = vanishes_mod([x - y for x, y in zip(lhs, rhs)], w, p)
     c = zero.index(False) if False in zero else None
-    return c if c is None else _witness(field, {"basis_tensor": _basis_tensor(c, 27)},
-                                        *unpack([lhs[c], rhs[c]], w, p), scale)
+    return c if c is None else _witness(field, {"basis_tensor": _basis_tensor(c, 27)}, *unpack(
+        [x + sum(k * col[c] for k, col in shared) for x in (lhs[c], rhs[c])], w, p), scale)
 
 
 def _alternation_witness(Y: Matrix) -> dict | None:
@@ -155,11 +158,11 @@ def _alternation_witness(Y: Matrix) -> dict | None:
 
 
 def check_braid(R: Matrix, table=None) -> CheckReport:
-    """R1 R2 R1 = R2 R1 R2 (R1 = R x Id, R2 = Id x R) on the packed sides of a :func:`braid_table`,
-    times (b d)^3 at width 3 bitlen(|a| d + 3 b m) + 2; alone, of Y = -R at q = 0.  The sides'
-    27 differences are decided in one :func:`packed_witness` call; only the witness unpacks."""
-    lhs, rhs, w, scale = (table or _braid_products(-R, 0))[3]
-    return CheckReport("braid", packed_witness(R.field, lhs, rhs, w, scale))
+    """R1 R2 R1 = R2 R1 R2 (R1 = R x Id, R2 = Id x R) on the packed braid of a :func:`braid_table`,
+    times (b d)^3 at width 3 bitlen(|a| d + 3 b m) + 2; alone, of Y = -R at q = 0 by the slot
+    kernel.  One :func:`packed_witness` call; only the witness column forms both sides."""
+    lhs, rhs, w, scale, shared = (table or _braid_products(-R, 0))[3]
+    return CheckReport("braid", packed_witness(R.field, lhs, rhs, w, scale, shared))
 
 
 def check_hecke(R: Matrix, q) -> CheckReport:
@@ -182,7 +185,7 @@ def check_image_and_eigen(Y: Matrix, q) -> CheckReport:
 
 
 def _braid_products(Y: Matrix, q):
-    """The packed N2 N1, N1 N2, d and braid of :func:`braid_table`, before any unpack."""
+    """:func:`_braid_columns` by the slot kernel, for any 9x9 Y, with both braid sides in full."""
     (a,), b = integer_coordinates(Y.field, [q])
     (y1, d, m), (y2, _, _) = slot_action(Y, 0, 1), slot_action(Y, 1, 2)
     w, ad = 3 * (abs(a) * d + 3 * b * m).bit_length() + 2, a * d
@@ -192,27 +195,62 @@ def _braid_products(Y: Matrix, q):
     m12, m21 = ([u + b * b * x for u, x in zip(lin, yy)] for yy in (y12, y21))
     sides = ([ad * x - b * y for x, y in zip(mm, slot_product((last,), w, mm))]
              for mm, last in ((m12, y1), (m21, y2)))  # (M1 M2) M1 and (M2 M1) M2
-    return y21, y12, d, (*sides, w, (b * d) ** 3)
+    return _antisym(y21, 0), _antisym(y12, 1), d, (*sides, w, (b * d) ** 3, ())
+
+
+def _antisym(cols, h):
+    """The 9 packed columns at e_i (x) t_s (h = 0) or t_s (x) e_i (h = 1), (i, s) in order."""
+    return [cols[u] - cols[v] for u, v in _ANTISYM[h]]
+
+
+def _through(ell, vecs, h):
+    """L N2 (h = 0) or L N1 (h = 1) from vecs = _antisym(L, h), for N e_c = sum_s ell[c][s] t_s."""
+    return [ell[j][0] * vecs[o] + ell[j][1] * vecs[o + 1] + ell[j][2] * vecs[o + 2]
+            for j, o in _SLOTS[h]]
+
+
+def _braid_columns(Y: Matrix, q):
+    """:func:`braid_table` before vxa and axv unpack: its lemma's closed form where Y alternates."""
+    (a,), b = integer_coordinates(Y.field, [q])
+    if non_alternating_columns(Y):
+        return _braid_products(Y, q)
+    n, d = reduce_mod(Y.integers()[0], Y.field.characteristic), Y.integers()[1]
+    w, ad = 3 * (abs(a) * d + 3 * b * max(map(abs, n))).bit_length() + 2, a * d
+    ell, ident = list(zip(n[9:18], n[18:27], n[45:54])), [1 << w * c for c in range(27)]
+    units = [_antisym(ident, h) for h in (0, 1)]  # e_i (x) t_s, then t_s (x) e_k
+    n2, n1 = (_through(ell, units[h], h) for h in (0, 1))
+    n12, n21 = (_through(ell, _antisym(nn, h), h) for nn, h in ((n1, 0), (n2, 1)))
+    vxa, axv, c1, c2, c3 = _antisym(n21, 0), _antisym(n12, 1), ad * ad * b, ad * b * b, b ** 3
+    lhs, rhs = (_through(ell, [c2 * x - c1 * y - c3 * z for x, y, z in zip(
+        _antisym(nn, h), units[h], yy)], h) for nn, yy, h in ((n1, axv, 1), (n2, vxa, 0)))
+    shared = ((ad ** 3, ident), (-c1, n1), (-c1, n2), (c2, n12), (c2, n21))  # of both sides
+    return vxa, axv, d, (lhs, rhs, w, (b * d) ** 3, shared)
 
 
 def braid_table(Y: Matrix, q):
     """(vxa, axv, d, braid): the degree-3 columns the braid checks read, for Y = N / d, q = a / b.
 
-    vxa[i][s] = (Id x N)(N x Id)(e_i (x) t_s) and axv[i][s] = (N x Id)(Id x N)(t_s (x) e_i)
-    for t_s = e_j ^ e_k in :func:`alt2_basis`: the packed columns (i,j,k) - (i,k,j) and
-    (j,k,i) - (k,j,i) of the products, unpacked mod p.  braid = (lhs, rhs, w, (b d)^3) packs
-    M1 M2 M1 and M2 M1 M2 for M = a d Id - b N = b d (q Id - Y): one more factor on M1 M2 =
-    (a d)^2 - a b d (N1 + N2) + b^2 N1 N2, so lhs - rhs = (b d)^3 (-q^2 (Y1 - Y2) + q (Y1^2 - Y2^2)
-    - (Y1 Y2 Y1 - Y2 Y1 Y2)); w = 3 bitlen(|a| d + 3 b m) + 2 (:func:`slot_product`).
+    vxa[i][s] = (Id x N)(N x Id)(e_i (x) t_s) and axv[i][s] = (N x Id)(Id x N)(t_s (x) e_i) for
+    t_s = e_u ^ e_v, (u, v) in _ALT2_PAIRS, unpacked mod p.  braid = (lhs, rhs, w, (b d)^3, shared)
+    packs M1 M2 M1 and M2 M1 M2, M = a d Id - b N, at w = 3 bitlen(|a| d + 3 b m) + 2, each plus the
+    sum over ``shared`` (:func:`packed_witness`): lhs - rhs = -(a d)^2 b (N1 - N2) +
+    a d b^2 (N1^2 - N2^2) - b^3 (N1 N2 N1 - N2 N1 N2).  Lemma: if every column of Y alternates,
+    N e_c = sum_s l_c[s] t_s for l_c = (N[1,c], N[2,c], N[5,c]), so N1 e_(c,k) = sum_s l_c[s]
+    t_s (x) e_k and N2 e_(i,c) = sum_s l_c[s] e_i (x) t_s: every packed column of N1, N2, N1 N2,
+    N2 N1, N1^2 and N2^2 is a three-term combination of nine packed vectors formed once per call,
+    N1 N2 N1 e_(c,k) = sum_s l_c[s] axv[k][s] and N2 N1 N2 e_(i,c) = sum_s l_c[s] vxa[i][s].  Each
+    column packs the slot kernel's integers; that kernel, :func:`_braid_products`, runs where a
+    column of Y is outside Alt2 mod p.
     """
-    y21, y12, d, braid = _braid_products(Y, q)
-    diffs = [y[u] - y[v] for y, pairs in zip((y21, y12), _ANTISYM) for u, v in pairs]
-    cols = unpack(diffs, braid[2], Y.field.characteristic)
+    vxa, axv, d, braid = _braid_columns(Y, q)
+    cols = unpack(vxa + axv, braid[2], Y.field.characteristic)
     return [cols[i:i + 3] for i in (0, 3, 6)], [cols[i:i + 3] for i in (9, 12, 15)], d, braid
 
 
-# Fixed data, built from no input: the 36 (flat position, value) nonzero coordinates of the 18
-# spanning tensors e_i (x) t_s, then t_s (x) e_i (i, s), laid end to end;
+# Fixed data, built from no input: _through's (l index, vecs offset) per column (i, j, k) of N2, N1;
+_SLOTS = ([(c % 9, c // 9 * 3) for c in range(27)], [(c // 3, c % 3 * 3) for c in range(27)])
+# the 36 (flat position, value) nonzero coordinates of the 18 spanning tensors e_i (x) t_s, then
+# t_s (x) e_i (i, s), laid end to end;
 _SPANNING = [(k, u) for k, u in enumerate(
     [x for v in unit_tensors(1) for t in _ALT2 for x in tensor2(v, t)]
     + [x for v in unit_tensors(1) for t in _ALT2 for x in tensor2(t, v)]) if u]
@@ -434,7 +472,7 @@ def sample_adversarial(field, rng):
                 cand = data.g + Matrix.of_integers(field, 3, 3, [int(c in (3 * i + j, 3 * j + i))
                                                                  for c in range(9)])
                 try:
-                    HeckeData(data.q, data.a, data.b, cand)
+                    _admissible_q(data.q, FOperator(cand, data.t))  # only g differs from data
                 except InvalidConstraint:
                     return data.q, data.a, data.b, cand
         # every single-entry bump kept the constraint (not expected); resample
@@ -463,8 +501,9 @@ def fuzz(field, trials: int, seed: int, strategy: str = "A",
         rng = random.Random(seed * 1_000_003 + trial)
         if adversarial:
             q, a, b, g = sample_adversarial(field, rng)
-            R = Matrix.identity(field, 9).scale(q) - skewsymmetrizer_matrix(q, g, wedge2(a, b))
-            if check_braid(R).passed and check_hecke(R, q).passed:
+            Y = skewsymmetrizer_matrix(q, g, wedge2(a, b))
+            R = Matrix.identity(field, 9).scale(q) - Y
+            if check_braid(R, _braid_columns(Y, q)).passed and check_hecke(R, q).passed:
                 failures.append({"trial": trial, "check": "adversarial",
                                  "witness": {"note": "broken constraint went undetected"}})
             continue

@@ -29,7 +29,10 @@ reads it off ``pair_vt(x, y ^ z)``.  ``component_identity``, ``containments`` an
 index data on every call, where the checks now reduce each side of an identity once.
 ``braid`` is the former body of ``verifier.check_braid``, which formed
 two slot actions of R and both of R's 3-fold products where the suite now reads the braid off
-``braid_table``'s products of Y.  ``unpack`` and ``vanishes_mod`` are the former
+``braid_table``'s products of Y.  ``braid_table`` is the former ``verifier.braid_table``, which
+formed those products by the slot kernel on every Y, where the package reads them off a closed
+form in the pairing coordinates of Y when every column of Y alternates; the references here
+that take a table form theirs with it.  ``unpack`` and ``vanishes_mod`` are the former
 ``multilinear`` kernels of one packed column each, which read all 27 lanes of a column (over F_p,
 every column of a passing braid) where ``multilinear.vanishes_mod`` now decides a batch of
 columns with one exact division each.  ``lie_subalgebra`` and ``fingerprint`` are the former bodies of
@@ -109,7 +112,7 @@ from hecke3.multilinear import (
     wedge2,
 )
 from hecke3.jsonio import vector_to_json
-from hecke3.verifier import CheckReport, _basis_tensor, _first_witness, braid_table
+from hecke3.verifier import CheckReport, _basis_tensor, _first_witness
 from hecke3 import verifier
 
 
@@ -491,6 +494,25 @@ def braid(R: Matrix) -> CheckReport:
                 if x != y and (not p or not vanishes_mod(x - y, w, p)) else (zero, zero))
                for x, y in zip(slot_product((r1, r2, r1), w), slot_product((r2, r1, r2), w)))
     return CheckReport("braid", columns_witness(R.field, columns, d ** 3))
+
+
+def braid_table(Y: Matrix, q):
+    """The former verifier.braid_table with its _braid_products: two slot actions of Y, then
+    N1, N2, N1 N2, N2 N1 and both braid sides of M = a d Id - b N as packed columns of the slot
+    kernel, on every Y; braid = (lhs, rhs, w, (b d)^3), the two sides in full."""
+    (a,), b = integer_coordinates(Y.field, [q])
+    (y1, d, m), (y2, _, _) = multilinear.slot_action(Y, 0, 1), multilinear.slot_action(Y, 1, 2)
+    w, ad = 3 * (abs(a) * d + 3 * b * m).bit_length() + 2, a * d
+    n1, n2 = slot_product((y1,), w), slot_product((y2,), w)
+    y12, y21 = slot_product((y2,), w, n1), slot_product((y1,), w, n2)
+    lin = [(ad * ad << w * c) - a * b * d * (x + y) for c, (x, y) in enumerate(zip(n1, n2))]
+    m12, m21 = ([u + b * b * x for u, x in zip(lin, yy)] for yy in (y12, y21))
+    sides = ([ad * x - b * y for x, y in zip(mm, slot_product((last,), w, mm))]
+             for mm, last in ((m12, y1), (m21, y2)))  # (M1 M2) M1 and (M2 M1) M2
+    diffs = [y[u] - y[v] for y, pairs in zip((y21, y12), multilinear._ANTISYM) for u, v in pairs]
+    cols = multilinear.unpack(diffs, w, Y.field.characteristic)
+    return [cols[i:i + 3] for i in (0, 3, 6)], [cols[i:i + 3] for i in (9, 12, 15)], d, (
+        *sides, w, (b * d) ** 3)
 
 
 def containments(Y: Matrix, q, table=None):

@@ -118,11 +118,13 @@ def _calls(fn):
 
 def test_each_identity_is_compared_once_on_fixed_data():
     """The pairing check makes two comparisons (the eigenvalue, then the wedge identity) and
-    nests no function; the containments reduce once; no check, nor cyclic_shift or braid_table,
-    builds the fixed index data a call at a time."""
+    nests no function; the containments reduce once; no check, nor cyclic_shift, braid_table or
+    the closed form it reads (with its two helpers), builds the fixed index data a call at a
+    time or nests a function."""
     fixed = {"product", "idx2", "idx3", "tensor2", "bivector"}
     checks = (check_pairing_identities, check_containments, check_component_identity,
-              multilinear.cyclic_shift, braid_table)
+              multilinear.cyclic_shift, braid_table, verifier._braid_columns, verifier._through,
+              verifier._antisym)
     for fn in checks:
         names, nested = _calls(fn)
         assert not fixed & set(names), fn.__name__
