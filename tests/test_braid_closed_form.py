@@ -17,7 +17,7 @@ import pytest
 
 import field_reference as fref
 from test_braid_table import braid_corpus
-from test_eigen_sides import FIELDS, FIELD_IDS, _bumped
+from test_eigen_sides import FIELDS, FIELD_IDS, _bumped, _outcome
 from hecke3 import verifier
 from hecke3.errors import NotHeckeSym0
 from hecke3.heckecore import HeckeSymmetry, build_R, flip_matrix
@@ -64,14 +64,6 @@ def cases(field):
         out += [("bumped", sym.q, _bumped(sym.Y, [(idx2(n % 3, n % 3), c, one)])),
                 ("bumped", sym.q + 1, _bumped(sym.Y, [(0, 0, one), (idx2(1, 2), 4, one)]))]
     return out
-
-
-def _outcome(call):
-    """The document of a report, or the type and text of what the call raises."""
-    try:
-        return call().to_json()
-    except Exception as exc:  # compared, not swallowed: the reference must raise the same
-        return type(exc), str(exc)
 
 
 def reference_suite(sym):

@@ -286,7 +286,9 @@ WRONG_SHAPES = [Matrix.identity(QQ, 3), Matrix.identity(QQ, 27),
 
 @pytest.mark.parametrize("op", WRONG_SHAPES, ids=["3x3", "27x27", "9x3", "3x9"])
 def test_degree3_actions_reject_operators_that_are_not_9x9(op):
-    """slot_action is the one shape check of braid, braid table and CYBE; gl_tensor has its own."""
+    """multilinear._checked_operator is the one shape check of braid, braid table (through
+    non_alternating_columns before its closed form) and CYBE (through slot_action); gl_tensor has
+    its own."""
     for act in (lambda: slot_action(op, 0, 1), lambda: check_braid(op), lambda: braid_table(op, 0),
                 lambda: check_cybe(GlTensor(op, (), ()))):
         with pytest.raises(DimensionMismatch, match="degree-2 operator must be 9x9"):

@@ -1,7 +1,9 @@
 """The packed-column kernel of the degree-3 checks against two references.
 
 ``check_braid``, ``braid_table`` and ``check_cybe`` form every product of slot
-actions as packed integer columns (``multilinear.slot_product``).  Each is
+actions as packed integer columns (``multilinear.slot_product``; where every column of Y
+alternates, ``braid_table`` forms the same columns off the pairing coordinates of Y, which
+``test_braid_closed_form`` compares with the slot kernel).  Each is
 compared here with the list action that formed one coordinate at a time
 (``field_reference.slot_action``) and with dense Kronecker products of 27x27
 matrices, over Q, F_3, F_7, F_1000003 and F_(2^61 - 1).  The samples are
