@@ -334,11 +334,11 @@ def extract_F(sym: HeckeSymmetry) -> FOperator:
     lead, m = _leading(cols)
     if lead is None:
         f_op = FOperator(Matrix.zeros(fld, 3), [fld.zero()] * 9)
+    elif any(reduce_mod([c[k] * lead[m] - c[m] * lead[k] for c in cols for k in range(9)], p)):
+        raise NotHeckeSym0("the invariant operator does not have rank 1")
     else:
         g = Matrix.of_integers(fld, 3, 3, [c[m] for c in cols], 2 * d)  # cols[idx2(i, j)][m]
         f_op = FOperator(g, field_scalars(fld, lead, lead[m]))
-        if any(reduce_mod([c[k] * lead[m] - c[m] * lead[k] for c in cols for k in range(9)], p)):
-            raise NotHeckeSym0("the invariant operator does not have rank 1")
     try:
         _admissible_q(sym.q, f_op)
     except InvalidConstraint:

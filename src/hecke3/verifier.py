@@ -5,7 +5,7 @@ Each check returns a :class:`CheckReport`; a failing report carries a witness
 There are no tolerances anywhere: a check passes iff the identity holds
 bit-exactly.  Witness indices are printed 1-based to match the e1, e2, e3
 naming.  Every check reduces each side mod p once and compares integer sides in one of two
-shapes: flat (:func:`_first_witness`, or Alt3 block by block), or packed (:func:`packed_witness`).
+shapes: flat (:func:`_first_witness`), or packed (:func:`packed_witness`, :func:`braid_table`).
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .multilinear import (
     bivector,
     idx2,
     idx3,
-    is_alt3,
     cyclic_shift,
     non_alternating_columns,
     pair_vt,
@@ -210,7 +209,7 @@ def _through(ell, vecs, h):
 
 
 def _braid_columns(Y: Matrix, q):
-    """:func:`braid_table` before vxa and axv unpack: its lemma's closed form where Y alternates."""
+    """braid_table's (vxa, axv, d, braid), by its lemma's closed form where Y alternates."""
     (a,), b = integer_coordinates(Y.field, [q])
     if non_alternating_columns(Y):
         return _braid_products(Y, q)
@@ -228,32 +227,39 @@ def _braid_columns(Y: Matrix, q):
 
 
 def braid_table(Y: Matrix, q):
-    """(vxa, axv, d, braid): the degree-3 columns the braid checks read, for Y = N / d, q = a / b.
+    """(diffs, alt3, d, braid): the degree-3 columns the checks read, for Y = N / d, q = a / b.
 
-    vxa[i][s] = (Id x N)(N x Id)(e_i (x) t_s) and axv[i][s] = (N x Id)(Id x N)(t_s (x) e_i) for
-    t_s = e_u ^ e_v, (u, v) in _ALT2_PAIRS, unpacked mod p.  braid = (lhs, rhs, w, (b d)^3, shared)
-    packs M1 M2 M1 and M2 M1 M2, M = a d Id - b N, at w = 3 bitlen(|a| d + 3 b m) + 2, each plus the
-    sum over ``shared`` (:func:`packed_witness`): lhs - rhs = -(a d)^2 b (N1 - N2) +
-    a d b^2 (N1^2 - N2^2) - b^3 (N1 N2 N1 - N2 N1 N2).  Lemma: if every column of Y alternates,
-    N e_c = sum_s l_c[s] t_s for l_c = (N[1,c], N[2,c], N[5,c]), so N1 e_(c,k) = sum_s l_c[s]
-    t_s (x) e_k and N2 e_(i,c) = sum_s l_c[s] e_i (x) t_s: every packed column of N1, N2, N1 N2,
-    N2 N1, N1^2 and N2^2 is a three-term combination of nine packed vectors formed once per call,
-    N1 N2 N1 e_(c,k) = sum_s l_c[s] axv[k][s] and N2 N1 N2 e_(i,c) = sum_s l_c[s] vxa[i][s].  Each
-    column packs the slot kernel's integers; that kernel, :func:`_braid_products`, runs where a
-    column of Y is outside Alt2 mod p.
+    diffs packs D_c = b col_c - a d^2 w_c at width w, w_c the 18 spanning tensors e_i (x) t_s, then
+    t_s (x) e_i (t_s = e_u ^ e_v, (u, v) in _ALT2_PAIRS; (i, s) in order), col_c = vxa[i][s] =
+    (Id x N)(N x Id) w_c, then axv[i][s] = (N x Id)(Id x N) w_c.  alt3 holds (k_c, D_c in Alt3
+    mod p): k_c is lane 5 (e1 (x) e2 (x) e3) of D_c plus 2^(w-1) on lanes 0 to 5, and one
+    :func:`~hecke3.multilinear.vanishes_mod` call tests all 18 D_c - k_c e1^e2^e3.  Width: a lane
+    of col_c sums 6 products of N entries, so for s = |a| d + 3 b m one of D_c is at most
+    6 b m^2 + |a| d^2 <= s^2, one of D_c - k_c e1^e2^e3 at most 2 s^2 <= 2 s^3 < 2^(w-1) for
+    w = 3 bitlen(s) + 2 (s = 0: D_c = 0).  braid = (lhs, rhs, w, (b d)^3, shared) packs M1 M2 M1
+    and M2 M1 M2, M = a d Id - b N, each plus the sum over ``shared`` (:func:`packed_witness`):
+    lhs - rhs = -(a d)^2 b (N1 - N2) + a d b^2 (N1^2 - N2^2) - b^3 (N1 N2 N1 - N2 N1 N2).
+    Lemma: if every column of Y alternates, N e_c = sum_s l_c[s] t_s for l_c = (N[1,c], N[2,c],
+    N[5,c]), so N1 e_(c,k) = sum_s l_c[s] t_s (x) e_k and N2 e_(i,c) = sum_s l_c[s] e_i (x) t_s:
+    every packed column of N1, N2, N1 N2, N2 N1, N1^2 and N2^2 is a three-term combination of
+    nine packed vectors formed once per call, N1 N2 N1 e_(c,k) = sum_s l_c[s] axv[k][s] and
+    N2 N1 N2 e_(i,c) = sum_s l_c[s] vxa[i][s].  Each column packs the slot kernel's integers;
+    that kernel, :func:`_braid_products`, runs where a column of Y is outside Alt2 mod p.
     """
     vxa, axv, d, braid = _braid_columns(Y, q)
-    cols = unpack(vxa + axv, braid[2], Y.field.characteristic)
-    return [cols[i:i + 3] for i in (0, 3, 6)], [cols[i:i + 3] for i in (9, 12, 15)], d, braid
+    (a,), b = integer_coordinates(Y.field, [q])
+    w, ad2, half = braid[2], a * d * d, 1 << braid[2] - 1
+    diffs = [b * x - ad2 * ((1 << w * u) - (1 << w * v))
+             for x, (u, v) in zip(vxa + axv, _ANTISYM[0] + _ANTISYM[1])]
+    lift, e123 = half * ((1 << 6 * w) - 1) // ((1 << w) - 1), sum(
+        s << w * k for k, s in enumerate(_ALT3_UNIT) if s)  # 2^(w-1) on lanes 0-5; e1^e2^e3
+    ks = [((x + lift) >> 5 * w & (1 << w) - 1) - half for x in diffs]
+    oks = vanishes_mod([x - k * e123 for x, k in zip(diffs, ks)], w, Y.field.characteristic)
+    return diffs, list(zip(ks, oks)), d, braid
 
 
 # Fixed data, built from no input: _through's (l index, vecs offset) per column (i, j, k) of N2, N1;
 _SLOTS = ([(c % 9, c // 9 * 3) for c in range(27)], [(c // 3, c % 3 * 3) for c in range(27)])
-# the 36 (flat position, value) nonzero coordinates of the 18 spanning tensors e_i (x) t_s, then
-# t_s (x) e_i (i, s), laid end to end;
-_SPANNING = [(k, u) for k, u in enumerate(
-    [x for v in unit_tensors(1) for t in _ALT2 for x in tensor2(v, t)]
-    + [x for v in unit_tensors(1) for t in _ALT2 for x in tensor2(t, v)]) if u]
 # the 81 component cells (i, s, e_r e_r e_t position, 1-based i, j, k, r, t), right sides / a d^2;
 _CELLS = [(i, s, idx3(r, r, t), (i + 1, j + 1, k + 1, r + 1, t + 1))
           for r, t, i in product(range(3), repeat=3) for s, (j, k) in enumerate(_ALT2_PAIRS)]
@@ -271,20 +277,17 @@ def check_containments(Y: Matrix, q, table=None) -> CheckReport:
 
     (Id x Y)(Y x Id)w - q w must be alternating for every w in V (x) Alt2,
     and (Y x Id)(Id x Y)w - q w for every w in Alt2 (x) V; both are checked
-    on the 9 spanning tensors of each space (the :func:`braid_table` columns),
-    as b column - a d^2 w for Y = N / d, q = a / b: all 18 reduced mod p once, tested in turn.
+    on the 9 spanning tensors of each space, as b column - a d^2 w for Y = N / d, q = a / b: the
+    18 verdicts of :func:`braid_table`, decided packed.  The first false one fails, and only its
+    difference unpacks, reduced mod p, for the witness.
     """
-    vxa, axv, d, _ = table or braid_table(Y, q)
-    (a,), b = integer_coordinates(Y.field, [q])
-    diffs = [b * x for half in (vxa, axv) for row in half for col in row for x in col]
-    for k, u in _SPANNING:
-        diffs[k] -= a * d * d * u
-    diffs = reduce_mod(diffs, Y.field.characteristic)
-    c = next((c for c in range(18) if not is_alt3(diffs[27 * c:27 * c + 27])), None)
+    diffs, alt3, d, braid = table or braid_table(Y, q)
+    c = next((c for c, (_, ok) in enumerate(alt3) if not ok), None)
     return CheckReport("containments", c if c is None else _witness(Y.field, {
         "space": ("VxAlt2", "Alt2xV")[c // 9], "vector": c // 3 % 3 + 1,
-        "bivector": vector_to_json(Y.field, _ALT2[c % 3])}, diffs[27 * c:27 * c + 27],
-        "element of Alt3 expected", b * d * d))
+        "bivector": vector_to_json(Y.field, _ALT2[c % 3])}, unpack(
+        diffs[c:c + 1], braid[2], Y.field.characteristic)[0], "element of Alt3 expected",
+        integer_coordinates(Y.field, [q])[1] * d * d))
 
 
 def check_component_identity(Y: Matrix, q, table=None) -> CheckReport:
@@ -297,15 +300,20 @@ def check_component_identity(Y: Matrix, q, table=None) -> CheckReport:
     containment read where an index repeats.  When Y maps into Alt2 that
     difference lies in V (x) Alt2, where vanishing on every x (x) x (x) y, i.e.
     for Y transported along every P (``change_of_basis(Y, P)``), is lying in Alt3.  Read off
-    the V (x) Alt2 columns of :func:`braid_table` (times b d^2, for Y = N / d and q = a / b)
+    the V (x) Alt2 differences D of :func:`braid_table` (times b d^2, for Y = N / d and q = a / b)
     at j < k: j = k gives 0, and j > k mirrors j < k later in the loop order.  The e_r e_r e_t
     coordinate of w is e_i[r] (e_j^e_k)[idx2(r, t)]: that of e_j^e_k when i = r, else 0.
-    Each side is formed on all 81 (r, t, i, j, k) in loop order and reduced mod p once.
+    Lemma: the 81 cells are the lanes (r, r, t) of those 9 D, where e1^e2^e3 vanishes, so the
+    identity holds where all 9 lie in Alt3 mod p.  Elsewhere they unpack, and each side is formed
+    on all 81 (r, t, i, j, k) in loop order, the left as D + a d^2 w, and reduced mod p once.
     """
-    vxa, _, d, _ = table or braid_table(Y, q)
+    diffs, alt3, d, braid = table or braid_table(Y, q)
+    if all(ok for _, ok in alt3[:9]):
+        return CheckReport("component_identity")
     (a,), b = integer_coordinates(Y.field, [q])
+    cols, rhs = unpack(diffs[:9], braid[2], Y.field.characteristic), [a * d * d * u for u in _UNITS]
     return CheckReport("component_identity", _first_witness(
-        Y.field, [b * vxa[i][s][c] for i, s, c, _ in _CELLS], [a * d * d * u for u in _UNITS],
+        Y.field, [cols[3 * i + s][c] + x for (i, s, c, _), x in zip(_CELLS, rhs)], rhs,
         b * d * d, lambda c: {"indices": [*_CELLS[c][3]]}))
 
 
@@ -355,20 +363,31 @@ def check_cyclic_shift_identity(Y: Matrix, T: Matrix, q, table=None) -> CheckRep
     each other, and their difference is controlled by the traceless
     operator alone.  Both products are :func:`braid_table` columns, and
     Tx ^ t = pair_vt(Tx, t) e1^e2^e3.  Compared times b m d^2, for Y = N / d,
-    T = M / m, q = a / b.  T must be a 3x3 operator over Y's field.
+    T = M / m, q = a / b.  T must be a 3x3 operator over Y's field.  With D, D' the table's
+    differences at e_i (x) t and t (x) e_i = shift(e_i (x) t), b (Y1 Y2(t x) - shift(Y2 Y1(x t)))
+    is D' - shift(D).  Lemma: shift fixes e1^e2^e3, so where all 18 D lie in Alt3 mod p, as
+    k e1^e2^e3, it is (k' - k) e1^e2^e3, and the identity at (x, t) is m (k' - k) = 2 (a + b) d^2
+    pair_vt(M e_i, t) mod p: nine scalars, each times e1^e2^e3 for a witness.  Elsewhere the 18
+    D unpack and the 27 coordinates of each side are compared.
     """
     _checked_operator(T, 1)
     Y._same_field(T)
-    fld = Y.field
-    vxa, axv, d, _ = table or braid_table(Y, q)
+    fld, p = Y.field, Y.field.characteristic
+    diffs, alt3, d, braid = table or braid_table(Y, q)
     (qn,), qd = integer_coordinates(fld, [q])
     tn, td = T.integers()
-    # Y1 Y2(t x) - shift(Y2 Y1(x t)) and 2(q+1) pair_vt(td T e_i, t) d^2, tn[i::3] = td T e_i
-    lhs = [qd * td * (a - b) for i in range(3) for ytx, yxt in zip(axv[i], vxa[i])
-           for a, b in zip(ytx, cyclic_shift(yxt))]
-    cs = [2 * (qn + qd) * d * d * pair_vt(tn[i::3], t) for i in range(3) for t in _ALT2]
+    # 2(q+1) pair_vt(td T e_i, t) d^2, tn[i::3] = td T e_i
+    rhs = [2 * (qn + qd) * d * d * pair_vt(tn[i::3], t) for i in range(3) for t in _ALT2]
+    if all(ok for _, ok in alt3):
+        lhs = [td * (k - h) for (h, _), (k, _) in zip(alt3, alt3[9:])]
+        if reduce_mod(lhs, p) == reduce_mod(rhs, p):
+            return CheckReport("cyclic_shift_identity")
+        lhs = [x * s for x in lhs for s in _ALT3_UNIT]
+    else:
+        cols = unpack(diffs, braid[2], p)
+        lhs = [td * (x - y) for c in range(9) for x, y in zip(cols[9 + c], cyclic_shift(cols[c]))]
     return CheckReport("cyclic_shift_identity", _first_witness(
-        fld, lhs, [c * s for c in cs for s in _ALT3_UNIT], qd * td * d * d,
+        fld, lhs, [c * s for c in rhs for s in _ALT3_UNIT], qd * td * d * d,
         lambda c: {"vector": c // 3 + 1, "bivector": vector_to_json(fld, _ALT2[c % 3])}, 27))
 
 

@@ -5,7 +5,8 @@ three-term combinations in l_c = (N[1,c], N[2,c], N[5,c]) (the lemma is in its d
 ``check_braid`` decides the braid on one packed difference, forming both sides at a witness
 column only.  Elsewhere the slot kernel runs, as it does for ``check_braid(R)`` alone.  These
 tests compare, over Q, F_3, F_7, F_1000003 and F_(2^61 - 1), the table with the former
-``verifier.braid_table`` (``field_reference.braid_table``): the unpacked columns, d, the width
+``verifier.braid_table`` (``field_reference.braid_table``): the 18 differences b col - a d^2 w
+that the containments read, unpacked, with their Alt3 coefficients and verdicts, d, the width
 and scale, and every packed column of both sides; the braid report with the former
 ``check_braid`` on R's own products (``field_reference.braid``); and each suite report, witnesses
 included, with the former check bodies in ``field_reference``.
@@ -21,8 +22,17 @@ from test_eigen_sides import FIELDS, FIELD_IDS, _bumped, _outcome
 from hecke3 import verifier
 from hecke3.errors import NotHeckeSym0
 from hecke3.heckecore import HeckeSymmetry, build_R, flip_matrix
-from hecke3.linalg import Matrix
-from hecke3.multilinear import idx2, non_alternating_columns
+from hecke3.linalg import Matrix, integer_coordinates, reduce_mod
+from hecke3.multilinear import (
+    alt2_basis,
+    idx2,
+    idx3,
+    is_alt3,
+    non_alternating_columns,
+    tensor2,
+    unit_tensors,
+    unpack,
+)
 from hecke3.verifier import (
     CheckReport,
     braid_table,
@@ -82,17 +92,37 @@ def reference_suite(sym):
     return reports + [fref.cyclic_shift_identity(sym.Y, T, sym.q, table)]
 
 
+def former_differences(field, q, table):
+    """The former table's 18 differences b col - a d^2 w (Y = N / d, q = a / b; w the spanning
+    tensors e_i (x) t_s, then t_s (x) e_i), reduced mod p, and each one's (e1 (x) e2 (x) e3
+    coordinate, whether it lies in Alt3)."""
+    vxa, axv, d, _ = table
+    (a,), b = integer_coordinates(field, [q])
+    e, p = unit_tensors(1), field.characteristic
+    spanning = [tensor2(v, t) for v in e for t in alt2_basis()] + [
+        tensor2(t, v) for v in e for t in alt2_basis()]
+    cols = [col for half in (vxa, axv) for row in half for col in row]
+    diffs = [reduce_mod([b * x - a * d * d * y for x, y in zip(col, u)], p)
+             for col, u in zip(cols, spanning)]
+    return diffs, [(x[idx3(0, 1, 2)], is_alt3(x)) for x in diffs]
+
+
 def assert_tables_agree(field, q, Y):
-    """The unpacked columns, d, width and scale are the former table's, and so is every packed
-    column of both braid sides once the shared sum is added."""
-    vxa, axv, d, (lhs, rhs, w, scale, shared) = braid_table(Y, q)
-    ref_vxa, ref_axv, ref_d, (ref_lhs, ref_rhs, ref_w, ref_scale) = fref.braid_table(Y, q)
-    assert (vxa, axv, d, w, scale) == (ref_vxa, ref_axv, ref_d, ref_w, ref_scale)
+    """The unpacked differences, their Alt3 coefficients (mod p) and verdicts, d, width and scale
+    are those of the former table, and so is every packed column of both braid sides once the
+    shared sum is added."""
+    table = braid_table(Y, q)
+    diffs, alt3, d, (lhs, rhs, w, scale, shared) = table
+    ref = fref.braid_table(Y, q)
+    ref_d, (ref_lhs, ref_rhs, ref_w, ref_scale) = ref[2:]
+    p = field.characteristic
+    got = unpack(diffs, w, p), [(reduce_mod([k], p)[0], ok) for k, ok in alt3]
+    assert (got, d, w, scale) == (former_differences(field, q, ref), ref_d, ref_w, ref_scale)
     for c in range(27):
         s = sum(k * col[c] for k, col in shared)
         assert (lhs[c] + s, rhs[c] + s) == (ref_lhs[c], ref_rhs[c]), c
     R = Matrix.identity(field, 9).scale(q) - Y
-    report = check_braid(R, (vxa, axv, d, (lhs, rhs, w, scale, shared)))
+    report = check_braid(R, table)
     assert report.to_json() == CheckReport("braid", packed_witness(
         field, ref_lhs, ref_rhs, ref_w, ref_scale)).to_json() == fref.braid(R).to_json()
     return report

@@ -1,9 +1,10 @@
 """The one table of degree-3 columns read by the braid checks.
 
 ``verifier.braid_table`` forms the 18 columns of (Id x Y)(Y x Id) on V (x) Alt2
-and (Y x Id)(Id x Y) on Alt2 (x) V once.  The containments, the component
-identity and the cyclic-shift identity used to form them each from their own
-pair of slot actions; that per-check formation is kept here as the reference.
+and (Y x Id)(Id x Y) on Alt2 (x) V once, as the packed differences b col - a d^2 w that the
+containments decide in one call (Y = N / d, q = a / b, w a spanning tensor).  The
+containments, the component identity and the cyclic-shift identity used to form them each
+from their own pair of slot actions; that per-check formation is kept here as the reference.
 The braid equation of R = q Id - Y is read off the same products of Y; the former
 check_braid, which formed R's own products, is ``field_reference.braid``.  Where Y alternates,
 as in every suite, the table is read off the pairing coordinates of Y with no slot action
@@ -28,16 +29,16 @@ from hecke3.heckecore import (
     skewsymmetrizer_matrix,
     t_operator_of_F,
 )
-from hecke3.linalg import Matrix
+from hecke3.linalg import Matrix, integer_coordinates, reduce_mod
 from hecke3.multilinear import (
     alt2_basis,
     idx2,
-    is_alt3,
     random_invertible,
     slot_action,
     std_basis,
     tensor2,
     unit_tensors,
+    unpack,
     wedge2,
 )
 from hecke3.verifier import (
@@ -104,11 +105,19 @@ def _samples(field):
 
 @pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "Fp7"])
 def test_table_holds_the_columns_each_check_formed(field):
+    """The table's 18 differences are b col - a d^2 w of the containments' columns (Y = N / d,
+    q = a / b, w the spanning tensors), and the shift and component columns are those columns."""
+    e, p = unit_tensors(1), field.characteristic
     for sym in _samples(field):
-        vxa, axv, d, _ = braid_table(sym.Y, sym.q)
+        diffs, _, d, braid = braid_table(sym.Y, sym.q)
         assert d == sym.Y.integers()[1]
         containments, component, shift = per_check_columns(sym.Y)
-        assert containments == {"VxAlt2": vxa, "Alt2xV": axv}
+        vxa, axv = containments["VxAlt2"], containments["Alt2xV"]
+        (a,), b = integer_coordinates(field, [sym.q])
+        assert unpack(diffs, braid[2], p) == [
+            reduce_mod([b * x - a * d * d * y for x, y in zip(col, w)], p)
+            for cols, pair in ((vxa, lambda v, t: tensor2(v, t)), (axv, lambda v, t: tensor2(t, v)))
+            for i in range(3) for col, w in zip(cols[i], (pair(e[i], t) for t in alt2_basis()))]
         assert shift == [list(zip(axv[i], vxa[i])) for i in range(3)]
         for (i, j, k), col in component.items():
             if j == k:
@@ -193,18 +202,15 @@ def test_the_adversarial_fuzz_braid_equals_the_former_kernel(field, monkeypatch)
 
 
 def test_the_containments_test_all_18_spanning_tensors(monkeypatch):
-    """Both halves run: no report is known to tell V (x) Alt2 from Alt2 (x) V apart, and
-    whether one half implies the other for every Y with alternating columns is unproven."""
+    """Both halves run, all 18 differences in one vanishes_mod call: no report is known to tell
+    V (x) Alt2 from Alt2 (x) V apart, and whether one half implies the other for every Y with
+    alternating columns is unproven."""
     sym = build_R(sample_strategy_a(QQ, random.Random(4)))
-    seen = []
-
-    def counted(u):
-        seen.append(u)
-        return is_alt3(u)
-
-    monkeypatch.setattr(verifier, "is_alt3", counted)
+    seen, kernel = [], verifier.vanishes_mod
+    monkeypatch.setattr(verifier, "vanishes_mod",
+                        lambda cols, w, p: seen.append(len(cols)) or kernel(cols, w, p))
     assert check_containments(sym.Y, sym.q).passed
-    assert len(seen) == 18
+    assert seen == [18]
 
 
 @pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "Fp7"])

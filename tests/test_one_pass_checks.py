@@ -1,13 +1,14 @@
 """One pass per identity: the pairing, containment and component checks.
 
-Each check compares its identity once, each side reduced mod p once, on fixed tensor data that
-``verifier`` builds at import: the polarization sample and the wedge identity's vol products,
-the 18 spanning tensors of V (x) Alt2 and Alt2 (x) V, and the component identity's 81 cells.
+The pairing and component checks compare their identity once, each side reduced mod p once, on
+fixed tensor data that ``verifier`` builds at import: the polarization sample and the wedge
+identity's vol products, and the component identity's 81 cells.  The containments read the 18
+verdicts that ``braid_table`` decides packed, in one call, and unpack only a witness column.
 These tests compare the documents, or the type and text of what is raised, of
 ``check_pairing_identities``, ``check_containments`` and ``check_component_identity`` with the
 former bodies in ``field_reference`` (``pairing_identities``, ``containments`` and
-``component_identity``), count the Alt3 tests of the containments against the former body's,
-and read the checks' source for the calls each identity makes.
+``component_identity``), count the columns the containments unpack, and read the checks' source
+for the calls each identity makes.
 """
 
 import ast
@@ -19,6 +20,7 @@ import field_reference as fref
 from test_eigen_sides import FIELDS, FIELD_IDS, _outcome, _samples
 from test_verifier import POLARIZATION_CASES
 from hecke3 import multilinear, verifier
+from hecke3.errors import InputError
 from hecke3.jsonio import vector_to_json
 from hecke3.linalg import Matrix, integer_coordinates, reduce_mod
 from hecke3.multilinear import alt2_basis
@@ -37,29 +39,36 @@ CHECKS = [
 ]
 
 
-def _doctored(table, half, i, s):
-    """The braid table with 1 added at e1 (x) e1 (x) e1 of column (i, s) of V (x) Alt2 (half 0)
-    or Alt2 (x) V (half 1): that coordinate of e1^e2^e3 is 0, so only this column leaves Alt3."""
-    halves = [[[col[:] for col in row] for row in h] for h in table[:2]]
-    halves[half][i][s][0] += 1
-    return (*halves, *table[2:])
+def _doctored(field, q, table, ref, c):
+    """The braid table and the former one (``ref``) with 1 added at e1 (x) e1 (x) e1 of spanning
+    column c: that coordinate of e1^e2^e3 is 0, so only this column leaves Alt3.  The table's
+    difference b col - a d^2 w gains b there (q = a / b); its pair (Alt3 coefficient, verdict)
+    is read off its exact coordinates, unpacked."""
+    diffs, alt3, d, braid = table
+    halves = [[[col[:] for col in row] for row in h] for h in ref[:2]]
+    halves[c // 9][c // 3 % 3][c % 3][0] += 1
+    diffs, alt3 = diffs[:], alt3[:]
+    diffs[c] += integer_coordinates(field, [q])[1]
+    lanes = multilinear.unpack(diffs[c:c + 1], braid[2], 0)[0]
+    alt3[c] = lanes[5], multilinear.is_alt3(reduce_mod(lanes, field.characteristic))
+    return (diffs, alt3, d, braid), (*halves, *ref[2:])
 
 
 def _cases(field):
-    """(q, Y, table): the eigen-sides samples (strategy A and B symmetries at q, q + 1 and -1,
-    adversarial, bumped and rank-deficient operators) and a non-alternating Y with a q outside
-    the field, each with the table the check forms; the F_7 operators whose wedge identity first
-    fails at e1+e2 or e1+e3; and a passing symmetry's table doctored at each of the 18 columns."""
+    """(q, Y, table, former table): the eigen-sides samples (strategy A and B symmetries at q,
+    q + 1 and -1, adversarial, bumped and rank-deficient operators) and a non-alternating Y with
+    a q outside the field, each with the tables the checks form; the F_7 operators whose wedge
+    identity first fails at e1+e2 or e1+e3; and a passing symmetry's tables doctored at each of
+    the 18 columns."""
     bad_q = f"1/{field.characteristic}" if field.characteristic else "x"
     samples = _samples(field) + [(bad_q, Matrix.identity(field, 9))]
     if field.characteristic == 7:
         samples += [(field.of(q), Matrix.from_rows(field, rows))
                     for _, q, rows in POLARIZATION_CASES]
-    out = [(q, Y, None) for q, Y in samples]
+    out = [(q, Y, None, None) for q, Y in samples]
     q, Y = samples[0]
-    table = braid_table(Y, q)
-    return out + [(q, Y, _doctored(table, half, i, s))
-                  for half in (0, 1) for i in range(3) for s in range(3)]
+    table, ref = braid_table(Y, q), fref.braid_table(Y, q)
+    return out + [(q, Y, *_doctored(field, q, table, ref, c)) for c in range(18)]
 
 
 def _input(doc):
@@ -75,10 +84,10 @@ def test_the_checks_match_the_references(field):
     """Same documents, witnesses included, as the former bodies on every case; the doctored
     tables reach all 18 containment witnesses, the Alt2 (x) V ones of which no known Y does."""
     seen = {name: set() for name, _, _ in CHECKS}
-    for q, Y, table in _cases(field):
+    for q, Y, table, ref in _cases(field):
         for name, got, want in CHECKS:
             doc = _outcome(lambda: got(Y, q, table))
-            assert doc == _outcome(lambda: want(Y, q, table)), (name, q)
+            assert doc == _outcome(lambda: want(Y, q, ref)), (name, q)
             seen[name].add(_input(doc))
     bivectors = [str(vector_to_json(field, t)) for t in alt2_basis()]
     assert {(("space", space), ("vector", str(i + 1)), ("bivector", t))
@@ -91,20 +100,22 @@ def test_the_checks_match_the_references(field):
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
-def test_the_containments_test_alt3_as_often_as_before(field, monkeypatch):
-    """All 18 differences are formed at once, but Alt3 is still tested block by block up to the
-    first failure: as many is_alt3 calls as the former body made, on every case."""
-    calls = {"verifier": 0, "reference": 0}
-    for who, module in (("verifier", verifier), ("reference", fref)):
-        def counted(w, _who=who):
-            calls[_who] += 1
-            return multilinear.is_alt3(w)
-        monkeypatch.setattr(module, "is_alt3", counted)
-    for q, Y, table in _cases(field):
-        calls.update(dict.fromkeys(calls, 0))
-        assert _outcome(lambda: check_containments(Y, q, table)) == _outcome(
-            lambda: fref.containments(Y, q, table))
-        assert calls["verifier"] == calls["reference"], q
+def test_the_containments_unpack_only_their_witness_column(field, monkeypatch):
+    """The table's 18 verdicts decide the containments: on every case, as the former body does,
+    with no unpack on a pass and one, of the witness column alone, on a failure."""
+    calls, kernel = [], verifier.unpack
+    monkeypatch.setattr(verifier, "unpack", lambda cols, w, p: calls.append(len(cols)) or
+                        kernel(cols, w, p))
+    for q, Y, table, ref in _cases(field):
+        if table is None:
+            try:
+                table = braid_table(Y, q)
+            except InputError:
+                continue
+        calls.clear()
+        doc = _outcome(lambda: check_containments(Y, q, table))
+        assert doc == _outcome(lambda: fref.containments(Y, q, ref)), q
+        assert calls == ([] if doc["passed"] else [1]), q
 
 
 def _calls(fn):
@@ -118,9 +129,10 @@ def _calls(fn):
 
 def test_each_identity_is_compared_once_on_fixed_data():
     """The pairing check makes two comparisons (the eigenvalue, then the wedge identity) and
-    nests no function; the containments reduce once; no check, nor cyclic_shift, braid_table or
-    the closed form it reads (with its two helpers), builds the fixed index data a call at a
-    time or nests a function."""
+    nests no function; braid_table decides the 18 containments in one vanishes_mod call and
+    unpacks nothing, and the containments unpack only their witness column; no check, nor
+    cyclic_shift, braid_table or the closed form it reads (with its two helpers), builds the
+    fixed index data a call at a time or nests a function."""
     fixed = {"product", "idx2", "idx3", "tensor2", "bivector"}
     checks = (check_pairing_identities, check_containments, check_component_identity,
               multilinear.cyclic_shift, braid_table, verifier._braid_columns, verifier._through,
@@ -130,7 +142,9 @@ def test_each_identity_is_compared_once_on_fixed_data():
         assert not fixed & set(names), fn.__name__
         assert not nested, fn.__name__
     assert _calls(check_pairing_identities)[0].count("_first_witness") == 2
-    assert _calls(check_containments)[0].count("reduce_mod") == 1
+    assert _calls(check_containments)[0].count("unpack") == 1
+    assert _calls(braid_table)[0].count("vanishes_mod") == 1
+    assert "unpack" not in _calls(braid_table)[0]
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)

@@ -209,9 +209,13 @@ def test_braid_witness_matches_the_list_action_and_the_dense_products(field):
 
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
 def test_braid_table_matches_the_list_action_and_the_dense_products(field):
+    """At q = 0 the table's differences b col - a d^2 w are its columns, as the slot actions and
+    the dense 27x27 products form them."""
     e = unit_tensors(1)
     for name, Y in samples(field):
-        vxa, axv, d, _ = braid_table(Y, 0)
+        diffs, _, d, braid = braid_table(Y, 0)
+        cols = unpack(diffs, braid[2], field.characteristic)
+        vxa, axv = [cols[i:i + 3] for i in (0, 3, 6)], [cols[i:i + 3] for i in (9, 12, 15)]
         assert d == Y.integers()[1], name
         (y1, _), (y2, _) = fref.slot_action(Y, 0, 1), fref.slot_action(Y, 1, 2)
         assert vxa == [[y2(y1(tensor2(e[i], t))) for t in alt2_basis()] for i in range(3)], name
@@ -350,8 +354,8 @@ def recorded(monkeypatch, name):
 def test_braid_unpacks_differences_mod_p_and_both_sides_only_at_the_witness(field, monkeypatch):
     """One vanishes_mod call decides the 27 differences of the packed sides (over Q, v == 0; over
     F_p, one exact division each); over both, unpack runs on no column of a pass and once, on the
-    two sides of the witness column, on a failure.  braid_table unpacks its 18 differences in one
-    call."""
+    two sides of the witness column, on a failure.  braid_table decides its 18 containment
+    differences in one more vanishes_mod call and unpacks nothing."""
     unpacks, p = recorded(monkeypatch, "unpack"), field.characteristic
     tests = recorded(monkeypatch, "vanishes_mod")
     verdicts = set()
@@ -364,8 +368,9 @@ def test_braid_unpacks_differences_mod_p_and_both_sides_only_at_the_witness(fiel
         assert unpacks == ([] if report.passed else [(w, p, 2)]), name
         verdicts.add(report.passed)
         unpacks.clear()
+        tests.clear()
         braid_table(-R, 0)
-        assert unpacks == [(w, p, 18)], name
+        assert (unpacks, tests) == ([], [(w, p, 18)]), name
     assert verdicts == {True, False}
 
 
